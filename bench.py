@@ -364,7 +364,6 @@ def run_crawl(sf_tag: str, num_cpus: int) -> dict:
         # scaling legs instead of flat-taxing the small one
         num_seen_shards=max(4, num_cpus // 2),
         num_host_partitions=int(os.environ.get("CSR_BENCH_PARTS", "64")),
-        fetch_concurrency=max(2, num_cpus // 4),
     )
     # best-of-N (default 2): this host has bursty external neighbors
     # (same-code crawl walls observed 8-19 s across calm/noisy windows);

@@ -243,21 +243,26 @@ def main(argv=None) -> int:
     if args.cmd == "status":
         import os
 
-        from .pipelines.crawl import crawl_stats_table
+        from .pipelines.crawl import SEEN_HEALTH, crawl_stats_table
 
         summary = os.path.join(args.run, "run_summary.json")
+        if not os.path.isdir(os.path.join(args.run, "epochs")):
+            print(json.dumps({"state": "not-started"}))
+            return 0
+        t = crawl_stats_table(args.run).to_pylist()
         if os.path.exists(summary):
             with open(summary) as f:
-                print(json.dumps({"state": "complete", **json.load(f)}))
-        elif os.path.isdir(os.path.join(args.run, "epochs")):
-            t = crawl_stats_table(args.run).to_pylist()
-            print(json.dumps({
+                out = {"state": "complete", **json.load(f)}
+        else:
+            out = {
                 "state": "in-progress",
                 "epochs_complete": len(t),
                 "urls_fetched": sum(r["urls_fetched"] for r in t),
-            }))
-        else:
-            print(json.dumps({"state": "not-started"}))
+            }
+        if t:  # seen-shard health after the last committed epoch
+            last = max(t, key=lambda r: r["epoch"])
+            out["seen"] = {k: last.get(k) for k in SEEN_HEALTH}
+        print(json.dumps(out))
         return 0
 
     # crawl

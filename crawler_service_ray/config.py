@@ -69,10 +69,8 @@ class CrawlConfig:
     # crawlers/globus_base_preserved.py:283-301,473-477). 0 disables.
     flaky_every: int = 0
     max_retries: int = 2
-    # physical knobs (engine only; no semantic effect)
-    fetch_concurrency: int = 4
+    # physical knob (engine only; no semantic effect)
     fetch_batch_size: int = 4096
-    admit_batch_size: int = 65536
     # epochs with fewer frontier rows than this run as driver-local Arrow
     # kernels (identical code path minus Ray Data orchestration overhead);
     # larger epochs run as Dataset pipelines. force_mode: "local"/"dataset"

@@ -18,9 +18,13 @@ for the reference's idle-detection (SURVEY.md §2.9).
 Adaptive execution: an epoch whose frontier is large runs as a Ray Data
 ``Dataset`` pipeline over host partitions (see below); a tail epoch below
 ``local_epoch_threshold`` rows runs the SAME Arrow kernels driver-locally
-against the same seen/metrics actors — identical semantics, none of the
+against the same seen shards — identical semantics, none of the
 per-execution orchestration overhead that would dominate tiny epochs. Both
-paths are covered by the equivalence tests.
+paths are covered by the equivalence tests. The seen shards are the only
+actors a crawl starts: they are also the dataset path's frontier sink
+(state/seen.py), and the per-epoch counters travel with the data — the
+expand tasks' output rows and one admission counter row per partition —
+into a driver-side dict.
 
 Partitioning (the design that replaced a per-epoch groupby("host")
 shuffle): ONE partitioning key — ``hash(host) % num_host_partitions`` — is
@@ -45,7 +49,8 @@ is atomically renamed to ``epochs/epoch=K`` only after success:
   fetched/            one parquet dir per epoch (the output table)
   frontier_next/      deferred + discovered parquet (input of epoch K+1)
   seen/shard_*.npz    seen-filter snapshots
-  stats.parquet       the per-epoch crawl_stats row
+  counters/           per-partition admission counters (dataset epochs)
+  stats.parquet       the per-epoch crawl_stats row (+ seen-shard health)
   manifest.json       per-partition lineage: input files → output files
 Resume = drop incomplete temp dirs, restore seen shards from the last
 complete epoch, continue from its frontier_next. A finished run writes
@@ -58,6 +63,7 @@ import json
 import os
 import re
 import shutil
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -86,15 +92,35 @@ from ..stages.outlinks import (
     probe_new_start,
     seed_frontier,
 )
-from ..state.metrics import LocalMetrics
 from ..state.seen import (
     collect_stats,
     make_shards,
     restore_shards,
     snapshot_shards,
+    split_by_partition,
 )
+from ..urls import host_partitions
 
 FRONTIER_COLS = [f.name for f in FRONTIER_SCHEMA]
+# the per-epoch counters of stats.parquet, in column order
+EPOCH_COUNTERS = (
+    "urls_fetched", "urls_200", "urls_404", "urls_503", "failed", "bytes",
+    "links_total", "dedup_hits", "robots_denied", "skip_filtered",
+    "candidates", "deferred", "discovered", "archives_expanded",
+    "archives_dup", "members_extracted", "spilled_rows", "refilled_rows",
+    "politeness_wait_ms", "num_hosts", "t_fetch_ms", "t_enrich_ms",
+    "t_write_ms", "t_canon_ms", "t_probe_ms",
+)
+# those each expand task returns as its one output row (int64 columns)
+EXPAND_COUNTERS = (
+    "urls_fetched", "urls_200", "urls_404", "urls_503", "failed", "bytes",
+    "links_total", "dedup_hits", "robots_denied", "skip_filtered",
+    "candidates", "discovered", "archives_expanded", "archives_dup",
+    "members_extracted", "t_fetch_ms", "t_enrich_ms", "t_write_ms",
+    "t_canon_ms", "t_probe_ms",
+)
+# seen-shard health, summed over shards, recorded in each epoch's stats
+SEEN_HEALTH = ("n_seen", "n_cuckoo", "n_bloom_overflow", "false_positives")
 
 
 def _enrich_parallel(t: pa.Table, min_rows: int = 4096,
@@ -160,7 +186,6 @@ class CrawlRun:
             if config.source_kind == "corpus" else {}
         )
         self.shards: list = []
-        self.metrics: LocalMetrics | None = None
         self._local_fetcher = None
         self._robots_part_refs: list | None = None
 
@@ -181,29 +206,22 @@ class CrawlRun:
 
     # -- public API -------------------------------------------------------
     def close(self) -> None:
-        """Kill this run's service actors (seen shards, writers, metrics).
+        """Kill this run's seen shards, its only actors.
 
         Actor handles are only reference-counted — dropping a CrawlRun
-        does NOT promptly stop its actors, and each seen shard reserves
-        0.25 CPU. A second run in the same driver session then schedules
-        against the leak: measured 12 s → 67 s on the sf0.1 bench corpus
-        until the explicit kills below were added. run() always tears
-        down in a finally; every durable artifact (epoch parquet, seen
-        snapshots, manifests) is on disk, so resume never needs a live
-        actor."""
+        does NOT promptly stop its actors, so a second run in the same
+        driver session would run beside the leaked processes. run()
+        always tears down in a finally; every durable artifact (epoch
+        parquet, seen snapshots, manifests) is on disk, so resume never
+        needs a live actor."""
         import ray
 
-        for a in list(self.shards) + list(getattr(self, "writers", [])):
+        for a in self.shards:
             try:
                 ray.kill(a)
             except Exception:
                 pass
-        if self.metrics is not None:
-            try:
-                ray.kill(self.metrics.actor)
-            except Exception:
-                pass
-        self.shards, self.writers, self.metrics = [], [], None
+        self.shards = []
 
     def run(self, resume: bool = True) -> dict:
         import ray
@@ -228,13 +246,6 @@ class CrawlRun:
         import ray
 
         self.shards = make_shards(self.cfg.num_seen_shards)
-        from ..state.metrics import MetricsActor
-        from ..state.writers import make_writers
-
-        self.writers = make_writers(
-            max(4, self.cfg.num_host_partitions // 4)
-        )
-        self.metrics = LocalMetrics(MetricsActor.remote())
         if self.cfg.robots_at_admission:
             # the 10^9-host scale path (config.py): rules split by the
             # SAME run-wide host partition key as the frontier, one
@@ -245,7 +256,7 @@ class CrawlRun:
             per_part: list[dict] = [{} for _ in range(P)]
             if self.robots:
                 hosts_arr = np.array(list(self.robots), dtype=object)
-                parts = _host_partitions_of(hosts_arr, P)
+                parts = host_partitions(hosts_arr, P)
                 for (h, rules), p in zip(self.robots.items(), parts):
                     per_part[int(p)][h] = rules
             self._robots_part_refs = [ray.put(d) for d in per_part]
@@ -399,20 +410,25 @@ class CrawlRun:
         os.makedirs(fetched_dir)
         os.makedirs(next_dir)
 
+        counters: Counter = Counter()
         if mode == "local":
-            lineage = self._epoch_local(k, frontier_files, fetched_dir, next_dir)
+            lineage = self._epoch_local(
+                k, frontier_files, fetched_dir, next_dir, counters
+            )
         else:
             lineage = self._epoch_dataset(
-                k, frontier_files, fetched_dir, next_dir,
+                k, frontier_files, fetched_dir, next_dir, counters,
                 spill_manifests or {},
             )
 
-        stats = self._epoch_stats(k, fetched_dir, next_dir, mode)
+        stats = self._epoch_stats(k, mode, counters)
         stats["wall_s"] = round(time.time() - t_epoch0, 3)
+        shard_stats = snapshot_shards(self.shards, os.path.join(tmp, "seen"))
+        for key in SEEN_HEALTH:
+            stats[key] = int(sum(s[key] for s in shard_stats))
         pq.write_table(
             pa.Table.from_pylist([stats]), os.path.join(tmp, "stats.parquet")
         )
-        snapshot_shards(self.shards, os.path.join(tmp, "seen"))
         manifest = {
             "epoch": k,
             "mode": mode,
@@ -432,8 +448,10 @@ class CrawlRun:
 
     # -- local (tail-epoch) path -----------------------------------------
     def _epoch_local(
-        self, k: int, frontier_files: list[str], fetched_dir: str, next_dir: str
+        self, k: int, frontier_files: list[str], fetched_dir: str,
+        next_dir: str, counters: Counter,
     ) -> dict:
+        cb = partial(_count, counters)
         t = pa.concat_tables(
             [pq.read_table(f) for f in frontier_files]
         ).combine_chunks()
@@ -443,7 +461,7 @@ class CrawlRun:
             blocked = robots_mask_urls(t["url"], t["host"], self.robots)
             nb = int(blocked.sum())
             if nb:
-                self.metrics.add(k, "robots_denied", nb)
+                cb("robots_denied", nb)
                 t = t.filter(pa.array(~blocked))
         adm = admit_per_host(t, self.cfg.politeness, k)
         admitted = adm.filter(adm["admitted"])
@@ -451,6 +469,7 @@ class CrawlRun:
         _sidewrite_partitioned(
             deferred, next_dir, "deferred", self.cfg.num_host_partitions
         )
+        cb("deferred", deferred.num_rows)
         # deterministic fetch order (priority desc, url asc) — value-defined,
         # the sort here just makes the written files human-ordered
         idx = pc.sort_indices(
@@ -465,7 +484,6 @@ class CrawlRun:
                 self.cfg.flaky_every,
             )
         self._local_fetcher.set_epoch(k)
-        cb = lambda name, v: self.metrics.add(k, name, v)  # noqa: E731
         _politeness_partials(admitted, self.cfg.politeness.min_gap_ms, cb)
         fetched = self._local_fetcher(admitted)
         _fetch_counters(fetched, cb)
@@ -481,6 +499,7 @@ class CrawlRun:
         _sidewrite(failed_rows,
                    os.path.join(os.path.dirname(next_dir), "failed"),
                    "failed")
+        cb("failed", failed_rows.num_rows)
         links = extract_links(fetched.select(["url", "depth", "spans"]))
         filt = canon_and_filter(
             links,
@@ -497,6 +516,7 @@ class CrawlRun:
         _sidewrite_partitioned(
             newfr, next_dir, "discovered", self.cfg.num_host_partitions
         )
+        cb("discovered", newfr.num_rows)
         return {
             "fetched": _parquet_files(fetched_dir),
             "frontier_next": _parquet_files(next_dir),
@@ -509,6 +529,7 @@ class CrawlRun:
         frontier_files: list[str],
         fetched_dir: str,
         next_dir: str,
+        counters: Counter,
         spill_manifests: dict[int, str] | None = None,
     ) -> dict:
         """One shuffle-free streaming execution per epoch.
@@ -519,12 +540,15 @@ class CrawlRun:
           from_items(partitions)
           -> map_batches(admission): read the partition's frontier files
              (host-complete by construction), per-host politeness top-K,
-             side-write deferrals (partition-pure) -- emits admitted rows
+             side-write deferrals (partition-pure) and one counter row --
+             emits admitted rows
           -> map_batches(expand): chunked corpus fetch against the shared
              zero-copy buckets, side-write fetched rows, outlink extract /
-             canonicalize / robots / skip, seen-shard probe; discoveries
-             are routed to the PartitionWriter actors (state/writers.py)
-             that flush one file per partition at epoch end.
+             canonicalize / robots / skip, then one probe per seen shard
+             carrying the candidate frontier rows; each shard keeps the
+             rows it admits (state/seen.py) and ``flush`` writes one file
+             per (shard, partition) at epoch end. Each task emits one row
+             of its counters, which the driver sums.
 
         ``target_max_block_size`` is dropped to a few MB for this
         execution so each partition's admitted rows split into several
@@ -540,9 +564,9 @@ class CrawlRun:
         groupby("host") shuffle cost >10 s per epoch of sort overhead
         (hash shuffle: worse); direct per-task partitioned writes created
         tasks x partitions ~ 16k files per epoch whose open cost alone
-        was ~100 CPU-seconds. Partitioned frontier files + writer-actor
+        was ~100 CPU-seconds. Partitioned frontier files + seen-shard
         fan-in keep the exchange free and the file count at
-        O(partitions) per epoch.
+        O(shards x partitions) per epoch.
         """
         import ray
         import ray.data as rd
@@ -558,9 +582,7 @@ class CrawlRun:
              "manifest": spill_manifests.get(int(p), "")}
             for p, fs in sorted(by_part.items())
         ]
-        ray.get([
-            w.begin_epoch.remote(next_dir, "discovered") for w in self.writers
-        ])
+        counters_dir = os.path.join(os.path.dirname(next_dir), "counters")
         ctx = DataContext.get_current()
         prev_block_size = ctx.target_max_block_size
         # small target blocks: admission's output (admitted rows) splits
@@ -578,7 +600,7 @@ class CrawlRun:
                     epoch=k,
                     next_dir=next_dir,
                     num_parts=cfg.num_host_partitions,
-                    metrics_actor=self.metrics.actor,
+                    counters_dir=counters_dir,
                     spill_dir=self.spill_dir,
                     spill_rows=cfg.frontier_spill_rows,
                     keep_per_host=cfg.spill_keep_per_host(),
@@ -594,8 +616,8 @@ class CrawlRun:
                 # admission+expand into one operator (a fused operator ran
                 # the whole epoch as a single task — measured)
                 num_cpus=0.9,
-                # metrics partials are not idempotent under task retry —
-                # fail the epoch instead (resume reruns it whole)
+                # no task retries, as for expand: a failed task fails the
+                # epoch, which resume reruns whole
                 max_retries=0,
                 retry_exceptions=False,
             )
@@ -604,6 +626,7 @@ class CrawlRun:
                     _expand_fn,
                     epoch=k,
                     fetched_dir=fetched_dir,
+                    next_dir=next_dir,
                     num_parts=cfg.num_host_partitions,
                     source_kind=cfg.source_kind,
                     corpus_dir=cfg.corpus_dir,
@@ -611,10 +634,9 @@ class CrawlRun:
                     corpus_refs=self._corpus_refs,
                     corpus_nb=self._corpus_nb,
                     robots_ref=self._robots_ref,
+                    robots_at_admission=cfg.robots_at_admission,
                     skip=tuple(cfg.skip_substrings),
                     shards=self.shards,
-                    metrics_actor=self.metrics.actor,
-                    writers=self.writers,
                     enrich=cfg.enrich_text,
                     flaky_every=cfg.flaky_every,
                     max_retries=cfg.max_retries,
@@ -623,20 +645,25 @@ class CrawlRun:
                 batch_size=cfg.fetch_batch_size,
                 zero_copy_batch=True,
                 # NO task retries: expand mutates durable state (seen-shard
-                # inserts, metrics, writer buffers) before its side-writes
-                # land, so a mid-task retry would silently drop the rerun's
-                # "already seen" URLs and double-count metrics. A failed
-                # task fails the epoch; the epoch temp dir is wiped whole
-                # and the epoch rerun from its checkpointed frontier.
+                # inserts and sink buffers) before its side-writes land,
+                # so a mid-task retry would silently drop the rerun's
+                # "already seen" URLs. A failed task fails the epoch; the
+                # epoch temp dir is wiped whole and the epoch rerun from
+                # its checkpointed frontier.
                 max_retries=0,
                 retry_exceptions=False,
             )
-            # drive the streaming execution; output rows are tiny counts
-            for _ in out_ds.iter_batches(batch_format="pyarrow"):
-                pass
+            # drive the streaming execution; each output row is one
+            # task's counters
+            for b in out_ds.iter_batches(batch_format="pyarrow"):
+                for name in b.column_names:
+                    counters[name] += int(pc.sum(b[name]).as_py() or 0)
         finally:
             ctx.target_max_block_size = prev_block_size
-        ray.get([w.flush.remote() for w in self.writers])
+        ray.get([s.flush.remote() for s in self.shards])
+        for name in os.listdir(counters_dir):
+            with open(os.path.join(counters_dir, name)) as f:
+                counters.update(json.load(f))
         if os.environ.get("CSR_EPOCH_STATS"):
             print(f"==== epoch {k} stats ====\n{out_ds.stats()}", flush=True)
         return {
@@ -645,68 +672,15 @@ class CrawlRun:
         }
 
     # -- per-epoch stats --------------------------------------------------
-    def _epoch_stats(
-        self, k: int, fetched_dir: str, next_dir: str, mode: str
-    ) -> dict:
-        """All row-derived stats come from counters the tasks accumulated
-        (admission partitions are host-complete, so per-host politeness
-        partials are exact) — the driver never re-reads the epoch's
-        fetched rows (measured: the full-epoch parquet re-read was a
-        multi-second serial term per epoch at bench scale). File counts
-        below touch only parquet footers."""
-        mcounters = self.metrics.epoch_counters(k)
-        deferred = _count_rows(
-            [
-                f
-                for f in _parquet_files(next_dir)
-                if "deferred" in os.path.basename(os.path.dirname(f))
-                or os.path.basename(f).startswith("deferred")
-            ]
-        )
-        discovered = _count_rows(
-            [
-                f
-                for f in _parquet_files(next_dir)
-                if "discovered" in os.path.basename(os.path.dirname(f))
-                or os.path.basename(f).startswith("discovered")
-            ]
-        )
-        return {
-            "epoch": k,
-            "mode": mode,
-            "urls_fetched": int(mcounters.get("urls_fetched", 0)),
-            "urls_200": int(mcounters.get("urls_200", 0)),
-            "urls_404": int(mcounters.get("urls_404", 0)),
-            "urls_503": int(mcounters.get("urls_503", 0)),
-            "failed": _count_rows(
-                _parquet_files(
-                    os.path.join(os.path.dirname(next_dir), "failed")
-                )
-            ),
-            "bytes": int(mcounters.get("bytes", 0)),
-            "links_total": int(mcounters.get("links_total", 0)),
-            "dedup_hits": int(mcounters.get("dedup_hits", 0)),
-            "robots_denied": int(mcounters.get("robots_denied", 0)),
-            "skip_filtered": int(mcounters.get("skip_filtered", 0)),
-            "candidates": int(mcounters.get("candidates", 0)),
-            "deferred": int(deferred),
-            "discovered": int(discovered),
-            "archives_expanded": int(mcounters.get("archives_expanded", 0)),
-            "archives_dup": int(mcounters.get("archives_dup", 0)),
-            "members_extracted": int(mcounters.get("members_extracted", 0)),
-            "spilled_rows": int(mcounters.get("spilled_rows", 0)),
-            "refilled_rows": int(mcounters.get("refilled_rows", 0)),
-            "politeness_wait_ms": int(
-                mcounters.get("politeness_wait_ms", 0)
-            ),
-            "num_hosts": int(mcounters.get("n_hosts", 0)),
-            "t_fetch_ms": int(mcounters.get("t_fetch_ms", 0)),
-            "t_enrich_ms": int(mcounters.get("t_enrich_ms", 0)),
-            "t_write_ms": int(mcounters.get("t_write_ms", 0)),
-            "t_canon_ms": int(mcounters.get("t_canon_ms", 0)),
-            "t_probe_ms": int(mcounters.get("t_probe_ms", 0)),
-            "t_send_ms": int(mcounters.get("t_send_ms", 0)),
-        }
+    def _epoch_stats(self, k: int, mode: str, counters: Counter) -> dict:
+        """All stats come from counters the tasks accumulated (admission
+        partitions are host-complete, so per-host politeness partials are
+        exact; the frontier and failed-row counts are the rows each task
+        side-wrote or a shard kept) — the driver reads none of the epoch's
+        files (measured: the full-epoch parquet re-read was a multi-second
+        serial term per epoch at bench scale)."""
+        return {"epoch": k, "mode": mode,
+                **{n: int(counters[n]) for n in EPOCH_COUNTERS}}
 
 
 def _batch_file_name(t: pa.Table, prefix: str) -> str:
@@ -801,7 +775,7 @@ def _politeness_partials(admitted: pa.Table, min_gap_ms: int, cb) -> None:
     per_host = hosts.value_counts()
     cb("politeness_wait_ms",
        int(((per_host - 1).clip(lower=0) * min_gap_ms).sum()))
-    cb("n_hosts", int(len(per_host)))
+    cb("num_hosts", int(len(per_host)))
 
 
 def _fetch_counters(fetched: pa.Table, cb) -> None:
@@ -820,35 +794,20 @@ def _volume_counters(fetched: pa.Table, cb) -> None:
     cb("links_total", int(pc.sum(fetched["n_links"]).as_py() or 0))
 
 
-def _host_partitions_of(hosts: np.ndarray, num_parts: int) -> np.ndarray:
-    from ..urls import hash_urls
-
-    return (hash_urls(hosts) % np.uint64(num_parts)).astype(np.int64)
-
-
 def _sidewrite_partitioned(
     t: pa.Table, directory: str, prefix: str, num_parts: int
 ) -> None:
     """Write frontier rows split by the run-wide host partition key; the
     partition id is encoded in the file name (``prefix-pNNNN-sig.parquet``)
     so the next epoch groups files without opening them."""
-    if t.num_rows == 0:
-        return
-    parts = _host_partitions_of(
-        t["host"].to_numpy(zero_copy_only=False), num_parts
-    )
-    # one stable sort + take, zero-copy slices per partition (same split
-    # strategy as state/writers.send_partitioned; row order within a
-    # partition is preserved)
-    order = np.argsort(parts, kind="stable")
-    st = t.take(pa.array(order))
-    sparts = parts[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sparts)) + 1))
-    lens = np.diff(np.concatenate((starts, [len(sparts)])))
-    for s, ln in zip(starts, lens):
-        p = int(sparts[s])
-        _sidewrite(st.slice(int(s), int(ln)), directory,
-                   f"{prefix}-p{p:04d}")
+    parts = host_partitions(t["host"].to_numpy(zero_copy_only=False),
+                            num_parts)
+    for p, part in split_by_partition(t, parts):
+        _sidewrite(part, directory, f"{prefix}-p{p:04d}")
+
+
+def _count(counters: Counter, name: str, v) -> None:
+    counters[name] += int(v)
 
 
 def _spill_manifest_files(epoch_dir: str) -> dict[int, str]:
@@ -915,7 +874,7 @@ def _admit_partition_fn(
     epoch: int,
     next_dir: str,
     num_parts: int,
-    metrics_actor=None,
+    counters_dir: str,
     spill_dir: str | None = None,
     spill_rows: int | None = None,
     keep_per_host: int = 0,
@@ -925,32 +884,31 @@ def _admit_partition_fn(
     """Admission for one host partition (host-complete by construction):
     read the partition's frontier files, per-host politeness top-K,
     side-write deferrals (partition-pure, one file), emit admitted rows;
-    exact per-host politeness partials go to the metrics actor (this
-    partition owns its hosts whole).
+    exact per-host politeness partials (this partition owns its hosts
+    whole), the deferral and spill counts go to one counter row per
+    partition, side-written to ``counters_dir`` under the partition's
+    name, so a rerun overwrites it.
 
     Spilling (``spill_rows`` set — state/spill.py): frontier files are
-    accumulated one at a time; rows worse than a spilled host's boundary
-    divert to spill on read, and whenever the accumulation exceeds
-    ``spill_rows`` the mega-host tails are compacted out — task memory
-    stays bounded by spill_rows + one frontier file, not by the host's
-    true pending size. Before admission, drained hosts refill their live
-    slice from spill (best-first), so admission order per host matches
-    the unbounded run wherever the live slice is non-empty."""
+    accumulated one read group (at most ``spill_rows`` rows, or one larger
+    file) at a time; rows worse than a spilled host's boundary divert to
+    spill on read, and whenever the accumulation exceeds ``spill_rows``
+    the mega-host tails are compacted out — task memory stays bounded by
+    spill_rows + one read group, not by the host's true pending size.
+    Before admission, drained hosts refill their live slice from spill
+    (best-first), so admission order per host matches the unbounded run
+    wherever the live slice is non-empty."""
     from ..state import spill as spill_mod
 
     out = []
-    counters: dict[str, int] = {}
-
-    def cb(name, v):
-        counters[name] = counters.get(name, 0) + int(v)
-
     for item in batch.to_pylist():
         p = int(item["part"])
+        counters: Counter = Counter()
+        cb = partial(_count, counters)
         manifest = spill_mod.load_manifest(item.get("manifest") or "")
         parts: list[pa.Table] = []
         acc_rows = 0
-        for f in item["files"]:
-            t = pq.read_table(f)
+        for t in _read_frontier_groups(item["files"], spill_rows):
             if manifest:
                 t, ns = spill_mod.enforce_boundary(
                     t, manifest, spill_dir, p
@@ -1002,14 +960,36 @@ def _admit_partition_fn(
         mask = adm["admitted"].combine_chunks()
         deferred = adm.filter(pc.invert(mask)).select(FRONTIER_COLS)
         _sidewrite_partitioned(deferred, next_dir, "deferred", num_parts)
+        cb("deferred", deferred.num_rows)
         admitted = adm.filter(mask).drop_columns(["admitted"])
         _politeness_partials(admitted, pol.min_gap_ms, cb)
+        os.makedirs(counters_dir, exist_ok=True)
+        path = os.path.join(counters_dir, f"admit-p{p:04d}.json")
+        with open(path + ".tmp", "w") as f:
+            json.dump(counters, f)
+        os.replace(path + ".tmp", path)
         out.append(admitted)
-    if counters and metrics_actor is not None:
-        import ray
-
-        ray.get(metrics_actor.add_many.remote(epoch, counters))
     return pa.concat_tables(out) if len(out) > 1 else out[0]
+
+
+def _read_frontier_groups(files: list[str], max_rows: int | None):
+    """Read a partition's frontier files in groups of consecutive files
+    holding at most ``max_rows`` rows together (a larger file alone; all
+    at once without a bound), so admission pays its per-read costs —
+    spill-boundary checks and the chunk writes they cause — per group,
+    not per file: the seen shards write one small file per (shard,
+    partition) per epoch."""
+    group: list[pa.Table] = []
+    n = 0
+    for f in files:
+        t = pq.read_table(f)
+        if group and max_rows and n + t.num_rows > max_rows:
+            yield pa.concat_tables(group)
+            group, n = [], 0
+        group.append(t)
+        n += t.num_rows
+    if group:
+        yield pa.concat_tables(group)
 
 
 def _make_fetcher(source_kind: str, corpus_dir: str, corpus_refs,
@@ -1031,21 +1011,36 @@ def _make_fetcher(source_kind: str, corpus_dir: str, corpus_refs,
     )
 
 
+def _worker_robots(robots_ref, corpus_sig: str,
+                   robots_at_admission: bool) -> dict:
+    """The discovery-time robots rules, cached per worker process by what
+    they are (the corpus and the filtering site), not by the per-run
+    object ref: every CrawlRun puts a fresh ref, so a ref-keyed cache grew
+    by one entry per run in every worker."""
+    key = ("robots", corpus_sig, robots_at_admission)
+    robots = _PROC_CACHE.get(key)
+    if robots is None:
+        import ray
+
+        robots = _PROC_CACHE[key] = ray.get(robots_ref)
+    return robots
+
+
 def _expand_fn(
     t: pa.Table,
     *,
     epoch: int,
     fetched_dir: str,
+    next_dir: str,
     num_parts: int,
     corpus_dir: str,
     corpus_sig: str,
     corpus_refs: list,
     corpus_nb: int,
     robots_ref,
+    robots_at_admission: bool,
     skip: tuple,
     shards: list,
-    metrics_actor,
-    writers: list,
     source_kind: str = "corpus",
     enrich: bool = True,
     flaky_every: int = 0,
@@ -1053,16 +1048,15 @@ def _expand_fn(
 ) -> pa.Table:
     """Fetch/expand one chunk of admitted rows: corpus lookup against the
     shared zero-copy buckets, archive-member expansion, side-write fetched
-    rows (spans included), extract/canonicalize/filter outlinks, probe the
-    seen shards (launched async, gathered after enrich+write so the RPC
-    round-trip overlaps compute), route the surviving discoveries to their
-    partition's writer actor. Returns one tiny count row (the pipeline's
-    driver-visible output). NOT retry-safe (seen-shard/metrics/writer side
-    effects) — the stage runs with max_retries=0 and a failure fails the
-    epoch, which resume reruns whole."""
-    import ray
-
-    from ..state.writers import send_partitioned
+    rows (spans included), extract/canonicalize/filter outlinks and send
+    the candidate frontier rows to the seen shards, which keep the new
+    ones (the probe is launched async and gathered after enrich and the
+    side-writes, so the RPC round-trip overlaps compute). Fetch-retry
+    rows skip the probe and are side-written here. Returns one row of
+    this chunk's counters (``EXPAND_COUNTERS``). NOT retry-safe
+    (seen-shard side effects) — the stage runs with max_retries=0 and a
+    failure fails the epoch, which resume reruns whole."""
+    import time as _time
 
     fetcher = _PROC_CACHE.get(("fetcher", corpus_sig, flaky_every))
     if fetcher is None:
@@ -1070,18 +1064,9 @@ def _expand_fn(
                                 corpus_nb, epoch, flaky_every)
         _PROC_CACHE[("fetcher", corpus_sig, flaky_every)] = fetcher
     fetcher.set_epoch(epoch)
-    rkey = ("robots", robots_ref.hex() if hasattr(robots_ref, "hex") else id(robots_ref))
-    robots = _PROC_CACHE.get(rkey)
-    if robots is None:
-        robots = ray.get(robots_ref)
-        _PROC_CACHE[rkey] = robots
-
-    counters: dict[str, int] = {}
-
-    def cb(name, v):
-        counters[name] = counters.get(name, 0) + int(v)
-
-    import time as _time
+    robots = _worker_robots(robots_ref, corpus_sig, robots_at_admission)
+    counters: Counter = Counter()
+    cb = partial(_count, counters)
 
     _t0 = _time.perf_counter()
     fetched = fetcher(t)
@@ -1091,53 +1076,35 @@ def _expand_fn(
     _t1 = _time.perf_counter()
     links = extract_links(fetched.select(["url", "depth", "spans"]))
     filt = canon_and_filter(links, robots, skip, cb)
-    probe_state = probe_new_start(filt, shards)  # RPCs now in flight
+    probe = probe_new_start(filt, shards, epoch, sink=(next_dir, num_parts))
     _t15 = _time.perf_counter()
     if enrich:
         fetched = enrich_fetched(fetched)
     _t2 = _time.perf_counter()
-    disc = probe_new_finish(probe_state, epoch, cb)
     retry_rows, failed_rows = split_fetch_failures(
         fetched.select([f.name for f in FETCHED_SCHEMA]), epoch, max_retries
     )
-    if retry_rows.num_rows:
-        disc = pa.concat_tables([disc, retry_rows]).combine_chunks()
-    _t5 = _time.perf_counter()
-    # fire the frontier sends FIRST and ack them LAST: writer-side
-    # buffering (and any background spill) overlaps this task's own
-    # parquet sidewrites instead of serializing after them
-    send_refs = []
-    if disc.num_rows:
-        parts = _host_partitions_of(
-            disc["host"].to_numpy(zero_copy_only=False), num_parts
-        )
-        send_refs = send_partitioned(writers, num_parts, disc, parts,
-                                     block=False)
-    _t55 = _time.perf_counter()
     _sidewrite(fetched, fetched_dir, "fetched")
-    if failed_rows.num_rows:
-        _sidewrite(
-            failed_rows,
-            os.path.join(os.path.dirname(fetched_dir), "failed"),
-            "failed",
-        )
+    _sidewrite(
+        failed_rows,
+        os.path.join(os.path.dirname(fetched_dir), "failed"),
+        "failed",
+    )
+    cb("failed", failed_rows.num_rows)
+    _sidewrite_partitioned(retry_rows, next_dir, "discovered", num_parts)
     _t3 = _time.perf_counter()
-    if send_refs:
-        ray.get(send_refs)  # delivery guarantee: buffered before success
-    _t6 = _time.perf_counter()
+    # delivery guarantee: the shards hold this chunk's new frontier rows
+    # before the task succeeds
+    cb("discovered", probe_new_finish(probe, cb) + retry_rows.num_rows)
+    _t4 = _time.perf_counter()
     # per-stage telemetry (ms, summed per epoch) — reads back in stats
     cb("t_fetch_ms", (_t1 - _t0) * 1000)
     cb("t_canon_ms", (_t15 - _t1) * 1000)
     cb("t_enrich_ms", (_t2 - _t15) * 1000)
-    cb("t_write_ms", (_t3 - _t55) * 1000)
-    cb("t_probe_ms", (_t5 - _t2) * 1000)  # gather only; RPCs overlapped
-    cb("t_send_ms", ((_t55 - _t5) + (_t6 - _t3)) * 1000)
-    if counters and metrics_actor is not None:
-        ray.get(metrics_actor.add_many.remote(epoch, counters))
-    return pa.Table.from_pydict(
-        {"n_fetched": pa.array([t.num_rows], type=pa.int64()),
-         "n_discovered": pa.array([disc.num_rows], type=pa.int64())}
-    )
+    cb("t_write_ms", (_t3 - _t2) * 1000)
+    cb("t_probe_ms", (_t4 - _t3) * 1000)  # gather only; RPCs overlapped
+    return pa.table({n: pa.array([counters[n]], pa.int64())
+                     for n in EXPAND_COUNTERS})
 
 
 def fetched_dataset(run_dir: str):
@@ -1250,6 +1217,8 @@ def crawl_stats_table(run_dir: str) -> pa.Table:
         for d in os.listdir(os.path.join(run_dir, "epochs"))
         if d.startswith("epoch=")
     )
+    if not files:
+        return pa.table({})
     return pa.concat_tables([pq.read_table(f) for f in files])
 
 

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..urls import canonicalize_many, hash_urls, hosts_of, priorities_of
+from ..urls import hash_urls, host_partitions, priorities_from_hashes
 
 LINKS_SCHEMA = pa.schema(
     [
@@ -161,52 +161,64 @@ def robots_mask_urls(urls, hosts, robots: dict) -> np.ndarray:
     return robots_mask(hosts, path, robots)
 
 
-def probe_new_start(t: pa.Table, shards: list):
-    """Launch the seen-shard probe RPCs for a filtered link batch and
-    return an opaque handle; finish with ``probe_new_finish``. Lets the
-    caller overlap the probe round-trip with other batch work."""
-    from ..state.seen import AsyncProbe  # late import: ray only here
+def _frontier_rows(t: pa.Table, h: np.ndarray, epoch: int) -> pa.Table:
+    """Next-epoch frontier rows for canonical links ``t`` (hashes ``h``).
 
-    if t.num_rows == 0:
-        return (t, None, None)
-    urls = t["url"].to_numpy(zero_copy_only=False)
-    h = hash_urls(urls)
-    return (t, h, AsyncProbe(shards, h))
-
-
-def probe_new_finish(state, epoch: int, metrics_cb=None) -> pa.Table:
-    """Gather the probe started by ``probe_new_start`` and emit the
-    surviving links as next-epoch frontier rows."""
-    t, h, probe = state
-    if probe is None:
-        return pa.Table.from_pylist([], schema=FRONTIER_SCHEMA)
-    urls = t["url"].to_numpy(zero_copy_only=False)
-    is_new = probe.result()
-    if metrics_cb is not None:
-        metrics_cb("dedup_hits", int((~is_new).sum()))
-        metrics_cb("candidates", len(urls))
-    sel = pa.array(is_new)
-    kept = t.filter(sel)
-    kept_urls = kept["url"].to_numpy(zero_copy_only=False)
-    kh = h[is_new]
-    # depth := discovery epoch + 1, NOT parent_depth + 1: with deferrals a
-    # URL can be discovered by parents of different depths in the same
-    # epoch, and which parent wins the seen-shard race is nondeterministic —
-    # epoch-derived depth keeps every output column race-free (parent_url
-    # below remains "some valid parent", excluded from equivalence)
+    depth := discovery epoch + 1, NOT parent_depth + 1: with deferrals a
+    URL can be discovered by parents of different depths in the same
+    epoch, and which parent wins the seen-shard race is nondeterministic —
+    epoch-derived depth keeps every output column race-free (parent_url
+    remains "some valid parent", excluded from equivalence)."""
+    n = t.num_rows
     return pa.Table.from_arrays(
         [
-            kept["url"].combine_chunks(),
-            kept["host"].combine_chunks(),
-            pa.array(np.full(len(kept_urls), epoch + 1, dtype=np.int32)),
-            pa.array(priorities_of(kept_urls), type=pa.float32()),
-            pa.array(np.full(len(kept_urls), epoch + 1, dtype=np.int32)),
-            kept["parent_url"].combine_chunks(),
-            pa.array((kh >> np.uint64(32) & np.uint64(63)).astype(np.int16)),
-            pa.array(np.zeros(len(kept_urls), dtype=np.int16)),
+            t["url"].combine_chunks(),
+            t["host"].combine_chunks(),
+            pa.array(np.full(n, epoch + 1, dtype=np.int32)),
+            pa.array(priorities_from_hashes(h), type=pa.float32()),
+            pa.array(np.full(n, epoch + 1, dtype=np.int32)),
+            t["parent_url"].combine_chunks(),
+            pa.array((h >> np.uint64(32) & np.uint64(63)).astype(np.int16)),
+            pa.array(np.zeros(n, dtype=np.int16)),
         ],
         schema=FRONTIER_SCHEMA,
     )
+
+
+def probe_new_start(t: pa.Table, shards: list, epoch: int,
+                    sink: tuple | None = None):
+    """Launch the seen-shard probe RPCs for a filtered link batch and
+    return an opaque handle; finish with ``probe_new_finish``. Lets the
+    caller overlap the probe round-trip with other batch work.
+
+    ``sink=(out_dir, num_parts)`` makes the shards the frontier sink: the
+    candidate frontier rows travel with their hashes and each shard keeps
+    the ones it admits (state/seen.py), so nothing returns but a count."""
+    from ..state.seen import AsyncProbe  # late import: ray only here
+
+    h = hash_urls(t["url"].to_numpy(zero_copy_only=False))
+    if sink is not None:
+        out_dir, num_parts = sink
+        rows = _frontier_rows(t, h, epoch)
+        parts = host_partitions(
+            rows["host"].to_numpy(zero_copy_only=False), num_parts)
+        sink = (rows, parts, out_dir)
+    return (t, h, epoch, AsyncProbe(shards, h, sink))
+
+
+def probe_new_finish(state, metrics_cb=None) -> pa.Table | int:
+    """Gather the probe started by ``probe_new_start``: the surviving
+    links as next-epoch frontier rows or, when the shards kept them
+    (``sink``), their count."""
+    t, h, epoch, probe = state
+    got = probe.result()
+    n_new = got if probe.sink is not None else int(got.sum())
+    if metrics_cb is not None:
+        metrics_cb("dedup_hits", t.num_rows - n_new)
+        metrics_cb("candidates", t.num_rows)
+    if probe.sink is not None:
+        return n_new
+    return _frontier_rows(t.filter(pa.array(got)), h[got], epoch)
 
 
 def probe_new(
@@ -217,7 +229,7 @@ def probe_new(
 ) -> pa.Table:
     """Seen-filter anti-join (SURVEY.md §2.4 J3): keep first-seen links,
     emit them as next-epoch frontier rows (synchronous form)."""
-    return probe_new_finish(probe_new_start(t, shards), epoch, metrics_cb)
+    return probe_new_finish(probe_new_start(t, shards, epoch), metrics_cb)
 
 
 def seed_frontier(

@@ -9,7 +9,8 @@ engine keeps each host's top-priority slice in the live frontier and
 spills the tail to immutable sorted parquet chunks that are refilled
 (highest priority first) as the live slice drains. Nothing is dropped,
 admission-task memory stays bounded by ``frontier_spill_rows`` + one
-frontier file, and the final fetched SET equals the unbounded run's
+read group of frontier files (at most ``frontier_spill_rows`` rows, or
+one larger file), and the final fetched SET equals the unbounded run's
 (pinned by tests/test_spill.py).
 
 Ordering invariant — every live (kept) row of a host ranks strictly

@@ -40,8 +40,10 @@ __all__ = [
     "hash_url",
     "host_of",
     "hosts_of",
+    "host_partitions",
     "priority_of",
     "priorities_of",
+    "priorities_from_hashes",
 ]
 
 
@@ -198,6 +200,11 @@ def hosts_of(urls) -> np.ndarray:
     return rest.str.split("/", n=1).str[0].to_numpy(dtype=object)
 
 
+def host_partitions(hosts, num_parts: int) -> np.ndarray:
+    """The run-wide frontier partition key: ``hash(host) % num_parts``."""
+    return (hash_urls(hosts) % np.uint64(num_parts)).astype(np.int64)
+
+
 def flaky_mask(hashes: np.ndarray, every: int) -> np.ndarray:
     """Deterministic transient-failure mask: a URL is flaky iff a mix of
     its hash ≡ 0 (mod every). Models the reference's fetch failures
@@ -225,7 +232,11 @@ def priority_of(url: str) -> np.float32:
 
 
 def priorities_of(urls) -> np.ndarray:
-    h = hash_urls(urls)
+    return priorities_from_hashes(hash_urls(urls))
+
+
+def priorities_from_hashes(h: np.ndarray) -> np.ndarray:
+    """``priorities_of`` for URLs whose ``hash_urls`` is already known."""
     return ((h >> np.uint64(16)) & np.uint64(0xFFFF)).astype(np.float64).astype(
         np.float32
     ) / np.float32(65536.0)

@@ -99,36 +99,58 @@ def test_manifest_lineage(ray_session, tiny_corpus, tmp_path):
     assert os.path.exists(os.path.join(ep0, "seen", "shard_0000.npz"))
 
 
-def test_partition_writer_spills_at_threshold(ray_session, tmp_path):
-    """A writer over its byte threshold spills mid-epoch (bounded actor
-    memory); the union of spilled + final files equals everything sent."""
-    import numpy as np
+def test_seen_shard_sink_spills_at_threshold(ray_session, tmp_path):
+    """A seen shard whose frontier sink passes its byte threshold spills
+    mid-epoch (bounded actor memory); the union of spilled + flushed files
+    is exactly the rows the shards admitted: the first occurrence of each
+    url, in the file of its host partition."""
+    import glob
+    import re
+
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
-    from crawler_service_ray.state.writers import make_writers, send_partitioned
+    from crawler_service_ray.stages.outlinks import (
+        probe_new_finish,
+        probe_new_start,
+    )
+    from crawler_service_ray.state.seen import make_shards
+    from crawler_service_ray.urls import host_partitions
 
-    out = str(tmp_path / "spill")
-    writers = make_writers(2, flush_bytes=128)  # spill on nearly every append
-    ray.get([w.begin_epoch.remote(out, "discovered") for w in writers])
-    sent = []
+    out = str(tmp_path / "frontier_next")
+    shards = make_shards(2, flush_bytes=128)  # spill on nearly every probe
+    admitted, kept = set(), 0
     for batch in range(5):
-        t = pa.table({"url": [f"u{batch}-{i}" for i in range(50)],
-                      "host": [f"h{i % 8}" for i in range(50)]})
-        parts = np.array([i % 8 for i in range(50)])
-        send_partitioned(writers, 8, t, parts)
-        sent.extend(t["url"].to_pylist())
-    ray.get([w.flush.remote() for w in writers])
-    import glob
+        urls = [f"http://h{i % 8}.example/u{batch}-{i}" for i in range(50)]
+        # a re-discovery of the previous batch's urls is not admitted again
+        if batch:
+            urls += [f"http://h{i % 8}.example/u{batch - 1}-{i}"
+                     for i in range(10)]
+        t = pa.table({
+            "url": urls,
+            "host": [u.split("/")[2] for u in urls],
+            "parent_url": [""] * len(urls),
+        })
+        kept += probe_new_finish(
+            probe_new_start(t, shards, 0, sink=(out, 8)))
+        admitted.update(urls[:50])
+    ray.get([s.flush.remote() for s in shards])
 
     files = sorted(glob.glob(out + "/*.parquet"))
-    # mid-epoch spills → more than one file sequence per (part, writer)
+    # mid-epoch spills → more than one file sequence per (part, shard)
     assert any("-f0001" in f or "-f0002" in f for f in files)
     got = []
     for f in files:
-        got.extend(pq.read_table(f)["url"].to_pylist())
-    assert sorted(got) == sorted(sent)
+        rows = pq.read_table(f)
+        part = int(re.search(r"-p(\d+)-w", f).group(1))
+        assert set(host_partitions(rows["host"].to_numpy(
+            zero_copy_only=False), 8)) == {part}
+        got.extend(rows["url"].to_pylist())
+    assert kept == len(got) == len(admitted)
+    assert sorted(got) == sorted(admitted)
+    for s in shards:
+        ray.kill(s)
 
 
 def test_mid_epoch_crash_leaves_no_partial_commit(ray_session, tiny_corpus,
