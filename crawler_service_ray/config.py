@@ -71,10 +71,12 @@ class CrawlConfig:
     max_retries: int = 2
     # physical knob (engine only; no semantic effect)
     fetch_batch_size: int = 4096
-    # epochs with fewer frontier rows than this run as driver-local Arrow
-    # kernels (identical code path minus Ray Data orchestration overhead);
-    # larger epochs run as Dataset pipelines. force_mode: "local"/"dataset"
-    # pins one path (tests exercise both).
+    # epochs with fewer frontier rows than this call the admission and
+    # expand kernels once each in the driver; larger epochs run the same
+    # kernels as a Ray Data pipeline (pipelines/crawl.py). Outputs are
+    # identical, spilling included; only Ray Data's per-execution overhead
+    # differs. force_mode: "local"/"dataset" pins one scheduler (tests
+    # exercise both).
     local_epoch_threshold: int = 20000
     force_mode: str | None = None
     # robots filtering site. False (default): discovery time, against the
@@ -100,10 +102,10 @@ class CrawlConfig:
     # top-priority slice and spill the tail to per-host parquet chunks,
     # refilled best-first as the live slice drains. None disables (the
     # sandbox default); at 10^10-URL scale set it to what one admission
-    # task's heap can hold. Requires dataset mode (force_mode="local"
-    # rejects it). frontier_keep_per_host=None derives 4x the default
-    # politeness cap; it must stay >= 2x every per-host cap so refill
-    # triggers before a host's live slice can run dry mid-epoch.
+    # task's heap can hold. Works under both schedulers (force_mode).
+    # frontier_keep_per_host=None derives 4x the default politeness cap;
+    # it must stay >= 2x every per-host cap so refill triggers before a
+    # host's live slice can run dry mid-epoch.
     frontier_spill_rows: int | None = None
     frontier_keep_per_host: int | None = None
 

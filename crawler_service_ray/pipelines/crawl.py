@@ -15,16 +15,20 @@ materializes the frontier as an epoch-partitioned parquet table and loops:
 terminating when frontier_{k+1} is empty — the deterministic replacement
 for the reference's idle-detection (SURVEY.md §2.9).
 
-Adaptive execution: an epoch whose frontier is large runs as a Ray Data
-``Dataset`` pipeline over host partitions (see below); a tail epoch below
-``local_epoch_threshold`` rows runs the SAME Arrow kernels driver-locally
-against the same seen shards — identical semantics, none of the
-per-execution orchestration overhead that would dominate tiny epochs. Both
-paths are covered by the equivalence tests. The seen shards are the only
-actors a crawl starts: they are also the dataset path's frontier sink
-(state/seen.py), and the per-epoch counters travel with the data — the
-expand tasks' output rows and one admission counter row per partition —
-into a driver-side dict.
+Adaptive execution: one admission kernel (``_admit_partition_fn``) and
+one expand kernel (``_expand_fn``), two schedulers. An epoch whose
+frontier is large runs them as a Ray Data ``Dataset`` pipeline over host
+partitions (see below); an epoch below ``local_epoch_threshold`` rows
+calls the same two kernels once each in the driver, against the same seen
+shards and spill state — identical semantics, none of the per-execution
+orchestration overhead that would dominate small epochs. The only
+difference is who writes the new frontier: concurrent dataset tasks hand
+their rows to the seen shards, which are the frontier sink (state/seen.py);
+the one local call writes them itself. Both schedulers are covered by the
+equivalence tests. The seen shards are the only actors a crawl starts, and
+the per-epoch counters travel with the data — the expand kernel's output
+rows and one admission counter row per partition — into a driver-side
+dict, summed the same way for both.
 
 Partitioning (the design that replaced a per-epoch groupby("host")
 shuffle): ONE partitioning key — ``hash(host) % num_host_partitions`` — is
@@ -49,7 +53,7 @@ is atomically renamed to ``epochs/epoch=K`` only after success:
   fetched/            one parquet dir per epoch (the output table)
   frontier_next/      deferred + discovered parquet (input of epoch K+1)
   seen/shard_*.npz    seen-filter snapshots
-  counters/           per-partition admission counters (dataset epochs)
+  counters/           per-partition admission counters
   stats.parquet       the per-epoch crawl_stats row (+ seen-shard health)
   manifest.json       per-partition lineage: input files → output files
 Resume = drop incomplete temp dirs, restore seen shards from the last
@@ -60,6 +64,7 @@ complete epoch, continue from its frontier_next. A finished run writes
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -87,7 +92,6 @@ from ..stages.outlinks import (
     FRONTIER_SCHEMA,
     canon_and_filter,
     extract_links,
-    probe_new,
     probe_new_finish,
     probe_new_start,
     seed_frontier,
@@ -108,8 +112,8 @@ EPOCH_COUNTERS = (
     "links_total", "dedup_hits", "robots_denied", "skip_filtered",
     "candidates", "deferred", "discovered", "archives_expanded",
     "archives_dup", "members_extracted", "spilled_rows", "refilled_rows",
-    "politeness_wait_ms", "num_hosts", "t_fetch_ms", "t_enrich_ms",
-    "t_write_ms", "t_canon_ms", "t_probe_ms",
+    "politeness_wait_ms", "num_hosts", "t_admit_ms", "t_fetch_ms",
+    "t_enrich_ms", "t_write_ms", "t_canon_ms", "t_probe_ms",
 )
 # those each expand task returns as its one output row (int64 columns)
 EXPAND_COUNTERS = (
@@ -121,32 +125,6 @@ EXPAND_COUNTERS = (
 )
 # seen-shard health, summed over shards, recorded in each epoch's stats
 SEEN_HEALTH = ("n_seen", "n_cuckoo", "n_bloom_overflow", "false_positives")
-
-
-def _enrich_parallel(t: pa.Table, min_rows: int = 4096,
-                     num_chunks: int = 8) -> pa.Table:
-    """Local-path enrich: the kernel is row-independent, so a tail/warmup
-    epoch big enough to beat task-dispatch cost fans out as plain Ray
-    tasks (the table ships via the object store once per chunk, results
-    concat in order — output identical to the serial call). The serial
-    enrich was the local path's dominant term (measured 1.1 s of 3.2 s
-    driver-side at bench scale); small epochs stay serial."""
-    import ray
-
-    if t.num_rows < min_rows:
-        return enrich_fetched(t)
-    global _ENRICH_TASK
-    if _ENRICH_TASK is None:
-        _ENRICH_TASK = ray.remote(num_cpus=1)(enrich_fetched)
-    step = -(-t.num_rows // num_chunks)
-    refs = [
-        _ENRICH_TASK.remote(t.slice(i, step))
-        for i in range(0, t.num_rows, step)
-    ]
-    return pa.concat_tables(ray.get(refs))
-
-
-_ENRICH_TASK = None
 
 
 def _parquet_files(d: str) -> list[str]:
@@ -162,31 +140,18 @@ def _count_rows(files: list[str]) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
-def _write_table(t: pa.Table, directory: str, name: str) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
-    pq.write_table(t, path)
-    return [path]
-
-
 class CrawlRun:
     def __init__(self, config: CrawlConfig):
         self.cfg = config
         self.run_dir = config.run_dir
         self.epochs_dir = os.path.join(self.run_dir, "epochs")
         self.spill_dir = os.path.join(self.run_dir, "spill")
-        if config.frontier_spill_rows and config.force_mode == "local":
-            raise ValueError(
-                "frontier_spill_rows requires dataset mode (spill state "
-                "is per host partition)"
-            )
         # posix source trees have no robots sidecar (everything allowed)
         self.robots = (
             load_robots(config.corpus_dir)
             if config.source_kind == "corpus" else {}
         )
         self.shards: list = []
-        self._local_fetcher = None
         self._robots_part_refs: list | None = None
 
     # -- layout helpers ---------------------------------------------------
@@ -393,14 +358,10 @@ class CrawlRun:
         import time
 
         t_epoch0 = time.time()
-        if self.cfg.frontier_spill_rows:
-            # spill state is per host partition — always dataset mode
-            mode = "dataset"
-        else:
-            mode = self.cfg.force_mode or (
-                "local" if n_frontier < self.cfg.local_epoch_threshold
-                else "dataset"
-            )
+        mode = self.cfg.force_mode or (
+            "local" if n_frontier < self.cfg.local_epoch_threshold
+            else "dataset"
+        )
         tmp = os.path.join(self.epochs_dir, f".tmp_epoch_{k:05d}")
         if os.path.isdir(tmp):
             shutil.rmtree(tmp)
@@ -410,16 +371,16 @@ class CrawlRun:
         os.makedirs(fetched_dir)
         os.makedirs(next_dir)
 
+        items = _partition_items(frontier_files, spill_manifests or {})
+        admit_kw, expand_kw = self._kernel_kwargs(k, fetched_dir, next_dir)
         counters: Counter = Counter()
-        if mode == "local":
-            lineage = self._epoch_local(
-                k, frontier_files, fetched_dir, next_dir, counters
-            )
-        else:
-            lineage = self._epoch_dataset(
-                k, frontier_files, fetched_dir, next_dir, counters,
-                spill_manifests or {},
-            )
+        schedule = (self._epoch_local if mode == "local"
+                    else self._epoch_dataset)
+        schedule(items, admit_kw, expand_kw, counters)
+        lineage = {
+            "fetched": _parquet_files(fetched_dir),
+            "frontier_next": _parquet_files(next_dir),
+        }
 
         stats = self._epoch_stats(k, mode, counters)
         stats["wall_s"] = round(time.time() - t_epoch0, 3)
@@ -446,109 +407,78 @@ class CrawlRun:
         os.replace(tmp, self._epoch_dir(k))  # atomic commit of the epoch
         return stats
 
-    # -- local (tail-epoch) path -----------------------------------------
-    def _epoch_local(
-        self, k: int, frontier_files: list[str], fetched_dir: str,
-        next_dir: str, counters: Counter,
-    ) -> dict:
-        cb = partial(_count, counters)
-        t = pa.concat_tables(
-            [pq.read_table(f) for f in frontier_files]
-        ).combine_chunks()
-        if self.cfg.robots_at_admission and t.num_rows and self.robots:
-            from ..stages.outlinks import robots_mask_urls
+    def _kernel_kwargs(self, k: int, fetched_dir: str,
+                       next_dir: str) -> tuple[dict, dict]:
+        """Keyword arguments of the admission and expand kernels for epoch
+        ``k``, built once for whichever scheduler runs the epoch."""
+        cfg = self.cfg
+        tmp = os.path.dirname(next_dir)
+        admit_kw = dict(
+            pol=cfg.politeness,
+            epoch=k,
+            next_dir=next_dir,
+            num_parts=cfg.num_host_partitions,
+            counters_dir=os.path.join(tmp, "counters"),
+            spill_dir=self.spill_dir,
+            spill_rows=cfg.frontier_spill_rows,
+            keep_per_host=cfg.spill_keep_per_host(),
+            manifest_out_dir=os.path.join(tmp, "spill"),
+            robots_parts=self._robots_part_refs,
+        )
+        expand_kw = dict(
+            epoch=k,
+            fetched_dir=fetched_dir,
+            next_dir=next_dir,
+            num_parts=cfg.num_host_partitions,
+            source_kind=cfg.source_kind,
+            corpus_dir=cfg.corpus_dir,
+            corpus_sig=self._corpus_sig,
+            corpus_refs=self._corpus_refs,
+            corpus_nb=self._corpus_nb,
+            robots_ref=self._robots_ref,
+            robots_at_admission=cfg.robots_at_admission,
+            skip=tuple(cfg.skip_substrings),
+            shards=self.shards,
+            enrich=cfg.enrich_text,
+            flaky_every=cfg.flaky_every,
+            max_retries=cfg.max_retries,
+        )
+        return admit_kw, expand_kw
 
-            blocked = robots_mask_urls(t["url"], t["host"], self.robots)
-            nb = int(blocked.sum())
-            if nb:
-                cb("robots_denied", nb)
-                t = t.filter(pa.array(~blocked))
-        adm = admit_per_host(t, self.cfg.politeness, k)
-        admitted = adm.filter(adm["admitted"])
-        deferred = adm.filter(pc.invert(adm["admitted"])).select(FRONTIER_COLS)
-        _sidewrite_partitioned(
-            deferred, next_dir, "deferred", self.cfg.num_host_partitions
-        )
-        cb("deferred", deferred.num_rows)
-        # deterministic fetch order (priority desc, url asc) — value-defined,
-        # the sort here just makes the written files human-ordered
-        idx = pc.sort_indices(
-            admitted,
-            sort_keys=[("priority", "descending"), ("url", "ascending")],
-        )
-        admitted = admitted.take(idx)
-        if self._local_fetcher is None:
-            self._local_fetcher = _make_fetcher(
-                self.cfg.source_kind, self.cfg.corpus_dir,
-                self._corpus_refs, self._corpus_nb, k,
-                self.cfg.flaky_every,
-            )
-        self._local_fetcher.set_epoch(k)
-        _politeness_partials(admitted, self.cfg.politeness.min_gap_ms, cb)
-        fetched = self._local_fetcher(admitted)
-        _fetch_counters(fetched, cb)
-        fetched = expand_archives(fetched, self.shards, k, cb)
-        _volume_counters(fetched, cb)
-        if self.cfg.enrich_text:
-            fetched = _enrich_parallel(fetched)
-        _write_table(fetched, fetched_dir, "part-0.parquet")
-        retry_rows, failed_rows = split_fetch_failures(
-            fetched.select([f.name for f in FETCHED_SCHEMA]), k,
-            self.cfg.max_retries,
-        )
-        _sidewrite(failed_rows,
-                   os.path.join(os.path.dirname(next_dir), "failed"),
-                   "failed")
-        cb("failed", failed_rows.num_rows)
-        links = extract_links(fetched.select(["url", "depth", "spans"]))
-        filt = canon_and_filter(
-            links,
-            {} if self.cfg.robots_at_admission else self.robots,
-            tuple(self.cfg.skip_substrings), cb,
-        )
-        newfr = probe_new(filt, self.shards, k, cb)
-        # retry re-entries count as next-epoch frontier under the same
-        # "discovered" prefix in BOTH execution modes (matching the
-        # oracle's per-epoch accounting, which includes retries in
-        # `discovered`)
-        if retry_rows.num_rows:
-            newfr = pa.concat_tables([newfr, retry_rows]).combine_chunks()
-        _sidewrite_partitioned(
-            newfr, next_dir, "discovered", self.cfg.num_host_partitions
-        )
-        cb("discovered", newfr.num_rows)
-        return {
-            "fetched": _parquet_files(fetched_dir),
-            "frontier_next": _parquet_files(next_dir),
-        }
+    # -- local (small-epoch) scheduler -----------------------------------
+    def _epoch_local(self, items: list[dict], admit_kw: dict,
+                     expand_kw: dict, counters: Counter) -> None:
+        """The dataset scheduler's two kernels, called once each in the
+        driver over all partitions. The single caller writes the new
+        frontier itself (one file per partition), so the seen shards only
+        probe: no rows travel to them and no flush follows."""
+        admitted = _admit_partition_fn(pa.Table.from_pylist(items), **admit_kw)
+        out = _expand_fn(admitted, shard_sink=False, **expand_kw)
+        _sum_counters(counters, [out], admit_kw["counters_dir"])
 
-    # -- dataset (large-epoch) path --------------------------------------
-    def _epoch_dataset(
-        self,
-        k: int,
-        frontier_files: list[str],
-        fetched_dir: str,
-        next_dir: str,
-        counters: Counter,
-        spill_manifests: dict[int, str] | None = None,
-    ) -> dict:
+    # -- dataset (large-epoch) scheduler ---------------------------------
+    def _epoch_dataset(self, items: list[dict], admit_kw: dict,
+                       expand_kw: dict, counters: Counter) -> None:
         """One shuffle-free streaming execution per epoch.
 
         The frontier arrives pre-partitioned by ``hash(host) % P`` (every
         sink splits by that key), so the epoch pipeline is
 
           from_items(partitions)
-          -> map_batches(admission): read the partition's frontier files
-             (host-complete by construction), per-host politeness top-K,
-             side-write deferrals (partition-pure) and one counter row --
-             emits admitted rows
-          -> map_batches(expand): chunked corpus fetch against the shared
-             zero-copy buckets, side-write fetched rows, outlink extract /
-             canonicalize / robots / skip, then one probe per seen shard
-             carrying the candidate frontier rows; each shard keeps the
-             rows it admits (state/seen.py) and ``flush`` writes one file
-             per (shard, partition) at epoch end. Each task emits one row
-             of its counters, which the driver sums.
+          -> map_batches(_admit_partition_fn): read the partition's
+             frontier files (host-complete by construction), spill and
+             refill, per-host politeness top-K, side-write deferrals
+             (partition-pure) and one counter row -- emits admitted rows
+          -> map_batches(_expand_fn): chunked corpus fetch against the
+             shared zero-copy buckets, side-write fetched rows, outlink
+             extract / canonicalize / robots / skip, then one probe per
+             seen shard carrying the candidate frontier rows; each shard
+             keeps the rows it admits (state/seen.py) and ``flush`` writes
+             one file per (shard, partition) at epoch end. Each task emits
+             one row of its counters, which the driver sums.
+
+        The local scheduler runs the same two kernels in the driver; only
+        the frontier sink differs (``shard_sink``).
 
         ``target_max_block_size`` is dropped to a few MB for this
         execution so each partition's admitted rows split into several
@@ -572,17 +502,6 @@ class CrawlRun:
         import ray.data as rd
         from ray.data import DataContext
 
-        cfg = self.cfg
-        by_part = _partition_files(frontier_files)
-        spill_manifests = spill_manifests or {}
-        for p in spill_manifests:  # partitions with only spilled rows
-            by_part.setdefault(int(p), [])
-        items = [
-            {"part": int(p), "files": fs,
-             "manifest": spill_manifests.get(int(p), "")}
-            for p, fs in sorted(by_part.items())
-        ]
-        counters_dir = os.path.join(os.path.dirname(next_dir), "counters")
         ctx = DataContext.get_current()
         prev_block_size = ctx.target_max_block_size
         # small target blocks: admission's output (admitted rows) splits
@@ -594,21 +513,7 @@ class CrawlRun:
         try:
             ds = rd.from_items(items, override_num_blocks=len(items))
             adm = ds.map_batches(
-                partial(
-                    _admit_partition_fn,
-                    pol=cfg.politeness,
-                    epoch=k,
-                    next_dir=next_dir,
-                    num_parts=cfg.num_host_partitions,
-                    counters_dir=counters_dir,
-                    spill_dir=self.spill_dir,
-                    spill_rows=cfg.frontier_spill_rows,
-                    keep_per_host=cfg.spill_keep_per_host(),
-                    manifest_out_dir=os.path.join(
-                        os.path.dirname(next_dir), "spill"
-                    ),
-                    robots_parts=self._robots_part_refs,
-                ),
+                partial(_admit_partition_fn, **admit_kw),
                 batch_format="pyarrow",
                 batch_size=None,  # one partition item per task
                 zero_copy_batch=True,
@@ -622,27 +527,9 @@ class CrawlRun:
                 retry_exceptions=False,
             )
             out_ds = adm.map_batches(
-                partial(
-                    _expand_fn,
-                    epoch=k,
-                    fetched_dir=fetched_dir,
-                    next_dir=next_dir,
-                    num_parts=cfg.num_host_partitions,
-                    source_kind=cfg.source_kind,
-                    corpus_dir=cfg.corpus_dir,
-                    corpus_sig=self._corpus_sig,
-                    corpus_refs=self._corpus_refs,
-                    corpus_nb=self._corpus_nb,
-                    robots_ref=self._robots_ref,
-                    robots_at_admission=cfg.robots_at_admission,
-                    skip=tuple(cfg.skip_substrings),
-                    shards=self.shards,
-                    enrich=cfg.enrich_text,
-                    flaky_every=cfg.flaky_every,
-                    max_retries=cfg.max_retries,
-                ),
+                partial(_expand_fn, shard_sink=True, **expand_kw),
                 batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
+                batch_size=self.cfg.fetch_batch_size,
                 zero_copy_batch=True,
                 # NO task retries: expand mutates durable state (seen-shard
                 # inserts and sink buffers) before its side-writes land,
@@ -655,21 +542,13 @@ class CrawlRun:
             )
             # drive the streaming execution; each output row is one
             # task's counters
-            for b in out_ds.iter_batches(batch_format="pyarrow"):
-                for name in b.column_names:
-                    counters[name] += int(pc.sum(b[name]).as_py() or 0)
+            _sum_counters(
+                counters, out_ds.iter_batches(batch_format="pyarrow"),
+                admit_kw["counters_dir"],
+            )
         finally:
             ctx.target_max_block_size = prev_block_size
         ray.get([s.flush.remote() for s in self.shards])
-        for name in os.listdir(counters_dir):
-            with open(os.path.join(counters_dir, name)) as f:
-                counters.update(json.load(f))
-        if os.environ.get("CSR_EPOCH_STATS"):
-            print(f"==== epoch {k} stats ====\n{out_ds.stats()}", flush=True)
-        return {
-            "fetched": _parquet_files(fetched_dir),
-            "frontier_next": _parquet_files(next_dir),
-        }
 
     # -- per-epoch stats --------------------------------------------------
     def _epoch_stats(self, k: int, mode: str, counters: Counter) -> dict:
@@ -810,6 +689,12 @@ def _count(counters: Counter, name: str, v) -> None:
     counters[name] += int(v)
 
 
+def _ms(seconds: float) -> int:
+    """A stage timer in whole milliseconds, rounded up: a stage that ran
+    never reads 0, even on a one-row epoch."""
+    return math.ceil(seconds * 1000)
+
+
 def _spill_manifest_files(epoch_dir: str) -> dict[int, str]:
     """Per-partition spill manifests committed with an epoch."""
     d = os.path.join(epoch_dir, "spill")
@@ -830,6 +715,31 @@ def _partition_files(files: list[str]) -> dict[int, list[str]]:
         p = int(m.group(1)) if m else 0
         out.setdefault(p, []).append(f)
     return out
+
+
+def _partition_items(frontier_files: list[str],
+                     spill_manifests: dict[int, str]) -> list[dict]:
+    """One admission item per host partition: its frontier files and its
+    spill manifest (a partition may hold only spilled rows)."""
+    by_part = _partition_files(frontier_files)
+    for p in spill_manifests:
+        by_part.setdefault(int(p), [])
+    return [
+        {"part": int(p), "files": fs,
+         "manifest": spill_manifests.get(int(p), "")}
+        for p, fs in sorted(by_part.items())
+    ]
+
+
+def _sum_counters(counters: Counter, expand_rows, counters_dir: str) -> None:
+    """Add an epoch's counters: the expand kernel's output rows (one per
+    call) and the admission kernel's per-partition JSON rows."""
+    for b in expand_rows:
+        for name in b.column_names:
+            counters[name] += int(pc.sum(b[name]).as_py() or 0)
+    for name in os.listdir(counters_dir):
+        with open(os.path.join(counters_dir, name)) as f:
+            counters.update(json.load(f))
 
 
 # Per-WORKER-PROCESS cache for the fused expand stage. Ray Data tears actor
@@ -881,13 +791,15 @@ def _admit_partition_fn(
     manifest_out_dir: str | None = None,
     robots_parts: list | None = None,
 ) -> pa.Table:
-    """Admission for one host partition (host-complete by construction):
-    read the partition's frontier files, per-host politeness top-K,
-    side-write deferrals (partition-pure, one file), emit admitted rows;
-    exact per-host politeness partials (this partition owns its hosts
-    whole), the deferral and spill counts go to one counter row per
-    partition, side-written to ``counters_dir`` under the partition's
-    name, so a rerun overwrites it.
+    """Admission for each host partition item in ``batch`` (one item per
+    dataset task; every item in one local call). A partition is
+    host-complete by construction: read its frontier files, per-host
+    politeness top-K, side-write deferrals (partition-pure, one file),
+    emit admitted rows; exact per-host politeness partials (this partition
+    owns its hosts whole), the deferral and spill counts and the
+    admission time (``t_admit_ms``) go to one counter row per partition,
+    side-written to ``counters_dir`` under the partition's name, so a
+    rerun overwrites it.
 
     Spilling (``spill_rows`` set — state/spill.py): frontier files are
     accumulated one read group (at most ``spill_rows`` rows, or one larger
@@ -898,10 +810,13 @@ def _admit_partition_fn(
     Before admission, drained hosts refill their live slice from spill
     (best-first), so admission order per host matches the unbounded run
     wherever the live slice is non-empty."""
+    import time
+
     from ..state import spill as spill_mod
 
     out = []
     for item in batch.to_pylist():
+        t0 = time.perf_counter()
         p = int(item["part"])
         counters: Counter = Counter()
         cb = partial(_count, counters)
@@ -963,6 +878,7 @@ def _admit_partition_fn(
         cb("deferred", deferred.num_rows)
         admitted = adm.filter(mask).drop_columns(["admitted"])
         _politeness_partials(admitted, pol.min_gap_ms, cb)
+        cb("t_admit_ms", _ms(time.perf_counter() - t0))
         os.makedirs(counters_dir, exist_ok=True)
         path = os.path.join(counters_dir, f"admit-p{p:04d}.json")
         with open(path + ".tmp", "w") as f:
@@ -1045,17 +961,27 @@ def _expand_fn(
     enrich: bool = True,
     flaky_every: int = 0,
     max_retries: int = 2,
+    shard_sink: bool,
 ) -> pa.Table:
     """Fetch/expand one chunk of admitted rows: corpus lookup against the
     shared zero-copy buckets, archive-member expansion, side-write fetched
-    rows (spans included), extract/canonicalize/filter outlinks and send
-    the candidate frontier rows to the seen shards, which keep the new
-    ones (the probe is launched async and gathered after enrich and the
+    rows (spans included), extract/canonicalize/filter outlinks and probe
+    the seen shards (launched async and gathered after enrich and the
     side-writes, so the RPC round-trip overlaps compute). Fetch-retry
-    rows skip the probe and are side-written here. Returns one row of
-    this chunk's counters (``EXPAND_COUNTERS``). NOT retry-safe
-    (seen-shard side effects) — the stage runs with max_retries=0 and a
-    failure fails the epoch, which resume reruns whole."""
+    rows skip the probe and join the next frontier directly.
+
+    ``shard_sink`` says who writes the new frontier rows. True (the
+    dataset scheduler's many concurrent tasks): the probe carries the
+    candidate rows and the shards keep the new ones until the driver's
+    ``flush``, so files scale with shards x partitions, not tasks x
+    partitions. False (the local scheduler's one call): the probe returns
+    the new rows and this call writes them with the retries, one file
+    per partition.
+
+    Returns one row of this chunk's counters (``EXPAND_COUNTERS``). NOT
+    retry-safe (seen-shard side effects) — the stage runs with
+    max_retries=0 and a failure fails the epoch, which resume reruns
+    whole."""
     import time as _time
 
     fetcher = _PROC_CACHE.get(("fetcher", corpus_sig, flaky_every))
@@ -1076,7 +1002,8 @@ def _expand_fn(
     _t1 = _time.perf_counter()
     links = extract_links(fetched.select(["url", "depth", "spans"]))
     filt = canon_and_filter(links, robots, skip, cb)
-    probe = probe_new_start(filt, shards, epoch, sink=(next_dir, num_parts))
+    probe = probe_new_start(filt, shards, epoch,
+                            sink=(next_dir, num_parts) if shard_sink else None)
     _t15 = _time.perf_counter()
     if enrich:
         fetched = enrich_fetched(fetched)
@@ -1091,18 +1018,25 @@ def _expand_fn(
         "failed",
     )
     cb("failed", failed_rows.num_rows)
-    _sidewrite_partitioned(retry_rows, next_dir, "discovered", num_parts)
+    if shard_sink:
+        _sidewrite_partitioned(retry_rows, next_dir, "discovered", num_parts)
     _t3 = _time.perf_counter()
-    # delivery guarantee: the shards hold this chunk's new frontier rows
-    # before the task succeeds
-    cb("discovered", probe_new_finish(probe, cb) + retry_rows.num_rows)
+    # with the shard sink, the delivery guarantee: the shards hold this
+    # chunk's new frontier rows before the task succeeds
+    new = probe_new_finish(probe, cb)
     _t4 = _time.perf_counter()
+    if not shard_sink:
+        _sidewrite_partitioned(pa.concat_tables([new, retry_rows]),
+                               next_dir, "discovered", num_parts)
+        new = new.num_rows
+    _t5 = _time.perf_counter()
+    cb("discovered", new + retry_rows.num_rows)
     # per-stage telemetry (ms, summed per epoch) — reads back in stats
-    cb("t_fetch_ms", (_t1 - _t0) * 1000)
-    cb("t_canon_ms", (_t15 - _t1) * 1000)
-    cb("t_enrich_ms", (_t2 - _t15) * 1000)
-    cb("t_write_ms", (_t3 - _t2) * 1000)
-    cb("t_probe_ms", (_t4 - _t3) * 1000)  # gather only; RPCs overlapped
+    cb("t_fetch_ms", _ms(_t1 - _t0))
+    cb("t_canon_ms", _ms(_t15 - _t1))
+    cb("t_enrich_ms", _ms(_t2 - _t15))
+    cb("t_write_ms", _ms(_t3 - _t2 + _t5 - _t4))
+    cb("t_probe_ms", _ms(_t4 - _t3))  # gather only; RPCs overlapped
     return pa.table({n: pa.array([counters[n]], pa.int64())
                      for n in EXPAND_COUNTERS})
 

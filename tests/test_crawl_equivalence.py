@@ -141,6 +141,21 @@ def test_local_mode_equivalence(ray_session, tiny_corpus, tmp_path):
     _check_equivalence(cfg, cfg.run_dir)
 
 
+def test_local_epochs_record_stage_timers(ray_session, tiny_corpus,
+                                         tmp_path):
+    """Local epochs run the dataset path's kernels, so their stats carry
+    the same stage timers: admission and fetch time are recorded for
+    every epoch that fetched something."""
+    cfg = _cfg(tiny_corpus, str(tmp_path / "run"), force_mode="local")
+    CrawlRun(cfg).run(resume=False)
+    stats = [s for s in crawl_stats_table(cfg.run_dir).to_pylist()
+             if s["urls_fetched"]]
+    assert stats
+    assert all(s["mode"] == "local" for s in stats)
+    assert all(s["t_fetch_ms"] > 0 for s in stats), stats
+    assert all(s["t_admit_ms"] > 0 for s in stats), stats
+
+
 def test_dataset_mode_equivalence(ray_session, tiny_corpus, tmp_path):
     cfg = _cfg(tiny_corpus, str(tmp_path / "run"), force_mode="dataset",
                max_epochs=4)

@@ -14,7 +14,12 @@ import pyarrow.compute as pc
 import pytest
 
 from crawler_service_ray.config import CrawlConfig, PolitenessConfig
-from crawler_service_ray.pipelines.crawl import CrawlRun, fetched_table
+from crawler_service_ray.pipelines.crawl import (
+    EPOCH_COUNTERS,
+    CrawlRun,
+    crawl_stats_table,
+    fetched_table,
+)
 from crawler_service_ray.sources.corpus import default_seeds, generate_corpus
 
 
@@ -111,7 +116,25 @@ def test_spill_gc_leaves_no_orphan_chunks(ray_session, skew_corpus,
     assert leftovers == []
 
 
-def test_spill_rejects_local_mode(skew_corpus, tmp_path):
-    with pytest.raises(ValueError, match="dataset mode"):
-        CrawlRun(_cfg(skew_corpus, str(tmp_path / "x"),
-                      frontier_spill_rows=10, force_mode="local"))
+def test_spill_same_under_both_schedulers(ray_session, skew_corpus,
+                                          tmp_path):
+    """A spilling crawl runs in the local scheduler too (it calls the
+    same admission kernel, spill state included): fetched output and
+    every epoch's counters, timers aside, equal the dataset run's."""
+    kw = dict(frontier_spill_rows=50, frontier_keep_per_host=45)
+    runs = {}
+    for mode in ("local", "dataset"):
+        cfg = _cfg(skew_corpus, str(tmp_path / mode), force_mode=mode, **kw)
+        summary = CrawlRun(cfg).run(resume=False)
+        assert summary["spilled_rows"] > 0
+        stats = sorted(crawl_stats_table(cfg.run_dir).to_pylist(),
+                       key=lambda s: s["epoch"])
+        assert {s["mode"] for s in stats} == {mode}
+        untimed = [
+            {n: s[n] for n in EPOCH_COUNTERS if not n.startswith("t_")}
+            for s in stats
+        ]
+        runs[mode] = (_sorted_fetched(cfg.run_dir), untimed)
+    (fl, cl), (fd, cd) = runs["local"], runs["dataset"]
+    assert fl.equals(fd)
+    assert cl == cd
