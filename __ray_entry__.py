@@ -5,10 +5,11 @@ here (or in the library) calls ray.init()/ray.shutdown().
 
 ``entry()`` runs the flagship frontier-crawl pipeline over a deterministic
 interleaved text+media corpus (the BASELINE.json input_hint shape) and
-returns the fetched-docs Dataset. ``queries()``/``oracle_sql()`` expose
-the operator surface from SURVEY.md §2 plus the training-data operators
-(dedup family, ANN, text analysis, multimodal plumbing); SQL-checkable
-entries carry DuckDB oracles with column-name parity.
+returns the fetched-docs Dataset. ``queries()`` exposes 63 entries: the
+50-query correctness gate (the keys of CORRECTNESS_r05.json, in
+order), the oracle-checked training-data operators that ``export`` and
+``train-bpe`` call, and the ``crawl_*`` pipelines. ``oracle_sql()`` gives
+DuckDB oracles with column-name parity for the 56 SQL-checkable entries.
 """
 
 from __future__ import annotations

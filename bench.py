@@ -34,6 +34,8 @@ CRAWL_SCALE = {
     "sf0.1": (24, 2600, 1),
 }
 
+# Historical key order, so the BENCH_r{N} files stay comparable on these
+# keys.
 BENCH_QUERIES = [
     "filter_project",
     "agg_pricing",
@@ -45,261 +47,15 @@ BENCH_QUERIES = [
     "dedup_minhash",
     "ann_topk",
     "langid",
-    "tokens",
-    # round-3 curation additions (keys append to the historical set so
-    # BENCH_r{N} files stay comparable)
     "curate",
-    "vocab",
-    "tfidf",
-    "pii_redact",
-    "contamination",
-    "moving_avg",
     "pack_sequences",
     "dup_spans",
-    # round-4 additions: large×large non-equi join + multimodal packing
-    "range_join_partitioned",
     "mm_pack",
-    # round-4 second wave: iterative graph, retrieval scoring, complete
-    # edit-distance blocking, cube, timestamp-RANGE frames
-    "pagerank",
-    "bm25",
-    "fuzzy_dedup",
-    "cube_lineitem",
-    "range_frame",
-    "funnel",
-    "resample_ffill",
     "bpe_audit",
     "bpe_encode",
-    "semdedup",
-    "bfs_depth",
-    "collocations",
-    "retention",
-    "mixture_sample",
-    # round-4 fifth wave: exact triangles, PCA, skew report, RRF, MG sketch
-    "triangle_count",
     "pca_audit",
-    "skew_report",
-    "rrf_fusion",
-    "freq_sketch_audit",
-    # round-4 sixth wave: sweep-line coverage, grouped HLL, cosine join
-    "interval_coverage",
-    "approx_distinct_grouped",
-    "cosine_pairs",
-    "profile",
-    "session_transitions",
-    "pq_audit",
-    "pq_ann_recall",
-    "freq_sketch_grouped_audit",
     "dedup_incremental_audit",
-    "hll_set_ops",
-    "countmin_audit",
-    "window_distinct",
-    "sessionize_incremental",
-    "ols",
-    "logreg_audit",
-    "naive_bayes",
-    "wow_revenue",
-    "surprisal",
-    # round-5 additions: LM scoring, retrieval, classified-eval, Q5-shaped
-    # join, LSH ANN, leakage-safe splits, deterministic global ordering
-    "bigram_lm",
-    "regional_revenue",
-    "auc",
-    "ewma",
-    "boolean_search",
-    "ann_lsh_recall",
-    "split_leakage_safe",
-    "order_index",
     "shuffle_shards",
-    "pareto_frontier",
-    "frequent_pairs",
-    "mutual_info",
-    "chi2_independence",
-    "validate",
-    "twap",
-    "cdc_upsert",
-    "throttle",
-    "trend_per_user",
-    "join_size_estimate",
-    "ab_test",
-    "sample_exact_k",
-    "impute",
-    # round-5 fifth wave: weighted SSSP, directory rollup, window ranks,
-    # equi-depth histogram, rolling anomaly z, autocorrelation
-    "sssp",
-    "path_rollup",
-    "window_ranks",
-    "histogram_depth",
-    "anomaly_zscore",
-    "autocorr",
-    "containment",
-    "ppr",
-    "dedup_keep_best",
-    "robust_scale",
-    "ks_test",
-    "mannwhitney",
-    "ann_range",
-    "sample_group_k",
-    "percent_rank_global",
-    "gini",
-    "spearman",
-    "js_divergence",
-    "hits",
-    "assortativity",
-    "rolling_median",
-    "average_precision",
-    "nearest_centroid",
-    "anova_f",
-    "kruskal",
-    "decayed_topk",
-    "changepoint",
-    "classification_report",
-    "window_late",
-    "zorder",
-    "leadlag_corr",
-    "benford",
-    "calibration",
-    # round-5 ninth wave: graph density (k-core peel, clustering coeff),
-    # Brown level+trend smoothing, behavioral entropy, HHI concentration
-    "kcore",
-    "clustering_coeff",
-    "double_smooth",
-    "type_entropy",
-    "hhi",
-    "dsir",
-    "winsorize",
-    "table_diff",
-    "corr_matrix",
-    "attribution",
-    "quantile_normalize",
-    "weighted_median",
-    "sliding_distinct",
-    "macro_f1",
-    "knn_classify",
-    "scd2",
-    "cumulative_users",
-    "membership_combos",
-    "kmv_audit",
-    "item2item",
-    "asof_tolerance",
-    "resample_interp",
-    "powerlaw_fit",
-    "checksum_audit",
-    "target_encode",
-    "max_gap",
-    "components_hist",
-    "agg_incremental",
-    # round-5 twelfth wave: Kadane bursts, robust trend, dictionary
-    # tagging, 3-step sequence mining, AMS F2 sketch
-    "max_subarray",
-    "theilsen",
-    "keyword_tag",
-    "trigram_mining",
-    "ams_f2",
-    "modularity",
-    "cv_ols",
-    "stream_join",
-    "time_travel",
-    "ht_estimate",
-    "returns_topk",
-    "session_paths",
-    "kendall_tau",
-    # round-5 waves 16-21: customer analytics, survival, privacy,
-    # retrieval eval, robust estimation on the rank exchange
-    "rfm_segments",
-    "convert_time",
-    "assoc_rules",
-    "source_overlap",
-    "kaplan_meier",
-    "decision_stump",
-    "hapax",
-    "pareto_8020",
-    "psi",
-    "cohort_ltv",
-    "oov_rate",
-    "mann_kendall",
-    "shingle_leakage",
-    "dow_seasonality",
-    "k_anonymity",
-    "mrr",
-    "dispersion",
-    "trimmed_mean",
-    "runs_test",
-    "gmean_brand",
-    # round-5 waves 22-25: designed experiments, two-sample integral
-    # tests, readability, paired 2x2s, exact seasonal decomposition
-    "anova2",
-    "lorenz",
-    "wasserstein",
-    "cvm_test",
-    "conversion_ci",
-    "compress_ratio",
-    "ndcg",
-    "levene",
-    "mcnemar",
-    "odds_ratio",
-    "readability",
-    "friedman",
-    "seasonal_decompose",
-    "trend_test",
-    "bootstrap_ci",
-    "dgim",
-    "huber_mean",
-    "cuped",
-    "theil_index",
-    "mmr_rerank",
-    "name_match",
-    "did",
-    "feature_prop",
-    "curation_funnel",
-    "source_ablation",
-    "shapley_attribution",
-    "zonemap_prune",
-    "ips_eval",
-    "conformal",
-    "power_analysis",
-    "markov_attribution",
-    "sequential_test",
-    "interarrival_fit",
-    "token_budget_pack",
-    "coreset_kcenter",
-    "bh_fdr",
-    "lognormal_fit",
-    "capture_recapture",
-    "chao1",
-    "diameter_sweep",
-    "spc_chart",
-    "rbo",
-    "markov_entropy",
-    "isotonic",
-    "durbin_watson",
-    "breusch_pagan",
-    "logrank",
-    "burrows_delta",
-    "holt_winters",
-    "rich_club",
-    "gumbel_maxima",
-    "partial_corr",
-    "james_stein",
-    "meta_analysis",
-    "rmst",
-    "price_index",
-    "adf_lite",
-    "spectral_peak",
-    "neyman_allocation",
-    "qte",
-    "hurst_rs",
-    "ucb_replay",
-    "journey_length",
-    "reserve_price",
-    "gains_table",
-    "split_half",
-    "cohen_kappa",
-    "srm_check",
-    "tost",
-    "mediation",
-    "elasticity",
-    "var_backtest",
 ]
 
 

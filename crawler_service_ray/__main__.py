@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         import pyarrow.parquet as pq
 
         from .functions.text import bpe_train_merges
-        from .pipelines.queries import read_table
+        from .functions.relational import read_table
 
         docs = read_table(args.sf_dir, "documents",
                           columns=["doc_id", "text"])

@@ -15,6 +15,9 @@ each built Ray-Data-first:
                   inverted shingle index (SQL-oracle-checkable)
   embedding       cosine near-dup: exact block-pair all-pairs (no driver
                   matrix) + IVF-cell-bucketed approximate scale path
+  clusters        connected components over a near-dup pair list
+  line / span     CCNet-style frequent-line removal, duplicated spans
+  incremental     persisted LSH band index; a delta-only minhash run
 
 All signatures/hashes are deterministic (fixed seeds); every per-batch
 kernel is numpy-vectorized over the batch (the only Python-level loops
@@ -832,6 +835,18 @@ def _local_components(edges: pd.DataFrame, id_a: str,
     return pd.DataFrame({"node": nodes, "label": nodes[roots]})
 
 
+def _column_dtype(ds: rd.Dataset, col: str):
+    """pandas dtype of ``col`` read from ``ds``'s schema (an empty
+    dataset's ``to_pandas()`` has no columns); int64 when no schema
+    survives."""
+    sch = ds.schema()
+    if sch is None or col not in sch.names:
+        return "int64"
+    base = sch.base_schema
+    t = base.types[base.names.index(col)]
+    return t.to_pandas_dtype() if isinstance(t, pa.DataType) else t
+
+
 def connected_components(
     pairs: rd.Dataset,
     id_a: str = "id_a",
@@ -858,19 +873,20 @@ def connected_components(
     MB of ids — bounded, documented driver memory) a driver-side
     union-find (:func:`_local_components`) replaces the exchange loop;
     even two distributed rounds cost more wall than the whole local
-    solve at that size. ``local_threshold=0`` forces the partitioned
-    path.
+    solve at that size. ``local_threshold <= 0`` forces the partitioned
+    path without materializing or counting the pairs.
     """
     from .relational import grouped_apply
 
-    pairs = pairs.materialize()
-    if pairs.count() <= local_threshold:
-        df = pairs.to_pandas()
-        if len(df) == 0:
-            return rd.from_pandas(pd.DataFrame({
-                "node": pd.Series(dtype="int64"),
-                "label": pd.Series(dtype="int64")}))
-        return rd.from_pandas(_local_components(df, id_a, id_b))
+    if local_threshold > 0:
+        pairs = pairs.materialize()
+        if pairs.count() <= local_threshold:
+            df = pairs.to_pandas()
+            if len(df) == 0:
+                ids = pd.Series(dtype=_column_dtype(pairs, id_a))
+                return rd.from_pandas(pd.DataFrame({"node": ids,
+                                                    "label": ids}))
+            return rd.from_pandas(_local_components(df, id_a, id_b))
 
     def to_edges(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1047,6 +1063,7 @@ def simhash_dedup(
 # ---------------------------------------------------------------------------
 # embedding-cosine near-dup
 # ---------------------------------------------------------------------------
+
 
 def _block_of(ids: np.ndarray, num_blocks: int) -> np.ndarray:
     return (pd.util.hash_array(np.asarray(ids)) % num_blocks).astype(

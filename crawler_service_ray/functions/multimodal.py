@@ -246,7 +246,6 @@ SEGMENT_STRUCT = pa.struct(
         ("offset", pa.int32()),
     ]
 )
-SEGMENTS_TYPE = pa.list_(SEGMENT_STRUCT)
 
 
 def _segment_arrays(

@@ -23,10 +23,37 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents "
-    "embeddings"
-).split()
+
+# Shuffle-heavy document pipelines size read blocks by bytes, not cpu
+# fan-out (see read_table.bytes_per_block): Ray's default split of the
+# small documents file into ~2x-cpu tiny blocks made every downstream
+# groupby sort pay per-block overhead (measured 4-5x wall on
+# dedup_minhash at sf0.1).
+_DOC_BPB = 128 * 1024
+# fact-table (lineitem/orders/events) shuffle pipelines: ~1 MB read
+# blocks measured best (joins 2.4-4.6s -> 0.74s at sf0.1)
+_FACT_BPB = 1024 * 1024
+
+# Per-table default block sizing: any read that doesn't pick its own
+# bytes_per_block gets the table's measured default (langid's 5000-doc
+# read split into 64 blocks of 78 rows cost 0.56 s of task dispatch for
+# 0.33 s of compute; 5 byte-sized blocks run the same UDF in ~0.15 s).
+# Explicit values still win. Dimension tables: Ray's default split of a
+# small read into 64 blocks made downstream groupby sorts pay per-block
+# overhead; byte-sized blocks collapse that to the natural 1-2.
+# `embeddings` intentionally NOT listed: its consumers are matmul-bound
+# and want the cpu fan-out.
+_DEFAULT_BPB = {
+    "documents": _DOC_BPB,
+    "events": _FACT_BPB,
+    "lineitem": _FACT_BPB,
+    "orders": _FACT_BPB,
+    "customer": _FACT_BPB,
+    "supplier": _FACT_BPB,
+    "part": _FACT_BPB,
+    "nation": _FACT_BPB,
+    "region": _FACT_BPB,
+}
 
 
 def read_table(sf_dir: str, name: str, columns: Sequence[str] | None = None,
@@ -41,7 +68,9 @@ def read_table(sf_dir: str, name: str, columns: Sequence[str] | None = None,
     (64 blocks of 78 rows vs 4 right-sized blocks on a 3.5 MB table).
     At 100 TB the same rule yields the natural bytes-proportional block
     count; it only matters where Ray's cpu-derived split is FINER than
-    the data justifies."""
+    the data justifies. ``None`` takes the table's ``_DEFAULT_BPB``."""
+    if bytes_per_block is None:
+        bytes_per_block = _DEFAULT_BPB.get(name)
     path = os.path.join(sf_dir, f"{name}.parquet")
     if bytes_per_block and "override_num_blocks" not in kw:
         import math
@@ -61,7 +90,6 @@ def read_table(sf_dir: str, name: str, columns: Sequence[str] | None = None,
 # aggregation with partial pre-aggregation (SURVEY.md §2.5 A1 pattern)
 # ---------------------------------------------------------------------------
 
-_AGG_FNS = {"sum", "count", "min", "max", "mean"}
 
 # grouped_agg's driver-collect merge is only right below ~10^6 partial
 # rows (the documented key-cardinality rule); above it the merge
@@ -394,91 +422,6 @@ def native_join(
 # sort / top-k / distinct / per-group top-k / windows
 # ---------------------------------------------------------------------------
 
-def bloom_semi_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    on: Sequence[str] | str,
-    num_bits: int = 1 << 20,
-    num_hashes: int = 4,
-    num_partitions: int = 32,
-) -> rd.Dataset:
-    """Semi join with a Bloom prefilter — the 100-TB shape for "big
-    probe side, medium build side": per-block partial bitmaps over the
-    right keys OR-merge on the driver (O(blocks × num_bits/8) — one
-    128 KiB array per block at the default size, independent of key
-    count) and broadcast once; the left side then drops every row the
-    filter rejects BEFORE the co-partition shuffle, so only candidate
-    rows (true matches + the ~(1-e^{-kn/m})^k false-positive sliver)
-    pay exchange cost. An exact `semi_anti_join` on the survivors
-    removes false positives, so the result is exactly SQL
-    ``IN``-semantics. Key hashing reuses `_key_hash`'s dtype
-    canonicalization, so int64-vs-float64 sides agree."""
-    on = [on] if isinstance(on, str) else list(on)
-    words = num_bits // 64
-    mults = np.array(
-        [(0x9E3779B97F4A7C15 * (i + 1)) % (1 << 64) | 1
-         for i in range(num_hashes)],
-        dtype=np.uint64,
-    )
-
-    def bit_positions(df: pd.DataFrame) -> np.ndarray:
-        h = _key_hash(df, on)
-        # k derived hashes per key via odd-multiplier mixing
-        return (h[:, None] * mults[None, :]) % np.uint64(num_bits)
-
-    def partial_bitmap(df: pd.DataFrame) -> pd.DataFrame:
-        bm = np.zeros(words, dtype=np.uint64)
-        pos = bit_positions(df[on].drop_duplicates()).ravel()
-        np.bitwise_or.at(bm, (pos // 64).astype(np.int64),
-                         np.uint64(1) << (pos % np.uint64(64)))
-        return pd.DataFrame({"bm": [bm.tobytes()]})
-
-    import ray
-
-    parts = right.map_batches(
-        partial_bitmap, batch_format="pandas"
-    ).to_pandas()
-    merged = np.zeros(words, dtype=np.uint64)
-    for b in parts["bm"]:
-        merged |= np.frombuffer(b, dtype=np.uint64)
-    bm_ref = ray.put(merged)
-
-    def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-        bm = resolve_broadcast(bm_ref)
-        pos = bit_positions(df)
-        hit = (
-            bm[(pos // 64).astype(np.int64)]
-            >> (pos % np.uint64(64)) & np.uint64(1)
-        ).astype(bool).all(axis=1)
-        return df[hit]
-
-    return semi_anti_join(
-        left.map_batches(prefilter, batch_format="pandas"), right, on,
-        anti=False, num_partitions=num_partitions,
-    )
-
-
-def topk_per_group_ties(
-    ds: rd.Dataset,
-    keys: Sequence[str],
-    order_by: str | Sequence[str],
-    k: int,
-    descending: bool | Sequence[bool] = True,
-    num_partitions: int = 32,
-) -> rd.Dataset:
-    """SQL ``FETCH FIRST k ROWS WITH TIES`` per group: keep every row
-    whose RANK (ties share a rank) over ``order_by`` is ≤ k, so a group
-    may return more than k rows when the k-th value repeats —
-    `topk_per_group` truncates by row_number instead. Composed from
-    `window_ranks` + a filter; one key-hash shuffle."""
-    out = window_ranks(ds, keys, order_by, descending=descending,
-                       num_partitions=num_partitions)
-    drop = ["rn", "rnk", "drnk", "prnk", "cume"]
-    return out.map_batches(
-        lambda df: df[df["rnk"] <= k].drop(columns=drop),
-        batch_format="pandas",
-    )
-
 
 def cap_per_group(
     ds: rd.Dataset,
@@ -663,64 +606,6 @@ def grouped_rank(
         g[out_name] = (
             g.groupby(keys, sort=False, observed=True).cumcount() + 1
         ).astype("int64")
-        return g
-
-    return grouped_apply(ds, keys, rank_part,
-                         num_partitions=num_partitions)
-
-
-def window_ranks(
-    ds: rd.Dataset,
-    keys: Sequence[str],
-    order_by: str | Sequence[str],
-    tiebreak: str | Sequence[str] = (),
-    descending: bool | Sequence[bool] = False,
-    num_partitions: int = 32,
-) -> rd.Dataset:
-    """The full SQL rank family in one pass: appends ``rn``
-    (row_number over order_by+tiebreak), ``rnk`` (rank), ``drnk``
-    (dense_rank), ``prnk`` (percent_rank) and ``cume`` (cume_dist),
-    the latter four computed over ``order_by`` ONLY so ties share a
-    rank exactly as SQL does. One hash-partition shuffle by the group
-    keys (same plan as ``grouped_rank``); within a partition
-    everything is a sort plus run-length arithmetic on tie runs —
-    ffill/bfill of run-boundary row numbers, no per-group Python."""
-    keys = list(keys)
-    order_by = [order_by] if isinstance(order_by, str) else list(order_by)
-    tiebreak = [tiebreak] if isinstance(tiebreak, str) else list(tiebreak)
-    desc = ([descending] * len(order_by) if isinstance(descending, bool)
-            else list(descending))
-    asc = ([True] * len(keys) + [not d for d in desc]
-           + [True] * len(tiebreak))
-
-    def rank_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + order_by + tiebreak, ascending=asc,
-                          kind="mergesort")
-        rn = g.groupby(keys, sort=False, observed=True).cumcount().to_numpy()
-        tie_cols = g[keys + order_by]
-        run_start = (tie_cols != tie_cols.shift()).any(axis=1).to_numpy()
-        run_start[0] = True
-        run_end = np.roll(run_start, -1)
-        run_end[-1] = True
-        # rank = rn at the run's first row + 1; cume numerator = rn at
-        # the run's last row + 1 (rows ≤ current in the order).
-        start_rn = pd.Series(np.where(run_start, rn, np.nan)).ffill()
-        end_rn = pd.Series(np.where(run_end, rn, np.nan)).bfill()
-        n = g.groupby(keys, sort=False, observed=True)[keys[0]].transform(
-            "size"
-        ).to_numpy()
-        g["rn"] = (rn + 1).astype("int64")
-        g["rnk"] = (start_rn.to_numpy() + 1).astype("int64")
-        g["drnk"] = (
-            pd.Series(run_start, index=g.index).groupby(
-                [g[k] for k in keys], sort=False, observed=True
-            ).cumsum().to_numpy().astype("int64")
-        )
-        # guard the denominator: n==1 groups would spray divide-by-zero
-        # RuntimeWarnings from every partition task (value is discarded)
-        g["prnk"] = np.where(n > 1, start_rn.to_numpy() / np.maximum(n - 1, 1),
-                             0.0)
-        g["cume"] = (end_rn.to_numpy() + 1) / n
         return g
 
     return grouped_apply(ds, keys, rank_part,
@@ -1237,52 +1122,6 @@ def set_op_distinct(
     return flags.map_batches(
         lambda df: keep(df)[columns], batch_format="pandas"
     )
-
-
-def set_op_bag(
-    a: rd.Dataset,
-    b: rd.Dataset,
-    columns: Sequence[str],
-    op: str = "intersect_all",
-    merge_partitions: int | None = None,
-) -> rd.Dataset:
-    """SQL ``INTERSECT ALL`` / ``EXCEPT ALL`` (bag semantics — row
-    multiplicities min(ca,cb) / max(ca-cb,0)). Per-batch value_counts
-    shrink each block to its distinct rows before ONE sum-merge per
-    side; the multiplicity arithmetic runs on the merged counts and
-    rows re-expand by ``np.repeat`` — no pairwise join, nothing on the
-    driver. Same dtype-alignment contract as ``set_op_distinct``."""
-    if op not in ("intersect_all", "except_all"):
-        raise ValueError(f"op must be intersect_all|except_all, got {op!r}")
-    columns = list(columns)
-
-    def tag(side: str):
-        def t(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby(columns, sort=False, dropna=False).size()
-            d = g.index.to_frame(index=False)
-            other = "__cb" if side == "__ca" else "__ca"
-            d[side] = g.to_numpy().astype(np.int64)
-            d[other] = np.int64(0)
-            return d[columns + ["__ca", "__cb"]]
-        return t
-
-    u = a.map_batches(tag("__ca"), batch_format="pandas").union(
-        b.map_batches(tag("__cb"), batch_format="pandas")
-    )
-    counts = grouped_agg(
-        u, columns, {"__ca": ("__ca", "sum"), "__cb": ("__cb", "sum")},
-        merge_partitions=merge_partitions,
-    )
-    if op == "intersect_all":
-        mult = lambda df: np.minimum(df["__ca"], df["__cb"])  # noqa: E731
-    else:
-        mult = lambda df: np.maximum(df["__ca"] - df["__cb"], 0)  # noqa: E731
-
-    def expand(df: pd.DataFrame) -> pd.DataFrame:
-        m = mult(df).to_numpy()
-        return df.loc[df.index.repeat(m), columns].reset_index(drop=True)
-
-    return counts.map_batches(expand, batch_format="pandas")
 
 
 def melt(
@@ -1899,37 +1738,6 @@ def grouped_quantiles_sketch(
         return out
 
     return grouped_apply(partials, keys, estimate_inline, num_partitions=16)
-
-
-def grouped_first_last(
-    ds: rd.Dataset,
-    keys: Sequence[str],
-    order_by: str | Sequence[str],
-    val_col: str,
-    tiebreak: str | Sequence[str] = (),
-    num_partitions: int = 32,
-) -> rd.Dataset:
-    """SQL ``first_value``/``last_value`` over the whole partition frame
-    (PARTITION BY keys ORDER BY order_by, tiebreak) collapsed to one row
-    per group, plus the group row count. Hash-partition by key, one
-    vectorized sort + groupby head/tail per partition — the per-group
-    endpoints are exact because each partition holds its keys whole."""
-    keys = list(keys)
-    order_by = [order_by] if isinstance(order_by, str) else list(order_by)
-    tiebreak = [tiebreak] if isinstance(tiebreak, str) else list(tiebreak)
-
-    def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(keys + order_by + tiebreak, kind="mergesort")
-        gb = g.groupby(keys, sort=False, observed=True)
-        f = gb[val_col].first()
-        out = f.index.to_frame(index=False)
-        out["first_val"] = f.to_numpy()
-        out["last_val"] = gb[val_col].last().to_numpy()
-        out["n_rows"] = gb.size().to_numpy().astype("int64")
-        return out
-
-    return grouped_apply(ds, keys, per_partition,
-                         num_partitions=num_partitions)
 
 
 def grouped_linreg(
@@ -3821,11 +3629,11 @@ def frequent_pairs(
         p = g.sort_values([basket_col, item_col], kind="mergesort")
         key = p[basket_col].to_numpy()
         val = p[item_col].to_numpy()
-        if len(val) and (val.min() < 0 or
-                         val.max() >= 4294967296):
+        if len(val) and (not np.issubdtype(val.dtype, np.integer)
+                         or val.min() < 0 or val.max() >= 4294967296):
             raise ValueError(
-                "frequent_pairs: item ids must be in [0, 2^32) for "
-                "packed-pair keys")
+                "frequent_pairs: item ids must be integers in [0, 2^32) "
+                "for packed-pair keys")
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         lens = np.diff(np.r_[starts, len(key)])
         pos = np.arange(len(key)) - np.repeat(starts, lens)
@@ -5230,30 +5038,6 @@ def kmv_estimate(sketch: np.ndarray, k: int) -> float:
     return (k - 1) / u
 
 
-def kmv_set_ops(
-    a: rd.Dataset, b: rd.Dataset, col: str, k: int = 1024,
-) -> pd.DataFrame:
-    """KMV set algebra over two streams: |A|, |B| from their own
-    sketches, |A∪B| from the merged sketch, Jaccard = the fraction of
-    the union sketch's k-sample present in BOTH sides (an unbiased
-    k-sample estimate — every union-sketch hash is a uniform sample of
-    A∪B), and |A∩B| = J·|A∪B|. Each stream contributes ≤ k×blocks
-    partial rows; everything after is k-sized driver arithmetic."""
-    sa = kmv_sketch(a, col, k)
-    sb = kmv_sketch(b, col, k)
-    merged = np.unique(np.concatenate([sa, sb]))[:k]
-    est_a = kmv_estimate(sa, k)
-    est_b = kmv_estimate(sb, k)
-    est_u = kmv_estimate(merged, k)
-    in_a = np.isin(merged, sa, assume_unique=True)
-    in_b = np.isin(merged, sb, assume_unique=True)
-    j = float((in_a & in_b).sum()) / max(len(merged), 1)
-    return pd.DataFrame({
-        "est_a": [est_a], "est_b": [est_b], "est_union": [est_u],
-        "est_inter": [j * est_u],
-    })
-
-
 def resample_interp(
     ds: rd.Dataset,
     keys: Sequence[str],
@@ -5393,10 +5177,10 @@ def dgim_window_audit(
     half) — so total error ≤ half of ONE intra-block bucket, the
     classic ≤ 50% DGIM guarantee.
 
-    Returns one audit row: (window, exact_ones, est_err_le_half) where
-    exact_ones is independently recomputable in SQL and the flag
-    asserts |estimate − exact| ≤ max(exact/2, 1). An out-of-bound
-    sketch or a wrong exact count both hash-mismatch the oracle."""
+    Returns one row: (window, est), the sketch's estimate of the set
+    bits among the newest ``window`` rows. The exact count and the
+    |est − exact| ≤ max(exact/2, 1) check are the caller's: the exact
+    count is independently recomputable in SQL."""
     sorted_ds = ds.sort([ts_col, id_col])
 
     def summarize(b: pd.DataFrame) -> pd.DataFrame:

@@ -667,49 +667,6 @@ def lsh_topk(
         final_topk, batch_format="pandas")
 
 
-def range_search(
-    ds: rd.Dataset,
-    queries: np.ndarray,
-    query_ids: np.ndarray,
-    threshold: float,
-    vec_col: str = "embedding",
-    id_col: str = "vec_id",
-    exclude_self: bool = True,
-) -> rd.Dataset:
-    """Exact cosine RANGE search: every (query, corpus) pair with
-    similarity ≥ ``threshold`` — the radius form of
-    :func:`brute_force_topk` (retrieval wants "everything this
-    relevant", dedup wants "everything this close", neither knows k in
-    advance). PURE streaming: the query matrix ships once via
-    ``ray.put``, each corpus batch emits only its qualifying pairs,
-    and there is NO final reduce at all — the cheapest shape in the
-    ANN family. Output: (query_id, neighbor_id, cosine).
-
-    Pick ``threshold`` away from the data's cosine values (the
-    membership predicate is exact-float); the caller owns that margin.
-    """
-    Qn = queries.astype(np.float64)
-    Qn = Qn / np.maximum(np.linalg.norm(Qn, axis=1, keepdims=True), 1e-12)
-    qref = ray.put((Qn, np.asarray(query_ids)))
-    refs = [qref]
-
-    def score_batch(df: pd.DataFrame) -> pd.DataFrame:
-        Q, qids = _bcast(refs[0])
-        M = _stack_normalized(df[vec_col])
-        sims = Q @ M.T
-        ids = df[id_col].to_numpy()
-        if exclude_self:
-            sims = np.where(qids[:, None] == ids[None, :], -np.inf, sims)
-        qi, ni = np.nonzero(sims >= threshold)
-        return pd.DataFrame({
-            "query_id": qids[qi],
-            "neighbor_id": ids[ni],
-            "cosine": sims[qi, ni].astype("float64"),
-        })
-
-    return ds.map_batches(score_batch, batch_format="pandas")
-
-
 def nearest_centroid_eval(
     ds: rd.Dataset,
     vec_col: str = "embedding",

@@ -364,136 +364,6 @@ def vocab_topk(
     return topk(agg, ["cnt", "word"], k, descending=[True, False])
 
 
-def heavy_hitters(
-    ds: rd.Dataset,
-    k: int = 30,
-    text_col: str = "text",
-    merge_partitions: int | None = None,
-) -> rd.Dataset:
-    """EXACT frequent words (count·k > total words) without the
-    full-vocabulary shuffle — the Misra-Gries candidate argument over
-    blocks: a word with global count > n/k must have block count
-    > n_b/k in at least one block (pigeonhole over Σn_b = n), so the
-    union of per-block local heavy hitters is a complete candidate set.
-    Pass 1 emits ≤ k candidate rows + one total-row per block (the only
-    driver materialization — O(k·blocks), documented bound; at larger
-    candidate sets route the filter through a hash semi-join instead of
-    the broadcast set). Pass 2 re-reads the corpus, counts ONLY
-    candidate words (broadcast frozenset) and keeps count·k > n — an
-    exact, SQL-matchable result with per-block memory O(distinct words
-    per block) instead of a global vocab exchange. Tokenization matches
-    ``vocab_topk`` (single-space split, empties dropped)."""
-    import ray
-
-    from .relational import grouped_agg
-
-    def local_hh(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df[text_col].astype(str).str.split(" ").explode()
-        toks = toks[(toks != "") & toks.notna()]
-        vc = toks.value_counts()
-        nb = int(vc.sum())
-        cand = vc[vc.to_numpy() * k > nb]
-        return pd.DataFrame({
-            "word": np.concatenate(
-                [cand.index.to_numpy().astype(object), np.array([""],
-                                                                dtype=object)]
-            ),
-            "nb": np.concatenate(
-                [np.zeros(len(cand), dtype=np.int64), np.array([nb])]
-            ),
-        })
-
-    small = ds.select_columns([text_col]).map_batches(
-        local_hh, batch_format="pandas"
-    ).to_pandas()
-    n_total = int(small.loc[small["word"] == "", "nb"].sum())
-    cand_ref = ray.put(frozenset(
-        small.loc[small["word"] != "", "word"].tolist()
-    ))
-
-    def count_cands(df: pd.DataFrame) -> pd.DataFrame:
-        from .relational import resolve_broadcast
-
-        cands = resolve_broadcast(cand_ref)
-        toks = df[text_col].astype(str).str.split(" ").explode()
-        toks = toks[toks.isin(cands)]
-        vc = toks.value_counts()
-        return pd.DataFrame({
-            "word": vc.index.to_numpy().astype(object),
-            "cnt": vc.to_numpy().astype("int64"),
-        })
-
-    counts = grouped_agg(
-        ds.select_columns([text_col]).map_batches(
-            count_cands, batch_format="pandas"
-        ),
-        ["word"], {"cnt": ("cnt", "sum")},
-        merge_partitions=merge_partitions,
-    )
-    return counts.map_batches(
-        lambda df: df[df["cnt"] * k > n_total], batch_format="pandas"
-    )
-
-
-def unigram_logprob(
-    ds: rd.Dataset,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    merge_partitions: int | None = None,
-) -> rd.Dataset:
-    """Per-document mean unigram negative log-likelihood — the
-    KenLM-shaped "perplexity filter" of LLM curation pipelines, reduced
-    to the model this environment can train: a corpus-fit unigram LM.
-    Pass 1 trains (vocabulary counts via the `vocab_topk` partial →
-    partitioned merge); the model — one count per distinct word —
-    broadcasts via ``ray.put`` (O(vocab) driver/worker memory, Heaps'-law
-    bounded and documented; for an unbounded vocabulary cap to top-V +
-    an OOV bucket). Pass 2 re-streams the corpus and scores each doc as
-    mean(-ln(count(w)/N)) over its tokens — every token is in-vocab by
-    construction. Tokenization matches `vocab_topk`."""
-    import ray
-
-    from .relational import grouped_agg, resolve_broadcast
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df[text_col].astype(str).str.split(" ").explode()
-        toks = toks[(toks != "") & toks.notna()]
-        vc = toks.value_counts()
-        return pd.DataFrame({
-            "word": vc.index.to_numpy().astype(object),
-            "cnt": vc.to_numpy().astype("int64"),
-        })
-
-    counts = grouped_agg(
-        ds.select_columns([text_col]).map_batches(
-            partial, batch_format="pandas"
-        ),
-        ["word"], {"cnt": ("cnt", "sum")},
-        merge_partitions=merge_partitions,
-    ).to_pandas()
-    n_total = float(counts["cnt"].sum())
-    logp = pd.Series(
-        -np.log(counts["cnt"].to_numpy(dtype=np.float64) / n_total),
-        index=counts["word"].to_numpy(),
-    )
-    model_ref = ray.put(logp)
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        model = resolve_broadcast(model_ref)
-        ids, flat = _flat_tokens(df, text_col, id_col)
-        nll = model.reindex(flat).to_numpy()
-        out = pd.DataFrame({id_col: ids, "nll": nll})
-        g = out.groupby(id_col, sort=False)["nll"].mean()
-        return pd.DataFrame({
-            id_col: g.index.to_numpy(),
-            "nll": g.to_numpy().round(6),
-        })
-
-    return ds.select_columns([id_col, text_col]).map_batches(
-        score, batch_format="pandas"
-    )
-
-
 def js_divergence(
     ds: rd.Dataset,
     text_col: str,
@@ -586,169 +456,6 @@ def js_divergence(
     }))
 
 
-def _flat_tokens(df: pd.DataFrame, text_col: str, id_col: str):
-    """Vectorized corpus flattening: (doc_id array, token array) in
-    document order with empty tokens dropped — one C-backed
-    split+explode, no per-row Python."""
-    df = df.reset_index(drop=True)
-    ex = df[text_col].astype(str).str.split(" ").explode()
-    mask = ((ex != "") & ex.notna()).to_numpy()
-    flat = ex.to_numpy()[mask]
-    ids = df[id_col].to_numpy()[ex.index.to_numpy()[mask]]
-    return ids, flat
-
-
-def gopher_stats(
-    ds: rd.Dataset,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    min_words: int = 20,
-    max_words: int = 120,
-    min_wlen: float = 3.0,
-    max_wlen: float = 8.0,
-    max_top_frac: float = 0.15,
-) -> rd.Dataset:
-    """Gopher-rule composite quality filter (Rae et al. 2021 §A1.1
-    re-expressed over this corpus's signals): per document — word count
-    bounds, mean word length bounds, top-word fraction cap — plus the
-    combined ``keep`` verdict a curation export would filter on.
-    Embarrassingly parallel: docs are atomic rows, one explode+groupby
-    per block, NO exchange. All ratio features round to 6 dp BEFORE the
-    keep comparison on both engines so a last-ulp difference can never
-    flip the verdict."""
-
-    def stats(df: pd.DataFrame) -> pd.DataFrame:
-        ids, flat = _flat_tokens(df, text_col, id_col)
-        lens = pd.Series(flat, dtype=object).str.len().to_numpy()
-        t = pd.DataFrame({id_col: ids, "len": lens, "w": flat})
-        gb = t.groupby(id_col, sort=False)
-        n = gb.size()
-        mean_wlen = (gb["len"].sum() / n).round(6)
-        wc = t.groupby([id_col, "w"], sort=False).size()
-        mx = wc.groupby(level=0, sort=False).max().reindex(n.index)
-        top = (mx / n).round(6)
-        keep = (
-            (n >= min_words) & (n <= max_words)
-            & (mean_wlen >= min_wlen) & (mean_wlen <= max_wlen)
-            & (top <= max_top_frac)
-        )
-        return pd.DataFrame({
-            id_col: n.index.to_numpy(),
-            "n_words": n.to_numpy().astype("int64"),
-            "mean_wlen": mean_wlen.to_numpy(),
-            "top_word_frac": top.to_numpy(),
-            "keep": keep.to_numpy(),
-        })
-
-    return ds.select_columns([id_col, text_col]).map_batches(
-        stats, batch_format="pandas"
-    )
-
-
-def repetition_stats(
-    ds: rd.Dataset,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-) -> rd.Dataset:
-    """Gopher-style within-document repetition: the fraction of a doc's
-    word-bigram slots taken by its single most frequent bigram (docs
-    with <2 tokens drop — no bigram exists). Embarrassingly parallel —
-    each document is one row, so the whole measure is a per-block
-    explode + groupby with NO exchange; the standard repetition filter
-    (drop if top_bigram_frac > t) is then a plain filter."""
-    def stats(df: pd.DataFrame) -> pd.DataFrame:
-        ids, flat = _flat_tokens(df, text_col, id_col)
-        # bigram at i joins token i,i+1 of the SAME doc: drop each
-        # doc's last slot via a boundary mask instead of per-doc loops
-        nxt = np.roll(flat, -1)
-        same = np.roll(ids, -1) == ids
-        if len(same):
-            same[-1] = False
-        bg = pd.DataFrame({
-            id_col: ids[same],
-            "bg": pd.Series(flat[same], dtype=object).str.cat(
-                pd.Series(nxt[same], dtype=object), sep=" "
-            ),
-        })
-        c = bg.groupby([id_col, "bg"], sort=False).size()
-        g = c.groupby(level=0, sort=False)
-        return pd.DataFrame({
-            id_col: g.max().index.to_numpy(),
-            "top_bigram_frac": (g.max() / g.sum()).to_numpy().round(6),
-        })
-
-    return ds.select_columns([id_col, text_col]).map_batches(
-        stats, batch_format="pandas"
-    )
-
-
-def boilerplate_fraction(
-    ds: rd.Dataset,
-    n: int = 5,
-    min_df: int = 2,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    merge_partitions: int | None = None,
-) -> rd.Dataset:
-    """C4-style boilerplate detection re-expressed for corpus scale:
-    the fraction of a doc's word n-gram SLOTS whose n-gram occurs in ≥
-    ``min_df`` DISTINCT documents. Pass 1 emits per-block distinct
-    (doc, gram) pairs, merges document frequencies with a partitioned
-    groupby, keeps grams with df ≥ min_df and broadcasts that set
-    (boilerplate grams are the rare tail by construction — O(common
-    grams) memory, documented; route through a hash semi-join if a
-    corpus ever makes it large). Pass 2 re-streams and scores each doc.
-    Docs with < n tokens drop (no slot exists)."""
-    import ray
-
-    from .relational import grouped_agg, resolve_broadcast
-
-    def grams_of(df: pd.DataFrame, distinct: bool) -> pd.DataFrame:
-        ids, flat = _flat_tokens(df, text_col, id_col)
-        empty = pd.DataFrame({id_col: np.array([], dtype=np.int64),
-                              "g": np.array([], dtype=object)})
-        if len(flat) < n:
-            return empty
-        parts, keep = [], np.ones(len(flat), dtype=bool)
-        for off in range(n):
-            parts.append(pd.Series(np.roll(flat, -off), dtype=object))
-            keep &= np.roll(ids, -off) == ids
-        keep[len(keep) - n + 1:] = False  # np.roll wraparound tail
-        g = parts[0]
-        for p in parts[1:]:
-            g = g.str.cat(p, sep=" ")
-        out = pd.DataFrame({id_col: ids[keep], "g": g.to_numpy()[keep]})
-        return out.drop_duplicates() if distinct else out
-
-    df_counts = grouped_agg(
-        ds.select_columns([id_col, text_col]).map_batches(
-            lambda df: grams_of(df, True), batch_format="pandas",
-        ),
-        ["g"], {"df": (id_col, "count")},
-        merge_partitions=merge_partitions,
-    ).to_pandas()
-    common_ref = ray.put(frozenset(
-        df_counts.loc[df_counts["df"] >= min_df, "g"].tolist()
-    ))
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        common = resolve_broadcast(common_ref)
-        g = grams_of(df, False)
-        if not len(g):
-            return pd.DataFrame({id_col: np.array([], dtype=np.int64),
-                                 "boiler_frac": np.array([])})
-        hit = g["g"].isin(common)
-        grp = hit.groupby(g[id_col].to_numpy(), sort=False)
-        return pd.DataFrame({
-            id_col: grp.mean().index.to_numpy(),
-            "boiler_frac": grp.mean().to_numpy().round(6),
-        })
-
-    return ds.select_columns([id_col, text_col]).map_batches(
-        score, batch_format="pandas"
-    )
-
-
 # Per-worker-process stage cache: these stages carry only cheap derived
 # state (marker tables, pattern strings), so they run as plain TASKS with
 # the instance built once per worker process — which outlives the actor
@@ -776,16 +483,6 @@ def langid_stage(ds: rd.Dataset, **kw) -> rd.Dataset:
 
 def token_stage(ds: rd.Dataset, **kw) -> rd.Dataset:
     return ds.map_batches(_cached_stage(TokenCounter, kw),
-                          batch_format="pandas")
-
-
-def pii_stage(ds: rd.Dataset, **kw) -> rd.Dataset:
-    return ds.map_batches(_cached_stage(PiiRedactor, kw),
-                          batch_format="pandas")
-
-
-def normalize_stage(ds: rd.Dataset, **kw) -> rd.Dataset:
-    return ds.map_batches(_cached_stage(TextNormalizer, kw),
                           batch_format="pandas")
 
 

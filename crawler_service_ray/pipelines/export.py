@@ -45,13 +45,13 @@ MEDIA_MERGE_DRIVER_MAX = 500_000
 
 
 def _assign_split(df: pd.DataFrame) -> pd.DataFrame:
-    """Deterministic 80/10/10 split. Integer ids use the same Knuth
-    multiplicative hash as the oracle-checked ``split_assign`` query;
-    string ids (crawl URLs) use the 64-bit content hash — both are pure
+    """Deterministic 80/10/10 split. Integer ids use the Knuth
+    multiplicative hash ``(id % 2^32) * 2654435761 % 2^32 % 10``; string
+    ids (crawl URLs) use the 64-bit content hash — both are pure
     functions of the id, invariant to parallelism and reruns.
 
     Integer ids must be nonnegative (< 2^63): the uint64 cast wraps
-    negative values differently from the SQL oracle's signed ``%`` (see
+    negative values differently from SQL's signed ``%`` (see
     ``cap_per_group``'s precondition note) — true for every id source
     this engine produces."""
     ids = df["doc_id"]
@@ -535,7 +535,7 @@ def export_corpus(
         with open(manifest_path) as f:
             return json.load(f)
 
-    from .queries import read_table
+    from ..functions.relational import read_table
 
     mlist = _load_merges(bpe_merges)
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])

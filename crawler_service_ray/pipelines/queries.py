@@ -1,7 +1,10 @@
 """The driver-contract query registry (SURVEY.md §7.2 step 9).
 
-``QUERIES``: name → callable(sf_dir) → Dataset / DataFrame / Table, one
-entry per operator pipeline from SURVEY.md §2 plus the training-data ops.
+``QUERIES``: name → callable(sf_dir) → Dataset / DataFrame / Table. The
+first 50 entries are the correctness gate (the keys of
+CORRECTNESS_r05.json, in order); the rest are the oracle-checked
+training-data operators that ``export`` and ``train-bpe`` call and the
+``crawl_*`` pipelines.
 ``ORACLE_SQL``: matching ANSI SQL for DuckDB over the same parquet tables
 (views pre-registered by the driver). Column names and aggregate aliases
 match EXACTLY between the Ray pipeline and the SQL — the driver's compare
@@ -11,9 +14,13 @@ Float aggregates are rounded (2–3 dp) IDENTICALLY on both sides so that
 summation-order differences between the distributed partial aggregation
 and DuckDB cannot flip the value hash.
 
-Entries without SQL (minhash/simhash/embedding dedup, langid, fingerprints,
-IVF ANN, the crawl pipelines) get the driver's rows-only check; their
-determinism is pinned by the pytest suite instead.
+Entries without SQL (``quantiles_sketch``, minhash/simhash dedup, the
+crawl pipelines) get a rows-only check; their determinism is
+pinned by the pytest suite instead.
+
+The other ``q_*`` functions here are not registered: they are analytics
+pipelines kept as library code, each checked by its own pytest case
+(``tests/test_round5_ops.py``) rather than by an oracle entry.
 """
 
 from __future__ import annotations
@@ -29,52 +36,20 @@ import ray
 from ..config import CrawlConfig, PolitenessConfig
 from ..functions import dedup, multimodal, similarity, text
 from ..functions.relational import (
+    _DOC_BPB,
+    _FACT_BPB,
     asof_join,
     bucketed_hash_join,
     broadcast_join,
     distinct,
     grouped_agg,
     native_join,
-    read_table as _read_table_raw,
+    read_table,
     sessionize,
     topk,
     topk_per_group,
     tumbling_window_agg,
 )
-
-
-# Shuffle-heavy document pipelines size read blocks by bytes, not cpu
-# fan-out (see read_table.bytes_per_block): Ray's default split of the
-# small documents file into ~2x-cpu tiny blocks made every downstream
-# groupby sort pay per-block overhead (measured 4-5x wall on
-# dedup_minhash at sf0.1).
-_DOC_BPB = 128 * 1024
-# fact-table (lineitem/orders/events) shuffle pipelines: ~1 MB read
-# blocks measured best (joins 2.4-4.6s -> 0.74s at sf0.1)
-_FACT_BPB = 1024 * 1024
-
-# Per-table default block sizing for every query in this module: any read
-# that doesn't pick its own bytes_per_block gets the table's measured
-# default (langid's 5000-doc read split into 64 blocks of 78 rows cost
-# 0.56 s of task dispatch for 0.33 s of compute; 5 byte-sized blocks run
-# the same UDF in ~0.15 s). Explicit per-query values still win.
-_DEFAULT_BPB = {
-    "documents": _DOC_BPB,
-    "events": _FACT_BPB,
-    "lineitem": _FACT_BPB,
-    "orders": _FACT_BPB,
-    # dimension tables: Ray's default split of a 15k-row customer read
-    # into 64 blocks made cdc_upsert's downstream groupby sort 128 tiny
-    # blocks (5.5 s of per-block overhead for ~1 s of compute at
-    # sf0.1); byte-sized blocks collapse that to the natural 1-2.
-    # `embeddings` intentionally NOT listed: its consumers are
-    # matmul-bound and want the cpu fan-out.
-    "customer": _FACT_BPB,
-    "supplier": _FACT_BPB,
-    "part": _FACT_BPB,
-    "nation": _FACT_BPB,
-    "region": _FACT_BPB,
-}
 
 
 def _catempty(df: pd.DataFrame) -> pd.DataFrame:
@@ -87,13 +62,6 @@ def _catempty(df: pd.DataFrame) -> pd.DataFrame:
                           if df[c].dtype == object
                           or str(df[c].dtype).startswith("string")})
     return df
-
-
-def read_table(sf_dir, name, columns=None, bytes_per_block=None, **kw):
-    if bytes_per_block is None:
-        bytes_per_block = _DEFAULT_BPB.get(name)
-    return _read_table_raw(sf_dir, name, columns=columns,
-                           bytes_per_block=bytes_per_block, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,44 +993,6 @@ WHERE c / (na.n + nb.n - c) >= 0.5
 """
 
 
-def q_containment(sf_dir: str):
-    """Asymmetric CONTAINMENT near-dup pairs — the quote/subset
-    detector (|∩| / min(|A|,|B|) ≥ 0.8 over word-5-gram sets): a short
-    doc pasted inside a long one scores ~1.0 here while its Jaccard
-    can be arbitrarily small. Same distributed inverted shingle index
-    as `ngram_jaccard` (`functions/dedup.py:ngram_jaccard_pairs` with
-    score="containment"); only the final vectorized division differs,
-    so the full SQL oracle carries over with least() in place of the
-    union denominator."""
-    return dedup.ngram_jaccard_pairs(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                   bytes_per_block=_DOC_BPB),
-        k=5, threshold=0.8, score="containment",
-    )
-
-
-SQL_CONTAINMENT = """
-WITH w AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-idx AS (SELECT doc_id, ws,
-               unnest(range(1, greatest(len(ws) - 4, 1) + 1)) AS i
-        FROM w),
-sh AS (SELECT DISTINCT doc_id,
-              CASE WHEN len(ws) < 5 THEN array_to_string(ws, ' ')
-                   ELSE array_to_string(list_slice(ws, i, i + 4), ' ')
-              END AS s
-       FROM idx),
-sizes AS (SELECT doc_id, count(*) AS n FROM sh GROUP BY doc_id),
-inter AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, count(*) AS c
-          FROM sh a JOIN sh b ON a.s = b.s AND a.doc_id < b.doc_id
-          GROUP BY 1, 2)
-SELECT id_a, id_b, c / least(na.n, nb.n) AS containment
-FROM inter
-JOIN sizes na ON inter.id_a = na.doc_id
-JOIN sizes nb ON inter.id_b = nb.doc_id
-WHERE c / least(na.n, nb.n) >= 0.8
-"""
-
-
 def q_dedup_minhash(sf_dir: str):
     return dedup.minhash_lsh_pairs(
         read_table(sf_dir, "documents", columns=["doc_id", "text"],
@@ -1204,260 +1134,6 @@ SELECT id AS doc_id, min(label) AS cluster_id FROM walk GROUP BY id
 """
 
 
-def q_dedup_keep_best(sf_dir: str):
-    """Near-dup resolution with KEEP-BEST semantics — the curation
-    pass's real policy (keep the longest/highest-quality member of
-    each duplicate cluster, not the arbitrary min-id): connected
-    components over the exact n-gram-Jaccard ≥ 0.5 pairs, clusters
-    bucket-joined back to the documents stats (the cluster table
-    scales with dup docs, never broadcast), then one partitioned
-    argmax(n_chars, tie → min doc_id) per cluster. Oracle: the
-    cluster closure + the literal row_number() winner rule."""
-    from ..functions.relational import grouped_apply
-
-    pairs = dedup.ngram_jaccard_pairs(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                   bytes_per_block=_DOC_BPB),
-        k=5, threshold=0.5,
-    )
-    clusters = dedup.connected_components(pairs).map_batches(
-        lambda df: df.rename(columns={"node": "doc_id",
-                                      "label": "cluster_id"}),
-        batch_format="pandas",
-    )
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    j = bucketed_hash_join(clusters, docs, on="doc_id", num_buckets=8)
-
-    def best(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["cluster_id", "n_chars", "doc_id"],
-                                ascending=[True, False, True],
-                                kind="mergesort")
-        gb = part.groupby("cluster_id", sort=False)
-        head = gb.head(1)
-        out = pd.DataFrame({
-            # the bucket join's empty-side fill path leaves the column
-            # float64 — restore the id dtype
-            "cluster_id": head["cluster_id"].astype("int64").to_numpy(),
-            "keep_id": head["doc_id"].astype("int64").to_numpy(),
-            "keep_chars": head["n_chars"].astype("int64").to_numpy(),
-        })
-        out.insert(1, "n_docs", gb.size().to_numpy().astype("int64"))
-        return out
-
-    return grouped_apply(j, ["cluster_id"], best, num_partitions=8)
-
-
-SQL_DEDUP_KEEP_BEST = f"""
-WITH RECURSIVE
-p AS ({SQL_NGRAM_JACCARD}),
-edges AS (SELECT id_a AS src, id_b AS dst FROM p
-          UNION ALL SELECT id_b, id_a FROM p),
-nodes AS (SELECT DISTINCT src AS id FROM edges),
-walk(id, label) AS (
-  SELECT id, id FROM nodes
-  UNION
-  SELECT e.dst, w.label FROM walk w JOIN edges e ON w.id = e.src
-),
-cl AS (SELECT id AS doc_id, min(label) AS cluster_id FROM walk GROUP BY id),
-j AS (SELECT cl.cluster_id, cl.doc_id, d.n_chars
-      FROM cl JOIN documents d USING (doc_id)),
-r AS (SELECT *,
-             row_number() OVER (PARTITION BY cluster_id
-                                ORDER BY n_chars DESC, doc_id) AS rn,
-             count(*) OVER (PARTITION BY cluster_id) AS nd
-      FROM j)
-SELECT cluster_id, CAST(nd AS BIGINT) AS n_docs, doc_id AS keep_id,
-       n_chars AS keep_chars
-FROM r WHERE rn = 1
-"""
-
-
-def q_robust_scale(sf_dir: str):
-    """Robust feature scaling — (value − median) / IQR per event type,
-    the outlier-immune ML-prep normalizer (z-score shifts under heavy
-    tails; median/IQR don't): exact grouped quantiles
-    (`grouped_quantiles`, percentile_cont parity) broadcast back over
-    the 5-row group table, one vectorized streaming pass to scale.
-    4-dp rounding (quotient of interpolated quantiles — same boundary
-    contract as `impute`)."""
-    from ..functions.relational import grouped_quantiles
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "event_type", "value"])
-    q = grouped_quantiles(
-        ev, ["event_type"], "value", [0.25, 0.5, 0.75],
-        ["q1", "q2", "q3"],
-    ).to_pandas()  # 5 group rows — the broadcast side
-    out = broadcast_join(ev, q, on="event_type")
-
-    def scale(d: pd.DataFrame) -> pd.DataFrame:
-        iqr = d["q3"].to_numpy() - d["q1"].to_numpy()
-        z = (d["value"].to_numpy() - d["q2"].to_numpy()) / np.where(
-            iqr == 0, np.nan, iqr)
-        return pd.DataFrame({
-            "event_id": d["event_id"].astype("int64"),
-            "event_type": d["event_type"],
-            "robust": np.round(z, 4),
-        })
-
-    return out.map_batches(scale, batch_format="pandas")
-
-
-def q_ks_test(sf_dir: str):
-    """Two-sample Kolmogorov–Smirnov D between the click and view
-    cohorts' value distributions — the distribution-drift detector
-    (`functions/relational.py:ks_statistic`): exact sup-CDF-difference
-    with NO global sort (model-constant per-cohort bin count table +
-    one bin exchange; each partition emits only its running max).
-    The CDF quotients are exact-int ratios, so 6 dp is display-only."""
-    from ..functions.relational import ks_statistic
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_type", "value"])
-    out = ks_statistic(ev, "value", "event_type", "click", "view")
-    return out.map_batches(
-        lambda d: d.assign(ks_d=d["ks_d"].round(6)),
-        batch_format="pandas")
-
-
-SQL_KS_TEST = """
-WITH u AS (
-  SELECT value,
-         CASE WHEN event_type = 'click' THEN 1 ELSE 0 END AS a,
-         CASE WHEN event_type = 'view' THEN 1 ELSE 0 END AS b
-  FROM events WHERE event_type IN ('click', 'view')),
-c AS (SELECT value, sum(a) AS ca, sum(b) AS cb FROM u GROUP BY value),
-w AS (SELECT sum(ca) OVER (ORDER BY value) AS cum_a,
-             sum(cb) OVER (ORDER BY value) AS cum_b,
-             sum(ca) OVER () AS na, sum(cb) OVER () AS nb
-      FROM c)
-SELECT round(max(abs(cum_a / na - cum_b / nb)), 6) AS ks_d,
-       CAST(max(na) AS BIGINT) AS n_a, CAST(max(nb) AS BIGINT) AS n_b
-FROM w
-"""
-
-
-def q_sample_group_k(sf_dir: str):
-    """EXACT-k-per-stratum deterministic sample — the eval-set
-    builder (`sample_stratified` downsamples by FRACTION; an eval
-    set needs exactly k per language regardless of stratum size):
-    the k smallest Knuth id-hashes within each lang via
-    `topk_per_group` (per-batch pre-truncation bounds what shuffles
-    to ≤ k·groups·blocks rows). Deterministic, resumable,
-    bounded-churn as the corpus grows — same contract as
-    `sample_exact_k`, per stratum. Oracle: the literal
-    row_number-over-hash rule."""
-    from ..functions.relational import topk_per_group
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "lang"])
-
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy().astype(np.uint64)
-        h = ((ids % np.uint64(4294967296)) * np.uint64(2654435761)) \
-            % np.uint64(4294967296)
-        return df.assign(__h=h.astype("int64"))
-
-    out = topk_per_group(
-        docs.map_batches(keyed, batch_format="pandas"),
-        keys=["lang"], by=["__h", "doc_id"], k=20,
-        descending=False,
-    )
-    return out.map_batches(
-        lambda d: d[["doc_id", "lang"]], batch_format="pandas")
-
-
-SQL_SAMPLE_GROUP_K = """
-SELECT doc_id, lang FROM (
-  SELECT doc_id, lang,
-         row_number() OVER (
-           PARTITION BY lang
-           ORDER BY ((doc_id::HUGEINT % 4294967296) * 2654435761)
-                    % 4294967296, doc_id) AS rn
-  FROM documents)
-WHERE rn <= 20
-"""
-
-
-def q_ann_range(sf_dir: str):
-    """Exact cosine RANGE search (radius 0.30) for the 10 query
-    vectors — the "everything at least this similar" retrieval form
-    where k is unknown (`functions/similarity.py:range_search`): the
-    query matrix ships once, each corpus batch streams out only its
-    qualifying pairs, NO final reduce. 0.30 sits 1.2e-3 from the
-    nearest actual cosine at sf0.01 (measured), so the exact-float
-    membership predicate is stable; cosine itself is reported at 4 dp."""
-    from ..functions.similarity import range_search
-
-    queries, qids = _query_vectors(sf_dir)
-    emb = read_table(sf_dir, "embeddings",
-                     columns=["vec_id", "embedding"])
-    out = range_search(emb, queries, qids, threshold=0.30)
-    return out.map_batches(
-        lambda d: d.assign(cosine=d["cosine"].round(4)),
-        batch_format="pandas")
-
-
-SQL_ANN_RANGE = """
-WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings
-           WHERE vec_id < 10),
-s AS (SELECT q.qid AS query_id, e.vec_id AS neighbor_id,
-             -- DOUBLE[] casts: the FLOAT-list kernel returns float32,
-             -- whose 4-dp rounding can straddle the engine's float64
-             list_cosine_similarity(q.qe::DOUBLE[],
-                                    e.embedding::DOUBLE[]) AS c
-      FROM q, embeddings e WHERE e.vec_id <> q.qid)
-SELECT query_id, neighbor_id, round(c, 4) AS cosine
-FROM s WHERE c >= 0.30
-"""
-
-
-def q_mannwhitney(sf_dir: str):
-    """Mann–Whitney U between the click and view cohorts — the
-    rank-based two-sample test heavy tails can't fool (the
-    non-parametric sibling of `ab_test`'s Welch t): exact U with tie
-    handling from the same one-exchange cohort scan as `ks_test`
-    (`functions/relational.py:mannwhitney_u`). U values are exact
-    multiples of 0.5 — no rounding tolerance."""
-    from ..functions.relational import mannwhitney_u
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_type", "value"])
-    return mannwhitney_u(ev, "value", "event_type", "click", "view")
-
-
-SQL_MANNWHITNEY = """
-WITH u AS (
-  SELECT value,
-         CASE WHEN event_type = 'click' THEN 1 ELSE 0 END AS a,
-         CASE WHEN event_type = 'view' THEN 1 ELSE 0 END AS b
-  FROM events WHERE event_type IN ('click', 'view')),
-c AS (SELECT value, sum(a) AS ca, sum(b) AS cb FROM u GROUP BY value),
-w AS (SELECT ca, cb,
-             coalesce(sum(ca) OVER (ORDER BY value
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0)
-               AS below_a,
-             sum(ca) OVER () AS na, sum(cb) OVER () AS nb
-      FROM c)
-SELECT sum(cb * (below_a + 0.5 * ca)) AS u_a,
-       max(na) * max(nb) - sum(cb * (below_a + 0.5 * ca)) AS u_b,
-       CAST(max(na) AS BIGINT) AS n_a, CAST(max(nb) AS BIGINT) AS n_b
-FROM w
-"""
-
-
-SQL_ROBUST_SCALE = """
-WITH q AS (
-  SELECT event_type,
-         quantile_cont(value, 0.25) AS q1,
-         quantile_cont(value, 0.5) AS q2,
-         quantile_cont(value, 0.75) AS q3
-  FROM events GROUP BY 1)
-SELECT e.event_id, e.event_type,
-       round((e.value - q.q2) / nullif(q.q3 - q.q1, 0), 4) AS robust
-FROM events e JOIN q USING (event_type)
-"""
-
-
 def q_dedup_simhash(sf_dir: str):
     return dedup.simhash_dedup(
         read_table(sf_dir, "documents", columns=["doc_id", "text"],
@@ -1468,225 +1144,6 @@ def q_dedup_simhash(sf_dir: str):
 
 _PLANT_MAX_ID = 100
 _PLANT_OFFSET = 1_000_000
-_PLANT_DELTA = 0.05
-_EMB_NEARDUP_T = 0.8
-
-
-def _planted_embeddings(sf_dir: str):
-    """The embeddings table plus deterministic planted near-dups: for
-    vec_id < 100, a copy with +0.05 added to every component and id
-    offset by 10^6. The synthetic table has NO natural near-dup pairs
-    (max pairwise cosine ≈ 0.51 at sf0.01), so the planted pairs make
-    the operator's output non-trivially checkable — and the planting is
-    SQL-expressible, so the query carries a full DuckDB oracle."""
-    base = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB, columns=["vec_id", "embedding"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        sub = df[df["vec_id"] < _PLANT_MAX_ID]
-        if sub.empty:
-            return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                                 "embedding": pd.Series([], dtype=object)})
-        M = np.stack(sub["embedding"].to_numpy()).astype(np.float64)
-        M = M + _PLANT_DELTA
-        return pd.DataFrame(
-            {
-                "vec_id": (sub["vec_id"] + _PLANT_OFFSET).to_numpy(),
-                "embedding": list(M),
-            }
-        )
-
-    return base.union(base.map_batches(plant, batch_format="pandas"))
-
-
-def q_dedup_embedding(sf_dir: str):
-    """EXACT cosine near-dup pairs over the planted-augmented embeddings
-    via block-pair partitioning (no driver-side matrix). Cosine rounded
-    to 6dp on both sides."""
-    pairs = dedup.embedding_near_dup(
-        _planted_embeddings(sf_dir), threshold=_EMB_NEARDUP_T, num_blocks=4,
-    )
-    return pairs.map_batches(
-        lambda df: df.assign(vec_id_a=df["id_a"].astype("int64"),
-                             vec_id_b=df["id_b"].astype("int64"),
-                             cosine=df["cosine"].round(6))
-        [["vec_id_a", "vec_id_b", "cosine"]],
-        batch_format="pandas",
-    )
-
-
-SQL_DEDUP_EMBEDDING = """
-WITH aug AS (
-  SELECT vec_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e
-  FROM embeddings
-  UNION ALL
-  SELECT vec_id + 1000000 AS vec_id,
-         list_transform(embedding, x -> CAST(x AS DOUBLE) + 0.05) AS e
-  FROM embeddings WHERE vec_id < 100
-)
-SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b,
-       round(list_cosine_similarity(a.e, b.e), 6) AS cosine
-FROM aug a JOIN aug b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.e, b.e) >= 0.8
-"""
-
-
-def q_dedup_embedding_ivf(sf_dir: str):
-    """Approximate (IVF-cell-bucketed) variant of the same near-dup op —
-    the 100-TB path; recall vs the exact path is pinned by pytest.
-    assign_top=3 (primary + two neighbor cells) recovers 99/100 of the
-    exact pair set at sf0.01 vs 94-97 at 2, at no measurable cost with
-    8 cells."""
-    return dedup.embedding_near_dup_ivf(
-        _planted_embeddings(sf_dir), threshold=_EMB_NEARDUP_T,
-        num_cells=8, assign_top=3,
-    )
-
-
-def q_dedup_embedding_ivf_subset(sf_dir: str):
-    """SUBSET-INVARIANT oracle for the approximate IVF near-dup path
-    (same form as ``dedup_minhash_subset``): IVF compares true cosine
-    within cells, so every pair it emits must be a member of the exact
-    block-pair set at the same threshold, with the same cosine; the
-    exact pair count is recomputed and checked against the DuckDB
-    oracle. IVF recall (which pairs the cells surface) stays approximate
-    — containment is what's checkable."""
-    ivf = dedup.embedding_near_dup_ivf(
-        _planted_embeddings(sf_dir), threshold=_EMB_NEARDUP_T,
-        num_cells=8, assign_top=3,
-    ).to_pandas()
-    exact = dedup.embedding_near_dup(
-        _planted_embeddings(sf_dir), threshold=_EMB_NEARDUP_T, num_blocks=4,
-    ).to_pandas()
-    m = ivf[["id_a", "id_b"]].merge(
-        exact[["id_a", "id_b"]], on=["id_a", "id_b"],
-        how="left", indicator=True,
-    )
-    return pd.DataFrame({
-        "n_exact_pairs": np.array([len(exact)], dtype="int64"),
-        "n_ivf_violations": np.array(
-            [int((m["_merge"] == "left_only").sum())], dtype="int64"
-        ),
-    })
-
-
-SQL_DEDUP_EMBEDDING_IVF_SUBSET = f"""
-WITH p AS ({SQL_DEDUP_EMBEDDING})
-SELECT count(*)::BIGINT AS n_exact_pairs,
-       0::BIGINT AS n_ivf_violations
-FROM p
-"""
-
-
-def q_semdedup(sf_dir: str):
-    """INVARIANT oracle for SemDeDup-style semantic dedup
-    (`dedup.semdedup`: k-means cells → within-cell removal keeping the
-    centroid-nearest row — the paraphrase-catching curation pass).
-    Checks, against the EXACT block-pair near-dup set at the same
-    threshold: (1) every (removed, near_id) pair is a true near-dup
-    with matching cosine (removals never invent similarity), and
-    (2) no two KEPT rows in the same cluster are near-dups (the rule
-    is exhaustive within cells). Cross-cell pairs are out of scope by
-    design (the paper's approximation), so they are excluded from (2).
-    Emits (n_docs, n_removed_is_positive, n_pair_violations,
-    n_kept_violations); SQL pins the doc count and the zeros, and
-    n_removed collapses to a checked 0/1 flag because the removal
-    count itself is k-means-partition dependent."""
-    emb = _planted_embeddings(sf_dir)
-    out = dedup.semdedup(emb, k=8, threshold=_EMB_NEARDUP_T,
-                         iters=3).to_pandas()
-    exact = dedup.embedding_near_dup(
-        emb, threshold=_EMB_NEARDUP_T, num_blocks=4,
-    ).to_pandas()
-    ekey = {(int(a), int(b)): float(c) for a, b, c in
-            zip(exact["id_a"], exact["id_b"], exact["cosine"])}
-
-    removed = out[~out["keep"]]
-    pair_viol = 0
-    for rid, nid, cos in zip(removed["vec_id"], removed["near_id"],
-                             removed["near_cos"]):
-        key = (min(int(rid), int(nid)), max(int(rid), int(nid)))
-        want = ekey.get(key)
-        if want is None or abs(want - float(cos)) > 1e-9:
-            pair_viol += 1
-
-    cl = dict(zip(out["vec_id"], out["cluster"]))
-    kept = set(out.loc[out["keep"], "vec_id"].astype(int))
-    kept_viol = sum(
-        1 for (a, b) in ekey
-        if a in kept and b in kept and cl.get(a) == cl.get(b))
-    return pd.DataFrame({
-        "n_docs": np.array([len(out)], dtype="int64"),
-        "n_removed_is_positive": np.array(
-            [int(len(removed) > 0)], dtype="int64"),
-        "n_pair_violations": np.array([pair_viol], dtype="int64"),
-        "n_kept_violations": np.array([kept_viol], dtype="int64"),
-    })
-
-
-SQL_SEMDEDUP = """
-WITH aug AS (
-  SELECT vec_id FROM embeddings
-  UNION ALL
-  SELECT vec_id + 1000000 FROM embeddings WHERE vec_id < 100
-)
-SELECT count(*)::BIGINT AS n_docs, 1::BIGINT AS n_removed_is_positive,
-       0::BIGINT AS n_pair_violations, 0::BIGINT AS n_kept_violations
-FROM aug
-"""
-
-
-def q_ann_ivf(sf_dir: str):
-    queries, qids = _query_vectors(sf_dir)
-    ds = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB, columns=["vec_id", "embedding"])
-    return similarity.ivf_topk(ds, queries, qids, k=5)
-
-
-def q_ann_ivf_recall(sf_dir: str):
-    """RECALL-INVARIANT oracle for the approximate IVF index (the
-    `dedup_minhash_subset` pattern applied to ANN). Checks the
-    properties a correct IVF must satisfy rather than exact neighbor
-    identity (which is approximate by design): (1) mean recall@5 vs the
-    exact oracle is MONOTONE in nprobe (probing more cells can only
-    help — a decrease means broken cell assignment), (2) at nprobe=8
-    (half the cells) mean recall ≥ 0.7 and every query ≥ 0.4 (measured
-    0.82 mean on this synthetic corpus; a collapse means a broken
-    scorer). Emits one row (n_exact_rows, n_recall_violations); SQL
-    independently recomputes the exact top-5 row count and asserts zero
-    violations."""
-    from ..functions import similarity as sim
-
-    exact = q_ann_topk(sf_dir).to_pandas()
-    queries, qids = _query_vectors(sf_dir)
-    ds = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB, columns=["vec_id", "embedding"])
-    by_q = exact.groupby("query_id")["neighbor_id"].apply(set)
-
-    def recalls(nprobe: int) -> np.ndarray:
-        ivf = sim.ivf_topk(
-            ds, queries, qids, k=5, nprobe=nprobe
-        ).to_pandas()
-        got = ivf.groupby("query_id")["neighbor_id"].apply(set)
-        return np.array([
-            len(by_q[qid] & got.get(qid, set())) / len(by_q[qid])
-            for qid in by_q.index
-        ])
-    r4, r8 = recalls(4), recalls(8)
-    violations = (
-        int(r8.mean() < r4.mean())        # monotone in nprobe
-        + int(r8.mean() < 0.7)            # aggregate floor at nprobe=8
-        + int((r8 < 0.4).sum())           # per-query floor at nprobe=8
-    )
-    return pd.DataFrame({
-        "n_exact_rows": np.array([len(exact)], dtype="int64"),
-        "n_recall_violations": np.array([violations], dtype="int64"),
-    })
-
-
-SQL_ANN_IVF_RECALL = f"""
-WITH e AS ({SQL_ANN_TOPK})
-SELECT count(*)::BIGINT AS n_exact_rows,
-       0::BIGINT AS n_recall_violations
-FROM e
-"""
 
 
 def q_langid(sf_dir: str):
@@ -1817,170 +1274,6 @@ WHERE s.q > m.med
 """
 
 
-def q_tokens(sf_dir: str):
-    return text.token_stage(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    )
-
-
-SQL_TOKENS = f"""
-SELECT doc_id,
-       len(regexp_extract_all(text, '\\S+')) AS n_ws_tokens,
-       len(regexp_extract_all(text, '{text.TokenCounter.BPE_PATTERN}'))
-         AS n_bpe_tokens
-FROM documents
-"""
-
-
-def q_vocab(sf_dir: str):
-    """Corpus vocabulary top-50 by term frequency — partial counts per
-    batch shrink blocks to distinct words before the exchange (the
-    wordcount a tokenizer-training pass runs)."""
-    return text.vocab_topk(
-        read_table(sf_dir, "documents", columns=["text"]), k=50,
-        merge_partitions=8,  # a 100-TB vocabulary never coalesces to one task
-    )
-
-
-SQL_VOCAB = """
-SELECT word, cnt FROM (
-  SELECT word, count(*)::BIGINT AS cnt
-  FROM (SELECT unnest(string_split(text, ' ')) AS word FROM documents)
-  WHERE word <> ''
-  GROUP BY word)
-ORDER BY cnt DESC, word ASC
-LIMIT 50
-"""
-
-
-def q_pii_redact(sf_dir: str):
-    """PII scrub over the event payloads (email / IPv4 / digit-run →
-    '<PII>'): counts and redacted strings both oracle-checked — the
-    redaction chain is nested regexp_replace in RE2 on BOTH engines."""
-    return text.pii_stage(
-        read_table(sf_dir, "events", columns=["event_id", "props"]),
-        text_col="props", id_col="event_id",
-    )
-
-
-def _sql_pii_chain() -> str:
-    sql = "SELECT event_id, props AS t, 0::BIGINT AS n FROM events"
-    for _name, pat in text.PII_PATTERNS:
-        sql = (
-            "SELECT event_id,"
-            f" regexp_replace(t, '{pat}', '<PII>', 'g') AS t,"
-            f" n + len(regexp_extract_all(t, '{pat}'))::BIGINT AS n"
-            f" FROM ({sql})"
-        )
-    return (
-        "SELECT event_id, n::BIGINT AS n_pii, t AS redacted"
-        f" FROM ({sql})"
-    )
-
-
-SQL_PII_REDACT = _sql_pii_chain()
-
-
-def q_contamination(sf_dir: str):
-    """Benchmark-decontamination pass: every 97th document plays the
-    held-out eval set; corpus docs sharing any word-5-gram with it are
-    flagged with their shared-shingle count. The benchmark shingle set
-    broadcasts once (ray.put) — no corpus-scale shuffle join."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    bench = docs.map_batches(
-        lambda df: df[df["doc_id"] % 97 == 0], batch_format="pandas"
-    )
-    rest = docs.map_batches(
-        lambda df: df[df["doc_id"] % 97 != 0], batch_format="pandas"
-    )
-    return dedup.contamination_hits(rest, bench, k=5)
-
-
-SQL_CONTAMINATION = """
-WITH w AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-idx AS (SELECT doc_id, ws,
-               unnest(range(1, greatest(len(ws) - 4, 1) + 1)) AS i
-        FROM w),
-sh AS (SELECT DISTINCT doc_id,
-              CASE WHEN len(ws) < 5 THEN array_to_string(ws, ' ')
-                   ELSE array_to_string(list_slice(ws, i, i + 4), ' ')
-              END AS s
-       FROM idx),
-bench AS (SELECT DISTINCT s FROM sh WHERE doc_id % 97 = 0)
-SELECT doc_id, count(*)::BIGINT AS n_contaminated
-FROM sh
-WHERE doc_id % 97 <> 0 AND s IN (SELECT s FROM bench)
-GROUP BY doc_id
-"""
-
-
-def q_char_entropy(sf_dir: str):
-    """Per-doc character-distribution entropy (gibberish/binary filter
-    signal) — vectorized UTF-32 run-length kernel vs DuckDB's
-    character-split aggregate, the entropy itself value-hashed at 6 dp
-    (per-doc sums have ≤ alphabet-size terms; reassociation error
-    ~1e-15, far below the rounding)."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                      bytes_per_block=_DOC_BPB)
-    return text.char_entropy(docs)
-
-
-SQL_CHAR_ENTROPY = """
-WITH ch AS (SELECT doc_id, unnest(string_split(text, '')) AS c
-            FROM documents),
-cnt AS (SELECT doc_id, c, count(*)::DOUBLE AS n FROM ch GROUP BY 1, 2),
-tot AS (SELECT doc_id, sum(n) AS t FROM cnt GROUP BY 1),
-e AS (SELECT cnt.doc_id, -sum((n / t) * log2(n / t)) AS h
-      FROM cnt JOIN tot USING (doc_id) GROUP BY cnt.doc_id)
-SELECT d.doc_id, len(d.text)::BIGINT AS n_chars,
-       round(coalesce(e.h, 0), 6) AS entropy
-FROM documents d LEFT JOIN e ON e.doc_id = d.doc_id
-"""
-
-
-def q_decontaminate(sf_dir: str):
-    """Benchmark-decontamination REMOVAL pass (the action to
-    `contamination`'s detection): keep only corpus docs sharing NO
-    word-5-gram with the held-out set — contamination_hits (broadcast
-    probe, no corpus shuffle) anti-joined back onto the corpus, both
-    kernels individually oracle-checked."""
-    from ..functions.relational import semi_anti_join
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    bench = docs.map_batches(
-        lambda df: df[df["doc_id"] % 97 == 0], batch_format="pandas"
-    )
-    rest = docs.map_batches(
-        lambda df: df[df["doc_id"] % 97 != 0], batch_format="pandas"
-    )
-    hits = dedup.contamination_hits(rest, bench, k=5).select_columns(
-        ["doc_id"])
-    clean = semi_anti_join(rest, hits, on="doc_id", anti=True,
-                           num_partitions=16)
-    return clean.map_batches(
-        lambda df: pd.DataFrame({"doc_id": df["doc_id"].astype("int64")}),
-        batch_format="pandas",
-    )
-
-
-SQL_DECONTAMINATE = """
-WITH w AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-idx AS (SELECT doc_id, ws,
-               unnest(range(1, greatest(len(ws) - 4, 1) + 1)) AS i
-        FROM w),
-sh AS (SELECT DISTINCT doc_id,
-              CASE WHEN len(ws) < 5 THEN array_to_string(ws, ' ')
-                   ELSE array_to_string(list_slice(ws, i, i + 4), ' ')
-              END AS s
-       FROM idx),
-bench AS (SELECT DISTINCT s FROM sh WHERE doc_id % 97 = 0),
-dirty AS (SELECT DISTINCT doc_id FROM sh
-          WHERE doc_id % 97 <> 0 AND s IN (SELECT s FROM bench))
-SELECT doc_id FROM documents
-WHERE doc_id % 97 <> 0 AND doc_id NOT IN (SELECT doc_id FROM dirty)
-"""
-
-
 def q_sample_hash(sf_dir: str):
     """Deterministic hash sampling (~5%): Knuth multiplicative hash on
     the id, identical integer arithmetic on both engines — the
@@ -1999,673 +1292,6 @@ def q_sample_hash(sf_dir: str):
         return df[h < np.uint64(214748365)]
 
     return docs.map_batches(samp, batch_format="pandas")
-
-
-SQL_SAMPLE_HASH = """
-SELECT doc_id, lang, n_chars FROM documents
-WHERE ((doc_id % 4294967296) * 2654435761) % 4294967296 < 214748365
-"""
-
-
-_PRICE_BANDS = pd.DataFrame({
-    "lo": [0.0, 50_000.0, 150_000.0, 300_000.0],
-    "hi": [50_000.0, 150_000.0, 300_000.0, 10_000_000.0],
-    "band": ["small", "mid", "large", "jumbo"],
-})
-
-
-def q_range_join(sf_dir: str):
-    """Non-equi banding join: every order tagged with its price band —
-    `range_join_broadcast` (bands broadcast once, one searchsorted per
-    batch; no shuffle, no per-row predicate)."""
-    from ..functions.relational import range_join_broadcast
-
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_orderkey", "o_totalprice"])
-    out = range_join_broadcast(ds, _PRICE_BANDS, value_col="o_totalprice")
-    return out.map_batches(
-        lambda df: df.assign(o_totalprice=df["o_totalprice"].round(2)),
-        batch_format="pandas",
-    )
-
-
-_SQL_BANDS_VALUES = ", ".join(
-    f"({r.lo}, {r.hi}, '{r.band}')" for r in _PRICE_BANDS.itertuples()
-)
-
-SQL_RANGE_JOIN = f"""
-WITH bands(lo, hi, band) AS (VALUES {_SQL_BANDS_VALUES})
-SELECT o_orderkey, round(o_totalprice, 2) AS o_totalprice, band
-FROM orders JOIN bands
-  ON o_totalprice >= lo AND o_totalprice < hi
-"""
-
-
-def q_range_join_partitioned(sf_dir: str):
-    """LARGE×LARGE non-equi banding join: one variable-width interval
-    per customer (corpus-scale interval side — too big to broadcast by
-    policy), orders probed by o_totalprice —
-    `range_join_partitioned`: intervals bin-replicated to 64-unit value
-    buckets, one tagged-union bucket shuffle, per-bucket searchsorted.
-    Nothing broadcasts and the driver holds nothing."""
-    from ..functions.relational import range_join_partitioned
-
-    orders = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                        columns=["o_orderkey", "o_totalprice"])
-    cust = read_table(sf_dir, "customer", columns=["c_custkey"])
-
-    def mk_iv(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["c_custkey"].to_numpy().astype("int64")
-        lo = k * 100.0
-        return pd.DataFrame({
-            "band_id": k, "lo": lo, "hi": lo + 40.0 + (k % 50)})
-
-    iv = cust.map_batches(mk_iv, batch_format="pandas")
-    out = range_join_partitioned(
-        orders, iv, value_col="o_totalprice", bucket_width=64.0)
-
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].astype("int64"),
-            "o_totalprice": df["o_totalprice"].round(2),
-            "band_id": df["band_id"].astype("int64"),
-        })
-
-    return out.map_batches(fin, batch_format="pandas")
-
-
-SQL_RANGE_JOIN_PARTITIONED = """
-WITH iv AS (
-  SELECT c_custkey AS band_id, c_custkey * 100.0 AS lo,
-         c_custkey * 100.0 + 40.0 + (c_custkey % 50) AS hi
-  FROM customer
-)
-SELECT o_orderkey, round(o_totalprice, 2) AS o_totalprice, band_id
-FROM orders JOIN iv ON o_totalprice >= lo AND o_totalprice < hi
-"""
-
-
-def q_skew_kurt(sf_dir: str):
-    """Grouped skewness + excess kurtosis (bias-corrected sample
-    semantics) — `grouped_moments`: five mergeable power sums per key
-    per block, one small merge, no raw values past the first pass."""
-    from ..functions.relational import grouped_moments
-
-    ds = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_returnflag", "l_quantity"])
-    out = grouped_moments(ds, ["l_returnflag"], "l_quantity",
-                          merge_partitions=4)
-    return out.map_batches(
-        lambda df: df.assign(skew=df["skew"].round(6),
-                             kurt=df["kurt"].round(6)),
-        batch_format="pandas",
-    )
-
-
-SQL_SKEW_KURT = """
-SELECT l_returnflag, round(skewness(l_quantity), 6) AS skew,
-       round(kurtosis(l_quantity), 6) AS kurt
-FROM lineitem GROUP BY l_returnflag
-"""
-
-
-def q_argmax_order(sf_dir: str):
-    """Per-priority arg_max: the orderkey holding the group's maximum
-    price — `grouped_arg_extreme`: ONE candidate row per key leaves
-    each block (the wordcount pattern applied to extremes), merged by
-    the same comparison; deterministic smallest-key tiebreak keeps both
-    engines exact."""
-    from ..functions.relational import grouped_arg_extreme
-
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_orderpriority", "o_orderkey",
-                             "o_totalprice"])
-    out = grouped_arg_extreme(ds, ["o_orderpriority"],
-                              val_col="o_orderkey",
-                              by_col="o_totalprice", mode="max",
-                              merge_partitions=4)
-    return out.map_batches(
-        lambda df: pd.DataFrame({
-            "o_orderpriority": df["o_orderpriority"],
-            "top_orderkey": df["o_orderkey"].astype("int64"),
-            "top_price": df["o_totalprice"].round(2),
-        }),
-        batch_format="pandas",
-    )
-
-
-SQL_ARGMAX_ORDER = """
-SELECT o_orderpriority, o_orderkey AS top_orderkey,
-       round(o_totalprice, 2) AS top_price
-FROM (
-  SELECT o_orderpriority, o_orderkey, o_totalprice,
-         row_number() OVER (PARTITION BY o_orderpriority
-                            ORDER BY o_totalprice DESC, o_orderkey ASC)
-           AS r
-  FROM orders
-) WHERE r = 1
-"""
-
-
-def q_mode_per_group(sf_dir: str):
-    """Per-user most-frequent event type (deterministic ties: smallest
-    value) — `grouped_mode`: partial counts before the exchange, one
-    key-hash pick pass."""
-    from ..functions.relational import grouped_mode
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "event_type"])
-    return grouped_mode(
-        ds, keys=["user_id"], col="event_type", out_name="top_event",
-        merge_partitions=4,
-    )
-
-
-SQL_MODE_PER_GROUP = """
-SELECT user_id, event_type AS top_event FROM (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY c DESC, event_type ASC) AS r
-  FROM (SELECT user_id, event_type, count(*) AS c
-        FROM events GROUP BY 1, 2))
-WHERE r = 1
-"""
-
-
-def q_lag_value(sf_dir: str):
-    """LAG window function: per-user previous event value in
-    (ts, event_id) order — `grouped_shift` (one key-hash shuffle,
-    vectorized groupby.shift; frame edges are NULL)."""
-    from ..functions.relational import grouped_shift
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id", "ts", "value"])
-    out = grouped_shift(
-        ds, keys=["user_id"], order_by=["ts", "event_id"], col="value",
-        periods=1, out_name="prev_value", num_partitions=16,
-    )
-    return out.map_batches(
-        lambda df: df[["event_id", "user_id", "prev_value"]].assign(
-            prev_value=df["prev_value"].round(6)
-        ),
-        batch_format="pandas",
-    )
-
-
-SQL_LAG_VALUE = """
-SELECT event_id, user_id,
-       round(lag(value) OVER (PARTITION BY user_id
-                              ORDER BY ts, event_id), 6) AS prev_value
-FROM events
-"""
-
-
-def q_ntile_orders(sf_dir: str):
-    """NTILE(4) quartile assignment of order price within each order
-    priority — `ntile_in_group` (one key-hash shuffle, closed-form
-    bucket math; (price, orderkey) ordering for determinism)."""
-    from ..functions.relational import ntile_in_group
-
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_orderkey", "o_orderpriority",
-                             "o_totalprice"])
-    out = ntile_in_group(
-        ds, keys=["o_orderpriority"], by=["o_totalprice", "o_orderkey"],
-        n=4, out_name="quartile", num_partitions=8,
-    )
-    return out.select_columns(["o_orderkey", "o_orderpriority",
-                               "quartile"])
-
-
-SQL_NTILE_ORDERS = """
-SELECT o_orderkey, o_orderpriority,
-       ntile(4) OVER (PARTITION BY o_orderpriority
-                      ORDER BY o_totalprice, o_orderkey) AS quartile
-FROM orders
-"""
-
-
-def q_string_agg_names(sf_dir: str):
-    """Ordered string aggregation: '|'-joined customer names per nation
-    — `string_agg_per_group` (one key-hash shuffle, vectorized
-    sort + join per partition; value-ordered so block layout can't
-    change the output)."""
-    from ..functions.relational import string_agg_per_group
-
-    ds = read_table(sf_dir, "customer",
-                    columns=["c_nationkey", "c_name"])
-    return string_agg_per_group(
-        ds, keys=["c_nationkey"], col="c_name", sep="|",
-        out_name="names", num_partitions=8,
-    )
-
-
-SQL_STRING_AGG_NAMES = """
-SELECT c_nationkey, string_agg(c_name, '|' ORDER BY c_name) AS names
-FROM customer GROUP BY c_nationkey
-"""
-
-
-def q_zscore_orders(sf_dir: str):
-    """Per-priority standardization of order price — `grouped_zscore`:
-    the window-function answer WITHOUT shuffling fact rows (per-key
-    sum/sumsq/count partials reduce to a tiny stats table broadcast
-    once; every batch maps against it)."""
-    from ..functions.relational import grouped_zscore
-
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_orderkey", "o_orderpriority",
-                             "o_totalprice"])
-    out = grouped_zscore(ds, keys=["o_orderpriority"],
-                         col="o_totalprice", out_name="z")
-    return out.map_batches(
-        lambda df: df[["o_orderkey", "o_orderpriority", "z"]].assign(
-            z=df["z"].round(6)
-        ),
-        batch_format="pandas",
-    )
-
-
-SQL_ZSCORE_ORDERS = """
-SELECT o_orderkey, o_orderpriority,
-       round((o_totalprice
-              - avg(o_totalprice) OVER (PARTITION BY o_orderpriority))
-             / stddev_pop(o_totalprice)
-               OVER (PARTITION BY o_orderpriority), 6) AS z
-FROM orders
-"""
-
-
-def q_intersect_keys(sf_dir: str):
-    """SQL INTERSECT: customer keys that also place orders —
-    `set_op_distinct` (per-batch dedup + side flags, one max-merge; no
-    pairwise join)."""
-    from ..functions.relational import set_op_distinct
-
-    o = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                   columns=["o_custkey"]).map_batches(
-        lambda df: df.rename(columns={"o_custkey": "custkey"}),
-        batch_format="pandas",
-    )
-    c = read_table(sf_dir, "customer", columns=["c_custkey"]).map_batches(
-        lambda df: df.rename(columns={"c_custkey": "custkey"}),
-        batch_format="pandas",
-    )
-    return set_op_distinct(o, c, ["custkey"], op="intersect",
-                           merge_partitions=4)
-
-
-SQL_INTERSECT_KEYS = """
-SELECT o_custkey AS custkey FROM orders
-INTERSECT
-SELECT c_custkey AS custkey FROM customer
-"""
-
-
-def q_except_keys(sf_dir: str):
-    """SQL EXCEPT: customer keys with no order after mid-2000 — same
-    operator, other filter arm (unfiltered EXCEPT is empty here: every
-    customer orders at least once)."""
-    from ..functions.relational import set_op_distinct
-
-    c = read_table(sf_dir, "customer", columns=["c_custkey"]).map_batches(
-        lambda df: df.rename(columns={"c_custkey": "custkey"}),
-        batch_format="pandas",
-    )
-    o = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                   columns=["o_custkey", "o_orderdate"]).map_batches(
-        lambda df: df.loc[df["o_orderdate"] >= pd.Timestamp("2000-07-01"),
-                          ["o_custkey"]].rename(
-            columns={"o_custkey": "custkey"}),
-        batch_format="pandas",
-    )
-    return set_op_distinct(c, o, ["custkey"], op="except",
-                           merge_partitions=4)
-
-
-SQL_EXCEPT_KEYS = """
-SELECT c_custkey AS custkey FROM customer
-EXCEPT
-SELECT o_custkey AS custkey FROM orders
-WHERE o_orderdate >= DATE '2000-07-01'
-"""
-
-
-def q_histogram_price(sf_dir: str):
-    """Fixed-width histogram of order price (24 × 25k bins, clamped
-    edges) — `histogram`: pure partial-agg, ≤ nbins rows leave each
-    block."""
-    from ..functions.relational import histogram
-
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_totalprice"])
-    return histogram(ds, "o_totalprice", lo=0.0, hi=600_000.0, nbins=24)
-
-
-SQL_HISTOGRAM_PRICE = """
-SELECT bin, count(*) AS n, round(bin * 25000.0, 6) AS bin_lo
-FROM (SELECT least(greatest(CAST(floor(o_totalprice / 25000.0) AS BIGINT),
-                            0), 23) AS bin
-      FROM orders)
-GROUP BY bin
-"""
-
-
-def q_rollup_lineitem(sf_dir: str):
-    """GROUP BY ROLLUP(returnflag, linestatus): finest level plus every
-    prefix subtotal and the grand total — `rollup_agg` reads the fact
-    table once and re-aggregates the finest result per level."""
-    from ..functions.relational import rollup_agg
-
-    ds = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_returnflag", "l_linestatus",
-                             "l_quantity"])
-    out = rollup_agg(
-        ds, keys=["l_returnflag", "l_linestatus"],
-        aggs={"sum_qty": ("l_quantity", "sum"),
-              "n": ("l_quantity", "count")},
-    )
-    return out.map_batches(
-        lambda df: df.assign(sum_qty=df["sum_qty"].round(4)),
-        batch_format="pandas",
-    )
-
-
-SQL_ROLLUP_LINEITEM = """
-SELECT coalesce(l_returnflag, 'ALL') AS l_returnflag,
-       coalesce(l_linestatus, 'ALL') AS l_linestatus,
-       round(sum(l_quantity), 4) AS sum_qty,
-       count(*) AS n
-FROM lineitem GROUP BY ROLLUP(l_returnflag, l_linestatus)
-"""
-
-
-def q_intersect_all_users(sf_dir: str):
-    """SQL INTERSECT ALL (bag semantics): per user, min(#clicks,
-    #views) rows — `set_op_bag` (per-block value_counts + one
-    sum-merge + np.repeat re-expansion; no pairwise join)."""
-    from ..functions.relational import set_op_bag
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "event_type"])
-
-    def side(kind):
-        return ev.map_batches(
-            lambda df, k=kind: df.loc[df["event_type"] == k, ["user_id"]],
-            batch_format="pandas",
-        )
-
-    return set_op_bag(side("click"), side("view"), ["user_id"],
-                      op="intersect_all", merge_partitions=4)
-
-
-SQL_INTERSECT_ALL_USERS = """
-SELECT user_id FROM events WHERE event_type = 'click'
-INTERSECT ALL
-SELECT user_id FROM events WHERE event_type = 'view'
-"""
-
-
-def q_except_all_orderkeys(sf_dir: str):
-    """SQL EXCEPT ALL: lineitem orderkeys minus the (unique) orders
-    multiset — every key keeps (lines − 1) copies."""
-    from ..functions.relational import set_op_bag
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_orderkey"]).map_batches(
-        lambda df: df.rename(columns={"l_orderkey": "orderkey"}),
-        batch_format="pandas",
-    )
-    o = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                   columns=["o_orderkey"]).map_batches(
-        lambda df: df.rename(columns={"o_orderkey": "orderkey"}),
-        batch_format="pandas",
-    )
-    return set_op_bag(li, o, ["orderkey"], op="except_all",
-                      merge_partitions=4)
-
-
-SQL_EXCEPT_ALL_ORDERKEYS = """
-SELECT l_orderkey AS orderkey FROM lineitem
-EXCEPT ALL
-SELECT o_orderkey AS orderkey FROM orders
-"""
-
-
-def q_melt_lineitem(sf_dir: str):
-    """Wide-to-long unpivot of three lineitem measures — `melt`: pure
-    per-block pd.melt, no exchange, 3× row fan-out."""
-    from ..functions.relational import melt
-
-    ds = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_orderkey", "l_linenumber", "l_quantity",
-                             "l_extendedprice", "l_discount"])
-    out = melt(ds, ["l_orderkey", "l_linenumber"],
-               ["l_quantity", "l_extendedprice", "l_discount"])
-    return out.map_batches(
-        lambda df: df.assign(val=df["val"].astype("float64").round(6)),
-        batch_format="pandas",
-    )
-
-
-SQL_MELT_LINEITEM = """
-SELECT l_orderkey, l_linenumber, 'l_quantity' AS var,
-       round(l_quantity::DOUBLE, 6) AS val FROM lineitem
-UNION ALL
-SELECT l_orderkey, l_linenumber, 'l_extendedprice',
-       round(l_extendedprice::DOUBLE, 6) FROM lineitem
-UNION ALL
-SELECT l_orderkey, l_linenumber, 'l_discount',
-       round(l_discount::DOUBLE, 6) FROM lineitem
-"""
-
-
-def q_heavy_hitters(sf_dir: str):
-    """Exact frequent words (count·30 > corpus words) WITHOUT the full
-    vocabulary shuffle — Misra-Gries candidate union per block + an
-    exact counting pass restricted to candidates."""
-    from ..functions.text import heavy_hitters
-
-    return heavy_hitters(
-        read_table(sf_dir, "documents", columns=["text"]), k=30,
-        merge_partitions=4,
-    )
-
-
-SQL_HEAVY_HITTERS = """
-WITH f AS (
-  SELECT word
-  FROM (SELECT unnest(string_split(text, ' ')) AS word FROM documents)
-  WHERE word <> ''
-)
-SELECT word, count(*)::BIGINT AS cnt
-FROM f GROUP BY word
-HAVING count(*) * 30 > (SELECT count(*) FROM f)
-"""
-
-
-def q_rank_modes(sf_dir: str):
-    """The full SQL rank family (row_number / rank / dense_rank /
-    percent_rank / cume_dist) per order over line quantities — ties are
-    common in integer quantities, so rank≠row_number is exercised for
-    real. One shuffle via `window_ranks`."""
-    from ..functions.relational import window_ranks
-
-    ds = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_orderkey", "l_linenumber", "l_quantity"])
-    out = window_ranks(ds, ["l_orderkey"], ["l_quantity"],
-                       tiebreak=["l_linenumber"], num_partitions=16)
-    return out.map_batches(
-        lambda df: df.assign(prnk=df["prnk"].round(6),
-                             cume=df["cume"].round(6)),
-        batch_format="pandas",
-    )
-
-
-SQL_RANK_MODES = """
-SELECT l_orderkey, l_linenumber, l_quantity,
-       row_number() OVER (PARTITION BY l_orderkey
-                          ORDER BY l_quantity, l_linenumber) AS rn,
-       rank()       OVER w AS rnk,
-       dense_rank() OVER w AS drnk,
-       round(percent_rank() OVER w, 6) AS prnk,
-       round(cume_dist()    OVER w, 6) AS cume
-FROM lineitem
-WINDOW w AS (PARTITION BY l_orderkey ORDER BY l_quantity)
-"""
-
-
-def q_unigram_logprob(sf_dir: str):
-    """Perplexity-style curation scoring with the model this
-    environment can train: corpus-fit unigram LM, per-doc mean
-    -ln p(w). Two streaming passes + an O(vocab) broadcast."""
-    from ..functions.text import unigram_logprob
-
-    return unigram_logprob(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        merge_partitions=4,
-    )
-
-
-SQL_UNIGRAM_LOGPROB = """
-WITH toks AS (
-  SELECT doc_id, unnest(string_split(text, ' ')) AS w FROM documents
-), f AS (SELECT doc_id, w FROM toks WHERE w <> ''),
-tot AS (SELECT count(*)::DOUBLE AS n FROM f),
-cnts AS (SELECT w, count(*)::DOUBLE AS c FROM f GROUP BY w)
-SELECT f.doc_id, round(avg(-ln(c / n)), 6) AS nll
-FROM f, tot, cnts WHERE f.w = cnts.w GROUP BY f.doc_id
-"""
-
-
-def q_repetition(sf_dir: str):
-    """Gopher-style repetition feature: top-bigram fraction per doc —
-    shuffle-free per-block explode + groupby."""
-    from ..functions.text import repetition_stats
-
-    return repetition_stats(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]))
-
-
-SQL_REPETITION = """
-WITH d AS (
-  SELECT doc_id, list_filter(string_split(text, ' '), x -> x <> '') AS l
-  FROM documents
-), b AS (
-  SELECT doc_id,
-         unnest([l[i] || ' ' || l[i+1] for i in range(1, len(l))]) AS bg
-  FROM d WHERE len(l) >= 2
-), c AS (SELECT doc_id, bg, count(*) AS c FROM b GROUP BY doc_id, bg)
-SELECT doc_id, round(max(c) * 1.0 / sum(c), 6) AS top_bigram_frac
-FROM c GROUP BY doc_id
-"""
-
-
-def q_boilerplate(sf_dir: str):
-    """C4-style boilerplate: fraction of each doc's 5-gram slots whose
-    gram appears in ≥2 distinct documents (distinct doc-gram pass →
-    partitioned df merge → broadcast common set → scoring pass)."""
-    from ..functions.text import boilerplate_fraction
-
-    return boilerplate_fraction(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        n=5, min_df=2, merge_partitions=4,
-    )
-
-
-SQL_BOILERPLATE = """
-WITH d AS (
-  SELECT doc_id, list_filter(string_split(text, ' '), x -> x <> '') AS l
-  FROM documents
-), g AS (
-  SELECT doc_id,
-         unnest([array_to_string(l[i:i+4], ' ')
-                 for i in range(1, len(l) - 3)]) AS g
-  FROM d WHERE len(l) >= 5
-), dfreq AS (
-  SELECT g, count(DISTINCT doc_id) AS df FROM g GROUP BY g
-)
-SELECT g.doc_id,
-       round(avg(CASE WHEN dfreq.df >= 2 THEN 1.0 ELSE 0.0 END), 6)
-         AS boiler_frac
-FROM g JOIN dfreq USING (g) GROUP BY g.doc_id
-"""
-
-
-def q_join_outer(sf_dir: str):
-    """FULL OUTER join of two pre-aggregated sides with forced
-    non-overlap (each side filtered so some nations exist only in the
-    other) — exercises `bucketed_hash_join(how='outer')`; counts are
-    COALESCEd to 0 so the null-padding path is covered while the
-    driver's value-hash stays dtype-stable."""
-    from ..functions.relational import bucketed_hash_join, grouped_agg
-
-    cust = grouped_agg(
-        read_table(sf_dir, "customer",
-                   columns=["c_nationkey", "c_acctbal"]).map_batches(
-            lambda df: df[df["c_acctbal"] > 9000.0], batch_format="pandas"),
-        ["c_nationkey"], {"cust_cnt": ("c_nationkey", "count")},
-    ).map_batches(
-        lambda df: df.rename(columns={"c_nationkey": "nationkey"}),
-        batch_format="pandas",
-    )
-    supp = grouped_agg(
-        read_table(sf_dir, "supplier",
-                   columns=["s_nationkey", "s_acctbal"]).map_batches(
-            lambda df: df[df["s_acctbal"] < 4000.0], batch_format="pandas"),
-        ["s_nationkey"], {"supp_cnt": ("s_nationkey", "count")},
-    ).map_batches(
-        lambda df: df.rename(columns={"s_nationkey": "nationkey"}),
-        batch_format="pandas",
-    )
-    out = bucketed_hash_join(cust, supp, on=["nationkey"], how="outer",
-                             num_buckets=4)
-
-    def fix(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "nationkey": df["nationkey"].astype("int64"),
-            "cust_cnt": df["cust_cnt"].fillna(0).astype("int64"),
-            "supp_cnt": df["supp_cnt"].fillna(0).astype("int64"),
-        })
-
-    return out.map_batches(fix, batch_format="pandas")
-
-
-SQL_JOIN_OUTER = """
-WITH c AS (
-  SELECT c_nationkey AS nationkey, count(*) AS cust_cnt
-  FROM customer WHERE c_acctbal > 9000.0 GROUP BY c_nationkey
-), s AS (
-  SELECT s_nationkey AS nationkey, count(*) AS supp_cnt
-  FROM supplier WHERE s_acctbal < 4000.0 GROUP BY s_nationkey
-)
-SELECT coalesce(c.nationkey, s.nationkey) AS nationkey,
-       coalesce(cust_cnt, 0) AS cust_cnt,
-       coalesce(supp_cnt, 0) AS supp_cnt
-FROM c FULL OUTER JOIN s ON c.nationkey = s.nationkey
-"""
-
-
-def q_topk_ties(sf_dir: str):
-    """SQL FETCH FIRST .. WITH TIES per group: every lineitem tied for
-    its supplier's max quantity (rank ≤ 1, ties kept — integer
-    quantities tie constantly, so groups return >1 row for real)."""
-    from ..functions.relational import topk_per_group_ties
-
-    ds = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_orderkey", "l_linenumber",
-                             "l_quantity"])
-    return topk_per_group_ties(ds, ["l_suppkey"], ["l_quantity"], k=1,
-                               descending=True, num_partitions=16)
-
-
-SQL_TOPK_TIES = """
-SELECT l_suppkey, l_orderkey, l_linenumber, l_quantity FROM (
-  SELECT l_suppkey, l_orderkey, l_linenumber, l_quantity,
-         rank() OVER (PARTITION BY l_suppkey
-                      ORDER BY l_quantity DESC) AS rnk
-  FROM lineitem) WHERE rnk <= 1
-"""
 
 
 def q_above_avg(sf_dir: str):
@@ -2697,404 +1323,6 @@ def q_above_avg(sf_dir: str):
         return out.assign(o_orderkey=out["o_orderkey"].astype("int64"))
 
     return j.map_batches(flt, batch_format="pandas")
-
-
-SQL_ABOVE_AVG = """
-SELECT o_orderkey, o_custkey, o_totalprice FROM orders o
-WHERE o_totalprice > round((SELECT avg(o2.o_totalprice) FROM orders o2
-                            WHERE o2.o_custkey = o.o_custkey), 2)
-"""
-
-
-def q_split_assign(sf_dir: str):
-    """Deterministic train/val/test assignment (80/10/10 by Knuth-hash
-    bucket) — the resumable, shuffle-free split a training-data export
-    needs: same rows land in the same split at every parallelism and on
-    every rerun; integer arithmetic matches the SQL oracle exactly."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id"])
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy().astype(np.uint64)
-        h = ((ids % np.uint64(4294967296)) * np.uint64(2654435761)) \
-            % np.uint64(4294967296) % np.uint64(10)
-        split = np.where(h < 8, "train", np.where(h < 9, "val", "test"))
-        return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(),
-                             "split": split.astype(object)})
-
-    return docs.map_batches(assign, batch_format="pandas")
-
-
-SQL_SPLIT_ASSIGN = """
-SELECT doc_id,
-       CASE WHEN b < 8 THEN 'train' WHEN b < 9 THEN 'val'
-            ELSE 'test' END AS split
-FROM (SELECT doc_id,
-             ((doc_id % 4294967296) * 2654435761) % 4294967296 % 10 AS b
-      FROM documents)
-"""
-
-
-_CAP_PER_SOURCE = 10
-
-
-def q_cap_per_group(sf_dir: str):
-    """Per-domain retention cap (curation: at most N docs per source,
-    chosen by deterministic hash rank so the kept subset is
-    parallelism- and rerun-invariant)."""
-    from ..functions.relational import cap_per_group
-
-    docs = read_table(sf_dir, "documents",
-                      columns=["doc_id", "lang", "source"])
-    return cap_per_group(docs, ["source"], "doc_id", _CAP_PER_SOURCE)
-
-
-SQL_CAP_PER_GROUP = f"""
-SELECT doc_id, lang, source
-FROM (SELECT doc_id, lang, source,
-             ((doc_id % 4294967296) * 2654435761) % 4294967296 AS hk
-      FROM documents)
-QUALIFY row_number() OVER (PARTITION BY source ORDER BY hk, doc_id)
-        <= {_CAP_PER_SOURCE}
-"""
-
-
-def q_bloom_semi(sf_dir: str):
-    """Semi join with a Bloom prefilter: parts that were ever ordered —
-    the probe side drops non-candidates before the shuffle, an exact
-    semi join scrubs false positives (result = plain SQL IN)."""
-    from ..functions.relational import bloom_semi_join
-
-    part = read_table(sf_dir, "part", bytes_per_block=_FACT_BPB,
-                      columns=["p_partkey", "p_name"])
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_partkey"]).map_batches(
-        lambda df: df.rename(columns={"l_partkey": "p_partkey"}),
-        batch_format="pandas",
-    )
-    return bloom_semi_join(part, li, on="p_partkey", num_partitions=16)
-
-
-SQL_BLOOM_SEMI = """
-SELECT p_partkey, p_name FROM part
-WHERE p_partkey IN (SELECT l_partkey FROM lineitem)
-"""
-
-
-def q_gopher_filter(sf_dir: str):
-    """Gopher-rule composite quality filter: word-count bounds, mean
-    word length bounds, top-word-fraction cap, and the combined keep
-    verdict — the whole rule set one export pass applies, shuffle-free."""
-    return text.gopher_stats(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    )
-
-
-SQL_GOPHER_FILTER = """
-WITH w AS (
-  SELECT doc_id, unnest(regexp_extract_all(text, '\\S+')) AS word
-  FROM documents
-), agg AS (
-  SELECT doc_id, count(*)::BIGINT AS n_words,
-         round(avg(length(word)), 6) AS mean_wlen
-  FROM w GROUP BY doc_id
-), tw AS (
-  SELECT doc_id, max(c) AS mx FROM (
-    SELECT doc_id, word, count(*) AS c FROM w GROUP BY doc_id, word
-  ) GROUP BY doc_id
-)
-SELECT a.doc_id, a.n_words, a.mean_wlen,
-       round(tw.mx * 1.0 / a.n_words, 6) AS top_word_frac,
-       (a.n_words BETWEEN 20 AND 120
-        AND a.mean_wlen BETWEEN 3.0 AND 8.0
-        AND round(tw.mx * 1.0 / a.n_words, 6) <= 0.15) AS keep
-FROM agg a JOIN tw USING (doc_id)
-"""
-
-
-def q_first_last(sf_dir: str):
-    """first_value/last_value window endpoints per group, collapsed to
-    one row per key: per event type, the value of the chronologically
-    first and last event plus the group size — one key-hash shuffle,
-    one vectorized sort per partition."""
-    from ..functions.relational import grouped_first_last
-
-    ds = read_table(sf_dir, "events",
-                    columns=["event_type", "ts", "event_id", "value"])
-    out = grouped_first_last(ds, ["event_type"], ["ts"], "value",
-                             tiebreak="event_id", num_partitions=8)
-    return out.map_batches(
-        lambda df: df.assign(first_val=df["first_val"].round(6),
-                             last_val=df["last_val"].round(6)),
-        batch_format="pandas",
-    )
-
-
-SQL_FIRST_LAST = """
-SELECT DISTINCT event_type,
-  round(first_value(value) OVER w, 6) AS first_val,
-  round(last_value(value) OVER (
-     PARTITION BY event_type ORDER BY ts, event_id
-     ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING), 6)
-   AS last_val,
-  count(*) OVER (PARTITION BY event_type) AS n_rows
-FROM events
-WINDOW w AS (PARTITION BY event_type ORDER BY ts, event_id)
-"""
-
-
-def q_linreg(sf_dir: str):
-    """Grouped least-squares regression (slope/intercept/sample
-    covariance of extended price on quantity per return flag) via
-    partial sums — five numbers per key per block leave the map side."""
-    from ..functions.relational import grouped_linreg
-
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_returnflag", "l_quantity",
-                             "l_extendedprice"])
-    out = grouped_linreg(ds, ["l_returnflag"], "l_quantity",
-                         "l_extendedprice")
-    return out.map_batches(
-        lambda df: df.assign(covar_samp=df["covar_samp"].round(2),
-                             slope=df["slope"].round(4),
-                             intercept=df["intercept"].round(2)),
-        batch_format="pandas",
-    )
-
-
-SQL_LINREG = """
-SELECT l_returnflag,
-       round(covar_samp(l_quantity, l_extendedprice), 2) AS covar_samp,
-       round(regr_slope(l_extendedprice, l_quantity), 4) AS slope,
-       round(regr_intercept(l_extendedprice, l_quantity), 2) AS intercept
-FROM lineitem GROUP BY 1
-"""
-
-
-_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
-
-
-def q_pivot_events(sf_dir: str):
-    """Long→wide PIVOT: one count column per event type, per user —
-    `pivot_count` over a FIXED category list (scale-safe: the output
-    schema is declared up front; per-batch conditional-count partials
-    shrink every block to one row per user before the exchange)."""
-    from ..functions.relational import pivot_count
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "event_type"])
-    return pivot_count(ds, keys=["user_id"], pivot_col="event_type",
-                       categories=_EVENT_TYPES, merge_partitions=4)
-
-
-SQL_PIVOT_EVENTS = """
-SELECT user_id,
-       {cols}
-FROM events GROUP BY user_id
-""".format(cols=",\n       ".join(
-    f"count(*) FILTER (event_type = '{c}') AS n_{c}"
-    for c in _EVENT_TYPES
-))
-
-
-def q_rank_in_group(sf_dir: str):
-    """Full-output window rank: suppliers ranked by account balance
-    within nation (row_number parity — `grouped_rank`, one key-hash
-    shuffle, vectorized cumcount, no per-group Python)."""
-    from ..functions.relational import grouped_rank
-
-    ds = read_table(
-        sf_dir, "supplier",
-        columns=["s_suppkey", "s_nationkey", "s_acctbal"],
-    )
-    out = grouped_rank(
-        ds, keys=["s_nationkey"], by=["s_acctbal", "s_suppkey"],
-        descending=[True, False], num_partitions=8,
-    )
-    return out.map_batches(
-        lambda df: df.assign(s_acctbal=df["s_acctbal"].round(2)),
-        batch_format="pandas",
-    )
-
-
-SQL_RANK_IN_GROUP = """
-SELECT s_suppkey, s_nationkey, round(s_acctbal, 2) AS s_acctbal,
-       row_number() OVER (PARTITION BY s_nationkey
-                          ORDER BY s_acctbal DESC, s_suppkey ASC) AS rank
-FROM supplier
-"""
-
-
-def q_moving_avg(sf_dir: str):
-    """ROWS-frame windowed aggregate: per-user trailing 5-event mean of
-    `value` in (ts, event_id) order — `moving_avg`, the sliding-frame
-    sibling of `windowed_cumsum` (one key-hash shuffle + vectorized
-    groupby.rolling)."""
-    from ..functions.relational import moving_avg
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-        columns=["event_id", "user_id", "ts", "value"],
-    )
-    out = moving_avg(
-        ds, keys=["user_id"], order_by=["ts", "event_id"], col="value",
-        window=5, out_name="mov_avg", num_partitions=16,
-    )
-    return out.map_batches(
-        lambda df: df[["event_id", "user_id", "mov_avg"]].assign(
-            mov_avg=df["mov_avg"].round(6)
-        ),
-        batch_format="pandas",
-    )
-
-
-SQL_MOVING_AVG = """
-SELECT event_id, user_id,
-       round(avg(value) OVER (PARTITION BY user_id
-                              ORDER BY ts, event_id
-                              ROWS BETWEEN 4 PRECEDING AND CURRENT ROW),
-             6) AS mov_avg
-FROM events
-"""
-
-
-def q_normalize(sf_dir: str):
-    """Text-normalization export pass (lower → strip non-[a-z0-9 ] →
-    collapse spaces → trim): the normalized string itself is
-    oracle-checked, all steps Arrow RE2/utf8 kernels with exact DuckDB
-    equivalents."""
-    return text.normalize_stage(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    )
-
-
-SQL_NORMALIZE = """
-SELECT doc_id,
-       trim(regexp_replace(regexp_replace(lower(text), '[^a-z0-9 ]',
-                                          ' ', 'g'),
-                           ' +', ' ', 'g')) AS norm_text,
-       length(trim(regexp_replace(regexp_replace(lower(text),
-                                                 '[^a-z0-9 ]', ' ', 'g'),
-                                  ' +', ' ', 'g')))::BIGINT AS norm_len
-FROM documents
-"""
-
-
-_STRATA_FRACS = {"en": 0.10, "es": 0.25, "fr": 0.25, "de": 0.25,
-                 "zh": 0.60}
-
-
-def q_sample_stratified(sf_dir: str):
-    """Per-stratum deterministic hash sampling — the training-data MIX
-    primitive (downsample dominant languages, upsample rare ones).
-    Same multiplicative hash as `sample_hash`, but the acceptance
-    threshold varies per stratum; still shuffle-free, resumable and
-    parallelism-invariant (membership is a pure function of the row)."""
-    docs = read_table(
-        sf_dir, "documents", columns=["doc_id", "lang", "n_chars"]
-    )
-    thresholds = {
-        lang: np.uint64(int(frac * 4294967296))
-        for lang, frac in _STRATA_FRACS.items()
-    }
-
-    def samp(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy().astype(np.uint64)
-        h = ((ids % np.uint64(4294967296)) * np.uint64(2654435761)) \
-            % np.uint64(4294967296)
-        thr = df["lang"].map(
-            {k: int(v) for k, v in thresholds.items()}
-        ).fillna(0).to_numpy().astype(np.uint64)
-        return df[h < thr]
-
-    return docs.map_batches(samp, batch_format="pandas")
-
-
-_SQL_STRATA_CASE = " ".join(
-    f"WHEN '{lang}' THEN {int(frac * 4294967296)}"
-    for lang, frac in _STRATA_FRACS.items()
-)
-
-SQL_SAMPLE_STRATIFIED = f"""
-SELECT doc_id, lang, n_chars FROM documents
-WHERE ((doc_id % 4294967296) * 2654435761) % 4294967296
-      < (CASE lang {_SQL_STRATA_CASE} ELSE 0 END)
-"""
-
-
-def q_tfidf(sf_dir: str):
-    """Top-3 TF-IDF terms per document (docs 0-29): per-batch term
-    frequencies (docs are atomic rows, so per-batch tf is exact),
-    partial-merged document frequencies, a bucketed join tf×df (the
-    df side is vocabulary-sized — shuffle-joined, not broadcast, so the
-    100-TB vocabulary never lands on the driver), then per-group top-k.
-    Scores are rounded to 6 dp BEFORE ranking on both engines so a
-    last-ulp ln() difference between numpy and DuckDB can never flip a
-    rank; ties break on word ASC."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                      bytes_per_block=_DOC_BPB)
-    n_docs = docs.count()
-
-    def tf_explode(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[["doc_id", "text"]].copy()
-        t["word"] = t["text"].astype(str).str.split(" ")
-        t = t[["doc_id", "word"]].explode("word")
-        t = t[(t["word"] != "") & t["word"].notna()]
-        tf = t.groupby(["doc_id", "word"], sort=False).size()
-        out = tf.reset_index(name="tf")
-        out["tf"] = out["tf"].astype("int64")
-        return out
-
-    tf_ds = docs.map_batches(tf_explode, batch_format="pandas")
-    dfreq = grouped_agg(
-        tf_ds, ["word"], {"dfreq": ("tf", "count")}, merge_partitions=4,
-    )
-    tf_small = tf_ds.map_batches(
-        lambda df: df[df["doc_id"] < 30], batch_format="pandas"
-    )
-    joined = bucketed_hash_join(tf_small, dfreq, on="word", num_buckets=8)
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        tfidf = df["tf"].to_numpy() * np.log(
-            n_docs / df["dfreq"].to_numpy()
-        )
-        return pd.DataFrame(
-            {
-                # the bucketed join's union null-pads ints to float64 —
-                # restore int64 so the driver's value hash matches the
-                # oracle's BIGINT
-                "doc_id": df["doc_id"].astype("int64"),
-                "word": df["word"],
-                "tfidf": np.round(tfidf, 6).astype("float64"),
-            }
-        )
-
-    scored = joined.map_batches(score, batch_format="pandas")
-    return topk_per_group(
-        scored, keys=["doc_id"], by=["tfidf", "word"], k=3,
-        descending=[True, False],
-    )
-
-
-SQL_TFIDF = """
-WITH w2 AS (
-  SELECT doc_id, word
-  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word
-        FROM documents)
-  WHERE word <> ''),
-tf AS (SELECT doc_id, word, count(*)::BIGINT AS tf FROM w2 GROUP BY 1, 2),
-dfreq AS (SELECT word, count(*)::BIGINT AS dfreq FROM tf GROUP BY 1),
-n AS (SELECT count(*)::DOUBLE AS n FROM documents),
-scored AS (
-  SELECT doc_id, tf.word AS word,
-         round(tf * ln(n.n / dfreq), 6) AS tfidf
-  FROM tf JOIN dfreq ON tf.word = dfreq.word CROSS JOIN n
-  WHERE doc_id < 30),
-ranked AS (
-  SELECT doc_id, word, tfidf,
-         row_number() OVER (PARTITION BY doc_id
-                            ORDER BY tfidf DESC, word ASC) AS r
-  FROM scored)
-SELECT doc_id, word, tfidf FROM ranked WHERE r <= 3
-"""
 
 
 def q_curate(sf_dir: str):
@@ -3166,74 +1394,6 @@ survivors AS (
 SELECT s.doc_id, s.dup_count, k.n_words,
        round(k.quality_score, 6) AS quality_score
 FROM survivors s JOIN kept k ON s.doc_id = k.doc_id
-"""
-
-
-def q_fingerprint(sf_dir: str):
-    return read_table(
-        sf_dir, "documents", columns=["doc_id", "text"]
-    ).map_batches(text.fingerprint_batch, batch_format="pandas")
-
-
-def q_fingerprint_invariants(sf_dir: str):
-    """INVARIANT oracle for the winnowing fingerprint (rows-only until
-    now — the custom hash mix is not SQL-expressible, but its guarantees
-    are): per doc, (a) 1 ≤ n_anchors ≤ max(g − w + 1, 1) where g is the
-    doc's 4-gram count and w=8 the winnowing window (each window selects
-    exactly one anchor; anchors are unique selected hashes), and
-    (b) identical texts produce identical (fingerprint, n_anchors) —
-    made non-trivial by planting a duplicate of every doc_id < 50 at
-    id + 10^6 (SQL-expressible, same pattern as the embedding oracle).
-    SQL independently enumerates the doc ids and asserts all-true."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def plant(df: pd.DataFrame) -> pd.DataFrame:
-        dup = df[df["doc_id"] < 50].assign(
-            doc_id=lambda d: d["doc_id"] + 1_000_000
-        )
-        return pd.concat([df, dup], ignore_index=True)
-
-    def check(df: pd.DataFrame) -> pd.DataFrame:
-        fp = text.fingerprint_batch(df)
-        nw = df["text"].astype(str).str.split().str.len().to_numpy()
-        g = np.maximum(nw - 3, 1)  # k=4 grams
-        max_anchors = np.maximum(g - 7, 1)  # w=8 windows
-        within = (fp["n_anchors"].to_numpy() >= 1) & (
-            fp["n_anchors"].to_numpy() <= max_anchors
-        )
-        m = df[["doc_id", "text"]].assign(
-            __fp=fp["fingerprint"].to_numpy(),
-            __na=fp["n_anchors"].to_numpy(),
-        )
-        grp = m.groupby("text", sort=False)
-        consistent = (
-            (grp["__fp"].transform("nunique") == 1)
-            & (grp["__na"].transform("nunique") == 1)
-        ).to_numpy()
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "anchors_within_bounds": within.astype("int64"),
-            "dup_consistent": consistent.astype("int64"),
-        })
-
-    # the dup-consistency group check needs originals and their planted
-    # copies co-located — one partition at test sf (audit query; at scale
-    # co-partition by text hash instead)
-    return (
-        docs.map_batches(plant, batch_format="pandas")
-        .repartition(1)
-        .map_batches(check, batch_format="pandas", batch_size=None)
-    )
-
-
-SQL_FINGERPRINT_INVARIANTS = """
-SELECT doc_id::BIGINT AS doc_id,
-       1::BIGINT AS anchors_within_bounds,
-       1::BIGINT AS dup_consistent
-FROM documents
-UNION ALL
-SELECT (doc_id + 1000000)::BIGINT, 1::BIGINT, 1::BIGINT
-FROM documents WHERE doc_id < 50
 """
 
 
@@ -3918,280 +2078,6 @@ def q_crawl_page(sf_dir: str):
     return page2.drop_columns(["spans"])
 
 
-def q_sample_weighted(sf_dir: str):
-    """Deterministic weighted sampling without replacement
-    (Efraimidis–Spirakis): key = ln(u)/w with u a Knuth-hash
-    pseudo-uniform of the id — heavier rows get keys nearer 0, the
-    global top-k by key IS a weighted sample, and the same integer+float
-    arithmetic runs on both engines so the subset is identical on every
-    run and at every parallelism (the property random_shuffle can't
-    give). Keys round to 6 dp BEFORE ranking; ties break on id.
-    Shuffle-free except the top-k tail."""
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_orderkey", "o_totalprice"])
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["o_orderkey"].to_numpy().astype(np.uint64)
-        h = ((ids % np.uint64(4294967296)) * np.uint64(2654435761)) \
-            % np.uint64(4294967296)
-        u = (h.astype("float64") + 0.5) / 4294967296.0
-        key = np.log(u) / df["o_totalprice"].to_numpy(dtype="float64")
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].astype("int64"),
-            "o_totalprice": df["o_totalprice"],
-            "es_key": np.round(key, 6),
-        })
-
-    scored = ds.map_batches(score, batch_format="pandas")
-    return topk(scored, by=["es_key", "o_orderkey"], k=100,
-                descending=[False, True])
-
-
-SQL_SAMPLE_WEIGHTED = """
-WITH scored AS (
-  SELECT o_orderkey, o_totalprice,
-         round(ln((((o_orderkey % 4294967296) * 2654435761)
-                   % 4294967296 + 0.5) / 4294967296.0)
-               / o_totalprice, 6) AS es_key
-  FROM orders)
-SELECT o_orderkey, o_totalprice, es_key FROM (
-  SELECT *, row_number() OVER (ORDER BY es_key ASC, o_orderkey DESC) r
-  FROM scored)
-WHERE r <= 100
-"""
-
-
-def q_mixture_sample(sf_dir: str):
-    """Temperature-scaled corpus-mixture sampling (α=0.5, budget 200):
-    per-source targets ∝ count^α — the multilingual/multi-source LM
-    mixing recipe — with deterministic per-group membership by Knuth-
-    hashed doc_id (`functions/text.py:mixture_sample`). The oracle
-    replays the exact target arithmetic (pow/round/floor) and the
-    per-group rank in SQL. Nonnegative-id precondition as
-    `sample_weighted`."""
-    from ..functions.text import mixture_sample
-
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    return mixture_sample(ds, key="source", id_col="doc_id",
-                          total=200, alpha=0.5)
-
-
-SQL_MIXTURE_SAMPLE = """
-WITH counts AS (
-  SELECT source, count(*) AS n FROM documents GROUP BY source),
-w AS (SELECT source, pow(n, 0.5) AS wg FROM counts),
-t AS (
-  SELECT source,
-         CAST(floor(round(200 * wg / (SELECT sum(wg) FROM w), 6))
-              AS BIGINT) AS target
-  FROM w),
-scored AS (
-  SELECT doc_id, source,
-         CAST(((doc_id % 4294967296) * 2654435761) % 4294967296
-              AS BIGINT) AS samp_key
-  FROM documents),
-ranked AS (
-  SELECT s.*,
-         row_number() OVER (PARTITION BY source
-                            ORDER BY samp_key, doc_id) AS r
-  FROM scored s)
-SELECT doc_id, source, samp_key
-FROM ranked JOIN t USING (source)
-WHERE r <= target
-"""
-
-
-def q_skew_report(sf_dir: str):
-    """Key-skew diagnostic: the 20 heaviest keys with count, corpus
-    share and cumulative share — the report that tells a 100-TB
-    pipeline WHICH keys need salting before a groupby/join (this
-    engine's own `bucketed_hash_join(salt=k)` and the crawl's mega-host
-    spilling act on exactly this information). Partial-agg counts (one
-    small exchange), distributed top-k, 20-row driver finish; the total
-    comes from a shuffle-free streaming count."""
-    from ..functions.relational import grouped_agg, topk
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id"])
-    total = ds.count()
-    counts = grouped_agg(ds, ["user_id"], {"n": ("event_id", "count")},
-                         merge_partitions=8)
-    top = topk(counts, by=["n", "user_id"], k=20,
-               descending=[True, False]).to_pandas()
-    top = top.sort_values(["n", "user_id"],
-                          ascending=[False, True]).reset_index(drop=True)
-    n = top["n"].to_numpy(dtype="int64")
-    return pd.DataFrame({
-        "user_id": top["user_id"].astype("int64"),
-        "n": n,
-        "share": np.round(n / float(total), 6),
-        "cum_share": np.round(np.cumsum(n) / float(total), 6),
-        "rnk": np.arange(1, len(top) + 1, dtype="int64"),
-    })
-
-
-SQL_SKEW_REPORT = """
-WITH c AS (
-  SELECT user_id, count(*)::BIGINT AS n FROM events GROUP BY user_id),
-tot AS (SELECT count(*)::DOUBLE AS t FROM events),
-top AS (
-  SELECT user_id, n,
-         row_number() OVER (ORDER BY n DESC, user_id) AS rnk
-  FROM c QUALIFY rnk <= 20)
-SELECT user_id, n,
-       round(n / (SELECT t FROM tot), 6) AS share,
-       round((sum(n) OVER (ORDER BY rnk))::DOUBLE
-             / (SELECT t FROM tot), 6) AS cum_share,
-       rnk
-FROM top
-"""
-
-
-def q_rrf_fusion(sf_dir: str):
-    """Reciprocal-rank fusion of two ranked lists (the hybrid-retrieval
-    combiner: BM25 list + ANN list in IR; here two order-book signals —
-    customers by total spend and by order count): standard truncated-list
-    RRF, score = Σ 1/(60 + rank) over the lists the id appears in, each
-    list cut at M=100. Scale shape: each signal is a partial-agg exchange
-    + a DISTRIBUTED top-M (per-block pre-truncation, never a full sort);
-    only 2×M rows reach the driver for the fusion arithmetic. Spend
-    rounds to 2 dp before ranking so distributed float reassociation
-    can't flip near-ties vs the SQL engine; all ties break on custkey."""
-    from ..functions.relational import grouped_agg, topk
-
-    M, K, RRF_K = 100, 25, 60
-    ds = read_table(sf_dir, "orders", bytes_per_block=_FACT_BPB,
-                    columns=["o_custkey", "o_totalprice"])
-    spend = grouped_agg(ds, ["o_custkey"],
-                        {"s": ("o_totalprice", "sum")},
-                        merge_partitions=8)
-    spend = spend.map_batches(
-        lambda df: df.assign(s=np.round(df["s"], 2)),
-        batch_format="pandas")
-    cnt = grouped_agg(ds, ["o_custkey"],
-                      {"c": ("o_totalprice", "count")},
-                      merge_partitions=8)
-    ta = topk(spend, by=["s", "o_custkey"], k=M,
-              descending=[True, False]).to_pandas()
-    tb = topk(cnt, by=["c", "o_custkey"], k=M,
-              descending=[True, False]).to_pandas()
-    ta = ta.sort_values(["s", "o_custkey"], ascending=[False, True])
-    tb = tb.sort_values(["c", "o_custkey"], ascending=[False, True])
-    score: dict[int, float] = {}
-    for t in (ta, tb):
-        for r, ck in enumerate(t["o_custkey"].tolist(), start=1):
-            score[ck] = score.get(ck, 0.0) + 1.0 / (RRF_K + r)
-    out = pd.DataFrame({
-        "o_custkey": pd.Series(list(score), dtype="int64"),
-        "rrf": np.round(np.array(list(score.values())), 6),
-    }).sort_values(["rrf", "o_custkey"],
-                   ascending=[False, True]).head(K)
-    out["rnk"] = np.arange(1, len(out) + 1, dtype="int64")
-    return out.reset_index(drop=True)
-
-
-SQL_RRF_FUSION = """
-WITH spend AS (
-  SELECT o_custkey, round(sum(o_totalprice), 2) AS s
-  FROM orders GROUP BY o_custkey),
-cnt AS (
-  SELECT o_custkey, count(*)::BIGINT AS c
-  FROM orders GROUP BY o_custkey),
-ra AS (
-  SELECT o_custkey,
-         row_number() OVER (ORDER BY s DESC, o_custkey) AS r
-  FROM spend QUALIFY r <= 100),
-rb AS (
-  SELECT o_custkey,
-         row_number() OVER (ORDER BY c DESC, o_custkey) AS r
-  FROM cnt QUALIFY r <= 100),
-f AS (
-  SELECT coalesce(ra.o_custkey, rb.o_custkey) AS o_custkey,
-         round(coalesce(1.0 / (60 + ra.r), 0)
-               + coalesce(1.0 / (60 + rb.r), 0), 6) AS rrf
-  FROM ra FULL JOIN rb ON ra.o_custkey = rb.o_custkey)
-SELECT o_custkey, rrf,
-       row_number() OVER (ORDER BY rrf DESC, o_custkey) AS rnk
-FROM f QUALIFY rnk <= 25
-"""
-
-
-def q_mad_outliers(sf_dir: str):
-    """Robust per-group outlier flags: rows whose |x − group median|
-    exceeds 3 × the group's median absolute deviation — the
-    quality-filter shape that survives heavy tails where mean/stddev
-    z-scores don't. One key-hash exchange co-locates each group; median
-    and MAD are two vectorized in-partition reductions. Boundary
-    comparison rounds at 6 dp on both engines. Scale note: groups here
-    are few and fat — for that regime the broadcast-median pattern
-    (`quality_above_median`) bounds partition skew; this query pins the
-    co-partitioned form."""
-    from ..functions.relational import grouped_apply
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "event_type", "value"])
-
-    def per_part(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby("event_type", sort=False)["value"]
-        med = g.transform("median")
-        dev = (part["value"] - med).abs()
-        mad = dev.groupby(part["event_type"], sort=False) \
-                 .transform("median")
-        keep = np.round(dev.to_numpy() - 3.0 * mad.to_numpy(), 6) > 0
-        return part.loc[keep, ["event_id", "event_type", "value"]]
-
-    return grouped_apply(ds, ["event_type"], per_part,
-                         num_partitions=4)
-
-
-SQL_MAD_OUTLIERS = """
-WITH med AS (
-  SELECT event_type AS g, median(value) AS m
-  FROM events GROUP BY 1),
-mad AS (
-  SELECT g, median(abs(value - m)) AS mad
-  FROM events JOIN med ON event_type = g GROUP BY g, m)
-SELECT event_id, event_type, value
-FROM events JOIN med ON event_type = med.g
-JOIN mad ON med.g = mad.g
-WHERE round(abs(value - m) - 3 * mad, 6) > 0
-"""
-
-
-def q_funnel(sf_dir: str):
-    """Ordered-funnel analysis over the event stream: users completing
-    view → click → purchase in strict ts order within 7 days, with the
-    greedy earliest-completion timestamps. ONE key-hash exchange; the
-    3-step chain is vectorized groupby-min + merge inside each user
-    partition (`functions/relational.py:funnel_steps`)."""
-    from ..functions.relational import funnel_steps
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "event_type", "ts"])
-    return funnel_steps(ds, "user_id", "event_type", "ts",
-                        steps=["view", "click", "purchase"],
-                        within_us=7 * 24 * 3600 * 1_000_000,
-                        num_partitions=16)
-
-
-SQL_FUNNEL = """
-WITH a AS (
-  SELECT user_id, min(ts) AS t1 FROM events
-  WHERE event_type = 'view' GROUP BY 1),
-b AS (
-  SELECT e.user_id, min(e.ts) AS t2
-  FROM events e JOIN a USING (user_id)
-  WHERE e.event_type = 'click' AND e.ts > a.t1 GROUP BY 1),
-c AS (
-  SELECT e.user_id, min(e.ts) AS t3
-  FROM events e JOIN b USING (user_id)
-  WHERE e.event_type = 'purchase' AND e.ts > b.t2 GROUP BY 1)
-SELECT a.user_id, t1, t2, t3
-FROM a JOIN b USING (user_id) JOIN c USING (user_id)
-WHERE t3 - t1 <= INTERVAL 7 DAY
-"""
-
-
 def q_bpe_audit(sf_dir: str):
     """Distributed BPE-merge training audit (the tokenizer-training
     pass): `bpe_train_merges` learns 8 merges — one corpus exchange
@@ -4327,417 +2213,6 @@ GROUP BY doc_id
 SQL_BPE_ENCODE = _make_bpe_encode_sql(8)
 
 
-def q_resample_ffill(sf_dir: str):
-    """Hourly resample + forward fill (gap filling) of each user's
-    event-value series (users 0-19): grid points carry the last value
-    at-or-before them, NULL before the first event — ASOF LEFT JOIN
-    semantics, which the oracle runs verbatim. One exchange; grid
-    build and fill are repeat/arange + ONE searchsorted per partition
-    (`functions/relational.py:resample_ffill`)."""
-    from ..functions.relational import resample_ffill
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "ts", "value"])
-    small = ds.map_batches(lambda df: df[df["user_id"] < 20],
-                           batch_format="pandas")
-    out = resample_ffill(small, ["user_id"], "ts", "value",
-                         freq_us=3_600_000_000, num_partitions=8)
-    return out.map_batches(
-        lambda df: df.assign(value_ff=df["value_ff"].round(6)),
-        batch_format="pandas",
-    )
-
-
-SQL_RESAMPLE_FFILL = """
-WITH ev AS (SELECT user_id, ts, value FROM events WHERE user_id < 20),
-bounds AS (
-  SELECT user_id, date_trunc('hour', min(ts)) AS lo,
-         date_trunc('hour', max(ts)) AS hi
-  FROM ev GROUP BY 1),
-grid AS (
-  SELECT user_id, unnest(generate_series(lo, hi, INTERVAL 1 HOUR)) AS h
-  FROM bounds)
-SELECT g.user_id, g.h, round(e.value, 6) AS value_ff
-FROM grid g ASOF LEFT JOIN ev e
-  ON g.user_id = e.user_id AND g.h >= e.ts
-"""
-
-
-def q_cube_lineitem(sf_dir: str):
-    """GROUP BY CUBE(returnflag, linestatus): all four grouping sets —
-    one fact-table read, every level re-aggregated from the materialized
-    finest result (`functions/relational.py:cube_agg`)."""
-    from ..functions.relational import cube_agg
-
-    ds = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_returnflag", "l_linestatus",
-                             "l_quantity"])
-    out = cube_agg(
-        ds, keys=["l_returnflag", "l_linestatus"],
-        aggs={"sum_qty": ("l_quantity", "sum"),
-              "n": ("l_quantity", "count")},
-    )
-    return out.map_batches(
-        lambda df: df.assign(sum_qty=df["sum_qty"].round(4)),
-        batch_format="pandas",
-    )
-
-
-SQL_CUBE_LINEITEM = """
-SELECT coalesce(l_returnflag, 'ALL') AS l_returnflag,
-       coalesce(l_linestatus, 'ALL') AS l_linestatus,
-       round(sum(l_quantity), 4) AS sum_qty,
-       count(*) AS n
-FROM lineitem GROUP BY CUBE(l_returnflag, l_linestatus)
-"""
-
-
-def q_range_frame(sf_dir: str):
-    """Timestamp-RANGE window frame: per user, the running 1-hour sum
-    of event values (`RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND
-    CURRENT ROW` — peers at equal ts included, true RANGE semantics vs
-    moving_avg's row frames). One exchange; both frame edges for every
-    row come from two whole-partition searchsorted calls on a composite
-    (group, time) axis — no per-group loop
-    (`functions/relational.py:range_frame_agg`)."""
-    from ..functions.relational import range_frame_agg
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id", "ts", "value"])
-    out = range_frame_agg(ds, ["user_id"], "ts", "value",
-                          width_us=3_600_000_000, out_name="sum_1h",
-                          num_partitions=16)
-    return out.map_batches(
-        lambda df: df[["event_id", "user_id", "sum_1h"]].assign(
-            sum_1h=df["sum_1h"].round(6)),
-        batch_format="pandas",
-    )
-
-
-SQL_RANGE_FRAME = """
-SELECT event_id, user_id,
-       round(sum(value) OVER (
-           PARTITION BY user_id ORDER BY ts
-           RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW
-       ), 6) AS sum_1h
-FROM events
-"""
-
-
-def q_fuzzy_dedup(sf_dir: str):
-    """Edit-distance-≤1 fuzzy key dedup (record-linkage tier between
-    exact hash and MinHash): deletion-neighborhood (SymSpell) blocking
-    over a 24-char prefix key — COMPLETE at threshold 1, verified by an
-    O(len) two-pointer check inside the blocking partition
-    (`functions/dedup.py:fuzzy_dedup_pairs`). The oracle is the full
-    quadratic levenshtein self-join, so the blocking's completeness is
-    hash-checked, not trusted."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                      bytes_per_block=_DOC_BPB)
-    return dedup.fuzzy_dedup_pairs(docs, key_len=24)
-
-
-SQL_FUZZY_DEDUP = """
-WITH k AS (SELECT doc_id, substr(text, 1, 24) AS key FROM documents)
-SELECT a.doc_id AS id_a, b.doc_id AS id_b,
-       levenshtein(a.key, b.key)::BIGINT AS dist
-FROM k a JOIN k b ON a.doc_id < b.doc_id
-WHERE levenshtein(a.key, b.key) <= 1
-"""
-
-
-def q_bm25(sf_dir: str):
-    """BM25 relevance ranking (Okapi, Lucene IDF) of the corpus against
-    a fixed 3-term query — the retrieval scorer a training-data search /
-    contamination triage runs at corpus scale. Shape: ONE streaming
-    pass builds a wide (doc_id, dl, tf_term...) table (a 3-term query
-    needs no term⋈doc join at all — term tfs are columns), one scalar
-    aggregate pass for N/avgdl/df (floats on the driver, nothing else),
-    one scoring pass. Scores round to 6 dp BEFORE ranking on both
-    engines; ties break on doc_id. k1=1.2, b=0.75,
-    idf=ln(1+(N-df+0.5)/(df+0.5))."""
-    TERMS = ("hash", "join", "vector")
-    K1, B = 1.2, 0.75
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                      bytes_per_block=_DOC_BPB)
-
-    def wide(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["text"].astype(str)
-        out = {"doc_id": df["doc_id"],
-               # dl = non-empty tokens of string_split(text, ' ')
-               "dl": s.str.count(r"[^ ]+").astype("float64")}
-        for t in TERMS:
-            out[f"tf_{t}"] = s.str.count(
-                rf"(?:^| ){t}(?= |$)").astype("float64")
-        return pd.DataFrame(out)
-
-    w = docs.map_batches(wide, batch_format="pandas").materialize()
-    n_docs = float(w.count())
-    sums = w.map_batches(
-        lambda df: pd.DataFrame({
-            "dl_sum": [df["dl"].sum()],
-            **{f"df_{t}": [float((df[f"tf_{t}"] > 0).sum())]
-               for t in TERMS},
-        }),
-        batch_format="pandas",
-    ).to_pandas().sum()
-    avgdl = sums["dl_sum"] / n_docs
-    idf = {t: float(np.log(1.0 + (n_docs - sums[f"df_{t}"] + 0.5)
-                           / (sums[f"df_{t}"] + 0.5)))
-           for t in TERMS}
-
-    def score(df: pd.DataFrame) -> pd.DataFrame:
-        dl = df["dl"].to_numpy()
-        norm = K1 * (1.0 - B + B * dl / avgdl)
-        sc = np.zeros(len(df))
-        for t in TERMS:
-            tf = df[f"tf_{t}"].to_numpy()
-            sc += idf[t] * tf * (K1 + 1.0) / (tf + norm)
-        out = pd.DataFrame({"doc_id": df["doc_id"].astype("int64"),
-                            "bm25": np.round(sc, 6)})
-        return out[out["bm25"] > 0]
-
-    scored = w.map_batches(score, batch_format="pandas")
-    return topk(scored, by=["bm25", "doc_id"], k=20,
-                descending=[True, False])
-
-
-SQL_BM25 = """
-WITH wn AS (
-  SELECT doc_id, word
-  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word
-        FROM documents)
-  WHERE word <> ''),
-dl AS (SELECT d.doc_id, coalesce(c.dl, 0)::DOUBLE AS dl
-       FROM documents d LEFT JOIN
-         (SELECT doc_id, count(*) AS dl FROM wn GROUP BY doc_id) c
-         USING (doc_id)),
-tf AS (SELECT doc_id, word, count(*)::DOUBLE AS tf FROM wn
-       WHERE word IN ('hash', 'join', 'vector') GROUP BY 1, 2),
-stats AS (SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-                 (SELECT avg(dl) FROM dl) AS avgdl),
-dfq AS (SELECT word, count(*)::DOUBLE AS df FROM tf GROUP BY word),
-scored AS (
-  SELECT tf.doc_id,
-         sum(ln(1 + (s.n - q.df + 0.5) / (q.df + 0.5))
-             * tf.tf * (1.2 + 1)
-             / (tf.tf + 1.2 * (1 - 0.75 + 0.75 * dl.dl / s.avgdl))
-            ) AS score
-  FROM tf
-  JOIN dfq q USING (word)
-  JOIN dl USING (doc_id)
-  CROSS JOIN stats s
-  GROUP BY tf.doc_id)
-SELECT doc_id, bm25 FROM (
-  SELECT doc_id, round(score, 6) AS bm25,
-         row_number() OVER (ORDER BY round(score, 6) DESC, doc_id) AS r
-  FROM scored WHERE round(score, 6) > 0)
-WHERE r <= 20
-"""
-
-
-def q_pagerank(sf_dir: str):
-    """PageRank over the supplier↔part co-purchase graph (each distinct
-    (l_suppkey, l_partkey) pair becomes two directed edges — symmetric,
-    so no dangling mass and total rank 1). Five synchronous power
-    iterations, damping 0.85, entirely dataset-native: out-degrees ride
-    the edges, each iteration is two hash exchanges (scatter rank/outd
-    along src, reduce + teleport on dst) with per-partition combiners —
-    `functions/graph.py:pagerank`. Oracle: the identical recurrence
-    unrolled as five CTE layers in DuckDB. 6-dp rounding on both sides
-    absorbs sum-order reassociation."""
-    from ..functions.graph import pagerank
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey"])
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy()
-        p = df["l_partkey"].to_numpy() + 10_000_000
-        return pd.DataFrame({
-            "src": np.concatenate([s, p]),
-            "dst": np.concatenate([p, s]),
-        })
-
-    edges = distinct(
-        li.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
-        merge_partitions=16,
-    )
-    pr = pagerank(edges, iters=5, num_partitions=16)
-    return pr.map_batches(
-        lambda df: pd.DataFrame({
-            "node": df["node"].astype("int64"),
-            "pagerank": df["pagerank"].round(6),
-        }),
-        batch_format="pandas",
-    )
-
-
-def _sql_pagerank() -> str:
-    head = """
-WITH pairs AS (
-  SELECT DISTINCT l_suppkey AS s, l_partkey + 10000000 AS p FROM lineitem),
-edges AS (
-  SELECT s AS src, p AS dst FROM pairs
-  UNION ALL
-  SELECT p AS src, s AS dst FROM pairs),
-deg AS (SELECT src, count(*)::DOUBLE AS outd FROM edges GROUP BY src),
-nodes AS (SELECT DISTINCT src AS node FROM edges),
-n AS (SELECT count(*)::DOUBLE AS n FROM nodes),
-r0 AS (SELECT node, 1.0 / n.n AS rank FROM nodes CROSS JOIN n)
-"""
-    step = """,
-r{i} AS (
-  SELECT nd.node,
-         (1 - 0.85) / n.n + 0.85 * coalesce(c.contrib, 0) AS rank
-  FROM nodes nd CROSS JOIN n
-  LEFT JOIN (
-    SELECT e.dst AS node, sum(r.rank / d.outd) AS contrib
-    FROM edges e
-    JOIN r{prev} r ON r.node = e.src
-    JOIN deg d ON d.src = e.src
-    GROUP BY e.dst) c ON c.node = nd.node)
-"""
-    body = "".join(step.format(i=i, prev=i - 1) for i in range(1, 6))
-    return (head + body
-            + "SELECT node, round(rank, 6) AS pagerank FROM r5")
-
-
-SQL_PAGERANK = _sql_pagerank()
-
-
-def q_ppr(sf_dir: str):
-    """PERSONALIZED PageRank over the supplier↔part graph — the
-    crawl-prioritization form: random walks restart only at the seed
-    suppliers (key % 10 == 0), so rank measures proximity to the
-    trusted set instead of global centrality
-    (`functions/graph.py:pagerank` with `personalization=`). Teleport
-    mass (1-d)/k lands only on the k seeds; init is the seed
-    distribution. Oracle: the identical 5 iterations unrolled with a
-    seed-restricted teleport CTE."""
-    from ..functions.graph import pagerank
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey"])
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy()
-        p = df["l_partkey"].to_numpy() + 10_000_000
-        return pd.DataFrame({
-            "src": np.concatenate([s, p]),
-            "dst": np.concatenate([p, s]),
-        })
-
-    edges = distinct(
-        li.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
-        merge_partitions=16,
-    )
-
-    def to_seeds(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy(dtype="int64")
-        return pd.DataFrame({"node": s[s % 10 == 0]})
-
-    seeds = li.map_batches(to_seeds, batch_format="pandas")
-    out = pagerank(edges, personalization=seeds)
-    return out.map_batches(
-        lambda d: pd.DataFrame({"node": d["node"],
-                                "ppr": d["pagerank"].round(6)}),
-        batch_format="pandas")
-
-
-def _sql_ppr() -> str:
-    head = """
-WITH pairs AS (
-  SELECT DISTINCT l_suppkey AS s, l_partkey + 10000000 AS p FROM lineitem),
-edges AS (
-  SELECT s AS src, p AS dst FROM pairs
-  UNION ALL
-  SELECT p AS src, s AS dst FROM pairs),
-deg AS (SELECT src, count(*)::DOUBLE AS outd FROM edges GROUP BY src),
-nodes AS (SELECT DISTINCT src AS node FROM edges),
-seeds AS (SELECT DISTINCT l_suppkey AS node FROM lineitem
-          WHERE l_suppkey % 10 = 0),
-k AS (SELECT count(*)::DOUBLE AS k
-      FROM seeds JOIN nodes USING (node)),
-tele AS (
-  SELECT nd.node,
-         CASE WHEN s.node IS NOT NULL THEN (1 - 0.85) / k.k
-              ELSE 0.0 END AS t
-  FROM nodes nd CROSS JOIN k LEFT JOIN seeds s ON s.node = nd.node),
-r0 AS (SELECT node, t / (1 - 0.85) AS rank FROM tele)
-"""
-    step = """,
-r{i} AS (
-  SELECT te.node, te.t + 0.85 * coalesce(c.contrib, 0) AS rank
-  FROM tele te
-  LEFT JOIN (
-    SELECT e.dst AS node, sum(r.rank / d.outd) AS contrib
-    FROM edges e
-    JOIN r{prev} r ON r.node = e.src
-    JOIN deg d ON d.src = e.src
-    GROUP BY e.dst) c ON c.node = te.node)
-"""
-    body = "".join(step.format(i=i, prev=i - 1) for i in range(1, 6))
-    return head + body + "SELECT node, round(rank, 6) AS ppr FROM r5"
-
-
-SQL_PPR = _sql_ppr()
-
-
-def q_bfs_depth(sf_dir: str):
-    """Multi-source BFS depth over the same supplier↔part graph as
-    `pagerank`: minimum hop-distance (≤ 4) from the sources = supplier
-    nodes whose key is a multiple of 10. The crawl's epoch superstep IS
-    this computation (epoch number == seed distance), so the oracle
-    doubles as an independent check of the frontier-expansion shape.
-    Broadcast-frontier path: the edge set is pinned once and streamed
-    once per round — zero edge shuffles (`functions/graph.py:
-    bfs_depths`). Oracle: a recursive CTE over the identical edge list
-    with min(depth) per reached node."""
-    from ..functions.graph import bfs_depths
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey"])
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy()
-        p = df["l_partkey"].to_numpy() + 10_000_000
-        return pd.DataFrame({
-            "src": np.concatenate([s, p]),
-            "dst": np.concatenate([p, s]),
-        })
-
-    edges = distinct(
-        li.map_batches(to_edges, batch_format="pandas"), ["src", "dst"],
-        merge_partitions=16,
-    )
-
-    def to_sources(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy(dtype="int64")
-        return pd.DataFrame({"node": s[s % 10 == 0]})
-
-    sources = li.map_batches(to_sources, batch_format="pandas")
-    return bfs_depths(edges, sources, max_depth=4)
-
-
-SQL_BFS_DEPTH = """
-WITH RECURSIVE pairs AS (
-  SELECT DISTINCT l_suppkey AS s, l_partkey + 10000000 AS p FROM lineitem),
-edges AS (
-  SELECT s AS src, p AS dst FROM pairs
-  UNION ALL
-  SELECT p AS src, s AS dst FROM pairs),
-reach(node, depth) AS (
-  SELECT DISTINCT l_suppkey, 0 FROM lineitem WHERE l_suppkey % 10 = 0
-  UNION
-  SELECT e.dst, r.depth + 1
-  FROM reach r JOIN edges e ON e.src = r.node
-  WHERE r.depth < 4
-)
-SELECT node, min(depth)::BIGINT AS depth FROM reach GROUP BY node
-"""
-
-
 def _copurchase_edges(sf_dir: str, nparts: int = 16):
     """Distinct canonical ``u < v`` part co-purchase edges (two parts
     bought in the same order) WITHOUT a lineitem self-join: rows
@@ -4776,34 +2251,6 @@ def _copurchase_edges(sf_dir: str, nparts: int = 16):
         batch_format="pandas",
     )
     return distinct(pairs, ["u", "v"], merge_partitions=nparts)
-
-
-def q_triangle_count(sf_dir: str):
-    """Exact triangle count of the part co-purchase graph (canonical
-    ``u < v`` distinct edges via `_copurchase_edges`). The count itself
-    is degree-ordered wedge counting — orientation bounds hub fan-out
-    to ~sqrt(2m), and only per-partition counts reach the driver
-    (`functions/graph.py:triangle_count`). Oracle: DuckDB's distinct
-    self-join edge list closed with the textbook e1⋈e2⋈e3 join."""
-    from ..functions.graph import triangle_count
-
-    nparts = 16
-    edges = _copurchase_edges(sf_dir, nparts)
-    n = triangle_count(edges, num_partitions=nparts)
-    return pd.DataFrame({"n_triangles": [np.int64(n)]})
-
-
-SQL_TRIANGLE_COUNT = """
-WITH e AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-)
-SELECT count(*)::BIGINT AS n_triangles
-FROM e e1
-JOIN e e2 ON e1.v = e2.u
-JOIN e e3 ON e1.u = e3.u AND e2.v = e3.v
-"""
 
 
 def q_clustering_coeff(sf_dir: str):
@@ -4847,630 +2294,6 @@ def q_clustering_coeff(sf_dir: str):
         "n_wedges": [np.int64(wedges)],
         "coeff": [coeff],
     })
-
-
-SQL_CLUSTERING_COEFF = """
-WITH e AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-t AS (
-  SELECT count(*)::BIGINT AS n_triangles
-  FROM e e1
-  JOIN e e2 ON e1.v = e2.u
-  JOIN e e3 ON e1.u = e3.u AND e2.v = e3.v),
-d AS (
-  SELECT node, count(*)::BIGINT AS deg
-  FROM (SELECT u AS node FROM e UNION ALL SELECT v FROM e)
-  GROUP BY node),
-w AS (SELECT sum((deg * (deg - 1)) // 2)::BIGINT AS n_wedges FROM d)
-SELECT t.n_triangles, w.n_wedges,
-       round(3.0 * t.n_triangles / w.n_wedges, 6) AS coeff
-FROM t, w
-"""
-
-
-def q_kcore(sf_dir: str):
-    """k-core of the supplier↔part bipartite graph (k=20, 4 peeling
-    rounds — `functions/graph.py:kcore`): nodes survive while they keep
-    ≥ 20 alive neighbors, rounds unrolled identically by the oracle so
-    the result is parity-exact whether or not the peel has converged
-    (at sf0.01 it converges — asserted by pytest). Broadcast path: the
-    symmetric distinct edge set is pinned once and NEVER moves; each
-    round ships the alive set as one sorted int64 array and merges
-    per-block `np.unique` degree partials in the auto-switching
-    `grouped_agg`."""
-    from ..functions.graph import kcore
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey"])
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy(dtype="int64")
-        p = df["l_partkey"].to_numpy(dtype="int64") + 10_000_000
-        return pd.DataFrame({
-            "src": np.concatenate([s, p]),
-            "dst": np.concatenate([p, s]),
-        })
-
-    edges = distinct(li.map_batches(to_edges, batch_format="pandas"),
-                     ["src", "dst"], merge_partitions=16)
-    return kcore(edges, k=20, max_rounds=4)
-
-
-SQL_KCORE = """
-WITH pairs AS (
-  SELECT DISTINCT l_suppkey AS s, l_partkey + 10000000 AS p
-  FROM lineitem),
-e AS (
-  SELECT s AS src, p AS dst FROM pairs
-  UNION ALL SELECT p, s FROM pairs),
-d1 AS (SELECT src AS node, count(*)::BIGINT AS deg FROM e GROUP BY 1),
-a1 AS (SELECT node FROM d1 WHERE deg >= 20),
-d2 AS (
-  SELECT e.src AS node, count(*)::BIGINT AS deg FROM e
-  JOIN a1 x ON e.src = x.node JOIN a1 y ON e.dst = y.node GROUP BY 1),
-a2 AS (SELECT node FROM d2 WHERE deg >= 20),
-d3 AS (
-  SELECT e.src AS node, count(*)::BIGINT AS deg FROM e
-  JOIN a2 x ON e.src = x.node JOIN a2 y ON e.dst = y.node GROUP BY 1),
-a3 AS (SELECT node FROM d3 WHERE deg >= 20),
-d4 AS (
-  SELECT e.src AS node, count(*)::BIGINT AS deg FROM e
-  JOIN a3 x ON e.src = x.node JOIN a3 y ON e.dst = y.node GROUP BY 1)
-SELECT node, deg FROM d4 WHERE deg >= 20
-"""
-
-
-def q_freq_sketch(sf_dir: str):
-    """Misra–Gries frequent-items sketch over the event stream's user
-    ids (k=32 counters — far below the distinct-user count, so the MG
-    decrement machinery is genuinely exercised). Approximate by design
-    (counts depend on batch boundaries), so the primary is rows-only;
-    every guarantee is machine-checked by `freq_sketch_audit`★
-    (`functions/relational.py:freq_sketch`)."""
-    from ..functions.relational import freq_sketch
-
-    ds = read_table(sf_dir, "events", columns=["user_id"])
-    hh, _, _ = freq_sketch(ds, "user_id", k=32)
-    return hh.map_batches(
-        lambda df: df.sort_values(
-            ["est_lb", "item"], ascending=[False, True]
-        ).reset_index(drop=True),
-        batch_format="pandas",
-    )
-
-
-def q_freq_sketch_audit(sf_dir: str):
-    """INVARIANT oracle for the MG sketch (the `quantiles_sketch_err`
-    pattern): recompute exact per-user counts with `grouped_agg`, then
-    assert the sketch's three provable guarantees — every reported
-    count is a lower bound (n_lb_violations=0), true ≤ reported + Δ
-    (n_ub_violations=0), every item with true count > Δ is present
-    (n_missed_heavy=0) — plus the analytic bound Δ ≤ n/(k+1)
-    (delta_within_bound=1). n_exact_distinct is recomputed by the SQL
-    oracle, so a broken stream (wrong n, dropped rows) hash-mismatches
-    even when the invariant flags happen to hold."""
-    from ..functions.relational import freq_sketch, grouped_agg
-
-    k = 32
-    ds = read_table(sf_dir, "events", columns=["user_id"])
-    hh_ds, n_total, delta = freq_sketch(ds, "user_id", k=k)
-    hh = hh_ds.to_pandas()
-    exact = grouped_agg(
-        ds, ["user_id"], {"true_cnt": ("user_id", "count")}
-    ).to_pandas()
-    m = exact.merge(hh, left_on="user_id", right_on="item", how="left")
-    present = m["est_lb"].notna()
-    lb = m["est_lb"].fillna(0).to_numpy(dtype="int64")
-    tc = m["true_cnt"].to_numpy(dtype="int64")
-    return pd.DataFrame({
-        "n_exact_distinct": np.array([len(exact)], dtype="int64"),
-        "n_missed_heavy": np.array(
-            [int(((tc > delta) & ~present).sum())], dtype="int64"),
-        "n_lb_violations": np.array(
-            [int((lb[present] > tc[present]).sum())], dtype="int64"),
-        "n_ub_violations": np.array(
-            [int((tc[present] > lb[present] + delta).sum())],
-            dtype="int64"),
-        "delta_within_bound": np.array(
-            [int(delta * (k + 1) <= n_total)], dtype="int64"),
-    })
-
-
-SQL_FREQ_SKETCH_AUDIT = """
-SELECT count(DISTINCT user_id)::BIGINT AS n_exact_distinct,
-       0::BIGINT AS n_missed_heavy,
-       0::BIGINT AS n_lb_violations,
-       0::BIGINT AS n_ub_violations,
-       1::BIGINT AS delta_within_bound
-FROM events
-"""
-
-
-def q_collocations(sf_dir: str):
-    """Top-40 adjacent-bigram collocations by PMI over the document
-    corpus (min bigram count 5) — phrase mining for tokenizer/vocab
-    construction. Bigram partial counts per block, marginals derived
-    from the reduced bigram table, bucketed joins for the vocabulary-
-    scale denominators (`functions/text.py:collocations`). Oracle: the
-    identical distribution via parallel list-slice unnest in DuckDB."""
-    return text.collocations(
-        read_table(sf_dir, "documents", columns=["text"]),
-        k=40, min_count=5,
-    )
-
-
-SQL_COLLOCATIONS = """
-WITH toks AS (
-  SELECT list_filter(string_split(text, ' '), x -> x <> '') AS w
-  FROM documents),
-pairs AS (
-  SELECT unnest(w[1:len(w) - 1]) AS w1, unnest(w[2:len(w)]) AS w2
-  FROM toks WHERE len(w) >= 2),
-bc AS (SELECT w1, w2, count(*)::DOUBLE AS c_ab FROM pairs GROUP BY w1, w2),
-m1 AS (SELECT w1, sum(c_ab) AS c1 FROM bc GROUP BY w1),
-m2 AS (SELECT w2, sum(c_ab) AS c2 FROM bc GROUP BY w2),
-tot AS (SELECT sum(c_ab) AS n FROM bc)
-SELECT b.w1, b.w2, b.c_ab::BIGINT AS c_ab,
-       round(ln(b.c_ab * tot.n / (m1.c1 * m2.c2)), 6) AS pmi
-FROM bc b JOIN m1 USING (w1) JOIN m2 USING (w2) CROSS JOIN tot
-WHERE b.c_ab >= 5
-ORDER BY pmi DESC, w1 ASC, w2 ASC
-LIMIT 40
-"""
-
-
-def q_retention(sf_dir: str):
-    """Weekly cohort retention over the event log: users bucketed by
-    first-activity week, counted at each week offset they return. One
-    user-hash exchange + a partial-count merge
-    (`functions/relational.py:retention_cohorts`)."""
-    from ..functions.relational import retention_cohorts
-
-    return retention_cohorts(
-        read_table(sf_dir, "events", columns=["user_id", "ts"]),
-        "user_id", "ts",
-    )
-
-
-SQL_RETENTION = """
-WITH w AS (
-  SELECT user_id,
-         CAST(floor(epoch(ts) / 604800) AS BIGINT) AS wk
-  FROM events),
-f AS (SELECT user_id, min(wk) AS cohort FROM w GROUP BY user_id),
-pairs AS (
-  SELECT DISTINCT w.user_id, f.cohort, w.wk - f.cohort AS period_offset
-  FROM w JOIN f USING (user_id))
-SELECT cohort, period_offset, count(*)::BIGINT AS n_users
-FROM pairs GROUP BY cohort, period_offset
-"""
-
-
-def q_interval_coverage(sf_dir: str):
-    """Merged-interval (sweep-line) coverage per user: each event opens
-    an activity interval [ts, ts + value seconds] (epoch µs int64 in
-    both engines); overlapping/touching intervals union into islands.
-    Emits per user n_intervals, n_islands and covered µs — the
-    aggregate a plain SUM(hi−lo) double-counts. ONE user-hash exchange
-    (`interval_coverage`), islands via vectorized grouped cummax — no
-    Python loop over keys or islands."""
-    from ..functions.relational import interval_coverage
-
-    def prep(df: pd.DataFrame) -> pd.DataFrame:
-        lo = df["ts"].to_numpy(
-            dtype="datetime64[us]").view("int64")  # epoch µs, exact
-        dur = np.floor(df["value"].to_numpy() * 1e6).astype("int64")
-        return pd.DataFrame({"user_id": df["user_id"].to_numpy(),
-                             "lo": lo, "hi": lo + dur})
-
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"]
-                    ).map_batches(prep, batch_format="pandas")
-    return interval_coverage(ds, ["user_id"], "lo", "hi")
-
-
-SQL_INTERVAL_COVERAGE = """
-WITH iv AS (
-  SELECT user_id, epoch_us(ts) AS lo,
-         epoch_us(ts) + CAST(floor(value * 1000000) AS BIGINT) AS hi
-  FROM events),
-brk AS (
-  SELECT user_id, lo, hi,
-         CASE WHEN lo > max(hi) OVER (PARTITION BY user_id ORDER BY lo, hi
-                  ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-              THEN 1 ELSE 0 END AS new_isl
-  FROM iv),
-isl AS (
-  SELECT user_id, lo, hi,
-         sum(new_isl) OVER (PARTITION BY user_id ORDER BY lo, hi
-                            ROWS UNBOUNDED PRECEDING) AS isl_id
-  FROM brk),
-per_isl AS (
-  SELECT user_id, isl_id, min(lo) AS ilo, max(hi) AS ihi, count(*) AS n_iv
-  FROM isl GROUP BY user_id, isl_id)
-SELECT user_id, sum(n_iv)::BIGINT AS n_intervals,
-       count(*)::BIGINT AS n_islands,
-       sum(ihi - ilo)::BIGINT AS covered
-FROM per_isl GROUP BY user_id
-"""
-
-
-def q_approx_distinct_grouped(sf_dir: str):
-    """ERROR-BOUND-INVARIANT oracle for the grouped HyperLogLog
-    (`approx_count_distinct_grouped`, the `approx_distinct` pattern per
-    group): per l_returnflag the sketch's distinct l_orderkey must land
-    within 5% of exact (HLL stdev at p=12 is ~1.6%, so 5% ≈ 3σ — the
-    band is derived from the estimator's own error model, not tuned,
-    but the measured relerr ≤ 2.8% at sf0.01 sits closer to the bar in
-    the small-count linear-counting regime; a gate-sf change should
-    re-check the margin). Emits
-    (l_returnflag, n_exact, n_violations); SQL recomputes the exact
-    counts independently and asserts zero violations."""
-    from ..functions.relational import approx_count_distinct_grouped
-
-    cols = ["l_returnflag", "l_orderkey"]
-    est = approx_count_distinct_grouped(
-        read_table(sf_dir, "lineitem", columns=cols),
-        ["l_returnflag"], "l_orderkey", p=12,
-    ).to_pandas()
-    pairs = distinct(read_table(sf_dir, "lineitem", columns=cols), cols)
-    exact = grouped_agg(pairs, ["l_returnflag"],
-                        {"n_exact": ("l_orderkey", "count")}).to_pandas()
-    mrg = exact.merge(est, on="l_returnflag")
-    mrg["n_violations"] = (
-        (mrg["approx_distinct"] - mrg["n_exact"]).abs()
-        > 0.05 * mrg["n_exact"]
-    ).astype("int64")
-    return mrg[["l_returnflag", "n_exact", "n_violations"]]
-
-
-SQL_APPROX_DISTINCT_GROUPED = """
-SELECT l_returnflag, count(DISTINCT l_orderkey)::BIGINT AS n_exact,
-       0::BIGINT AS n_violations
-FROM lineitem GROUP BY l_returnflag
-"""
-
-
-def q_cosine_pairs(sf_dir: str):
-    """EXACT all-pairs TF-IDF cosine similarity join over the
-    discriminative vocabulary (terms with df ≤ 256): every document
-    pair with cosine ≥ 0.3, via the term-partitioned sparse
-    dot-product join (`dedup.cosine_pairs`) — inverted-index partial
-    products, per-term fanout bounded by max_df², partial-sum merge.
-    Weights rounded 6 dp and cosines 4 dp on both engines before the
-    threshold test (the `tfidf` parity rule)."""
-    return dedup.cosine_pairs(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                   bytes_per_block=_DOC_BPB),
-        threshold=0.3, max_df=256,
-    )
-
-
-SQL_COSINE_PAIRS = """
-WITH w2 AS (
-  SELECT doc_id, word
-  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word
-        FROM documents)
-  WHERE word <> ''),
-tf AS (SELECT doc_id, word, count(*)::BIGINT AS tf FROM w2 GROUP BY 1, 2),
-dfreq AS (SELECT word, count(*)::BIGINT AS df FROM tf GROUP BY 1),
-n AS (SELECT count(*)::DOUBLE AS n FROM documents),
-w AS (SELECT doc_id, tf.word AS word, df,
-             round(tf * ln(n.n / df), 6) AS wt
-      FROM tf JOIN dfreq USING (word) CROSS JOIN n
-      WHERE df <= 256),
-nrm AS (SELECT doc_id, sqrt(sum(wt * wt)) AS nrm FROM w GROUP BY doc_id),
-wn AS (SELECT w.doc_id, word, wt / nrm AS wn
-       FROM w JOIN nrm ON w.doc_id = nrm.doc_id
-       WHERE df >= 2),
-pairs AS (
-  SELECT a.doc_id AS d1, b.doc_id AS d2,
-         round(sum(a.wn * b.wn), 4) AS cos_sim
-  FROM wn a JOIN wn b ON a.word = b.word AND a.doc_id < b.doc_id
-  GROUP BY 1, 2)
-SELECT d1, d2, cos_sim FROM pairs WHERE cos_sim >= 0.3
-"""
-
-
-_PROFILE_COLS = ["o_orderkey", "o_custkey", "o_orderstatus",
-                 "o_totalprice", "o_orderdate", "o_orderpriority"]
-
-
-def q_profile(sf_dir: str):
-    """ANALYZE-style table profile of orders: per column n_rows,
-    n_nulls, exact n_distinct (`profile_table` — one partial-count
-    pass + a per-batch-deduped melt into a hash-partitioned distinct;
-    values stringified only as internal shuffle keys)."""
-    from ..functions.relational import profile_table
-
-    return profile_table(read_table(sf_dir, "orders"), _PROFILE_COLS)
-
-
-SQL_PROFILE = " UNION ALL ".join(
-    f"SELECT '{c}' AS col, count(*)::BIGINT AS n_rows,"
-    f" (count(*) - count({c}))::BIGINT AS n_nulls,"
-    f" count(DISTINCT {c})::BIGINT AS n_distinct FROM orders"
-    for c in _PROFILE_COLS
-)
-
-
-def q_session_transitions(sf_dir: str):
-    """Within-session clickstream transition matrix: consecutive
-    events per user (ordered by ts with event_id tiebreak, session
-    boundary at gap > 1800 s — the `sessionize` rule) counted as
-    (from_type, to_type) pairs. ONE user-hash exchange
-    (`session_transitions`); only ≤ |event-type|² partial counts per
-    partition leave."""
-    from ..functions.relational import session_transitions
-
-    return session_transitions(
-        read_table(sf_dir, "events",
-                   columns=["user_id", "ts", "event_id", "event_type"]),
-        "user_id", "ts", "event_type",
-        gap_seconds=1800.0, order_col="event_id",
-    )
-
-
-SQL_SESSION_TRANSITIONS = """
-WITH e AS (
-  SELECT user_id, ts, event_id, event_type,
-         epoch(ts - lag(ts) OVER w) AS gap,
-         lag(event_type) OVER w AS prev_type
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT prev_type AS from_type, event_type AS to_type, count(*)::BIGINT AS n
-FROM e WHERE gap IS NOT NULL AND gap <= 1800
-GROUP BY 1, 2
-"""
-
-
-def q_pq_audit(sf_dir: str, audit_max: int = 200_000):
-    """Product-quantization self-audit (`similarity.pq_fit/pq_encode`,
-    the `kmeans_audit` pattern): fit m=4, k=16 codebooks distributed,
-    encode the corpus, then machine-check three invariants — (1) every
-    code in [0, k); (2) total reconstruction SSE strictly below the
-    rank-0 baseline (SSE around the global mean, computed in one
-    distributed partial pass); (3) single-node parity — the same
-    fixed-init Lloyd recomputed on the driver must produce the same
-    codes, near-ties (distance gap ≤ 1e-9, float reassociation)
-    forgiven. Above ``audit_max`` rows both legs run on the same
-    deterministic hash-sample (the kmeans_audit driver-memory rule)."""
-    from ..functions.similarity import (
-        _pq_assign,
-        _pq_subspaces,
-        pq_encode,
-        pq_fit,
-    )
-
-    M, K, ITERS = 4, 16, 4
-    # materialize up front: the audit consumes ds five times (count,
-    # fit, encode, SSE partials, the driver-side reference)
-    ds = read_table(sf_dir, "embeddings",
-                    columns=["vec_id", "embedding"]).materialize()
-    n_total = ds.count()
-    if n_total > audit_max:
-        keep_mod = max(2, n_total // audit_max)
-
-        def hsample(df: pd.DataFrame) -> pd.DataFrame:
-            ids = df["vec_id"].to_numpy().astype(np.uint64)
-            h = (ids * np.uint64(2654435761)) % np.uint64(2**32)
-            return df[h % np.uint64(keep_mod) == 0]
-
-        ds = ds.map_batches(hsample, batch_format="pandas").materialize()
-
-    C = pq_fit(ds, m=M, k=K, iters=ITERS)
-    enc = (pq_encode(ds, C).to_pandas()
-           .sort_values("vec_id").reset_index(drop=True))
-    code_cols = [f"code_{j}" for j in range(M)]
-    codes = enc[code_cols].to_numpy()
-    n_code_viol = int(((codes < 0) | (codes >= K)).sum())
-
-    # rank-0 baseline: SSE around the global mean, distributed partials
-    def sse_partials(df: pd.DataFrame) -> pd.DataFrame:
-        X = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-        return pd.DataFrame({
-            "n": [len(X)], "ssq": [float((X * X).sum())],
-            "s": [X.sum(axis=0)]})
-
-    p = ds.map_batches(sse_partials, batch_format="pandas").to_pandas()
-    n = int(p["n"].sum())
-    mean = np.sum(np.stack(p["s"].to_numpy()), axis=0) / n
-    sse_mean = float(p["ssq"].sum()) - n * float(mean @ mean)
-    sse_improved = int(float(enc["recon_sse"].sum()) < sse_mean)
-
-    # single-node parity: same init (bottom-k by id hash), same Lloyd
-    t = ds.to_pandas().sort_values("vec_id").reset_index(drop=True)
-    X = np.stack(t["embedding"].to_numpy()).astype(np.float64)
-    h = pd.util.hash_array(t["vec_id"].to_numpy().astype(np.uint64))
-    idx = np.argsort(h, kind="stable")[:K]
-    d = X.shape[1]
-    Cr = np.ascontiguousarray(
-        X[idx].reshape(K, M, d // M).transpose(1, 0, 2))
-    Xs = _pq_subspaces(X, M)
-    for _ in range(ITERS):
-        a = _pq_assign(Xs, Cr)
-        newC = Cr.copy()
-        for j in range(M):
-            for c in range(K):
-                mrows = Xs[j][a[:, j] == c]
-                if len(mrows):
-                    newC[j, c] = mrows.mean(axis=0)
-        Cr = newC
-    want = _pq_assign(Xs, Cr)
-    got = enc.sort_values("vec_id")[code_cols].to_numpy()
-    mism = 0
-    for j in range(M):
-        diff = got[:, j] != want[:, j]
-        if diff.any():
-            rows = np.nonzero(diff)[0]
-            d2 = ((Cr[j] ** 2).sum(axis=1)[None, :]
-                  - 2.0 * (Xs[j][rows] @ Cr[j].T))
-            gap = (d2[np.arange(len(rows)), got[rows, j]]
-                   - d2[np.arange(len(rows)), want[rows, j]])
-            mism += int((gap > 1e-9).sum())
-    return pd.DataFrame({
-        "n_points": np.array([n_total], dtype="int64"),
-        "m": np.array([M], dtype="int64"),
-        "k": np.array([K], dtype="int64"),
-        "n_code_violations": np.array([n_code_viol], dtype="int64"),
-        "n_mismatch": np.array([mism], dtype="int64"),
-        "sse_improved": np.array([sse_improved], dtype="int64"),
-    })
-
-
-SQL_PQ_AUDIT = """
-SELECT count(*)::BIGINT AS n_points, 4::BIGINT AS m, 16::BIGINT AS k,
-       0::BIGINT AS n_code_violations, 0::BIGINT AS n_mismatch,
-       1::BIGINT AS sse_improved
-FROM embeddings
-"""
-
-
-def q_pq_ann_recall(sf_dir: str):
-    """RECALL-INVARIANT oracle for ADC search over the PQ-compressed
-    corpus (`similarity.pq_topk`, the `ann_ivf_recall` pattern): the
-    corpus is unit-normalized, PQ-encoded (m=8, k=16 — 8 bytes per
-    64-float vector), and searched with per-task distance LUTs. Checks
-    (1) mean shortlist recall@100 vs the exact top-5 ≥ 0.7 and (2)
-    every query ≥ 0.4 (measured 0.94 mean / 0.6 min at sf0.01 —
-    deterministic: content-hash init, stable tiebreaks; the floors are
-    TUNED AT sf0.01 — a different scale factor or embedding
-    distribution shifts the measured margins, so a gate-sf change must
-    re-measure and re-tune them deliberately, they are not
-    scale-free constants), and (3)
-    exact-metric rerank of the shortlist must recover at least the
-    recall of the raw ADC top-5 (the standard ADC+rerank refinement).
-    Emits (n_exact_rows, n_recall_violations); SQL recomputes the
-    exact row count and asserts zero violations."""
-    from ..functions import similarity as sim
-
-    exact = q_ann_topk(sf_dir).to_pandas()
-    by_q = exact.groupby("query_id")["neighbor_id"].apply(set)
-    queries, qids = _query_vectors(sf_dir)
-    qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
-    ds = read_table(sf_dir, "embeddings",
-                    columns=["vec_id", "embedding"])
-
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        X = np.stack(df["embedding"].to_numpy()).astype(np.float64)
-        X = X / np.maximum(
-            np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        return pd.DataFrame({"vec_id": df["vec_id"].astype("int64"),
-                             "embedding": list(X)})
-
-    nds = ds.map_batches(norm, batch_format="pandas").materialize()
-    C = sim.pq_fit(nds, m=8, k=16, iters=4)
-    enc = sim.pq_encode(nds, C).materialize()
-
-    short = sim.pq_topk(enc, C, qn, qids, k=100).to_pandas()
-    sq = short.groupby("query_id")["neighbor_id"].apply(set)
-    rec100 = np.array([
-        len(by_q[q] & sq.get(q, set())) / len(by_q[q])
-        for q in by_q.index])
-
-    adc5 = sim.pq_topk(enc, C, qn, qids, k=5).to_pandas()
-    aq = adc5.groupby("query_id")["neighbor_id"].apply(set)
-    rec_adc5 = np.array([
-        len(by_q[q] & aq.get(q, set())) / len(by_q[q])
-        for q in by_q.index])
-
-    # exact-metric rerank of the shortlist (audit-scale driver fetch;
-    # at 100 TB this is a semi-join + distributed rerank)
-    cand_ids = set(short["neighbor_id"])
-    vecs = (nds.map_batches(
-        lambda d, s=cand_ids: d[d["vec_id"].isin(s)],
-        batch_format="pandas").to_pandas())
-    V = {int(i): v for i, v in zip(vecs["vec_id"], vecs["embedding"])}
-    rec_rr5 = []
-    for qi, qid in enumerate(qids):
-        ids = short.loc[short["query_id"] == qid, "neighbor_id"]
-        sims = {int(i): float(qn[qi] @ np.asarray(V[int(i)]))
-                for i in ids}
-        top5 = set(sorted(sims, key=lambda i: (-sims[i], i))[:5])
-        rec_rr5.append(len(by_q[qid] & top5) / len(by_q[qid]))
-    rec_rr5 = np.array(rec_rr5)
-
-    violations = (
-        int(rec100.mean() < 0.7)
-        + int((rec100 < 0.4).sum())
-        + int(rec_rr5.mean() < rec_adc5.mean())
-    )
-    return pd.DataFrame({
-        "n_exact_rows": np.array([len(exact)], dtype="int64"),
-        "n_recall_violations": np.array([violations], dtype="int64"),
-    })
-
-
-SQL_PQ_ANN_RECALL = f"""
-WITH e AS ({SQL_ANN_TOPK})
-SELECT count(*)::BIGINT AS n_exact_rows,
-       0::BIGINT AS n_recall_violations
-FROM e
-"""
-
-
-def q_freq_sketch_grouped_audit(sf_dir: str):
-    """PER-KEY INVARIANT oracle for the grouped MG sketch
-    (`freq_sketch_grouped`, the `freq_sketch_audit` guarantees applied
-    per group): for every event_type, every reported count is a lower
-    bound, true ≤ reported + Δ_key, every item with true count > Δ_key
-    is present, and Δ_key ≤ n_key/(k+1). One row per key; the SQL
-    oracle recomputes each key's exact distinct count so a broken
-    stream hash-mismatches even when the flags hold."""
-    from ..functions.relational import freq_sketch_grouped, grouped_agg
-
-    k = 32
-    ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
-    hh = freq_sketch_grouped(ds, ["event_type"], "user_id",
-                             k=k).to_pandas()
-    exact = grouped_agg(
-        ds, ["event_type", "user_id"],
-        {"true_cnt": ("user_id", "count")},
-    ).to_pandas()
-    meta = (hh.groupby("event_type")[["n", "delta"]].first()
-            .reset_index())
-    m = exact.merge(
-        hh[["event_type", "item", "est_lb"]],
-        left_on=["event_type", "user_id"],
-        right_on=["event_type", "item"], how="left",
-    ).merge(meta, on="event_type", how="left")
-    # a key with zero surviving counters has unknown delta; every key
-    # must therefore surface at least one counter (k=32 vs 150 users)
-    assert m["delta"].notna().all(), "sketch lost a key entirely"
-    present = m["est_lb"].notna().to_numpy()
-    lb = m["est_lb"].fillna(0).to_numpy(dtype="int64")
-    tc = m["true_cnt"].to_numpy(dtype="int64")
-    dl = m["delta"].to_numpy(dtype="int64")
-    m["missed_heavy"] = (tc > dl) & ~present
-    m["lb_viol"] = present & (lb > tc)
-    m["ub_viol"] = present & (tc > lb + dl)
-    g = m.groupby("event_type", sort=False).agg(
-        n_exact_distinct=("user_id", "count"),
-        n_missed_heavy=("missed_heavy", "sum"),
-        n_lb_violations=("lb_viol", "sum"),
-        n_ub_violations=("ub_viol", "sum"),
-    ).reset_index()
-    bound = meta.assign(
-        delta_within_bound=(meta["delta"] * (k + 1)
-                            <= meta["n"]).astype("int64"))
-    out = g.merge(bound[["event_type", "delta_within_bound"]],
-                  on="event_type")
-    for c in ("n_exact_distinct", "n_missed_heavy",
-              "n_lb_violations", "n_ub_violations"):
-        out[c] = out[c].astype("int64")
-    return out
-
-
-SQL_FREQ_SKETCH_GROUPED_AUDIT = """
-SELECT event_type,
-       count(DISTINCT user_id)::BIGINT AS n_exact_distinct,
-       0::BIGINT AS n_missed_heavy,
-       0::BIGINT AS n_lb_violations,
-       0::BIGINT AS n_ub_violations,
-       1::BIGINT AS delta_within_bound
-FROM events GROUP BY event_type
-"""
 
 
 def q_dedup_incremental_audit(sf_dir: str):
@@ -5523,734 +2346,6 @@ FROM documents WHERE doc_id < 100
 """
 
 
-def q_hll_set_ops(sf_dir: str):
-    """ERROR-BOUND-INVARIANT oracle for HLL sketch algebra
-    (`relational.hll_set_ops`): distinct clickers vs purchasers —
-    |A|, |B|, |A∪B| from register-wise max, |A∩B| by inclusion-
-    exclusion — each within max(5%, 2) of the exact count (p=12 LC
-    regime; the intersection inherits all three absolute errors).
-    Emits the exact counts plus n_violations; SQL recomputes the
-    exacts independently and asserts zero violations."""
-    from ..functions.relational import hll_set_ops
-
-    ds = read_table(sf_dir, "events",
-                    columns=["event_type", "user_id"])
-
-    def only(t):
-        return ds.map_batches(
-            lambda d, t=t: d[d["event_type"] == t][["user_id"]],
-            batch_format="pandas")
-
-    est = hll_set_ops(only("click"), only("purchase"), "user_id", p=12)
-
-    pairs = distinct(ds, ["event_type", "user_id"]).to_pandas()
-    a = set(pairs.loc[pairs["event_type"] == "click", "user_id"])
-    b = set(pairs.loc[pairs["event_type"] == "purchase", "user_id"])
-    exact = {"a": len(a), "b": len(b),
-             "union": len(a | b), "intersection": len(a & b)}
-    viol = sum(
-        int(abs(int(est[f"est_{k}"].iloc[0]) - v)
-            > max(0.05 * v, 2))
-        for k, v in exact.items())
-    return pd.DataFrame({
-        "n_exact_a": np.array([exact["a"]], dtype="int64"),
-        "n_exact_b": np.array([exact["b"]], dtype="int64"),
-        "n_exact_union": np.array([exact["union"]], dtype="int64"),
-        "n_exact_inter": np.array([exact["intersection"]],
-                                  dtype="int64"),
-        "n_violations": np.array([viol], dtype="int64"),
-    })
-
-
-def q_window_distinct(sf_dir: str):
-    """Distinct users per hourly tumbling window — the
-    distinct-per-window shape: vectorized window assignment, per-batch
-    (window, user) dedup bounds what shuffles, hash-partitioned final
-    dedup, then a grouped count. At 100-TB user cardinality swap the
-    exact distinct for `approx_count_distinct_grouped` keyed by the
-    window — the assignment pass is identical."""
-    ds = read_table(sf_dir, "events", columns=["ts", "user_id"])
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "window_start": df["ts"].dt.floor("h"),
-            "user_id": df["user_id"],
-        })
-
-    pairs = distinct(ds.map_batches(assign, batch_format="pandas"),
-                     ["window_start", "user_id"], merge_partitions=4)
-    return grouped_agg(pairs, ["window_start"],
-                       {"n_users": ("user_id", "count")})
-
-
-SQL_WINDOW_DISTINCT = """
-SELECT date_trunc('hour', ts) AS window_start,
-       count(DISTINCT user_id)::BIGINT AS n_users
-FROM events GROUP BY 1
-"""
-
-
-def q_ols(sf_dir: str):
-    """Multi-feature OLS (extended price on quantity + discount) via
-    distributed normal equations (`relational.ols_fit` — only the
-    (d+1)² Gram partials leave a block). The SQL oracle solves the
-    SAME summed system with Cramer's rule, so the 4-dp coefficient
-    hash certifies the distributed Gram accumulation end to end."""
-    from ..functions.relational import ols_fit
-
-    coef, n = ols_fit(
-        read_table(sf_dir, "lineitem",
-                   columns=["l_quantity", "l_discount",
-                            "l_extendedprice"]),
-        ["l_quantity", "l_discount"], "l_extendedprice")
-    return pd.DataFrame({
-        "n_rows": np.array([n], dtype="int64"),
-        "intercept": [round(float(coef[0]), 4)],
-        "coef_quantity": [round(float(coef[1]), 4)],
-        "coef_discount": [round(float(coef[2]), 4)],
-    })
-
-
-SQL_OLS = """
-WITH s AS (
-  SELECT count(*)::DOUBLE AS n,
-         sum(l_quantity) AS s1, sum(l_discount) AS s2,
-         sum(l_quantity*l_quantity) AS s11,
-         sum(l_quantity*l_discount) AS s12,
-         sum(l_discount*l_discount) AS s22,
-         sum(l_extendedprice) AS sy,
-         sum(l_quantity*l_extendedprice) AS s1y,
-         sum(l_discount*l_extendedprice) AS s2y
-  FROM lineitem),
-d AS (SELECT *,
-  n*(s11*s22 - s12*s12) - s1*(s1*s22 - s2*s12)
-    + s2*(s1*s12 - s2*s11) AS det,
-  sy*(s11*s22 - s12*s12) - s1y*(s1*s22 - s2*s12)
-    + s2y*(s1*s12 - s2*s11) AS det0,
-  n*(s1y*s22 - s12*s2y) - s1*(sy*s22 - s2*s2y)
-    + s2*(sy*s12 - s2*s1y) AS det1,
-  n*(s11*s2y - s1y*s12) - s1*(s1*s2y - sy*s12)
-    + s2*(s1*s1y - sy*s11) AS det2
-  FROM s)
-SELECT n::BIGINT AS n_rows,
-       round(det0/det, 4) AS intercept,
-       round(det1/det, 4) AS coef_quantity,
-       round(det2/det, 4) AS coef_discount
-FROM d
-"""
-
-
-def q_surprisal(sf_dir: str):
-    """Per-user sequence surprisal under the corpus clickstream model
-    (`relational.transition_surprisal`): mean −ln P(to|from) of each
-    user's within-session transitions, the bot/fraud triage score.
-    FULL SQL oracle — DuckDB refits the identical row-normalized
-    transition model and rescans with a lag window."""
-    from ..functions.relational import transition_surprisal
-
-    return transition_surprisal(
-        read_table(sf_dir, "events",
-                   columns=["user_id", "ts", "event_id",
-                            "event_type"]),
-        "user_id", "ts", "event_type",
-        gap_seconds=1800.0, order_col="event_id")
-
-
-SQL_SURPRISAL = """
-WITH e AS (
-  SELECT user_id, event_type,
-         epoch(ts - lag(ts) OVER w) AS gap,
-         lag(event_type) OVER w AS prev_type
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-tr AS (SELECT user_id, prev_type AS f, event_type AS t
-       FROM e WHERE gap IS NOT NULL AND gap <= 1800),
-cnt AS (SELECT f, t, count(*)::DOUBLE AS n FROM tr GROUP BY 1, 2),
-tot AS (SELECT f, sum(n) AS tot FROM cnt GROUP BY 1),
-p AS (SELECT f, t, ln(n / tot) AS lp FROM cnt JOIN tot USING (f))
-SELECT user_id, round(avg(-lp), 6) AS surprisal,
-       count(*)::BIGINT AS n_transitions
-FROM tr JOIN p USING (f, t) GROUP BY user_id
-"""
-
-
-def q_wow_revenue(sf_dir: str):
-    """Week-over-week revenue: epoch-week partial-sum aggregation of
-    orders (only (week, sum) partials leave a block), then one
-    `grouped_shift` lag over the tiny week table and the percent
-    change, 4-dp rounded on both engines before the hash."""
-    from ..functions.relational import grouped_agg, grouped_shift
-
-    ds = read_table(sf_dir, "orders",
-                    columns=["o_orderdate", "o_totalprice"])
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        wk = (df["o_orderdate"].to_numpy(dtype="datetime64[us]")
-              .view("int64") // (604_800 * 10**6))
-        return pd.DataFrame({"wk": wk,
-                             "o_totalprice": df["o_totalprice"]})
-
-    weekly = grouped_agg(
-        ds.map_batches(assign, batch_format="pandas"),
-        ["wk"], {"revenue": ("o_totalprice", "sum")})
-    weekly = weekly.map_batches(
-        lambda d: d.assign(__one=np.int64(1)), batch_format="pandas")
-    lagged = grouped_shift(
-        weekly, keys=["__one"], order_by=["wk"], col="revenue",
-        periods=1, out_name="prev_revenue", num_partitions=1)
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        rev = df["revenue"].to_numpy(dtype="float64")
-        prev = df["prev_revenue"].to_numpy(dtype="float64")
-        return pd.DataFrame({
-            "wk": df["wk"].astype("int64"),
-            "revenue": np.round(rev, 2),
-            "wow_pct": np.round(100.0 * (rev - prev) / prev, 4),
-        })
-
-    return lagged.map_batches(finish, batch_format="pandas")
-
-
-SQL_WOW_REVENUE = """
-WITH w AS (
-  SELECT CAST(floor(epoch(o_orderdate) / 604800) AS BIGINT) AS wk,
-         sum(o_totalprice) AS revenue
-  FROM orders GROUP BY 1)
-SELECT wk, round(revenue, 2) AS revenue,
-       round(100.0 * (revenue - lag(revenue) OVER (ORDER BY wk))
-             / lag(revenue) OVER (ORDER BY wk), 4) AS wow_pct
-FROM w
-"""
-
-
-def q_naive_bayes(sf_dir: str):
-    """Multinomial Naive Bayes language prediction
-    (`text.naive_bayes_classify`): train on doc_id ≥ 100, predict the
-    lang of doc_id < 100. FULL SQL oracle — DuckDB replays the entire
-    Laplace-smoothed model (token counts, totals, vocabulary size,
-    priors, per-doc log-score argmax with 6-dp rounding and
-    label-ascending ties), so the hash match certifies training AND
-    inference end to end."""
-    from ..functions.text import naive_bayes_classify
-
-    docs = read_table(sf_dir, "documents",
-                      columns=["doc_id", "text", "lang"],
-                      bytes_per_block=_DOC_BPB)
-    train = docs.map_batches(
-        lambda d: _catempty(d[d["doc_id"] >= 100]),
-        batch_format="pandas")
-    test = docs.map_batches(
-        lambda d: _catempty(d[d["doc_id"] < 100][["doc_id", "text"]]),
-        batch_format="pandas")
-    return naive_bayes_classify(train, test)
-
-
-SQL_NAIVE_BAYES = """
-WITH train AS (SELECT * FROM documents WHERE doc_id >= 100),
-test AS (SELECT * FROM documents WHERE doc_id < 100),
-tt AS (SELECT lang, word, count(*)::DOUBLE AS c
-       FROM (SELECT lang, unnest(string_split(text, ' ')) AS word
-             FROM train)
-       WHERE word <> '' GROUP BY 1, 2),
-tot AS (SELECT lang, sum(c) AS tot FROM tt GROUP BY 1),
-v AS (SELECT count(DISTINCT word)::DOUBLE AS v FROM tt),
-pri AS (SELECT lang,
-               ln(count(*)::DOUBLE
-                  / (SELECT count(*) FROM train)) AS lp
-        FROM train GROUP BY 1),
-langs AS (SELECT tot.lang, tot, lp, v
-          FROM tot JOIN pri USING (lang) CROSS JOIN v),
-toks AS (SELECT doc_id, word, count(*)::DOUBLE AS cnt
-         FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word
-               FROM test)
-         WHERE word <> '' GROUP BY 1, 2),
-scored AS (
-  SELECT t.doc_id, l.lang,
-         any_value(l.lp)
-         + sum(t.cnt * ln((COALESCE(tt.c, 0) + 1) / (l.tot + l.v)))
-           AS score
-  FROM toks t CROSS JOIN langs l
-  LEFT JOIN tt ON tt.lang = l.lang AND tt.word = t.word
-  GROUP BY t.doc_id, l.lang, l.tot, l.v),
-ranked AS (SELECT doc_id, lang,
-                  row_number() OVER (
-                    PARTITION BY doc_id
-                    ORDER BY round(score, 6) DESC, lang ASC) AS r
-           FROM scored)
-SELECT doc_id, lang AS pred_lang FROM ranked WHERE r = 1
-"""
-
-
-def q_logreg_audit(sf_dir: str):
-    """PARITY oracle for distributed IRLS logistic regression
-    (`relational.logreg_fit`, the kmeans_audit pattern): predict
-    purchase events from (value, hour-of-day); the single-node IRLS
-    with identical arithmetic must reproduce the coefficients to 1e-6
-    relative (only float reassociation of the Gram partials separates
-    the two). Emits (n_rows, n_purchases, coef_ok); SQL recomputes
-    both counts so a broken stream hash-mismatches."""
-    from ..functions.relational import logreg_fit, logreg_fit_local
-
-    ds = read_table(sf_dir, "events",
-                    columns=["ts", "event_type", "value"])
-
-    def feats(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "value": df["value"].astype("float64"),
-            "hour": df["ts"].dt.hour.astype("float64"),
-            "y": (df["event_type"] == "purchase").astype("float64"),
-        })
-
-    fds = ds.map_batches(feats, batch_format="pandas")
-    coef, n = logreg_fit(fds, ["value", "hour"], "y", iters=8)
-
-    t = fds.to_pandas()
-    X = np.column_stack([np.ones(len(t)), t["value"], t["hour"]])
-    ref = logreg_fit_local(X, t["y"].to_numpy(), iters=8)
-    rel = np.abs(coef - ref) / np.maximum(np.abs(ref), 1e-12)
-    return pd.DataFrame({
-        "n_rows": np.array([n], dtype="int64"),
-        "n_purchases": np.array([int(t["y"].sum())], dtype="int64"),
-        "coef_ok": np.array([int((rel < 1e-6).all())], dtype="int64"),
-    })
-
-
-SQL_LOGREG_AUDIT = """
-SELECT count(*)::BIGINT AS n_rows,
-       count(*) FILTER (event_type = 'purchase')::BIGINT AS n_purchases,
-       1::BIGINT AS coef_ok
-FROM events
-"""
-
-
-def q_sessionize_incremental(sf_dir: str):
-    """Chunked sessionization with carried state
-    (`relational.sessionize_incremental`): the event log split into
-    two time-ordered chunks, folded through the per-user state — the
-    streaming-ingest path. The FULL-BATCH sessionize SQL is the
-    oracle: folding chunks must reproduce it exactly (same strict->
-    gap rule, int-µs arithmetic), so the hash match certifies the
-    state handoff, not just row counts."""
-    from ..functions.relational import sessionize_incremental
-
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    cut = pd.Timestamp(
-        ds.map_batches(
-            lambda d: pd.DataFrame({"q": [d["ts"].quantile(0.5)]}),
-            batch_format="pandas",
-        ).to_pandas()["q"].quantile(0.5))
-
-    def chunk(pred):
-        return ds.map_batches(
-            lambda d, p=pred: d[p(d["ts"])], batch_format="pandas")
-
-    state = sessionize_incremental(
-        chunk(lambda t: t <= cut), None, "user_id", "ts",
-        1800.0).materialize()
-    state = sessionize_incremental(
-        chunk(lambda t: t > cut), state, "user_id", "ts", 1800.0)
-    return state.select_columns(["user_id", "n_sessions", "n_events"])
-
-
-SQL_SESSIONIZE_INCREMENTAL = SQL_SESSIONIZE
-
-
-def q_countmin_audit(sf_dir: str):
-    """GUARANTEE oracle for the count-min sketch
-    (`relational.countmin_sketch`, the `freq_sketch_audit` pattern):
-    exact per-user counts recomputed with `grouped_agg`, then the
-    sketch's properties machine-checked — (1) every point estimate is
-    an UPPER bound on the true count (one-sided error, a hard CM
-    guarantee: n_underestimates = 0), (2) every matrix row conserves
-    total mass (Σ row = n, deterministic), (3) no estimate overshoots
-    by more than 4n/width (the 2n/width Markov bound doubled for
-    margin; depth=4 makes a per-item miss ~2^-4 and the fixed data +
-    fixed hashes make the measured overshoot deterministic). The SQL
-    oracle recomputes n_distinct so a broken stream hash-mismatches."""
-    from ..functions.relational import (
-        countmin_query,
-        countmin_sketch,
-        grouped_agg,
-    )
-
-    width = 2048
-    ds = read_table(sf_dir, "events", columns=["user_id"])
-    M, n_total = countmin_sketch(ds, "user_id", depth=4, width=width)
-    exact = grouped_agg(
-        ds, ["user_id"], {"true_cnt": ("user_id", "count")}
-    ).to_pandas()
-    est = countmin_query(M, exact["user_id"].to_numpy())
-    tc = exact["true_cnt"].to_numpy(dtype="int64")
-    over = est - tc
-    return pd.DataFrame({
-        "n_distinct": np.array([len(exact)], dtype="int64"),
-        "n_underestimates": np.array([int((over < 0).sum())],
-                                     dtype="int64"),
-        "mass_ok": np.array(
-            [int((M.sum(axis=1) == n_total).all())], dtype="int64"),
-        "n_overshoot_violations": np.array(
-            [int((over > 4 * n_total / width).sum())], dtype="int64"),
-    })
-
-
-SQL_COUNTMIN_AUDIT = """
-SELECT count(DISTINCT user_id)::BIGINT AS n_distinct,
-       0::BIGINT AS n_underestimates,
-       1::BIGINT AS mass_ok,
-       0::BIGINT AS n_overshoot_violations
-FROM events
-"""
-
-
-SQL_HLL_SET_OPS = """
-WITH a AS (SELECT DISTINCT user_id FROM events
-           WHERE event_type = 'click'),
-b AS (SELECT DISTINCT user_id FROM events
-      WHERE event_type = 'purchase')
-SELECT (SELECT count(*) FROM a)::BIGINT AS n_exact_a,
-       (SELECT count(*) FROM b)::BIGINT AS n_exact_b,
-       (SELECT count(*) FROM (SELECT * FROM a UNION SELECT * FROM b))
-         ::BIGINT AS n_exact_union,
-       (SELECT count(*) FROM (SELECT * FROM a INTERSECT SELECT * FROM b))
-         ::BIGINT AS n_exact_inter,
-       0::BIGINT AS n_violations
-"""
-
-
-def q_bigram_lm(sf_dir: str):
-    """LM-perplexity quality filter (CCNet-shaped): train an add-0.1
-    bigram word LM on the even-doc_id half of the corpus, score EVERY
-    doc's average negative log-likelihood — odd docs exercise the
-    unseen-bigram/unseen-context smoothing paths. Full SQL oracle
-    replays counts, smoothing and the fallback through the same LEFT
-    joins."""
-    train = read_table(sf_dir, "documents", columns=["doc_id", "text"]) \
-        .map_batches(lambda d: d[d["doc_id"] % 2 == 0],
-                     batch_format="pandas")
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return text.bigram_lm_score(train, docs, k=0.1)
-
-
-SQL_BIGRAM_LM = """
-WITH w AS (SELECT doc_id,
-                  list_filter(string_split(text, ' '), x -> x <> '') AS ws
-           FROM documents),
-t AS (SELECT doc_id, unnest(ws) AS w, generate_subscripts(ws, 1) AS i
-      FROM w),
-bg AS (SELECT a.doc_id, a.w AS w1, b.w AS w2
-       FROM t a JOIN t b ON a.doc_id = b.doc_id AND b.i = a.i + 1),
-bc AS (SELECT w1, w2, count(*)::DOUBLE AS c FROM bg
-       WHERE doc_id % 2 = 0 GROUP BY 1, 2),
-cc AS (SELECT w1, sum(c) AS ctx FROM bc GROUP BY 1),
-v AS (SELECT count(DISTINCT w)::DOUBLE AS vsz FROM t WHERE doc_id % 2 = 0),
-sc AS (SELECT bg.doc_id,
-              -ln((coalesce(bc.c, 0) + 0.1)
-                  / (coalesce(cc.ctx, 0) + 0.1 * v.vsz)) AS nll
-       FROM bg
-       LEFT JOIN bc ON bg.w1 = bc.w1 AND bg.w2 = bc.w2
-       LEFT JOIN cc ON bg.w1 = cc.w1
-       CROSS JOIN v)
-SELECT doc_id, count(*)::BIGINT AS n_bigrams,
-       round(avg(nll), 4) AS avg_nll
-FROM sc GROUP BY doc_id
-"""
-
-
-def q_regional_revenue(sf_dir: str):
-    """TPC-H-Q5-shaped six-table join — the composition stress test for
-    the join planner idioms: dimension chain (region⋈nation) folds
-    driver-side (bounded), customers semi-filter by a broadcast nation
-    set, orders date-filter AT THE READ side, the two fact⋈fact hops
-    (orders⋈customer on custkey, lineitem⋈orders on orderkey) are
-    explicit co-partitioned bucket joins, supplier (per-key unique,
-    bounded) broadcasts, and the final per-nation revenue is a partial
-    aggregate over ≤25 keys."""
-    from ..functions.relational import grouped_agg, topk
-
-    nat = read_table(sf_dir, "nation").to_pandas()
-    reg = read_table(sf_dir, "region").to_pandas()
-    asia = nat.merge(reg, left_on="n_regionkey", right_on="r_regionkey")
-    asia = asia.loc[asia["r_name"] == "ASIA",
-                    ["n_nationkey", "n_name"]].reset_index(drop=True)
-
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_nationkey"])
-    cust = broadcast_join(
-        cust,
-        asia[["n_nationkey"]].rename(
-            columns={"n_nationkey": "c_nationkey"}).astype(
-                {"c_nationkey": "int32"}),
-        on="c_nationkey")
-    cust = cust.map_batches(
-        lambda d: d.rename(columns={"c_custkey": "o_custkey"}),
-        batch_format="pandas")
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    lo = pd.Timestamp("1996-01-01")
-    hi = pd.Timestamp("1998-01-01")
-    orders = orders.map_batches(
-        lambda d: d.loc[(d["o_orderdate"] >= lo) & (d["o_orderdate"] < hi),
-                        ["o_orderkey", "o_custkey"]],
-        batch_format="pandas")
-    oc = bucketed_hash_join(orders, cust, on="o_custkey", num_buckets=16)
-    oc = oc.map_batches(
-        lambda d: d.rename(columns={"o_orderkey": "l_orderkey"})[
-            ["l_orderkey", "c_nationkey"]],
-        batch_format="pandas")
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_suppkey",
-                             "l_extendedprice", "l_discount"])
-    j = bucketed_hash_join(li, oc, on="l_orderkey", num_buckets=32)
-
-    supp = read_table(sf_dir, "supplier",
-                      columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    supp = supp.rename(columns={"s_suppkey": "l_suppkey"})
-    j = broadcast_join(j, supp, on="l_suppkey")
-
-    def rev(d: pd.DataFrame) -> pd.DataFrame:
-        d = d[d["c_nationkey"] == d["s_nationkey"]]
-        return pd.DataFrame({
-            "n_nationkey": d["s_nationkey"].astype("int32"),
-            "__rev": d["l_extendedprice"].to_numpy()
-            * (1.0 - d["l_discount"].to_numpy()),
-        })
-
-    agg = grouped_agg(j.map_batches(rev, batch_format="pandas"),
-                      ["n_nationkey"], {"revenue": ("__rev", "sum")})
-    names = asia.astype({"n_nationkey": "int32"})
-
-    def finish(d: pd.DataFrame) -> pd.DataFrame:
-        d = d.merge(names, on="n_nationkey")
-        return pd.DataFrame({"n_name": d["n_name"],
-                             "revenue": np.round(d["revenue"], 2)})
-
-    return topk(agg.map_batches(finish, batch_format="pandas"),
-                ["revenue", "n_name"], 25, descending=[True, False])
-
-
-SQL_REGIONAL_REVENUE = """
-SELECT n_name, round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-FROM customer, orders, lineitem, supplier, nation, region
-WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-  AND r_name = 'ASIA'
-  AND o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate < TIMESTAMP '1998-01-01'
-GROUP BY n_name ORDER BY revenue DESC, n_name
-"""
-
-
-def q_auc(sf_dir: str):
-    """ROC-AUC of the first embedding component predicting label < 5 —
-    the distributed Mann–Whitney rank statistic with tie correction
-    (`roc_auc`). The oracle replays the identical tie-corrected
-    cumulative form with a window function."""
-    import pyarrow.compute as pc
-
-    from ..functions.relational import roc_auc
-
-    ds = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB,
-                    columns=["label", "embedding"])
-
-    def f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "sc": pc.cast(pc.list_element(t["embedding"], 0), pa.float64()),
-            "pos": pc.cast(pc.less(t["label"], 5), pa.int64()),
-        })
-
-    return roc_auc(ds.map_batches(f, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-                   score_col="sc", pos_col="pos")
-
-
-def q_average_precision(sf_dir: str):
-    """Average precision (PR-AUC, step interpolation) of the same
-    score/label pair as `auc` — the fourth leg of the model-eval
-    family (auc / classification_report / calibration / ap), and the
-    one that stays honest under class imbalance. Tie-aware threshold
-    form over the bounded (score → n_pos, n_neg) reduced table
-    (`functions/relational.py:average_precision` — the roc_auc scale
-    shape: scores round first, per-batch counts shrink blocks before
-    ONE exchange, the DESC scan runs once over the model-constant
-    table). The oracle replays the identical cumulative form with a
-    DESC window."""
-    import pyarrow.compute as pc
-
-    from ..functions.relational import average_precision
-
-    ds = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB,
-                    columns=["label", "embedding"])
-
-    def f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "sc": pc.cast(pc.list_element(t["embedding"], 0), pa.float64()),
-            "pos": pc.cast(pc.less(t["label"], 5), pa.int64()),
-        })
-
-    return average_precision(
-        ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True),
-        score_col="sc", pos_col="pos")
-
-
-def q_nearest_centroid(sf_dir: str):
-    """Nearest-centroid classifier over the labeled embeddings with a
-    deterministic Knuth-hash 80/20 split
-    (`functions/similarity.py:nearest_centroid_eval`) — the Rocchio
-    baseline an embedding-quality audit runs: per-label centroid
-    training is one pass of k·(d+1) partials per block, the k×d model
-    broadcasts once, and the test pass reduces to confusion partials.
-    Distances round at 6 dp BEFORE the argmin (selection-internal, the
-    changepoint contract) with ties toward the smaller label — the
-    oracle replays the same split hash, the same Σ(x−c)² summand and
-    the same tiebreak via array_agg(ORDER BY dist, cand)."""
-    from ..functions.similarity import nearest_centroid_eval
-
-    ds = read_table(sf_dir, "embeddings",
-                    columns=["vec_id", "label", "embedding"])
-    out = nearest_centroid_eval(ds)
-    return out.map_batches(
-        lambda d: d.sort_values(["true_label", "pred_label"])
-        .reset_index(drop=True).astype("int64"),
-        batch_format="pandas")
-
-
-SQL_NEAREST_CENTROID = """
-WITH sp AS (
-  SELECT vec_id, label, embedding,
-         ((vec_id % 4294967296) * 2654435761) % 4294967296 % 10 AS b
-  FROM embeddings),
-tr AS (SELECT label, unnest(embedding)::DOUBLE AS v,
-              unnest(range(len(embedding))) AS j
-       FROM sp WHERE b < 8),
-cent AS (SELECT label AS cand, j, avg(v) AS c FROM tr GROUP BY label, j),
-te AS (SELECT vec_id, label AS true_label,
-              unnest(embedding)::DOUBLE AS v,
-              unnest(range(len(embedding))) AS j
-       FROM sp WHERE b >= 8),
-d AS (SELECT te.vec_id, te.true_label, cent.cand,
-             round(sum((te.v - cent.c) * (te.v - cent.c)), 6) AS dist
-      FROM te JOIN cent ON cent.j = te.j
-      GROUP BY te.vec_id, te.true_label, cent.cand),
-pred AS (SELECT vec_id, true_label,
-                (array_agg(cand ORDER BY dist, cand))[1] AS pred_label
-         FROM d GROUP BY vec_id, true_label)
-SELECT true_label, pred_label, count(*) AS n
-FROM pred GROUP BY true_label, pred_label
-"""
-
-
-SQL_AVERAGE_PRECISION = """
-WITH s AS (SELECT round(embedding[1], 6) AS sc,
-                  CASE WHEN label < 5 THEN 1 ELSE 0 END AS pos
-           FROM embeddings),
-g AS (SELECT sc, sum(pos)::DOUBLE AS np, sum(1 - pos)::DOUBLE AS nn
-      FROM s GROUP BY sc),
-c AS (SELECT np,
-             sum(np) OVER (ORDER BY sc DESC) AS ctp,
-             sum(np + nn) OVER (ORDER BY sc DESC) AS call
-      FROM g)
-SELECT (SELECT sum(np) FROM g)::BIGINT AS n_pos,
-       (SELECT sum(nn) FROM g)::BIGINT AS n_neg,
-       round(sum(np * ctp / call) / (SELECT sum(np) FROM g), 6) AS ap
-FROM c
-"""
-
-
-SQL_AUC = """
-WITH s AS (SELECT round(embedding[1], 6) AS sc,
-                  CASE WHEN label < 5 THEN 1 ELSE 0 END AS pos
-           FROM embeddings),
-g AS (SELECT sc, sum(pos)::DOUBLE AS np, sum(1 - pos)::DOUBLE AS nn
-      FROM s GROUP BY sc),
-c AS (SELECT np, nn,
-             coalesce(sum(nn) OVER (ORDER BY sc
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS cb
-      FROM g)
-SELECT (SELECT sum(np) FROM g)::BIGINT AS n_pos,
-       (SELECT sum(nn) FROM g)::BIGINT AS n_neg,
-       round(sum(np * cb + 0.5 * np * nn)
-             / ((SELECT sum(np) FROM g) * (SELECT sum(nn) FROM g)),
-             6) AS auc
-FROM c
-"""
-
-
-def q_ewma(sf_dir: str):
-    """Per-user EWMA of event values (α=0.5, adjust=False recurrence) —
-    the streaming smoother distributed on the KEY axis (`grouped_ewma`:
-    one user-hash exchange, C-backed in-partition scan). The oracle
-    replays the recurrence with a recursive CTE; α=0.5 makes the float
-    fold bit-identical across engines (see grouped_ewma docstring)."""
-    from ..functions.relational import grouped_ewma
-
-    ds = read_table(sf_dir, "events",
-                    columns=["event_id", "user_id", "ts", "value"])
-    out = grouped_ewma(ds, key="user_id", ts_col="ts", val_col="value",
-                       tiebreak="event_id", alpha=0.5)
-    return out.map_batches(
-        lambda d: d[["event_id", "user_id", "ewma"]],
-        batch_format="pandas")
-
-
-SQL_EWMA = """
-WITH RECURSIVE o AS (
-  SELECT event_id, user_id, value,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-r AS (
-  SELECT event_id, user_id, rn, value::DOUBLE AS ew FROM o WHERE rn = 1
-  UNION ALL
-  SELECT o.event_id, o.user_id, o.rn, 0.5 * r.ew + 0.5 * o.value
-  FROM o JOIN r ON o.user_id = r.user_id AND o.rn = r.rn + 1)
-SELECT event_id, user_id, round(ew, 6) AS ewma FROM r
-"""
-
-
-def q_double_smooth(sf_dir: str):
-    """Per-user Brown double exponential smoothing (α=0.5) — level and
-    trend per event, the drift-following forecaster
-    (`functions/relational.py:brown_smoothing`: one user-hash exchange,
-    two chained C-backed ewm scans per partition). The oracle replays
-    BOTH recurrences in one recursive CTE carrying (ew1, ew2); α=0.5
-    keeps every fold a dyadic rational so the engines match bit-for-bit
-    before the shared half-away rounding."""
-    from ..functions.relational import brown_smoothing
-
-    ds = read_table(sf_dir, "events",
-                    columns=["event_id", "user_id", "ts", "value"])
-    out = brown_smoothing(ds, key="user_id", ts_col="ts",
-                          val_col="value", tiebreak="event_id", alpha=0.5)
-    return out.map_batches(
-        lambda d: d[["event_id", "user_id", "level", "trend"]],
-        batch_format="pandas")
-
-
-SQL_DOUBLE_SMOOTH = """
-WITH RECURSIVE o AS (
-  SELECT event_id, user_id, value,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-r AS (
-  SELECT event_id, user_id, rn,
-         value::DOUBLE AS ew1, value::DOUBLE AS ew2
-  FROM o WHERE rn = 1
-  UNION ALL
-  SELECT o.event_id, o.user_id, o.rn,
-         0.5 * r.ew1 + 0.5 * o.value,
-         0.5 * r.ew2 + 0.5 * (0.5 * r.ew1 + 0.5 * o.value)
-  FROM o JOIN r ON o.user_id = r.user_id AND o.rn = r.rn + 1)
-SELECT event_id, user_id,
-       round(2.0 * ew1 - ew2, 6) AS level,
-       round(ew1 - ew2, 6) AS trend
-FROM r
-"""
-
-
 def q_type_entropy(sf_dir: str):
     """Per-user Shannon entropy (base 2) of the event-type distribution
     — the behavioral-diversity score a bot/fraud triage ranks on (a
@@ -6290,139 +2385,6 @@ def q_type_entropy(sf_dir: str):
         ["user_id"], per_part, num_partitions=16)
 
 
-SQL_TYPE_ENTROPY = """
-WITH c AS (
-  SELECT user_id, event_type, count(*)::BIGINT AS c
-  FROM events GROUP BY 1, 2),
-t AS (SELECT user_id, sum(c)::BIGINT AS n FROM c GROUP BY 1)
-SELECT c.user_id, t.n AS n_events,
-       round(-sum((c.c::DOUBLE / t.n) * log2(c.c::DOUBLE / t.n)), 6)
-         AS entropy
-FROM c JOIN t USING (user_id)
-GROUP BY c.user_id, t.n
-"""
-
-
-def q_hhi(sf_dir: str):
-    """Herfindahl–Hirschman concentration index of customer revenue
-    within each nation — Σ share², the market-concentration complement
-    of `gini` (HHI weights the head: one dominant customer → 1.0, k
-    equal customers → 1/k). The one genuine exchange is the
-    orders⋈customer bucketed join (both sides fact-scale — never
-    broadcast); per-(nation, customer) revenue pre-aggregates in
-    `grouped_agg` with a partitioned merge (customer-scale keys), and
-    shares² fold inside the nation-hash partitions — only the
-    |nations|-row result reaches the driver. 6-dp rounding on both
-    engines."""
-    from ..functions.relational import grouped_apply
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_custkey", "o_totalprice"]).map_batches(
-        lambda d: d.rename(columns={"o_custkey": "custkey"}),
-        batch_format="pandas")
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_nationkey"]).map_batches(
-        lambda d: d.rename(columns={"c_custkey": "custkey"}),
-        batch_format="pandas")
-    joined = bucketed_hash_join(orders, cust, on="custkey", num_buckets=8)
-    rev = grouped_agg(
-        joined, ["c_nationkey", "custkey"],
-        {"rev": ("o_totalprice", "sum")}, merge_partitions=8)
-
-    def per_nation(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("c_nationkey", sort=False)["rev"].transform("sum")
-        share = g["rev"].to_numpy() / tot.to_numpy()
-        gg = g.assign(__s2=share * share)
-        out = (gg.groupby("c_nationkey", sort=True)
-               .agg(n_customers=("rev", "size"), hhi=("__s2", "sum"))
-               .reset_index())
-        return pd.DataFrame({
-            "nationkey": out["c_nationkey"].astype("int64"),
-            "n_customers": out["n_customers"].astype("int64"),
-            "hhi": np.round(out["hhi"].to_numpy(), 6),
-        })
-
-    return grouped_apply(rev, ["c_nationkey"], per_nation,
-                         num_partitions=8)
-
-
-SQL_HHI = """
-WITH r AS (
-  SELECT c_nationkey, o_custkey, sum(o_totalprice) AS rev
-  FROM orders JOIN customer ON o_custkey = c_custkey
-  GROUP BY 1, 2),
-t AS (
-  SELECT c_nationkey, sum(rev) AS tot, count(*)::BIGINT AS n_customers
-  FROM r GROUP BY 1)
-SELECT r.c_nationkey AS nationkey, t.n_customers,
-       round(sum((r.rev / t.tot) * (r.rev / t.tot)), 6) AS hhi
-FROM r JOIN t USING (c_nationkey)
-GROUP BY 1, 2
-"""
-
-
-def q_knn_classify(sf_dir: str):
-    """k-NN majority-vote classification over the embeddings (k=5,
-    cosine): vec_id < 100 are the query/test set (predicate pushed
-    into the parquet read — only their row groups reach the driver),
-    vec_id ≥ 100 the reference set. The local-then-global exact top-k
-    streams the reference side (`brute_force_topk`); neighbor labels
-    attach through a bucketed join (the label table is corpus-scale —
-    never broadcast) and the vote is a grouped count with
-    (count DESC, label ASC) ties. At 100 TB the shortlist swaps to
-    `ivf_topk`/`pq_topk`; the vote plumbing is unchanged."""
-    from ..functions.relational import bucketed_hash_join, grouped_apply
-
-    queries, qids = _query_vectors(sf_dir, n=100)
-    train = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB,
-                       columns=["vec_id", "embedding"]).map_batches(
-        lambda d: d[d["vec_id"] >= 100], batch_format="pandas")
-    top = similarity.brute_force_topk(train, queries, qids, k=5,
-                                      exclude_self=False)
-    labels = read_table(sf_dir, "embeddings",
-                        columns=["vec_id", "label"]).map_batches(
-        lambda d: pd.DataFrame({
-            "neighbor_id": d["vec_id"].astype("int64"),
-            "label": d["label"].astype("int64")}),
-        batch_format="pandas")
-    j = bucketed_hash_join(top, labels, on="neighbor_id", num_buckets=4)
-
-    def vote(part: pd.DataFrame) -> pd.DataFrame:
-        v = (part.groupby(["query_id", "label"], sort=False).size()
-             .reset_index(name="c"))
-        v = v.sort_values(["query_id", "c", "label"],
-                          ascending=[True, False, True],
-                          kind="mergesort")
-        w = v.groupby("query_id", sort=False).first().reset_index()
-        return pd.DataFrame({
-            "vec_id": w["query_id"].astype("int64"),
-            "pred_label": w["label"].astype("int64")})
-
-    return grouped_apply(j, ["query_id"], vote, num_partitions=4)
-
-
-SQL_KNN_CLASSIFY = """
-WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings
-           WHERE vec_id < 100),
-s AS (SELECT q.qid, e.vec_id AS nid, e.label,
-             list_cosine_similarity(q.qe::DOUBLE[],
-                                    e.embedding::DOUBLE[]) AS c
-      FROM q, embeddings e WHERE e.vec_id >= 100),
-top AS (
-  SELECT qid, label FROM (
-    SELECT qid, label,
-           row_number() OVER (PARTITION BY qid
-                              ORDER BY c DESC, nid) AS r
-    FROM s) WHERE r <= 5),
-v AS (SELECT qid, label, count(*) AS c FROM top GROUP BY 1, 2)
-SELECT qid AS vec_id, label AS pred_label FROM (
-  SELECT qid, label,
-         row_number() OVER (PARTITION BY qid
-                            ORDER BY c DESC, label) AS r
-  FROM v) WHERE r = 1
-"""
-
-
 def q_scd2(sf_dir: str):
     """SCD Type-2 history build — turn each user's change events into
     validity intervals (value, valid_from, valid_to), the warehouse
@@ -6450,58 +2412,6 @@ def q_scd2(sf_dir: str):
         })
 
     return grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
-
-
-SQL_SCD2 = """
-SELECT event_id, user_id, value,
-       ts AS valid_from,
-       lead(ts) OVER (PARTITION BY user_id
-                      ORDER BY ts, event_id) AS valid_to
-FROM events
-"""
-
-
-
-def q_cumulative_users(sf_dir: str):
-    """Cumulative unique users by day — the growth curve (`window_distinct`
-    counts a window, this counts the running union, which distinct can't
-    pre-aggregate): each user reduces to a FIRST-SEEN day (grouped min,
-    user-scale keys → partitioned merge), first-seen days count into the
-    bounded calendar table, and the cumulative sum folds on the driver
-    (the `leadlag_corr` calendar rule). Nothing user-scale moves after
-    the one reduction."""
-    ev = read_table(sf_dir, "events", columns=["ts", "user_id"])
-
-    def to_day(d: pd.DataFrame) -> pd.DataFrame:
-        day = (d["ts"].to_numpy("datetime64[us]").astype("int64")
-               // 86_400_000_000)
-        return pd.DataFrame({"user_id": d["user_id"].astype("int64"),
-                             "day": day})
-
-    first = grouped_agg(
-        ev.map_batches(to_day, batch_format="pandas"),
-        ["user_id"], {"fday": ("day", "min")}, merge_partitions=8)
-    per_day = grouped_agg(
-        first.map_batches(
-            lambda d: pd.DataFrame({"day": d["fday"].astype("int64")}),
-            batch_format="pandas"),
-        ["day"], {"new_users": ("day", "count")},
-    ).to_pandas().sort_values("day")
-    per_day["cum_users"] = per_day["new_users"].cumsum().astype("int64")
-    per_day["new_users"] = per_day["new_users"].astype("int64")
-    return per_day.reset_index(drop=True)
-
-
-SQL_CUMULATIVE_USERS = """
-WITH f AS (
-  SELECT user_id,
-         min(CAST(floor(epoch(ts) / 86400) AS BIGINT)) AS day
-  FROM events GROUP BY 1),
-d AS (SELECT day, count(*)::BIGINT AS new_users FROM f GROUP BY 1)
-SELECT day, new_users,
-       sum(new_users) OVER (ORDER BY day)::BIGINT AS cum_users
-FROM d
-"""
 
 
 def q_membership_combos(sf_dir: str):
@@ -6543,76 +2453,6 @@ def q_membership_combos(sf_dir: str):
         ["user_id"], merge_masks, num_partitions=8)
     return grouped_agg(masks, ["mask"],
                        {"n_users": ("user_id", "count")})
-
-
-SQL_MEMBERSHIP_COMBOS = """
-WITH m AS (
-  SELECT user_id,
-         bit_or(CASE event_type
-                  WHEN 'click' THEN 1 WHEN 'error' THEN 2
-                  WHEN 'purchase' THEN 4 WHEN 'signup' THEN 8
-                  WHEN 'view' THEN 16 END)::BIGINT AS mask
-  FROM events WHERE event_id % 11 = 0 GROUP BY 1)
-SELECT mask, count(*)::BIGINT AS n_users FROM m GROUP BY 1
-"""
-
-
-
-def q_kmv_audit(sf_dir: str):
-    """ERROR-BOUND-INVARIANT oracle for the KMV / bottom-k distinct
-    sketch (`relational.kmv_sketch` — the theta-sketch family member
-    whose union sketch gives an UNBIASED k-sample intersection, where
-    HLL's inclusion–exclusion amplifies error): A = high-value event
-    ids, B = ids ≡ 0 (mod 3). Bands at k=256: max(10%, 5) for
-    |A|/|B|/|A∪B| (CV ≈ 1/√(k−2) ≈ 6%; measured ≤ 3.8% at sf0.01),
-    max(30%, 5) for the intersection (the k-sample Jaccard's binomial
-    CV ≈ √((1−J)/(J·k)) ≈ 18% here; measured 3.2%). Deterministic
-    given the hash — but the margins are sf-dependent (the
-    `pq_ann_recall` caveat): a different scale re-tunes them
-    deliberately. SQL recomputes the exacts and asserts zero
-    violations."""
-    from ..functions.relational import kmv_set_ops
-
-    ev = read_table(sf_dir, "events", columns=["event_id", "value"])
-    a = ev.map_batches(
-        lambda d: d.loc[d["value"] >= 100, ["event_id"]],
-        batch_format="pandas")
-    b = ev.map_batches(
-        lambda d: d.loc[d["event_id"].to_numpy(dtype="int64") % 3 == 0,
-                        ["event_id"]],
-        batch_format="pandas")
-    est = kmv_set_ops(a, b, "event_id", k=256).iloc[0]
-
-    pairs = ev.to_pandas()
-    sa = set(pairs.loc[pairs["value"] >= 100, "event_id"])
-    sb = set(pairs.loc[pairs["event_id"] % 3 == 0, "event_id"])
-    exact = {"a": len(sa), "b": len(sb),
-             "union": len(sa | sb), "inter": len(sa & sb)}
-    bands = {"a": 0.10, "b": 0.10, "union": 0.10, "inter": 0.30}
-    viol = sum(
-        int(abs(float(est[f"est_{k}"]) - v) > max(bands[k] * v, 5))
-        for k, v in exact.items())
-    return pd.DataFrame({
-        "n_exact_a": np.array([exact["a"]], dtype="int64"),
-        "n_exact_b": np.array([exact["b"]], dtype="int64"),
-        "n_exact_union": np.array([exact["union"]], dtype="int64"),
-        "n_exact_inter": np.array([exact["inter"]], dtype="int64"),
-        "n_violations": np.array([viol], dtype="int64"),
-    })
-
-
-SQL_KMV_AUDIT = """
-WITH a AS (SELECT DISTINCT event_id FROM events WHERE value >= 100),
-b AS (SELECT DISTINCT event_id FROM events WHERE event_id % 3 = 0)
-SELECT (SELECT count(*) FROM a)::BIGINT AS n_exact_a,
-       (SELECT count(*) FROM b)::BIGINT AS n_exact_b,
-       (SELECT count(*) FROM (SELECT * FROM a UNION SELECT * FROM b))
-         ::BIGINT AS n_exact_union,
-       (SELECT count(*) FROM (SELECT * FROM a INTERSECT SELECT * FROM b))
-         ::BIGINT AS n_exact_inter,
-       0::BIGINT AS n_violations
-"""
-
 
 
 # qualified-pair-count gate for q_item2item's broadcast-filter fast
@@ -6727,208 +2567,6 @@ def q_item2item(sf_dir: str):
                           descending=[True, False])
 
 
-SQL_ITEM2ITEM = """
-WITH b AS (SELECT DISTINCT l_orderkey AS bk, l_partkey AS it
-           FROM lineitem),
-ci AS (SELECT it, count(*)::BIGINT AS c FROM b GROUP BY 1),
-p AS (
-  SELECT x.it AS i, y.it AS j, count(*)::BIGINT AS cij
-  FROM b x JOIN b y ON x.bk = y.bk AND x.it < y.it
-  GROUP BY 1, 2 HAVING count(*) >= 3),
-s AS (
-  SELECT i, j, round(cij / sqrt(c1.c * c2.c), 6) AS sim
-  FROM p JOIN ci c1 ON c1.it = p.i JOIN ci c2 ON c2.it = p.j),
-u AS (SELECT i AS item, j AS other, sim FROM s
-      UNION ALL SELECT j, i, sim FROM s)
-SELECT item, other, sim FROM (
-  SELECT item, other, sim,
-         row_number() OVER (PARTITION BY item
-                            ORDER BY sim DESC, other) AS r
-  FROM u) WHERE r <= 3
-"""
-
-
-def q_asof_tolerance(sf_dir: str):
-    """Staleness-capped as-of join — `attribution` with a 2-hour
-    credit window: a click older than 2 h before the purchase earns
-    nothing (the marketing-attribution rule, and the quote-staleness
-    rule of a market join). Same co-partitioned merge_asof, one
-    `tolerance` bound; DuckDB ASOF has no tolerance, so the oracle is
-    the bounded LATERAL."""
-    from ..functions.relational import asof_join
-
-    ev = read_table(sf_dir, "events",
-                    columns=["event_id", "ts", "user_id", "event_type"])
-    clicks = grouped_agg(
-        ev.map_batches(
-            lambda d: d.loc[d["event_type"] == "click",
-                            ["user_id", "ts", "event_id"]],
-            batch_format="pandas"),
-        ["user_id", "ts"], {"click_id": ("event_id", "max")},
-        merge_partitions=8)
-    purchases = ev.map_batches(
-        lambda d: d.loc[d["event_type"] == "purchase",
-                        ["event_id", "user_id", "ts"]]
-        .rename(columns={"event_id": "purchase_id"}),
-        batch_format="pandas")
-    j = asof_join(purchases, clicks, key="user_id", ts_col="ts",
-                  tolerance=pd.Timedelta(hours=2))
-
-    def finish(d: pd.DataFrame) -> pd.DataFrame:
-        gap = (d["ts"].to_numpy("datetime64[us]")
-               - d["ts_r"].to_numpy("datetime64[us]")).astype("int64")
-        return pd.DataFrame({
-            "purchase_id": d["purchase_id"].astype("int64"),
-            "user_id": d["user_id"].astype("int64"),
-            "click_id": d["click_id_r"].astype("int64"),
-            "gap_us": gap,
-        })
-
-    return j.map_batches(finish, batch_format="pandas")
-
-
-SQL_ASOF_TOLERANCE = """
-WITH c AS (
-  SELECT user_id, ts, max(event_id) AS click_id
-  FROM events WHERE event_type = 'click' GROUP BY 1, 2),
-p AS (
-  SELECT event_id AS purchase_id, user_id, ts
-  FROM events WHERE event_type = 'purchase')
-SELECT p.purchase_id, p.user_id, l.click_id,
-       (epoch_us(p.ts) - epoch_us(l.ts))::BIGINT AS gap_us
-FROM p JOIN LATERAL (
-  SELECT click_id, ts FROM c
-  WHERE c.user_id = p.user_id AND c.ts <= p.ts
-    AND c.ts >= p.ts - INTERVAL 2 HOUR
-  ORDER BY c.ts DESC LIMIT 1) l ON true
-"""
-
-
-
-def q_resample_interp(sf_dir: str):
-    """Hourly resample with LINEAR INTERPOLATION of each user's
-    event-value series (users 0-19) — the continuous-signal sibling of
-    `resample_ffill` (`functions/relational.py:resample_interp`): grid
-    points take v0 + Δt·(v1−v0)/(t1−t0) between their neighbor events,
-    NULL before the first event. Events sharing (user, ts) pre-reduce
-    to max(value) on both engines so the neighbors are deterministic.
-    One exchange; both neighbor lookups are single searchsorted calls
-    on the composite (group, time) axis. DuckDB ASOF has no forward
-    direction, so the oracle's t1 side is the LATERAL first-row form
-    (the `asof_forward` precedent); interpolation evaluated in the
-    identical operation order, 6 dp half-away."""
-    from ..functions.relational import resample_interp
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "ts", "value"])
-    small = ds.map_batches(lambda df: df[df["user_id"] < 20],
-                           batch_format="pandas")
-    return resample_interp(small, ["user_id"], "ts", "value",
-                           freq_us=3_600_000_000, num_partitions=8)
-
-
-SQL_RESAMPLE_INTERP = """
-WITH ev0 AS (
-  SELECT user_id, ts, max(value) AS value
-  FROM events WHERE user_id < 20 GROUP BY 1, 2),
-bounds AS (
-  SELECT user_id, date_trunc('hour', min(ts)) AS lo,
-         date_trunc('hour', max(ts)) AS hi
-  FROM ev0 GROUP BY 1),
-grid AS (
-  SELECT user_id, unnest(generate_series(lo, hi, INTERVAL 1 HOUR)) AS h
-  FROM bounds),
-b AS (
-  SELECT g.user_id, g.h, e.ts AS t0, e.value AS v0
-  FROM grid g ASOF LEFT JOIN ev0 e
-    ON g.user_id = e.user_id AND g.h >= e.ts),
-f AS (
-  SELECT g.user_id, g.h, l.t1, l.v1
-  FROM grid g JOIN LATERAL (
-    SELECT ts AS t1, value AS v1 FROM ev0 e
-    WHERE e.user_id = g.user_id AND e.ts >= g.h
-    ORDER BY e.ts LIMIT 1) l ON true)
-SELECT b.user_id, b.h,
-       round(CASE WHEN b.t0 IS NULL THEN NULL ELSE
-         b.v0 + (epoch_us(b.h) - epoch_us(b.t0))::DOUBLE
-                * (f.v1 - b.v0)
-                / (CASE WHEN epoch_us(f.t1) = epoch_us(b.t0)
-                        THEN 1.0
-                        ELSE (epoch_us(f.t1) - epoch_us(b.t0))::DOUBLE
-                   END)
-       END, 6) AS value_interp
-FROM b JOIN f USING (user_id, h)
-"""
-
-
-def q_powerlaw_fit(sf_dir: str):
-    """Power-law exponent estimate of the co-purchase degree
-    distribution — log-log OLS over (log2 degree, log2 count), the
-    "is this graph scale-free" diagnostic that decides whether
-    `skew_report`-style salting will be needed downstream. Degrees
-    from per-block endpoint partials (the `clustering_coeff` pass);
-    the (degree, count) table is bounded by the max degree, so the
-    five OLS sums fold driver-side from per-block partials. The
-    closed-form slope/intercept expressions are written IDENTICALLY
-    in both engines (no regr_slope — its internal order is the
-    engine's choice); 6 dp."""
-    nparts = 16
-    edges = _copurchase_edges(sf_dir, nparts)
-
-    def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
-        node, cnt = np.unique(
-            np.concatenate([df["u"].to_numpy(dtype="int64"),
-                            df["v"].to_numpy(dtype="int64")]),
-            return_counts=True)
-        return pd.DataFrame({"node": node, "deg": cnt.astype("int64")})
-
-    deg = grouped_agg(
-        edges.map_batches(deg_partial, batch_format="pandas"),
-        ["node"], {"deg": ("deg", "sum")}, merge_partitions=nparts)
-    hist = grouped_agg(
-        deg.map_batches(
-            lambda d: pd.DataFrame({"deg": d["deg"].astype("int64")}),
-            batch_format="pandas"),
-        ["deg"], {"cnt": ("deg", "count")},
-    ).to_pandas()  # bounded by max degree — model-constant
-    x = np.log2(hist["deg"].to_numpy(dtype="float64"))
-    y = np.log2(hist["cnt"].to_numpy(dtype="float64"))
-    n = float(len(hist))
-    sx, sy, sxy, sxx = x.sum(), y.sum(), (x * y).sum(), (x * x).sum()
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    intercept = (sy - slope * sx) / n
-    return pd.DataFrame({
-        "n_points": [np.int64(n)],
-        "slope": [float(np.round(slope, 6))],
-        "intercept": [float(np.round(intercept, 6))],
-    })
-
-
-SQL_POWERLAW_FIT = """
-WITH e AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-d AS (
-  SELECT node, count(*)::BIGINT AS deg
-  FROM (SELECT u AS node FROM e UNION ALL SELECT v FROM e)
-  GROUP BY node),
-h AS (SELECT deg, count(*)::BIGINT AS cnt FROM d GROUP BY 1),
-s AS (
-  SELECT count(*)::DOUBLE AS n,
-         sum(log2(deg::DOUBLE)) AS sx,
-         sum(log2(cnt::DOUBLE)) AS sy,
-         sum(log2(deg::DOUBLE) * log2(cnt::DOUBLE)) AS sxy,
-         sum(log2(deg::DOUBLE) * log2(deg::DOUBLE)) AS sxx
-  FROM h)
-SELECT n::BIGINT AS n_points,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS slope,
-       round((sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n,
-             6) AS intercept
-FROM s
-"""
-
-
 def q_checksum_audit(sf_dir: str):
     """Per-bucket order-independent table checksums — the fast
     replication / migration equality check (compare 16 rows instead of
@@ -6954,17 +2592,6 @@ def q_checksum_audit(sf_dir: str):
         orders.map_batches(partial, batch_format="pandas"),
         ["bucket"], {"checksum": ("checksum", "sum"),
                      "n_rows": ("n_rows", "sum")})
-
-
-SQL_CHECKSUM_AUDIT = """
-WITH h AS (
-  SELECT (o_orderkey * 2654435761) % 4294967296 AS h
-  FROM orders)
-SELECT h % 16 AS bucket, sum(h)::BIGINT AS checksum,
-       count(*)::BIGINT AS n_rows
-FROM h GROUP BY 1
-"""
-
 
 
 def q_target_encode(sf_dir: str):
@@ -7013,73 +2640,6 @@ def q_target_encode(sf_dir: str):
     return out.map_batches(enc, batch_format="pandas")
 
 
-SQL_TARGET_ENCODE = """
-WITH v AS (
-  SELECT event_id, event_type,
-         CAST(round(value * 100, 0) AS BIGINT) AS vi
-  FROM events),
-s AS (
-  SELECT event_type, sum(vi)::BIGINT AS s, count(*)::BIGINT AS n
-  FROM v GROUP BY 1)
-SELECT e.event_id, e.event_type,
-       round((s.s - e.vi)::DOUBLE / NULLIF(s.n - 1, 0) / 100.0, 6)
-         AS loo_mean
-FROM v e JOIN s USING (event_type)
-"""
-
-
-def q_max_gap(sf_dir: str):
-    """Largest silent period per user — the outage/churn-risk signal
-    (`twap` weights by gaps; this finds the single worst one): per
-    user the maximum µs between consecutive events and the timestamp
-    that opened it, ties broken toward the EARLIEST gap start. ONE
-    user-hash exchange, per-partition mergesort + shift; exact int-µs
-    arithmetic, no rounding contract. Users with one event emit
-    nothing (no gap exists — SQL's lag produces no pair)."""
-    from ..functions.relational import grouped_apply
-
-    ev = read_table(sf_dir, "events",
-                    columns=["event_id", "user_id", "ts"])
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort").reset_index(drop=True)
-        ts = g["ts"].to_numpy("datetime64[us]").astype("int64")
-        prev = g.groupby("user_id", sort=False)["ts"].shift(1)
-        has = prev.notna().to_numpy()
-        gap = ts - prev.to_numpy("datetime64[us]").astype("int64")
-        d = pd.DataFrame({
-            "user_id": g["user_id"].astype("int64"),
-            "gap_us": gap,
-            "gap_start": prev.to_numpy("datetime64[us]"),
-        }).loc[has]
-        d = d.sort_values(["user_id", "gap_us", "gap_start"],
-                          ascending=[True, False, True],
-                          kind="mergesort")
-        return d.groupby("user_id", sort=False).first().reset_index()
-
-    return grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
-
-
-SQL_MAX_GAP = """
-WITH g AS (
-  SELECT user_id, ts,
-         lag(ts) OVER (PARTITION BY user_id
-                       ORDER BY ts, event_id) AS prev
-  FROM events)
-SELECT user_id,
-       (epoch_us(ts) - epoch_us(prev))::BIGINT AS gap_us,
-       prev AS gap_start
-FROM (
-  SELECT user_id, ts, prev,
-         row_number() OVER (
-           PARTITION BY user_id
-           ORDER BY epoch_us(ts) - epoch_us(prev) DESC, prev ASC) AS r
-  FROM g WHERE prev IS NOT NULL) WHERE r = 1
-"""
-
-
-
 def q_components_hist(sf_dir: str):
     """Connected-component size histogram of a SPARSE co-purchase
     subgraph (every 7th edge by a deterministic hash — the full graph
@@ -7109,26 +2669,6 @@ def q_components_hist(sf_dir: str):
             lambda d: pd.DataFrame({"size": d["size"].astype("int64")}),
             batch_format="pandas"),
         ["size"], {"n_components": ("size", "count")})
-
-
-SQL_COMPONENTS_HIST = """
-WITH RECURSIVE
-e0 AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-sparse AS (SELECT u, v FROM e0 WHERE (u * 31 + v) % 7 = 0),
-edges AS (SELECT u AS src, v AS dst FROM sparse
-          UNION ALL SELECT v, u FROM sparse),
-nodes AS (SELECT DISTINCT src AS id FROM edges),
-walk(id, label) AS (
-  SELECT id, id FROM nodes
-  UNION
-  SELECT e.dst, w.label FROM walk w JOIN edges e ON w.id = e.src),
-comp AS (SELECT id, min(label) AS label FROM walk GROUP BY id),
-sizes AS (SELECT label, count(*)::BIGINT AS size FROM comp GROUP BY 1)
-SELECT size, count(*)::BIGINT AS n_components FROM sizes GROUP BY 1
-"""
 
 
 def q_agg_incremental(sf_dir: str):
@@ -7168,164 +2708,6 @@ def q_agg_incremental(sf_dir: str):
         }), batch_format="pandas")
 
 
-SQL_AGG_INCREMENTAL = """
-SELECT event_type, count(*)::BIGINT AS n_events,
-       (sum(CAST(round(value * 100, 0) AS BIGINT)) // 100)::BIGINT
-         AS revenue
-FROM events GROUP BY 1
-"""
-
-
-
-def q_dsir(sf_dir: str):
-    """DSIR importance resampling (`functions/text.py:dsir_weights`,
-    arXiv:2302.03169): score every document by the mean per-token log
-    importance ratio between the TARGET unigram model (here: the
-    English subcorpus) and the raw-corpus model, both Laplace-smoothed
-    over the raw vocabulary, and keep the top 50 — the
-    domain-upsampling selector a pretraining mix runs against a
-    quality target. One token pass feeds both models (the target mask
-    rides the explode); the vocabulary-scale log-ratio table
-    bucket-joins the tokens by word and never reaches the driver; the
-    oracle replays the full smoothed model in SQL. Weights round at
-    6 dp before the (logweight DESC, doc_id ASC) selection on both
-    engines."""
-    from ..functions.text import dsir_weights
-
-    docs = read_table(sf_dir, "documents",
-                      columns=["doc_id", "text", "lang"],
-                      bytes_per_block=_DOC_BPB).map_batches(
-        lambda d: pd.DataFrame({
-            "doc_id": d["doc_id"].astype("int64"),
-            "text": d["text"],
-            "is_target": (d["lang"] == "en").to_numpy()}),
-        batch_format="pandas")
-    w = dsir_weights(docs, target_mask_col="is_target")
-    return topk(w, by=["logweight", "doc_id"], k=50,
-                descending=[True, False])
-
-
-SQL_DSIR = """
-WITH toks AS (
-  SELECT doc_id, word, count(*)::DOUBLE AS cnt
-  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word
-        FROM documents)
-  WHERE word <> '' GROUP BY 1, 2),
-tgt AS (
-  SELECT t.word, sum(t.cnt) AS ct
-  FROM toks t JOIN documents d USING (doc_id)
-  WHERE d.lang = 'en' GROUP BY 1),
-raw AS (SELECT word, sum(cnt) AS cr FROM toks GROUP BY 1),
-consts AS (
-  SELECT (SELECT sum(ct) FROM tgt) AS nt,
-         (SELECT sum(cr) FROM raw) AS nr,
-         (SELECT count(*)::DOUBLE FROM raw) AS v),
-model AS (
-  SELECT raw.word,
-         ln((COALESCE(tgt.ct, 0) + 1) / (c.nt + c.v))
-           - ln((raw.cr + 1) / (c.nr + c.v)) AS lr
-  FROM raw LEFT JOIN tgt USING (word) CROSS JOIN consts c),
-scored AS (
-  SELECT t.doc_id, sum(t.cnt)::BIGINT AS n_tokens,
-         round(sum(t.cnt * m.lr) / sum(t.cnt), 6) AS logweight
-  FROM toks t JOIN model m USING (word) GROUP BY 1)
-SELECT doc_id, n_tokens, logweight
-FROM scored
-ORDER BY logweight DESC, doc_id ASC
-LIMIT 50
-"""
-
-
-def q_winsorize(sf_dir: str):
-    """Per-group winsorization — clip each event's value into its
-    event type's [p05, p95] band, the tail-taming preprocessor that
-    (unlike dropping MAD outliers) keeps the row count intact for
-    downstream joins. Same shape as `robust_scale`: exact grouped
-    quantiles (percentile_cont parity) broadcast over the 5-row group
-    table, one vectorized clip pass — no exchange of the fact stream.
-    4-dp rounding on the interpolated bounds on both engines."""
-    from ..functions.relational import grouped_quantiles
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "event_type", "value"])
-    q = grouped_quantiles(
-        ev, ["event_type"], "value", [0.05, 0.95], ["lo", "hi"],
-    ).to_pandas()  # 5 group rows — the broadcast side
-    out = broadcast_join(ev, q, on="event_type")
-
-    def clip(d: pd.DataFrame) -> pd.DataFrame:
-        v = np.clip(d["value"].to_numpy(),
-                    d["lo"].to_numpy(), d["hi"].to_numpy())
-        return pd.DataFrame({
-            "event_id": d["event_id"].astype("int64"),
-            "event_type": d["event_type"],
-            "winsorized": np.round(v, 4),
-        })
-
-    return out.map_batches(clip, batch_format="pandas")
-
-
-SQL_WINSORIZE = """
-WITH q AS (
-  SELECT event_type,
-         quantile_cont(value, 0.05) AS lo,
-         quantile_cont(value, 0.95) AS hi
-  FROM events GROUP BY 1)
-SELECT e.event_id, e.event_type,
-       round(least(greatest(e.value, q.lo), q.hi), 4) AS winsorized
-FROM events e JOIN q USING (event_type)
-"""
-
-
-def q_table_diff(sf_dir: str):
-    """Snapshot diff between two deterministic versions of the orders
-    table (`functions/relational.py:table_diff` — the change-data-feed
-    recovery op, `cdc_upsert`'s inverse): v1 drops orderkeys divisible
-    by 97, v2 drops those divisible by 89 and bumps totalprice by 1.5
-    where orderkey % 13 == 0. Emits only added/removed/changed keys —
-    the output is delta-sized. ONE tagged-union key-hash exchange; the
-    float compare is exact because both engines derive both versions
-    from the identical parquet doubles with the identical arithmetic."""
-    from ..functions.relational import table_diff
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_totalprice"])
-
-    def v1(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["o_orderkey"].to_numpy(dtype="int64")
-        return df.loc[k % 97 != 0, ["o_orderkey", "o_totalprice"]]
-
-    def v2(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["o_orderkey"].to_numpy(dtype="int64")
-        d = df.loc[k % 89 != 0, ["o_orderkey", "o_totalprice"]].copy()
-        kk = d["o_orderkey"].to_numpy(dtype="int64")
-        d["o_totalprice"] = d["o_totalprice"].to_numpy() + np.where(
-            kk % 13 == 0, 1.5, 0.0)
-        return d
-
-    base = orders.map_batches(v1, batch_format="pandas")
-    new = orders.map_batches(v2, batch_format="pandas")
-    return table_diff(base, new, ["o_orderkey"], ["o_totalprice"])
-
-
-SQL_TABLE_DIFF = """
-WITH b AS (
-  SELECT o_orderkey AS k, o_totalprice AS v
-  FROM orders WHERE o_orderkey % 97 <> 0),
-n AS (
-  SELECT o_orderkey AS k,
-         o_totalprice
-           + CASE WHEN o_orderkey % 13 = 0 THEN 1.5 ELSE 0 END AS v
-  FROM orders WHERE o_orderkey % 89 <> 0)
-SELECT COALESCE(b.k, n.k) AS o_orderkey,
-       CASE WHEN b.k IS NULL THEN 'added'
-            WHEN n.k IS NULL THEN 'removed'
-            ELSE 'changed' END AS status
-FROM b FULL OUTER JOIN n ON b.k = n.k
-WHERE b.k IS NULL OR n.k IS NULL OR b.v <> n.v
-"""
-
-
 def q_corr_matrix(sf_dir: str):
     """Pairwise Pearson correlation matrix of lineitem's four numeric
     measures — the profiler step after `profile` (which counts) and
@@ -7359,218 +2741,6 @@ def q_corr_matrix(sf_dir: str):
             vb = n * p[f"x_{b}_{b}"].sum() - sb * sb
             rows.append((a, b, float(np.round(cov / np.sqrt(va * vb), 6))))
     return pd.DataFrame(rows, columns=["col_a", "col_b", "corr_ab"])
-
-
-SQL_CORR_MATRIX = """
-SELECT 'l_quantity' AS col_a, 'l_extendedprice' AS col_b,
-       round(corr(l_quantity, l_extendedprice), 6) AS corr_ab
-FROM lineitem
-UNION ALL SELECT 'l_quantity', 'l_discount',
-       round(corr(l_quantity, l_discount), 6) FROM lineitem
-UNION ALL SELECT 'l_quantity', 'l_tax',
-       round(corr(l_quantity, l_tax), 6) FROM lineitem
-UNION ALL SELECT 'l_extendedprice', 'l_discount',
-       round(corr(l_extendedprice, l_discount), 6) FROM lineitem
-UNION ALL SELECT 'l_extendedprice', 'l_tax',
-       round(corr(l_extendedprice, l_tax), 6) FROM lineitem
-UNION ALL SELECT 'l_discount', 'l_tax',
-       round(corr(l_discount, l_tax), 6) FROM lineitem
-"""
-
-
-def q_attribution(sf_dir: str):
-    """Last-touch attribution — for every purchase, the user's most
-    recent click at or before it and the µs gap (the conversion-credit
-    join a marketing pipeline runs hourly): clicks first reduce to ONE
-    row per (user, ts) keeping max event_id (making the as-of
-    deterministic under timestamp ties — the oracle's explicit ORDER
-    BY), then the existing `asof_join` co-partitions both event
-    streams by user hash. Purchases with no prior click drop (inner
-    as-of, DuckDB ASOF semantics)."""
-    from ..functions.relational import asof_join
-
-    ev = read_table(sf_dir, "events",
-                    columns=["event_id", "ts", "user_id", "event_type"])
-    clicks = grouped_agg(
-        ev.map_batches(
-            lambda d: d.loc[d["event_type"] == "click",
-                            ["user_id", "ts", "event_id"]],
-            batch_format="pandas"),
-        ["user_id", "ts"], {"click_id": ("event_id", "max")},
-        merge_partitions=8)
-    purchases = ev.map_batches(
-        lambda d: d.loc[d["event_type"] == "purchase",
-                        ["event_id", "user_id", "ts"]]
-        .rename(columns={"event_id": "purchase_id"}),
-        batch_format="pandas")
-    j = asof_join(purchases, clicks, key="user_id", ts_col="ts")
-
-    def finish(d: pd.DataFrame) -> pd.DataFrame:
-        gap = (d["ts"].to_numpy("datetime64[us]")
-               - d["ts_r"].to_numpy("datetime64[us]")).astype("int64")
-        return pd.DataFrame({
-            "purchase_id": d["purchase_id"].astype("int64"),
-            "user_id": d["user_id"].astype("int64"),
-            "click_id": d["click_id_r"].astype("int64"),
-            "gap_us": gap,
-        })
-
-    return j.map_batches(finish, batch_format="pandas")
-
-
-SQL_ATTRIBUTION = """
-WITH c AS (
-  SELECT user_id, ts, max(event_id) AS click_id
-  FROM events WHERE event_type = 'click' GROUP BY 1, 2),
-p AS (
-  SELECT event_id AS purchase_id, user_id, ts
-  FROM events WHERE event_type = 'purchase')
-SELECT p.purchase_id, p.user_id, l.click_id,
-       (epoch_us(p.ts) - epoch_us(l.ts))::BIGINT AS gap_us
-FROM p JOIN LATERAL (
-  SELECT click_id, ts FROM c
-  WHERE c.user_id = p.user_id AND c.ts <= p.ts
-  ORDER BY c.ts DESC LIMIT 1) l ON true
-"""
-
-
-def q_quantile_normalize(sf_dir: str):
-    """Exact quantile normalization of event values across event types
-    (`functions/relational.py:quantile_normalize`): each value maps to
-    the POOLED distribution's value at its within-type quantile, so
-    all five types end up identically distributed — the batch-effect /
-    cross-source score-alignment pass. NO global sort: a group-aware
-    rank exchange emits ≤2 rank-lookup requests per row, the requests
-    co-partition with the value stream by bin (each partition serves
-    lookups from exact locally-derived global ranks), and a partitioned
-    grouped sum closes the interpolation. Both engines evaluate
-    (1−frac)·v_a + frac·v_b in the same operation order; 6 dp."""
-    from ..functions.relational import quantile_normalize
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "event_type", "value"])
-    return quantile_normalize(ev, group_col="event_type",
-                              val_col="value", tie_col="event_id")
-
-
-SQL_QUANTILE_NORMALIZE = """
-WITH n AS (SELECT count(*)::BIGINT AS n FROM events),
-g AS (
-  SELECT event_id, event_type, value,
-         row_number() OVER (PARTITION BY event_type
-                            ORDER BY value, event_id) - 1 AS rg,
-         count(*) OVER (PARTITION BY event_type) AS ng
-  FROM events),
-pos AS (
-  SELECT event_id, event_type,
-         (CASE WHEN ng > 1 THEN rg::DOUBLE / (ng - 1) ELSE 0 END)
-           * (n.n - 1) AS pos
-  FROM g CROSS JOIN n),
-gv AS (
-  SELECT value,
-         row_number() OVER (ORDER BY value, event_id) - 1 AS r
-  FROM events)
-SELECT p.event_id, p.event_type,
-       round((1 - (p.pos - floor(p.pos))) * va.value
-             + (p.pos - floor(p.pos)) * vb.value, 6) AS qnorm
-FROM pos p
-JOIN gv va ON va.r = floor(p.pos)::BIGINT
-JOIN gv vb
-  ON vb.r = least(floor(p.pos)::BIGINT + 1, (SELECT n - 1 FROM n))
-"""
-
-
-def q_weighted_median(sf_dir: str):
-    """Per-type LOWER weighted median — the smallest value whose
-    cumulative weight reaches half the total (weight = a deterministic
-    synthetic importance, event_id % 7 + 1): the robust center the
-    plain median can't give when rows carry unequal mass (sampled
-    streams, dedup multiplicities, token counts). ONE key-hash
-    exchange; per partition one mergesort + grouped cumsum, and the
-    2·cumw ≥ totw threshold compares exact INTEGERS, so there is no
-    rounding contract at all."""
-    from ..functions.relational import grouped_apply
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "event_type", "value"])
-
-    def prep(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": d["event_type"],
-            "value": d["value"],
-            "event_id": d["event_id"].astype("int64"),
-            "wt": (d["event_id"].to_numpy(dtype="int64") % 7 + 1),
-        })
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["event_type", "value", "event_id"],
-                          kind="mergesort")
-        cw = g.groupby("event_type", sort=False)["wt"].cumsum()
-        tw = g.groupby("event_type", sort=False)["wt"].transform("sum")
-        hit = g.loc[2 * cw.to_numpy() >= tw.to_numpy()]
-        out = (hit.groupby("event_type", sort=False)["value"].first()
-               .reset_index(name="wmedian"))
-        return out
-
-    return grouped_apply(ev.map_batches(prep, batch_format="pandas"),
-                         ["event_type"], per_part, num_partitions=8)
-
-
-SQL_WEIGHTED_MEDIAN = """
-WITH w AS (
-  SELECT event_type, value, event_id,
-         (event_id % 7 + 1)::BIGINT AS wt
-  FROM events),
-c AS (
-  SELECT event_type, value,
-         sum(wt) OVER (PARTITION BY event_type
-                       ORDER BY value, event_id) AS cw,
-         sum(wt) OVER (PARTITION BY event_type) AS tw
-  FROM w)
-SELECT event_type, min(value) AS wmedian
-FROM c WHERE 2 * cw >= tw GROUP BY 1
-"""
-
-
-def q_sliding_distinct(sf_dir: str):
-    """Unique users per 3-day sliding window stepped daily — the
-    rolling-reach metric `window_distinct` (tumbling) cannot give:
-    distinct doesn't pre-aggregate, so each (day, user) pair
-    replicates into its 3 covering windows AFTER a per-batch dedup
-    bounds the blowup, then one hash-partitioned (window, user) dedup
-    and a grouped count close it. The 100-TB variant swaps the exact
-    dedup for `approx_count_distinct_grouped` keyed by window."""
-    from ..functions.relational import distinct, grouped_apply
-
-    ev = read_table(sf_dir, "events", columns=["ts", "user_id"])
-
-    def expand(d: pd.DataFrame) -> pd.DataFrame:
-        day = (d["ts"].to_numpy("datetime64[us]").astype("int64")
-               // 86_400_000_000)
-        du = pd.DataFrame({"day": day,
-                           "user_id": d["user_id"].astype("int64")})
-        du = du.drop_duplicates()
-        reps = pd.concat([du.assign(wstart=du["day"] - k)
-                          for k in range(3)])
-        return reps[["wstart", "user_id"]].drop_duplicates()
-
-    pairs = distinct(ev.map_batches(expand, batch_format="pandas"),
-                     ["wstart", "user_id"], merge_partitions=8)
-    return grouped_agg(pairs, ["wstart"],
-                       {"n_users": ("user_id", "count")})
-
-
-SQL_SLIDING_DISTINCT = """
-WITH d AS (
-  SELECT DISTINCT CAST(floor(epoch(ts) / 86400) AS BIGINT) AS day,
-         user_id
-  FROM events),
-w AS (
-  SELECT day - k.k AS wstart, user_id
-  FROM d CROSS JOIN (SELECT unnest([0, 1, 2]) AS k) k)
-SELECT wstart, count(DISTINCT user_id)::BIGINT AS n_users
-FROM w GROUP BY 1
-"""
 
 
 def q_macro_f1(sf_dir: str):
@@ -7632,191 +2802,6 @@ def q_macro_f1(sf_dir: str):
         "lang", "tp", "fp", "fn", "precision", "recall", "f1"])
 
 
-SQL_MACRO_F1 = """
-WITH train AS (SELECT * FROM documents WHERE doc_id >= 100),
-test AS (SELECT * FROM documents WHERE doc_id < 100),
-tt AS (SELECT lang, word, count(*)::DOUBLE AS c
-       FROM (SELECT lang, unnest(string_split(text, ' ')) AS word
-             FROM train)
-       WHERE word <> '' GROUP BY 1, 2),
-tot AS (SELECT lang, sum(c) AS tot FROM tt GROUP BY 1),
-v AS (SELECT count(DISTINCT word)::DOUBLE AS v FROM tt),
-pri AS (SELECT lang,
-               ln(count(*)::DOUBLE
-                  / (SELECT count(*) FROM train)) AS lp
-        FROM train GROUP BY 1),
-langs AS (SELECT tot.lang, tot, lp, v
-          FROM tot JOIN pri USING (lang) CROSS JOIN v),
-toks AS (SELECT doc_id, word, count(*)::DOUBLE AS cnt
-         FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word
-               FROM test)
-         WHERE word <> '' GROUP BY 1, 2),
-scored AS (
-  SELECT t.doc_id, l.lang,
-         any_value(l.lp)
-         + sum(t.cnt * ln((COALESCE(tt.c, 0) + 1) / (l.tot + l.v)))
-           AS score
-  FROM toks t CROSS JOIN langs l
-  LEFT JOIN tt ON tt.lang = l.lang AND tt.word = t.word
-  GROUP BY t.doc_id, l.lang, l.tot, l.v),
-pred AS (
-  SELECT doc_id, lang AS pred_lang FROM (
-    SELECT doc_id, lang,
-           row_number() OVER (PARTITION BY doc_id
-                              ORDER BY round(score, 6) DESC,
-                                       lang ASC) AS r
-    FROM scored) WHERE r = 1),
-joined AS (
-  SELECT d.lang, p.pred_lang FROM pred p
-  JOIN documents d USING (doc_id)),
-classes AS (
-  SELECT lang FROM joined
-  UNION SELECT pred_lang FROM joined),
-counts AS (
-  SELECT c.lang,
-         sum(CASE WHEN j.lang = c.lang AND j.pred_lang = c.lang
-                  THEN 1 ELSE 0 END)::BIGINT AS tp,
-         sum(CASE WHEN j.lang <> c.lang AND j.pred_lang = c.lang
-                  THEN 1 ELSE 0 END)::BIGINT AS fp,
-         sum(CASE WHEN j.lang = c.lang AND j.pred_lang <> c.lang
-                  THEN 1 ELSE 0 END)::BIGINT AS fn
-  FROM classes c CROSS JOIN joined j GROUP BY 1)
-SELECT lang, tp, fp, fn,
-       round(tp::DOUBLE / NULLIF(tp + fp, 0), 6) AS precision,
-       round(tp::DOUBLE / NULLIF(tp + fn, 0), 6) AS recall,
-       CASE WHEN tp + fp > 0 AND tp + fn > 0
-             AND tp::DOUBLE / (tp + fp) + tp::DOUBLE / (tp + fn) > 0
-            THEN round(2 * (tp::DOUBLE / (tp + fp))
-                         * (tp::DOUBLE / (tp + fn))
-                       / (tp::DOUBLE / (tp + fp)
-                          + tp::DOUBLE / (tp + fn)), 6)
-            ELSE NULL END AS f1
-FROM counts
-"""
-
-
-def q_boolean_search(sf_dir: str):
-    """Conjunctive boolean retrieval: docs containing ALL of three query
-    terms via query-restricted postings + one count==k aggregate
-    (`boolean_search`)."""
-    return text.boolean_search(
-        read_table(sf_dir, "documents", columns=["doc_id", "text"]),
-        terms=["join", "hash", "filter"])
-
-
-SQL_BOOLEAN_SEARCH = """
-SELECT doc_id FROM documents
-WHERE list_has_all(list_filter(string_split(text, ' '), x -> x <> ''),
-                   ['join', 'hash', 'filter'])
-"""
-
-
-def q_ann_lsh_recall(sf_dir: str):
-    """RECALL-INVARIANT oracle for random-hyperplane LSH ANN
-    (`lsh_topk`, multiprobe) — the `ann_ivf_recall` pattern: (1) mean
-    recall@5 is MONOTONE in n_tables (table t's candidates are a
-    strict subset of t+1's for a shared seed — a decrease means broken
-    banding), (2) at 16 tables × 8 bits mean recall ≥ 0.7 and every
-    query ≥ 0.2 (measured 0.92 mean / 0.4 min at sf0.01 —
-    deterministic; thresholds tuned at sf0.01 like `pq_ann_recall`'s).
-    SQL recomputes the exact top-5 row count and asserts zero
-    violations."""
-    from ..functions import similarity as sim
-
-    exact = q_ann_topk(sf_dir).to_pandas()
-    queries, qids = _query_vectors(sf_dir)
-    ds = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB,
-                    columns=["vec_id", "embedding"])
-    by_q = exact.groupby("query_id")["neighbor_id"].apply(set)
-
-    def recalls(n_tables: int) -> np.ndarray:
-        got = sim.lsh_topk(ds, queries, qids, k=5,
-                           n_tables=n_tables, n_bits=8).to_pandas()
-        g = got.groupby("query_id")["neighbor_id"].apply(set)
-        return np.array([
-            len(by_q[qid] & g.get(qid, set())) / len(by_q[qid])
-            for qid in by_q.index
-        ])
-
-    r4, r16 = recalls(4), recalls(16)
-    violations = (
-        int(r16.mean() < r4.mean())       # monotone in tables
-        + int(r16.mean() < 0.7)           # aggregate floor at L=16
-        + int((r16 < 0.2).sum())          # per-query floor at L=16
-    )
-    return pd.DataFrame({
-        "n_exact_rows": np.array([len(exact)], dtype="int64"),
-        "n_recall_violations": np.array([violations], dtype="int64"),
-    })
-
-
-SQL_ANN_LSH_RECALL = f"""
-WITH e AS ({SQL_ANN_TOPK})
-SELECT count(*)::BIGINT AS n_exact_rows,
-       0::BIGINT AS n_recall_violations
-FROM e
-"""
-
-
-def q_split_leakage_safe(sf_dir: str):
-    """Decontaminated split: near-dup families (exact n-gram-Jaccard
-    ≥ 0.5 connected components) co-travel to one split via the
-    cluster-keyed Knuth-hash rule (`leakage_safe_split`). The oracle
-    replays clusters (recursive CTE), the singleton fallback and the
-    identical integer hash end-to-end — the hash match certifies no
-    cross-split near-dup pair can exist."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"],
-                      bytes_per_block=_DOC_BPB)
-    pairs = dedup.ngram_jaccard_pairs(docs, k=5, threshold=0.5)
-    return dedup.leakage_safe_split(docs, pairs)
-
-
-SQL_SPLIT_LEAKAGE_SAFE = f"""
-WITH RECURSIVE
-p AS ({SQL_NGRAM_JACCARD}),
-edges AS (SELECT id_a AS src, id_b AS dst FROM p
-          UNION ALL SELECT id_b, id_a FROM p),
-nodes AS (SELECT DISTINCT src AS id FROM edges),
-walk(id, label) AS (
-  SELECT id, id FROM nodes
-  UNION
-  SELECT e.dst, w.label FROM walk w JOIN edges e ON w.id = e.src
-),
-cl AS (SELECT id AS doc_id, min(label) AS cluster_id FROM walk GROUP BY id),
-g AS (SELECT d.doc_id, coalesce(cl.cluster_id, d.doc_id) AS gk
-      FROM documents d LEFT JOIN cl USING (doc_id))
-SELECT doc_id,
-       CASE WHEN b < 8 THEN 'train' WHEN b < 9 THEN 'val'
-            ELSE 'test' END AS split
-FROM (SELECT doc_id,
-             ((gk % 4294967296) * 2654435761) % 4294967296 % 10 AS b
-      FROM g)
-"""
-
-
-def q_order_index(sf_dir: str):
-    """Deterministic global shuffle order: every doc gets its 0-based
-    rank under (knuth_hash(doc_id), doc_id) — the reproducible write
-    order a packed export needs (identical on rerun/resume at ANY
-    parallelism, unlike `random_shuffle`). `global_order_index` computes
-    the global row_number WITHOUT a global sort: one tiny bin-count
-    collect (2^12 rows) + one bin exchange. The oracle is the literal
-    window function, so the hash match certifies exact rank parity."""
-    from ..functions.relational import global_order_index
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id"])
-    return global_order_index(docs, id_col="doc_id", out_name="pos")
-
-
-SQL_ORDER_INDEX = """
-SELECT doc_id,
-       row_number() OVER (
-         ORDER BY ((doc_id::HUGEINT % 4294967296) * 2654435761)
-                  % 4294967296, doc_id) - 1 AS pos
-FROM documents
-"""
-
-
 def q_shuffle_shards(sf_dir: str):
     """Deterministic balanced shard assignment from the global hash
     order (`balanced_hash_shards`) — the reproducible-shuffle
@@ -7846,1485 +2831,6 @@ o AS (SELECT bin,
       FROM c)
 SELECT b.doc_id, CAST((o.bef * 8) // o.tot AS BIGINT) AS shard
 FROM b JOIN o USING (bin)
-"""
-
-
-def q_pareto_frontier(sf_dir: str):
-    """Skyline of the part catalog — cheapest-for-its-size parts:
-    minimize (p_retailprice, p_size) jointly (`pareto_frontier`).
-    Dominated rows never leave their block (local frontier), a
-    model-constant bin prefix-min staircase removes cross-block
-    dominated rows by broadcast filter, and only the frontier-sized
-    remainder reaches the exact driver reduce. Oracle: the literal
-    NOT EXISTS dominance predicate."""
-    from ..functions.relational import pareto_frontier
-
-    part = read_table(sf_dir, "part",
-                      columns=["p_partkey", "p_retailprice", "p_size"])
-    return pareto_frontier(part, "p_retailprice", "p_size")
-
-
-SQL_PARETO_FRONTIER = """
-SELECT p_partkey, p_retailprice, p_size
-FROM part p
-WHERE NOT EXISTS (
-  SELECT 1 FROM part q
-  WHERE q.p_retailprice <= p.p_retailprice AND q.p_size <= p.p_size
-    AND (q.p_retailprice < p.p_retailprice OR q.p_size < p.p_size))
-"""
-
-
-def q_frequent_pairs(sf_dir: str):
-    """Frequent co-purchased part PAIRS with exact support ≥ 3 — the
-    market-basket first rung (`frequent_pairs`): ONE order-hash
-    exchange, per-partition (order, part) dedup + run-arithmetic pair
-    emission + pre-aggregation, grouped sum with the auto-switching
-    merge. Oracle: the canonical distinct self-join with HAVING."""
-    from ..functions.relational import frequent_pairs
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_orderkey", "l_partkey"])
-    return frequent_pairs(li, "l_orderkey", "l_partkey", min_support=3)
-
-
-SQL_FREQUENT_PAIRS = """
-WITH b AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem)
-SELECT a.l_partkey AS item_a, c.l_partkey AS item_b,
-       count(*)::BIGINT AS support
-FROM b a JOIN b c
-  ON a.l_orderkey = c.l_orderkey AND a.l_partkey < c.l_partkey
-GROUP BY 1, 2
-HAVING count(*) >= 3
-"""
-
-
-def q_mutual_info(sf_dir: str):
-    """Mutual information (bits) between the event type and a derived
-    user cohort (user_id mod 10) — the categorical dependence /
-    feature-selection score (`mutual_info`): contingency partials are
-    model-constant per block (≤ |A|·|B| rows), one grouped sum, driver
-    fold in sorted term order. The SQL oracle recomputes the identical
-    plug-in estimator with log2 over the same integer counts."""
-    from ..functions.relational import mutual_info
-
-    ev = read_table(sf_dir, "events", columns=["event_type", "user_id"])
-    ev = ev.map_batches(
-        lambda d: pd.DataFrame({
-            "event_type": d["event_type"],
-            "cohort": (d["user_id"].to_numpy() % 10).astype("int64")}),
-        batch_format="pandas")
-    return mutual_info(ev, "event_type", "cohort")
-
-
-SQL_MUTUAL_INFO = """
-WITH j AS (
-  SELECT event_type AS a, user_id % 10 AS b, count(*) AS n
-  FROM events GROUP BY 1, 2),
-t AS (SELECT sum(n)::DOUBLE AS tot FROM j),
-ma AS (SELECT a, sum(n)::DOUBLE AS na FROM j GROUP BY a),
-mb AS (SELECT b, sum(n)::DOUBLE AS nb FROM j GROUP BY b)
-SELECT round(sum((j.n / t.tot) *
-              log2((j.n * t.tot) / (ma.na * mb.nb))), 6) AS mi_bits,
-       CAST(max(t.tot) AS BIGINT) AS n
-FROM j JOIN ma ON j.a = ma.a JOIN mb ON j.b = mb.b CROSS JOIN t
-"""
-
-
-def q_chi2_independence(sf_dir: str):
-    """Pearson chi-square independence test between event type and the
-    derived user cohort (`chi2_test` — same model-constant contingency
-    exchange as `mutual_info`; absent cells contribute their exact
-    expectation via the Σe identity). Oracle replays the identical
-    estimator, including the absent-cell correction N − Σ_observed e."""
-    from ..functions.relational import chi2_test
-
-    ev = read_table(sf_dir, "events", columns=["event_type", "user_id"])
-    ev = ev.map_batches(
-        lambda d: pd.DataFrame({
-            "event_type": d["event_type"],
-            "cohort": (d["user_id"].to_numpy() % 10).astype("int64")}),
-        batch_format="pandas")
-    return chi2_test(ev, "event_type", "cohort")
-
-
-SQL_CHI2_INDEPENDENCE = """
-WITH j AS (
-  SELECT event_type AS a, user_id % 10 AS b, count(*)::DOUBLE AS n
-  FROM events GROUP BY 1, 2),
-t AS (SELECT sum(n) AS tot FROM j),
-ma AS (SELECT a, sum(n) AS na FROM j GROUP BY a),
-mb AS (SELECT b, sum(n) AS nb FROM j GROUP BY b),
-e AS (SELECT j.n, ma.na * mb.nb / t.tot AS ex
-      FROM j JOIN ma ON j.a = ma.a JOIN mb ON j.b = mb.b CROSS JOIN t)
-SELECT round(sum((n - ex) * (n - ex) / ex)
-             + max(t.tot) - sum(ex), 6) AS chi2,
-       CAST((SELECT (count(DISTINCT a) - 1) * (count(DISTINCT b) - 1)
-             FROM j) AS BIGINT) AS dof,
-       CAST(max(t.tot) AS BIGINT) AS n
-FROM e CROSS JOIN t
-"""
-
-
-def q_validate(sf_dir: str):
-    """Deequ-style data-quality audit of lineitem (`validate_rules`):
-    four vectorized rule predicates scan once, |rules| partial counts
-    per block (model-constant), grouped sum → (rule, violations,
-    n_rows). Mixed outcome by design — some business rules flag real
-    rows, the null check is clean — so the gate checks both regimes.
-    Oracle: one FILTERed count per rule, UNION ALL."""
-    from ..functions.relational import validate_rules
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_quantity", "l_discount",
-                             "l_extendedprice", "l_shipdate"])
-    rules = {
-        "discount_gt_8pct": lambda d: d["l_discount"].to_numpy() > 0.08,
-        "price_below_1000":
-            lambda d: d["l_extendedprice"].to_numpy() < 1000.0,
-        "quantity_gt_45": lambda d: d["l_quantity"].to_numpy() > 45.0,
-        "shipdate_null": lambda d: d["l_shipdate"].isna().to_numpy(),
-    }
-    return validate_rules(li, rules)
-
-
-SQL_VALIDATE = """
-SELECT 'discount_gt_8pct' AS rule,
-       count(*) FILTER (WHERE l_discount > 0.08)::BIGINT AS violations,
-       count(*)::BIGINT AS n_rows FROM lineitem
-UNION ALL
-SELECT 'price_below_1000',
-       count(*) FILTER (WHERE l_extendedprice < 1000.0)::BIGINT,
-       count(*)::BIGINT FROM lineitem
-UNION ALL
-SELECT 'quantity_gt_45',
-       count(*) FILTER (WHERE l_quantity > 45.0)::BIGINT,
-       count(*)::BIGINT FROM lineitem
-UNION ALL
-SELECT 'shipdate_null',
-       count(*) FILTER (WHERE l_shipdate IS NULL)::BIGINT,
-       count(*)::BIGINT FROM lineitem
-"""
-
-
-def q_twap(sf_dir: str):
-    """Per-user time-weighted average event value — TWAP / step-function
-    sensor-mean semantics (`time_weighted_avg`): each value holds until
-    the user's next event (µs gap weight), last event weightless, ONE
-    user-hash exchange with in-partition mergesort + shift. The oracle's
-    lead() window orders by the identical (ts, event_id) tiebreak."""
-    from ..functions.relational import time_weighted_avg
-
-    ev = read_table(sf_dir, "events",
-                    columns=["user_id", "ts", "value", "event_id"])
-    return time_weighted_avg(ev, "user_id", "ts", "value", "event_id")
-
-
-SQL_TWAP = """
-WITH w AS (
-  SELECT user_id, value,
-         lead(epoch_us(ts)) OVER (PARTITION BY user_id
-                                  ORDER BY ts, event_id)
-         - epoch_us(ts) AS gap
-  FROM events)
-SELECT user_id, round(sum(value * gap) / sum(gap), 6) AS twap
-FROM w
-WHERE gap IS NOT NULL
-GROUP BY user_id
-HAVING sum(gap) > 0
-"""
-
-
-def q_cdc_upsert(sf_dir: str):
-    """CDC merge (`upsert_latest` — MERGE INTO latest-wins with
-    tombstones): the base customer snapshot absorbs a deterministic
-    change log (every 7th key updated at version 2; of those, every
-    13th a delete tombstone). ONE key-hash exchange; per-partition
-    mergesort + drop_duplicates, version ties break toward the delta.
-    The oracle replays the identical log with a row_number window."""
-    from ..functions.relational import upsert_latest
-
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_name", "c_acctbal"])
-    base = cust.map_batches(
-        lambda d: d.assign(ver=np.int64(1), deleted=False),
-        batch_format="pandas")
-    delta = cust.map_batches(
-        lambda d: d[d["c_custkey"] % 7 == 0].assign(
-            c_name=lambda x: "upd_" + x["c_name"],
-            c_acctbal=lambda x: x["c_acctbal"] + 100.0,
-            ver=np.int64(2),
-            deleted=lambda x: (x["c_custkey"] % 13 == 0),
-        ),
-        batch_format="pandas")
-    # dimension-sized input: 8 merge partitions (the operator default
-    # of 32 is sized for fact tables; per-partition fixed cost would
-    # dominate a 10^5-row merge)
-    merged = upsert_latest(base, delta, "c_custkey", "ver",
-                           deleted_col="deleted", num_partitions=8)
-    return merged.map_batches(
-        lambda d: d[["c_custkey", "c_name", "c_acctbal", "ver"]],
-        batch_format="pandas")
-
-
-SQL_CDC_UPSERT = """
-WITH base AS (
-  SELECT c_custkey, c_name, c_acctbal, 1 AS ver, 0 AS pri,
-         false AS deleted
-  FROM customer),
-delta AS (
-  SELECT c_custkey, 'upd_' || c_name AS c_name,
-         c_acctbal + 100.0 AS c_acctbal, 2 AS ver, 1 AS pri,
-         (c_custkey % 13 = 0) AS deleted
-  FROM customer WHERE c_custkey % 7 = 0),
-u AS (SELECT * FROM base UNION ALL SELECT * FROM delta),
-r AS (SELECT *, row_number() OVER (
-        PARTITION BY c_custkey ORDER BY ver DESC, pri DESC) AS rn
-      FROM u)
-SELECT c_custkey, c_name, c_acctbal, CAST(ver AS BIGINT) AS ver
-FROM r WHERE rn = 1 AND NOT deleted
-"""
-
-
-def q_throttle(sf_dir: str):
-    """Stream throttle (`throttle_events`): drop any event whose same
-    user fired another event less than an hour earlier — the
-    double-fire / retry-storm cleaner. Lag semantics (gap to the
-    previous RAW event), ONE user-hash exchange with in-partition
-    mergesort + shift; the oracle's lag() window orders by the
-    identical (ts, event_id) tiebreak."""
-    from ..functions.relational import throttle_events
-
-    ev = read_table(sf_dir, "events",
-                    columns=["event_id", "user_id", "ts", "event_type"])
-    out = throttle_events(ev, ["user_id"], "ts", "event_id",
-                          min_gap_us=3_600_000_000)
-    return out.map_batches(
-        lambda d: d[["event_id", "user_id", "event_type"]],
-        batch_format="pandas")
-
-
-SQL_THROTTLE = """
-WITH g AS (
-  SELECT event_id, user_id, event_type,
-         epoch_us(ts) - lag(epoch_us(ts)) OVER (
-           PARTITION BY user_id ORDER BY ts, event_id) AS gap
-  FROM events)
-SELECT event_id, user_id, event_type
-FROM g
-WHERE gap IS NULL OR gap >= 3600000000::BIGINT
-"""
-
-
-def q_trend_per_user(sf_dir: str):
-    """Per-user value trend (`grouped_linreg` with the per-entity
-    contract: n column, degenerate keys dropped): OLS slope/intercept
-    of event value over days since 2024-01-01, from five moment
-    partials per user per block — the slope table never funnels
-    through one node. x is CENTERED at the corpus start (the
-    grouped_linreg docstring's numerics rule: uncentered epoch-days
-    ≈ 19,700 make n·Σxx − (Σx)² a catastrophic cancellation whose
-    block-order jitter flips 6-dp rounding). Oracle: DuckDB's
-    regr_slope/regr_intercept over the identical centered x with the
-    same n≥2-and-nonzero-variance filter; 4-dp rounding on both
-    engines before the hash."""
-    from ..functions.relational import grouped_linreg
-
-    t0 = np.datetime64("2024-01-01T00:00:00", "us").astype("int64")
-    ev = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
-    ev = ev.map_batches(
-        lambda d: pd.DataFrame({
-            "user_id": d["user_id"],
-            "x": ((d["ts"].to_numpy().astype("datetime64[us]")
-                   .astype("int64") - t0) / 86_400_000_000.0),
-            "value": d["value"]}),
-        batch_format="pandas")
-    out = grouped_linreg(ev, ["user_id"], "x", "value",
-                         with_n=True, drop_degenerate=True)
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "user_id": d["user_id"],
-            "slope": d["slope"].round(4),
-            "intercept": d["intercept"].round(4),
-            "n": d["n"]}),
-        batch_format="pandas")
-
-
-SQL_TREND_PER_USER = """
-SELECT user_id,
-       round(regr_slope(value, x), 4) AS slope,
-       round(regr_intercept(value, x), 4) AS intercept,
-       count(*)::BIGINT AS n
-FROM (SELECT user_id,
-             (epoch_us(ts) - epoch_us(TIMESTAMP '2024-01-01'))
-             / 86400000000.0 AS x,
-             value
-      FROM events)
-GROUP BY user_id
-HAVING count(*) >= 2 AND regr_slope(value, x) IS NOT NULL
-"""
-
-
-def q_join_size_estimate(sf_dir: str):
-    """GUARANTEE oracle for sketch-based join-cardinality estimation
-    (`countmin_join_size` — the AGMS/count-min inner product, the
-    broadcast-vs-partitioned planning primitive): |clicks ⋈ views| on
-    user_id is estimated from two independent one-pass sketches and
-    machine-checked against the exact join size — (1) est ≥ true
-    (collisions only add, a hard guarantee: underest = 0), (2) est ≤
-    true + 4·n_a·n_b/width (Markov bound ×4 margin; min over 4 depth
-    rows makes a miss ~2^-8, fixed data/hashes make it deterministic).
-    The SQL oracle recomputes the exact join size so a broken stream
-    hash-mismatches."""
-    from ..functions.relational import countmin_join_size, grouped_agg
-
-    width = 8192
-    ev = read_table(sf_dir, "events", columns=["user_id", "event_type"])
-    clicks = ev.map_batches(
-        lambda d: d.loc[d["event_type"] == "click", ["user_id"]],
-        batch_format="pandas")
-    views = ev.map_batches(
-        lambda d: d.loc[d["event_type"] == "view", ["user_id"]],
-        batch_format="pandas")
-    est, na, nb = countmin_join_size(clicks, "user_id",
-                                     views, "user_id", width=width)
-    # exact join size: per-user click×view partials, summed — the
-    # verification side, NOT part of the estimator
-    cj = grouped_agg(clicks, ["user_id"], {"c": ("user_id", "count")})
-    vj = grouped_agg(views, ["user_id"], {"v": ("user_id", "count")})
-    from ..functions.relational import bucketed_hash_join
-
-    j = bucketed_hash_join(cj, vj, on="user_id", num_buckets=4).to_pandas()
-    true_sz = int((j["c"].to_numpy() * j["v"].to_numpy()).sum())
-    bound = 4.0 * na * nb / width
-    return pd.DataFrame({
-        "true_join_size": np.array([true_sz], dtype="int64"),
-        "n_underest": np.array([int(est < true_sz)], dtype="int64"),
-        "n_bound_violations": np.array(
-            [int(est > true_sz + bound)], dtype="int64"),
-    })
-
-
-SQL_JOIN_SIZE_ESTIMATE = """
-WITH c AS (SELECT user_id, count(*) AS n FROM events
-           WHERE event_type = 'click' GROUP BY user_id),
-v AS (SELECT user_id, count(*) AS n FROM events
-      WHERE event_type = 'view' GROUP BY user_id)
-SELECT coalesce(sum(c.n * v.n), 0)::BIGINT AS true_join_size,
-       0::BIGINT AS n_underest,
-       0::BIGINT AS n_bound_violations
-FROM c JOIN v USING (user_id)
-"""
-
-
-def q_ab_test(sf_dir: str):
-    """Welch's unequal-variance t-test of event value between the
-    click and view cohorts (`welch_ttest`): one pass of per-cohort
-    moment partials (n, Σv, Σv² — six numbers per block), grouped sum,
-    Welch–Satterthwaite fold on the 2-row table. The oracle recomputes
-    the identical statistic from avg/var_samp/count."""
-    from ..functions.relational import welch_ttest
-
-    ev = read_table(sf_dir, "events", columns=["event_type", "value"])
-    return welch_ttest(ev, "event_type", "value", "click", "view")
-
-
-SQL_AB_TEST = """
-WITH s AS (
-  SELECT event_type, count(*)::DOUBLE AS n, avg(value) AS m,
-         var_samp(value) AS v
-  FROM events WHERE event_type IN ('click', 'view')
-  GROUP BY event_type),
-a AS (SELECT * FROM s WHERE event_type = 'click'),
-b AS (SELECT * FROM s WHERE event_type = 'view')
-SELECT round((a.m - b.m) / sqrt(a.v / a.n + b.v / b.n), 6) AS t_stat,
-       round(pow(a.v / a.n + b.v / b.n, 2) /
-             (pow(a.v / a.n, 2) / (a.n - 1)
-              + pow(b.v / b.n, 2) / (b.n - 1)), 6) AS df,
-       round(a.m, 6) AS mean_a, round(b.m, 6) AS mean_b,
-       CAST(a.n AS BIGINT) AS n_a, CAST(b.n AS BIGINT) AS n_b
-FROM a, b
-"""
-
-
-def q_sample_exact_k(sf_dir: str):
-    """EXACT-k deterministic uniform sample — the k smallest Knuth
-    id-hashes (vs `sample_hash`'s Bernoulli keep, whose size is only
-    E[np]): a per-block truncation + one tiny coalesced tail via
-    `topk`, so exactly k rows come back, the SAME k rows on any rerun
-    at any parallelism, and a grown corpus keeps ~all previous picks
-    (bounded symmetric difference — the hash order is fixed). Oracle:
-    the literal ORDER BY hash LIMIT k."""
-    from ..functions.relational import topk
-
-    docs = read_table(sf_dir, "documents",
-                      columns=["doc_id", "source", "n_chars"])
-
-    def hashed(d: pd.DataFrame) -> pd.DataFrame:
-        iv = d["doc_id"].to_numpy().astype(np.uint64)
-        h = ((iv % np.uint64(2**32)) * np.uint64(2654435761)) \
-            % np.uint64(2**32)
-        return d.assign(h=h.astype("int64"))
-
-    ds = docs.map_batches(hashed, batch_format="pandas")
-    return topk(ds, ["h", "doc_id"], k=500, descending=False)
-
-
-SQL_SAMPLE_EXACT_K = """
-SELECT doc_id, source, n_chars,
-       CAST(((doc_id::HUGEINT % 4294967296) * 2654435761)
-            % 4294967296 AS BIGINT) AS h
-FROM documents
-ORDER BY h, doc_id
-LIMIT 500
-"""
-
-
-def q_impute(sf_dir: str):
-    """Group-mean NULL imputation — the feature-cleaning pass: values
-    deterministically masked (every 5th event_id) refill with their
-    user's non-null mean. Per-user (Σ, non-null n) partials, grouped
-    sum, LEFT bucket-join back (the user table scales with the corpus,
-    never broadcasts), vectorized coalesce. Users whose every value is
-    masked have no mean — dropped on both engines."""
-    from ..functions.relational import bucketed_hash_join, grouped_agg
-
-    ev = read_table(sf_dir, "events",
-                    columns=["event_id", "user_id", "value"])
-
-    def mask(d: pd.DataFrame) -> pd.DataFrame:
-        v = d["value"].to_numpy(dtype="float64").copy()
-        v[(d["event_id"].to_numpy() % 5) == 0] = np.nan
-        # grouped_agg's "count" is a ROW count (key-column semantics);
-        # a NULL-skipping mean needs the explicit non-null indicator
-        return pd.DataFrame({"event_id": d["event_id"],
-                             "user_id": d["user_id"], "v": v,
-                             "nn": (~np.isnan(v)).astype("float64")})
-
-    m = ev.map_batches(mask, batch_format="pandas")
-    means = grouped_agg(m, ["user_id"],
-                        {"s": ("v", "sum"), "c": ("nn", "sum")})
-    means = means.map_batches(
-        lambda d: pd.DataFrame({
-            "user_id": d["user_id"],
-            "mv": d["s"].to_numpy()
-            / np.where(d["c"].to_numpy() > 0, d["c"].to_numpy(), np.nan),
-        }),
-        batch_format="pandas")
-    j = bucketed_hash_join(m, means, on="user_id", num_buckets=8)
-
-    def fill(d: pd.DataFrame) -> pd.DataFrame:
-        v = d["v"].to_numpy(dtype="float64")
-        mv = d["mv"].to_numpy(dtype="float64")
-        out = pd.DataFrame({
-            "event_id": d["event_id"].astype("int64"),
-            # 4-dp: the refilled mean is a float SUM quotient whose
-            # last ulp differs between numpy and DuckDB accumulation
-            # order — at 6 dp one sf0.01 user mean sat exactly on the
-            # boundary (41.4315625) and flipped the hash
-            "value_filled": np.round(np.where(np.isnan(v), mv, v), 4),
-        })
-        return out[~np.isnan(mv)]
-
-    return j.map_batches(fill, batch_format="pandas")
-
-
-SQL_IMPUTE = """
-WITH m AS (
-  SELECT event_id, user_id,
-         CASE WHEN event_id % 5 = 0 THEN NULL ELSE value END AS v
-  FROM events),
-a AS (SELECT user_id, avg(v) AS mv FROM m GROUP BY user_id)
-SELECT m.event_id, round(coalesce(m.v, a.mv), 4) AS value_filled
-FROM m JOIN a USING (user_id)
-WHERE a.mv IS NOT NULL
-"""
-
-
-def q_path_rollup(sf_dir: str):
-    """Hierarchical directory rollup — files/bytes per ancestor prefix
-    at every depth, the per-directory crawl statistic the reference's
-    directory-tree traversal tallies as it walks (compare the
-    files/bytes counters of `/root/reference/crawlers/
-    globus_base_preserved.py:109-114` rolled up by path instead of
-    globally). Paths are derived deterministically from the documents
-    table (`/<source>/b<doc_id%7>/d<doc_id>`); each row fans out to its
-    3 ancestor prefixes inside `map_batches` (vectorized string
-    concat), then ONE grouped sum. Depth-3 key cardinality equals the
-    corpus row count, so the merge is explicitly hash-partitioned
-    (`merge_partitions=16`) — the partials never land on the driver."""
-    docs = read_table(sf_dir, "documents",
-                      columns=["doc_id", "source", "n_chars"])
-
-    def explode(d: pd.DataFrame) -> pd.DataFrame:
-        src = d["source"].astype(str)
-        l1 = "/" + src
-        l2 = l1 + "/b" + (d["doc_id"] % 7).astype(str)
-        l3 = l2 + "/d" + d["doc_id"].astype(str)
-        nc = d["n_chars"].astype("int64")
-        n = len(d)
-        return pd.DataFrame({
-            "prefix": pd.concat([l1, l2, l3], ignore_index=True),
-            "depth": np.repeat(np.arange(1, 4, dtype="int64"), n),
-            "n_chars": pd.concat([nc, nc, nc], ignore_index=True),
-        })
-
-    rolled = grouped_agg(
-        docs.map_batches(explode, batch_format="pandas"),
-        ["prefix", "depth"],
-        {"files": ("prefix", "count"), "bytes": ("n_chars", "sum")},
-        merge_partitions=16,
-    )
-    return rolled.map_batches(
-        lambda d: d.assign(files=d["files"].astype("int64"),
-                           bytes=d["bytes"].astype("int64")),
-        batch_format="pandas",
-    )
-
-
-SQL_PATH_ROLLUP = """
-WITH base AS (
-  SELECT '/' || source AS l1,
-         '/' || source || '/b' || (doc_id % 7) AS l2,
-         '/' || source || '/b' || (doc_id % 7) || '/d' || doc_id AS l3,
-         n_chars
-  FROM documents),
-lv AS (
-  SELECT l1 AS prefix, 1 AS depth, n_chars FROM base
-  UNION ALL SELECT l2, 2, n_chars FROM base
-  UNION ALL SELECT l3, 3, n_chars FROM base)
-SELECT prefix, CAST(depth AS BIGINT) AS depth,
-       count(*) AS files, CAST(sum(n_chars) AS BIGINT) AS bytes
-FROM lv GROUP BY prefix, depth
-"""
-
-
-def q_window_ranks(sf_dir: str):
-    """The remaining SQL window-rank family in one partitioned pass:
-    per-customer DENSE_RANK (price desc), CUME_DIST (price asc) and
-    LEAD(orderdate) in (date, key) order. One key-hash shuffle
-    (`grouped_apply` on o_custkey); inside each partition the three
-    frames are pandas C-vectorized groupby transforms (rank dense /
-    rank max ÷ size / shift(-1)) — no per-group Python. LEAD's frame
-    edge is NULL on both engines; cume_dist is an exact ratio of small
-    ints, bit-stable at 6 dp."""
-    from ..functions.relational import grouped_apply
-
-    ds = read_table(sf_dir, "orders",
-                    columns=["o_orderkey", "o_custkey", "o_totalprice",
-                             "o_orderdate"])
-
-    def wfun(g: pd.DataFrame) -> pd.DataFrame:
-        # unique labels required: the lead column comes back through a
-        # reindex on g.index (see anomaly_zscore for the same contract)
-        g = g.reset_index(drop=True)
-        by_c = g.groupby("o_custkey", sort=False)
-        drank = by_c["o_totalprice"].rank(
-            method="dense", ascending=False).astype("int64")
-        cume = (by_c["o_totalprice"].rank(method="max", ascending=True)
-                / by_c["o_totalprice"].transform("size"))
-        g2 = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
-                           kind="mergesort")
-        nxt = g2.groupby("o_custkey", sort=False)["o_orderdate"].shift(-1)
-        next_days = ((nxt - pd.Timestamp(0)).dt.total_seconds()
-                     / 86400.0).reindex(g.index)
-        return pd.DataFrame({
-            "o_orderkey": g["o_orderkey"].astype("int64"),
-            "drank": drank,
-            "cume": np.round(cume.to_numpy(dtype="float64"), 6),
-            "next_days": np.round(next_days.to_numpy(dtype="float64"), 6),
-        })
-
-    return grouped_apply(ds, ["o_custkey"], wfun, num_partitions=8)
-
-
-def q_sssp(sf_dir: str):
-    """Bounded-hop weighted shortest paths over the supplier↔part
-    graph (`functions/graph.py:sssp_bounded`): edge weight = the
-    minimum quantity ever shipped for that (supplier, part) pair,
-    sources = suppliers with key % 10 == 0, exactly 4 Bellman-Ford
-    relaxation rounds. The broadcast path pins the edge set once and
-    streams it once per round — zero edge shuffles; only improved
-    nodes relax (bit-identical to full relaxation, see the function
-    docstring). Oracle: the identical 4-round relaxation unrolled as
-    chained CTEs — min-dist per node after each round."""
-    from ..functions.graph import sssp_bounded
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey", "l_quantity"])
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy(dtype="int64")
-        p = df["l_partkey"].to_numpy(dtype="int64") + 10_000_000
-        w = df["l_quantity"].to_numpy().astype("int64")
-        return pd.DataFrame({
-            "src": np.concatenate([s, p]),
-            "dst": np.concatenate([p, s]),
-            "w": np.concatenate([w, w]),
-        })
-
-    # per-(src,dst) min weight: the dedup that bounds duplicate edges
-    edges = grouped_agg(
-        li.map_batches(to_edges, batch_format="pandas"),
-        ["src", "dst"], {"w": ("w", "min")}, merge_partitions=16)
-
-    def to_sources(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy(dtype="int64")
-        return pd.DataFrame({"node": s[s % 10 == 0]})
-
-    sources = li.map_batches(to_sources, batch_format="pandas")
-    return sssp_bounded(edges, sources, max_hops=4)
-
-
-SQL_SSSP = """
-WITH pairs AS (
-  SELECT l_suppkey AS s, l_partkey + 10000000 AS p,
-         CAST(min(l_quantity) AS BIGINT) AS w
-  FROM lineitem GROUP BY 1, 2),
-edges AS (
-  SELECT s AS src, p AS dst, w FROM pairs
-  UNION ALL SELECT p, s, w FROM pairs),
-d0 AS (
-  SELECT DISTINCT l_suppkey AS node, CAST(0 AS BIGINT) AS dist
-  FROM lineitem WHERE l_suppkey % 10 = 0),
-d1 AS (
-  SELECT node, min(dist) AS dist FROM (
-    SELECT * FROM d0
-    UNION ALL
-    SELECT e.dst, d.dist + e.w FROM d0 d JOIN edges e ON e.src = d.node)
-  GROUP BY node),
-d2 AS (
-  SELECT node, min(dist) AS dist FROM (
-    SELECT * FROM d1
-    UNION ALL
-    SELECT e.dst, d.dist + e.w FROM d1 d JOIN edges e ON e.src = d.node)
-  GROUP BY node),
-d3 AS (
-  SELECT node, min(dist) AS dist FROM (
-    SELECT * FROM d2
-    UNION ALL
-    SELECT e.dst, d.dist + e.w FROM d2 d JOIN edges e ON e.src = d.node)
-  GROUP BY node),
-d4 AS (
-  SELECT node, min(dist) AS dist FROM (
-    SELECT * FROM d3
-    UNION ALL
-    SELECT e.dst, d.dist + e.w FROM d3 d JOIN edges e ON e.src = d.node)
-  GROUP BY node)
-SELECT node, dist FROM d4
-"""
-
-
-def q_histogram_depth(sf_dir: str):
-    """Exact equi-depth histogram of lineitem prices: 8 buckets of
-    equal row count with their value ranges — the skew statistic an
-    equi-width histogram (`histogram_price`) can't give
-    (`functions/relational.py:equi_depth_histogram`). Global
-    rank-by-value WITHOUT a global sort: a model-constant value-bin
-    count table + one bin exchange; only ≤ buckets × partitions
-    partial rows reach the merge. Oracle: the literal
-    `(row_number() - 1) * 8 // n` bucket rule."""
-    from ..functions.relational import equi_depth_histogram
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_extendedprice", "l_orderkey",
-                             "l_linenumber"])
-    out = equi_depth_histogram(
-        li, "l_extendedprice", ["l_orderkey", "l_linenumber"],
-        num_buckets=8)
-    return out.map_batches(
-        lambda d: d.assign(lo=d["lo"].round(2), hi=d["hi"].round(2)),
-        batch_format="pandas")
-
-
-def q_percent_rank_global(sf_dir: str):
-    """Per-order EXACT global price percentile —
-    `percent_rank() OVER (ORDER BY price, key)` without a global sort
-    (`functions/relational.py:value_percent_rank`, the row-emitting
-    sibling of `histogram_depth`'s rank exchange): the
-    quantile-transform primitive for calibration/feature-scaling. The
-    quotient rank/(n-1) is exact ints over exact ints, identical in
-    both engines; 6 dp is display-only."""
-    from ..functions.relational import value_percent_rank
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_totalprice"])
-    out = value_percent_rank(orders, "o_totalprice", ["o_orderkey"])
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "o_orderkey": d["o_orderkey"].astype("int64"),
-            "pct": np.round(d["pct"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_PERCENT_RANK_GLOBAL = """
-SELECT o_orderkey,
-       round(percent_rank() OVER (ORDER BY o_totalprice, o_orderkey), 6)
-         AS pct
-FROM orders
-"""
-
-
-def q_anomaly_zscore(sf_dir: str):
-    """Rolling-frame anomaly score: each event's z-score against its
-    user's trailing 5-event mean/std (ROWS 4 PRECEDING AND CURRENT
-    ROW) — the streaming outlier detector a metrics pipeline runs over
-    per-host fetch latencies. One key-hash shuffle (`grouped_apply`),
-    then vectorized `groupby.rolling` mean+std per partition — the
-    same frame machinery as `moving_avg` with the sample-std frame on
-    top. Frames with n<2 (no sample std) or zero variance are NULL on
-    both engines; z is a normalized quotient, 4-dp rounded (quotient
-    relative error ~1e-15, but the subtraction inside can land on a
-    boundary at 6 dp — same contract as `impute`)."""
-    from ..functions.relational import grouped_apply
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id", "ts", "value"])
-
-    def zpart(g: pd.DataFrame) -> pd.DataFrame:
-        # partition batches concatenate with repeating indices; label
-        # alignment below needs them unique
-        g = (g.sort_values(["ts", "event_id"], kind="mergesort")
-             .reset_index(drop=True))
-        by = g.groupby("user_id", sort=False)["value"]
-        roll = by.rolling(5, min_periods=1)
-        mean = roll.mean().droplevel(0)
-        std = roll.std(ddof=1).droplevel(0)
-        v = g["value"]
-        z = (v - mean) / std.replace(0.0, np.nan)
-        return pd.DataFrame({
-            "event_id": g["event_id"].astype("int64"),
-            "user_id": g["user_id"].astype("int64"),
-            "z": np.round(z.to_numpy(dtype="float64"), 4),
-        })
-
-    return grouped_apply(ds, ["user_id"], zpart, num_partitions=16)
-
-
-def q_rolling_median(sf_dir: str):
-    """Rolling 5-event median per user (ROWS 4 PRECEDING AND CURRENT
-    ROW) — the robust smoother a metrics pipeline prefers over
-    `moving_avg` when latencies spike (one outlier shifts a mean for
-    five frames but a median for at most two). Same frame machinery as
-    `anomaly_zscore`: ONE key-hash shuffle, then C-vectorized
-    `groupby.rolling(5).median()` per partition. pandas and DuckDB
-    both interpolate the even-count median (quantile_cont 0.5), so the
-    values agree exactly; 6-dp rounding only guards quotient-free
-    float identity."""
-    from ..functions.relational import grouped_apply
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id", "ts", "value"])
-
-    def rpart(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.sort_values(["ts", "event_id"], kind="mergesort")
-             .reset_index(drop=True))
-        med = (g.groupby("user_id", sort=False)["value"]
-               .rolling(5, min_periods=1).median().droplevel(0))
-        g["med"] = med  # label-aligned (indices unique after reset)
-        return pd.DataFrame({
-            "event_id": g["event_id"].astype("int64"),
-            "user_id": g["user_id"].astype("int64"),
-            "med": np.round(g["med"].to_numpy(dtype="float64"), 6),
-        })
-
-    return grouped_apply(ds, ["user_id"], rpart, num_partitions=16)
-
-
-SQL_ROLLING_MEDIAN = """
-SELECT event_id, user_id,
-       round(median(value) OVER (PARTITION BY user_id
-                                 ORDER BY ts, event_id
-                                 ROWS BETWEEN 4 PRECEDING
-                                 AND CURRENT ROW), 6) AS med
-FROM events
-"""
-
-
-SQL_ANOMALY_ZSCORE = """
-WITH w AS (
-  SELECT event_id, user_id, value,
-         avg(value) OVER f AS m,
-         stddev_samp(value) OVER f AS s
-  FROM events
-  WINDOW f AS (PARTITION BY user_id ORDER BY ts, event_id
-               ROWS BETWEEN 4 PRECEDING AND CURRENT ROW))
-SELECT event_id, user_id,
-       round((value - m) / nullif(s, 0), 4) AS z
-FROM w
-"""
-
-
-def q_autocorr(sf_dir: str):
-    """Per-user lag-1 autocorrelation of event values in (ts,
-    event_id) order — the time-series memory statistic (is a user's
-    next value predicted by the last?). One key-hash shuffle; inside
-    each partition the lag, the per-user centering and the centered
-    cross/self products are all C-vectorized groupby transforms, and
-    each user's corr finishes in its own partition — nothing but the
-    final (user, acf1) rows leave. Users with <2 lag pairs or zero
-    variance are NULL on both engines (SQL `corr` semantics)."""
-    from ..functions.relational import grouped_apply
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id", "ts", "value"])
-
-    def acf_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        pv = g.groupby("user_id", sort=False)["value"].shift(1)
-        d = pd.DataFrame({"u": g["user_id"], "x": g["value"], "y": pv})
-        d = d[~d["y"].isna()]
-        gb = d.groupby("u", sort=False)
-        mx = gb["x"].transform("mean")
-        my = gb["y"].transform("mean")
-        cx = d["x"] - mx
-        cy = d["y"] - my
-        s = pd.DataFrame({
-            "u": d["u"], "xy": cx * cy, "xx": cx * cx, "yy": cy * cy,
-        }).groupby("u", sort=False).agg(
-            n=("xy", "size"), sxy=("xy", "sum"),
-            sxx=("xx", "sum"), syy=("yy", "sum")).reset_index()
-        denom = np.sqrt(s["sxx"].to_numpy() * s["syy"].to_numpy())
-        acf = np.where((s["n"].to_numpy() >= 2) & (denom > 0),
-                       s["sxy"].to_numpy() / denom, np.nan)
-        return pd.DataFrame({
-            "user_id": s["u"].astype("int64"),
-            "acf1": np.round(acf, 6),
-        })
-
-    return grouped_apply(ds, ["user_id"], acf_part, num_partitions=16)
-
-
-SQL_AUTOCORR = """
-WITH l AS (
-  SELECT user_id, value AS x,
-         lag(value) OVER (PARTITION BY user_id
-                          ORDER BY ts, event_id) AS y
-  FROM events)
-SELECT user_id, round(corr(x, y), 6) AS acf1
-FROM l WHERE y IS NOT NULL GROUP BY user_id
-"""
-
-
-SQL_HISTOGRAM_DEPTH = """
-WITH r AS (
-  SELECT l_extendedprice AS v,
-         (row_number() OVER (ORDER BY l_extendedprice, l_orderkey,
-                             l_linenumber) - 1) * 8
-           // count(*) OVER () AS bucket
-  FROM lineitem)
-SELECT CAST(bucket AS BIGINT) AS bucket, count(*) AS n,
-       round(min(v), 2) AS lo, round(max(v), 2) AS hi
-FROM r GROUP BY bucket
-"""
-
-
-SQL_WINDOW_RANKS = """
-SELECT o_orderkey,
-       CAST(dense_rank() OVER (PARTITION BY o_custkey
-                               ORDER BY o_totalprice DESC) AS BIGINT)
-         AS drank,
-       round(cume_dist() OVER (PARTITION BY o_custkey
-                               ORDER BY o_totalprice), 6) AS cume,
-       round(epoch(lead(o_orderdate) OVER (
-                PARTITION BY o_custkey
-                ORDER BY o_orderdate, o_orderkey)) / 86400.0, 6)
-         AS next_days
-FROM orders
-"""
-
-
-def q_gini(sf_dir: str):
-    """EXACT Gini coefficient of order value — the concentration
-    statistic a curation pipeline runs over per-host bytes or per-doc
-    tokens to quantify skew before picking a partitioning strategy
-    (`functions/relational.py:gini_coefficient`, the scalar-reducing
-    sibling of `percent_rank_global`'s rank exchange: no global sort,
-    each partition ships three scalars). The closed rank form
-    2·Σ rn·x/(n·Σx) − (n+1)/n is replayed verbatim by the oracle's
-    row_number window; rn·x sums are exact in float64 at this scale
-    and the quotient is 6-dp rounded."""
-    from ..functions.relational import gini_coefficient
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_totalprice"])
-    out = gini_coefficient(orders, "o_totalprice", ["o_orderkey"])
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n": d["n"].astype("int64"),
-            "gini": np.round(d["gini"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_GINI = """
-WITH r AS (SELECT o_totalprice AS x,
-                  row_number() OVER (ORDER BY o_totalprice, o_orderkey)
-                    AS rn
-           FROM orders)
-SELECT count(*) AS n,
-       round(2.0 * sum(rn * x) / (count(*) * sum(x))
-             - (count(*) + 1.0) / count(*), 6) AS gini
-FROM r
-"""
-
-
-def q_hits(sf_dir: str):
-    """HITS hubs & authorities over the DIRECTED supplier→part supply
-    graph (`functions/graph.py:hits`) — the link-analysis ranking
-    PageRank's single vector cannot express: suppliers score as hubs,
-    parts as authorities, and the bipartite direction keeps the two
-    sides genuinely distinct. Two mutual-reinforcement iterations
-    (auth = Aᵀ·hub, hub = A·auth, each L2-normalized by one
-    scalar-partials pass); the broadcast path streams the never-moving
-    edge set with one small combiner exchange per half-step. The
-    oracle unrolls the identical four half-steps as JOIN/GROUP
-    BY/normalize CTE layers; 6-dp rounding on both engines absorbs
-    sum-order reassociation (same contract as pagerank)."""
-    from ..functions.graph import hits
-    from ..functions.relational import distinct
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey"])
-    edges = distinct(
-        li.map_batches(
-            lambda d: pd.DataFrame({
-                "src": d["l_suppkey"].astype("int64"),
-                "dst": d["l_partkey"].astype("int64") + 10_000_000,
-            }),
-            batch_format="pandas"),
-        ["src", "dst"], merge_partitions=16)
-    out = hits(edges, iters=2, num_partitions=16)
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "node": d["node"].astype("int64"),
-            "hub": np.round(d["hub"].to_numpy(dtype="float64"), 6),
-            "auth": np.round(d["auth"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_HITS = """
-WITH e AS (SELECT DISTINCT l_suppkey AS s, l_partkey + 10000000 AS p
-           FROM lineitem),
-nodes AS (SELECT s AS node FROM e UNION SELECT p FROM e),
-a1r AS (SELECT p AS node, CAST(count(*) AS DOUBLE) AS s FROM e GROUP BY p),
-a1 AS (SELECT node, s / (SELECT sqrt(sum(s * s)) FROM a1r) AS s FROM a1r),
-h1r AS (SELECT e.s AS node, sum(a1.s) AS s
-        FROM e JOIN a1 ON a1.node = e.p GROUP BY e.s),
-h1 AS (SELECT node, s / (SELECT sqrt(sum(s * s)) FROM h1r) AS s FROM h1r),
-a2r AS (SELECT e.p AS node, sum(h1.s) AS s
-        FROM e JOIN h1 ON h1.node = e.s GROUP BY e.p),
-a2 AS (SELECT node, s / (SELECT sqrt(sum(s * s)) FROM a2r) AS s FROM a2r),
-h2r AS (SELECT e.s AS node, sum(a2.s) AS s
-        FROM e JOIN a2 ON a2.node = e.p GROUP BY e.s),
-h2 AS (SELECT node, s / (SELECT sqrt(sum(s * s)) FROM h2r) AS s FROM h2r)
-SELECT n.node,
-       round(coalesce(h2.s, 0), 6) AS hub,
-       round(coalesce(a2.s, 0), 6) AS auth
-FROM nodes n
-LEFT JOIN h2 ON h2.node = n.node
-LEFT JOIN a2 ON a2.node = n.node
-"""
-
-
-def q_assortativity(sf_dir: str):
-    """Degree assortativity of the symmetric supplier↔part co-purchase
-    graph (`functions/graph.py:degree_assortativity`) — the Newman
-    endpoint-degree correlation that tells a graph partitioner whether
-    hub-adjacent edges will concentrate (disassortative, the web/crawl
-    shape) before it picks a vertex-cut strategy. Size-gated like
-    pagerank: here the degree table (~21k nodes) broadcasts once and
-    ONE streaming pass over the never-moving edges reduces each block
-    to six Pearson moment partials; huge node tables take the two
-    bucketed-join path (degree co-partitioned by node hash, parity
-    pytest-pinned). The oracle replays the degree attach as two joins
-    and DuckDB's corr; both engines round at 6 dp."""
-    from ..functions.graph import degree_assortativity
-    from ..functions.relational import distinct
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_suppkey", "l_partkey"])
-
-    def to_edges(df: pd.DataFrame) -> pd.DataFrame:
-        s = df["l_suppkey"].to_numpy()
-        p = df["l_partkey"].to_numpy() + 10_000_000
-        return pd.DataFrame({
-            "src": np.concatenate([s, p]),
-            "dst": np.concatenate([p, s]),
-        })
-
-    edges = distinct(
-        li.map_batches(to_edges, batch_format="pandas"),
-        ["src", "dst"], merge_partitions=16)
-    out = degree_assortativity(edges, num_partitions=16)
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n_edges": d["n_edges"].astype("int64"),
-            "assortativity": np.round(
-                d["assortativity"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_ASSORTATIVITY = """
-WITH pr AS (SELECT DISTINCT l_suppkey AS s, l_partkey + 10000000 AS p
-            FROM lineitem),
-ed AS (SELECT s AS src, p AS dst FROM pr
-       UNION ALL SELECT p, s FROM pr),
-deg AS (SELECT src AS node, CAST(count(*) AS DOUBLE) AS d
-        FROM ed GROUP BY src)
-SELECT count(*) AS n_edges,
-       round(corr(dx.d, dy.d), 6) AS assortativity
-FROM ed
-JOIN deg dx ON dx.node = ed.src
-JOIN deg dy ON dy.node = ed.dst
-"""
-
-
-def q_js_divergence(sf_dir: str):
-    """Jensen–Shannon divergence between two sources' unigram
-    distributions (`functions/text.py:js_divergence`) — the
-    distribution-drift statistic a data-mixing pass consults before
-    assigning mixing weights. The vocabulary-scale (word, ca, cb)
-    table merges distributed (auto-switching grouped_agg) and never
-    reaches the driver; each pass reduces blocks to scalars. The
-    oracle replays the full ½KL(P‖M)+½KL(Q‖M) formula in SQL with the
-    same string_split tokenization and 0·log0 = 0 cases; both engines
-    round the bounded [0,1] statistic at 6 dp (partial-sum order is
-    the only difference — terms are O(1e-4) and the vocabulary is
-    ~4k words at sf0.01, so accumulated reassociation error sits at
-    ~1e-15)."""
-    from ..functions.text import js_divergence
-
-    docs = read_table(sf_dir, "documents", bytes_per_block=_FACT_BPB,
-                      columns=["text", "source"])
-    out = js_divergence(docs, "text", "source", "src0", "src1")
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n_words": d["n_words"].astype("int64"),
-            "tokens_a": d["tokens_a"].astype("int64"),
-            "tokens_b": d["tokens_b"].astype("int64"),
-            "js": np.round(d["js"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_JS_DIVERGENCE = """
-WITH tok AS (
-  SELECT source, unnest(string_split(text, ' ')) AS w
-  FROM documents WHERE source IN ('src0', 'src1')),
-wc AS (
-  SELECT w,
-         CAST(sum(CASE WHEN source = 'src0' THEN 1 ELSE 0 END)
-              AS DOUBLE) AS ca,
-         CAST(sum(CASE WHEN source = 'src1' THEN 1 ELSE 0 END)
-              AS DOUBLE) AS cb
-  FROM tok WHERE w <> '' GROUP BY w),
-tot AS (SELECT sum(ca) AS na, sum(cb) AS nb FROM wc)
-SELECT count(*) AS n_words,
-       CAST((SELECT na FROM tot) AS BIGINT) AS tokens_a,
-       CAST((SELECT nb FROM tot) AS BIGINT) AS tokens_b,
-       round(sum(
-         0.5 * (CASE WHEN ca > 0 THEN (ca / na) * log2(
-                  (ca / na) / ((ca / na + cb / nb) / 2)) ELSE 0 END)
-       + 0.5 * (CASE WHEN cb > 0 THEN (cb / nb) * log2(
-                  (cb / nb) / ((ca / na + cb / nb) / 2)) ELSE 0 END)
-       ), 6) AS js
-FROM wc, tot
-"""
-
-
-def q_anova_f(sf_dir: str):
-    """One-way ANOVA F across all five event types
-    (`functions/relational.py:anova_f`) — the k-cohort screening test
-    run before pairwise `ab_test`s: per-cohort (n, Σv, Σv²) moment
-    partials, one tiny merge, driver fold. The oracle replays the
-    identical sum decomposition; 6 dp."""
-    from ..functions.relational import anova_f
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_type", "value"])
-    out = anova_f(ds, "event_type", "value")
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n_groups": d["n_groups"].astype("int64"),
-            "n": d["n"].astype("int64"),
-            "f_stat": np.round(d["f_stat"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_ANOVA_F = """
-WITH g AS (SELECT event_type, count(*)::DOUBLE AS n, sum(value) AS s,
-                  sum(value * value) AS ss
-           FROM events GROUP BY event_type),
-t AS (SELECT sum(n) AS N, sum(s) / sum(n) AS grand,
-             count(*)::DOUBLE AS k FROM g)
-SELECT (SELECT k FROM t)::BIGINT AS n_groups,
-       (SELECT N FROM t)::BIGINT AS n,
-       round((sum(n * pow(s / n - (SELECT grand FROM t), 2))
-              / ((SELECT k FROM t) - 1))
-             / (sum(ss - s * s / n)
-                / ((SELECT N FROM t) - (SELECT k FROM t))), 6) AS f_stat
-FROM g
-"""
-
-
-def q_kruskal(sf_dir: str):
-    """Kruskal–Wallis H across the three return flags on quantity
-    (`functions/relational.py:kruskal_wallis`) — the rank-based
-    k-cohort test, tie-corrected; integer quantities make the tie
-    correction load-bearing (~1200-row tie runs). One value-rank
-    exchange with the cohort riding as a passenger (the spearman
-    trick), per-partition midrank-sum partials, nothing value-scale
-    on the driver. The oracle replays the identical midrank window
-    and tie-cube correction; 6 dp."""
-    from ..functions.relational import kruskal_wallis
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_returnflag", "l_quantity"])
-    out = kruskal_wallis(li, "l_returnflag", "l_quantity")
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n_groups": d["n_groups"].astype("int64"),
-            "n": d["n"].astype("int64"),
-            "h_stat": np.round(d["h_stat"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_KRUSKAL = """
-WITH r AS (SELECT l_returnflag AS g,
-                  rank() OVER (ORDER BY l_quantity)
-                    + (count(*) OVER (PARTITION BY l_quantity) - 1) / 2.0
-                    AS mr
-           FROM lineitem),
-rk AS (SELECT g, sum(mr) AS R, count(*)::DOUBLE AS n FROM r GROUP BY g),
-tie AS (SELECT coalesce(sum(pow(c, 3) - c), 0) AS tt
-        FROM (SELECT count(*)::DOUBLE AS c FROM lineitem
-              GROUP BY l_quantity)),
-tot AS (SELECT count(*)::DOUBLE AS N FROM lineitem)
-SELECT (SELECT count(*) FROM rk)::BIGINT AS n_groups,
-       (SELECT N FROM tot)::BIGINT AS n,
-       round((12.0 / ((SELECT N FROM tot) * ((SELECT N FROM tot) + 1))
-              * sum(R * R / n) - 3 * ((SELECT N FROM tot) + 1))
-             / (1 - (SELECT tt FROM tie)
-                / (pow((SELECT N FROM tot), 3) - (SELECT N FROM tot))),
-             6) AS h_stat
-FROM rk
-"""
-
-
-def q_spearman(sf_dir: str):
-    """EXACT Spearman rank correlation between quantity and extended
-    price — the robust monotone-dependence statistic
-    (`functions/relational.py:spearman_corr`): two rank exchanges (no
-    global sort) and ZERO joins — the second exchange carries the
-    first's midranks as a passenger tie column and reduces each
-    partition straight to six exact moment partials. l_quantity is
-    integer-valued
-    (1-50) so the midrank tie path carries ~1200 rows per tie group at
-    sf0.01 — the tie semantics are genuinely exercised, not
-    incidental. The oracle replays midranks with
-    rank() + (count(*) OVER value)/2 windows and DuckDB corr; both
-    engines round at 6 dp (rank moment sums are exact
-    integers-and-quarters in float64, so only corr's internal
-    streaming order differs)."""
-    from ..functions.relational import spearman_corr
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_orderkey", "l_partkey", "l_suppkey",
-                             "l_linenumber", "l_quantity",
-                             "l_extendedprice"])
-    # (orderkey, partkey, suppkey, linenumber) is the unique row key in
-    # this corpus — (orderkey, linenumber) alone collides
-    out = spearman_corr(li, "l_quantity", "l_extendedprice",
-                        ["l_orderkey", "l_partkey", "l_suppkey",
-                         "l_linenumber"])
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n": d["n"].astype("int64"),
-            "spearman": np.round(
-                d["spearman"].to_numpy(dtype="float64"), 6),
-        }),
-        batch_format="pandas")
-
-
-SQL_SPEARMAN = """
-WITH r AS (
-  SELECT rank() OVER (ORDER BY l_quantity)
-           + (count(*) OVER (PARTITION BY l_quantity) - 1) / 2.0 AS rx,
-         rank() OVER (ORDER BY l_extendedprice)
-           + (count(*) OVER (PARTITION BY l_extendedprice) - 1) / 2.0
-           AS ry
-  FROM lineitem)
-SELECT count(*) AS n, round(corr(rx, ry), 6) AS spearman FROM r
-"""
-
-
-def q_decayed_topk(sf_dir: str):
-    """Exponentially time-decayed heavy hitters — the streaming
-    'what's hot NOW' ranking (recent events count ~1, month-old events
-    count ~1/2 at a 30-day half-life): per-user Σ 0.5^(age_days/30)
-    with age measured from the corpus max ts. Two passes, both tiny:
-    a global max(ts) aggregate, then per-block partial weighted counts
-    merged by `grouped_agg` — the decay weight is a per-row vectorized
-    exp2, so the shuffle carries one float per (user, block). Rounded
-    to 6 dp BEFORE the top-k so both engines rank identical values
-    (ties then break on user_id)."""
-    from ..functions.relational import grouped_agg, topk
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["user_id", "ts"])
-    tmax = grouped_agg(
-        ds.map_batches(
-            lambda d: pd.DataFrame({
-                "__k": np.zeros(len(d), dtype="int64"),
-                "__us": d["ts"].astype("int64")}),
-            batch_format="pandas"),
-        ["__k"], {"hi": ("__us", "max")}).to_pandas()
-    tmax_us = int(tmax["hi"].iloc[0])
-    half_us = 30.0 * 86400.0 * 1e6  # 30-day half-life in microseconds
-
-    def weigh(d: pd.DataFrame) -> pd.DataFrame:
-        age = (tmax_us - d["ts"].astype("int64").to_numpy()) / half_us
-        return pd.DataFrame({"user_id": d["user_id"].astype("int64"),
-                             "__w": np.exp2(-age)})
-
-    per_user = grouped_agg(ds.map_batches(weigh, batch_format="pandas"),
-                           ["user_id"], {"w": ("__w", "sum")})
-    rounded = per_user.map_batches(
-        lambda d: pd.DataFrame({
-            "user_id": d["user_id"].astype("int64"),
-            "w": np.round(d["w"].to_numpy(dtype="float64"), 6)}),
-        batch_format="pandas")
-    return topk(rounded, ["w", "user_id"], 20, descending=[True, False])
-
-
-SQL_DECAYED_TOPK = """
-WITH m AS (SELECT max(epoch_us(ts)) AS hi FROM events)
-SELECT user_id,
-       round(sum(pow(2.0, -((SELECT hi FROM m) - epoch_us(ts))
-                           / (30.0 * 86400.0 * 1e6))), 6) AS w
-FROM events
-GROUP BY user_id
-ORDER BY w DESC, user_id
-LIMIT 20
-"""
-
-
-def q_changepoint(sf_dir: str):
-    """Per-user CUSUM changepoint — the classic estimator (Page 1954
-    family): the event where |Σ_{j≤i}(x_j − μ_user)| peaks, i.e. where
-    the series most decisively departs its own mean. One key-hash
-    shuffle (`grouped_apply`), then a vectorized per-user cumsum −
-    rank·mean inside each partition — the same partition-local frame
-    machinery as `cumsum`/`anomaly_zscore`. The argmax runs over the
-    6-dp-ROUNDED statistic in both engines (window-sum trees and
-    sequential cumsum can differ at 1e-12; rounding first collapses
-    those into ties, broken on earliest (ts, event_id)); the statistic
-    itself is selection-internal, not output — emitting it would
-    re-expose the same boundary the rounding collapses (a 6-dp flip
-    was measured at sf0.01: 222.7615625 rounds apart across engines).
-    Users with a single event change-point at that event on both
-    engines."""
-    from ..functions.relational import grouped_apply
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "user_id", "ts", "value"])
-
-    def cp(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-             .reset_index(drop=True))
-        by = g.groupby("user_id", sort=False)
-        mean = by["value"].transform("mean").to_numpy()
-        csum = by["value"].cumsum().to_numpy()
-        rn = by.cumcount().to_numpy() + 1
-        stat = np.round(np.abs(csum - rn * mean), 6)
-        pick = (pd.DataFrame({"user_id": g["user_id"], "stat": stat})
-                .groupby("user_id", sort=False)["stat"].idxmax())
-        # idxmax = first max in sort order = earliest (ts, event_id) tie
-        sel = g.loc[pick.to_numpy()]
-        return pd.DataFrame({
-            "user_id": sel["user_id"].astype("int64").to_numpy(),
-            "cp_event": sel["event_id"].astype("int64").to_numpy(),
-        })
-
-    return grouped_apply(ds, ["user_id"], cp, num_partitions=16)
-
-
-SQL_CHANGEPOINT = """
-WITH w AS (
-  SELECT user_id, event_id, ts,
-         round(abs(sum(value) OVER (PARTITION BY user_id
-                                    ORDER BY ts, event_id
-                                    ROWS UNBOUNDED PRECEDING)
-                   - row_number() OVER (PARTITION BY user_id
-                                        ORDER BY ts, event_id)
-                     * avg(value) OVER (PARTITION BY user_id)), 6)
-           AS stat
-  FROM events
-),
-m AS (SELECT user_id, event_id,
-             row_number() OVER (PARTITION BY user_id
-                                ORDER BY stat DESC, ts, event_id) AS rk
-      FROM w)
-SELECT user_id, event_id AS cp_event
-FROM m WHERE rk = 1
-"""
-
-
-def q_classification_report(sf_dir: str):
-    """Confusion-matrix evaluation — precision / recall / F1 /
-    accuracy of a fixed decision rule (price > 150k predicts URGENT)
-    against the label column: the model-eval pass every
-    train-data-quality loop runs after a classifier scores a corpus.
-    One streaming map_batches pass reduces each block to four counter
-    partials (tp/fp/fn/tn); a single tiny merge derives the metrics —
-    nothing but 4 ints per block crosses the wire. Metric quotients
-    are 6-dp rounded; zero-denominator degenerates to NULL on both
-    engines."""
-    from ..functions.relational import grouped_agg
-
-    ds = read_table(sf_dir, "orders",
-                    columns=["o_totalprice", "o_orderpriority"])
-
-    def counts(d: pd.DataFrame) -> pd.DataFrame:
-        pred = (d["o_totalprice"].to_numpy(dtype="float64") > 150000.0)
-        truth = (d["o_orderpriority"] == "1-URGENT").to_numpy()
-        return pd.DataFrame({
-            "__k": [np.int64(0)],
-            "tp": [np.int64((pred & truth).sum())],
-            "fp": [np.int64((pred & ~truth).sum())],
-            "fn": [np.int64((~pred & truth).sum())],
-            "tn": [np.int64((~pred & ~truth).sum())],
-        })
-
-    agg = grouped_agg(ds.map_batches(counts, batch_format="pandas"),
-                      ["__k"], {"tp": ("tp", "sum"), "fp": ("fp", "sum"),
-                                "fn": ("fn", "sum"), "tn": ("tn", "sum")})
-
-    def metrics(d: pd.DataFrame) -> pd.DataFrame:
-        tp, fp = float(d["tp"].iloc[0]), float(d["fp"].iloc[0])
-        fn, tn = float(d["fn"].iloc[0]), float(d["tn"].iloc[0])
-        prec = tp / (tp + fp) if tp + fp > 0 else np.nan
-        rec = tp / (tp + fn) if tp + fn > 0 else np.nan
-        f1 = (2 * prec * rec / (prec + rec)
-              if prec == prec and rec == rec and prec + rec > 0 else np.nan)
-        acc = (tp + tn) / (tp + fp + fn + tn)
-        return pd.DataFrame({
-            "tp": d["tp"].astype("int64"), "fp": d["fp"].astype("int64"),
-            "fn": d["fn"].astype("int64"), "tn": d["tn"].astype("int64"),
-            "precision": [np.round(prec, 6)], "recall": [np.round(rec, 6)],
-            "f1": [np.round(f1, 6)], "accuracy": [np.round(acc, 6)],
-        })
-
-    return agg.map_batches(metrics, batch_format="pandas", batch_size=None)
-
-
-SQL_CLASSIFICATION_REPORT = """
-WITH c AS (
-  SELECT sum(CASE WHEN o_totalprice > 150000
-                   AND o_orderpriority = '1-URGENT' THEN 1 ELSE 0 END)::BIGINT
-           AS tp,
-         sum(CASE WHEN o_totalprice > 150000
-                   AND o_orderpriority <> '1-URGENT' THEN 1 ELSE 0 END)::BIGINT
-           AS fp,
-         sum(CASE WHEN o_totalprice <= 150000
-                   AND o_orderpriority = '1-URGENT' THEN 1 ELSE 0 END)::BIGINT
-           AS fn,
-         sum(CASE WHEN o_totalprice <= 150000
-                   AND o_orderpriority <> '1-URGENT' THEN 1 ELSE 0 END)::BIGINT
-           AS tn
-  FROM orders
-)
-SELECT tp, fp, fn, tn,
-       round(tp / nullif(tp + fp, 0)::DOUBLE, 6) AS precision,
-       round(tp / nullif(tp + fn, 0)::DOUBLE, 6) AS recall,
-       round(2.0 * (tp / nullif(tp + fp, 0)::DOUBLE)
-                 * (tp / nullif(tp + fn, 0)::DOUBLE)
-             / nullif(tp / nullif(tp + fp, 0)::DOUBLE
-                      + tp / nullif(tp + fn, 0)::DOUBLE, 0), 6) AS f1,
-       round((tp + tn) / (tp + fp + fn + tn)::DOUBLE, 6) AS accuracy
-FROM c
-"""
-
-
-def q_window_late(sf_dir: str):
-    """Watermark / late-data accounting — the streaming-replay
-    semantics Ray Data has no native word for: the watermark at each
-    event's ARRIVAL is the running max of event time over all prior
-    arrivals, and an event is LATE when its hourly window closed more
-    than the allowed lateness (12 h) before that watermark. The events
-    table is exactly ts-sorted by event_id (no event could ever be
-    late), so the replay models a 7-way sharded collector draining
-    round-robin with skewed shard latencies: arrival sequence
-    (event_id + (event_id % 7)·50)·10^5 + event_id — deterministic,
-    unique, identical on both engines, and genuinely out-of-order
-    (measured max watermark lag ≈ 24.6 h, 4,178/10,000 late at
-    sf0.01). Built on `functions/relational.py:running_max_exchange` —
-    a distributed ordered prefix-scan with NO global sort (per-bin max
-    table prefix-maxed on the driver like a sketch, one bin exchange,
-    seeded vectorized cummax per partition). Each partition reduces to
-    per-window (ontime, late) partial counts; exact int-µs arithmetic
-    on both engines, so the hash match is exact."""
-    from ..functions.relational import grouped_agg, running_max_exchange
-
-    ds = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_id", "ts"])
-    ds = ds.map_batches(
-        lambda d: pd.DataFrame({
-            "arr": ((d["event_id"] + (d["event_id"] % 7) * 50) * 100000
-                    + d["event_id"]).astype("int64"),
-            "__us": d["ts"].astype("int64")}),
-        batch_format="pandas")
-    hour_us = 3_600_000_000
-    allowed_us = 12 * hour_us  # 12-hour allowed lateness
-
-    def part(g: pd.DataFrame, wm: np.ndarray) -> pd.DataFrame:
-        us = g["__us"].to_numpy()
-        win = us // hour_us * hour_us
-        late = (wm.astype("int64") - allowed_us) > (win + hour_us)
-        return (pd.DataFrame({"win": win, "late": late.astype("int64"),
-                              "one": np.int64(1)})
-                .groupby("win", sort=False)
-                .agg(n_late=("late", "sum"), n=("one", "sum"))
-                .reset_index())
-
-    partials = running_max_exchange(ds, "arr", "__us", part)
-    merged = grouped_agg(partials, ["win"],
-                         {"n_late": ("n_late", "sum"), "n": ("n", "sum")})
-    return merged.map_batches(
-        lambda d: pd.DataFrame({
-            "win": pd.to_datetime(d["win"].astype("int64"), unit="us"),
-            "n_ontime": (d["n"] - d["n_late"]).astype("int64"),
-            "n_late": d["n_late"].astype("int64"),
-        }),
-        batch_format="pandas")
-
-
-SQL_WINDOW_LATE = """
-WITH a AS (
-  SELECT ts,
-         (event_id + (event_id % 7) * 50) * 100000 + event_id AS arr
-  FROM events
-),
-w AS (
-  SELECT epoch_us(date_trunc('hour', ts)) AS win,
-         max(epoch_us(ts)) OVER (ORDER BY arr
-                                 ROWS UNBOUNDED PRECEDING) AS wm
-  FROM a
-),
-f AS (SELECT win,
-             CASE WHEN wm - 43200000000 > win + 3600000000
-                  THEN 1 ELSE 0 END AS late
-      FROM w)
-SELECT make_timestamp(win) AS win,
-       sum(1 - late)::BIGINT AS n_ontime,
-       sum(late)::BIGINT AS n_late
-FROM f
-GROUP BY win
 """
 
 
@@ -9366,211 +2872,6 @@ def q_zorder(sf_dir: str):
          "hi_day": ("d", "max")})
 
 
-SQL_ZORDER = """
-WITH b AS (
-  SELECT o_totalprice AS p,
-         epoch_us(o_orderdate) // 86400000000 AS d,
-         least(greatest(CAST(floor(o_totalprice / 2000.0) AS BIGINT),
-                        0), 255) AS bx,
-         least(greatest((epoch_us(o_orderdate) // 86400000000 - 9131)
-                        // 10, 0), 255) AS by
-  FROM orders
-),
-z AS (
-  SELECT p, d,
-         (((bx >> 0) & 1) << 0) | (((by >> 0) & 1) << 1)
-       | (((bx >> 1) & 1) << 2) | (((by >> 1) & 1) << 3)
-       | (((bx >> 2) & 1) << 4) | (((by >> 2) & 1) << 5)
-       | (((bx >> 3) & 1) << 6) | (((by >> 3) & 1) << 7)
-       | (((bx >> 4) & 1) << 8) | (((by >> 4) & 1) << 9)
-       | (((bx >> 5) & 1) << 10) | (((by >> 5) & 1) << 11)
-       | (((bx >> 6) & 1) << 12) | (((by >> 6) & 1) << 13)
-       | (((bx >> 7) & 1) << 14) | (((by >> 7) & 1) << 15) AS zval
-  FROM b
-)
-SELECT zval >> 12 AS shard, count(*) AS n,
-       min(p) AS lo_price, max(p) AS hi_price,
-       min(d) AS lo_day, max(d) AS hi_day
-FROM z
-GROUP BY shard
-"""
-
-
-def q_leadlag_corr(sf_dir: str):
-    """Lead-lag cross-correlation between two daily series (revenue vs
-    order volume at lags −3..+3) — the does-X-anticipate-Y diagnostic
-    of metrics forensics. The distributed part is the day aggregation:
-    per-block (day, Σprice, n) partials merge in `grouped_agg`, and
-    the resulting table is CALENDAR-BOUNDED (≤ a few thousand rows
-    regardless of corpus size — the documented model-constant rule),
-    so the 7-lag Pearson closes on the driver with a vectorized
-    self-merge. Inner-join semantics on existing days, exactly like
-    the oracle's self-join; corr is a variance-normalized quotient,
-    6-dp rounded."""
-    from ..functions.relational import grouped_agg
-
-    ds = read_table(sf_dir, "orders",
-                    columns=["o_orderdate", "o_totalprice"])
-
-    def daily(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "day": d["o_orderdate"].astype("int64") // 86_400_000_000,
-            "rev": d["o_totalprice"].to_numpy(dtype="float64"),
-            "one": np.int64(1)})
-
-    days = grouped_agg(ds.map_batches(daily, batch_format="pandas"),
-                       ["day"], {"rev": ("rev", "sum"),
-                                 "n": ("one", "sum")}).to_pandas()
-    days = days.sort_values("day").reset_index(drop=True)
-    out = []
-    for lag in range(-3, 4):
-        b = days[["day", "n"]].copy()
-        b["day"] = b["day"] - lag  # b at day+lag aligns to a at day
-        m = days[["day", "rev"]].merge(b, on="day", how="inner")
-        c = np.corrcoef(m["rev"].to_numpy(), m["n"].to_numpy())[0, 1]
-        out.append((lag, len(m), np.round(c, 6)))
-    return pd.DataFrame(out, columns=["lag", "n_pairs", "corr"]).astype(
-        {"lag": "int64", "n_pairs": "int64"})
-
-
-SQL_LEADLAG_CORR = (
-    "WITH d AS (SELECT epoch_us(o_orderdate) // 86400000000 AS day,\n"
-    "                  sum(o_totalprice) AS rev, count(*) AS n\n"
-    "           FROM orders GROUP BY day)\n"
-    + "\nUNION ALL\n".join(
-        f"SELECT {lag} AS lag, count(*) AS n_pairs,\n"
-        f"       round(corr(a.rev, b.n), 6) AS \"corr\"\n"
-        f"FROM d a JOIN d b ON b.day = a.day + ({lag})"
-        for lag in range(-3, 4))
-)
-
-
-def q_benford(sf_dir: str):
-    """Benford first-digit audit — the fraud/synthetic-data smell test:
-    the distribution of leading digits of order totals vs Benford's
-    log10(1+1/d) expectation. Digit extraction is an unrolled
-    fixed-constant floor-division ladder (np.select / SQL CASE over
-    magnitude ranges — no log10, whose last-ulp behavior differs
-    across libms at exact powers of ten), so the per-digit counters
-    are exact integers; only 9 partial rows leave each block. Shares
-    are 6-dp quotients."""
-    from ..functions.relational import grouped_agg
-
-    ds = read_table(sf_dir, "orders", columns=["o_totalprice"])
-
-    def digits(d: pd.DataFrame) -> pd.DataFrame:
-        p = d["o_totalprice"].to_numpy(dtype="float64")
-        digit = np.select(
-            [p < 10, p < 100, p < 1000, p < 10000, p < 100000,
-             p < 1000000],
-            [np.floor(p), np.floor(p / 10), np.floor(p / 100),
-             np.floor(p / 1000), np.floor(p / 10000),
-             np.floor(p / 100000)],
-            default=np.floor(p / 1000000)).astype("int64")
-        return pd.DataFrame({"digit": digit, "one": np.int64(1)})
-
-    counts = grouped_agg(ds.map_batches(digits, batch_format="pandas"),
-                         ["digit"], {"n": ("one", "sum")})
-
-    def shares(d: pd.DataFrame) -> pd.DataFrame:
-        tot = float(d["n"].sum())
-        dig = d["digit"].to_numpy(dtype="float64")
-        return pd.DataFrame({
-            "digit": d["digit"].astype("int64"),
-            "n": d["n"].astype("int64"),
-            "share": np.round(d["n"].to_numpy(dtype="float64") / tot, 6),
-            "benford": np.round(np.log10(1.0 + 1.0 / dig), 6),
-        })
-
-    return counts.map_batches(shares, batch_format="pandas",
-                              batch_size=None)
-
-
-SQL_BENFORD = """
-WITH g AS (
-  SELECT CASE WHEN o_totalprice < 10 THEN floor(o_totalprice)
-              WHEN o_totalprice < 100 THEN floor(o_totalprice / 10)
-              WHEN o_totalprice < 1000 THEN floor(o_totalprice / 100)
-              WHEN o_totalprice < 10000 THEN floor(o_totalprice / 1000)
-              WHEN o_totalprice < 100000 THEN floor(o_totalprice / 10000)
-              WHEN o_totalprice < 1000000
-                   THEN floor(o_totalprice / 100000)
-              ELSE floor(o_totalprice / 1000000) END::BIGINT AS digit
-  FROM orders
-)
-SELECT digit, count(*) AS n,
-       round(count(*) / (SELECT count(*) FROM g)::DOUBLE, 6) AS share,
-       round(log10(1.0 + 1.0 / digit), 6) AS benford
-FROM g
-GROUP BY digit
-"""
-
-
-def q_calibration(sf_dir: str):
-    """Calibration reliability diagram — the third leg of the model-
-    eval family (`auc` ranks, `classification_report` thresholds, this
-    checks PROBABILITIES): bin the predicted score into 10 fixed-width
-    bins and compare each bin's mean prediction to its empirical
-    positive rate. Score = clip((4·embedding[0]+1)/2) as a
-    pseudo-probability (the ×4 stretch spreads the ±0.37-ranged
-    component across all 10 bins — 27-86 rows per bin at sf0.01),
-    label < 5 as the positive class (the `auc` setup). Per-block
-    partials are (bin, n, Σscore, Σpos) — four numbers per bin per
-    block — merged in `grouped_agg`; the binning expression is written
-    in the IDENTICAL operation order on both engines so bucket edges
-    land identically, and the two quotients are 6-dp rounded."""
-    import pyarrow.compute as pc
-
-    from ..functions.relational import grouped_agg
-
-    ds = read_table(sf_dir, "embeddings", bytes_per_block=_DOC_BPB,
-                    columns=["label", "embedding"])
-
-    def parts(t: pa.Table) -> pd.DataFrame:
-        e0 = pc.cast(pc.list_element(t["embedding"], 0),
-                     pa.float64()).to_numpy(zero_copy_only=False)
-        score = np.clip((e0 * 4.0 + 1.0) / 2.0, 0.0, 1.0)
-        b = np.clip(np.floor(score * 10.0).astype("int64"), 0, 9)
-        pos = (t["label"].to_numpy(zero_copy_only=False) < 5)
-        return pd.DataFrame({"bin": b, "score": score,
-                             "pos": pos.astype("int64"),
-                             "one": np.int64(1)})
-
-    agg = grouped_agg(
-        ds.map_batches(parts, batch_format="pyarrow", zero_copy_batch=True),
-        ["bin"], {"n": ("one", "sum"), "s": ("score", "sum"),
-                  "p": ("pos", "sum")})
-
-    def fin(d: pd.DataFrame) -> pd.DataFrame:
-        n = d["n"].to_numpy(dtype="float64")
-        return pd.DataFrame({
-            "bin": d["bin"].astype("int64"),
-            "n": d["n"].astype("int64"),
-            "mean_pred": np.round(d["s"].to_numpy(dtype="float64") / n, 6),
-            "pos_rate": np.round(d["p"].to_numpy(dtype="float64") / n, 6),
-        })
-
-    return agg.map_batches(fin, batch_format="pandas", batch_size=None)
-
-
-SQL_CALIBRATION = """
-WITH s AS (
-  SELECT least(greatest(CAST(floor(
-             least(greatest((embedding[1] * 4.0 + 1.0) / 2.0, 0.0), 1.0)
-             * 10.0) AS BIGINT), 0), 9) AS bin,
-         least(greatest((embedding[1] * 4.0 + 1.0) / 2.0, 0.0), 1.0)
-           AS score,
-         CASE WHEN label < 5 THEN 1 ELSE 0 END AS pos
-  FROM embeddings
-)
-SELECT bin, count(*) AS n,
-       round(sum(score) / count(*), 6) AS mean_pred,
-       round(sum(pos) / count(*)::DOUBLE, 6) AS pos_rate
-FROM s
-GROUP BY bin
-"""
-
-
 def q_max_subarray(sf_dir: str):
     """Per-user maximum-sum contiguous subarray (Kadane) over signed
     integer deviations — the burst detector: the hottest contiguous
@@ -9608,28 +2909,6 @@ def q_max_subarray(sf_dir: str):
         return r.rename(columns={"best": "best_sum"})
 
     return grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
-
-
-SQL_MAX_SUBARRAY = """
-WITH s AS (
-  SELECT user_id, ts, event_id,
-         CAST(round(value * 100) AS BIGINT) - 10000 AS x
-  FROM events),
-c AS (
-  SELECT user_id, ts, event_id, x,
-         sum(x) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                      ROWS UNBOUNDED PRECEDING) AS cum
-  FROM s),
-m AS (
-  SELECT user_id, cum,
-         least(0, coalesce(min(cum) OVER (
-             PARTITION BY user_id ORDER BY ts, event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0))
-           AS pmin
-  FROM c)
-SELECT user_id, CAST(max(cum - pmin) AS BIGINT) AS best_sum
-FROM m GROUP BY user_id
-"""
 
 
 def q_theilsen(sf_dir: str):
@@ -9673,21 +2952,6 @@ def q_theilsen(sf_dir: str):
     return grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
 
 
-SQL_THEILSEN = """
-WITH s AS (
-  SELECT user_id, ts, CAST(round(value * 100) AS DOUBLE) AS v
-  FROM events),
-p AS (
-  SELECT a.user_id,
-         (b.v - a.v)
-           / ((epoch_us(b.ts) - epoch_us(a.ts)) / 1000000.0) AS slope
-  FROM s a JOIN s b ON a.user_id = b.user_id AND a.ts < b.ts)
-SELECT user_id, count(*)::BIGINT AS n_pairs,
-       round(median(slope), 6) AS slope_cps
-FROM p GROUP BY user_id
-"""
-
-
 _TAG_KEYWORDS = ("table", "hash", "merge", "sort", "spark",
                  "window", "batch", "scan")
 
@@ -9716,20 +2980,6 @@ def q_keyword_tag(sf_dir: str):
     return grouped_agg(
         ds.map_batches(parts, batch_format="pandas"),
         ["kw"], {"occurrences": ("occ", "sum"), "n_docs": ("docs", "sum")})
-
-
-SQL_KEYWORD_TAG = """
-WITH k AS (
-  SELECT unnest(['table', 'hash', 'merge', 'sort', 'spark',
-                 'window', 'batch', 'scan']) AS kw)
-SELECT kw,
-       CAST(sum((length(text) - length(replace(text, kw, '')))
-                / length(kw)) AS BIGINT) AS occurrences,
-       CAST(sum(CASE WHEN contains(text, kw) THEN 1 ELSE 0 END)
-            AS BIGINT) AS n_docs
-FROM documents CROSS JOIN k
-GROUP BY kw
-"""
 
 
 def q_trigram_mining(sf_dir: str):
@@ -9761,19 +3011,6 @@ def q_trigram_mining(sf_dir: str):
 
     parts = grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
     return grouped_agg(parts, ["e1", "e2", "e3"], {"n": ("n", "sum")})
-
-
-SQL_TRIGRAM_MINING = """
-WITH s AS (
-  SELECT event_type AS e1,
-         lead(event_type, 1) OVER w AS e2,
-         lead(event_type, 2) OVER w AS e3
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT e1, e2, e3, count(*)::BIGINT AS n
-FROM s WHERE e2 IS NOT NULL AND e3 IS NOT NULL
-GROUP BY e1, e2, e3
-"""
 
 
 def q_ams_f2(sf_dir: str):
@@ -9829,15 +3066,6 @@ def q_ams_f2(sf_dir: str):
     })
 
 
-SQL_AMS_F2 = """
-WITH c AS (
-  SELECT l_partkey, count(*)::BIGINT AS cnt FROM lineitem GROUP BY 1)
-SELECT CAST(sum(cnt * cnt) AS BIGINT) AS f2_exact,
-       1::BIGINT AS within_half
-FROM c
-"""
-
-
 def q_modularity(sf_dir: str):
     """Newman modularity of the brand partition over the part
     co-purchase graph — the "is this community structure real"
@@ -9881,31 +3109,6 @@ def q_modularity(sf_dir: str):
         "m_edges": np.array([int(m)], dtype="int64"),
         "modularity": [round(q, 6)],
     })
-
-
-SQL_MODULARITY = """
-WITH e AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-be AS (
-  SELECT pu.p_brand AS cu, pv.p_brand AS cv
-  FROM e JOIN part pu ON e.u = pu.p_partkey
-         JOIN part pv ON e.v = pv.p_partkey),
-deg AS (
-  SELECT c, count(*)::DOUBLE AS deg
-  FROM (SELECT cu AS c FROM be UNION ALL SELECT cv AS c FROM be)
-  GROUP BY c),
-ein AS (
-  SELECT cu AS c, count(*)::DOUBLE AS ein FROM be WHERE cu = cv
-  GROUP BY cu),
-m AS (SELECT sum(deg) / 2.0 AS m FROM deg)
-SELECT (SELECT count(*)::BIGINT FROM deg) AS n_communities,
-       (SELECT CAST(m AS BIGINT) FROM m) AS m_edges,
-       (SELECT round(sum(coalesce(e2.ein, 0) / m.m
-                         - (d.deg / (2 * m.m)) * (d.deg / (2 * m.m))), 6)
-        FROM deg d LEFT JOIN ein e2 USING (c) CROSS JOIN m) AS modularity
-"""
 
 
 _CV_FOLDS = 5
@@ -9986,66 +3189,6 @@ def q_cv_ols(sf_dir: str):
     return pd.DataFrame(out, columns=["fold", "n_test", "rmse"])
 
 
-SQL_CV_OLS = """
-WITH r AS (
-  SELECT CAST(((l_orderkey % 4294967296) * 2654435761)
-              % 4294967296 % 5 AS BIGINT) AS fold,
-         CAST(round(l_quantity) AS BIGINT) AS y,
-         CAST(round(l_discount * 100) AS BIGINT) AS x1,
-         CAST(round(l_tax * 100) AS BIGINT) AS x2
-  FROM lineitem),
-f AS (
-  SELECT fold, count(*)::BIGINT AS n,
-         sum(x1)::BIGINT AS s1, sum(x2)::BIGINT AS s2,
-         sum(x1*x1)::BIGINT AS s11, sum(x1*x2)::BIGINT AS s12,
-         sum(x2*x2)::BIGINT AS s22, sum(y)::BIGINT AS sy,
-         sum(x1*y)::BIGINT AS s1y, sum(x2*y)::BIGINT AS s2y,
-         sum(y*y)::BIGINT AS syy
-  FROM r GROUP BY fold),
-t AS (
-  SELECT sum(n)::BIGINT AS n, sum(s1)::BIGINT AS s1,
-         sum(s2)::BIGINT AS s2, sum(s11)::BIGINT AS s11,
-         sum(s12)::BIGINT AS s12, sum(s22)::BIGINT AS s22,
-         sum(sy)::BIGINT AS sy, sum(s1y)::BIGINT AS s1y,
-         sum(s2y)::BIGINT AS s2y FROM f),
-tr AS (
-  SELECT f.fold, f.n AS fn_i,
-         CAST(t.n - f.n AS DOUBLE) AS tn,
-         CAST(t.s1 - f.s1 AS DOUBLE) AS t1,
-         CAST(t.s2 - f.s2 AS DOUBLE) AS t2,
-         CAST(t.s11 - f.s11 AS DOUBLE) AS t11,
-         CAST(t.s12 - f.s12 AS DOUBLE) AS t12,
-         CAST(t.s22 - f.s22 AS DOUBLE) AS t22,
-         CAST(t.sy - f.sy AS DOUBLE) AS ty,
-         CAST(t.s1y - f.s1y AS DOUBLE) AS t1y,
-         CAST(t.s2y - f.s2y AS DOUBLE) AS t2y,
-         CAST(f.n AS DOUBLE) AS fn, CAST(f.s1 AS DOUBLE) AS f1,
-         CAST(f.s2 AS DOUBLE) AS f2, CAST(f.s11 AS DOUBLE) AS f11,
-         CAST(f.s12 AS DOUBLE) AS f12, CAST(f.s22 AS DOUBLE) AS f22,
-         CAST(f.sy AS DOUBLE) AS fy, CAST(f.s1y AS DOUBLE) AS f1y,
-         CAST(f.s2y AS DOUBLE) AS f2y, CAST(f.syy AS DOUBLE) AS fyy
-  FROM f CROSS JOIN t),
-b AS (
-  SELECT *,
-    tn*(t11*t22 - t12*t12) - t1*(t1*t22 - t2*t12)
-      + t2*(t1*t12 - t2*t11) AS det,
-    ty*(t11*t22 - t12*t12) - t1y*(t1*t22 - t2*t12)
-      + t2y*(t1*t12 - t2*t11) AS det0,
-    tn*(t1y*t22 - t12*t2y) - t1*(ty*t22 - t2*t2y)
-      + t2*(ty*t12 - t2*t1y) AS det1,
-    tn*(t11*t2y - t1y*t12) - t1*(t1*t2y - ty*t12)
-      + t2*(t1*t1y - ty*t11) AS det2
-  FROM tr)
-SELECT fold, fn_i AS n_test,
-       round(sqrt((fyy - 2*(det0/det*fy + det1/det*f1y + det2/det*f2y)
-         + ((det0/det)*(det0/det)*fn + (det1/det)*(det1/det)*f11
-            + (det2/det)*(det2/det)*f22
-            + 2*(det0/det)*(det1/det)*f1 + 2*(det0/det)*(det2/det)*f2
-            + 2*(det1/det)*(det2/det)*f12)) / fn), 6) AS rmse
-FROM b
-"""
-
-
 def q_stream_join(sf_dir: str):
     """Windowed stream-stream join — the conversion counter: per
     user, click→purchase pairs where the purchase follows the click
@@ -10086,96 +3229,6 @@ def q_stream_join(sf_dir: str):
     return grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
 
 
-SQL_STREAM_JOIN = """
-SELECT a.user_id, count(*)::BIGINT AS conversions
-FROM events a JOIN events b
-  ON a.user_id = b.user_id
- AND a.event_type = 'click' AND b.event_type = 'purchase'
- AND a.ts < b.ts
- AND epoch_us(b.ts) - epoch_us(a.ts) <= 3600000000
-GROUP BY a.user_id
-"""
-
-
-def q_time_travel(sf_dir: str):
-    """Snapshot-versioned table audit (`pipelines/versioned.py` —
-    the Delta/Iceberg-style commit log over plain parquet): commit
-    v1 (orderkey%3==0), APPEND v2 (%3==1 — history shares v1's data
-    files, commit cost independent of table size), OVERWRITE v3
-    (%3==2 — prior versions stay readable). The audit row
-    time-travel-reads all three versions as streaming Datasets and
-    reports their row counts and integer-cent checksums; the oracle
-    recomputes the same slices from the base table, so a broken
-    manifest union, a lost file, or an overwrite that leaked old
-    files all hash-mismatch."""
-    import ray
-
-    from .versioned import read_version, snapshot_write
-
-    root = os.path.join(
-        "/tmp", "csr_tt_" + sf_dir.strip("/").replace("/", "_"))
-    import shutil
-    shutil.rmtree(root, ignore_errors=True)
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_totalprice"])
-
-    def slice_r(r):
-        def f(d: pd.DataFrame) -> pd.DataFrame:
-            keep = d["o_orderkey"].to_numpy() % 3 == r
-            return pd.DataFrame({
-                "o_orderkey": d["o_orderkey"].to_numpy()[keep],
-                "cents": np.rint(
-                    d["o_totalprice"].to_numpy(dtype="float64")[keep]
-                    * 100).astype("int64")})
-        return f
-
-    snapshot_write(orders.map_batches(slice_r(0), batch_format="pandas"),
-                   root)
-    snapshot_write(orders.map_batches(slice_r(1), batch_format="pandas"),
-                   root, mode="append")
-    snapshot_write(orders.map_batches(slice_r(2), batch_format="pandas"),
-                   root, mode="overwrite")
-
-    def stats(v):
-        ds = read_version(root, v)
-        t = grouped_agg(
-            ds.map_batches(
-                lambda d: pd.DataFrame({
-                    "one": np.zeros(len(d), dtype="int64"),
-                    "n": np.ones(len(d), dtype="int64"),
-                    "c": d["cents"].to_numpy(dtype="int64")}),
-                batch_format="pandas"),
-            ["one"], {"rows": ("n", "sum"), "s": ("c", "sum")}
-        ).to_pandas()
-        return int(t["rows"].iloc[0]), int(t["s"].iloc[0])
-
-    r1, s1 = stats(1)
-    r2, _ = stats(2)
-    r3, s3 = stats(3)
-    return pd.DataFrame({
-        "rows_v1": np.array([r1], dtype="int64"),
-        "rows_v2": np.array([r2], dtype="int64"),
-        "rows_v3": np.array([r3], dtype="int64"),
-        "sum_v1_c": np.array([s1], dtype="int64"),
-        "sum_v3_c": np.array([s3], dtype="int64"),
-    })
-
-
-SQL_TIME_TRAVEL = """
-WITH o AS (
-  SELECT o_orderkey % 3 AS r,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS c
-  FROM orders)
-SELECT
-  (SELECT count(*) FROM o WHERE r = 0)::BIGINT AS rows_v1,
-  (SELECT count(*) FROM o WHERE r IN (0, 1))::BIGINT AS rows_v2,
-  (SELECT count(*) FROM o WHERE r = 2)::BIGINT AS rows_v3,
-  (SELECT sum(c) FROM o WHERE r = 0)::BIGINT AS sum_v1_c,
-  (SELECT sum(c) FROM o WHERE r = 2)::BIGINT AS sum_v3_c
-"""
-
-
 def q_ht_estimate(sf_dir: str):
     """Horvitz–Thompson total estimation from a deterministic
     hash-sample — the "estimate the full-corpus statistic from the
@@ -10212,24 +3265,6 @@ def q_ht_estimate(sf_dir: str):
         "ht_total_c": np.array([est], dtype="int64"),
         "rel_err": [round(abs(est - exact) / exact, 6)],
     })
-
-
-SQL_HT_ESTIMATE = """
-WITH o AS (
-  SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS c,
-         ((o_orderkey % 4294967296) * 2654435761)
-           % 4294967296 % 16 = 0 AS smp
-  FROM orders),
-s AS (
-  SELECT sum(c)::BIGINT AS exact_total,
-         16 * sum(CASE WHEN smp THEN c ELSE 0 END)::BIGINT AS ht,
-         sum(CASE WHEN smp THEN 1 ELSE 0 END)::BIGINT AS n_smp
-  FROM o)
-SELECT n_smp AS n_sampled, exact_total AS exact_total_c,
-       ht AS ht_total_c,
-       round(abs(ht - exact_total) / exact_total::DOUBLE, 6) AS rel_err
-FROM s
-"""
 
 
 def q_returns_topk(sf_dir: str):
@@ -10290,22 +3325,6 @@ def q_returns_topk(sf_dir: str):
     return out.map_batches(fin, batch_format="pandas")
 
 
-SQL_RETURNS_TOPK = """
-SELECT c.c_custkey, c.c_name, n.n_name,
-       CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)
-                * (100 - CAST(round(l.l_discount * 100) AS BIGINT)))
-            AS BIGINT) AS revenue_c4
-FROM lineitem l
-JOIN orders o ON l.l_orderkey = o.o_orderkey
-JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-WHERE l.l_returnflag = 'R'
-GROUP BY 1, 2, 3
-ORDER BY revenue_c4 DESC, c_custkey ASC
-LIMIT 20
-"""
-
-
 def q_session_paths(sf_dir: str):
     """Top-20 most common DAILY behavioral paths — the whole-journey
     sibling of `session_transitions`/`trigram_mining`: each (user,
@@ -10335,18 +3354,6 @@ def q_session_paths(sf_dir: str):
     agg = grouped_agg(parts, ["path"], {"n": ("n", "sum")},
                       merge_partitions=8)
     return topk(agg, by=["n", "path"], k=20, descending=[True, False])
-
-
-SQL_SESSION_PATHS = """
-WITH p AS (
-  SELECT user_id, date_trunc('day', ts) AS d,
-         string_agg(event_type, '>' ORDER BY ts, event_id) AS path
-  FROM events GROUP BY 1, 2)
-SELECT path, count(*)::BIGINT AS n
-FROM p GROUP BY path
-ORDER BY n DESC, path ASC
-LIMIT 20
-"""
 
 
 def q_kendall_tau(sf_dir: str):
@@ -10406,343 +3413,6 @@ def q_kendall_tau(sf_dir: str):
         "discordant": np.array([disc], dtype="int64"),
         "tau_b": [round(float(tau), 6)],
     })
-
-
-SQL_KENDALL_TAU = """
-WITH h AS (
-  SELECT CAST(round(l_quantity) AS BIGINT) AS q,
-         CAST(round(l_discount * 100) AS BIGINT) AS d,
-         count(*)::BIGINT AS c
-  FROM lineitem GROUP BY 1, 2),
-n AS (SELECT sum(c)::BIGINT AS n FROM h),
-cd AS (
-  SELECT
-    CAST(sum(CASE WHEN a.q < b.q AND a.d < b.d
-             THEN a.c * b.c ELSE 0 END) AS BIGINT) AS conc,
-    CAST(sum(CASE WHEN a.q < b.q AND a.d > b.d
-             THEN a.c * b.c ELSE 0 END) AS BIGINT) AS disc
-  FROM h a CROSS JOIN h b),
-ties AS (
-  SELECT
-    (SELECT CAST(sum(s * (s - 1) / 2) AS BIGINT)
-     FROM (SELECT sum(c) AS s FROM h GROUP BY q)) AS t1,
-    (SELECT CAST(sum(s * (s - 1) / 2) AS BIGINT)
-     FROM (SELECT sum(c) AS s FROM h GROUP BY d)) AS t2)
-SELECT n.n AS n_rows, cd.conc AS concordant, cd.disc AS discordant,
-       round((cd.conc - cd.disc)
-             / (sqrt(CAST(n.n * (n.n - 1) / 2 - ties.t1 AS DOUBLE))
-                * sqrt(CAST(n.n * (n.n - 1) / 2 - ties.t2 AS DOUBLE))),
-             6) AS tau_b
-FROM n CROSS JOIN cd CROSS JOIN ties
-"""
-
-
-def q_rfm_segments(sf_dir: str):
-    """RFM customer segmentation — the classic activation/churn
-    grid: per-user Recency (max event epoch-µs), Frequency (event
-    count) and Monetary (exact cent sum) reduce via one user-keyed
-    grouped sum; tercile thresholds are EXACT discrete quantiles of
-    the user table (`grouped_quantiles` inverted_cdf == DuckDB
-    quantile_disc, the `quantiles_disc` convention); each user's
-    (r,f,m) bucket triple folds to ≤27 segment rows with exact
-    integer totals. Two streaming passes over the USER table (itself
-    an aggregate), never over raw events twice."""
-    from ..functions.relational import grouped_quantiles
-
-    ev = read_table(sf_dir, "events",
-                    columns=["user_id", "ts", "value"])
-
-    def pre(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": d["user_id"].to_numpy(),
-            "r": d["ts"].to_numpy("datetime64[us]").astype("int64"),
-            "f": np.ones(len(d), dtype="int64"),
-            "m": np.rint(d["value"].to_numpy(dtype="float64") * 100
-                         ).astype("int64")})
-
-    users = grouped_agg(
-        ev.map_batches(pre, batch_format="pandas"),
-        ["user_id"], {"r": ("r", "max"), "f": ("f", "sum"),
-                      "m": ("m", "sum")})
-
-    def with_const(d: pd.DataFrame) -> pd.DataFrame:
-        return d.assign(__k=np.int64(0))
-
-    tagged = users.map_batches(with_const, batch_format="pandas")
-    thr = {}
-    for dim in ("r", "f", "m"):
-        t = grouped_quantiles(
-            tagged, ["__k"], dim, [1.0 / 3, 2.0 / 3], ["q33", "q67"],
-            method="inverted_cdf").to_pandas()
-        thr[dim] = (int(t["q33"].iloc[0]), int(t["q67"].iloc[0]))
-
-    def seg(d: pd.DataFrame) -> pd.DataFrame:
-        out = {"m_c": d["m"].to_numpy(dtype="int64"),
-               "one": np.ones(len(d), dtype="int64")}
-        for dim in ("r", "f", "m"):
-            v = d[dim].to_numpy(dtype="int64")
-            lo, hi = thr[dim]
-            out[f"{dim}_seg"] = np.where(
-                v <= lo, 1, np.where(v <= hi, 2, 3)).astype("int64")
-        return pd.DataFrame(out)
-
-    return grouped_agg(
-        users.map_batches(seg, batch_format="pandas"),
-        ["r_seg", "f_seg", "m_seg"],
-        {"n_users": ("one", "sum"), "sum_m_c": ("m_c", "sum")})
-
-
-SQL_RFM_SEGMENTS = """
-WITH u AS (
-  SELECT user_id, epoch_us(max(ts))::BIGINT AS r,
-         count(*)::BIGINT AS f,
-         sum(CAST(round(value * 100) AS BIGINT))::BIGINT AS m
-  FROM events GROUP BY 1),
-t AS (
-  SELECT quantile_disc(r, 1.0/3) AS r33, quantile_disc(r, 2.0/3) AS r67,
-         quantile_disc(f, 1.0/3) AS f33, quantile_disc(f, 2.0/3) AS f67,
-         quantile_disc(m, 1.0/3) AS m33, quantile_disc(m, 2.0/3) AS m67
-  FROM u)
-SELECT CASE WHEN r <= r33 THEN 1 WHEN r <= r67 THEN 2 ELSE 3 END AS r_seg,
-       CASE WHEN f <= f33 THEN 1 WHEN f <= f67 THEN 2 ELSE 3 END AS f_seg,
-       CASE WHEN m <= m33 THEN 1 WHEN m <= m67 THEN 2 ELSE 3 END AS m_seg,
-       count(*)::BIGINT AS n_users, sum(m)::BIGINT AS sum_m_c
-FROM u CROSS JOIN t
-GROUP BY 1, 2, 3
-"""
-
-
-def q_convert_time(sf_dir: str):
-    """Time-to-convert distribution: exact p50/p90 of the
-    click→purchase gap over every qualifying pair from
-    `stream_join`'s window (≤1 h, strict order). Pairs ENUMERATE only
-    inside bounded user groups (searchsorted range + repeat — the gap
-    list, not the pair matrix); the global discrete quantiles run on
-    the gap rows via the same exact quantile machinery as
-    `quantiles_disc`. Gaps are exact integer µs end to end."""
-    from ..functions.relational import grouped_apply, grouped_quantiles
-
-    ev = read_table(sf_dir, "events",
-                    columns=["user_id", "ts", "event_type"])
-    ev = ev.map_batches(
-        lambda d: d.loc[d["event_type"].isin(("click", "purchase"))],
-        batch_format="pandas")
-    w_us = 3_600_000_000
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        gaps = []
-        for _uid, gg in g.groupby("user_id", sort=False):
-            et = gg["event_type"].to_numpy()
-            ts = gg["ts"].to_numpy("datetime64[us]").astype("int64")
-            t = np.sort(ts[et == "click"])
-            p = ts[et == "purchase"]
-            if len(t) == 0 or len(p) == 0:
-                continue
-            hi = np.searchsorted(t, p, side="left")
-            lo = np.searchsorted(t, p - w_us, side="left")
-            cnt = hi - lo
-            keep = cnt > 0
-            if not keep.any():
-                continue
-            # each purchase's qualifying clicks, enumerated by range
-            reps = cnt[keep]
-            starts = lo[keep]
-            idx = np.repeat(starts, reps) \
-                + (np.arange(reps.sum())
-                   - np.repeat(np.cumsum(reps) - reps, reps))
-            gaps.append(np.repeat(p[keep], reps) - t[idx])
-        if not gaps:
-            return pd.DataFrame({"__k": np.array([], dtype="int64"),
-                                 "gap_us": np.array([], dtype="int64")})
-        g_all = np.concatenate(gaps)
-        return pd.DataFrame({"__k": np.zeros(len(g_all), dtype="int64"),
-                             "gap_us": g_all})
-
-    gaps = grouped_apply(ev, ["user_id"], per_part, num_partitions=16)
-    q = grouped_quantiles(
-        gaps, ["__k"], "gap_us", [0.5, 0.9], ["p50_us", "p90_us"],
-        method="inverted_cdf").to_pandas()
-    n = grouped_agg(gaps, ["__k"], {"n_pairs": ("gap_us", "count")}
-                    ).to_pandas()
-    return pd.DataFrame({
-        "n_pairs": np.array([int(n["n_pairs"].iloc[0])], dtype="int64"),
-        "p50_us": np.array([int(q["p50_us"].iloc[0])], dtype="int64"),
-        "p90_us": np.array([int(q["p90_us"].iloc[0])], dtype="int64"),
-    })
-
-
-SQL_CONVERT_TIME = """
-WITH pairs AS (
-  SELECT epoch_us(b.ts) - epoch_us(a.ts) AS gap_us
-  FROM events a JOIN events b
-    ON a.user_id = b.user_id
-   AND a.event_type = 'click' AND b.event_type = 'purchase'
-   AND a.ts < b.ts
-   AND epoch_us(b.ts) - epoch_us(a.ts) <= 3600000000)
-SELECT count(*)::BIGINT AS n_pairs,
-       quantile_disc(gap_us, 0.5)::BIGINT AS p50_us,
-       quantile_disc(gap_us, 0.9)::BIGINT AS p90_us
-FROM pairs
-"""
-
-
-def q_assoc_rules(sf_dir: str):
-    """Association rules from the market basket: for every frequent
-    co-purchase pair (support ≥ 3, both directions a→b and b→a),
-    confidence = supp(ab)/supp(a) and lift = supp(ab)·N/(supp(a)·
-    supp(b)); top-20 by (6-dp lift, item_a, item_b) so the float
-    cutoff is deterministic. Item supports (distinct baskets per
-    item) attach to the REDUCED pair table via bucketed joins — the
-    item-support table is catalog-cardinality and never broadcasts;
-    N is one tiny distinct-count."""
-    from ..functions.relational import frequent_pairs
-
-    li = read_table(sf_dir, "lineitem", bytes_per_block=_FACT_BPB,
-                    columns=["l_orderkey", "l_partkey"])
-    pairs = frequent_pairs(li, "l_orderkey", "l_partkey", min_support=3)
-    # distinct baskets per item (one dedup exchange, then a sum);
-    # materialized because BOTH the support table and the basket count
-    # read it — lazy re-execution would run the dedup exchange twice
-    bi = distinct(li, ["l_orderkey", "l_partkey"],
-                  merge_partitions=16).materialize()
-    supp = grouped_agg(bi, ["l_partkey"],
-                       {"supp": ("l_orderkey", "count")},
-                       merge_partitions=8).materialize()
-    # basket universe from the already-deduped (bk, it) table — no
-    # third full pass over raw lineitem
-    n_baskets = int(
-        distinct(bi, ["l_orderkey"], merge_partitions=16).count())
-
-    # the pair table is REDUCED (HAVING ≥ minsup) — bounded, so it
-    # broadcasts and the catalog-scale support table only ever STREAMS:
-    # two scan-passes of supp with a tiny broadcast side beat two
-    # bucketed exchanges of a 20-row left side (measured 4 s → <1 s at
-    # sf0.1). ONE to_pandas — a second call would re-run the whole
-    # basket exchange.
-    pdf = pairs.to_pandas()
-    both_df = pd.concat([
-        pdf.rename(columns={"item_a": "a", "item_b": "b"}),
-        pdf.rename(columns={"item_a": "b", "item_b": "a"}),
-    ])[["a", "b", "support"]]
-    sa = supp.map_batches(
-        lambda d: d.rename(columns={"l_partkey": "a", "supp": "supp_a"}),
-        batch_format="pandas")
-    r1 = broadcast_join(sa, both_df, on="a").to_pandas()
-    sb = supp.map_batches(
-        lambda d: d.rename(columns={"l_partkey": "b", "supp": "supp_b"}),
-        batch_format="pandas")
-    d = broadcast_join(sb, r1, on="b").to_pandas()
-
-    s = d["support"].to_numpy(dtype="float64")
-    a = d["supp_a"].to_numpy(dtype="float64")
-    b = d["supp_b"].to_numpy(dtype="float64")
-    out = pd.DataFrame({
-        "item_a": d["a"].astype("int64"),
-        "item_b": d["b"].astype("int64"),
-        "support": d["support"].astype("int64"),
-        "confidence": np.round(s / a, 6),
-        "lift": np.round(s * float(n_baskets) / (a * b), 6)})
-    return (out.sort_values(["lift", "item_a", "item_b"],
-                            ascending=[False, True, True])
-            .head(20).reset_index(drop=True))
-
-
-SQL_ASSOC_RULES = """
-WITH b AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-n AS (SELECT count(DISTINCT l_orderkey)::DOUBLE AS n FROM lineitem),
-supp AS (SELECT l_partkey, count(*)::BIGINT AS s FROM b GROUP BY 1),
-p AS (
-  SELECT a.l_partkey AS ia, c.l_partkey AS ib, count(*)::BIGINT AS s
-  FROM b a JOIN b c
-    ON a.l_orderkey = c.l_orderkey AND a.l_partkey < c.l_partkey
-  GROUP BY 1, 2 HAVING count(*) >= 3),
-bd AS (
-  SELECT ia AS a, ib AS b, s FROM p
-  UNION ALL SELECT ib, ia, s FROM p),
-r AS (
-  SELECT bd.a AS item_a, bd.b AS item_b, bd.s AS support,
-         round(bd.s / sa.s::DOUBLE, 6) AS confidence,
-         round(bd.s * n.n / (sa.s::DOUBLE * sb.s::DOUBLE), 6) AS lift
-  FROM bd JOIN supp sa ON bd.a = sa.l_partkey
-          JOIN supp sb ON bd.b = sb.l_partkey
-          CROSS JOIN n)
-SELECT * FROM r
-ORDER BY lift DESC, item_a ASC, item_b ASC
-LIMIT 20
-"""
-
-
-def q_source_overlap(sf_dir: str):
-    """Cross-source vocabulary-overlap matrix — the corpus-mixture
-    diagnostic ("are these two crawls the same distribution?"):
-    exact Jaccard of distinct-word sets for every source pair.
-    Distributed WITHOUT enumerating pair×word: (word, source) pairs
-    dedup once; each word's bounded source set (≤|sources|) emits
-    its pair increments arithmetically inside the word-hash
-    partition; per-source set sizes come from the same deduped
-    table; |A∪B| = |A|+|B|−|A∩B| folds on the ≤C(|sources|,2)-row
-    driver table."""
-    from ..functions.relational import grouped_apply
-
-    docs = read_table(sf_dir, "documents", columns=["text", "source"])
-
-    def words(d: pd.DataFrame) -> pd.DataFrame:
-        w = d["text"].str.split(" ")
-        out = d[["source"]].assign(w=w).explode("w")
-        out = out[out["w"] != ""]
-        return out.drop_duplicates()
-
-    ws = distinct(
-        docs.map_batches(words, batch_format="pandas"),
-        ["w", "source"], merge_partitions=16)
-
-    def pair_partials(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _w, gg in g.groupby("w", sort=False):
-            ss = np.sort(gg["source"].to_numpy())
-            if len(ss) < 2:
-                continue
-            i, j = np.triu_indices(len(ss), 1)
-            rows.append(pd.DataFrame({"s1": ss[i], "s2": ss[j]}))
-        if not rows:
-            return pd.DataFrame({"s1": pd.Series(dtype=object),
-                                 "s2": pd.Series(dtype=object),
-                                 "inter": pd.Series(dtype="int64")})
-        d = pd.concat(rows)
-        return (d.groupby(["s1", "s2"], sort=False).size()
-                .reset_index(name="inter"))
-
-    inter = grouped_agg(
-        grouped_apply(ws, ["w"], pair_partials, num_partitions=16),
-        ["s1", "s2"], {"inter": ("inter", "sum")}).to_pandas()
-    sizes = grouped_agg(ws, ["source"], {"n": ("w", "count")}
-                        ).to_pandas().set_index("source")["n"]
-    n1 = inter["s1"].map(sizes).to_numpy(dtype="int64")
-    n2 = inter["s2"].map(sizes).to_numpy(dtype="int64")
-    iv = inter["inter"].to_numpy(dtype="int64")
-    out = pd.DataFrame({
-        "s1": inter["s1"].astype(object),
-        "s2": inter["s2"].astype(object),
-        "inter": iv,
-        "jaccard": np.round(iv / (n1 + n2 - iv).astype("float64"), 6)})
-    return out.sort_values(["s1", "s2"]).reset_index(drop=True)
-
-
-SQL_SOURCE_OVERLAP = """
-WITH ws AS (
-  SELECT DISTINCT source, unnest(
-    list_filter(string_split(text, ' '), x -> x <> '')) AS w
-  FROM documents),
-sz AS (SELECT source, count(*)::BIGINT AS n FROM ws GROUP BY 1),
-inter AS (
-  SELECT a.source AS s1, b.source AS s2, count(*)::BIGINT AS inter
-  FROM ws a JOIN ws b ON a.w = b.w AND a.source < b.source
-  GROUP BY 1, 2)
-SELECT i.s1, i.s2, i.inter,
-       round(i.inter / (za.n + zb.n - i.inter)::DOUBLE, 6) AS jaccard
-FROM inter i JOIN sz za ON i.s1 = za.source
-             JOIN sz zb ON i.s2 = zb.source
-"""
 
 
 def q_kaplan_meier(sf_dir: str):
@@ -10811,41 +3481,6 @@ def q_kaplan_meier(sf_dir: str):
         "survival": surv})
 
 
-SQL_KAPLAN_MEIER = """
-WITH u AS (
-  SELECT user_id, min(epoch_us(ts))::BIGINT AS t0,
-         min(CASE WHEN event_type = 'purchase'
-                  THEN epoch_us(ts) END)::BIGINT AS fp,
-         max(epoch_us(ts))::BIGINT AS tend
-  FROM events GROUP BY 1),
-dur AS (
-  SELECT ((COALESCE(fp, tend) - t0) // 86400000000)::BIGINT + 1 AS day,
-         CASE WHEN fp IS NULL THEN 0 ELSE 1 END AS ev
-  FROM u),
-tab AS (
-  SELECT day, sum(ev)::BIGINT AS d, sum(1 - ev)::BIGINT AS c
-  FROM dur GROUP BY 1),
-k AS (
-  SELECT day, d, c,
-         CAST((SELECT count(*) FROM u)
-           - COALESCE(sum(d + c) OVER (ORDER BY day
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-               0) AS BIGINT) AS n_risk
-  FROM tab),
-lf AS (
-  SELECT day, n_risk, d, c,
-         CASE WHEN d = 0 THEN 0
-              WHEN d < n_risk THEN CAST(round(
-                ln(1.0 - d::DOUBLE / n_risk::DOUBLE) * 1e6) AS BIGINT)
-              ELSE -20000000000 END AS lnf
-  FROM k)
-SELECT day, n_risk, d AS n_events, c AS n_censored,
-       round(exp(sum(lnf) OVER (ORDER BY day ROWS UNBOUNDED PRECEDING)
-                 / 1000000.0), 6) AS survival
-FROM lf ORDER BY day
-"""
-
-
 def q_decision_stump(sf_dir: str):
     """Train a decision stump (1R) — the best single split
     `l_quantity <= t` predicting `l_returnflag` by weighted Gini
@@ -10907,109 +3542,6 @@ def q_decision_stump(sf_dir: str):
                          dtype="float64")})
 
 
-SQL_DECISION_STUMP = """
-WITH c AS (
-  SELECT CAST(l_quantity AS BIGINT) AS q, l_returnflag AS f,
-         count(*)::BIGINT AS n
-  FROM lineitem GROUP BY 1, 2),
-tot AS (SELECT f, sum(n)::BIGINT AS nf FROM c GROUP BY 1),
-thr AS (SELECT DISTINCT q FROM c WHERE q < (SELECT max(q) FROM c)),
-l AS (
-  SELECT t.q AS thr, tot.f,
-         COALESCE(sum(CASE WHEN c.q <= t.q THEN c.n END), 0)::BIGINT
-           AS nl_f,
-         any_value(tot.nf) AS nf
-  FROM thr t CROSS JOIN tot LEFT JOIN c ON c.f = tot.f
-  GROUP BY 1, 2),
-j AS (SELECT thr, f, nl_f, nf - nl_f AS nr_f FROM l),
-s AS (
-  SELECT thr,
-         sum(nl_f)::HUGEINT AS nl, sum(nr_f)::HUGEINT AS nr,
-         sum(nl_f::HUGEINT * nl_f::HUGEINT) AS sl2,
-         sum(nr_f::HUGEINT * nr_f::HUGEINT) AS sr2
-  FROM j GROUP BY 1),
-sc AS (
-  SELECT thr, nl, nr, (sl2 * nr + sr2 * nl) AS num, (nl * nr) AS den
-  FROM s WHERE nl > 0 AND nr > 0),
-best AS (
-  SELECT thr, num::DOUBLE / den::DOUBLE AS a
-  FROM sc ORDER BY a DESC, thr ASC LIMIT 1),
-lm AS (SELECT f, nl_f FROM j WHERE thr = (SELECT thr FROM best)
-       ORDER BY nl_f DESC, f ASC LIMIT 1),
-rm AS (SELECT f, nr_f FROM j WHERE thr = (SELECT thr FROM best)
-       ORDER BY nr_f DESC, f ASC LIMIT 1),
-n AS (SELECT sum(n)::BIGINT AS n FROM c)
-SELECT (SELECT thr FROM best)::BIGINT AS threshold,
-       (SELECT f FROM lm) AS left_class,
-       (SELECT f FROM rm) AS right_class,
-       round(((SELECT nl_f FROM lm) + (SELECT nr_f FROM rm))::DOUBLE
-             / n.n::DOUBLE, 9) AS accuracy,
-       round((n.n::DOUBLE - (SELECT a FROM best)) / n.n::DOUBLE, 9)
-         AS gini
-FROM n
-"""
-
-
-def q_hapax(sf_dir: str):
-    """Per-source vocabulary richness — type count, token count, and
-    the hapax-legomena ratio (share of word types occurring exactly
-    once in that source): the corpus-health diagnostic that catches
-    both template spam (hapax ratio collapses) and OCR noise (it
-    explodes). (source, word) counts reduce inside ONE word-hash
-    partitioned exchange (`merge_partitions`, vocabulary scales with
-    the corpus); each partition then folds its types to ≤|sources|
-    partial rows, so the per-source reduce ships a model-constant
-    table. Exact int64 end to end; only the final ratio divides."""
-    docs = read_table(sf_dir, "documents", columns=["text", "source"])
-
-    def words(d: pd.DataFrame) -> pd.DataFrame:
-        out = (d[["source"]]
-               .assign(w=d["text"].str.split(" ")).explode("w"))
-        out = out[out["w"] != ""]
-        return pd.DataFrame({
-            "source": out["source"].to_numpy(),
-            "w": out["w"].to_numpy(),
-            "one": np.ones(len(out), dtype="int64")})
-
-    wc = grouped_agg(
-        docs.map_batches(words, batch_format="pandas"),
-        ["source", "w"], {"n": ("one", "sum")}, merge_partitions=16)
-
-    def fold(d: pd.DataFrame) -> pd.DataFrame:
-        n = d["n"].to_numpy(dtype="int64")
-        return pd.DataFrame({
-            "source": d["source"].to_numpy(),
-            "types": np.ones(len(d), dtype="int64"),
-            "hapax": (n == 1).astype("int64"),
-            "tokens": n})
-
-    agg = (grouped_agg(wc.map_batches(fold, batch_format="pandas"),
-                       ["source"],
-                       {"types": ("types", "sum"),
-                        "hapax": ("hapax", "sum"),
-                        "tokens": ("tokens", "sum")})
-           .to_pandas().sort_values("source").reset_index(drop=True))
-    agg["hapax_ratio"] = np.round(
-        agg["hapax"].to_numpy(dtype="int64")
-        / agg["types"].to_numpy(dtype="float64"), 6)
-    return agg
-
-
-SQL_HAPAX = """
-WITH w AS (
-  SELECT source, unnest(
-    list_filter(string_split(text, ' '), x -> x <> '')) AS w
-  FROM documents),
-wc AS (SELECT source, w, count(*)::BIGINT AS n FROM w GROUP BY 1, 2)
-SELECT source,
-       count(*)::BIGINT AS types,
-       sum((n = 1)::INT)::BIGINT AS hapax,
-       sum(n)::BIGINT AS tokens,
-       round(sum((n = 1)::INT) / count(*)::DOUBLE, 6) AS hapax_ratio
-FROM wc GROUP BY 1 ORDER BY source
-"""
-
-
 def q_pareto_8020(sf_dir: str):
     """Pareto revenue concentration — the smallest set of top customers
     covering ≥80% of total order revenue (the "how skewed is this key"
@@ -11048,27 +3580,6 @@ def q_pareto_8020(sf_dir: str):
             [round(float(cum[k - 1]) / float(total), 6)],
             dtype="float64"),
         "total_rev_c": np.array([total], dtype="int64")})
-
-
-SQL_PARETO_8020 = """
-WITH cr AS (
-  SELECT o_custkey,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT))::BIGINT AS rev_c
-  FROM orders GROUP BY 1),
-r AS (
-  SELECT rev_c,
-         sum(rev_c) OVER (ORDER BY rev_c DESC, o_custkey ASC
-                          ROWS UNBOUNDED PRECEDING) AS cum,
-         row_number() OVER (ORDER BY rev_c DESC, o_custkey ASC) AS rn
-  FROM cr),
-t AS (SELECT sum(rev_c)::BIGINT AS total, count(*)::BIGINT AS n FROM cr),
-k AS (SELECT min(rn)::BIGINT AS k FROM r, t WHERE 5 * r.cum >= 4 * t.total)
-SELECT k.k AS n_top, t.n AS n_customers,
-       round((SELECT cum FROM r, k WHERE r.rn = k.k)::DOUBLE
-             / t.total::DOUBLE, 6) AS top_share,
-       t.total AS total_rev_c
-FROM k, t
-"""
 
 
 def q_psi(sf_dir: str):
@@ -11141,48 +3652,6 @@ def q_psi(sf_dir: str):
                         dtype="float64")})
 
 
-SQL_PSI = """
-WITH mm AS (
-  SELECT min(epoch_us(ts))::BIGINT AS lo,
-         max(epoch_us(ts))::BIGINT AS hi
-  FROM events),
-e AS (
-  SELECT event_id, value AS v,
-         CASE WHEN 2 * epoch_us(ts) >= (SELECT lo + hi FROM mm)
-              THEN 1 ELSE 0 END AS p
-  FROM events),
-ed AS (
-  SELECT DISTINCT edge FROM (
-    SELECT unnest([
-      quantile_disc(v, 0.1), quantile_disc(v, 0.2),
-      quantile_disc(v, 0.3), quantile_disc(v, 0.4),
-      quantile_disc(v, 0.5), quantile_disc(v, 0.6),
-      quantile_disc(v, 0.7), quantile_disc(v, 0.8),
-      quantile_disc(v, 0.9)]) AS edge
-    FROM e WHERE p = 0)),
-b AS (
-  SELECT e.event_id, any_value(e.p) AS p, count(ed.edge)::BIGINT AS bin
-  FROM e LEFT JOIN ed ON ed.edge < e.v
-  GROUP BY e.event_id),
-c AS (
-  SELECT bin, sum((p = 0)::INT)::BIGINT AS n_a,
-         sum((p = 1)::INT)::BIGINT AS n_b
-  FROM b GROUP BY 1),
-t AS (SELECT sum(n_a)::BIGINT AS nat, sum(n_b)::BIGINT AS nbt FROM c),
-terms AS (
-  SELECT CAST(round(
-    (n_b::DOUBLE / t.nbt::DOUBLE - n_a::DOUBLE / t.nat::DOUBLE)
-    * ln(greatest(n_b::DOUBLE / t.nbt::DOUBLE, 1e-12)
-         / greatest(n_a::DOUBLE / t.nat::DOUBLE, 1e-12))
-    * 1e6) AS BIGINT) AS m
-  FROM c, t)
-SELECT (SELECT count(*) FROM c)::BIGINT AS n_bins,
-       t.nat AS n_a, t.nbt AS n_b,
-       round((SELECT sum(m) FROM terms) / 1000000.0, 6) AS psi
-FROM t
-"""
-
-
 def q_cohort_ltv(sf_dir: str):
     """Cohort lifetime-value curve — `retention`'s revenue sibling:
     users cohorted by first-activity week, purchase revenue summed per
@@ -11238,100 +3707,6 @@ def q_cohort_ltv(sf_dir: str):
     return u.rename(columns={"off": "weeks_since"}).drop(columns=["nu"])
 
 
-SQL_COHORT_LTV = """
-WITH w AS (
-  SELECT user_id, CAST(floor(epoch(ts) / 604800) AS BIGINT) AS wk,
-         event_type, CAST(round(value * 100) AS BIGINT) AS v_c
-  FROM events),
-f AS (SELECT user_id, min(wk) AS cohort FROM w GROUP BY 1),
-pur AS (
-  SELECT f.cohort, w.wk - f.cohort AS weeks_since,
-         sum(w.v_c)::BIGINT AS rev_c, 0::BIGINT AS nu
-  FROM w JOIN f USING (user_id)
-  WHERE w.event_type = 'purchase' GROUP BY 1, 2),
-mk AS (
-  SELECT cohort, 0::BIGINT AS weeks_since, 0::BIGINT AS rev_c,
-         count(*)::BIGINT AS nu
-  FROM f GROUP BY 1),
-u AS (
-  SELECT cohort, weeks_since, sum(rev_c)::BIGINT AS rev_c,
-         sum(nu)::BIGINT AS nu
-  FROM (SELECT * FROM pur UNION ALL SELECT * FROM mk)
-  GROUP BY 1, 2),
-c AS (
-  SELECT cohort, weeks_since, rev_c,
-         sum(rev_c) OVER (PARTITION BY cohort ORDER BY weeks_since
-                          ROWS UNBOUNDED PRECEDING) AS cum_rev_c,
-         sum(nu) OVER (PARTITION BY cohort) AS n_users
-  FROM u)
-SELECT cohort, weeks_since, rev_c,
-       cum_rev_c::BIGINT AS cum_rev_c, n_users::BIGINT AS n_users,
-       round(cum_rev_c::DOUBLE / n_users::DOUBLE, 6) AS ltv_c
-FROM c
-"""
-
-
-def q_oov_rate(sf_dir: str):
-    """Out-of-vocabulary rate at a fixed vocabulary budget — the
-    tokenizer-sizing question ("how much of the corpus does a top-V
-    vocab cover?"): word counts reduce inside a word-hash partitioned
-    exchange (vocabulary scales with the corpus, never coalesces to one
-    task), the top-V cut uses per-block truncation + one tiny tail sort
-    (`topk` with the (count desc, word asc) tie-break), and the OOV
-    complement needs NO second corpus pass — oov = total − Σ top-V
-    counts, all exact int64. V=20 here (the synthetic corpus has 31
-    word types); V is the operator's parameter, not a constant."""
-    from ..functions.relational import topk
-
-    docs = read_table(sf_dir, "documents", columns=["text"])
-
-    def words(d: pd.DataFrame) -> pd.DataFrame:
-        w = d["text"].str.split(" ").explode()
-        w = w[w != ""]
-        return pd.DataFrame({"w": w.to_numpy(),
-                             "one": np.ones(len(w), dtype="int64")})
-
-    counts = grouped_agg(
-        docs.map_batches(words, batch_format="pandas"),
-        ["w"], {"n": ("one", "sum")}, merge_partitions=16)
-    total = int(
-        counts.map_batches(
-            lambda d: pd.DataFrame({"s": np.array([d["n"].sum()],
-                                                  dtype="int64")}),
-            batch_format="pandas").to_pandas()["s"].sum())
-    top = (topk(counts, by=["n", "w"], k=20, descending=[True, False])
-           .to_pandas())
-    vocab_tokens = int(top["n"].sum())
-    return pd.DataFrame({
-        "vocab_size": np.array([len(top)], dtype="int64"),
-        "cutoff_count": np.array([int(top["n"].min())], dtype="int64"),
-        "total_tokens": np.array([total], dtype="int64"),
-        "vocab_tokens": np.array([vocab_tokens], dtype="int64"),
-        "oov_tokens": np.array([total - vocab_tokens], dtype="int64"),
-        "oov_rate": np.array(
-            [round(float(total - vocab_tokens) / float(total), 6)],
-            dtype="float64")})
-
-
-SQL_OOV_RATE = """
-WITH w AS (
-  SELECT unnest(list_filter(string_split(text, ' '), x -> x <> ''))
-    AS w
-  FROM documents),
-c AS (SELECT w, count(*)::BIGINT AS n FROM w GROUP BY 1),
-v AS (SELECT n FROM c ORDER BY n DESC, w ASC LIMIT 20),
-t AS (SELECT sum(n)::BIGINT AS total FROM c),
-s AS (SELECT count(*)::BIGINT AS vocab_size,
-             sum(n)::BIGINT AS vocab_tokens,
-             min(n)::BIGINT AS cutoff_count FROM v)
-SELECT s.vocab_size, s.cutoff_count, t.total AS total_tokens,
-       s.vocab_tokens, (t.total - s.vocab_tokens)::BIGINT AS oov_tokens,
-       round((t.total - s.vocab_tokens)::DOUBLE / t.total::DOUBLE, 6)
-         AS oov_rate
-FROM s, t
-"""
-
-
 def q_mann_kendall(sf_dir: str):
     """Per-user Mann–Kendall trend test — the nonparametric "is this
     series drifting" monitor (the hypothesis-test sibling of
@@ -11383,40 +3758,6 @@ def q_mann_kendall(sf_dir: str):
                   "var18": "int64", "z": "float64"})
 
     return grouped_apply(ev, ["user_id"], per_part, num_partitions=32)
-
-
-SQL_MANN_KENDALL = """
-WITH e AS (
-  SELECT event_id, user_id, ts,
-         CAST(round(value * 100) AS BIGINT) AS v
-  FROM events),
-s AS (
-  SELECT a.user_id,
-         sum(CASE WHEN b.v > a.v THEN 1
-                  WHEN b.v < a.v THEN -1 ELSE 0 END)::BIGINT AS s
-  FROM e a JOIN e b
-    ON a.user_id = b.user_id
-   AND (a.ts < b.ts OR (a.ts = b.ts AND a.event_id < b.event_id))
-  GROUP BY 1),
-n AS (SELECT user_id, count(*)::BIGINT AS n FROM e GROUP BY 1),
-tie AS (
-  SELECT user_id,
-         sum(t * (t - 1) * (2 * t + 5))::BIGINT AS tt
-  FROM (SELECT user_id, count(*)::BIGINT AS t
-        FROM e GROUP BY user_id, v)
-  GROUP BY 1),
-j AS (
-  SELECT n.user_id, n.n, COALESCE(s.s, 0) AS s,
-         (n.n * (n.n - 1) * (2 * n.n + 5) - COALESCE(tie.tt, 0))
-           AS var18
-  FROM n LEFT JOIN s USING (user_id) LEFT JOIN tie USING (user_id))
-SELECT user_id, n, s, var18,
-       CASE WHEN var18 > 0 AND s <> 0 THEN round(
-              (CASE WHEN s > 0 THEN s - 1 ELSE s + 1 END)
-              / sqrt(var18 / 18.0), 6)
-            ELSE 0.0 END AS z
-FROM j
-"""
 
 
 def q_shingle_leakage(sf_dir: str):
@@ -11474,143 +3815,6 @@ def q_shingle_leakage(sf_dir: str):
         agg["shared"].to_numpy(dtype="int64")
         / agg["types"].to_numpy(dtype="float64"), 6)
     return agg
-
-
-SQL_SHINGLE_LEAKAGE = """
-WITH w AS (
-  SELECT source,
-         list_filter(string_split(text, ' '), x -> x <> '') AS ws
-  FROM documents),
-sh AS (
-  SELECT DISTINCT source,
-         list_aggr(ws[i : i + 4], 'string_agg', ' ') AS sh
-  FROM (SELECT source, ws,
-               unnest(range(1, greatest(len(ws) - 4, 0) + 1)) AS i
-        FROM w)),
-cnt AS (SELECT sh, count(*)::BIGINT AS nsrc FROM sh GROUP BY 1)
-SELECT s.source, count(*)::BIGINT AS types,
-       sum((c.nsrc >= 2)::INT)::BIGINT AS shared,
-       round(sum((c.nsrc >= 2)::INT) / count(*)::DOUBLE, 6)
-         AS leak_rate
-FROM sh s JOIN cnt c USING (sh)
-GROUP BY 1 ORDER BY s.source
-"""
-
-
-def q_dow_seasonality(sf_dir: str):
-    """Day-of-week seasonality index over event revenue — the weekly
-    pattern a seasonal-naive forecast or staffing plan keys on:
-    per-dow exact integer-cent sums and counts in one ≤7-key reduce,
-    index = dow mean / overall mean (the only division, on exact
-    ints). Dow is computed arithmetically from the epoch day
-    ((days+4) mod 7, Sunday=0) so both engines share the calendar
-    convention without timezone machinery."""
-    ev = read_table(sf_dir, "events", columns=["ts", "value"])
-
-    def pre(d: pd.DataFrame) -> pd.DataFrame:
-        days = (d["ts"].to_numpy("datetime64[us]").astype("int64")
-                // 86_400_000_000)
-        return pd.DataFrame({
-            "dow": (days + 4) % 7,
-            "v_c": np.rint(d["value"].to_numpy(dtype="float64") * 100
-                           ).astype("int64"),
-            "one": np.ones(len(d), dtype="int64")})
-
-    agg = (grouped_agg(ev.map_batches(pre, batch_format="pandas"),
-                       ["dow"], {"sum_c": ("v_c", "sum"),
-                                 "n": ("one", "sum")})
-           .to_pandas().sort_values("dow").reset_index(drop=True))
-    sum_c = agg["sum_c"].to_numpy(dtype="int64")
-    n = agg["n"].to_numpy(dtype="int64")
-    overall = float(sum_c.sum()) / float(n.sum())
-    agg["sum_c"] = sum_c
-    agg["idx"] = np.round(
-        (sum_c.astype("float64") / n.astype("float64")) / overall, 6)
-    return agg
-
-
-SQL_DOW_SEASONALITY = """
-WITH e AS (
-  SELECT (epoch_us(ts) // 86400000000 + 4) % 7 AS dow,
-         CAST(round(value * 100) AS BIGINT) AS v_c
-  FROM events),
-a AS (
-  SELECT dow, sum(v_c)::BIGINT AS sum_c, count(*)::BIGINT AS n
-  FROM e GROUP BY 1),
-t AS (SELECT sum(sum_c)::DOUBLE / sum(n)::DOUBLE AS overall FROM a)
-SELECT dow, sum_c, n,
-       round((sum_c::DOUBLE / n::DOUBLE) / t.overall, 6) AS idx
-FROM a, t ORDER BY dow
-"""
-
-
-def q_k_anonymity(sf_dir: str):
-    """k-anonymity / l-diversity audit — the privacy pre-flight a
-    training-data release runs: quasi-identifiers (c_nationkey,
-    c_mktsegment) partition customers into equivalence classes;
-    report how many rows sit in classes smaller than k=10 and the
-    minimum l-diversity (distinct sensitive values — account-balance
-    kilobuckets — per class). One grouped count by (QI, sensitive)
-    bounds what leaves each block to the class×bucket cardinality;
-    the class fold and the single audit row are driver-side on the
-    bounded class table. Exact int64 throughout; only pct divides."""
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_nationkey", "c_mktsegment",
-                               "c_acctbal"])
-
-    def pre(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "nat": d["c_nationkey"].to_numpy(),
-            "seg": d["c_mktsegment"].to_numpy(),
-            "sb": np.floor(d["c_acctbal"].to_numpy(dtype="float64")
-                           / 1000.0).astype("int64"),
-            "one": np.ones(len(d), dtype="int64")})
-
-    cells = (grouped_agg(cust.map_batches(pre, batch_format="pandas"),
-                         ["nat", "seg", "sb"], {"n": ("one", "sum")})
-             .to_pandas())
-    cls = (cells.groupby(["nat", "seg"])
-           .agg(size=("n", "sum"), l=("sb", "count")).reset_index())
-    k = 10
-    n_rows = int(cls["size"].sum())
-    below = cls[cls["size"] < k]
-    return pd.DataFrame({
-        "k": np.array([k], dtype="int64"),
-        "n_rows": np.array([n_rows], dtype="int64"),
-        "n_classes": np.array([len(cls)], dtype="int64"),
-        "min_class": np.array([int(cls["size"].min())], dtype="int64"),
-        "rows_below_k": np.array([int(below["size"].sum())],
-                                 dtype="int64"),
-        "pct_below_k": np.array(
-            [round(float(below["size"].sum()) / float(n_rows), 6)],
-            dtype="float64"),
-        "min_l": np.array([int(cls["l"].min())], dtype="int64"),
-        "classes_below_l3": np.array([int((cls["l"] < 3).sum())],
-                                     dtype="int64")})
-
-
-SQL_K_ANONYMITY = """
-WITH cells AS (
-  SELECT c_nationkey AS nat, c_mktsegment AS seg,
-         CAST(floor(c_acctbal / 1000.0) AS BIGINT) AS sb,
-         count(*)::BIGINT AS n
-  FROM customer GROUP BY 1, 2, 3),
-cls AS (
-  SELECT nat, seg, sum(n)::BIGINT AS size, count(*)::BIGINT AS l
-  FROM cells GROUP BY 1, 2),
-a AS (
-  SELECT sum(size)::BIGINT AS n_rows, count(*)::BIGINT AS n_classes,
-         min(size)::BIGINT AS min_class,
-         COALESCE(sum(size) FILTER (WHERE size < 10), 0)::BIGINT
-           AS rows_below_k,
-         min(l)::BIGINT AS min_l,
-         sum((l < 3)::INT)::BIGINT AS classes_below_l3
-  FROM cls)
-SELECT 10::BIGINT AS k, n_rows, n_classes, min_class, rows_below_k,
-       round(rows_below_k::DOUBLE / n_rows::DOUBLE, 6) AS pct_below_k,
-       min_l, classes_below_l3
-FROM a
-"""
 
 
 def q_mrr(sf_dir: str):
@@ -11672,103 +3876,6 @@ def q_mrr(sf_dir: str):
             dtype="float64")})
 
 
-SQL_MRR = """
-WITH ql AS (
-  SELECT doc_id AS qid,
-         list_filter(string_split(text, ' '), x -> x <> '') AS ws
-  FROM documents WHERE doc_id % 97 = 0),
-qw AS (
-  SELECT qid, ws[i] AS w, min(i) AS fi
-  FROM (SELECT qid, ws, unnest(range(1, len(ws) + 1)) AS i FROM ql)
-  GROUP BY 1, 2),
-qterm AS (
-  SELECT qid, w FROM (
-    SELECT qid, w,
-           row_number() OVER (PARTITION BY qid ORDER BY fi) AS r
-    FROM qw) WHERE r <= 3),
-dwords AS (
-  SELECT DISTINCT doc_id, unnest(
-    list_filter(string_split(text, ' '), x -> x <> '')) AS w
-  FROM documents),
-sc AS (
-  SELECT qt.qid, d.doc_id, count(*)::BIGINT AS s
-  FROM qterm qt JOIN dwords d ON qt.w = d.w
-  GROUP BY 1, 2),
-tgt AS (SELECT qid, s AS s_t FROM sc WHERE qid = doc_id),
-rk AS (
-  SELECT sc.qid,
-         1 + sum(CASE WHEN sc.s > t.s_t
-                      OR (sc.s = t.s_t AND sc.doc_id < sc.qid)
-                      THEN 1 ELSE 0 END)::BIGINT AS rank
-  FROM sc JOIN tgt t USING (qid) GROUP BY sc.qid)
-SELECT count(*)::BIGINT AS n_queries,
-       sum((rank = 1)::INT)::BIGINT AS hits_at_1,
-       sum((rank <= 10)::INT)::BIGINT AS hits_at_10,
-       round(sum(CAST(round(1e6 / rank) AS BIGINT)) / 1e6
-             / count(*), 6) AS mrr
-FROM rk
-"""
-
-
-def q_dispersion(sf_dir: str):
-    """Variance-to-mean ratio of daily event counts per type — the
-    index-of-dispersion burstiness check (VMR≈1 ⇒ Poisson arrivals;
-    VMR≫1 ⇒ bursty — the signal that a per-host politeness budget or
-    a rate-based sampler needs headroom). Daily counts reduce by
-    (type, day); mean/variance fold from exact integer Σn and Σn²
-    over OBSERVED days on the bounded type×days table. Population
-    variance (ddof=0), both engines evaluating the same
-    sumsq/n − mean² expression on exact ints."""
-    ev = read_table(sf_dir, "events", columns=["event_type", "ts"])
-
-    def pre(d: pd.DataFrame) -> pd.DataFrame:
-        days = (d["ts"].to_numpy("datetime64[us]").astype("int64")
-                // 86_400_000_000)
-        return pd.DataFrame({
-            "event_type": d["event_type"].to_numpy(),
-            "day": days,
-            "one": np.ones(len(d), dtype="int64")})
-
-    daily = (grouped_agg(ev.map_batches(pre, batch_format="pandas"),
-                         ["event_type", "day"], {"n": ("one", "sum")})
-             .to_pandas())
-    agg = (daily.assign(n2=daily["n"].to_numpy(dtype="int64") ** 2)
-           .groupby("event_type")
-           .agg(n_days=("n", "count"), s=("n", "sum"), s2=("n2", "sum"))
-           .reset_index().sort_values("event_type")
-           .reset_index(drop=True))
-    nd = agg["n_days"].to_numpy(dtype="float64")
-    s = agg["s"].to_numpy(dtype="float64")
-    s2 = agg["s2"].to_numpy(dtype="float64")
-    mean = s / nd
-    var = s2 / nd - mean * mean
-    return pd.DataFrame({
-        "event_type": agg["event_type"].astype(object),
-        "n_days": agg["n_days"].astype("int64"),
-        "total": agg["s"].astype("int64"),
-        "mean_per_day": np.round(mean, 6),
-        "vmr": np.round(var / mean, 6)})
-
-
-SQL_DISPERSION = """
-WITH d AS (
-  SELECT event_type, epoch_us(ts) // 86400000000 AS day,
-         count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2),
-a AS (
-  SELECT event_type, count(*)::BIGINT AS n_days,
-         sum(n)::BIGINT AS s, sum(n * n)::BIGINT AS s2
-  FROM d GROUP BY 1)
-SELECT event_type, n_days, s AS total,
-       round(s::DOUBLE / n_days::DOUBLE, 6) AS mean_per_day,
-       round((s2::DOUBLE / n_days::DOUBLE
-              - (s::DOUBLE / n_days::DOUBLE)
-                * (s::DOUBLE / n_days::DOUBLE))
-             / (s::DOUBLE / n_days::DOUBLE), 6) AS vmr
-FROM a ORDER BY event_type
-"""
-
-
 def q_trimmed_mean(sf_dir: str):
     """Exact 5%-two-sided trimmed mean of order value — the robust
     location estimate a revenue dashboard wants when whales and
@@ -11813,26 +3920,6 @@ def q_trimmed_mean(sf_dir: str):
         "sum_kept_c": np.array([s], dtype="int64"),
         "trimmed_mean_c": np.array([round(float(s) / float(m), 6)],
                                    dtype="float64")})
-
-
-SQL_TRIMMED_MEAN = """
-WITH v AS (
-  SELECT o_orderkey, CAST(round(o_totalprice * 100) AS BIGINT) AS c
-  FROM orders),
-n AS (SELECT count(*)::BIGINT AS n,
-             CAST(floor(0.05 * count(*)) AS BIGINT) AS k FROM v),
-r AS (SELECT c, row_number() OVER (ORDER BY c, o_orderkey) - 1 AS rk
-      FROM v),
-kept AS (SELECT r.c FROM r, n
-         WHERE r.rk >= n.k AND r.rk <= n.n - 1 - n.k)
-SELECT n.n, n.k AS k_trim,
-       (SELECT count(*)::BIGINT FROM kept) AS n_kept,
-       (SELECT sum(c)::BIGINT FROM kept) AS sum_kept_c,
-       round((SELECT sum(c) FROM kept)::DOUBLE
-             / (SELECT count(*) FROM kept)::DOUBLE, 6)
-         AS trimmed_mean_c
-FROM n
-"""
 
 
 def q_runs_test(sf_dir: str):
@@ -11887,88 +3974,6 @@ def q_runs_test(sf_dir: str):
                   "n0": "int64", "runs": "int64", "z": "float64"})
 
     return grouped_apply(ev, ["user_id"], per_part, num_partitions=32)
-
-
-SQL_RUNS_TEST = """
-WITH e AS (
-  SELECT user_id, ts, event_id,
-         CAST(round(value * 100) AS BIGINT) AS v
-  FROM events),
-m AS (SELECT user_id, quantile_disc(v, 0.5) AS med FROM e GROUP BY 1),
-s AS (
-  SELECT e.user_id, e.ts, e.event_id, (e.v > m.med)::INT AS sg
-  FROM e JOIN m USING (user_id)),
-ch AS (
-  SELECT user_id, sg,
-         lag(sg) OVER (PARTITION BY user_id
-                       ORDER BY ts, event_id) AS prev
-  FROM s),
-agg AS (
-  SELECT user_id, count(*)::BIGINT AS n, sum(sg)::BIGINT AS n1,
-         (1 + sum(CASE WHEN prev IS NOT NULL AND sg <> prev
-                       THEN 1 ELSE 0 END))::BIGINT AS runs
-  FROM ch GROUP BY 1)
-SELECT user_id, n, n1, (n - n1)::BIGINT AS n0, runs,
-       CASE WHEN n1 = 0 OR n - n1 = 0 OR 2 * n1 * (n - n1) = n
-            THEN 0.0
-            ELSE round(
-              (runs::DOUBLE - (2.0 * n1 * (n - n1) / n + 1.0))
-              / sqrt(2.0 * n1 * (n - n1)
-                     * (2.0 * n1 * (n - n1) - n)
-                     / (n::DOUBLE * n::DOUBLE * (n - 1)::DOUBLE)),
-              6) END AS z
-FROM agg
-"""
-
-
-def q_gmean_brand(sf_dir: str):
-    """Per-brand geometric mean retail price — the multiplicative
-    price-index aggregate (a Jevons index leg): per-row ln(price)
-    rounds to integer MICRO-nats, the grouped sum is exact int64
-    (float order can't flip the hash), and the single exp at the end
-    recovers the gmean. The contrast column (arithmetic mean from
-    exact cents) shows the whale skew the gmean resists."""
-    parts = read_table(sf_dir, "part",
-                       columns=["p_brand", "p_retailprice"])
-
-    def pre(d: pd.DataFrame) -> pd.DataFrame:
-        p = d["p_retailprice"].to_numpy(dtype="float64")
-        return pd.DataFrame({
-            "p_brand": d["p_brand"].to_numpy(),
-            "lnm": np.round(np.log(p) * 1e6).astype("int64"),
-            "c": np.rint(p * 100).astype("int64"),
-            "one": np.ones(len(d), dtype="int64")})
-
-    agg = (grouped_agg(parts.map_batches(pre, batch_format="pandas"),
-                       ["p_brand"],
-                       {"s_ln": ("lnm", "sum"), "s_c": ("c", "sum"),
-                        "n": ("one", "sum")})
-           .to_pandas().sort_values("p_brand").reset_index(drop=True))
-    s_ln = agg["s_ln"].to_numpy(dtype="float64")
-    s_c = agg["s_c"].to_numpy(dtype="float64")
-    n = agg["n"].to_numpy(dtype="float64")
-    return pd.DataFrame({
-        "p_brand": agg["p_brand"].astype(object),
-        "n": agg["n"].astype("int64"),
-        "gmean": np.round(np.exp(s_ln / n / 1e6), 6),
-        "amean_c": np.round(s_c / n, 6)})
-
-
-SQL_GMEAN_BRAND = """
-WITH p AS (
-  SELECT p_brand,
-         CAST(round(ln(p_retailprice) * 1e6) AS BIGINT) AS lnm,
-         CAST(round(p_retailprice * 100) AS BIGINT) AS c
-  FROM part),
-a AS (
-  SELECT p_brand, sum(lnm)::BIGINT AS s_ln, sum(c)::BIGINT AS s_c,
-         count(*)::BIGINT AS n
-  FROM p GROUP BY 1)
-SELECT p_brand, n,
-       round(exp(s_ln::DOUBLE / n::DOUBLE / 1e6), 6) AS gmean,
-       round(s_c::DOUBLE / n::DOUBLE, 6) AS amean_c
-FROM a ORDER BY p_brand
-"""
 
 
 def q_anova2(sf_dir: str):
@@ -12039,58 +4044,6 @@ def q_anova2(sf_dir: str):
                          dtype="float64")})
 
 
-SQL_ANOVA2 = """
-WITH cells AS (
-  SELECT l_returnflag AS a, l_linestatus AS b,
-         count(*)::BIGINT AS n,
-         sum(CAST(l_quantity AS BIGINT))::BIGINT AS s,
-         sum(CAST(l_quantity AS BIGINT)
-             * CAST(l_quantity AS BIGINT))::BIGINT AS q2
-  FROM lineitem GROUP BY 1, 2),
-tot AS (
-  SELECT sum(n)::BIGINT AS n, sum(s)::BIGINT AS s,
-         sum(q2)::BIGINT AS q2,
-         count(DISTINCT a)::BIGINT AS na,
-         count(DISTINCT b)::BIGINT AS nb
-  FROM cells),
-ta AS (
-  SELECT sum(CAST(round(s2.s::DOUBLE * s2.s::DOUBLE
-                        / s2.n::DOUBLE * 1e6) AS BIGINT))::BIGINT AS t
-  FROM (SELECT a, sum(n)::BIGINT AS n, sum(s)::BIGINT AS s
-        FROM cells GROUP BY 1) s2),
-tb AS (
-  SELECT sum(CAST(round(s2.s::DOUBLE * s2.s::DOUBLE
-                        / s2.n::DOUBLE * 1e6) AS BIGINT))::BIGINT AS t
-  FROM (SELECT b, sum(n)::BIGINT AS n, sum(s)::BIGINT AS s
-        FROM cells GROUP BY 1) s2),
-tc AS (
-  SELECT sum(CAST(round(s::DOUBLE * s::DOUBLE
-                        / n::DOUBLE * 1e6) AS BIGINT))::BIGINT AS t
-  FROM cells),
-x AS (
-  SELECT tot.n, tot.na, tot.nb,
-         tot.s::DOUBLE * tot.s::DOUBLE / tot.n::DOUBLE AS c,
-         tot.q2::DOUBLE AS q2,
-         ta.t / 1e6 AS ta, tb.t / 1e6 AS tb, tc.t / 1e6 AS tc
-  FROM tot, ta, tb, tc),
-y AS (
-  SELECT n, na, nb,
-         (ta - c) AS ss_a, (tb - c) AS ss_b,
-         (tc - c) - (ta - c) - (tb - c) AS ss_ab,
-         (q2 - c) - (tc - c) AS ss_err,
-         (n - na * nb)::BIGINT AS df_err
-  FROM x)
-SELECT n, df_err,
-       round(ss_a, 4) AS ss_a, round(ss_b, 4) AS ss_b,
-       round(ss_ab, 4) AS ss_ab, round(ss_err, 4) AS ss_err,
-       round(ss_a / (na - 1) / (ss_err / df_err), 6) AS f_a,
-       round(ss_b / (nb - 1) / (ss_err / df_err), 6) AS f_b,
-       round(ss_ab / ((na - 1) * (nb - 1)) / (ss_err / df_err), 6)
-         AS f_ab
-FROM y
-"""
-
-
 def q_lorenz(sf_dir: str):
     """Lorenz curve of order revenue in deciles — `gini`'s table form
     (the "bottom 50% of orders carry x% of revenue" readout): rows
@@ -12130,26 +4083,6 @@ def q_lorenz(sf_dir: str):
         "n": p["n"].astype("int64"),
         "sum_c": p["sum_c"].astype("int64"),
         "cum_share": np.round(cum.astype("float64") / float(tot), 6)})
-
-
-SQL_LORENZ = """
-WITH v AS (
-  SELECT o_orderkey, CAST(round(o_totalprice * 100) AS BIGINT) AS c
-  FROM orders),
-r AS (
-  SELECT c, (row_number() OVER (ORDER BY c, o_orderkey) - 1) * 10
-            // (SELECT count(*) FROM v) AS decile
-  FROM v),
-d AS (
-  SELECT decile, count(*)::BIGINT AS n, sum(c)::BIGINT AS sum_c
-  FROM r GROUP BY 1),
-t AS (SELECT sum(sum_c)::BIGINT AS tot FROM d)
-SELECT decile::BIGINT AS decile, n, sum_c,
-       round(sum(sum_c) OVER (ORDER BY decile
-                              ROWS UNBOUNDED PRECEDING)::DOUBLE
-             / t.tot::DOUBLE, 6) AS cum_share
-FROM d, t ORDER BY decile
-"""
 
 
 def q_wasserstein(sf_dir: str):
@@ -12205,30 +4138,6 @@ def q_wasserstein(sf_dir: str):
         "n_b": np.array([n_b], dtype="int64")})
 
 
-SQL_WASSERSTEIN = """
-WITH u AS (
-  SELECT value AS v,
-         CASE WHEN event_type = 'click' THEN 1 ELSE 0 END AS a,
-         CASE WHEN event_type = 'view' THEN 1 ELSE 0 END AS b
-  FROM events WHERE event_type IN ('click', 'view')),
-c AS (SELECT v, sum(a)::BIGINT AS ca, sum(b)::BIGINT AS cb
-      FROM u GROUP BY v),
-w AS (SELECT v, sum(ca) OVER (ORDER BY v) AS cum_a,
-             sum(cb) OVER (ORDER BY v) AS cum_b,
-             lead(v) OVER (ORDER BY v) AS nv,
-             (SELECT sum(ca) FROM c) AS na,
-             (SELECT sum(cb) FROM c) AS nb
-      FROM c),
-t AS (
-  SELECT CAST(round(abs(cum_a / na - cum_b / nb) * (nv - v) * 1e6)
-              AS BIGINT) AS m
-  FROM w WHERE nv IS NOT NULL)
-SELECT round((SELECT sum(m) FROM t) / 1e6, 6) AS w1,
-       (SELECT CAST(max(na) AS BIGINT) FROM w) AS n_a,
-       (SELECT CAST(max(nb) AS BIGINT) FROM w) AS n_b
-"""
-
-
 def q_cvm_test(sf_dir: str):
     """EXACT two-sample Cramér–von Mises statistic between the click
     and view cohorts — the mean-square CDF-difference test (more
@@ -12266,36 +4175,6 @@ def q_cvm_test(sf_dir: str):
                           dtype="float64"),
         "n_a": np.array([n_a], dtype="int64"),
         "n_b": np.array([n_b], dtype="int64")})
-
-
-SQL_CVM_TEST = """
-WITH u AS (
-  SELECT value AS v,
-         CASE WHEN event_type = 'click' THEN 1 ELSE 0 END AS a,
-         CASE WHEN event_type = 'view' THEN 1 ELSE 0 END AS b
-  FROM events WHERE event_type IN ('click', 'view')),
-c AS (SELECT v, sum(a)::BIGINT AS ca, sum(b)::BIGINT AS cb
-      FROM u GROUP BY v),
-w AS (SELECT ca, cb, sum(ca) OVER (ORDER BY v) AS cum_a,
-             sum(cb) OVER (ORDER BY v) AS cum_b,
-             (SELECT sum(ca) FROM c) AS na,
-             (SELECT sum(cb) FROM c) AS nb
-      FROM c),
-t AS (
-  SELECT CAST(round((cum_a / na - cum_b / nb)
-                    * (cum_a / na - cum_b / nb)
-                    * (ca + cb)::DOUBLE * 1e6) AS BIGINT) AS m,
-         na, nb
-  FROM w)
-SELECT round((SELECT sum(m) FROM t) / 1e6
-             * (max(na)::DOUBLE * max(nb)::DOUBLE
-                / ((max(na)::DOUBLE + max(nb)::DOUBLE)
-                   * (max(na)::DOUBLE + max(nb)::DOUBLE))), 6)
-         AS cvm_t,
-       CAST(max(na) AS BIGINT) AS n_a,
-       CAST(max(nb) AS BIGINT) AS n_b
-FROM t
-"""
 
 
 def q_conversion_ci(sf_dir: str):
@@ -12350,38 +4229,6 @@ def q_conversion_ci(sf_dir: str):
         "rate": np.round(p, 6),
         "wilson_lo": np.round(center - half, 6),
         "wilson_hi": np.round(center + half, 6)})
-
-
-SQL_CONVERSION_CI = """
-WITH w AS (
-  SELECT user_id, (event_type = 'purchase')::INT AS p
-  FROM events),
-u AS (SELECT user_id, user_id % 8 AS arm, max(p)::BIGINT AS conv
-      FROM w GROUP BY 1),
-a AS (SELECT arm, count(*)::BIGINT AS n, sum(conv)::BIGINT AS k
-      FROM u GROUP BY 1)
-SELECT arm, n, k,
-       round(k::DOUBLE / n::DOUBLE, 6) AS rate,
-       round(((k::DOUBLE / n::DOUBLE)
-              + 1.96 * 1.96 / (2.0 * n::DOUBLE))
-             / (1.0 + 1.96 * 1.96 / n::DOUBLE)
-             - (1.96 * sqrt((k::DOUBLE / n::DOUBLE)
-                            * (1.0 - k::DOUBLE / n::DOUBLE)
-                            / n::DOUBLE
-                            + 1.96 * 1.96
-                              / (4.0 * n::DOUBLE * n::DOUBLE))
-                / (1.0 + 1.96 * 1.96 / n::DOUBLE)), 6) AS wilson_lo,
-       round(((k::DOUBLE / n::DOUBLE)
-              + 1.96 * 1.96 / (2.0 * n::DOUBLE))
-             / (1.0 + 1.96 * 1.96 / n::DOUBLE)
-             + (1.96 * sqrt((k::DOUBLE / n::DOUBLE)
-                            * (1.0 - k::DOUBLE / n::DOUBLE)
-                            / n::DOUBLE
-                            + 1.96 * 1.96
-                              / (4.0 * n::DOUBLE * n::DOUBLE))
-                / (1.0 + 1.96 * 1.96 / n::DOUBLE)), 6) AS wilson_hi
-FROM a ORDER BY arm
-"""
 
 
 def q_compress_ratio(sf_dir: str):
@@ -12493,78 +4340,6 @@ def q_ndcg(sf_dir: str):
         "n_users": np.array([n_users], dtype="int64")})
 
 
-SQL_NDCG = """
-WITH e AS (
-  SELECT user_id, event_id, value,
-         CASE event_type WHEN 'purchase' THEN 2.0
-                         WHEN 'click' THEN 1.0 ELSE 0.0 END AS rel
-  FROM events),
-rk AS (
-  SELECT user_id, rel,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY value DESC, event_id) AS pos,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY rel DESC, event_id) AS ipos
-  FROM e),
-d AS (
-  SELECT user_id,
-         sum(CASE WHEN pos <= 10
-                  THEN (pow(2, rel) - 1) / (ln(pos + 1) / ln(2))
-                  ELSE 0 END) AS dcg,
-         sum(CASE WHEN ipos <= 10
-                  THEN (pow(2, rel) - 1) / (ln(ipos + 1) / ln(2))
-                  ELSE 0 END) AS idcg
-  FROM rk GROUP BY user_id),
-u AS (SELECT CAST(round(dcg / idcg * 1e6) AS BIGINT) AS micro
-      FROM d WHERE idcg > 0)
-SELECT round(sum(micro) / 1e6 / count(*), 6) AS mean_ndcg,
-       count(*)::BIGINT AS n_users
-FROM u
-"""
-
-
-def q_levene(sf_dir: str):
-    """Levene's variance-homogeneity W across market segments on
-    account balance (`functions/relational.py:levene_w`) — the check
-    run before trusting `anova_f`'s equal-variance assumption. Two
-    streaming passes: per-segment means, then |v−mean| moment
-    partials; W = the one-way F on the absolute deviations. The
-    oracle replays the identical mean join and sum decomposition;
-    6 dp."""
-    from ..functions.relational import levene_w
-
-    cu = read_table(sf_dir, "customer",
-                    columns=["c_mktsegment", "c_acctbal"])
-    out = levene_w(cu, "c_mktsegment", "c_acctbal")
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "n_groups": d["n_groups"].astype("int64"),
-            "n": d["n"].astype("int64"),
-            "w_stat": np.round(d["w_stat"].to_numpy(dtype="float64"),
-                               6),
-        }),
-        batch_format="pandas")
-
-
-SQL_LEVENE = """
-WITH m AS (SELECT c_mktsegment AS g, sum(c_acctbal) / count(*) AS mu
-           FROM customer GROUP BY 1),
-z AS (SELECT c.c_mktsegment AS g, abs(c.c_acctbal - m.mu) AS z
-      FROM customer c JOIN m ON c.c_mktsegment = m.g),
-gz AS (SELECT g, count(*)::DOUBLE AS n, sum(z) AS s, sum(z * z) AS ss
-       FROM z GROUP BY g),
-t AS (SELECT sum(n) AS N, sum(s) / sum(n) AS grand,
-             count(*)::DOUBLE AS k FROM gz)
-SELECT (SELECT k FROM t)::BIGINT AS n_groups,
-       (SELECT N FROM t)::BIGINT AS n,
-       round((sum(n * pow(s / n - (SELECT grand FROM t), 2))
-              / ((SELECT k FROM t) - 1))
-             / (sum(ss - s * s / n)
-                / ((SELECT N FROM t) - (SELECT k FROM t))), 6) AS w_stat
-FROM gz
-"""
-
-
 def _user_click_purchase_counts(sf_dir: str) -> pd.DataFrame:
     """Shared 2×2 contingency builder: per-user ever-clicked /
     ever-purchased flags folded inside ONE user-hash exchange
@@ -12624,25 +4399,6 @@ def q_mcnemar(sf_dir: str):
         "mcnemar_chi2": np.array([round(chi, 6)], dtype="float64")})
 
 
-SQL_MCNEMAR = """
-WITH u AS (
-  SELECT user_id,
-         max((event_type = 'click')::INT) AS a,
-         max((event_type = 'purchase')::INT) AS b
-  FROM events GROUP BY 1),
-c AS (
-  SELECT sum(CASE WHEN a = 0 AND b = 1 THEN 1 ELSE 0 END)::BIGINT
-           AS b01,
-         sum(CASE WHEN a = 1 AND b = 0 THEN 1 ELSE 0 END)::BIGINT
-           AS b10
-  FROM u)
-SELECT b01, b10,
-       round(pow(abs(b10 - b01) - 1.0, 2) / (b10 + b01)::DOUBLE, 6)
-         AS mcnemar_chi2
-FROM c
-"""
-
-
 def q_odds_ratio(sf_dir: str):
     """Click→purchase odds ratio with a 95% log-normal CI — the
     effect-size readout on the same user-level 2×2 the paired test
@@ -12667,32 +4423,6 @@ def q_odds_ratio(sf_dir: str):
         "odds_ratio": np.array([round(orr, 6)], dtype="float64"),
         "ci_lo": np.array([round(lo, 6)], dtype="float64"),
         "ci_hi": np.array([round(hi, 6)], dtype="float64")})
-
-
-SQL_ODDS_RATIO = """
-WITH u AS (
-  SELECT user_id,
-         max((event_type = 'click')::INT) AS a,
-         max((event_type = 'purchase')::INT) AS b
-  FROM events GROUP BY 1),
-c AS (
-  SELECT sum(CASE WHEN a = 1 AND b = 1 THEN 1 ELSE 0 END)::BIGINT AS n11,
-         sum(CASE WHEN a = 1 AND b = 0 THEN 1 ELSE 0 END)::BIGINT AS n10,
-         sum(CASE WHEN a = 0 AND b = 1 THEN 1 ELSE 0 END)::BIGINT AS n01,
-         sum(CASE WHEN a = 0 AND b = 0 THEN 1 ELSE 0 END)::BIGINT AS n00
-  FROM u),
-h AS (
-  SELECT n11, n10, n01, n00,
-         (n11 + 0.5) * (n00 + 0.5) / ((n10 + 0.5) * (n01 + 0.5)) AS orr,
-         sqrt(1.0 / (n11 + 0.5) + 1.0 / (n10 + 0.5)
-              + 1.0 / (n01 + 0.5) + 1.0 / (n00 + 0.5)) AS se
-  FROM c)
-SELECT n11, n10, n01, n00,
-       round(orr, 6) AS odds_ratio,
-       round(exp(ln(orr) - 1.96 * se), 6) AS ci_lo,
-       round(exp(ln(orr) + 1.96 * se), 6) AS ci_hi
-FROM h
-"""
 
 
 def q_readability(sf_dir: str):
@@ -12737,29 +4467,6 @@ def q_readability(sf_dir: str):
             agg["s_fre"].to_numpy(dtype="float64") / 1e6 / n, 6),
         "mean_fk_grade": np.round(
             agg["s_fkg"].to_numpy(dtype="float64") / 1e6 / n, 6)})
-
-
-SQL_READABILITY = """
-WITH d AS (
-  SELECT source,
-         len(regexp_extract_all(text, '\\S+'))::DOUBLE AS w,
-         greatest(len(regexp_extract_all(text, '[.!?]+')), 1)::DOUBLE
-           AS s,
-         len(regexp_extract_all(text, '[aeiouyAEIOUY]+'))::DOUBLE
-           AS syl
-  FROM documents),
-m AS (
-  SELECT source,
-         CAST(round((206.835 - 1.015 * (w / s) - 84.6 * (syl / w))
-                    * 1e6) AS BIGINT) AS fre_mi,
-         CAST(round((0.39 * (w / s) + 11.8 * (syl / w) - 15.59)
-                    * 1e6) AS BIGINT) AS fkg_mi
-  FROM d WHERE w > 0)
-SELECT source, count(*)::BIGINT AS n_docs,
-       round(sum(fre_mi) / 1e6 / count(*), 6) AS mean_fre,
-       round(sum(fkg_mi) / 1e6 / count(*), 6) AS mean_fk_grade
-FROM m GROUP BY source ORDER BY source
-"""
 
 
 def q_friedman(sf_dir: str):
@@ -12834,32 +4541,6 @@ def q_friedman(sf_dir: str):
         "k_treatments": np.array([3], dtype="int64")})
 
 
-SQL_FRIEDMAN = """
-WITH c AS (
-  SELECT user_id AS u, event_type AS t,
-         sum(CAST(round(value * 100) AS BIGINT))::BIGINT AS sc,
-         count(*)::BIGINT AS n
-  FROM events WHERE event_type IN ('click', 'view', 'purchase')
-  GROUP BY 1, 2),
-m AS (SELECT u, t,
-             CAST(round(sc * 10000.0 / n) AS BIGINT) AS micro
-      FROM c),
-f AS (SELECT u FROM m GROUP BY u HAVING count(*) = 3),
-r AS (SELECT m.u, m.t,
-             2 * rank() OVER (PARTITION BY m.u ORDER BY m.micro)
-               + count(*) OVER (PARTITION BY m.u, m.micro) - 1 AS r2
-      FROM m JOIN f ON m.u = f.u),
-s AS (SELECT t, sum(r2)::BIGINT AS sum_r2, count(*)::BIGINT AS nb
-      FROM r GROUP BY t),
-tot AS (SELECT max(nb)::DOUBLE AS n FROM s)
-SELECT round(12.0 / ((SELECT n FROM tot) * 3.0 * 4.0)
-             * (SELECT sum((sum_r2 / 2.0) * (sum_r2 / 2.0)) FROM s)
-             - 3.0 * (SELECT n FROM tot) * 4.0, 6) AS friedman_q,
-       CAST((SELECT n FROM tot) AS BIGINT) AS n_blocks,
-       3::BIGINT AS k_treatments
-"""
-
-
 def q_seasonal_decompose(sf_dir: str):
     """Classical additive seasonal decomposition of daily revenue —
     the detrended weekly profile `dow_seasonality` (raw per-dow
@@ -12920,36 +4601,6 @@ def q_seasonal_decompose(sf_dir: str):
             / 100.0, 6)})
 
 
-SQL_SEASONAL_DECOMPOSE = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS v_c
-  FROM events),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM e),
-spine AS (SELECT CAST(unnest(generate_series(lo, hi)) AS BIGINT)
-            AS day
-          FROM b),
-d AS (SELECT s.day, coalesce(sum(e.v_c), 0)::BIGINT AS v
-      FROM spine s LEFT JOIN e ON e.day = s.day GROUP BY s.day),
-w AS (SELECT day, v,
-             sum(v) OVER (ORDER BY day
-                          ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING)
-               ::BIGINT AS t7,
-             count(*) OVER (ORDER BY day
-                            ROWS BETWEEN 3 PRECEDING AND 3 FOLLOWING)
-               AS cnt
-      FROM d),
-det AS (SELECT CAST((day + 4) % 7 AS BIGINT) AS dow,
-               7 * v - t7 AS detr7
-        FROM w WHERE cnt = 7)
-SELECT dow, count(*)::BIGINT AS n_days,
-       sum(detr7)::BIGINT AS sum_detr7,
-       round(sum(detr7)::DOUBLE / (7.0 * count(*)) / 100.0, 6)
-         AS seasonal
-FROM det GROUP BY dow ORDER BY dow
-"""
-
-
 def q_trend_test(sf_dir: str):
     """Cochran–Armitage trend test — does purchase conversion rise
     monotonically across the 8 ordinal holdout arms `conversion_ci`
@@ -13005,29 +4656,6 @@ def q_trend_test(sf_dir: str):
         "converted": np.array([R], dtype="int64"),
         "ca_t": np.array([round(t_stat, 6)], dtype="float64"),
         "ca_z2": np.array([round(z2, 6)], dtype="float64")})
-
-
-SQL_TREND_TEST = """
-WITH w AS (
-  SELECT user_id, (event_type = 'purchase')::INT AS p FROM events),
-u AS (SELECT user_id, user_id % 8 AS arm, max(p)::BIGINT AS conv
-      FROM w GROUP BY 1),
-a AS (SELECT arm, count(*)::BIGINT AS n, sum(conv)::BIGINT AS r
-      FROM u GROUP BY 1),
-t AS (SELECT sum(n)::BIGINT AS N, sum(r)::BIGINT AS R,
-             sum(arm * r)::BIGINT AS ssr,
-             sum(arm * n)::BIGINT AS ssn,
-             sum(arm * arm * n)::BIGINT AS ssn2
-      FROM a)
-SELECT N AS n_users, R AS converted,
-       round(ssr - (R::DOUBLE / N::DOUBLE) * ssn, 6) AS ca_t,
-       round(pow(ssr - (R::DOUBLE / N::DOUBLE) * ssn, 2)
-             / ((R::DOUBLE / N::DOUBLE)
-                * (1.0 - R::DOUBLE / N::DOUBLE)
-                * (ssn2 - ssn::DOUBLE * ssn::DOUBLE / N::DOUBLE)), 6)
-         AS ca_z2
-FROM t
-"""
 
 
 def q_bootstrap_ci(sf_dir: str):
@@ -13089,164 +4717,6 @@ def q_bootstrap_ci(sf_dir: str):
         "boot_hi": np.array([round(float(means[B - 2]), 6)],
                             dtype="float64"),
         "b_replicates": np.array([B], dtype="int64")})
-
-
-def _boot_weight_sql() -> str:
-    terms = []
-    for k in range(8):
-        # HUGEINT: both products reach ~1.1e19 (> int64, < 2^64 so the
-        # numpy uint64 twin never wraps)
-        terms.append(
-            "CASE WHEN ((((id::HUGEINT * 2654435761 + r.b * 40503 + "
-            f"{k * 2246822519}) % 4294967296) * 2654435761) "
-            "% 4294967296) % 8 = 0 THEN 1 ELSE 0 END")
-    return "\n           + ".join(terms)
-
-
-SQL_BOOTSTRAP_CI = f"""
-WITH t AS (
-  SELECT event_id % 4294967296 AS id,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-w AS (
-  SELECT r.b, t.c,
-         ( {_boot_weight_sql()} ) AS wt
-  FROM t, range(0, 40) r(b)),
-m AS (SELECT b, sum(wt * c)::DOUBLE / sum(wt)::DOUBLE / 100.0 AS mb
-      FROM w GROUP BY b),
-o AS (SELECT mb, row_number() OVER (ORDER BY mb) AS rk FROM m),
-base AS (SELECT count(*)::BIGINT AS n,
-                sum(c)::DOUBLE / count(*) / 100.0 AS mean
-         FROM t)
-SELECT n, round(mean, 6) AS mean,
-       round((SELECT mb FROM o WHERE rk = 2), 6) AS boot_lo,
-       round((SELECT mb FROM o WHERE rk = 39), 6) AS boot_hi,
-       40::BIGINT AS b_replicates
-FROM base
-"""
-
-
-def q_dgim(sf_dir: str):
-    """DGIM sliding-window sketch audit
-    (`functions/relational.py:dgim_window_audit`) — purchases in the
-    last 4096 events from O(log²) state: one total-order sort,
-    parallel per-block bucket compression, driver fold where only the
-    window-straddling block resolves through buckets. The exact count
-    comes from an independent sort-desc + limit pipeline; the output
-    row carries (window, exact_ones, est_err_le_half) and the oracle
-    recomputes exact_ones by row_number and asserts the flag, so an
-    out-of-bound sketch or a wrong exact count both hash-mismatch."""
-    from ..functions.relational import dgim_window_audit
-
-    W = 4096
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["ts", "event_id", "event_type"])
-
-    def flag(d: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "ts": d["ts"],
-            "event_id": d["event_id"],
-            "bit": (d["event_type"].to_numpy() == "purchase")
-                   .astype("int64")})
-
-    bits = ev.map_batches(flag, batch_format="pandas")
-    audit = dgim_window_audit(bits, "ts", "event_id", "bit", W) \
-        .to_pandas()
-    est = float(audit["est"].iloc[0])
-
-    newest = (bits.sort(["ts", "event_id"], descending=[True, True])
-              .limit(W).to_pandas())
-    exact = int(newest["bit"].sum())
-    ok = abs(est - exact) <= exact / 2.0 + 1.0
-    return pd.DataFrame({
-        "window": np.array([W], dtype="int64"),
-        "exact_ones": np.array([exact], dtype="int64"),
-        "est_err_le_half": np.array([1 if ok else 0], dtype="int64")})
-
-
-SQL_DGIM = """
-WITH r AS (
-  SELECT (event_type = 'purchase')::INT AS bit,
-         row_number() OVER (ORDER BY ts DESC, event_id DESC) AS rk
-  FROM events)
-SELECT 4096::BIGINT AS window,
-       sum(CASE WHEN rk <= 4096 THEN bit ELSE 0 END)::BIGINT
-         AS exact_ones,
-       1::BIGINT AS est_err_le_half
-FROM r
-"""
-
-
-def q_huber_mean(sf_dir: str):
-    """Per-event-type Huber robust mean
-    (`functions/relational.py:huber_mean`): 3 unrolled IRLS rounds,
-    m₀ from exact cent sums and the high-breakdown MAD scale from an
-    exact cents-histogram exchange, per-row weights micro-rounded to
-    int64 before every cross-partition sum. The oracle replays the
-    identical histogram median/MAD and 3-round CTE unroll (generated,
-    token-matched weight expression); 6 dp."""
-    from ..functions.relational import huber_mean
-
-    ev = read_table(sf_dir, "events", bytes_per_block=_FACT_BPB,
-                    columns=["event_type", "value"])
-    out = huber_mean(ev, "event_type", "value", rounds=3)
-    return out.map_batches(
-        lambda d: pd.DataFrame({
-            "event_type": d["event_type"].astype(object),
-            "n": d["n"].astype("int64"),
-            "mean": d["mean"].astype("float64"),
-            "huber_mean": d["huber_mean"].astype("float64")}),
-        batch_format="pandas")
-
-
-def _huber_sql(rounds: int = 3) -> str:
-    w_expr = ("(CASE WHEN abs(e.c - p.m) <= p.ch THEN 1.0 "
-              "ELSE p.ch / abs(e.c - p.m) END)")
-    parts = ["""
-WITH e AS (SELECT event_type AS g,
-                  CAST(round(value * 100) AS BIGINT) AS c
-           FROM events),
-h AS (SELECT g, c, count(*)::BIGINT AS cnt FROM e GROUP BY g, c),
-gs AS (SELECT g, sum(cnt)::BIGINT AS n,
-              sum(c * cnt)::BIGINT AS s
-       FROM h GROUP BY g),
-hw AS (SELECT g, c,
-              sum(cnt) OVER (PARTITION BY g ORDER BY c) AS cum
-       FROM h),
-med AS (SELECT hw.g, min(hw.c) AS med
-        FROM hw JOIN gs ON hw.g = gs.g
-        WHERE hw.cum >= (gs.n + 1) // 2 GROUP BY hw.g),
-a2 AS (SELECT h.g, abs(h.c - med.med) AS ad,
-              sum(h.cnt)::BIGINT AS cnt
-       FROM h JOIN med ON h.g = med.g GROUP BY h.g, ad),
-aw AS (SELECT g, ad,
-              sum(cnt) OVER (PARTITION BY g ORDER BY ad) AS cum
-       FROM a2),
-madt AS (SELECT aw.g, min(aw.ad) AS mad
-         FROM aw JOIN gs ON aw.g = gs.g
-         WHERE aw.cum >= (gs.n + 1) // 2 GROUP BY aw.g),
-p0 AS (SELECT gs.g, gs.s::DOUBLE / gs.n::DOUBLE AS m,
-              1.345 * 1.4826 * madt.mad AS ch
-       FROM gs JOIN madt ON gs.g = madt.g)"""]
-    for t in range(1, rounds + 1):
-        parts.append(f""",
-w{t} AS (
-  SELECT e.g,
-         sum(CAST(round({w_expr} * 1e6) AS BIGINT))::BIGINT AS W,
-         sum(CAST(round({w_expr} * e.c * 1e3) AS BIGINT))::BIGINT AS S
-  FROM e JOIN p{t - 1} p ON e.g = p.g GROUP BY e.g),
-p{t} AS (SELECT w.g, w.S::DOUBLE * 1000.0 / w.W::DOUBLE AS m, p.ch
-         FROM w{t} w JOIN p{t - 1} p ON w.g = p.g)""")
-    parts.append(f"""
-SELECT gs.g AS event_type, gs.n,
-       round(gs.s::DOUBLE / gs.n::DOUBLE / 100.0, 6) AS mean,
-       round(p{rounds}.m / 100.0, 6) AS huber_mean
-FROM gs JOIN p{rounds} ON gs.g = p{rounds}.g
-ORDER BY event_type""")
-    return "".join(parts)
-
-
-SQL_HUBER_MEAN = _huber_sql(3)
 
 
 def q_cuped(sf_dir: str):
@@ -13338,49 +4808,6 @@ def q_cuped(sf_dir: str):
         "var_reduction": np.round(np.full(len(a), rho2), 6)})
 
 
-SQL_CUPED = """
-WITH e AS (
-  SELECT user_id,
-         epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-u AS (
-  SELECT user_id, user_id % 2 AS arm,
-         sum(CASE WHEN day < (SELECT mid FROM b) THEN c ELSE 0 END)
-           ::BIGINT AS x,
-         sum(CASE WHEN day < (SELECT mid FROM b) THEN 0 ELSE c END)
-           ::BIGINT AS y
-  FROM e GROUP BY 1),
-a AS (
-  SELECT arm, count(*)::BIGINT AS n, sum(x)::BIGINT AS sx,
-         sum(y)::BIGINT AS sy, sum(x * y)::BIGINT AS sxy,
-         sum(x * x)::BIGINT AS sxx, sum(y * y)::BIGINT AS syy
-  FROM u GROUP BY 1),
-t AS (
-  SELECT sum(n)::DOUBLE AS N, sum(sx)::DOUBLE AS SX,
-         sum(sy)::DOUBLE AS SY, sum(sxy)::DOUBLE AS SXY,
-         sum(sxx)::DOUBLE AS SXX, sum(syy)::DOUBLE AS SYY
-  FROM a),
-s AS (
-  SELECT (SXY / N - SX / N * (SY / N))
-           / (SXX / N - SX / N * (SX / N)) AS theta,
-         (SXY / N - SX / N * (SY / N)) * (SXY / N - SX / N * (SY / N))
-           / ((SXX / N - SX / N * (SX / N))
-              * (SYY / N - SY / N * (SY / N))) AS rho2,
-         SX / N AS xg
-  FROM t)
-SELECT a.arm, a.n,
-       round(a.sy::DOUBLE / a.n / 100.0, 6) AS raw_mean,
-       round((a.sy::DOUBLE / a.n
-              - s.theta * (a.sx::DOUBLE / a.n - s.xg)) / 100.0, 6)
-         AS cuped_mean,
-       round(s.theta, 6) AS theta,
-       round(s.rho2, 6) AS var_reduction
-FROM a, s ORDER BY a.arm
-"""
-
-
 def q_theil_index(sf_dir: str):
     """Theil T inequality index of order revenue — the decomposable
     entropy-based complement to `gini`/`lorenz` (T splits exactly
@@ -13426,30 +4853,6 @@ def q_theil_index(sf_dir: str):
         "n": m["n"].astype("int64"),
         "theil_within_scaled": np.round(theil_g, 6),
         "theil_total": np.round(np.full(len(m), total), 6)})
-
-
-SQL_THEIL_INDEX = """
-WITH o AS (
-  SELECT o_orderstatus AS g,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS c
-  FROM orders),
-m AS (SELECT sum(c)::DOUBLE / count(*) AS mu, count(*)::DOUBLE AS N
-      FROM o),
-t AS (
-  SELECT g,
-         CAST(round(CASE WHEN c > 0
-                         THEN (c / (SELECT mu FROM m))
-                              * ln(c / (SELECT mu FROM m))
-                         ELSE 0.0 END * 1e6) AS BIGINT) AS t_mi
-  FROM o),
-a AS (SELECT g, count(*)::BIGINT AS n, sum(t_mi)::BIGINT AS t
-      FROM t GROUP BY g)
-SELECT g, n,
-       round(t::DOUBLE / 1e6 / n::DOUBLE, 6) AS theil_within_scaled,
-       round((SELECT sum(t) FROM a)::DOUBLE / 1e6
-             / (SELECT N FROM m), 6) AS theil_total
-FROM a ORDER BY g
-"""
 
 
 def q_mmr_rerank(sf_dir: str):
@@ -13509,47 +4912,6 @@ def q_mmr_rerank(sf_dir: str):
         "score": np.round(np.array([s for _, _, s in out]), 6)})
 
 
-def _mmr_sql(k_sel: int = 5, lam: float = 0.7,
-             mu: float = 0.3) -> str:
-    parts = ["""
-WITH q AS (SELECT embedding::DOUBLE[] AS qe FROM embeddings
-           WHERE vec_id = 0),
-cand AS (
-  SELECT e.vec_id AS id,
-         list_cosine_similarity((SELECT qe FROM q),
-                                e.embedding::DOUBLE[]) AS rel,
-         e.embedding::DOUBLE[] AS emb
-  FROM embeddings e WHERE e.vec_id <> 0
-  ORDER BY rel DESC, e.vec_id LIMIT 20),
-p AS (SELECT a.id AS ia, b.id AS ib,
-             list_cosine_similarity(a.emb, b.emb) AS sim
-      FROM cand a, cand b),
-s1 AS (SELECT id, 1 AS rk, rel AS score
-       FROM cand ORDER BY rel DESC, id LIMIT 1),
-sel1 AS (SELECT id FROM s1)"""]
-    for t in range(2, k_sel + 1):
-        parts.append(f""",
-s{t} AS (SELECT c.id, {t} AS rk,
-               {lam} * c.rel - {mu} * max(p.sim)
-                 AS score
-        FROM cand c
-        JOIN p ON p.ia = c.id
-        JOIN sel{t - 1} ON p.ib = sel{t - 1}.id
-        WHERE c.id NOT IN (SELECT id FROM sel{t - 1})
-        GROUP BY c.id, c.rel
-        ORDER BY score DESC, c.id LIMIT 1),
-sel{t} AS (SELECT id FROM sel{t - 1} UNION ALL SELECT id FROM s{t})""")
-    un = "\nUNION ALL ".join(
-        f"SELECT id, rk, score FROM s{t}" for t in range(1, k_sel + 1))
-    parts.append(f"""
-SELECT rk AS rank, id AS vec_id, round(score, 6) AS score
-FROM ({un}) ORDER BY rk""")
-    return "".join(parts)
-
-
-SQL_MMR_RERANK = _mmr_sql(5, 0.7)
-
-
 def q_name_match(sf_dir: str):
     """Blocked fuzzy entity matching on the part-name catalog — the
     record-linkage primitive `fuzzy_dedup` (edit-distance-1, complete)
@@ -13592,18 +4954,6 @@ def q_name_match(sf_dir: str):
         batch_format="pandas")
     return grouped_apply(tagged, ["__blk"], block_pairs,
                          num_partitions=8)
-
-
-SQL_NAME_MATCH = """
-WITH n AS (SELECT DISTINCT p_name FROM part),
-p AS (SELECT a.p_name AS name_a, b.p_name AS name_b,
-             jaro_winkler_similarity(a.p_name, b.p_name) AS s
-      FROM n a JOIN n b
-        ON substr(a.p_name, 1, 1) = substr(b.p_name, 1, 1)
-       AND a.p_name < b.p_name)
-SELECT name_a, name_b, round(s, 6) AS jw
-FROM p WHERE s >= 0.5
-"""
 
 
 def q_did(sf_dir: str):
@@ -13653,34 +5003,6 @@ def q_did(sf_dir: str):
         "treat_pre": np.array([round(m[(1, 0)] / 100.0, 6)]),
         "treat_post": np.array([round(m[(1, 1)] / 100.0, 6)]),
         "did": np.array([round(did / 100.0, 6)])})
-
-
-SQL_DID = """
-WITH e AS (
-  SELECT user_id % 2 AS arm,
-         epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-a AS (
-  SELECT arm, (day >= (SELECT mid FROM b))::INT AS post,
-         sum(c)::BIGINT AS s, count(*)::BIGINT AS n
-  FROM e GROUP BY 1, 2),
-m AS (SELECT arm, post, s::DOUBLE / n::DOUBLE AS mu FROM a)
-SELECT round((SELECT mu FROM m WHERE arm = 0 AND post = 0)
-             / 100.0, 6) AS ctrl_pre,
-       round((SELECT mu FROM m WHERE arm = 0 AND post = 1)
-             / 100.0, 6) AS ctrl_post,
-       round((SELECT mu FROM m WHERE arm = 1 AND post = 0)
-             / 100.0, 6) AS treat_pre,
-       round((SELECT mu FROM m WHERE arm = 1 AND post = 1)
-             / 100.0, 6) AS treat_post,
-       round((((SELECT mu FROM m WHERE arm = 1 AND post = 1)
-               - (SELECT mu FROM m WHERE arm = 1 AND post = 0))
-              - ((SELECT mu FROM m WHERE arm = 0 AND post = 1)
-                 - (SELECT mu FROM m WHERE arm = 0 AND post = 0)))
-             / 100.0, 6) AS did
-"""
 
 
 def q_feature_prop(sf_dir: str):
@@ -13795,35 +5117,6 @@ def q_feature_prop(sf_dir: str):
                         / 1e6 / 100.0, 6)})
 
 
-SQL_FEATURE_PROP = """
-WITH e0 AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-ed AS (SELECT u AS src, v AS dst FROM e0
-       UNION ALL SELECT v, u FROM e0),
-h0 AS (SELECT p_partkey AS id,
-              CAST(round(p_retailprice * 100) AS BIGINT) AS h
-       FROM part),
-h1 AS (SELECT ed.src AS id,
-              CAST(round(sum(h0.h)::DOUBLE * 1e6 / count(*))
-                   AS BIGINT) AS h
-       FROM ed JOIN h0 ON ed.dst = h0.id GROUP BY ed.src),
-h2 AS (SELECT ed.src AS id,
-              CAST(round(sum(h1.h)::DOUBLE * 1.0 / count(*))
-                   AS BIGINT) AS h
-       FROM ed JOIN h1 ON ed.dst = h1.id GROUP BY ed.src),
-j AS (SELECT h0.id, h0.h AS c0, h2.h AS c2,
-             abs(h2.h - h0.h * 1000000) AS gap
-      FROM h0 JOIN h2 ON h0.id = h2.id)
-SELECT id AS p_partkey,
-       round(c0::DOUBLE / 100.0, 6) AS price,
-       round(c2::DOUBLE / 1e6 / 100.0, 6) AS smoothed,
-       round(gap::DOUBLE / 1e6 / 100.0, 6) AS gap
-FROM j ORDER BY gap DESC, id LIMIT 10
-"""
-
-
 def q_curation_funnel(sf_dir: str):
     """The curation WATERFALL report — how many documents survive each
     stage of the `curate` chain (total → language gate → quality gate
@@ -13875,48 +5168,6 @@ def q_curation_funnel(sf_dir: str):
         "retention": np.array([round(uniq / n, 6)], dtype="float64")})
 
 
-SQL_CURATION_FUNNEL = f"""
-WITH scored AS (
-  SELECT doc_id, text,
-         len(regexp_extract_all(text, '\\S+')) AS n_words,
-         least(len(regexp_extract_all(text, '\\S+')) / 100.0, 1.0) * 0.4
-           + least(greatest(1 - (len(regexp_extract_all(text,
-               '[^0-9A-Za-z_\\t\\n\\f\\r ]'))
-               / greatest(length(text), 1)) * 5, 0), 1) * 0.3
-           + least((len(list_filter(string_split(lower(text), ' '),
-               w -> w IN ({_SQL_STOPWORDS})))
-               / greatest(len(regexp_extract_all(text, '\\S+')), 1)) * 4,
-               1) * 0.3 AS quality_score,
-         ' ' || text || ' ' AS s
-  FROM documents),
-lang AS (
-  SELECT doc_id, quality_score, text,
-         CAST({_sql_lang_score('en')} AS DOUBLE) AS s_en,
-         CAST({_sql_lang_score('es')} AS DOUBLE) AS s_es,
-         CAST({_sql_lang_score('fr')} AS DOUBLE) AS s_fr,
-         CAST({_sql_lang_score('de')} AS DOUBLE) AS s_de,
-         CAST({_sql_lang_score('zh')} AS DOUBLE)
-           + 10.0 * len(regexp_extract_all(s, '[一-鿿]'))
-             / greatest(length(s), 1) * 5 AS s_zh
-  FROM scored),
-fl AS (
-  SELECT text, quality_score,
-         (s_en >= s_es AND s_en >= s_fr AND s_en >= s_de
-          AND s_en >= s_zh)::INT AS en
-  FROM lang)
-SELECT count(*)::BIGINT AS n_total,
-       sum(en)::BIGINT AS n_lang,
-       sum(CASE WHEN en = 1 AND quality_score >= 0.5
-                THEN 1 ELSE 0 END)::BIGINT AS n_quality,
-       count(DISTINCT CASE WHEN en = 1 AND quality_score >= 0.5
-                           THEN md5(text) END)::BIGINT AS n_unique,
-       round(count(DISTINCT CASE WHEN en = 1 AND quality_score >= 0.5
-                                 THEN md5(text) END)
-             / count(*), 6) AS retention
-FROM fl
-"""
-
-
 def q_source_ablation(sf_dir: str):
     """Leave-one-source-out corpus quality — 'what happens to mean
     quality if we drop this source', the mixture-debugging readout a
@@ -13952,31 +5203,6 @@ def q_source_ablation(sf_dir: str):
         "n_docs": a["n"].astype("int64"),
         "loo_mean_quality": np.round(loo, 6),
         "delta": np.round(delta, 6)})
-
-
-SQL_SOURCE_ABLATION = f"""
-WITH q AS (
-  SELECT source,
-         CAST(round((least(len(regexp_extract_all(text, '\\S+'))
-                           / 100.0, 1.0) * 0.4
-           + least(greatest(1 - (len(regexp_extract_all(text,
-               '[^0-9A-Za-z_\\t\\n\\f\\r ]'))
-               / greatest(length(text), 1)) * 5, 0), 1) * 0.3
-           + least((len(list_filter(string_split(lower(text), ' '),
-               w -> w IN ({_SQL_STOPWORDS})))
-               / greatest(len(regexp_extract_all(text, '\\S+')), 1))
-               * 4, 1) * 0.3) * 1e6) AS BIGINT) AS s
-  FROM documents),
-a AS (SELECT source, count(*)::BIGINT AS n, sum(s)::BIGINT AS s
-      FROM q GROUP BY source),
-t AS (SELECT sum(n)::DOUBLE AS nt, sum(s)::DOUBLE AS st FROM a)
-SELECT source, a.n AS n_docs,
-       round((t.st - a.s) / (t.nt - a.n) / 1e6, 6)
-         AS loo_mean_quality,
-       round((t.st - a.s) / (t.nt - a.n) / 1e6
-             - t.st / t.nt / 1e6, 6) AS delta
-FROM a, t ORDER BY source
-"""
 
 
 def q_shapley_attribution(sf_dir: str):
@@ -14051,49 +5277,6 @@ def q_shapley_attribution(sf_dir: str):
                                       dtype="int64")})
 
 
-def _shapley_sql() -> str:
-    def v(T: int) -> str:
-        return (f"(SELECT coalesce(sum(conv), 0) FROM a "
-                f"WHERE (mask | {T}) = {T})")
-
-    terms = {}
-    for bit in (1, 2, 4):
-        parts = []
-        for T in range(8):
-            if T & bit:
-                continue
-            w = {0: 2, 1: 1, 2: 2}[bin(T).count("1")]
-            parts.append(f"{w} * ({v(T | bit)} - {v(T)})")
-        terms[bit] = " + ".join(parts)
-    rows = []
-    for bit, nm in ((1, "view"), (2, "click"), (4, "signup")):
-        rows.append(
-            f"SELECT '{nm}' AS channel,\n"
-            f"       CAST({terms[bit]} AS BIGINT) AS shapley_sixths,\n"
-            f"       round(CAST({terms[bit]} AS BIGINT) / 6.0, 6)"
-            f" AS shapley,\n"
-            f"       CAST({v(7)} AS BIGINT) AS total_conversions")
-    un = "\nUNION ALL\n".join(rows)
-    return f"""
-WITH u AS (
-  SELECT user_id,
-         sum(CASE WHEN event_type = 'view' THEN 1 ELSE 0 END) AS nv,
-         sum(CASE WHEN event_type = 'click' THEN 1 ELSE 0 END) AS nc,
-         sum(CASE WHEN event_type = 'signup' THEN 1 ELSE 0 END) AS ns,
-         max((event_type = 'purchase')::INT) AS conv
-  FROM events GROUP BY 1),
-m AS (SELECT (nv > 0)::INT * 1 + (nc > 0)::INT * 2
-              + (ns > 0)::INT * 4 AS mask,
-             conv
-      FROM u),
-a AS (SELECT mask, sum(conv)::BIGINT AS conv FROM m GROUP BY mask)
-{un}
-"""
-
-
-SQL_SHAPLEY_ATTRIBUTION = _shapley_sql()
-
-
 def q_zonemap_prune(sf_dir: str):
     """Zone-map pruning audit — HOW MUCH scan the `zorder` layout
     actually saves: model two physical layouts of orders as 'files'
@@ -14149,53 +5332,6 @@ def q_zonemap_prune(sf_dir: str):
             np.array([r[2] / r[1] for r in out_rows]), 6),
         "frac_date": np.round(
             np.array([r[3] / r[1] for r in out_rows]), 6)})
-
-
-SQL_ZONEMAP_PRUNE = """
-WITH c AS (
-  SELECT o_orderkey // 128 AS nat,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS p,
-         epoch_us(o_orderdate) // 86400000000 AS d
-  FROM orders),
-bits AS (
-  SELECT nat, p, d,
-         least(greatest((p // 100) // 2000, 0), 255) AS bx,
-         least(greatest((d - 9131) // 10, 0), 255) AS by
-  FROM c),
-z AS (
-  SELECT nat, p, d,
-         (((bx >> 0) & 1) << 0) | (((by >> 0) & 1) << 1)
-       | (((bx >> 1) & 1) << 2) | (((by >> 1) & 1) << 3)
-       | (((bx >> 2) & 1) << 4) | (((by >> 2) & 1) << 5)
-       | (((bx >> 3) & 1) << 6) | (((by >> 3) & 1) << 7)
-       | (((bx >> 4) & 1) << 8) | (((by >> 4) & 1) << 9)
-       | (((bx >> 5) & 1) << 10) | (((by >> 5) & 1) << 11)
-       | (((bx >> 6) & 1) << 12) | (((by >> 6) & 1) << 13)
-       | (((bx >> 7) & 1) << 14) | (((by >> 7) & 1) << 15) AS zc
-  FROM bits),
-nat_zm AS (SELECT nat AS f, min(p) pmin, max(p) pmax,
-                  min(d) dmin, max(d) dmax
-           FROM z GROUP BY nat),
-zo_zm AS (SELECT (zc >> 6) AS f, min(p) pmin, max(p) pmax,
-                 min(d) dmin, max(d) dmax
-          FROM z GROUP BY (zc >> 6)),
-s AS (
-  SELECT 'natural' AS layout, count(*)::BIGINT AS n_files,
-         sum((pmax >= 10000000 AND pmin < 11000000)::INT)::BIGINT
-           AS scan_price,
-         sum((dmax >= 9431 AND dmin < 9461)::INT)::BIGINT
-           AS scan_date
-  FROM nat_zm
-  UNION ALL
-  SELECT 'zorder', count(*)::BIGINT,
-         sum((pmax >= 10000000 AND pmin < 11000000)::INT)::BIGINT,
-         sum((dmax >= 9431 AND dmin < 9461)::INT)::BIGINT
-  FROM zo_zm)
-SELECT layout, n_files, scan_price, scan_date,
-       round(scan_price / n_files, 6) AS frac_price,
-       round(scan_date / n_files, 6) AS frac_date
-FROM s
-"""
 
 
 def q_ips_eval(sf_dir: str):
@@ -14258,32 +5394,6 @@ def q_ips_eval(sf_dir: str):
                           dtype="float64")})
 
 
-SQL_IPS_EVAL = """
-WITH e AS (
-  SELECT user_id,
-         (event_type = 'click')::INT AS ck,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-u AS (
-  SELECT user_id, count(*)::BIGINT AS nu, sum(ck)::BIGINT AS nc,
-         sum(CASE WHEN ck = 1 THEN c ELSE 0 END)::BIGINT AS rc
-  FROM e GROUP BY 1),
-m AS (
-  SELECT CAST(round(rc::DOUBLE * nu::DOUBLE / nc::DOUBLE) AS BIGINT)
-           AS t,
-         nu
-  FROM u WHERE nc > 0),
-t AS (SELECT (SELECT sum(nu) FROM u)::DOUBLE AS N,
-             sum(t)::DOUBLE AS T, sum(nu)::DOUBLE AS W,
-             count(*)::BIGINT AS mu
-      FROM m)
-SELECT CAST(N AS BIGINT) AS n_events, mu AS matched_users,
-       round(T / N / 100.0, 6) AS ips,
-       round(T / W / 100.0, 6) AS snips
-FROM t
-"""
-
-
 def q_conformal(sf_dir: str):
     """Split-conformal prediction interval for event value given
     event type — the distribution-free ML-ops calibration step: fit
@@ -14340,34 +5450,6 @@ def q_conformal(sf_dir: str):
                              dtype="float64")})
 
 
-SQL_CONFORMAL = """
-WITH e AS (
-  SELECT event_type AS g, (event_id % 2 = 0)::INT AS cal,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-m AS (SELECT g, sum(c)::DOUBLE / count(*)::DOUBLE AS mu
-      FROM e WHERE cal = 1 GROUP BY g),
-r AS (SELECT e.cal,
-             CAST(round(abs(e.c - m.mu)) AS BIGINT) AS r
-      FROM e JOIN m ON e.g = m.g),
-h AS (SELECT r, count(*)::BIGINT AS cnt FROM r WHERE cal = 1
-      GROUP BY r),
-nc AS (SELECT sum(cnt)::BIGINT AS n_cal FROM h),
-w AS (SELECT r, sum(cnt) OVER (ORDER BY r) AS cum FROM h),
-q AS (SELECT min(r) AS qhat FROM w, nc
-      WHERE cum >= least(CAST(ceil((nc.n_cal + 1) * 0.9) AS BIGINT),
-                         nc.n_cal)),
-ev AS (SELECT count(*)::BIGINT AS n_eval,
-              sum((r.r <= (SELECT qhat FROM q))::INT)::BIGINT
-                AS covered
-       FROM r WHERE cal = 0)
-SELECT (SELECT n_cal FROM nc) AS n_cal, n_eval,
-       round((SELECT qhat FROM q)::DOUBLE / 100.0, 6) AS q_hat,
-       round(covered / n_eval, 6) AS coverage
-FROM ev
-"""
-
-
 def q_power_analysis(sf_dir: str):
     """Two-proportion power analysis on the live A/B arms — 'how many
     users per arm would we need to detect the CURRENT conversion gap
@@ -14407,30 +5489,6 @@ def q_power_analysis(sf_dir: str):
         "p1": np.array([round(p1, 6)], dtype="float64"),
         "diff": np.array([round(diff, 6)], dtype="float64"),
         "n_required_per_arm": np.array([n_req], dtype="int64")})
-
-
-SQL_POWER_ANALYSIS = """
-WITH a AS (
-  SELECT event_id % 2 AS arm, count(*)::BIGINT AS n,
-         sum((event_type = 'purchase')::INT)::BIGINT AS k
-  FROM events GROUP BY 1),
-s AS (
-  SELECT (SELECT k::DOUBLE / n::DOUBLE FROM a WHERE arm = 0) AS p0,
-         (SELECT k::DOUBLE / n::DOUBLE FROM a WHERE arm = 1) AS p1,
-         (SELECT sum(k)::DOUBLE / sum(n)::DOUBLE FROM a) AS pbar),
-f AS (
-  SELECT p0, p1, p1 - p0 AS diff,
-         1.959963985 * sqrt(2.0 * pbar * (1.0 - pbar))
-           + 0.8416212336 * sqrt(p0 * (1.0 - p0)
-                                 + p1 * (1.0 - p1)) AS num
-  FROM s)
-SELECT round(p0, 6) AS p0, round(p1, 6) AS p1,
-       round(diff, 6) AS diff,
-       CASE WHEN diff = 0 THEN -1
-            ELSE CAST(ceil(num * num / (diff * diff)) AS BIGINT)
-       END AS n_required_per_arm
-FROM f
-"""
 
 
 # ---- Markov removal-effect attribution: the absorption-probability
@@ -14565,72 +5623,6 @@ def q_markov_attribution(sf_dir: str):
             np.array([r[2] for r in rows]), 6)})
 
 
-def _markov_sql() -> str:
-    ex = _mk_exprs()
-    rows = []
-    for r, nm in enumerate(_MK_STATES, start=1):
-        rows.append(
-            f"SELECT '{nm}' AS channel,\n"
-            f"       round({ex['p_full']}, 6) AS p_conv_full,\n"
-            f"       round({ex[f'p_wo{r}']}, 6) AS p_conv_without,\n"
-            f"       round(1.0 - {ex[f'p_wo{r}']} / {ex['p_full']},"
-            f" 6) AS removal_effect\n"
-            "FROM v")
-    un = "\nUNION ALL\n".join(rows)
-    sel_parts = []
-    for i in (1, 2, 3):
-        out = (f"(SELECT coalesce(sum(n), 0) FROM c "
-               f"WHERE kind IN ('q', 'b', 'z') AND i = {i})")
-        for j in (1, 2, 3):
-            sel_parts.append(
-                f"(SELECT coalesce(sum(n), 0) FROM c WHERE "
-                f"kind = 'q' AND i = {i} AND j = {j})::DOUBLE "
-                f"/ {out} AS q{i}{j}")
-        sel_parts.append(
-            f"(SELECT coalesce(sum(n), 0) FROM c WHERE kind = 'b' "
-            f"AND i = {i})::DOUBLE / {out} AS b{i}")
-        sel_parts.append(
-            f"(SELECT coalesce(sum(n), 0) FROM c WHERE kind = 's' "
-            f"AND i = {i})::DOUBLE / (SELECT sum(n) FROM c WHERE "
-            f"kind = 's') AS s{i}")
-    sel = ",\n         ".join(sel_parts)
-    states_in = ", ".join(f"'{s}'" for s in _MK_STATES)
-    case_state = ("CASE event_type "
-                  + " ".join(f"WHEN '{s}' THEN {i + 1}"
-                             for i, s in enumerate(_MK_STATES))
-                  + " ELSE 0 END")
-    return f"""
-WITH d AS (
-  SELECT user_id, {case_state} AS st,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events
-  WHERE event_type IN ({states_in}, 'purchase')),
-p AS (
-  SELECT a.user_id, a.st AS cur, b.st AS nx, a.rn
-  FROM d a LEFT JOIN d b
-    ON a.user_id = b.user_id AND b.rn = a.rn + 1),
-c AS (
-  SELECT 's' AS kind, cur AS i, 0 AS j, count(*)::BIGINT AS n
-  FROM p WHERE rn = 1 AND cur > 0 GROUP BY cur
-  UNION ALL
-  SELECT 'q', cur, nx, count(*)::BIGINT
-  FROM p WHERE cur > 0 AND nx > 0 GROUP BY cur, nx
-  UNION ALL
-  SELECT 'b', cur, 0, count(*)::BIGINT
-  FROM p WHERE cur > 0 AND nx = 0 GROUP BY cur
-  UNION ALL
-  SELECT 'z', cur, 0, count(*)::BIGINT
-  FROM p WHERE cur > 0 AND nx IS NULL GROUP BY cur),
-v AS (
-  SELECT {sel})
-{un}
-"""
-
-
-SQL_MARKOV_ATTRIBUTION = _markov_sql()
-
-
 def q_sequential_test(sf_dir: str):
     """Group-sequential A/B monitoring with O'Brien–Fleming
     boundaries — the 'peek 5 times without inflating α' design that a
@@ -14699,50 +5691,6 @@ def q_sequential_test(sf_dir: str):
         "reject": np.array([r[4] for r in rows], dtype="int64")})
 
 
-SQL_SEQUENTIAL_TEST = """
-WITH e AS (
-  SELECT event_id % 2 AS arm,
-         epoch_us(ts) // 86400000000 AS day,
-         (event_type = 'purchase')::INT AS p
-  FROM events),
-b AS (SELECT min(day) AS lo, max(day) - min(day) + 1 AS span FROM e),
-l AS (
-  SELECT least((day - (SELECT lo FROM b)) * 5
-               // (SELECT span FROM b), 4) + 1 AS look,
-         arm, p
-  FROM e),
-c AS (SELECT look, arm, count(*)::BIGINT AS n, sum(p)::BIGINT AS x
-      FROM l GROUP BY 1, 2),
-pv AS (
-  SELECT look,
-         sum(CASE WHEN arm = 0 THEN n ELSE 0 END)::BIGINT AS n0a,
-         sum(CASE WHEN arm = 1 THEN n ELSE 0 END)::BIGINT AS n1a,
-         sum(CASE WHEN arm = 0 THEN x ELSE 0 END)::BIGINT AS x0a,
-         sum(CASE WHEN arm = 1 THEN x ELSE 0 END)::BIGINT AS x1a
-  FROM c GROUP BY look),
-g AS (
-  SELECT look,
-         sum(n0a) OVER (ORDER BY look) AS n0,
-         sum(n1a) OVER (ORDER BY look) AS n1,
-         sum(x0a) OVER (ORDER BY look) AS x0,
-         sum(x1a) OVER (ORDER BY look) AS x1
-  FROM pv),
-z AS (
-  SELECT look, n0, n1, x0, x1,
-         (x1::DOUBLE / n1::DOUBLE - x0::DOUBLE / n0::DOUBLE)
-         / sqrt(((x0 + x1)::DOUBLE / (n0 + n1)::DOUBLE)
-                * (1.0 - (x0 + x1)::DOUBLE / (n0 + n1)::DOUBLE)
-                * (1.0 / n0::DOUBLE + 1.0 / n1::DOUBLE)) AS zv
-  FROM g),
-o AS (SELECT * FROM (VALUES (1, 4.877), (2, 3.357), (3, 2.680),
-                            (4, 2.290), (5, 2.031)) t(look, bound))
-SELECT z.look, CAST(z.n0 + z.n1 AS BIGINT) AS n_cum,
-       round(z.zv, 6) AS z, o.bound AS obf_bound,
-       (abs(z.zv) >= o.bound)::BIGINT AS reject
-FROM z JOIN o ON z.look = o.look ORDER BY z.look
-"""
-
-
 def q_interarrival_fit(sf_dir: str):
     """Exponential inter-arrival fit + exact KS goodness-of-fit — is
     per-user event traffic Poisson? Per-user consecutive gaps (whole
@@ -14796,41 +5744,6 @@ def q_interarrival_fit(sf_dir: str):
         "n_gaps": np.array([n], dtype="int64"),
         "mean_gap_s": np.array([round(mean, 6)], dtype="float64"),
         "ks_d": np.array([round(d_stat, 6)], dtype="float64")})
-
-
-SQL_INTERARRIVAL_FIT = """
-WITH d AS (
-  SELECT user_id, epoch_us(ts) AS t,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-gp AS (
-  SELECT (b.t - a.t) // 1000000 AS gap
-  FROM d a JOIN d b
-    ON a.user_id = b.user_id AND b.rn = a.rn + 1),
-h AS (SELECT gap, count(*)::BIGINT AS cnt FROM gp GROUP BY gap),
-t AS (SELECT sum(cnt)::BIGINT AS n,
-             sum(gap * cnt)::BIGINT AS tot
-      FROM h),
-w AS (
-  SELECT gap, cnt,
-         sum(cnt) OVER (ORDER BY gap) AS cum
-  FROM h),
-k AS (
-  SELECT max(greatest(
-           abs((1.0 - exp(-(gap::DOUBLE
-                            / (t.tot::DOUBLE / t.n::DOUBLE))))
-               - cum::DOUBLE / t.n::DOUBLE),
-           abs((1.0 - exp(-(gap::DOUBLE
-                            / (t.tot::DOUBLE / t.n::DOUBLE))))
-               - (cum - cnt)::DOUBLE / t.n::DOUBLE))) AS d
-  FROM w, t)
-SELECT (SELECT n FROM t) AS n_gaps,
-       round((SELECT tot::DOUBLE / n::DOUBLE FROM t), 6)
-         AS mean_gap_s,
-       round(d, 6) AS ks_d
-FROM k
-"""
 
 
 def q_token_budget_pack(sf_dir: str):
@@ -14900,36 +5813,6 @@ def q_token_budget_pack(sf_dir: str):
             [round(q_sel / 1e6 / n_sel, 6)], dtype="float64")})
 
 
-SQL_TOKEN_BUDGET_PACK = f"""
-WITH d AS (
-  SELECT doc_id,
-         greatest(len(regexp_extract_all(text, '\\S+')), 1) AS tok,
-         CAST(round((least(len(regexp_extract_all(text, '\\S+'))
-                           / 100.0, 1.0) * 0.4
-           + least(greatest(1 - (len(regexp_extract_all(text,
-               '[^0-9A-Za-z_\\t\\n\\f\\r ]'))
-               / greatest(length(text), 1)) * 5, 0), 1) * 0.3
-           + least((len(list_filter(string_split(lower(text), ' '),
-               w -> w IN ({_SQL_STOPWORDS})))
-               / greatest(len(regexp_extract_all(text, '\\S+')), 1))
-               * 4, 1) * 0.3) * 1e6) AS BIGINT) AS qm
-  FROM documents),
-r AS (SELECT doc_id, tok, qm,
-             CAST(round(qm::DOUBLE * 1e3 / tok::DOUBLE) AS BIGINT)
-               AS r
-      FROM d),
-w AS (SELECT doc_id, tok, qm,
-             sum(tok) OVER (ORDER BY r DESC, doc_id) AS cum
-      FROM r),
-s AS (SELECT * FROM w WHERE cum <= 50000)
-SELECT 50000::BIGINT AS budget,
-       count(*)::BIGINT AS n_selected,
-       CAST(coalesce(max(cum), 0) AS BIGINT) AS tokens_used,
-       round(sum(qm)::DOUBLE / 1e6 / count(*), 6) AS mean_quality
-FROM s
-"""
-
-
 def q_coreset_kcenter(sf_dir: str):
     """Greedy k-center coreset over the embedding corpus (Gonzalez
     1985; the SVP-style 'most diverse k exemplars' selection used for
@@ -14982,40 +5865,12 @@ def q_coreset_kcenter(sf_dir: str):
         "dist": np.round(np.array([d for _, _, d in out]), 6)})
 
 
-def _kcenter_sql(k: int = 8) -> str:
-    parts = ["""
-WITH e AS (SELECT vec_id, embedding::DOUBLE[] AS emb
-           FROM embeddings),
-s1 AS (SELECT 0::BIGINT AS vec_id, 1::BIGINT AS rk, 0.0 AS d)"""]
-    for t in range(2, k + 1):
-        prev_ids = ", ".join(f"(SELECT vec_id FROM s{i})"
-                             for i in range(1, t))
-        dist_terms = ", ".join(
-            f"1.0 - list_cosine_similarity(e.emb, "
-            f"(SELECT emb FROM e WHERE vec_id = "
-            f"(SELECT vec_id FROM s{i})))"
-            for i in range(1, t))
-        parts.append(f""",
-s{t} AS (
-  SELECT e.vec_id, {t}::BIGINT AS rk,
-         least({dist_terms}) AS d
-  FROM e WHERE e.vec_id NOT IN ({prev_ids})
-  ORDER BY d DESC, e.vec_id LIMIT 1)""")
-    un = "\nUNION ALL ".join(f"SELECT rk, vec_id, d FROM s{t}"
-                             for t in range(1, k + 1))
-    parts.append(f"""
-SELECT rk AS rank, vec_id, round(d, 6) AS dist
-FROM ({un}) ORDER BY rank""")
-    return "".join(parts)
-
-
-SQL_CORESET_KCENTER = _kcenter_sql(8)
-
-
 # Shared normal-CDF approximation (Abramowitz & Stegun 7.1.26,
 # |err| < 7.5e-8): BOTH engines evaluate this literal polynomial, so
 # outputs are bit-identical regardless of the approximation error.
 _PHI_T = "(1.0 / (1.0 + 0.2316419 * x))"
+
+
 _PHI_EXPR = (
     "(1.0 - exp(-(x * x) / 2.0) / 2.5066282746310002"
     f" * ((((1.330274429 * {_PHI_T} - 1.821255978) * {_PHI_T}"
@@ -15092,44 +5947,6 @@ def q_bh_fdr(sf_dir: str):
         "rejected": df["rejected"]})
 
 
-SQL_BH_FDR = f"""
-WITH g AS (
-  SELECT p_brand AS b, count(*)::BIGINT AS n,
-         sum(CAST(round(p_retailprice * 100) AS BIGINT))::BIGINT
-           AS s,
-         sum(CAST(round(p_retailprice * 100) AS BIGINT)
-             * CAST(round(p_retailprice * 100) AS BIGINT))::BIGINT
-           AS ss
-  FROM part GROUP BY 1),
-t AS (SELECT sum(n)::DOUBLE AS nt, sum(s)::DOUBLE AS st,
-             sum(ss)::DOUBLE AS sst, count(*)::BIGINT AS m FROM g),
-zt AS (
-  SELECT b, g.n,
-         (s::DOUBLE / g.n::DOUBLE
-          - (t.st - s) / (t.nt - g.n))
-         / sqrt(((ss - s::DOUBLE * s::DOUBLE / g.n::DOUBLE)
-                 / (g.n - 1.0)) / g.n::DOUBLE
-                + (((t.sst - ss)
-                    - (t.st - s) * (t.st - s) / (t.nt - g.n))
-                   / ((t.nt - g.n) - 1.0)) / (t.nt - g.n)) AS z
-  FROM g, t),
-pt AS (
-  SELECT b, n, z, abs(z) AS x,
-         2.0 * (1.0 - {_PHI_EXPR}) AS p
-  FROM zt),
-rk AS (SELECT b, n, z, p,
-              row_number() OVER (ORDER BY p, b) AS r
-       FROM pt),
-ks AS (SELECT coalesce(max(CASE WHEN p <= r * 0.05
-                                     / (SELECT m FROM t)
-                                THEN r END), 0) AS kstar
-       FROM rk)
-SELECT b AS brand, n, round(z, 6) AS z, round(p, 6) AS p,
-       (r <= (SELECT kstar FROM ks))::BIGINT AS rejected
-FROM rk ORDER BY brand
-"""
-
-
 def q_lognormal_fit(sf_dir: str):
     """Lognormal fit of the document-length distribution with a
     decile Q-Q table — the corpus-stats readout (web doc lengths are
@@ -15175,40 +5992,6 @@ def q_lognormal_fit(sf_dir: str):
         "emp_ln": np.round(np.array([r[1] for r in rows]), 6),
         "fit_ln": np.round(np.array([r[2] for r in rows]), 6),
         "gap": np.round(np.array([r[3] for r in rows]), 6)})
-
-
-SQL_LOGNORMAL_FIT = """
-WITH d AS (
-  SELECT CAST(round(ln(greatest(n_chars, 1)) * 1e3) AS BIGINT) AS l
-  FROM documents),
-h AS (SELECT l, count(*)::BIGINT AS cnt FROM d GROUP BY l),
-t AS (SELECT sum(cnt)::BIGINT AS n,
-             sum(l * cnt)::BIGINT AS S,
-             sum(l * l * cnt)::BIGINT AS SS
-      FROM h),
-mo AS (SELECT n, S::DOUBLE / n::DOUBLE / 1e3 AS mu,
-              sqrt((SS - S::DOUBLE * S::DOUBLE / n::DOUBLE)
-                   / (n - 1.0)) / 1e3 AS sd
-       FROM t),
-w AS (SELECT l, sum(cnt) OVER (ORDER BY l) AS cum FROM h),
-zq AS (SELECT * FROM (VALUES
-        (1, -1.2815515655), (2, -0.8416212336), (3, -0.5244005127),
-        (4, -0.2533471031), (5, 0.0), (6, 0.2533471031),
-        (7, 0.5244005127), (8, 0.8416212336), (9, 1.2815515655))
-       v(k, z)),
-emp AS (
-  SELECT zq.k,
-         (SELECT min(w.l) FROM w, mo
-          WHERE w.cum >= CAST(ceil(zq.k * mo.n / 10.0) AS BIGINT))
-           / 1e3 AS e
-  FROM zq)
-SELECT emp.k AS decile,
-       round(emp.e, 6) AS emp_ln,
-       round(mo.mu + mo.sd * zq.z, 6) AS fit_ln,
-       round(emp.e - (mo.mu + mo.sd * zq.z), 6) AS gap
-FROM emp JOIN zq ON emp.k = zq.k, mo
-ORDER BY decile
-"""
 
 
 def q_capture_recapture(sf_dir: str):
@@ -15275,34 +6058,6 @@ def q_capture_recapture(sf_dir: str):
                             dtype="float64")})
 
 
-SQL_CAPTURE_RECAPTURE = """
-WITH e AS (
-  SELECT user_id, epoch_us(ts) // 86400000000 AS day FROM events),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM e),
-u AS (
-  SELECT user_id,
-         max((day < (SELECT mid FROM b))::INT)::BIGINT AS a,
-         max((day >= (SELECT mid FROM b))::INT)::BIGINT AS bb
-  FROM e GROUP BY 1),
-c AS (SELECT sum(a)::DOUBLE AS n1, sum(bb)::DOUBLE AS n2,
-             sum(a * bb)::DOUBLE AS m, count(*)::BIGINT AS tot
-      FROM u),
-f AS (
-  SELECT n1, n2, m, tot,
-         (n1 + 1.0) * (n2 + 1.0) / (m + 1.0) - 1.0 AS nhat,
-         1.96 * sqrt((n1 + 1.0) * (n2 + 1.0) * (n1 - m) * (n2 - m)
-                     / ((m + 1.0) * (m + 1.0) * (m + 2.0))) AS half
-  FROM c)
-SELECT CAST(n1 AS BIGINT) AS n1, CAST(n2 AS BIGINT) AS n2,
-       CAST(m AS BIGINT) AS overlap, tot AS true_n,
-       round(nhat, 6) AS n_hat,
-       round(nhat - half, 6) AS ci_lo,
-       round(nhat + half, 6) AS ci_hi,
-       round(nhat / tot - 1.0, 6) AS rel_err
-FROM f
-"""
-
-
 def q_chao1(sf_dir: str):
     """Chao1 estimate of the TOTAL vocabulary including unseen words
     (Chao 1984) + Good–Turing sample coverage — 'how much more corpus
@@ -15346,27 +6101,6 @@ def q_chao1(sf_dir: str):
         "n_tokens": np.array([ntok], dtype="int64"),
         "chao1": np.array([round(chao, 6)], dtype="float64"),
         "coverage": np.array([round(cov, 6)], dtype="float64")})
-
-
-SQL_CHAO1 = """
-WITH w AS (
-  SELECT word, count(*)::BIGINT AS cnt
-  FROM (SELECT unnest(string_split(text, ' ')) AS word
-        FROM documents)
-  WHERE word <> '' GROUP BY word),
-ff AS (SELECT cnt, count(*)::BIGINT AS f FROM w GROUP BY cnt),
-t AS (SELECT (SELECT sum(f) FROM ff)::BIGINT AS v,
-             (SELECT coalesce(sum(f), 0) FROM ff
-              WHERE cnt = 1)::BIGINT AS f1,
-             (SELECT coalesce(sum(f), 0) FROM ff
-              WHERE cnt = 2)::BIGINT AS f2,
-             (SELECT sum(cnt * f) FROM ff)::BIGINT AS n)
-SELECT v AS vocab, f1, f2, n AS n_tokens,
-       round(v + f1::DOUBLE * (f1 - 1.0) / (2.0 * (f2 + 1.0)), 6)
-         AS chao1,
-       round(1.0 - f1::DOUBLE / n::DOUBLE, 6) AS coverage
-FROM t
-"""
 
 
 def q_diameter_sweep(sf_dir: str):
@@ -15434,38 +6168,6 @@ def q_diameter_sweep(sf_dir: str):
         "diameter_lb": np.array([diam], dtype="int64")})
 
 
-SQL_DIAMETER_SWEEP = """
-WITH RECURSIVE
-e0 AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-sp AS (SELECT u, v FROM e0 WHERE (u * 31 + v) % 7 = 0),
-ed AS (SELECT u AS src, v AS dst FROM sp
-       UNION ALL SELECT v, u FROM sp),
-st AS (SELECT min(src) AS s FROM ed),
-w1(id, d) AS (
-  SELECT s, 0 FROM st
-  UNION
-  SELECT ed.dst, w1.d + 1 FROM w1 JOIN ed ON w1.id = ed.src
-  WHERE w1.d < 64),
-d1 AS (SELECT id, min(d) AS d FROM w1 GROUP BY id),
-u1 AS (SELECT min(id) AS u FROM d1
-       WHERE d = (SELECT max(d) FROM d1)),
-w2(id, d) AS (
-  SELECT u, 0 FROM u1
-  UNION
-  SELECT ed.dst, w2.d + 1 FROM w2 JOIN ed ON w2.id = ed.src
-  WHERE w2.d < 64),
-d2 AS (SELECT id, min(d) AS d FROM w2 GROUP BY id)
-SELECT (SELECT s FROM st) AS start,
-       (SELECT u FROM u1) AS peripheral_u,
-       (SELECT min(id) FROM d2
-        WHERE d = (SELECT max(d) FROM d2)) AS peripheral_v,
-       (SELECT max(d) FROM d2) AS diameter_lb
-"""
-
-
 def q_spc_chart(sf_dir: str):
     """Daily p-chart on the error-event rate — the SPC control chart
     an ops dashboard runs over pipeline health: per-day defect
@@ -15503,30 +6205,6 @@ def q_spc_chart(sf_dir: str):
         "ucl": np.round(ucl, 6),
         "lcl": np.round(lcl, 6),
         "out_of_control": ((p > ucl) | (p < lcl)).astype("int64")})
-
-
-SQL_SPC_CHART = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         (event_type = 'error')::INT AS er
-  FROM events),
-a AS (SELECT day, sum(er)::BIGINT AS k, count(*)::BIGINT AS n
-      FROM e GROUP BY day),
-t AS (SELECT sum(k)::DOUBLE / sum(n)::DOUBLE AS pbar FROM a),
-f AS (
-  SELECT day, n, k,
-         k::DOUBLE / n::DOUBLE AS p,
-         least(t.pbar + 3.0 * sqrt(t.pbar * (1.0 - t.pbar)
-                                   / n::DOUBLE), 1.0) AS ucl,
-         greatest(t.pbar - 3.0 * sqrt(t.pbar * (1.0 - t.pbar)
-                                      / n::DOUBLE), 0.0) AS lcl
-  FROM a, t)
-SELECT day, n, k AS defects,
-       round(p, 6) AS rate, round(ucl, 6) AS ucl,
-       round(lcl, 6) AS lcl,
-       (p > ucl OR p < lcl)::BIGINT AS out_of_control
-FROM f ORDER BY day
-"""
 
 
 def q_rbo(sf_dir: str):
@@ -15583,30 +6261,6 @@ def q_rbo(sf_dir: str):
         "overlap_at_depth": np.array([len(sa & sb)], dtype="int64")})
 
 
-SQL_RBO = """
-WITH r AS (
-  SELECT p_partkey AS id,
-         CAST(round(p_retailprice * 100) AS BIGINT) AS pr,
-         ((p_partkey % 4294967296) * 2654435761) % 4294967296 AS h
-  FROM part),
-a AS (SELECT id, row_number() OVER (ORDER BY pr DESC, id) AS rn
-      FROM r QUALIFY rn <= 50),
-b AS (SELECT id, row_number() OVER (ORDER BY h, id) AS rn
-      FROM r QUALIFY rn <= 50),
-ds AS (SELECT CAST(k AS BIGINT) + 1 AS d FROM range(0, 50) t(k)),
-ov AS (
-  SELECT ds.d,
-         (SELECT count(*) FROM a JOIN b ON a.id = b.id
-          WHERE a.rn <= ds.d AND b.rn <= ds.d) AS o
-  FROM ds)
-SELECT 50::BIGINT AS depth,
-       round(sum(CAST(round((1.0 - 0.9) * pow(0.9, d - 1) * o / d
-                            * 1e9) AS BIGINT)) / 1e9, 6) AS rbo,
-       (SELECT o FROM ov WHERE d = 50)::BIGINT AS overlap_at_depth
-FROM ov
-"""
-
-
 def q_markov_entropy(sf_dir: str):
     """Entropy rate of the event-type transition chain — 'how
     predictable is the next user action', the information-theoretic
@@ -15660,32 +6314,6 @@ def q_markov_entropy(sf_dir: str):
                                       dtype="float64")})
 
 
-SQL_MARKOV_ENTROPY = """
-WITH d AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-tr AS (
-  SELECT a.event_type AS s, b.event_type AS t2,
-         count(*)::BIGINT AS n
-  FROM d a JOIN d b
-    ON a.user_id = b.user_id AND b.rn = a.rn + 1
-  GROUP BY 1, 2),
-si AS (SELECT s, sum(n)::BIGINT AS ni FROM tr GROUP BY s),
-tot AS (SELECT sum(n)::DOUBLE AS N FROM tr),
-terms AS (
-  SELECT CAST(round(-(tr.n::DOUBLE / tot.N)
-                    * ln(tr.n::DOUBLE / si.ni::DOUBLE) * 1e9)
-              AS BIGINT) AS t
-  FROM tr JOIN si ON tr.s = si.s, tot)
-SELECT (SELECT CAST(sum(n) AS BIGINT) FROM tr) AS n_transitions,
-       (SELECT count(*)::BIGINT FROM si) AS n_states,
-       round(sum(t) / 1e9, 6) AS entropy_rate_nats
-FROM terms
-"""
-
-
 def q_isotonic(sf_dir: str):
     """Isotonic (monotone nondecreasing) calibration of purchase rate
     against binned event value — the PAVA fit `calibration`'s raw
@@ -15737,37 +6365,6 @@ def q_isotonic(sf_dir: str):
         "iso_rate": np.round(iso, 6)})
 
 
-SQL_ISOTONIC = """
-WITH e AS (
-  SELECT least(greatest(CAST(floor(value / 100.0) AS BIGINT), 0), 9)
-           AS b,
-         (event_type = 'purchase')::INT AS k
-  FROM events),
-a AS (SELECT b, sum(k)::BIGINT AS k, count(*)::BIGINT AS n
-      FROM e GROUP BY b),
-c AS (SELECT b, k, n,
-             sum(k) OVER (ORDER BY b) AS cs,
-             sum(n) OVER (ORDER BY b) AS cn
-      FROM a),
-pre AS (SELECT b, cs, cn FROM c
-        UNION ALL SELECT -1, 0, 0),
-avgs AS (
-  SELECT jm.b + 1 AS j, l.b AS l,
-         (l.cs - jm.cs)::DOUBLE / (l.cn - jm.cn)::DOUBLE AS avg
-  FROM pre jm JOIN pre l ON l.b > jm.b
-  WHERE l.b >= 0),
-mi AS (
-  SELECT i.b AS i, avgs.j, min(avgs.avg) AS m
-  FROM a i JOIN avgs ON avgs.j <= i.b AND avgs.l >= i.b
-  GROUP BY i.b, avgs.j),
-iso AS (SELECT i, max(m) AS iso FROM mi GROUP BY i)
-SELECT a.b AS bin, a.n,
-       round(a.k::DOUBLE / a.n::DOUBLE, 6) AS raw_rate,
-       round(iso.iso, 6) AS iso_rate
-FROM a JOIN iso ON a.b = iso.i ORDER BY bin
-"""
-
-
 def q_durbin_watson(sf_dir: str):
     """Durbin–Watson serial-correlation diagnostic on the residuals
     of the daily-revenue linear trend — 'is the trend model leaving
@@ -15809,44 +6406,6 @@ def q_durbin_watson(sf_dir: str):
         "n_days": np.array([int(n)], dtype="int64"),
         "slope_cents": np.array([round(b, 6)], dtype="float64"),
         "dw": np.array([round(dw, 6)], dtype="float64")})
-
-
-SQL_DURBIN_WATSON = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-d AS (SELECT day, sum(c)::BIGINT AS y FROM e GROUP BY day),
-t0 AS (SELECT min(day) AS t0 FROM d),
-m AS (
-  SELECT count(*)::DOUBLE AS n,
-         sum((day - t0.t0))::DOUBLE AS sx,
-         sum(y)::DOUBLE AS sy,
-         sum((day - t0.t0) * (day - t0.t0))::DOUBLE AS sxx,
-         sum((day - t0.t0) * y)::DOUBLE AS sxy
-  FROM d, t0),
-ab AS (
-  SELECT n, (n * sxy - sx * sy) / (n * sxx - sx * sx) AS b,
-         (sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n
-           AS a
-  FROM m),
-r AS (
-  SELECT d.day,
-         d.y - (ab.a + ab.b * (d.day - t0.t0)) AS e
-  FROM d, ab, t0),
-w AS (
-  SELECT e, lag(e) OVER (ORDER BY day) AS ep FROM r),
-s AS (
-  SELECT sum(CASE WHEN ep IS NOT NULL
-                  THEN CAST(round((e - ep) * (e - ep)) AS BIGINT)
-                  ELSE 0 END)::BIGINT AS num,
-         sum(CAST(round(e * e) AS BIGINT))::BIGINT AS den
-  FROM w)
-SELECT (SELECT CAST(n AS BIGINT) FROM ab) AS n_days,
-       round((SELECT b FROM ab), 6) AS slope_cents,
-       round(num::DOUBLE / den::DOUBLE, 6) AS dw
-FROM s
-"""
 
 
 def q_breusch_pagan(sf_dir: str):
@@ -15941,57 +6500,6 @@ def q_breusch_pagan(sf_dir: str):
         "bp_lm": np.array([round(lm, 6)], dtype="float64")})
 
 
-SQL_BREUSCH_PAGAN = """
-WITH li AS (
-  SELECT CAST(round(l_quantity) AS BIGINT) AS x,
-         CAST(round(l_extendedprice * 100) AS BIGINT) AS y
-  FROM lineitem),
-m AS (
-  SELECT count(*)::DOUBLE AS n, sum(x)::DOUBLE AS sx,
-         sum(y)::DOUBLE AS sy, sum(x * x)::DOUBLE AS sxx,
-         sum(x * y)::DOUBLE AS sxy
-  FROM li),
-ab AS (
-  SELECT n, sx, sxx,
-         (n * sxy - sx * sy) / (n * sxx - sx * sx) AS b,
-         (sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n
-           AS a
-  FROM m),
-p2 AS (
-  SELECT sum(CAST(round(((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                        * ((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                        * 1e3) AS BIGINT))::DOUBLE AS se
-  FROM li, ab),
-mb AS (SELECT p2.se / ab.n / 1e3 AS ebar, ab.sx / ab.n AS xbar
-       FROM p2, ab),
-p3 AS (
-  SELECT
-    sum(CAST(round((li.x - mb.xbar)
-                   * (((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                      * ((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                      / mb.ebar - 1.0) * 1e6) AS BIGINT))::DOUBLE
-      AS suv,
-    sum(CAST(round((li.x - mb.xbar) * (li.x - mb.xbar) * 1e6)
-             AS BIGINT))::DOUBLE AS suu,
-    sum(CAST(round((((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                    * ((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                    / mb.ebar - 1.0)
-                   * (((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                      * ((li.y - (ab.a + ab.b * li.x)) / 100.0)
-                      / mb.ebar - 1.0) * 1e6) AS BIGINT))::DOUBLE
-      AS svv
-  FROM li, ab, mb),
-f AS (
-  SELECT ab.n, ab.b,
-         (p3.suv / 1e6) * (p3.suv / 1e6)
-           / ((p3.suu / 1e6) * (p3.svv / 1e6)) AS r2
-  FROM ab, p3)
-SELECT CAST(n AS BIGINT) AS n, round(b, 6) AS slope,
-       round(r2, 6) AS aux_r2, round(n * r2, 6) AS bp_lm
-FROM f
-"""
-
-
 def q_logrank(sf_dir: str):
     """Log-rank test comparing time-to-first-purchase between the two
     user arms — the hypothesis test `kaplan_meier`'s curves beg for
@@ -16076,84 +6584,6 @@ def q_logrank(sf_dir: str):
                                  dtype="float64")})
 
 
-SQL_LOGRANK = """
-WITH e AS (
-  SELECT user_id, epoch_us(ts) AS t,
-         (event_type = 'purchase')::INT AS p
-  FROM events),
-u AS (
-  SELECT user_id, user_id % 2 AS arm, min(t) AS t0, max(t) AS tend,
-         min(CASE WHEN p = 1 THEN t ELSE 4611686018427387904 END)
-           AS fp
-  FROM e GROUP BY 1),
-s AS (
-  SELECT arm,
-         (CASE WHEN fp < 4611686018427387904 THEN fp ELSE tend END
-          - t0) // 86400000000 + 1 AS day,
-         (fp < 4611686018427387904)::INT AS d,
-         (fp >= 4611686018427387904)::INT AS c
-  FROM u),
-lt AS (SELECT arm, day, sum(d)::BIGINT AS d, sum(c)::BIGINT AS c
-       FROM s GROUP BY 1, 2),
-days AS (SELECT DISTINCT day FROM lt),
-tot AS (SELECT sum(CASE WHEN arm = 0 THEN d + c ELSE 0 END)::DOUBLE
-               AS n0,
-              sum(CASE WHEN arm = 1 THEN d + c ELSE 0 END)::DOUBLE
-               AS n1
-        FROM lt),
-cum AS (
-  SELECT days.day,
-         coalesce((SELECT sum(d + c) FROM lt
-                   WHERE lt.arm = 0 AND lt.day < days.day), 0)
-           ::DOUBLE AS gone0,
-         coalesce((SELECT sum(d + c) FROM lt
-                   WHERE lt.arm = 1 AND lt.day < days.day), 0)
-           ::DOUBLE AS gone1,
-         coalesce((SELECT sum(d) FROM lt
-                   WHERE lt.arm = 0 AND lt.day = days.day), 0)
-           ::BIGINT AS d0,
-         coalesce((SELECT sum(d) FROM lt
-                   WHERE lt.arm = 1 AND lt.day = days.day), 0)
-           ::BIGINT AS d1
-  FROM days),
-terms AS (
-  SELECT d1,
-         CASE WHEN d0 + d1 > 0
-                   AND (tot.n0 - gone0) + (tot.n1 - gone1) > 1
-              THEN CAST(round((d0 + d1) * (tot.n1 - gone1)
-                              / ((tot.n0 - gone0)
-                                 + (tot.n1 - gone1)) * 1e6)
-                        AS BIGINT)
-              ELSE 0 END AS e_mi,
-         CASE WHEN d0 + d1 > 0
-                   AND (tot.n0 - gone0) + (tot.n1 - gone1) > 1
-              THEN CAST(round((d0 + d1)
-                   * ((tot.n1 - gone1)
-                      / ((tot.n0 - gone0) + (tot.n1 - gone1)))
-                   * (1.0 - (tot.n1 - gone1)
-                      / ((tot.n0 - gone0) + (tot.n1 - gone1)))
-                   * (((tot.n0 - gone0) + (tot.n1 - gone1))
-                      - (d0 + d1))
-                   / (((tot.n0 - gone0) + (tot.n1 - gone1)) - 1.0)
-                   * 1e6) AS BIGINT)
-              ELSE 0 END AS v_mi,
-         CASE WHEN d0 + d1 > 0
-                   AND (tot.n0 - gone0) + (tot.n1 - gone1) > 1
-              THEN d1 ELSE 0 END AS o1
-  FROM cum, tot),
-f AS (SELECT sum(o1)::BIGINT AS o1, sum(e_mi)::BIGINT AS e1_mi,
-             sum(v_mi)::BIGINT AS v_mi
-      FROM terms)
-SELECT (SELECT CAST(n0 AS BIGINT) FROM tot) AS n_arm0,
-       (SELECT CAST(n1 AS BIGINT) FROM tot) AS n_arm1,
-       o1,
-       round(e1_mi / 1e6, 6) AS e1,
-       round((o1 - e1_mi / 1e6) * (o1 - e1_mi / 1e6)
-             / (v_mi / 1e6), 6) AS logrank_chi2
-FROM f
-"""
-
-
 def q_burrows_delta(sf_dir: str):
     """Burrows' Delta stylometric distance between sources (Burrows
     2002) — which sources 'write alike', the authorship/template
@@ -16231,50 +6661,6 @@ def q_burrows_delta(sf_dir: str):
         "delta": np.round(np.array([r[2] for r in out]), 6)})
 
 
-SQL_BURROWS_DELTA = """
-WITH sw AS (
-  SELECT source, word, count(*)::BIGINT AS c
-  FROM (SELECT source, unnest(string_split(text, ' ')) AS word
-        FROM documents)
-  WHERE word <> '' GROUP BY 1, 2),
-gtop AS (
-  SELECT word FROM (
-    SELECT word, sum(c) AS c FROM sw GROUP BY word
-    ORDER BY c DESC, word ASC LIMIT 30)),
-tot AS (SELECT source, sum(c)::DOUBLE AS t FROM sw GROUP BY source),
-f AS (
-  SELECT tot.source, gtop.word,
-         CAST(floor(coalesce(sw.c, 0)::DOUBLE / tot.t * 1e6 + 0.5)
-              AS BIGINT) AS fmi
-  FROM tot CROSS JOIN gtop
-  LEFT JOIN sw ON sw.source = tot.source AND sw.word = gtop.word),
-ns AS (SELECT count(*)::DOUBLE AS ns FROM tot),
-m AS (
-  SELECT word, sum(fmi)::DOUBLE AS s, sum(fmi * fmi)::DOUBLE AS ss
-  FROM f GROUP BY word),
-zt AS (
-  SELECT f.source, f.word,
-         CASE WHEN sqrt(greatest(m.ss / ns.ns
-                                 - (m.s / ns.ns) * (m.s / ns.ns),
-                                 0.0)) > 0
-              THEN (f.fmi - m.s / ns.ns)
-                   / sqrt(greatest(m.ss / ns.ns
-                                   - (m.s / ns.ns) * (m.s / ns.ns),
-                                   0.0))
-              ELSE 0.0 END AS z
-  FROM f JOIN m ON f.word = m.word, ns),
-pairs AS (
-  SELECT a.source AS src_a, b.source AS src_b,
-         sum(CAST(floor(abs(a.z - b.z) * 1e6 + 0.5) AS BIGINT))
-           / 1e6 / 30 AS delta
-  FROM zt a JOIN zt b
-    ON a.word = b.word AND a.source < b.source
-  GROUP BY 1, 2)
-SELECT src_a, src_b, round(delta, 6) AS delta
-FROM pairs ORDER BY delta, src_a, src_b LIMIT 5
-"""
-
-
 def q_holt_winters(sf_dir: str):
     """Additive Holt–Winters (triple exponential) 7-day-ahead revenue
     forecast — completing the smoothing ladder (`ewma` single,
@@ -16323,57 +6709,6 @@ def q_holt_winters(sf_dir: str):
     return pd.DataFrame({
         "h": np.array([r[0] for r in rows], dtype="int64"),
         "forecast": np.round(np.array([r[1] for r in rows]), 6)})
-
-
-SQL_HOLT_WINTERS = """
-WITH RECURSIVE e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-dly AS (SELECT day, sum(c)::BIGINT AS y FROM e GROUP BY day),
-b AS (SELECT min(day) AS lo, max(day) AS hi FROM e),
-spine AS (SELECT CAST(unnest(generate_series(lo, hi)) AS BIGINT)
-            AS day FROM b),
-d AS (SELECT row_number() OVER (ORDER BY s.day) - 1 AS t,
-             coalesce(dly.y, 0)::DOUBLE AS y
-      FROM spine s LEFT JOIN dly ON dly.day = s.day),
-init AS (
-  SELECT
-    (SELECT sum(y) FROM d WHERE t < 7) / 7.0 AS L0,
-    ((SELECT sum(y) FROM d WHERE t >= 7 AND t < 14) / 7.0
-     - (SELECT sum(y) FROM d WHERE t < 7) / 7.0) / 7.0 AS B0),
-hw(t, L, B, s1, s2, s3, s4, s5, s6, s7) AS (
-  SELECT 6, init.L0, init.B0,
-         (SELECT y FROM d WHERE t = 0) - init.L0,
-         (SELECT y FROM d WHERE t = 1) - init.L0,
-         (SELECT y FROM d WHERE t = 2) - init.L0,
-         (SELECT y FROM d WHERE t = 3) - init.L0,
-         (SELECT y FROM d WHERE t = 4) - init.L0,
-         (SELECT y FROM d WHERE t = 5) - init.L0,
-         (SELECT y FROM d WHERE t = 6) - init.L0
-  FROM init
-  UNION ALL
-  SELECT hw.t + 1,
-         0.3 * (d.y - hw.s1) + 0.7 * (hw.L + hw.B),
-         0.1 * ((0.3 * (d.y - hw.s1) + 0.7 * (hw.L + hw.B)) - hw.L)
-           + 0.9 * hw.B,
-         hw.s2, hw.s3, hw.s4, hw.s5, hw.s6, hw.s7,
-         0.2 * (d.y - (0.3 * (d.y - hw.s1)
-                       + 0.7 * (hw.L + hw.B))) + 0.8 * hw.s1
-  FROM hw JOIN d ON d.t = hw.t + 1),
-fin AS (SELECT * FROM hw
-        WHERE t = (SELECT max(t) FROM d)),
-hs AS (SELECT * FROM (VALUES (1), (2), (3), (4), (5), (6), (7))
-       v(h))
-SELECT hs.h,
-       round((fin.L + hs.h * fin.B
-              + CASE ((hs.h - 1) % 7)
-                  WHEN 0 THEN fin.s1 WHEN 1 THEN fin.s2
-                  WHEN 2 THEN fin.s3 WHEN 3 THEN fin.s4
-                  WHEN 4 THEN fin.s5 WHEN 5 THEN fin.s6
-                  ELSE fin.s7 END) / 100.0, 6) AS forecast
-FROM hs, fin ORDER BY hs.h
-"""
 
 
 def q_rich_club(sf_dir: str):
@@ -16432,32 +6767,6 @@ def q_rich_club(sf_dir: str):
         "phi": np.array([r[3] for r in rows], dtype="float64")})
 
 
-SQL_RICH_CLUB = """
-WITH e0 AS (
-  SELECT DISTINCT a.l_partkey AS u, b.l_partkey AS v
-  FROM lineitem a JOIN lineitem b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-sp AS (SELECT u, v FROM e0 WHERE (u * 31 + v) % 7 = 0),
-deg AS (
-  SELECT n, count(*)::BIGINT AS deg FROM (
-    SELECT u AS n FROM sp UNION ALL SELECT v FROM sp) GROUP BY n),
-ks AS (SELECT * FROM (VALUES (1), (2), (3), (4)) v(k)),
-f AS (
-  SELECT ks.k,
-         (SELECT count(*) FROM deg WHERE deg > ks.k)::BIGINT AS nk,
-         (SELECT count(*) FROM sp
-          JOIN deg du ON du.n = sp.u
-          JOIN deg dv ON dv.n = sp.v
-          WHERE du.deg > ks.k AND dv.deg > ks.k)::BIGINT AS ek
-  FROM ks)
-SELECT k, nk AS n_nodes, ek AS n_edges,
-       CASE WHEN nk > 1
-            THEN round(2.0 * ek / (nk * (nk - 1.0)), 6)
-            ELSE NULL END AS phi
-FROM f ORDER BY k
-"""
-
-
 def q_gumbel_maxima(sf_dir: str):
     """Gumbel (EVT type-I) fit to daily-maximum event values with a
     30-day return level — 'how big a spike should we provision for',
@@ -16495,31 +6804,6 @@ def q_gumbel_maxima(sf_dir: str):
                                 dtype="float64"),
         "return_30d": np.array([round(lvl / 100.0, 6)],
                                dtype="float64")})
-
-
-SQL_GUMBEL_MAXIMA = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-d AS (SELECT day, max(c) AS m FROM e GROUP BY day),
-t AS (SELECT count(*)::DOUBLE AS n, sum(m)::DOUBLE AS s,
-             sum(m::DOUBLE * m::DOUBLE) AS ss
-      FROM d),
-f AS (
-  SELECT n,
-         s / n AS mean,
-         sqrt((ss - s * s / n) / (n - 1.0))
-           * 0.7796968012336293 AS beta
-  FROM t),
-g AS (SELECT n, beta, mean - 0.5772156649015329 * beta AS mu FROM f)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(mu / 100.0, 6) AS gumbel_mu,
-       round(beta / 100.0, 6) AS gumbel_beta,
-       round((mu - beta * ln(-ln(1.0 - 1.0 / 30.0))) / 100.0, 6)
-         AS return_30d
-FROM g
-"""
 
 
 def q_partial_corr(sf_dir: str):
@@ -16579,38 +6863,6 @@ def q_partial_corr(sf_dir: str):
                               dtype="float64")})
 
 
-SQL_PARTIAL_CORR = """
-WITH li AS (
-  SELECT CAST(round(l_quantity) AS BIGINT) AS x,
-         CAST(floor(l_extendedprice + 0.5) AS BIGINT) AS y,
-         CAST(round(l_discount * 10000) AS BIGINT) AS z
-  FROM lineitem),
-m AS (
-  SELECT count(*)::DOUBLE AS n, sum(x)::DOUBLE AS sx,
-         sum(y)::DOUBLE AS sy, sum(z)::DOUBLE AS sz,
-         sum(x * x)::DOUBLE AS sxx, sum(y * y)::DOUBLE AS syy,
-         sum(z * z)::DOUBLE AS szz, sum(x * y)::DOUBLE AS sxy,
-         sum(x * z)::DOUBLE AS sxz, sum(y * z)::DOUBLE AS syz
-  FROM li),
-rr AS (
-  SELECT n,
-         (n * sxy - sx * sy)
-           / sqrt((n * sxx - sx * sx) * (n * syy - sy * sy)) AS rxy,
-         (n * sxz - sx * sz)
-           / sqrt((n * sxx - sx * sx) * (n * szz - sz * sz)) AS rxz,
-         (n * syz - sy * sz)
-           / sqrt((n * syy - sy * sy) * (n * szz - sz * sz)) AS ryz
-  FROM m)
-SELECT CAST(n AS BIGINT) AS n,
-       round(rxy, 6) AS r_xy, round(rxz, 6) AS r_xz,
-       round(ryz, 6) AS r_yz,
-       round((rxy - rxz * ryz)
-             / sqrt((1.0 - rxz * rxz) * (1.0 - ryz * ryz)), 6)
-         AS partial_r
-FROM rr
-"""
-
-
 def q_james_stein(sf_dir: str):
     """James–Stein shrinkage of per-brand mean retail prices toward
     the grand mean — the empirical-Bayes estimator that DOMINATES the
@@ -16657,44 +6909,6 @@ def q_james_stein(sf_dir: str):
         "mean": np.round(xbar / 100.0, 6),
         "js_mean": np.round(shrunk / 100.0, 6),
         "shrink_c": np.round(np.full(len(a), c), 6)})
-
-
-SQL_JAMES_STEIN = """
-WITH g AS (
-  SELECT p_brand AS b, count(*)::BIGINT AS n,
-         sum(CAST(round(p_retailprice * 100) AS BIGINT))::BIGINT
-           AS s,
-         sum(CAST(round(p_retailprice * 100) AS BIGINT)
-             * CAST(round(p_retailprice * 100) AS BIGINT))::BIGINT
-           AS ss
-  FROM part GROUP BY 1),
-t AS (
-  SELECT count(*)::DOUBLE AS k, sum(n)::DOUBLE AS nt,
-         sum(s)::DOUBLE AS st,
-         sum(ss::DOUBLE - s::DOUBLE * s::DOUBLE / n::DOUBLE) AS ssw,
-         sum(1.0 / n::DOUBLE) AS hinv
-  FROM g),
-p AS (
-  SELECT t.k, t.st / t.nt AS grand,
-         t.ssw / (t.nt - t.k) AS sigma2,
-         t.k / t.hinv AS nh,
-         (SELECT sum((g2.s::DOUBLE / g2.n::DOUBLE
-                      - t2.st / t2.nt)
-                     * (g2.s::DOUBLE / g2.n::DOUBLE
-                        - t2.st / t2.nt))
-          FROM g g2, t t2) AS d2
-  FROM t),
-c AS (
-  SELECT grand,
-         greatest(0.0, 1.0 - (k - 3.0) * (sigma2 / nh) / d2) AS cf
-  FROM p)
-SELECT g.b AS brand, g.n,
-       round(g.s::DOUBLE / g.n::DOUBLE / 100.0, 6) AS mean,
-       round((c.grand + c.cf * (g.s::DOUBLE / g.n::DOUBLE
-                                - c.grand)) / 100.0, 6) AS js_mean,
-       round(c.cf, 6) AS shrink_c
-FROM g, c ORDER BY brand
-"""
 
 
 def q_meta_analysis(sf_dir: str):
@@ -16757,51 +6971,6 @@ def q_meta_analysis(sf_dir: str):
         "beta_fixed": np.array([round(bfix, 6)], dtype="float64"),
         "cochran_q": np.array([round(Q, 6)], dtype="float64"),
         "i_squared": np.array([round(i2, 6)], dtype="float64")})
-
-
-SQL_META_ANALYSIS = """
-WITH li AS (
-  SELECT l_suppkey % 8 AS g,
-         CAST(round(l_quantity) AS BIGINT) AS x,
-         CAST(floor(l_extendedprice + 0.5) AS BIGINT) AS y
-  FROM lineitem),
-m AS (
-  SELECT g, count(*)::DOUBLE AS n, sum(x)::DOUBLE AS sx,
-         sum(y)::DOUBLE AS sy, sum(x * x)::DOUBLE AS sxx,
-         sum(x * y)::DOUBLE AS sxy, sum(y * y)::DOUBLE AS syy
-  FROM li GROUP BY g),
-b AS (
-  SELECT g, n,
-         (sxy - sx * sy / n) / (sxx - sx * sx / n) AS beta,
-         (((syy - sy * sy / n)
-           - (sxy - sx * sy / n) / (sxx - sx * sx / n)
-             * (sxy - sx * sy / n))
-          / (n - 2.0)) / (sxx - sx * sx / n) AS se2
-  FROM m),
-wts AS (
-  SELECT g, beta,
-         CAST(floor(1.0 / se2 * 1e9 + 0.5) AS BIGINT) AS w_mi,
-         CAST(floor(1.0 / se2 * beta * 1e9 + 0.5) AS BIGINT)
-           AS wb_mi,
-         1.0 / se2 AS w
-  FROM b),
-bf AS (SELECT sum(wb_mi)::DOUBLE / sum(w_mi)::DOUBLE AS bfix,
-              count(*)::DOUBLE AS k
-       FROM wts),
-qt AS (
-  SELECT sum(CAST(floor(wts.w * (wts.beta - bf.bfix)
-                        * (wts.beta - bf.bfix) * 1e6 + 0.5)
-                  AS BIGINT))::DOUBLE / 1e6 AS q
-  FROM wts, bf)
-SELECT (SELECT CAST(k AS BIGINT) FROM bf) AS k_segments,
-       round((SELECT bfix FROM bf), 6) AS beta_fixed,
-       round(q, 6) AS cochran_q,
-       round(CASE WHEN q > 0
-                  THEN greatest(0.0,
-                       (q - ((SELECT k FROM bf) - 1.0)) / q)
-                  ELSE 0.0 END, 6) AS i_squared
-FROM qt
-"""
 
 
 def q_rmst(sf_dir: str):
@@ -16891,71 +7060,6 @@ def q_rmst(sf_dir: str):
         "rmst_diff": np.array([round(diff, 6)], dtype="float64")})
 
 
-SQL_RMST = """
-WITH e AS (
-  SELECT user_id, epoch_us(ts) AS t,
-         (event_type = 'purchase')::INT AS p
-  FROM events),
-u AS (
-  SELECT user_id, user_id % 2 AS arm, min(t) AS t0, max(t) AS tend,
-         min(CASE WHEN p = 1 THEN t ELSE 4611686018427387904 END)
-           AS fp
-  FROM e GROUP BY 1),
-s AS (
-  SELECT arm,
-         (CASE WHEN fp < 4611686018427387904 THEN fp ELSE tend END
-          - t0) // 86400000000 + 1 AS day,
-         (fp < 4611686018427387904)::INT AS d,
-         (fp >= 4611686018427387904)::INT AS c
-  FROM u),
-lt AS (SELECT arm, day, sum(d)::BIGINT AS d, sum(c)::BIGINT AS c
-       FROM s GROUP BY 1, 2),
-tot AS (SELECT arm, sum(d + c)::DOUBLE AS n FROM lt GROUP BY arm),
-lv AS (
-  SELECT lt.arm, lt.day, lt.d,
-         tot.n - coalesce((SELECT sum(d + c) FROM lt l2
-                           WHERE l2.arm = lt.arm
-                             AND l2.day < lt.day), 0)::DOUBLE
-           AS rem
-  FROM lt JOIN tot ON lt.arm = tot.arm),
-mn AS (
-  SELECT arm, day,
-         CASE WHEN d > 0 AND d < rem
-              THEN CAST(floor(ln(1.0 - d / rem) * 1e6 + 0.5)
-                        AS BIGINT)
-              WHEN d >= rem AND rem > 0 THEN NULL
-              ELSE 0 END AS mnat
-  FROM lv),
-cm AS (
-  SELECT arm, day,
-         sum(mnat) OVER (PARTITION BY arm ORDER BY day) AS cum,
-         max(CASE WHEN mnat IS NULL THEN 1 ELSE 0 END)
-           OVER (PARTITION BY arm ORDER BY day) AS dead
-  FROM mn),
-ts_ AS (SELECT CAST(k AS BIGINT) + 1 AS t FROM range(0, 13) r(k)),
-sv AS (
-  SELECT tot.arm, ts_.t,
-         coalesce((SELECT CASE WHEN cm2.dead = 1 THEN 0.0
-                               ELSE exp(cm2.cum / 1e6) END
-                   FROM cm cm2
-                   WHERE cm2.arm = tot.arm AND cm2.day <= ts_.t
-                   ORDER BY cm2.day DESC LIMIT 1), 1.0) AS s_t
-  FROM tot, ts_),
-rm AS (
-  SELECT arm,
-         1.0 + sum(CAST(floor(s_t * 1e9 + 0.5) AS BIGINT)) / 1e9
-           AS rmst
-  FROM sv GROUP BY arm)
-SELECT 14::BIGINT AS tau,
-       (SELECT CAST(n AS BIGINT) FROM tot WHERE arm = 0) AS n_arm0,
-       (SELECT CAST(n AS BIGINT) FROM tot WHERE arm = 1) AS n_arm1,
-       round((SELECT rmst FROM rm WHERE arm = 0), 6) AS rmst0,
-       round((SELECT rmst FROM rm WHERE arm = 1), 6) AS rmst1,
-       round((SELECT rmst FROM rm WHERE arm = 1)
-             - (SELECT rmst FROM rm WHERE arm = 0), 6) AS rmst_diff
-"""
-
-
 def q_price_index(sf_dir: str):
     """Laspeyres / Paasche / Fisher ideal price indexes between the
     two ship-date halves of the lineitem history — the
@@ -17039,42 +7143,6 @@ def q_price_index(sf_dir: str):
         "fisher": np.array([round(float(F), 6)], dtype="float64")})
 
 
-SQL_PRICE_INDEX = """
-WITH li AS (
-  SELECT l_partkey AS pk,
-         epoch_us(l_shipdate) // 86400000000 AS day,
-         CAST(round(l_quantity) AS BIGINT) AS q,
-         CAST(round(l_extendedprice * 100) AS BIGINT) AS c
-  FROM lineitem),
-b AS (SELECT (min(day) + max(day) + 1) // 2 AS mid FROM li),
-a AS (
-  SELECT pk, (day >= (SELECT mid FROM b))::INT AS per,
-         sum(q)::BIGINT AS q, sum(c)::BIGINT AS c
-  FROM li GROUP BY 1, 2),
-j AS (
-  SELECT a0.pk,
-         a0.q::DOUBLE AS q0, a1.q::DOUBLE AS q1,
-         a0.c::DOUBLE / a0.q::DOUBLE AS p0,
-         a1.c::DOUBLE / a1.q::DOUBLE AS p1
-  FROM a a0 JOIN a a1 ON a0.pk = a1.pk
-  WHERE a0.per = 0 AND a1.per = 1),
-s AS (
-  SELECT sum(CAST(floor(p1 * q0 * 1e3 + 0.5) AS BIGINT))::DOUBLE
-           AS l10,
-         sum(CAST(floor(p0 * q0 * 1e3 + 0.5) AS BIGINT))::DOUBLE
-           AS l00,
-         sum(CAST(floor(p1 * q1 * 1e3 + 0.5) AS BIGINT))::DOUBLE
-           AS p11,
-         sum(CAST(floor(p0 * q1 * 1e3 + 0.5) AS BIGINT))::DOUBLE
-           AS p01
-  FROM j)
-SELECT round(l10 / l00, 6) AS laspeyres,
-       round(p11 / p01, 6) AS paasche,
-       round(sqrt(l10 / l00 * (p11 / p01)), 6) AS fisher
-FROM s
-"""
-
-
 def q_adf_lite(sf_dir: str):
     """Dickey–Fuller-style unit-root statistic on daily revenue —
     'is the level mean-reverting or a random walk', the stationarity
@@ -17115,44 +7183,6 @@ def q_adf_lite(sf_dir: str):
         "beta": np.array([round(beta, 6)], dtype="float64"),
         "df_stat": np.array([round(float(df_stat), 6)],
                             dtype="float64")})
-
-
-SQL_ADF_LITE = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-d AS (SELECT day, sum(c)::BIGINT AS y FROM e GROUP BY day),
-l AS (
-  SELECT y::DOUBLE AS yc,
-         lag(y) OVER (ORDER BY day) AS yp
-  FROM d),
-p AS (SELECT yp::DOUBLE AS x, yc - yp::DOUBLE AS dy
-      FROM l WHERE yp IS NOT NULL),
-m AS (
-  SELECT count(*)::DOUBLE AS n, sum(x)::DOUBLE AS sx,
-         sum(dy)::DOUBLE AS sy, sum(x * x)::DOUBLE AS sxx,
-         sum(x * dy)::DOUBLE AS sxy
-  FROM p),
-ab AS (
-  SELECT n, sx, sxx,
-         (n * sxy - sx * sy) / (n * sxx - sx * sx) AS beta,
-         (sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n
-           AS alpha
-  FROM m),
-ss AS (
-  SELECT sum((p.dy - (ab.alpha + ab.beta * p.x))
-             * (p.dy - (ab.alpha + ab.beta * p.x))) AS sse
-  FROM p, ab)
-SELECT (SELECT CAST(n AS BIGINT) + 1 FROM ab) AS n_days,
-       round((SELECT beta FROM ab), 6) AS beta,
-       round((SELECT beta FROM ab)
-             / sqrt(ss.sse / ((SELECT n FROM ab) - 2.0)
-                    / ((SELECT sxx FROM ab)
-                       - (SELECT sx FROM ab) * (SELECT sx FROM ab)
-                         / (SELECT n FROM ab))), 6) AS df_stat
-FROM ss
-"""
 
 
 def q_spectral_peak(sf_dir: str):
@@ -17196,34 +7226,6 @@ def q_spectral_peak(sf_dir: str):
         "n_days": np.array([int(n)], dtype="int64"),
         "weekly_power_share": np.array([round(ratio, 6)],
                                        dtype="float64")})
-
-
-SQL_SPECTRAL_PEAK = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-d AS (SELECT day, sum(c)::BIGINT AS y FROM e GROUP BY day),
-b AS (SELECT min(day) AS t0, count(*)::DOUBLE AS n,
-             sum(y)::DOUBLE / count(*) AS mean
-      FROM d),
-t AS (
-  SELECT sum(CAST(floor((d.y - b.mean)
-                        * cos(0.8975979010256552
-                              * (d.day - b.t0)) + 0.5)
-                  AS BIGINT))::DOUBLE AS C,
-         sum(CAST(floor((d.y - b.mean)
-                        * sin(0.8975979010256552
-                              * (d.day - b.t0)) + 0.5)
-                  AS BIGINT))::DOUBLE AS S,
-         sum(CAST(floor((d.y - b.mean) * (d.y - b.mean) + 0.5)
-                  AS BIGINT))::DOUBLE AS E,
-         max(b.n) AS n
-  FROM d, b)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round((C * C + S * S) / n / E, 6) AS weekly_power_share
-FROM t
-"""
 
 
 def q_neyman_allocation(sf_dir: str):
@@ -17271,40 +7273,6 @@ def q_neyman_allocation(sf_dir: str):
             np.full(len(a), v_prop / v_ney), 6)})
 
 
-SQL_NEYMAN_ALLOCATION = """
-WITH e AS (
-  SELECT event_type AS g,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-a AS (SELECT g, count(*)::BIGINT AS n, sum(c)::BIGINT AS s,
-             sum(c * c)::BIGINT AS ss
-      FROM e GROUP BY g),
-d AS (SELECT g, n,
-             sqrt((ss - s::DOUBLE * s::DOUBLE / n::DOUBLE)
-                  / (n - 1.0)) AS sd
-      FROM a),
-t AS (SELECT sum(n)::DOUBLE AS nt,
-             sum(n::DOUBLE * sd) AS w
-      FROM d),
-v AS (
-  SELECT sum(((d.n::DOUBLE / t.nt) * d.sd)
-             * ((d.n::DOUBLE / t.nt) * d.sd)
-             / greatest(10000 * (d.n::DOUBLE * d.sd) / t.w, 1.0))
-           AS v_ney,
-         sum(((d.n::DOUBLE / t.nt) * d.sd)
-             * ((d.n::DOUBLE / t.nt) * d.sd)
-             / greatest(10000 * d.n::DOUBLE / t.nt, 1.0)) AS v_prop
-  FROM d, t)
-SELECT d.g AS stratum, d.n AS n_pop,
-       round(d.sd / 100.0, 6) AS sd,
-       CAST(floor(10000 * (d.n::DOUBLE * d.sd) / t.w + 0.5)
-            AS BIGINT) AS n_alloc,
-       round((SELECT v_prop FROM v) / (SELECT v_ney FROM v), 6)
-         AS design_gain
-FROM d, t ORDER BY stratum
-"""
-
-
 def q_qte(sf_dir: str):
     """Quantile treatment effects at the deciles — WHERE in the
     outcome distribution the arms differ (`ab_test` compares means;
@@ -17345,36 +7313,6 @@ def q_qte(sf_dir: str):
         "q_arm1": np.round(np.array([r[2] / 100.0 for r in rows]),
                            6),
         "qte": np.round(np.array([r[3] for r in rows]), 6)})
-
-
-SQL_QTE = """
-WITH e AS (
-  SELECT event_id % 2 AS arm,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-h AS (SELECT arm, c, count(*)::BIGINT AS cnt FROM e
-      GROUP BY arm, c),
-n AS (SELECT arm, sum(cnt)::BIGINT AS ntot FROM h GROUP BY arm),
-w AS (SELECT arm, c,
-             sum(cnt) OVER (PARTITION BY arm ORDER BY c) AS cum
-      FROM h),
-ks AS (SELECT * FROM (VALUES (1),(2),(3),(4),(5),(6),(7),(8),(9))
-       v(k)),
-q AS (
-  SELECT ks.k, n.arm,
-         (SELECT min(w.c) FROM w
-          WHERE w.arm = n.arm
-            AND w.cum >= CAST(ceil(ks.k * n.ntot / 10.0) AS BIGINT))
-           AS qv
-  FROM ks, n)
-SELECT q0.k AS decile,
-       round(q0.qv / 100.0, 6) AS q_arm0,
-       round(q1.qv / 100.0, 6) AS q_arm1,
-       round((q1.qv - q0.qv) / 100.0, 6) AS qte
-FROM q q0 JOIN q q1 ON q0.k = q1.k
-WHERE q0.arm = 0 AND q1.arm = 1
-ORDER BY decile
-"""
 
 
 def q_hurst_rs(sf_dir: str):
@@ -17431,53 +7369,6 @@ def q_hurst_rs(sf_dir: str):
     return pd.DataFrame({
         "n_scales": np.array([int(n)], dtype="int64"),
         "hurst": np.array([round(h, 6)], dtype="float64")})
-
-
-SQL_HURST_RS = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-dly AS (SELECT day, sum(c)::BIGINT AS y FROM e GROUP BY day),
-b0 AS (SELECT min(day) AS lo, max(day) AS hi FROM e),
-spine AS (SELECT CAST(unnest(generate_series(lo, hi)) AS BIGINT)
-            AS day FROM b0),
-d AS (SELECT s.day - (SELECT lo FROM b0) AS t,
-             coalesce(dly.y, 0)::DOUBLE AS y
-      FROM spine s LEFT JOIN dly ON dly.day = s.day),
-ws AS (SELECT * FROM (VALUES (7), (14), (28)) v(w)),
-seg AS (
-  SELECT ws.w, d.t // ws.w AS blk, d.t, d.y
-  FROM ws JOIN d ON d.t < (((SELECT count(*) FROM d) // ws.w)
-                           * ws.w)),
-mu AS (SELECT w, blk, sum(y) / w AS mu, count(*) AS cnt
-       FROM seg GROUP BY w, blk),
-cs AS (
-  SELECT seg.w, seg.blk,
-         sum(seg.y - mu.mu)
-           OVER (PARTITION BY seg.w, seg.blk ORDER BY seg.t) AS c,
-         seg.y - mu.mu AS dev
-  FROM seg JOIN mu ON seg.w = mu.w AND seg.blk = mu.blk),
-rs AS (
-  SELECT w, blk,
-         max(c) - min(c) AS R,
-         sqrt(sum(dev * dev) / w) AS S
-  FROM cs GROUP BY w, blk),
-lg AS (
-  SELECT w,
-         sum(CAST(floor(ln(R / S) * 1e6 + 0.5) AS BIGINT))::DOUBLE
-           / count(*) / 1e6 AS mlog,
-         count(*) AS nb
-  FROM rs WHERE S > 0 AND R > 0 GROUP BY w),
-p AS (SELECT ln(w) AS x, mlog AS y FROM lg),
-f AS (
-  SELECT count(*)::DOUBLE AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * x) AS sxx, sum(x * y) AS sxy
-  FROM p)
-SELECT CAST(n AS BIGINT) AS n_scales,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS hurst
-FROM f
-"""
 
 
 _UCB_ARMS = ("click", "error", "purchase", "signup", "view")
@@ -17557,109 +7448,6 @@ def q_ucb_replay(sf_dir: str):
             np.array([s[i] / n[i] if n[i] else 0.0
                       for i in range(5)]), 6),
         "regret": np.round(np.full(5, reg / 1e3 / 100.0), 6)})
-
-
-def _ucb_sql() -> str:
-    arms_case = " ".join(
-        f"WHEN '{g}' THEN {i + 1}" for i, g in enumerate(_UCB_ARMS))
-    rcols = ", ".join(
-        f"coalesce(max(CASE WHEN ai = {i + 1} THEN r END), 0) AS r{i + 1}"
-        for i in range(5))
-    # choice: first arm whose ucb >= all others (first-max-wins)
-    ucb = {i: (f"(s{i} / n{i} + sqrt(2.0 * ln(CAST(b.t AS DOUBLE))"
-               f" / n{i}))") for i in range(1, 6)}
-    # python's first-max-wins scan == arm i wins iff ucb_i > ucb_j
-    # for all j < i AND ucb_i >= ucb_j for all j > i
-    cond = {}
-    for i in range(1, 6):
-        parts = []
-        for j in range(1, i):
-            parts.append(f"{ucb[i]} > {ucb[j]}")
-        for j in range(i + 1, 6):
-            parts.append(f"{ucb[i]} >= {ucb[j]}")
-        cond[i] = " AND ".join(parts) if parts else "TRUE"
-    chose = ("CASE " + " ".join(
-        f"WHEN {cond[i]} THEN {i}" for i in range(1, 5)) + " ELSE 5 END")
-    upd_n = ", ".join(
-        f"b.n{i} + (ch.c = {i})::INT AS n{i}" for i in range(1, 6))
-    upd_s = ", ".join(
-        f"b.s{i} + CASE WHEN ch.c = {i} THEN rr.r{i}::DOUBLE"
-        f" / (SELECT m FROM mx) ELSE 0.0 END AS s{i}"
-        for i in range(1, 6))
-    chosen_r = ("CASE " + " ".join(
-        f"WHEN ch.c = {i} THEN rr.r{i}" for i in range(1, 5))
-        + " ELSE rr.r5 END")
-    init_n = ", ".join("1" for _ in range(5))
-    init_s = ", ".join(
-        f"(SELECT r{i}::DOUBLE / (SELECT m FROM mx) FROM rwp "
-        f"WHERE t = {i})" for i in range(1, 6))
-    init_reg = " + ".join(
-        f"((SELECT rb FROM rwb WHERE t = {i})"
-        f" - (SELECT r{i} FROM rwp WHERE t = {i}))"
-        for i in range(1, 6))
-    return f"""
-WITH RECURSIVE e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CASE event_type {arms_case} ELSE 0 END AS ai,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-ag AS (SELECT day, ai,
-              CAST(floor(sum(c)::DOUBLE / count(*) * 1e3 + 0.5)
-                   AS BIGINT) AS r
-       FROM e WHERE ai > 0 GROUP BY day, ai),
-dd AS (SELECT day, row_number() OVER (ORDER BY day) AS t
-       FROM (SELECT DISTINCT day FROM e)),
-rwp AS (
-  SELECT dd.t, {rcols}
-  FROM dd LEFT JOIN ag ON ag.day = dd.day
-  GROUP BY dd.t),
-mx AS (SELECT greatest(max(r1), max(r2), max(r3), max(r4),
-                       max(r5))::DOUBLE AS m FROM rwp),
-tots AS (SELECT sum(r1) AS t1, sum(r2) AS t2, sum(r3) AS t3,
-                sum(r4) AS t4, sum(r5) AS t5 FROM rwp),
-bi AS (SELECT CASE
-         WHEN t1 >= t2 AND t1 >= t3 AND t1 >= t4 AND t1 >= t5 THEN 1
-         WHEN t2 >= t3 AND t2 >= t4 AND t2 >= t5 THEN 2
-         WHEN t3 >= t4 AND t3 >= t5 THEN 3
-         WHEN t4 >= t5 THEN 4 ELSE 5 END AS b
-       FROM tots),
-rwb AS (SELECT rwp.t,
-               CASE (SELECT b FROM bi)
-                 WHEN 1 THEN r1 WHEN 2 THEN r2 WHEN 3 THEN r3
-                 WHEN 4 THEN r4 ELSE r5 END AS rb
-        FROM rwp),
-bd(t, n1, n2, n3, n4, n5, s1, s2, s3, s4, s5, reg) AS (
-  SELECT 5, {init_n}, {init_s},
-         CAST({init_reg} AS BIGINT)
-  UNION ALL
-  SELECT b.t + 1, {upd_n}, {upd_s},
-         b.reg + (SELECT rb FROM rwb WHERE t = b.t + 1)
-               - {chosen_r}
-  FROM bd b
-  JOIN rwp rr ON rr.t = b.t + 1
-  CROSS JOIN LATERAL (SELECT {chose} AS c) ch),
-fin AS (SELECT * FROM bd
-        WHERE t = (SELECT max(t) FROM rwp)),
-arms AS (SELECT * FROM (VALUES
-  (1, '{_UCB_ARMS[0]}'), (2, '{_UCB_ARMS[1]}'),
-  (3, '{_UCB_ARMS[2]}'), (4, '{_UCB_ARMS[3]}'),
-  (5, '{_UCB_ARMS[4]}')) v(i, arm))
-SELECT arms.arm,
-       CASE arms.i WHEN 1 THEN fin.n1 WHEN 2 THEN fin.n2
-            WHEN 3 THEN fin.n3 WHEN 4 THEN fin.n4
-            ELSE fin.n5 END::BIGINT AS pulls,
-       round(CASE arms.i
-               WHEN 1 THEN fin.s1 / fin.n1
-               WHEN 2 THEN fin.s2 / fin.n2
-               WHEN 3 THEN fin.s3 / fin.n3
-               WHEN 4 THEN fin.s4 / fin.n4
-               ELSE fin.s5 / fin.n5 END, 6) AS mean_reward,
-       round(fin.reg / 1e3 / 100.0, 6) AS regret
-FROM arms, fin ORDER BY arms.arm
-"""
-
-
-SQL_UCB_REPLAY = _ucb_sql()
 
 
 def q_journey_length(sf_dir: str):
@@ -17742,68 +7530,6 @@ def q_journey_length(sf_dir: str):
         "overall": np.round(np.full(3, overall), 6)})
 
 
-def _journey_sql() -> str:
-    ex = _mk_exprs()
-    rows = []
-    for r, nm in enumerate(_MK_STATES, start=1):
-        rows.append(
-            f"SELECT '{nm}' AS channel,\n"
-            f"       round({ex[f'x{r}']}, 6) AS expected_steps,\n"
-            f"       round({ex['p_full']}, 6) AS overall\n"
-            "FROM v")
-    un = "\nUNION ALL\n".join(rows)
-    sel_parts = []
-    for i in (1, 2, 3):
-        out = (f"(SELECT coalesce(sum(n), 0) FROM c "
-               f"WHERE kind IN ('q', 'b', 'z') AND i = {i})")
-        for j in (1, 2, 3):
-            sel_parts.append(
-                f"(SELECT coalesce(sum(n), 0) FROM c WHERE "
-                f"kind = 'q' AND i = {i} AND j = {j})::DOUBLE "
-                f"/ {out} AS q{i}{j}")
-        sel_parts.append(f"1.0 AS b{i}")
-        sel_parts.append(
-            f"(SELECT coalesce(sum(n), 0) FROM c WHERE kind = 's' "
-            f"AND i = {i})::DOUBLE / (SELECT sum(n) FROM c WHERE "
-            f"kind = 's') AS s{i}")
-    sel = ",\n         ".join(sel_parts)
-    states_in = ", ".join(f"'{s}'" for s in _MK_STATES)
-    case_state = ("CASE event_type "
-                  + " ".join(f"WHEN '{s}' THEN {i + 1}"
-                             for i, s in enumerate(_MK_STATES))
-                  + " ELSE 0 END")
-    return f"""
-WITH d AS (
-  SELECT user_id, {case_state} AS st,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events
-  WHERE event_type IN ({states_in}, 'purchase')),
-p AS (
-  SELECT a.user_id, a.st AS cur, b.st AS nx, a.rn
-  FROM d a LEFT JOIN d b
-    ON a.user_id = b.user_id AND b.rn = a.rn + 1),
-c AS (
-  SELECT 's' AS kind, cur AS i, 0 AS j, count(*)::BIGINT AS n
-  FROM p WHERE rn = 1 AND cur > 0 GROUP BY cur
-  UNION ALL
-  SELECT 'q', cur, nx, count(*)::BIGINT
-  FROM p WHERE cur > 0 AND nx > 0 GROUP BY cur, nx
-  UNION ALL
-  SELECT 'b', cur, 0, count(*)::BIGINT
-  FROM p WHERE cur > 0 AND nx = 0 GROUP BY cur
-  UNION ALL
-  SELECT 'z', cur, 0, count(*)::BIGINT
-  FROM p WHERE cur > 0 AND nx IS NULL GROUP BY cur),
-v AS (
-  SELECT {sel})
-{un}
-"""
-
-
-SQL_JOURNEY_LENGTH = _journey_sql()
-
-
 def q_reserve_price(sf_dir: str):
     """Revenue-optimal posted price from the empirical demand curve —
     treat each order's total as a buyer valuation; at posted price p
@@ -17844,27 +7570,6 @@ def q_reserve_price(sf_dir: str):
         "buyers": np.array([int(above[best])], dtype="int64"),
         "revenue": np.array([round(int(rev[best]) / 100.0, 6)],
                             dtype="float64")})
-
-
-SQL_RESERVE_PRICE = """
-WITH o AS (
-  SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS c
-  FROM orders),
-h AS (SELECT c, count(*)::BIGINT AS cnt FROM o GROUP BY c),
-w AS (SELECT c, cnt,
-             sum(cnt) OVER (ORDER BY c DESC) AS above
-      FROM h),
-r AS (SELECT c, above, c * above AS rev FROM w),
-b AS (SELECT min(c) AS c FROM r
-      WHERE rev = (SELECT max(rev) FROM r))
-SELECT (SELECT sum(cnt) FROM h)::BIGINT AS n_orders,
-       round((SELECT c FROM b) / 100.0, 6) AS reserve,
-       (SELECT above FROM r WHERE c = (SELECT c FROM b))::BIGINT
-         AS buyers,
-       round((SELECT rev FROM r WHERE c = (SELECT c FROM b))
-             / 100.0, 6) AS revenue
-FROM h LIMIT 1
-"""
 
 
 def q_gains_table(sf_dir: str):
@@ -17917,38 +7622,6 @@ def q_gains_table(sf_dir: str):
                                   dtype="int64"),
         "capture": np.array([r[3] for r in rows], dtype="float64"),
         "lift": np.array([r[4] for r in rows], dtype="float64")})
-
-
-SQL_GAINS_TABLE = """
-WITH e AS (
-  SELECT CAST(round(value * 100) AS BIGINT) AS c,
-         (event_type = 'purchase')::INT AS p
-  FROM events),
-h AS (SELECT c, sum(p)::BIGINT AS k, count(*)::BIGINT AS n
-      FROM e GROUP BY c),
-t AS (SELECT sum(n)::BIGINT AS nt, sum(k)::BIGINT AS kt FROM h),
-w AS (SELECT c, sum(n) OVER (ORDER BY c DESC) AS cum_n,
-             sum(k) OVER (ORDER BY c DESC) AS cum_k
-      FROM h),
-ds AS (SELECT CAST(k AS BIGINT) + 1 AS d FROM range(0, 10) r(k)),
-pick AS (
-  SELECT ds.d,
-         (SELECT min(cum_n) FROM w, t
-          WHERE cum_n >= CAST(ceil(ds.d * t.nt / 10.0) AS BIGINT))
-           AS got_n
-  FROM ds),
-f AS (
-  SELECT pick.d, pick.got_n,
-         (SELECT max(cum_k) FROM w WHERE cum_n = pick.got_n)
-           AS got_k
-  FROM pick)
-SELECT f.d AS decile, CAST(f.got_n AS BIGINT) AS n_cum,
-       CAST(f.got_k AS BIGINT) AS purchases_cum,
-       round(f.got_k::DOUBLE / t.kt::DOUBLE, 6) AS capture,
-       round((f.got_k::DOUBLE / t.kt::DOUBLE)
-             / (f.got_n::DOUBLE / t.nt::DOUBLE), 6) AS lift
-FROM f, t ORDER BY decile
-"""
 
 
 def q_split_half(sf_dir: str):
@@ -18006,35 +7679,6 @@ def q_split_half(sf_dir: str):
                                    dtype="float64")})
 
 
-SQL_SPLIT_HALF = """
-WITH e AS (
-  SELECT user_id,
-         CASE WHEN event_id % 2 = 0
-              THEN CAST(round(value * 100) AS BIGINT) ELSE 0 END
-           AS xc,
-         CASE WHEN event_id % 2 = 0
-              THEN 0 ELSE CAST(round(value * 100) AS BIGINT) END
-           AS yc
-  FROM events),
-u AS (SELECT user_id, sum(xc)::BIGINT AS x, sum(yc)::BIGINT AS y
-      FROM e GROUP BY 1),
-m AS (
-  SELECT count(*)::DOUBLE AS n, sum(x)::DOUBLE AS sx,
-         sum(y)::DOUBLE AS sy, sum(x * x)::DOUBLE AS sxx,
-         sum(y * y)::DOUBLE AS syy, sum(x * y)::DOUBLE AS sxy
-  FROM u),
-r AS (
-  SELECT n,
-         (n * sxy - sx * sy)
-           / sqrt((n * sxx - sx * sx) * (n * syy - sy * sy)) AS r
-  FROM m)
-SELECT CAST(n AS BIGINT) AS n_users,
-       round(r, 6) AS half_corr,
-       round(2.0 * r / (1.0 + r), 6) AS spearman_brown
-FROM r
-"""
-
-
 def q_cohen_kappa(sf_dir: str):
     """Cohen's κ between the langid prediction and the labeled
     `lang` column — chance-corrected agreement, the metric
@@ -18077,59 +7721,6 @@ def q_cohen_kappa(sf_dir: str):
         "kappa": np.array([round(kappa, 6)], dtype="float64")})
 
 
-SQL_COHEN_KAPPA_TMPL = """
-WITH scored AS (
-  SELECT doc_id, lang, ' ' || text || ' ' AS s FROM documents),
-pr AS (
-  SELECT lang AS t,
-         CASE
-           WHEN CAST({e} AS DOUBLE) >= CAST({es} AS DOUBLE)
-            AND CAST({e} AS DOUBLE) >= CAST({fr} AS DOUBLE)
-            AND CAST({e} AS DOUBLE) >= CAST({de} AS DOUBLE)
-            AND CAST({e} AS DOUBLE) >= {zh} THEN 'en'
-           WHEN CAST({es} AS DOUBLE) >= CAST({fr} AS DOUBLE)
-            AND CAST({es} AS DOUBLE) >= CAST({de} AS DOUBLE)
-            AND CAST({es} AS DOUBLE) >= {zh} THEN 'es'
-           WHEN CAST({fr} AS DOUBLE) >= CAST({de} AS DOUBLE)
-            AND CAST({fr} AS DOUBLE) >= {zh} THEN 'fr'
-           WHEN CAST({de} AS DOUBLE) >= {zh} THEN 'de'
-           ELSE 'zh' END AS p
-  FROM scored),
-cm AS (SELECT t, p, count(*)::BIGINT AS n FROM pr GROUP BY 1, 2),
-tt AS (SELECT sum(n)::BIGINT AS N,
-              sum(CASE WHEN t = p THEN n ELSE 0 END)::BIGINT AS diag
-       FROM cm),
-mg AS (
-  SELECT coalesce(r.l, c.l) AS l,
-         coalesce(r.rn, 0) AS rn, coalesce(c.cn, 0) AS cn
-  FROM (SELECT t AS l, sum(n)::BIGINT AS rn FROM cm GROUP BY t) r
-  FULL OUTER JOIN
-       (SELECT p AS l, sum(n)::BIGINT AS cn FROM cm GROUP BY p) c
-    ON r.l = c.l),
-pe AS (SELECT sum(rn * cn)::BIGINT AS pe_num FROM mg)
-SELECT tt.N AS n_docs,
-       round(tt.diag::DOUBLE / tt.N::DOUBLE, 6) AS accuracy,
-       round(pe.pe_num::DOUBLE / (tt.N::DOUBLE * tt.N::DOUBLE), 6)
-         AS chance,
-       CASE WHEN pe.pe_num::DOUBLE
-                 / (tt.N::DOUBLE * tt.N::DOUBLE) >= 1.0 THEN 1.0
-            ELSE round((tt.diag::DOUBLE / tt.N::DOUBLE
-                  - pe.pe_num::DOUBLE
-                    / (tt.N::DOUBLE * tt.N::DOUBLE))
-                 / (1.0 - pe.pe_num::DOUBLE
-                    / (tt.N::DOUBLE * tt.N::DOUBLE)), 6)
-       END AS kappa
-FROM tt, pe
-"""
-
-SQL_COHEN_KAPPA = SQL_COHEN_KAPPA_TMPL.format(
-    e=_sql_lang_score("en"), es=_sql_lang_score("es"),
-    fr=_sql_lang_score("fr"), de=_sql_lang_score("de"),
-    zh=("(CAST(" + _sql_lang_score("zh") + " AS DOUBLE) + 10.0 * "
-        "len(regexp_extract_all(s, '[一-鿿]')) "
-        "/ greatest(length(s), 1) * 5)"))
-
-
 def q_srm_check(sf_dir: str):
     """Sample-ratio-mismatch guardrail — the first thing a broken
     experiment shows: do the event_id-parity arm sizes match the
@@ -18155,24 +7746,6 @@ def q_srm_check(sf_dir: str):
         "chi2": np.array([round(chi2, 6)], dtype="float64"),
         "srm_flag": np.array([1 if chi2 > 3.841 else 0],
                              dtype="int64")})
-
-
-SQL_SRM_CHECK = """
-WITH a AS (
-  SELECT event_id % 2 AS arm, count(*)::BIGINT AS n
-  FROM events GROUP BY 1),
-t AS (
-  SELECT (SELECT n FROM a WHERE arm = 0)::DOUBLE AS n0,
-         (SELECT n FROM a WHERE arm = 1)::DOUBLE AS n1),
-f AS (
-  SELECT n0, n1, (n0 + n1) / 2.0 AS E FROM t)
-SELECT CAST(n0 AS BIGINT) AS n_arm0, CAST(n1 AS BIGINT) AS n_arm1,
-       round((n0 - E) * (n0 - E) / E + (n1 - E) * (n1 - E) / E, 6)
-         AS chi2,
-       ((n0 - E) * (n0 - E) / E + (n1 - E) * (n1 - E) / E
-        > 3.841)::BIGINT AS srm_flag
-FROM f
-"""
 
 
 def q_tost(sf_dir: str):
@@ -18220,37 +7793,6 @@ def q_tost(sf_dir: str):
         "z_upper": np.array([round(float(z2), 6)], dtype="float64"),
         "equivalent": np.array(
             [1 if (z1 >= zc and z2 >= zc) else 0], dtype="int64")})
-
-
-SQL_TOST = """
-WITH e AS (
-  SELECT event_id % 2 AS arm,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-a AS (SELECT arm, count(*)::BIGINT AS n, sum(c)::BIGINT AS s,
-             sum(c * c)::BIGINT AS ss
-      FROM e GROUP BY 1),
-m AS (
-  SELECT (SELECT n::DOUBLE FROM a WHERE arm = 0) AS n0,
-         (SELECT n::DOUBLE FROM a WHERE arm = 1) AS n1,
-         (SELECT s::DOUBLE FROM a WHERE arm = 0) AS s0,
-         (SELECT s::DOUBLE FROM a WHERE arm = 1) AS s1,
-         (SELECT ss::DOUBLE FROM a WHERE arm = 0) AS ss0,
-         (SELECT ss::DOUBLE FROM a WHERE arm = 1) AS ss1),
-f AS (
-  SELECT s1 / n1 - s0 / n0 AS d,
-         0.01 * ((s0 + s1) / (n0 + n1)) AS delta,
-         sqrt(((ss0 - s0 * s0 / n0) / (n0 - 1.0)) / n0
-              + ((ss1 - s1 * s1 / n1) / (n1 - 1.0)) / n1) AS se
-  FROM m)
-SELECT round(d / 100.0, 6) AS diff,
-       round(delta / 100.0, 6) AS margin,
-       round((d + delta) / se, 6) AS z_lower,
-       round((delta - d) / se, 6) AS z_upper,
-       ((d + delta) / se >= 1.6448536270
-        AND (delta - d) / se >= 1.6448536270)::BIGINT AS equivalent
-FROM f
-"""
 
 
 def q_mediation(sf_dir: str):
@@ -18311,50 +7853,6 @@ def q_mediation(sf_dir: str):
                             dtype="float64")})
 
 
-SQL_MEDIATION = """
-WITH li AS (
-  SELECT CAST(round(l_quantity) AS BIGINT) AS x,
-         CAST(round(l_discount * 10000) AS BIGINT) AS m,
-         CAST(floor(l_extendedprice + 0.5) AS BIGINT) AS y
-  FROM lineitem),
-g AS (
-  SELECT count(*)::DOUBLE AS n, sum(x)::DOUBLE AS sx,
-         sum(m)::DOUBLE AS sm, sum(y)::DOUBLE AS sy,
-         sum(x * x)::DOUBLE AS sxx, sum(m * m)::DOUBLE AS smm,
-         sum(y * y)::DOUBLE AS syy, sum(x * m)::DOUBLE AS sxm,
-         sum(x * y)::DOUBLE AS sxy, sum(m * y)::DOUBLE AS smy
-  FROM li),
-c AS (
-  SELECT n,
-         sxx - sx * sx / n AS cxx, smm - sm * sm / n AS cmm,
-         syy - sy * sy / n AS cyy, sxm - sx * sm / n AS cxm,
-         sxy - sx * sy / n AS cxy, smy - sm * sy / n AS cmy
-  FROM g),
-p AS (
-  SELECT n, cxx, cmm, cyy, cxm, cxy, cmy,
-         cxm / cxx AS a,
-         ((cmm - cxm / cxx * cxm) / (n - 2.0)) / cxx AS se_a2,
-         cxx * cmm - cxm * cxm AS det
-  FROM c),
-q AS (
-  SELECT n, a, se_a2, det, cxx, cxy, cmy, cyy,
-         (cmm * cxy - cxm * cmy) / det AS bx,
-         (cxx * cmy - cxm * cxy) / det AS bm
-  FROM p),
-r AS (
-  SELECT a, bm, se_a2,
-         ((cyy - bx * cxy - bm * cmy) / (n - 3.0)) * cxx / det
-           AS se_b2
-  FROM q)
-SELECT round(a, 6) AS path_a,
-       round(bm, 6) AS path_b,
-       round(a * bm, 6) AS indirect,
-       round(a * bm / sqrt(bm * bm * se_a2 + a * a * se_b2), 6)
-         AS sobel_z
-FROM r
-"""
-
-
 def q_elasticity(sf_dir: str):
     """Log-log demand elasticity — the %Δquantity per %Δunit-price
     slope (`price_index` measures the LEVEL shift; elasticity the
@@ -18393,27 +7891,6 @@ def q_elasticity(sf_dir: str):
         "n": np.array([int(n)], dtype="int64"),
         "elasticity": np.array([round(beta, 6)], dtype="float64"),
         "r2": np.array([round(r2, 6)], dtype="float64")})
-
-
-SQL_ELASTICITY = """
-WITH li AS (
-  SELECT CAST(floor(ln(l_extendedprice / l_quantity) * 1e3 + 0.5)
-              AS BIGINT) AS lx,
-         CAST(floor(ln(l_quantity) * 1e3 + 0.5) AS BIGINT) AS ly
-  FROM lineitem),
-g AS (
-  SELECT count(*)::DOUBLE AS n, sum(lx)::DOUBLE AS sx,
-         sum(ly)::DOUBLE AS sy, sum(lx * lx)::DOUBLE AS sxx,
-         sum(lx * ly)::DOUBLE AS sxy, sum(ly * ly)::DOUBLE AS syy
-  FROM li)
-SELECT CAST(n AS BIGINT) AS n,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6)
-         AS elasticity,
-       round((n * sxy - sx * sy) * (n * sxy - sx * sy)
-             / ((n * sxx - sx * sx) * (n * syy - sy * sy)), 6)
-         AS r2
-FROM g
-"""
 
 
 def q_var_backtest(sf_dir: str):
@@ -18464,39 +7941,6 @@ def q_var_backtest(sf_dir: str):
         "exceptions": np.array([x], dtype="int64"),
         "kupiec_lr": np.array([round(float(lr), 6)],
                               dtype="float64")})
-
-
-SQL_VAR_BACKTEST = """
-WITH e AS (
-  SELECT epoch_us(ts) // 86400000000 AS day,
-         CAST(round(value * 100) AS BIGINT) AS c
-  FROM events),
-d AS (SELECT day, sum(c)::BIGINT AS y FROM e GROUP BY day),
-l AS (SELECT y, lag(y) OVER (ORDER BY day) AS yp FROM d),
-dr AS (SELECT yp - y AS drop FROM l WHERE yp IS NOT NULL),
-t AS (SELECT count(*)::BIGINT AS n FROM dr),
-w AS (SELECT drop, row_number() OVER (ORDER BY drop) AS rk FROM dr),
-v AS (SELECT drop AS var95 FROM w, t
-      WHERE rk = CAST(ceil(0.95 * t.n) AS BIGINT)),
-x AS (SELECT count(*)::DOUBLE AS x FROM dr, v
-      WHERE dr.drop > v.var95),
-f AS (
-  SELECT t.n::DOUBLE AS n, x.x,
-         CASE WHEN t.n - x.x = 0 THEN 0.0
-              ELSE (t.n - x.x) * ln(0.95) END
-         + CASE WHEN x.x = 0 THEN 0.0 ELSE x.x * ln(0.05) END
-           AS ll0,
-         CASE WHEN t.n - x.x = 0 THEN 0.0
-              ELSE (t.n - x.x) * ln(1.0 - x.x / t.n::DOUBLE) END
-         + CASE WHEN x.x = 0 THEN 0.0
-                ELSE x.x * ln(x.x / t.n::DOUBLE) END AS ll1
-  FROM t, x)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round((SELECT var95 FROM v) / 100.0, 6) AS var95,
-       CAST(x AS BIGINT) AS exceptions,
-       round(-2.0 * ll0 + 2.0 * ll1, 6) AS kupiec_lr
-FROM f
-"""
 
 
 QUERIES = {
@@ -18551,291 +7995,18 @@ QUERIES = {
     "mm_segments": q_mm_segments,
     "mm_media_dedup": q_mm_media_dedup,
     "mm_pack": q_mm_pack,
-    "dedup_embedding": q_dedup_embedding,
-    "dedup_embedding_ivf": q_dedup_embedding_ivf,
-    "dedup_embedding_ivf_subset": q_dedup_embedding_ivf_subset,
-    "ann_ivf": q_ann_ivf,
-    "ann_ivf_recall": q_ann_ivf_recall,
-    "fingerprint_invariants": q_fingerprint_invariants,
     "langid": q_langid,
     "quality": q_quality,
     "quality_above_median": q_quality_above_median,
-    "tokens": q_tokens,
     "curate": q_curate,
-    "vocab": q_vocab,
-    "pii_redact": q_pii_redact,
-    "contamination": q_contamination,
-    "decontaminate": q_decontaminate,
-    "char_entropy": q_char_entropy,
-    "sample_hash": q_sample_hash,
-    "sample_stratified": q_sample_stratified,
-    "tfidf": q_tfidf,
-    "rank_in_group": q_rank_in_group,
-    "mode_per_group": q_mode_per_group,
-    "pivot_events": q_pivot_events,
-    "lag_value": q_lag_value,
-    "ntile_orders": q_ntile_orders,
-    "string_agg_names": q_string_agg_names,
-    "zscore_orders": q_zscore_orders,
-    "intersect_keys": q_intersect_keys,
-    "except_keys": q_except_keys,
-    "histogram_price": q_histogram_price,
-    "rollup_lineitem": q_rollup_lineitem,
-    "range_join": q_range_join,
-    "range_join_partitioned": q_range_join_partitioned,
-    "skew_kurt": q_skew_kurt,
-    "argmax_order": q_argmax_order,
-    "moving_avg": q_moving_avg,
-    "normalize": q_normalize,
-    "intersect_all_users": q_intersect_all_users,
-    "except_all_orderkeys": q_except_all_orderkeys,
-    "melt_lineitem": q_melt_lineitem,
-    "heavy_hitters": q_heavy_hitters,
-    "rank_modes": q_rank_modes,
-    "unigram_logprob": q_unigram_logprob,
-    "repetition": q_repetition,
-    "boilerplate": q_boilerplate,
-    "join_outer": q_join_outer,
-    "topk_ties": q_topk_ties,
-    "above_avg": q_above_avg,
-    "split_assign": q_split_assign,
-    "cap_per_group": q_cap_per_group,
-    "bloom_semi": q_bloom_semi,
-    "gopher_filter": q_gopher_filter,
-    "first_last": q_first_last,
-    "linreg": q_linreg,
-    "bm25": q_bm25,
-    "fuzzy_dedup": q_fuzzy_dedup,
-    "cube_lineitem": q_cube_lineitem,
-    "range_frame": q_range_frame,
-    "sample_weighted": q_sample_weighted,
-    "mixture_sample": q_mixture_sample,
-    "skew_report": q_skew_report,
-    "rrf_fusion": q_rrf_fusion,
-    "resample_ffill": q_resample_ffill,
     "bpe_audit": q_bpe_audit,
     "bpe_encode": q_bpe_encode,
-    "semdedup": q_semdedup,
-    "mad_outliers": q_mad_outliers,
-    "funnel": q_funnel,
-    "pagerank": q_pagerank,
-    "bfs_depth": q_bfs_depth,
-    "triangle_count": q_triangle_count,
-    "clustering_coeff": q_clustering_coeff,
-    "kcore": q_kcore,
-    "freq_sketch": q_freq_sketch,
-    "collocations": q_collocations,
-    "retention": q_retention,
-    "interval_coverage": q_interval_coverage,
-    "approx_distinct_grouped": q_approx_distinct_grouped,
-    "cosine_pairs": q_cosine_pairs,
-    "profile": q_profile,
-    "session_transitions": q_session_transitions,
-    "pq_audit": q_pq_audit,
-    "pq_ann_recall": q_pq_ann_recall,
-    "freq_sketch_grouped_audit": q_freq_sketch_grouped_audit,
     "dedup_incremental_audit": q_dedup_incremental_audit,
-    "hll_set_ops": q_hll_set_ops,
-    "countmin_audit": q_countmin_audit,
-    "window_distinct": q_window_distinct,
-    "sessionize_incremental": q_sessionize_incremental,
-    "ols": q_ols,
-    "logreg_audit": q_logreg_audit,
-    "naive_bayes": q_naive_bayes,
-    "wow_revenue": q_wow_revenue,
-    "surprisal": q_surprisal,
-    "bigram_lm": q_bigram_lm,
-    "regional_revenue": q_regional_revenue,
-    "auc": q_auc,
-    "average_precision": q_average_precision,
-    "nearest_centroid": q_nearest_centroid,
-    "ewma": q_ewma,
-    "double_smooth": q_double_smooth,
-    "type_entropy": q_type_entropy,
-    "hhi": q_hhi,
-    "dsir": q_dsir,
-    "winsorize": q_winsorize,
-    "table_diff": q_table_diff,
-    "corr_matrix": q_corr_matrix,
-    "attribution": q_attribution,
-    "quantile_normalize": q_quantile_normalize,
-    "weighted_median": q_weighted_median,
-    "sliding_distinct": q_sliding_distinct,
-    "macro_f1": q_macro_f1,
-    "knn_classify": q_knn_classify,
-    "scd2": q_scd2,
-    "cumulative_users": q_cumulative_users,
-    "membership_combos": q_membership_combos,
-    "kmv_audit": q_kmv_audit,
-    "item2item": q_item2item,
-    "asof_tolerance": q_asof_tolerance,
-    "resample_interp": q_resample_interp,
-    "powerlaw_fit": q_powerlaw_fit,
-    "checksum_audit": q_checksum_audit,
-    "max_subarray": q_max_subarray,
-    "theilsen": q_theilsen,
-    "keyword_tag": q_keyword_tag,
-    "trigram_mining": q_trigram_mining,
-    "ams_f2": q_ams_f2,
-    "modularity": q_modularity,
-    "cv_ols": q_cv_ols,
-    "stream_join": q_stream_join,
-    "time_travel": q_time_travel,
-    "ht_estimate": q_ht_estimate,
-    "returns_topk": q_returns_topk,
-    "session_paths": q_session_paths,
-    "kendall_tau": q_kendall_tau,
-    "rfm_segments": q_rfm_segments,
-    "convert_time": q_convert_time,
-    "assoc_rules": q_assoc_rules,
-    "source_overlap": q_source_overlap,
-    "kaplan_meier": q_kaplan_meier,
-    "decision_stump": q_decision_stump,
-    "hapax": q_hapax,
-    "pareto_8020": q_pareto_8020,
-    "psi": q_psi,
-    "cohort_ltv": q_cohort_ltv,
-    "oov_rate": q_oov_rate,
-    "mann_kendall": q_mann_kendall,
-    "shingle_leakage": q_shingle_leakage,
-    "dow_seasonality": q_dow_seasonality,
-    "k_anonymity": q_k_anonymity,
-    "mrr": q_mrr,
-    "dispersion": q_dispersion,
-    "trimmed_mean": q_trimmed_mean,
-    "runs_test": q_runs_test,
-    "gmean_brand": q_gmean_brand,
-    "anova2": q_anova2,
-    "lorenz": q_lorenz,
-    "wasserstein": q_wasserstein,
-    "cvm_test": q_cvm_test,
-    "conversion_ci": q_conversion_ci,
-    "compress_ratio": q_compress_ratio,
-    "target_encode": q_target_encode,
-    "max_gap": q_max_gap,
-    "components_hist": q_components_hist,
-    "agg_incremental": q_agg_incremental,
-    "boolean_search": q_boolean_search,
-    "ann_lsh_recall": q_ann_lsh_recall,
-    "split_leakage_safe": q_split_leakage_safe,
-    "order_index": q_order_index,
     "shuffle_shards": q_shuffle_shards,
-    "pareto_frontier": q_pareto_frontier,
-    "frequent_pairs": q_frequent_pairs,
-    "mutual_info": q_mutual_info,
-    "chi2_independence": q_chi2_independence,
-    "validate": q_validate,
-    "twap": q_twap,
-    "cdc_upsert": q_cdc_upsert,
-    "throttle": q_throttle,
-    "trend_per_user": q_trend_per_user,
-    "join_size_estimate": q_join_size_estimate,
-    "ab_test": q_ab_test,
-    "sample_exact_k": q_sample_exact_k,
-    "impute": q_impute,
-    "path_rollup": q_path_rollup,
-    "window_ranks": q_window_ranks,
-    "sssp": q_sssp,
-    "histogram_depth": q_histogram_depth,
-    "percent_rank_global": q_percent_rank_global,
-    "anomaly_zscore": q_anomaly_zscore,
-    "autocorr": q_autocorr,
-    "containment": q_containment,
-    "ppr": q_ppr,
-    "dedup_keep_best": q_dedup_keep_best,
-    "robust_scale": q_robust_scale,
-    "ks_test": q_ks_test,
-    "mannwhitney": q_mannwhitney,
-    "ann_range": q_ann_range,
-    "sample_group_k": q_sample_group_k,
-    "freq_sketch_audit": q_freq_sketch_audit,
-    "fingerprint": q_fingerprint,
     "crawl_fetched": q_crawl_fetched,
     "crawl_stats": q_crawl_stats,
     "crawl_media_features": q_crawl_media_features,
     "crawl_page": q_crawl_page,
-    "gini": q_gini,
-    "spearman": q_spearman,
-    "js_divergence": q_js_divergence,
-    "anova_f": q_anova_f,
-    "kruskal": q_kruskal,
-    "hits": q_hits,
-    "assortativity": q_assortativity,
-    "rolling_median": q_rolling_median,
-    "decayed_topk": q_decayed_topk,
-    "changepoint": q_changepoint,
-    "classification_report": q_classification_report,
-    "window_late": q_window_late,
-    "zorder": q_zorder,
-    "leadlag_corr": q_leadlag_corr,
-    "benford": q_benford,
-    "calibration": q_calibration,
-    "ndcg": q_ndcg,
-    "levene": q_levene,
-    "mcnemar": q_mcnemar,
-    "odds_ratio": q_odds_ratio,
-    "readability": q_readability,
-    "friedman": q_friedman,
-    "seasonal_decompose": q_seasonal_decompose,
-    "trend_test": q_trend_test,
-    "bootstrap_ci": q_bootstrap_ci,
-    "dgim": q_dgim,
-    "huber_mean": q_huber_mean,
-    "cuped": q_cuped,
-    "theil_index": q_theil_index,
-    "mmr_rerank": q_mmr_rerank,
-    "name_match": q_name_match,
-    "did": q_did,
-    "feature_prop": q_feature_prop,
-    "curation_funnel": q_curation_funnel,
-    "source_ablation": q_source_ablation,
-    "shapley_attribution": q_shapley_attribution,
-    "zonemap_prune": q_zonemap_prune,
-    "ips_eval": q_ips_eval,
-    "conformal": q_conformal,
-    "power_analysis": q_power_analysis,
-    "markov_attribution": q_markov_attribution,
-    "sequential_test": q_sequential_test,
-    "interarrival_fit": q_interarrival_fit,
-    "token_budget_pack": q_token_budget_pack,
-    "coreset_kcenter": q_coreset_kcenter,
-    "bh_fdr": q_bh_fdr,
-    "lognormal_fit": q_lognormal_fit,
-    "capture_recapture": q_capture_recapture,
-    "chao1": q_chao1,
-    "diameter_sweep": q_diameter_sweep,
-    "spc_chart": q_spc_chart,
-    "rbo": q_rbo,
-    "markov_entropy": q_markov_entropy,
-    "isotonic": q_isotonic,
-    "durbin_watson": q_durbin_watson,
-    "breusch_pagan": q_breusch_pagan,
-    "logrank": q_logrank,
-    "burrows_delta": q_burrows_delta,
-    "holt_winters": q_holt_winters,
-    "rich_club": q_rich_club,
-    "gumbel_maxima": q_gumbel_maxima,
-    "partial_corr": q_partial_corr,
-    "james_stein": q_james_stein,
-    "meta_analysis": q_meta_analysis,
-    "rmst": q_rmst,
-    "price_index": q_price_index,
-    "adf_lite": q_adf_lite,
-    "spectral_peak": q_spectral_peak,
-    "neyman_allocation": q_neyman_allocation,
-    "qte": q_qte,
-    "hurst_rs": q_hurst_rs,
-    "ucb_replay": q_ucb_replay,
-    "journey_length": q_journey_length,
-    "reserve_price": q_reserve_price,
-    "gains_table": q_gains_table,
-    "split_half": q_split_half,
-    "cohen_kappa": q_cohen_kappa,
-    "srm_check": q_srm_check,
-    "tost": q_tost,
-    "mediation": q_mediation,
-    "elasticity": q_elasticity,
-    "var_backtest": q_var_backtest,
 }
 
 ORACLE_SQL = {
@@ -18887,280 +8058,12 @@ ORACLE_SQL = {
     "dup_spans_clean": SQL_DUP_SPANS_CLEAN,
     "kmeans_audit": SQL_KMEANS_AUDIT,
     "pca_audit": SQL_PCA_AUDIT,
-    "dedup_embedding": SQL_DEDUP_EMBEDDING,
-    "dedup_embedding_ivf_subset": SQL_DEDUP_EMBEDDING_IVF_SUBSET,
-    "ann_ivf_recall": SQL_ANN_IVF_RECALL,
-    "fingerprint_invariants": SQL_FINGERPRINT_INVARIANTS,
     "langid": SQL_LANGID,
     "quality": SQL_QUALITY,
     "quality_above_median": SQL_QUALITY_ABOVE_MEDIAN,
-    "tokens": SQL_TOKENS,
     "curate": SQL_CURATE,
-    "vocab": SQL_VOCAB,
-    "pii_redact": SQL_PII_REDACT,
-    "contamination": SQL_CONTAMINATION,
-    "decontaminate": SQL_DECONTAMINATE,
-    "char_entropy": SQL_CHAR_ENTROPY,
-    "sample_hash": SQL_SAMPLE_HASH,
-    "sample_stratified": SQL_SAMPLE_STRATIFIED,
-    "tfidf": SQL_TFIDF,
-    "rank_in_group": SQL_RANK_IN_GROUP,
-    "mode_per_group": SQL_MODE_PER_GROUP,
-    "pivot_events": SQL_PIVOT_EVENTS,
-    "lag_value": SQL_LAG_VALUE,
-    "ntile_orders": SQL_NTILE_ORDERS,
-    "string_agg_names": SQL_STRING_AGG_NAMES,
-    "zscore_orders": SQL_ZSCORE_ORDERS,
-    "intersect_keys": SQL_INTERSECT_KEYS,
-    "except_keys": SQL_EXCEPT_KEYS,
-    "histogram_price": SQL_HISTOGRAM_PRICE,
-    "rollup_lineitem": SQL_ROLLUP_LINEITEM,
-    "range_join": SQL_RANGE_JOIN,
-    "range_join_partitioned": SQL_RANGE_JOIN_PARTITIONED,
-    "skew_kurt": SQL_SKEW_KURT,
-    "argmax_order": SQL_ARGMAX_ORDER,
-    "moving_avg": SQL_MOVING_AVG,
-    "normalize": SQL_NORMALIZE,
-    "intersect_all_users": SQL_INTERSECT_ALL_USERS,
-    "except_all_orderkeys": SQL_EXCEPT_ALL_ORDERKEYS,
-    "melt_lineitem": SQL_MELT_LINEITEM,
-    "heavy_hitters": SQL_HEAVY_HITTERS,
-    "rank_modes": SQL_RANK_MODES,
-    "unigram_logprob": SQL_UNIGRAM_LOGPROB,
-    "repetition": SQL_REPETITION,
-    "boilerplate": SQL_BOILERPLATE,
-    "join_outer": SQL_JOIN_OUTER,
-    "topk_ties": SQL_TOPK_TIES,
-    "above_avg": SQL_ABOVE_AVG,
-    "split_assign": SQL_SPLIT_ASSIGN,
-    "cap_per_group": SQL_CAP_PER_GROUP,
-    "bloom_semi": SQL_BLOOM_SEMI,
-    "gopher_filter": SQL_GOPHER_FILTER,
-    "first_last": SQL_FIRST_LAST,
-    "linreg": SQL_LINREG,
-    "bm25": SQL_BM25,
-    "fuzzy_dedup": SQL_FUZZY_DEDUP,
-    "cube_lineitem": SQL_CUBE_LINEITEM,
-    "range_frame": SQL_RANGE_FRAME,
-    "sample_weighted": SQL_SAMPLE_WEIGHTED,
-    "mixture_sample": SQL_MIXTURE_SAMPLE,
-    "skew_report": SQL_SKEW_REPORT,
-    "rrf_fusion": SQL_RRF_FUSION,
-    "resample_ffill": SQL_RESAMPLE_FFILL,
     "bpe_audit": SQL_BPE_AUDIT,
     "bpe_encode": SQL_BPE_ENCODE,
-    "semdedup": SQL_SEMDEDUP,
-    "mad_outliers": SQL_MAD_OUTLIERS,
-    "funnel": SQL_FUNNEL,
-    "pagerank": SQL_PAGERANK,
-    "bfs_depth": SQL_BFS_DEPTH,
-    "triangle_count": SQL_TRIANGLE_COUNT,
-    "clustering_coeff": SQL_CLUSTERING_COEFF,
-    "kcore": SQL_KCORE,
-    "freq_sketch_audit": SQL_FREQ_SKETCH_AUDIT,
-    "collocations": SQL_COLLOCATIONS,
-    "retention": SQL_RETENTION,
-    "interval_coverage": SQL_INTERVAL_COVERAGE,
-    "approx_distinct_grouped": SQL_APPROX_DISTINCT_GROUPED,
-    "cosine_pairs": SQL_COSINE_PAIRS,
-    "profile": SQL_PROFILE,
-    "session_transitions": SQL_SESSION_TRANSITIONS,
-    "pq_audit": SQL_PQ_AUDIT,
-    "pq_ann_recall": SQL_PQ_ANN_RECALL,
-    "freq_sketch_grouped_audit": SQL_FREQ_SKETCH_GROUPED_AUDIT,
     "dedup_incremental_audit": SQL_DEDUP_INCREMENTAL_AUDIT,
-    "hll_set_ops": SQL_HLL_SET_OPS,
-    "countmin_audit": SQL_COUNTMIN_AUDIT,
-    "window_distinct": SQL_WINDOW_DISTINCT,
-    "sessionize_incremental": SQL_SESSIONIZE_INCREMENTAL,
-    "ols": SQL_OLS,
-    "logreg_audit": SQL_LOGREG_AUDIT,
-    "naive_bayes": SQL_NAIVE_BAYES,
-    "wow_revenue": SQL_WOW_REVENUE,
-    "surprisal": SQL_SURPRISAL,
-    "bigram_lm": SQL_BIGRAM_LM,
-    "regional_revenue": SQL_REGIONAL_REVENUE,
-    "auc": SQL_AUC,
-    "average_precision": SQL_AVERAGE_PRECISION,
-    "nearest_centroid": SQL_NEAREST_CENTROID,
-    "ewma": SQL_EWMA,
-    "double_smooth": SQL_DOUBLE_SMOOTH,
-    "type_entropy": SQL_TYPE_ENTROPY,
-    "hhi": SQL_HHI,
-    "dsir": SQL_DSIR,
-    "winsorize": SQL_WINSORIZE,
-    "table_diff": SQL_TABLE_DIFF,
-    "corr_matrix": SQL_CORR_MATRIX,
-    "attribution": SQL_ATTRIBUTION,
-    "quantile_normalize": SQL_QUANTILE_NORMALIZE,
-    "weighted_median": SQL_WEIGHTED_MEDIAN,
-    "sliding_distinct": SQL_SLIDING_DISTINCT,
-    "macro_f1": SQL_MACRO_F1,
-    "knn_classify": SQL_KNN_CLASSIFY,
-    "scd2": SQL_SCD2,
-    "cumulative_users": SQL_CUMULATIVE_USERS,
-    "membership_combos": SQL_MEMBERSHIP_COMBOS,
-    "kmv_audit": SQL_KMV_AUDIT,
-    "item2item": SQL_ITEM2ITEM,
-    "asof_tolerance": SQL_ASOF_TOLERANCE,
-    "resample_interp": SQL_RESAMPLE_INTERP,
-    "powerlaw_fit": SQL_POWERLAW_FIT,
-    "checksum_audit": SQL_CHECKSUM_AUDIT,
-    "max_subarray": SQL_MAX_SUBARRAY,
-    "theilsen": SQL_THEILSEN,
-    "keyword_tag": SQL_KEYWORD_TAG,
-    "trigram_mining": SQL_TRIGRAM_MINING,
-    "ams_f2": SQL_AMS_F2,
-    "modularity": SQL_MODULARITY,
-    "cv_ols": SQL_CV_OLS,
-    "stream_join": SQL_STREAM_JOIN,
-    "time_travel": SQL_TIME_TRAVEL,
-    "ht_estimate": SQL_HT_ESTIMATE,
-    "returns_topk": SQL_RETURNS_TOPK,
-    "session_paths": SQL_SESSION_PATHS,
-    "kendall_tau": SQL_KENDALL_TAU,
-    "rfm_segments": SQL_RFM_SEGMENTS,
-    "convert_time": SQL_CONVERT_TIME,
-    "assoc_rules": SQL_ASSOC_RULES,
-    "source_overlap": SQL_SOURCE_OVERLAP,
-    "kaplan_meier": SQL_KAPLAN_MEIER,
-    "decision_stump": SQL_DECISION_STUMP,
-    "hapax": SQL_HAPAX,
-    "pareto_8020": SQL_PARETO_8020,
-    "psi": SQL_PSI,
-    "cohort_ltv": SQL_COHORT_LTV,
-    "oov_rate": SQL_OOV_RATE,
-    "mann_kendall": SQL_MANN_KENDALL,
-    "shingle_leakage": SQL_SHINGLE_LEAKAGE,
-    "dow_seasonality": SQL_DOW_SEASONALITY,
-    "k_anonymity": SQL_K_ANONYMITY,
-    "mrr": SQL_MRR,
-    "dispersion": SQL_DISPERSION,
-    "trimmed_mean": SQL_TRIMMED_MEAN,
-    "runs_test": SQL_RUNS_TEST,
-    "gmean_brand": SQL_GMEAN_BRAND,
-    "anova2": SQL_ANOVA2,
-    "lorenz": SQL_LORENZ,
-    "wasserstein": SQL_WASSERSTEIN,
-    "cvm_test": SQL_CVM_TEST,
-    "conversion_ci": SQL_CONVERSION_CI,
-    "target_encode": SQL_TARGET_ENCODE,
-    "max_gap": SQL_MAX_GAP,
-    "components_hist": SQL_COMPONENTS_HIST,
-    "agg_incremental": SQL_AGG_INCREMENTAL,
-    "boolean_search": SQL_BOOLEAN_SEARCH,
-    "ann_lsh_recall": SQL_ANN_LSH_RECALL,
-    "split_leakage_safe": SQL_SPLIT_LEAKAGE_SAFE,
-    "order_index": SQL_ORDER_INDEX,
     "shuffle_shards": SQL_SHUFFLE_SHARDS,
-    "pareto_frontier": SQL_PARETO_FRONTIER,
-    "frequent_pairs": SQL_FREQUENT_PAIRS,
-    "mutual_info": SQL_MUTUAL_INFO,
-    "chi2_independence": SQL_CHI2_INDEPENDENCE,
-    "validate": SQL_VALIDATE,
-    "twap": SQL_TWAP,
-    "cdc_upsert": SQL_CDC_UPSERT,
-    "throttle": SQL_THROTTLE,
-    "trend_per_user": SQL_TREND_PER_USER,
-    "join_size_estimate": SQL_JOIN_SIZE_ESTIMATE,
-    "ab_test": SQL_AB_TEST,
-    "sample_exact_k": SQL_SAMPLE_EXACT_K,
-    "impute": SQL_IMPUTE,
-    "path_rollup": SQL_PATH_ROLLUP,
-    "window_ranks": SQL_WINDOW_RANKS,
-    "sssp": SQL_SSSP,
-    "histogram_depth": SQL_HISTOGRAM_DEPTH,
-    "percent_rank_global": SQL_PERCENT_RANK_GLOBAL,
-    "anomaly_zscore": SQL_ANOMALY_ZSCORE,
-    "autocorr": SQL_AUTOCORR,
-    "containment": SQL_CONTAINMENT,
-    "ppr": SQL_PPR,
-    "dedup_keep_best": SQL_DEDUP_KEEP_BEST,
-    "robust_scale": SQL_ROBUST_SCALE,
-    "ks_test": SQL_KS_TEST,
-    "mannwhitney": SQL_MANNWHITNEY,
-    "ann_range": SQL_ANN_RANGE,
-    "sample_group_k": SQL_SAMPLE_GROUP_K,
-    "gini": SQL_GINI,
-    "spearman": SQL_SPEARMAN,
-    "js_divergence": SQL_JS_DIVERGENCE,
-    "anova_f": SQL_ANOVA_F,
-    "kruskal": SQL_KRUSKAL,
-    "hits": SQL_HITS,
-    "assortativity": SQL_ASSORTATIVITY,
-    "rolling_median": SQL_ROLLING_MEDIAN,
-    "decayed_topk": SQL_DECAYED_TOPK,
-    "changepoint": SQL_CHANGEPOINT,
-    "classification_report": SQL_CLASSIFICATION_REPORT,
-    "window_late": SQL_WINDOW_LATE,
-    "zorder": SQL_ZORDER,
-    "leadlag_corr": SQL_LEADLAG_CORR,
-    "benford": SQL_BENFORD,
-    "calibration": SQL_CALIBRATION,
-    "ndcg": SQL_NDCG,
-    "levene": SQL_LEVENE,
-    "mcnemar": SQL_MCNEMAR,
-    "odds_ratio": SQL_ODDS_RATIO,
-    "readability": SQL_READABILITY,
-    "friedman": SQL_FRIEDMAN,
-    "seasonal_decompose": SQL_SEASONAL_DECOMPOSE,
-    "trend_test": SQL_TREND_TEST,
-    "bootstrap_ci": SQL_BOOTSTRAP_CI,
-    "dgim": SQL_DGIM,
-    "huber_mean": SQL_HUBER_MEAN,
-    "cuped": SQL_CUPED,
-    "theil_index": SQL_THEIL_INDEX,
-    "mmr_rerank": SQL_MMR_RERANK,
-    "name_match": SQL_NAME_MATCH,
-    "did": SQL_DID,
-    "feature_prop": SQL_FEATURE_PROP,
-    "curation_funnel": SQL_CURATION_FUNNEL,
-    "source_ablation": SQL_SOURCE_ABLATION,
-    "shapley_attribution": SQL_SHAPLEY_ATTRIBUTION,
-    "zonemap_prune": SQL_ZONEMAP_PRUNE,
-    "ips_eval": SQL_IPS_EVAL,
-    "conformal": SQL_CONFORMAL,
-    "power_analysis": SQL_POWER_ANALYSIS,
-    "markov_attribution": SQL_MARKOV_ATTRIBUTION,
-    "sequential_test": SQL_SEQUENTIAL_TEST,
-    "interarrival_fit": SQL_INTERARRIVAL_FIT,
-    "token_budget_pack": SQL_TOKEN_BUDGET_PACK,
-    "coreset_kcenter": SQL_CORESET_KCENTER,
-    "bh_fdr": SQL_BH_FDR,
-    "lognormal_fit": SQL_LOGNORMAL_FIT,
-    "capture_recapture": SQL_CAPTURE_RECAPTURE,
-    "chao1": SQL_CHAO1,
-    "diameter_sweep": SQL_DIAMETER_SWEEP,
-    "spc_chart": SQL_SPC_CHART,
-    "rbo": SQL_RBO,
-    "markov_entropy": SQL_MARKOV_ENTROPY,
-    "isotonic": SQL_ISOTONIC,
-    "durbin_watson": SQL_DURBIN_WATSON,
-    "breusch_pagan": SQL_BREUSCH_PAGAN,
-    "logrank": SQL_LOGRANK,
-    "burrows_delta": SQL_BURROWS_DELTA,
-    "holt_winters": SQL_HOLT_WINTERS,
-    "rich_club": SQL_RICH_CLUB,
-    "gumbel_maxima": SQL_GUMBEL_MAXIMA,
-    "partial_corr": SQL_PARTIAL_CORR,
-    "james_stein": SQL_JAMES_STEIN,
-    "meta_analysis": SQL_META_ANALYSIS,
-    "rmst": SQL_RMST,
-    "price_index": SQL_PRICE_INDEX,
-    "adf_lite": SQL_ADF_LITE,
-    "spectral_peak": SQL_SPECTRAL_PEAK,
-    "neyman_allocation": SQL_NEYMAN_ALLOCATION,
-    "qte": SQL_QTE,
-    "hurst_rs": SQL_HURST_RS,
-    "ucb_replay": SQL_UCB_REPLAY,
-    "journey_length": SQL_JOURNEY_LENGTH,
-    "reserve_price": SQL_RESERVE_PRICE,
-    "gains_table": SQL_GAINS_TABLE,
-    "split_half": SQL_SPLIT_HALF,
-    "cohen_kappa": SQL_COHEN_KAPPA,
-    "srm_check": SQL_SRM_CHECK,
-    "tost": SQL_TOST,
-    "mediation": SQL_MEDIATION,
-    "elasticity": SQL_ELASTICITY,
-    "var_backtest": SQL_VAR_BACKTEST,
 }

@@ -1,8 +1,8 @@
 """Snapshot-versioned parquet tables — time travel over plain files.
 
-The storage family (`cdc_upsert` merges, `scd2` history, `table_diff`,
-`compact`) still lacked the primitive a resumable 100-TB pipeline leans
-on hardest: *read the table exactly as it was before the last load*.
+The storage side (the export manifest, `compact`) lacked the primitive
+a resumable 100-TB pipeline leans on hardest: *read the table exactly
+as it was before the last load*.
 This module is the minimal Delta/Iceberg-style commit log over plain
 parquet, with the same crash-safety discipline as the export manifest
 and `compact_dir`:

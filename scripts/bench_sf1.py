@@ -3,11 +3,10 @@
 No driver-generated sf1 testdata exists, so this script DETERMINISTICALLY
 tiles the sf0.1 tables 10x into $CSR_SF1_DIR (default /tmp/sf1_tiled) —
 keys offset per copy so each copy reproduces the sf0.1 key structure
-disjointly (joins/graphs scale 10x instead of 100x), document text
+disjointly (joins scale 10x instead of 100x), and document text
 perturbed per copy (every 3rd word copy-salted) so near-dup structure is
 preserved WITHIN a copy but no cross-copy shingle collisions appear
-(cross-copy jaccard ~ 0 at k=5 shingles), and range-join prices shifted
-per copy so each copy reproduces the sf0.1 interval selectivity. This is
+(cross-copy jaccard ~ 0 at k=5 shingles). This is
 bench-only scaffolding to confirm the bytes-per-block sizing holds an
 order of magnitude up — correctness stays pinned at sf0.01 by the gate.
 
@@ -36,39 +35,11 @@ SRC = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DST = os.environ.get("CSR_SF1_DIR", "/tmp/sf1_tiled")
 COPIES = int(os.environ.get("CSR_SF1_COPIES", "10"))
 
-QUERIES = ["join_partitioned", "dedup_minhash", "tfidf",
-           "range_join_partitioned", "cosine_pairs", "pagerank",
-           # round-5 sixth-wave exchange-bound additions
-           "sssp", "histogram_depth", "ks_test",
-           # round-5 late-wave exchange-bound additions
-           "quantile_normalize", "kcore", "item2item", "table_diff",
-           # round-5 closing-wave exchange-bound additions: rank-exchange
-           # robust stats, two-sample scans, user-hash tests, shingle
-           # and word-level cross-source set arithmetic, RFM reduce
-           "trimmed_mean", "lorenz", "wasserstein", "mann_kendall",
-           "shingle_leakage", "source_overlap", "rfm_segments"]
+QUERIES = ["join_partitioned", "dedup_minhash"]
 # (table, bytes_per_block const) each query reads — for block-count logs
 QUERY_TABLES = {
     "join_partitioned": [("lineitem", 1 << 20), ("orders", 1 << 20)],
     "dedup_minhash": [("documents", 128 << 10)],
-    "tfidf": [("documents", 128 << 10)],
-    "range_join_partitioned": [("orders", 1 << 20), ("customer", None)],
-    "cosine_pairs": [("documents", 128 << 10)],
-    "pagerank": [("lineitem", 1 << 20)],
-    "sssp": [("lineitem", 1 << 20)],
-    "histogram_depth": [("lineitem", 1 << 20)],
-    "ks_test": [("events", 1 << 20)],
-    "quantile_normalize": [("events", 1 << 20)],
-    "kcore": [("lineitem", 1 << 20)],
-    "item2item": [("lineitem", 1 << 20)],
-    "table_diff": [("orders", 1 << 20)],
-    "trimmed_mean": [("orders", 1 << 20)],
-    "lorenz": [("orders", 1 << 20)],
-    "wasserstein": [("events", 1 << 20)],
-    "mann_kendall": [("events", 1 << 20)],
-    "shingle_leakage": [("documents", 128 << 10)],
-    "source_overlap": [("documents", 128 << 10)],
-    "rfm_segments": [("events", 1 << 20)],
 }
 
 
@@ -96,13 +67,9 @@ def tile() -> None:
 
     li = pq.read_table(os.path.join(SRC, "lineitem.parquet")).to_pandas()
     od = pq.read_table(os.path.join(SRC, "orders.parquet")).to_pandas()
-    cu = pq.read_table(os.path.join(SRC, "customer.parquet")).to_pandas()
     dc = pq.read_table(os.path.join(SRC, "documents.parquet")).to_pandas()
-    ev = pq.read_table(os.path.join(SRC, "events.parquet")).to_pandas()
-    ev_span, uid_span = 1_000_000, 10_000
 
-    outs = {"lineitem": [], "orders": [], "customer": [], "documents": [],
-            "events": []}
+    outs = {"lineitem": [], "orders": [], "documents": []}
     for c in range(COPIES):
         l2 = li.copy()
         l2["l_orderkey"] = l2["l_orderkey"] + c * ok_span
@@ -112,22 +79,12 @@ def tile() -> None:
         o2 = od.copy()
         o2["o_orderkey"] = o2["o_orderkey"] + c * ok_span
         o2["o_custkey"] = o2["o_custkey"] + c * ck_span
-        # shift prices into copy c's interval range so every copy
-        # reproduces the sf0.1 range-join selectivity
-        o2["o_totalprice"] = o2["o_totalprice"] + c * ck_span * 100.0
         outs["orders"].append(o2)
-        c2 = cu.copy()
-        c2["c_custkey"] = c2["c_custkey"] + c * ck_span
-        outs["customer"].append(c2)
         d2 = dc.copy()
         d2["doc_id"] = d2["doc_id"] + c * doc_span
         if c > 0:
             d2["text"] = _salt_texts(d2["text"], c).to_numpy()
         outs["documents"].append(d2)
-        e2 = ev.copy()
-        e2["event_id"] = e2["event_id"] + c * ev_span
-        e2["user_id"] = e2["user_id"] + c * uid_span
-        outs["events"].append(e2)
 
     for name, parts in outs.items():
         big = pd.concat(parts, ignore_index=True)
@@ -152,10 +109,10 @@ def block_counts(sf_dir: str) -> dict:
 
 def run(sf_dir: str) -> dict:
     """One FRESH Ray session per query: a shared session accumulates
-    the graph queries' pinned datasets and scheduling backlog, which
-    measured 2-13x inflation on whatever ran after them (84 s vs 5 s
-    isolated for histogram_depth at sf1) — session isolation makes the
-    numbers reflect the operator, not the run order."""
+    earlier queries' pinned datasets and scheduling backlog, which once
+    measured 2-13x inflation on whatever ran after them at sf1 — session
+    isolation makes the numbers reflect the operator, not the run
+    order."""
     import ray
 
     from bench import _consume, _quiet_schema_warnings  # noqa

@@ -326,7 +326,7 @@ def test_export_packed_bpe_token_budget(ray_session, tmp_path):
     from crawler_service_ray.functions.text import (bpe_doc_token_counts,
                                                     bpe_train_merges)
     from crawler_service_ray.pipelines.export import export_corpus
-    from crawler_service_ray.pipelines.queries import read_table
+    from crawler_service_ray.functions.relational import read_table
 
     sf = "/root/testdata/sf0.001"
     merges = bpe_train_merges(
