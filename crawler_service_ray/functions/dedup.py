@@ -296,6 +296,45 @@ def minhash_signature(
 
 # ---------------------------------------------------------------------------
 
+def exact_hash_batch(df: pd.DataFrame, text_col: str, id_col: str,
+                     keep_cols: Sequence[str] = ()) -> pd.DataFrame:
+    """:func:`exact_dedup`'s map kernel: (id, 64-bit content hash,
+    passengers) per row."""
+    out = {
+        id_col: df[id_col],
+        "__h": pd.util.hash_array(
+            df[text_col].to_numpy(dtype=object)
+        ).astype("uint64"),
+    }
+    for c in keep_cols:
+        out[c] = df[c]
+    return pd.DataFrame(out)
+
+
+def exact_first_wins(part: pd.DataFrame, id_col: str,
+                     keep_cols: Sequence[str] = ()) -> pd.DataFrame:
+    """:func:`exact_dedup`'s reduce kernel over any set of whole hash
+    groups: one row per hash, the min id (with its passengers) and the
+    group size as ``dup_count``."""
+    keep_cols = list(keep_cols)
+    if not keep_cols:
+        g = part.groupby("__h", sort=False)[id_col].agg(
+            ["min", "size"]
+        ).reset_index()
+        return pd.DataFrame(
+            {id_col: g["min"], "dup_count": g["size"].astype("int64")}
+        )
+    # min-id row per hash, passengers intact; sizes align because
+    # both head(1) and size() follow first-appearance group order
+    # over the contiguously sorted partition
+    part = part.sort_values(["__h", id_col], kind="mergesort")
+    gb = part.groupby("__h", sort=False)
+    head = gb.head(1)
+    out = head[[id_col] + keep_cols].reset_index(drop=True)
+    out.insert(1, "dup_count", gb.size().to_numpy().astype("int64"))
+    return out
+
+
 def exact_dedup(
     ds: rd.Dataset,
     text_col: str = "text",
@@ -317,40 +356,44 @@ def exact_dedup(
     from .relational import grouped_apply
 
     keep_cols = list(keep_cols)
-
-    def hash_batch(df: pd.DataFrame) -> pd.DataFrame:
-        out = {
-            id_col: df[id_col],
-            "__h": pd.util.hash_array(
-                df[text_col].to_numpy(dtype=object)
-            ).astype("uint64"),
-        }
-        for c in keep_cols:
-            out[c] = df[c]
-        return pd.DataFrame(out)
-
-    def first_wins(part: pd.DataFrame) -> pd.DataFrame:
-        if not keep_cols:
-            g = part.groupby("__h", sort=False)[id_col].agg(
-                ["min", "size"]
-            ).reset_index()
-            return pd.DataFrame(
-                {id_col: g["min"], "dup_count": g["size"].astype("int64")}
-            )
-        # min-id row per hash, passengers intact; sizes align because
-        # both head(1) and size() follow first-appearance group order
-        # over the contiguously sorted partition
-        part = part.sort_values(["__h", id_col], kind="mergesort")
-        gb = part.groupby("__h", sort=False)
-        head = gb.head(1)
-        out = head[[id_col] + keep_cols].reset_index(drop=True)
-        out.insert(1, "dup_count", gb.size().to_numpy().astype("int64"))
-        return out
-
     return grouped_apply(
-        ds.map_batches(hash_batch, batch_format="pandas"),
-        ["__h"], first_wins, num_partitions=num_partitions,
+        ds.map_batches(partial(exact_hash_batch, text_col=text_col,
+                               id_col=id_col, keep_cols=keep_cols),
+                       batch_format="pandas"),
+        ["__h"], partial(exact_first_wins, id_col=id_col,
+                         keep_cols=keep_cols),
+        num_partitions=num_partitions,
     )
+
+
+def exact_hash_batch_arrow(t: pa.Table, text_col: str, id_col: str,
+                           keep_cols: Sequence[str] = ()) -> pa.Table:
+    """Arrow form of :func:`exact_hash_batch` (same hash)."""
+    h = pd.util.hash_array(
+        t.column(text_col).to_numpy(zero_copy_only=False)
+        .astype(object)).astype("uint64")
+    cols = {id_col: t.column(id_col),
+            "__h": pa.array(h, type=pa.uint64())}
+    for c in keep_cols:
+        cols[c] = t.column(c)
+    return pa.table(cols)
+
+
+def exact_first_wins_arrow(t: pa.Table, id_col: str,
+                           keep_cols: Sequence[str] = ()) -> pa.Table:
+    """Arrow form of :func:`exact_first_wins`: same winners, same
+    ``dup_count``, output columns (id, dup_count, *keep_cols)."""
+    t = t.sort_by([("__h", "ascending"), (id_col, "ascending")])
+    h = t.column("__h").to_numpy(zero_copy_only=False)
+    new = np.r_[True, h[1:] != h[:-1]] if len(h) else \
+        np.zeros(0, dtype=bool)
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.r_[starts, len(h)]) if len(starts) else \
+        np.zeros(0, dtype=np.int64)
+    win = t.take(pa.array(starts, type=pa.int64()))
+    out = win.select([id_col] + list(keep_cols))
+    return out.add_column(
+        1, "dup_count", pa.array(sizes.astype("int64")))
 
 
 def exact_dedup_arrow(
@@ -371,33 +414,13 @@ def exact_dedup_arrow(
     from .relational import grouped_apply_arrow
 
     keep_cols = list(keep_cols)
-
-    def hash_batch(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            t.column(text_col).to_numpy(zero_copy_only=False)
-            .astype(object)).astype("uint64")
-        cols = {id_col: t.column(id_col),
-                "__h": pa.array(h, type=pa.uint64())}
-        for c in keep_cols:
-            cols[c] = t.column(c)
-        return pa.table(cols)
-
-    def first_wins(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("__h", "ascending"), (id_col, "ascending")])
-        h = t.column("__h").to_numpy(zero_copy_only=False)
-        new = np.r_[True, h[1:] != h[:-1]] if len(h) else \
-            np.zeros(0, dtype=bool)
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.r_[starts, len(h)]) if len(starts) else \
-            np.zeros(0, dtype=np.int64)
-        win = t.take(pa.array(starts, type=pa.int64()))
-        out = win.select([id_col] + keep_cols)
-        return out.add_column(
-            1, "dup_count", pa.array(sizes.astype("int64")))
-
     return grouped_apply_arrow(
-        ds.map_batches(hash_batch, batch_format="pyarrow"),
-        ["__h"], first_wins, num_partitions=num_partitions,
+        ds.map_batches(partial(exact_hash_batch_arrow, text_col=text_col,
+                               id_col=id_col, keep_cols=keep_cols),
+                       batch_format="pyarrow"),
+        ["__h"], partial(exact_first_wins_arrow, id_col=id_col,
+                         keep_cols=keep_cols),
+        num_partitions=num_partitions,
     )
 
 
@@ -878,14 +901,16 @@ def connected_components(
     """
     from .relational import grouped_apply
 
+    def no_components() -> rd.Dataset:
+        ids = pd.Series(dtype=_column_dtype(pairs, id_a))
+        return rd.from_pandas(pd.DataFrame({"node": ids, "label": ids}))
+
     if local_threshold > 0:
         pairs = pairs.materialize()
         if pairs.count() <= local_threshold:
             df = pairs.to_pandas()
             if len(df) == 0:
-                ids = pd.Series(dtype=_column_dtype(pairs, id_a))
-                return rd.from_pandas(pd.DataFrame({"node": ids,
-                                                    "label": ids}))
+                return no_components()
             return rd.from_pandas(_local_components(df, id_a, id_b))
 
     def to_edges(df: pd.DataFrame) -> pd.DataFrame:
@@ -954,7 +979,9 @@ def connected_components(
         n_changed = new_labels.sum("changed")
         labels = new_labels.drop_columns(["changed"])
         if not n_changed:
-            return labels
+            # an empty pair list leaves a column-less result; give it
+            # the local path's typed (node, label) header
+            return labels if new_labels.count() else no_components()
     # labels are still moving: returning them silently would split true
     # components. Min-label propagation needs O(component diameter)
     # rounds — raise rather than emit wrong clusters.

@@ -1,7 +1,9 @@
 """Multimodal columns: opaque binary payloads + typed metadata.
 
-Images/audio/video are carried as ``binary`` columns with metadata; the
-decode / feature-extract steps run as actor-pool ``map_batches`` stages.
+Images/audio/video are carried as ``binary`` columns with metadata.
+``media_features`` decodes as an actor-pool ``map_batches`` stage; the
+export's per-ref ``media_ref_features`` is a plain function (mapped as
+tasks, or called in-process by a small export).
 
 MIME types are SNIFFED from payload magic bytes — the analog of the
 reference's ``magic.Magic(mime=True).from_file(path)``
@@ -18,6 +20,7 @@ magic raises ``NotImplementedError`` exactly like a codec error would.
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -341,6 +344,46 @@ def segment_rows(
     return ds.map_batches(explode, batch_format="pandas")
 
 
+def interleaved_batch(t: pa.Table, text_col: str = "text",
+                      id_col: str = "doc_id", keep_cols: tuple = (),
+                      words_per_chunk: int = 20,
+                      ref_mod: int = 257) -> pa.Table:
+    """:func:`interleaved_docs`' kernel over one Arrow table of docs."""
+    df = pd.DataFrame({
+        id_col: t[id_col].to_numpy(zero_copy_only=False),
+        text_col: t[text_col].to_numpy(zero_copy_only=False),
+    })
+    doc_idx, pos, kind, content, nch, nme, lens = _segment_arrays(
+        df, text_col, id_col, words_per_chunk, ref_mod)
+    is_text = kind == "text"
+    seg_text = np.where(is_text, content, "").astype(object)
+    seg_ref = np.where(is_text, "", content).astype(object)
+    flat = pa.StructArray.from_arrays(
+        [
+            pa.array(kind, type=pa.string()),
+            pa.array(seg_text, type=pa.string()),
+            pa.array(seg_ref, type=pa.string()),
+            pa.array(pos, type=pa.int32()),
+        ],
+        fields=list(SEGMENT_STRUCT),
+    )
+    offsets = np.zeros(len(df) + 1, np.int64)
+    np.cumsum((nch + nme), out=offsets[1:])
+    segments = pa.ListArray.from_arrays(
+        pa.array(offsets, type=pa.int32()), flat)
+    cols = {
+        id_col: t[id_col],
+        text_col: t[text_col],
+        "n_tokens": pa.array(lens, type=pa.int64()),
+        "n_media": pa.array(nme.astype("int64"), type=pa.int64()),
+        "segments": segments,
+    }
+    for c in keep_cols:
+        cols[c] = t[c]
+    return pa.Table.from_arrays(
+        list(cols.values()), names=list(cols.keys()))
+
+
 def interleaved_docs(
     ds: rd.Dataset,
     text_col: str = "text",
@@ -353,79 +396,56 @@ def interleaved_docs(
     list<struct<kind, text, media_ref, offset>> column (text+media in
     document order), plus n_tokens (word count) and n_media — the
     per-document multimodal shape the export/pack stages consume."""
-    keep_cols = list(keep_cols)
-
-    def build(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            id_col: t[id_col].to_numpy(zero_copy_only=False),
-            text_col: t[text_col].to_numpy(zero_copy_only=False),
-        })
-        doc_idx, pos, kind, content, nch, nme, lens = _segment_arrays(
-            df, text_col, id_col, words_per_chunk, ref_mod)
-        is_text = kind == "text"
-        seg_text = np.where(is_text, content, "").astype(object)
-        seg_ref = np.where(is_text, "", content).astype(object)
-        flat = pa.StructArray.from_arrays(
-            [
-                pa.array(kind, type=pa.string()),
-                pa.array(seg_text, type=pa.string()),
-                pa.array(seg_ref, type=pa.string()),
-                pa.array(pos, type=pa.int32()),
-            ],
-            fields=list(SEGMENT_STRUCT),
-        )
-        offsets = np.zeros(len(df) + 1, np.int64)
-        np.cumsum((nch + nme), out=offsets[1:])
-        segments = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()), flat)
-        cols = {
-            id_col: t[id_col],
-            text_col: t[text_col],
-            "n_tokens": pa.array(lens, type=pa.int64()),
-            "n_media": pa.array(nme.astype("int64"), type=pa.int64()),
-            "segments": segments,
-        }
-        for c in keep_cols:
-            cols[c] = t[c]
-        return pa.Table.from_arrays(
-            list(cols.values()), names=list(cols.keys()))
-
-    return ds.map_batches(build, batch_format="pyarrow")
+    return ds.map_batches(
+        partial(interleaved_batch, text_col=text_col, id_col=id_col,
+                keep_cols=tuple(keep_cols),
+                words_per_chunk=words_per_chunk, ref_mod=ref_mod),
+        batch_format="pyarrow")
 
 
-class MediaRefFeatures:
-    """Actor-pool stage over UNIQUE media refs: materialize the payload
+def media_ref_features(df: pd.DataFrame) -> pd.DataFrame:
+    """Payload features over UNIQUE media refs: materialize the payload
     (``synth_payload`` stands in for the object fetch — deterministic
     bytes from the ref; a real deployment fetches the blob here),
     content-hash it (md5 — the M9 analog,
     `/root/reference/legacy/posix_crawler.py:71-91`), sniff the MIME and
     parse header features. Runs AFTER ref-level dedup, so payload work
-    is paid once per distinct ref, never per occurrence."""
+    is paid once per distinct ref, never per occurrence. Stateless
+    (``HeaderCodec`` holds nothing), so it maps as plain tasks."""
+    import hashlib
 
-    def __init__(self):
-        self.codec = HeaderCodec()
+    codec = HeaderCodec()
+    refs = df["media_ref"].to_numpy(dtype=object)
+    h = pd.util.hash_array(refs)
+    n = len(refs)
+    chash = np.empty(n, dtype=object)
+    nbytes = np.zeros(n, dtype=np.int64)
+    mtypes = np.empty(n, dtype=object)
+    decoded = np.zeros(n, dtype=bool)
+    for i in range(n):
+        p = synth_payload(int(h[i]))
+        chash[i] = hashlib.md5(p).hexdigest()
+        nbytes[i] = len(p)
+        try:
+            mtypes[i] = codec.decode(p)["media_type"]
+            decoded[i] = True
+        except (NotImplementedError, struct.error):
+            mtypes[i] = sniff_mime(p)
+    return df.assign(content_hash=chash, payload_bytes=nbytes,
+                     media_type=mtypes, decoded=decoded)
 
-    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-        import hashlib
 
-        refs = df["media_ref"].to_numpy(dtype=object)
-        h = pd.util.hash_array(refs)
-        n = len(refs)
-        chash = np.empty(n, dtype=object)
-        nbytes = np.zeros(n, dtype=np.int64)
-        mtypes = np.empty(n, dtype=object)
-        decoded = np.zeros(n, dtype=bool)
-        for i in range(n):
-            p = synth_payload(int(h[i]))
-            chash[i] = hashlib.md5(p).hexdigest()
-            nbytes[i] = len(p)
-            try:
-                mtypes[i] = self.codec.decode(p)["media_type"]
-                decoded[i] = True
-            except (NotImplementedError, struct.error):
-                mtypes[i] = sniff_mime(p)
-        return df.assign(content_hash=chash, payload_bytes=nbytes,
-                         media_type=mtypes, decoded=decoded)
+def media_canon(part: pd.DataFrame, ref_col: str = "media_ref",
+                hash_col: str = "content_hash") -> pd.DataFrame:
+    """:func:`media_content_dedup`'s kernel over any set of whole
+    content-hash groups: ``canonical_ref`` (the group's min ref) and
+    ``content_dup_count`` per row."""
+    part = part.sort_values([hash_col, ref_col], kind="mergesort")
+    gb = part.groupby(hash_col, sort=False)
+    return part.assign(
+        canonical_ref=gb[ref_col].transform("first"),
+        content_dup_count=gb[ref_col].transform("size").astype("int64"),
+    )
 
 
 def media_content_dedup(
@@ -441,15 +461,7 @@ def media_content_dedup(
     table; adds ``canonical_ref`` and ``content_dup_count`` columns."""
     from .relational import grouped_apply
 
-    def canon(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values([hash_col, ref_col], kind="mergesort")
-        gb = part.groupby(hash_col, sort=False)
-        part = part.assign(
-            canonical_ref=gb[ref_col].transform("first"),
-            content_dup_count=gb[ref_col].transform("size")
-            .astype("int64"),
-        )
-        return part
-
-    return grouped_apply(ds, [hash_col], canon,
-                         num_partitions=num_partitions)
+    return grouped_apply(
+        ds, [hash_col], partial(media_canon, ref_col=ref_col,
+                                hash_col=hash_col),
+        num_partitions=num_partitions)

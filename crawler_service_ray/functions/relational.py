@@ -131,6 +131,54 @@ def _partial_agg(
     return out
 
 
+def merge_partials(
+    df: pd.DataFrame, keys: list[str], aggs: dict[str, tuple[str, str]]
+) -> pd.DataFrame:
+    """:func:`grouped_agg`'s merge kernel: re-reduce :func:`_partial_agg`
+    rows (sums/counts add, min/max reduce) to one row per key."""
+    if any(k not in df.columns for k in keys):
+        # an all-empty input collects to a column-less frame (Ray
+        # drops the schema of 0-row object blocks); emit the output
+        # header so downstream consumers see a uniform shape
+        cols = {k: pd.Series(dtype=object) for k in keys}
+        for out, (_, fn) in aggs.items():
+            if fn == "count":
+                cols[out] = pd.Series(dtype="int64")
+            elif fn in ("sum", "mean", "var", "std"):
+                cols[out] = pd.Series(dtype="float64")
+            else:
+                cols[out] = pd.Series(dtype=object)
+        return pd.DataFrame(cols)
+    plan = {}
+    for c in df.columns:
+        if c.startswith("__p_"):
+            fn = c.split("_")[3]
+            plan[c] = "sum" if fn in ("sum", "count", "sumsq") else fn
+    g = df.groupby(keys, sort=False, observed=True).agg(plan).reset_index()
+    cols = {k: g[k] for k in keys}
+    for out, (col, fn) in aggs.items():
+        if fn == "mean":
+            cols[out] = g[f"__p_sum_{col}"] / g[f"__p_count_{col}"]
+        elif fn in ("var", "std"):
+            n = g[f"__p_count_{col}"].to_numpy(dtype="float64")
+            s = g[f"__p_sum_{col}"].to_numpy(dtype="float64")
+            ss = g[f"__p_sumsq_{col}"].to_numpy(dtype="float64")
+            # sample variance is NULL for n<2 (SQL var_samp semantics);
+            # clip tiny negative cancellation residue before sqrt
+            v = np.where(
+                n > 1,
+                np.maximum(ss - s * s / np.maximum(n, 1), 0.0)
+                / np.maximum(n - 1, 1),
+                np.nan,
+            )
+            cols[out] = np.sqrt(v) if fn == "std" else v
+        elif fn == "count":
+            cols[out] = g[f"__p_count_{keys[0]}"].astype("int64")
+        else:
+            cols[out] = g[f"__p_{fn}_{col}"]
+    return pd.DataFrame(cols)
+
+
 def grouped_agg(
     ds: rd.Dataset,
     keys: Sequence[str],
@@ -179,50 +227,7 @@ def grouped_agg(
         batch_size=batch_size,
     )
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # re-reduce the partial columns: sums/counts add, min/max reduce
-        if any(k not in df.columns for k in keys):
-            # an all-empty input collects to a column-less frame (Ray
-            # drops the schema of 0-row object blocks); emit the output
-            # header so downstream consumers see a uniform shape
-            cols = {k: pd.Series(dtype=object) for k in keys}
-            for out, (_, fn) in aggs.items():
-                if fn == "count":
-                    cols[out] = pd.Series(dtype="int64")
-                elif fn in ("sum", "mean", "var", "std"):
-                    cols[out] = pd.Series(dtype="float64")
-                else:
-                    cols[out] = pd.Series(dtype=object)
-            return pd.DataFrame(cols)
-        plan = {}
-        for c in df.columns:
-            if c.startswith("__p_"):
-                fn = c.split("_")[3]
-                plan[c] = "sum" if fn in ("sum", "count", "sumsq") else fn
-        g = df.groupby(keys, sort=False, observed=True).agg(plan).reset_index()
-        cols = {k: g[k] for k in keys}
-        for out, (col, fn) in aggs.items():
-            if fn == "mean":
-                cols[out] = g[f"__p_sum_{col}"] / g[f"__p_count_{col}"]
-            elif fn in ("var", "std"):
-                n = g[f"__p_count_{col}"].to_numpy(dtype="float64")
-                s = g[f"__p_sum_{col}"].to_numpy(dtype="float64")
-                ss = g[f"__p_sumsq_{col}"].to_numpy(dtype="float64")
-                # sample variance is NULL for n<2 (SQL var_samp semantics);
-                # clip tiny negative cancellation residue before sqrt
-                v = np.where(
-                    n > 1,
-                    np.maximum(ss - s * s / np.maximum(n, 1), 0.0)
-                    / np.maximum(n - 1, 1),
-                    np.nan,
-                )
-                cols[out] = np.sqrt(v) if fn == "std" else v
-            elif fn == "count":
-                cols[out] = g[f"__p_count_{keys[0]}"].astype("int64")
-            else:
-                cols[out] = g[f"__p_{fn}_{col}"]
-        return pd.DataFrame(cols)
-
+    merge = partial(merge_partials, keys=keys, aggs=aggs)
     if merge_partitions and merge_partitions > 1:
         return grouped_apply(part, keys, merge,
                              num_partitions=merge_partitions)
@@ -3456,6 +3461,41 @@ def _order_bins(ids: np.ndarray, coarse_bits: int) -> np.ndarray:
     return (h >> np.uint64(32 - coarse_bits)).astype(np.int64)
 
 
+def hash_shard_bin_counts(t: pa.Table, id_col: str,
+                          coarse_bits: int = 12) -> pa.Table:
+    """:func:`balanced_hash_shards`' count kernel: (``__bin``, ``__n``)
+    for every non-empty coarse hash bin of ``t``'s ids."""
+    ids = t.column(id_col).to_numpy(zero_copy_only=False)
+    bins = _order_bins(ids, coarse_bits)
+    c = np.bincount(bins, minlength=1 << coarse_bits)
+    nz = np.flatnonzero(c)
+    return pa.table({"__bin": nz.astype("int64"),
+                     "__n": c[nz].astype("int64")})
+
+
+def hash_shard_lut(bins: np.ndarray, counts: np.ndarray, num_shards: int,
+                   coarse_bits: int = 12) -> np.ndarray:
+    """bin -> shard map from the global bin counts:
+    ``shard(bin) = cum_before(bin)·S // n``."""
+    full = np.zeros(1 << coarse_bits, dtype=np.int64)
+    full[bins] = counts
+    total = int(full.sum())
+    if total == 0:
+        return np.zeros(1 << coarse_bits, dtype=np.int64)
+    before = np.concatenate([[0], np.cumsum(full)[:-1]])
+    return before * np.int64(num_shards) // np.int64(total)
+
+
+def hash_shard_assign(t: pa.Table, lut: np.ndarray, id_col: str,
+                      coarse_bits: int = 12,
+                      out_name: str = "shard") -> pa.Table:
+    """:func:`balanced_hash_shards`' assign kernel: append each row's
+    shard from the bin -> shard map."""
+    ids = t.column(id_col).to_numpy(zero_copy_only=False)
+    bins = _order_bins(ids, coarse_bits)
+    return t.append_column(out_name, pa.array(lut[bins], type=pa.int64()))
+
+
 def balanced_hash_shards(
     ds: rd.Dataset,
     id_col: str,
@@ -3483,36 +3523,19 @@ def balanced_hash_shards(
     nested columns (the export's interleaved ``segments``) ride
     untouched. A naive ``random_shuffle`` + ``repartition`` gives
     neither the determinism nor the skip-finished contract."""
-    two_bins = 1 << coarse_bits
-
-    def bin_counts(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        bins = _order_bins(ids, coarse_bits)
-        c = np.bincount(bins, minlength=two_bins)
-        nz = np.flatnonzero(c)
-        return pa.table({"__bin": nz.astype("int64"),
-                         "__n": c[nz].astype("int64")})
-
     counts = grouped_agg(
-        ds.map_batches(bin_counts, batch_format="pyarrow"),
+        ds.map_batches(partial(hash_shard_bin_counts, id_col=id_col,
+                               coarse_bits=coarse_bits),
+                       batch_format="pyarrow"),
         ["__bin"], {"n": ("__n", "sum")},
     ).to_pandas()
-    full = np.zeros(two_bins, dtype=np.int64)
-    full[counts["__bin"].to_numpy()] = counts["n"].to_numpy()
-    total = int(full.sum())
-    if total == 0:
-        lut = np.zeros(two_bins, dtype=np.int64)
-    else:
-        before = np.concatenate([[0], np.cumsum(full)[:-1]])
-        lut = before * np.int64(num_shards) // np.int64(total)
+    lut = hash_shard_lut(counts["__bin"].to_numpy(),
+                         counts["n"].to_numpy(), num_shards, coarse_bits)
     lref = [ray.put(lut)]
 
     def assign(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        bins = _order_bins(ids, coarse_bits)
-        lut_ = resolve_broadcast(lref[0])
-        return t.append_column(
-            out_name, pa.array(lut_[bins], type=pa.int64()))
+        return hash_shard_assign(t, resolve_broadcast(lref[0]), id_col,
+                                 coarse_bits, out_name)
 
     return ds.map_batches(assign, batch_format="pyarrow")
 

@@ -580,6 +580,48 @@ def pack_sequences(
                          num_partitions=num_partitions)
 
 
+def pack_payload_tokens(df: pd.DataFrame, text_col: str, id_col: str,
+                        group_col: str,
+                        tokens_col: str | None = None) -> pd.DataFrame:
+    """:func:`pack_payloads`' map kernel: (group, id, n_tokens, text)
+    per doc, n_tokens from ``tokens_col`` or counted here."""
+    t = df[text_col].astype(str)
+    nt = (df[tokens_col].astype("int64") if tokens_col
+          else _re2_token_count(t))
+    return pd.DataFrame({group_col: df[group_col], id_col: df[id_col],
+                         "n_tokens": nt, text_col: t})
+
+
+def pack_payload_part(part: pd.DataFrame, capacity: int, sep: str,
+                      text_col: str, id_col: str,
+                      group_col: str) -> pd.DataFrame:
+    """:func:`pack_payloads`' reduce kernel over any set of whole groups:
+    greedy bins per group in id order, one row per bin."""
+    part = part.sort_values([group_col, id_col], kind="mergesort")
+    out = []
+    for g, grp in part.groupby(group_col, sort=False):
+        bins = greedy_pack_bins(grp["n_tokens"].to_numpy(), capacity)
+        grp = grp.assign(seq_id=bins)
+        agg = grp.groupby("seq_id", sort=False).agg(
+            n_docs=(id_col, "size"),
+            seq_tokens=("n_tokens", "sum"),
+            **{text_col: (text_col, sep.join)},
+        ).reset_index()
+        agg.insert(0, group_col, g)
+        out.append(agg)
+    if not out:
+        return pd.DataFrame({
+            group_col: [], "seq_id": pd.Series([], dtype="int64"),
+            "n_docs": pd.Series([], dtype="int64"),
+            "seq_tokens": pd.Series([], dtype="int64"),
+            text_col: pd.Series([], dtype=object),
+        })
+    o = pd.concat(out, ignore_index=True)
+    o["n_docs"] = o["n_docs"].astype("int64")
+    o["seq_tokens"] = o["seq_tokens"].astype("int64")
+    return o[[group_col, "seq_id", "n_docs", "seq_tokens", text_col]]
+
+
 def pack_payloads(
     ds: rd.Dataset,
     capacity: int = 512,
@@ -602,42 +644,15 @@ def pack_payloads(
     default None counts whitespace tokens here."""
     from .relational import grouped_apply
 
-    def count_tokens(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[text_col].astype(str)
-        nt = (df[tokens_col].astype("int64") if tokens_col
-              else _re2_token_count(t))
-        return pd.DataFrame({group_col: df[group_col], id_col: df[id_col],
-                             "n_tokens": nt, text_col: t})
-
-    tok = ds.map_batches(count_tokens, batch_format="pandas")
-
-    def pack_part(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values([group_col, id_col], kind="mergesort")
-        out = []
-        for g, grp in part.groupby(group_col, sort=False):
-            bins = greedy_pack_bins(grp["n_tokens"].to_numpy(), capacity)
-            grp = grp.assign(seq_id=bins)
-            agg = grp.groupby("seq_id", sort=False).agg(
-                n_docs=(id_col, "size"),
-                seq_tokens=("n_tokens", "sum"),
-                **{text_col: (text_col, sep.join)},
-            ).reset_index()
-            agg.insert(0, group_col, g)
-            out.append(agg)
-        if not out:
-            return pd.DataFrame({
-                group_col: [], "seq_id": pd.Series([], dtype="int64"),
-                "n_docs": pd.Series([], dtype="int64"),
-                "seq_tokens": pd.Series([], dtype="int64"),
-                text_col: pd.Series([], dtype=object),
-            })
-        o = pd.concat(out, ignore_index=True)
-        o["n_docs"] = o["n_docs"].astype("int64")
-        o["seq_tokens"] = o["seq_tokens"].astype("int64")
-        return o[[group_col, "seq_id", "n_docs", "seq_tokens", text_col]]
-
-    return grouped_apply(tok, [group_col], pack_part,
-                         num_partitions=num_partitions)
+    tok = ds.map_batches(
+        partial(pack_payload_tokens, text_col=text_col, id_col=id_col,
+                group_col=group_col, tokens_col=tokens_col),
+        batch_format="pandas")
+    return grouped_apply(
+        tok, [group_col],
+        partial(pack_payload_part, capacity=capacity, sep=sep,
+                text_col=text_col, id_col=id_col, group_col=group_col),
+        num_partitions=num_partitions)
 
 
 def char_entropy(
@@ -682,6 +697,72 @@ def char_entropy(
     return ds.map_batches(ent, batch_format="pandas")
 
 
+def pack_interleaved_part(t, capacity: int, group_col: str, id_col: str,
+                          tokens_col: str, segments_col: str):
+    """:func:`pack_interleaved`' kernel over any set of whole groups
+    (an Arrow table in, one row per bin out)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    seg_type = t.schema.field(segments_col).type
+    grp_type = t.schema.field(group_col).type
+    if t.num_rows == 0:
+        return pa.table({
+            group_col: pa.array([], type=grp_type),
+            "seq_id": pa.array([], type=pa.int64()),
+            "n_docs": pa.array([], type=pa.int64()),
+            "seq_tokens": pa.array([], type=pa.int64()),
+            "n_media": pa.array([], type=pa.int64()),
+            segments_col: pa.array([], type=seg_type),
+        })
+    t = t.sort_by([(group_col, "ascending"), (id_col, "ascending")])
+    grp = t.column(group_col).to_numpy(zero_copy_only=False)
+    ntok = t.column(tokens_col).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)
+    n = len(grp)
+    # greedy bins per contiguous group (groups are contiguous after
+    # the sort; the loop is over GROUPS — split×lang scale — with
+    # the vectorized bin-jump packer inside)
+    gb = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
+    seq = np.empty(n, dtype=np.int64)
+    for s, e in zip(gb, np.r_[gb[1:], n]):
+        seq[s:e] = greedy_pack_bins(ntok[s:e], capacity)
+    new_bin = np.r_[True, (seq[1:] != seq[:-1])
+                    | (grp[1:] != grp[:-1])]
+    bin_start = np.flatnonzero(new_bin)
+    row_bin = np.cumsum(new_bin) - 1
+    nbins = len(bin_start)
+    n_docs = np.diff(np.r_[bin_start, n]).astype(np.int64)
+    seq_tokens = np.add.reduceat(ntok, bin_start)
+
+    segs = t.column(segments_col)
+    segs = (segs.combine_chunks() if isinstance(segs, pa.ChunkedArray)
+            else segs)
+    sizes = pc.list_value_length(segs).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)
+    flat = pc.list_flatten(segs)
+    flat = (flat.combine_chunks() if isinstance(flat, pa.ChunkedArray)
+            else flat)
+    # packed lists = SAME flat child, new offsets at bin boundaries
+    offsets = np.zeros(nbins + 1, dtype=np.int64)
+    np.cumsum(np.add.reduceat(sizes, bin_start), out=offsets[1:])
+    packed = pa.ListArray.from_arrays(
+        pa.array(offsets, type=pa.int32()), flat)
+    kinds = flat.field("kind").to_numpy(zero_copy_only=False)
+    bin_of_flat = row_bin[np.repeat(np.arange(n), sizes)]
+    n_media = np.bincount(bin_of_flat[kinds == "media"],
+                          minlength=nbins).astype(np.int64)
+    starts = pa.array(bin_start, type=pa.int64())
+    return pa.table({
+        group_col: t.column(group_col).take(starts),
+        "seq_id": pa.array(seq[bin_start]),
+        "n_docs": pa.array(n_docs),
+        "seq_tokens": pa.array(seq_tokens),
+        "n_media": pa.array(n_media),
+        segments_col: packed,
+    })
+
+
 def pack_interleaved(
     ds: rd.Dataset,
     capacity: int = 512,
@@ -712,72 +793,14 @@ def pack_interleaved(
     segment struct is ever materialized as a Python object (Ray's
     pandas codec cannot round-trip nested Arrow columns, and the old
     per-bin Python list concat was the pack stage's hot loop)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from .relational import grouped_apply_arrow
 
-    def pack_part(t: pa.Table) -> pa.Table:
-        seg_type = t.schema.field(segments_col).type
-        grp_type = t.schema.field(group_col).type
-        if t.num_rows == 0:
-            return pa.table({
-                group_col: pa.array([], type=grp_type),
-                "seq_id": pa.array([], type=pa.int64()),
-                "n_docs": pa.array([], type=pa.int64()),
-                "seq_tokens": pa.array([], type=pa.int64()),
-                "n_media": pa.array([], type=pa.int64()),
-                segments_col: pa.array([], type=seg_type),
-            })
-        t = t.sort_by([(group_col, "ascending"), (id_col, "ascending")])
-        grp = t.column(group_col).to_numpy(zero_copy_only=False)
-        ntok = t.column(tokens_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        n = len(grp)
-        # greedy bins per contiguous group (groups are contiguous after
-        # the sort; the loop is over GROUPS — split×lang scale — with
-        # the vectorized bin-jump packer inside)
-        gb = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
-        seq = np.empty(n, dtype=np.int64)
-        for s, e in zip(gb, np.r_[gb[1:], n]):
-            seq[s:e] = greedy_pack_bins(ntok[s:e], capacity)
-        new_bin = np.r_[True, (seq[1:] != seq[:-1])
-                        | (grp[1:] != grp[:-1])]
-        bin_start = np.flatnonzero(new_bin)
-        row_bin = np.cumsum(new_bin) - 1
-        nbins = len(bin_start)
-        n_docs = np.diff(np.r_[bin_start, n]).astype(np.int64)
-        seq_tokens = np.add.reduceat(ntok, bin_start)
-
-        segs = t.column(segments_col)
-        segs = (segs.combine_chunks() if isinstance(segs, pa.ChunkedArray)
-                else segs)
-        sizes = pc.list_value_length(segs).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        flat = pc.list_flatten(segs)
-        flat = (flat.combine_chunks() if isinstance(flat, pa.ChunkedArray)
-                else flat)
-        # packed lists = SAME flat child, new offsets at bin boundaries
-        offsets = np.zeros(nbins + 1, dtype=np.int64)
-        np.cumsum(np.add.reduceat(sizes, bin_start), out=offsets[1:])
-        packed = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()), flat)
-        kinds = flat.field("kind").to_numpy(zero_copy_only=False)
-        bin_of_flat = row_bin[np.repeat(np.arange(n), sizes)]
-        n_media = np.bincount(bin_of_flat[kinds == "media"],
-                              minlength=nbins).astype(np.int64)
-        starts = pa.array(bin_start, type=pa.int64())
-        return pa.table({
-            group_col: t.column(group_col).take(starts),
-            "seq_id": pa.array(seq[bin_start]),
-            "n_docs": pa.array(n_docs),
-            "seq_tokens": pa.array(seq_tokens),
-            "n_media": pa.array(n_media),
-            segments_col: packed,
-        })
-
-    return grouped_apply_arrow(ds, [group_col], pack_part,
-                               num_partitions=num_partitions)
+    return grouped_apply_arrow(
+        ds, [group_col],
+        partial(pack_interleaved_part, capacity=capacity,
+                group_col=group_col, id_col=id_col, tokens_col=tokens_col,
+                segments_col=segments_col),
+        num_partitions=num_partitions)
 
 
 def _bpe_word_table(ds: rd.Dataset, text_col: str,

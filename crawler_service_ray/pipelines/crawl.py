@@ -1041,16 +1041,22 @@ def _expand_fn(
                      for n in EXPAND_COUNTERS})
 
 
-def fetched_dataset(run_dir: str):
-    """All fetched docs of a (possibly partial) run as one Dataset."""
-    import ray.data as rd
-
+def fetched_files(run_dir: str) -> list[str]:
+    """The fetched parquet files of a (possibly partial) run, in epoch
+    order."""
     files: list[str] = []
     ep_root = os.path.join(run_dir, "epochs")
     for d in sorted(os.listdir(ep_root)):
         if d.startswith("epoch="):
             files.extend(_parquet_files(os.path.join(ep_root, d, "fetched")))
-    return rd.read_parquet(files)
+    return files
+
+
+def fetched_dataset(run_dir: str):
+    """All fetched docs of a (possibly partial) run as one Dataset."""
+    import ray.data as rd
+
+    return rd.read_parquet(fetched_files(run_dir))
 
 
 # one-entry per-process cache for drain_fetched: the last epoch's sorted

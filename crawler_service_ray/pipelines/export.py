@@ -16,13 +16,21 @@ Two sources:
   quality/language read from the crawl's own enrichment columns — crawl
   → curate → training data with no re-scoring pass.
 
+One set of kernels, two schedulers. An input whose parquet footers
+report at most ``EXPORT_LOCAL_MAX_BYTES`` is read with pyarrow and every
+stage runs in-process on one ``pa.Table`` (each grouped kernel sees the
+whole table as its one partition); a larger input maps the same kernels
+through Ray Data. Outputs are equal under both (pinned by
+``tests/test_export.py``).
+
 Resumability model: the whole export commits atomically (tmp dir →
 rename, manifest last), matching the crawl's tmp-epoch pattern; a rerun
 with a complete manifest returns it without touching Ray. At 100 TB the
 unit of atomicity is one input shard — run one export per shard
 directory and skip shards whose manifest exists (the CLI takes the shard
-as ``--sf-dir`` / ``--from-run``); within a shard Ray Data streams, so
-worker failures retry per-task, and only a driver loss re-runs the shard.
+as ``--sf-dir`` / ``--from-run``). A shard over the local bound streams
+through Ray Data, so worker failures retry per-task; a smaller one runs
+in the driver. Either way only a driver loss re-runs the shard.
 """
 
 from __future__ import annotations
@@ -30,18 +38,60 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from functools import partial
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..functions import dedup, text
 
-# media-pair count above which the media/ table's aggregate merge is
-# hash-partitioned instead of driver-collected (the grouped_agg
-# ≲10^6-key rule, applied with headroom because distinct media_ref
-# scales with the corpus). Module-level so tests can exercise the
-# partitioned path at fixture scale.
+# media-pair count above which the Ray Data scheduler's media/
+# aggregate merge is hash-partitioned instead of driver-collected (the
+# grouped_agg ≲10^6-key rule, applied with headroom because distinct
+# media_ref scales with the corpus). Module-level so tests can exercise
+# the partitioned path at fixture scale.
 MEDIA_MERGE_DRIVER_MAX = 500_000
+
+# Input size (uncompressed bytes summed over the input's parquet row
+# groups, read from the footers before any data) at or below which the
+# export runs in-process on one pa.Table instead of through Ray Data.
+# It is the largest input measured. Least-squares fits over packed
+# export_run ops on 8-host crawls of 7.4k, 14.1k and 29.1k docs (2.5,
+# 4.9 and 10.2 MiB of footer bytes; median of 3 ops each, a 4-vCPU host
+# with 1 vCPU visible to the process), fixed s + ms/row:
+#                       multimodal             text-only
+#   local:              ~0    + 0.042-0.049    0.08-0.13 + 0.026-0.028
+#   Ray Data, 2 CPUs:   0.86  + 0.079          0.93      + 0.072
+#   Ray Data, 4 CPUs:   1.53  + 0.038          1.57      + 0.031
+# What the local path saves is Ray Data's fixed cost (1.4-2.2 s at
+# 29.1k docs); per row, Ray Data at 4 CPUs is about as cheap, and the
+# multimodal fits cross at 140k-380k docs on this host (sooner with
+# more real cores). The driver's peak RSS rose by at most 5.6x the
+# footer bytes (57 MB at 10.2 MiB). Larger inputs, unmeasured on the
+# local path, keep the Ray Data one. Module-level so tests can force
+# either scheduler.
+EXPORT_LOCAL_MAX_BYTES = 10 << 20
+
+# the fetched columns export_run reads
+_RUN_COLUMNS = ["url", "spans", "quality_score", "lang_pred"]
+
+
+def _fits_in_driver(files: list[str]) -> bool:
+    """Whether parquet ``files`` hold at most ``EXPORT_LOCAL_MAX_BYTES``
+    of uncompressed row groups, by their footers; stops reading footers
+    once the total is over."""
+    total = 0
+    for f in files:
+        md = pq.read_metadata(f)
+        total += sum(md.row_group(i).total_byte_size
+                     for i in range(md.num_row_groups))
+        if total > EXPORT_LOCAL_MAX_BYTES:
+            return False
+    return True
 
 
 def _assign_split(df: pd.DataFrame) -> pd.DataFrame:
@@ -73,8 +123,6 @@ def _assign_split_arrow(t):
     path, where the batch carries a nested ``segments`` column that must
     not round-trip through the pandas block codec. Same hash, same
     labels — only the doc_id column is pulled into numpy."""
-    import pyarrow as pa
-
     ids = t.column("doc_id").to_numpy(zero_copy_only=False)
     if ids.dtype.kind in "iu":
         iv = ids.astype(np.uint64)
@@ -87,6 +135,117 @@ def _assign_split_arrow(t):
     return t.append_column("split", pa.array(split, type=pa.string()))
 
 
+def _filter(cols: dict, qs: np.ndarray, lp: np.ndarray, min_quality: float,
+            langs: list[str] | None) -> pa.Table:
+    """The rows of ``cols`` whose quality / language pass the filter."""
+    keep = qs >= min_quality
+    if langs is not None:
+        keep &= pd.Series(lp).isin(langs).to_numpy()
+    return pa.table(cols).filter(pa.array(keep))
+
+
+def _score(t: pa.Table, multimodal: bool, mlist, min_quality: float,
+           langs: list[str] | None) -> pa.Table:
+    """:func:`export_corpus`'s scoring kernel: quality / language with
+    the oracle-checked kernels on a two-column pandas view (text + id
+    only; the nested segments column is never pulled out of Arrow),
+    then the quality / language filter."""
+    tdf = pd.DataFrame({
+        "doc_id": t.column("doc_id").to_numpy(zero_copy_only=False),
+        "text": t.column("text").to_numpy(zero_copy_only=False),
+    })
+    q = text.quality_features(tdf)
+    lang = text.LangId()(tdf)
+    qs = q["quality_score"].to_numpy()
+    lp = lang["lang_pred"].to_numpy()
+    cols = {
+        "doc_id": t.column("doc_id"),
+        "text": t.column("text"),
+        "quality_score": pa.array(qs, type=pa.float64()),
+        "n_words": pa.array(q["n_words"].to_numpy().astype("int64")),
+        "lang_pred": pa.array(lp, type=pa.string()),
+    }
+    if multimodal:
+        cols["segments"] = t.column("segments")
+        cols["n_media"] = t.column("n_media")
+        cols["n_tokens"] = t.column("n_tokens")
+    if mlist is not None:
+        # pack budgets in real tokenizer tokens: overrides the
+        # word-count n_tokens on the multimodal path, adds the column on
+        # the text-only path
+        cols["n_tokens"] = pa.array(
+            text.bpe_doc_token_counts(tdf["text"], mlist)[1])
+    return _filter(cols, qs, lp, min_quality, langs)
+
+
+def _reassemble(t: pa.Table, multimodal: bool, mlist, min_quality: float,
+                langs: list[str] | None) -> pa.Table:
+    """:func:`export_run`'s kernel over fetched rows: text joined from
+    the text spans, the crawl's own quality / language columns, with
+    ``multimodal`` the interleaved segments, then the filter."""
+    from ..functions.multimodal import SEGMENT_STRUCT
+
+    spans = t.column("spans")
+    flat = pc.list_flatten(spans).combine_chunks()
+    parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
+    kinds = flat.field("kind").to_numpy(zero_copy_only=False)
+    texts = flat.field("text").to_numpy(zero_copy_only=False)
+    mask = kinds == "text"
+    joined = pd.Series(texts[mask]).groupby(parents[mask]).agg(" ".join)
+    n = t.num_rows
+    text_vals = np.full(n, "", dtype=object)
+    text_vals[joined.index.to_numpy()] = joined.to_numpy()
+    qs = t.column("quality_score").to_numpy(zero_copy_only=False)
+    lp = t.column("lang_pred").to_numpy(zero_copy_only=False)
+    text_arr = pa.array(text_vals, type=pa.string())
+    cols = {
+        "doc_id": t.column("url"),
+        "text": text_arr,
+        "quality_score": t.column("quality_score"),
+        "lang_pred": t.column("lang_pred"),
+    }
+    if multimodal:
+        refs = flat.field("media_ref").to_numpy(zero_copy_only=False)
+        offs = flat.field("offset").to_numpy(zero_copy_only=False)
+        # content spans only, document order: links are navigation and
+        # compressed spans are archive pointers whose members already
+        # export as their own docs
+        seg = (kinds == "text") | (kinds == "media")
+        sp, sk = parents[seg], kinds[seg]
+        is_txt = sk == "text"
+        seg_flat = pa.StructArray.from_arrays(
+            [
+                pa.array(sk, type=pa.string()),
+                pa.array(np.where(is_txt, texts[seg], ""),
+                         type=pa.string()),
+                pa.array(np.where(is_txt, "", refs[seg]),
+                         type=pa.string()),
+                pa.array(offs[seg], type=pa.int32()),
+            ],
+            fields=list(SEGMENT_STRUCT),
+        )
+        # offsets: kept flat spans with parent < i (parents ascend). The
+        # ListArray stays Arrow from here to the parquet write — never
+        # round-tripped through Python lists
+        cols["segments"] = pa.ListArray.from_arrays(
+            pa.array(np.searchsorted(sp, np.arange(n + 1)),
+                     type=pa.int32()),
+            seg_flat,
+        )
+        cols["n_media"] = pa.array(np.bincount(
+            sp[sk == "media"], minlength=n).astype("int64"))
+        cols["n_tokens"] = pa.array(
+            pc.count_substring_regex(text_arr, pattern=r"\S+")
+            .to_numpy().astype("int64"))
+    if mlist is not None:
+        # real tokenizer tokens for the pack budget (overrides the RE2
+        # whitespace count on the multimodal path, adds the column on
+        # the text-only path)
+        cols["n_tokens"] = pa.array(text.bpe_doc_token_counts(
+            pd.Series(text_vals), mlist)[1])
+    return _filter(cols, qs, lp, min_quality, langs)
+
+
 def _load_merges(bpe_merges) -> list[tuple[str, str]] | None:
     """Resolve the ``bpe_merges`` export argument — a merges DataFrame
     (from ``bpe_train_merges``) or a parquet path (from the `train-bpe`
@@ -95,8 +254,6 @@ def _load_merges(bpe_merges) -> list[tuple[str, str]] | None:
     if bpe_merges is None:
         return None
     if isinstance(bpe_merges, str):
-        import pyarrow.parquet as pq
-
         bpe_merges = pq.read_table(bpe_merges).to_pandas()
     m = bpe_merges.sort_values("rank")
     return [(str(lt), str(rt)) for lt, rt in zip(m["left"], m["right"])]
@@ -129,11 +286,12 @@ def _update_lsh_index(
     manifest gains an ``lsh`` block with delta/cross/in-delta counts.
 
     First run against an empty index bootstraps it: pairs are the
-    delta's in-delta near-dups (`minhash_lsh_pairs`)."""
-    import hashlib
+    delta's in-delta near-dups (`minhash_lsh_pairs`).
 
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+    This phase runs on Ray Data whichever scheduler wrote the export:
+    the banding, the index shards and the pair verification are the
+    dataset operators of ``functions/dedup.py``."""
+    import hashlib
 
     import ray.data as rd
 
@@ -169,7 +327,8 @@ def _update_lsh_index(
     pq.write_table(pa.Table.from_pandas(pairs, preserve_index=False),
                    os.path.join(nd_dir, "pairs.parquet"))
 
-    delta_ids = set(delta.to_pandas()["doc_id"])
+    delta_df = delta.to_pandas()
+    delta_ids = set(delta_df["doc_id"])
     in_delta = int((pairs["id_a"].isin(delta_ids)
                     & pairs["id_b"].isin(delta_ids)).sum()) \
         if len(pairs) else 0
@@ -186,7 +345,7 @@ def _update_lsh_index(
     os.makedirs(docs_dir, exist_ok=True)
     fname = hashlib.sha1(run_tag.encode()).hexdigest()[:16] + ".parquet"
     tmp = os.path.join(docs_dir, "." + fname + ".tmp")
-    delta.to_pandas().to_parquet(tmp, index=False)
+    delta_df.to_parquet(tmp, index=False)
     os.replace(tmp, os.path.join(docs_dir, fname))
 
     manifest["lsh"] = {
@@ -209,6 +368,95 @@ def _write_manifest(manifest: dict, manifest_path: str) -> dict:
     return manifest
 
 
+def _tag_group(df: pd.DataFrame) -> pd.DataFrame:
+    return df.assign(
+        __grp=df["split"].astype(str) + "\x1f" + df["lang_pred"].astype(str))
+
+
+def _untag(df: pd.DataFrame) -> pd.DataFrame:
+    parts = df["__grp"].str.split("\x1f")
+    df = df.drop(columns="__grp")
+    df["split"] = parts.str[0]
+    df["lang_pred"] = parts.str[1]
+    return df
+
+
+def _tag_group_arrow(t: pa.Table) -> pa.Table:
+    comb = pc.binary_join_element_wise(
+        pc.cast(t.column("split"), pa.string()),
+        pc.cast(t.column("lang_pred"), pa.string()), "\x1f")
+    return t.append_column("__grp", comb)
+
+
+def _untag_arrow(t: pa.Table) -> pa.Table:
+    parts = pc.split_pattern(t.column("__grp"), "\x1f")
+    t = t.drop_columns(["__grp"])
+    t = t.append_column(
+        "split", pc.cast(pc.list_element(parts, 0), pa.string()))
+    return t.append_column(
+        "lang_pred", pc.cast(pc.list_element(parts, 1), pa.string()))
+
+
+def _media_pairs(t: pa.Table) -> pa.Table:
+    """(media_ref, doc_id) per media segment: a vectorized Arrow explode
+    (flatten the segment lists once, keep media entries, repeat doc ids
+    by parent index) — no per-row Python over segments."""
+    segs = t.column("segments")
+    flat = pc.list_flatten(segs).combine_chunks()
+    parents = pc.list_parent_indices(segs).to_numpy(zero_copy_only=False)
+    kinds = flat.field("kind").to_numpy(zero_copy_only=False)
+    m = kinds == "media"
+    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+    return pa.table({
+        "media_ref": flat.field("media_ref").filter(pa.array(m)),
+        "doc_id": pa.array(ids[parents[m]],
+                           type=t.schema.field("doc_id").type),
+    })
+
+
+# media/ aggregate: one row per distinct ref with its use count and
+# first-owner doc
+_MEDIA_KEYS = ["media_ref"]
+_MEDIA_AGGS = {"n_uses": ("doc_id", "count"), "first_doc": ("doc_id", "min")}
+
+
+def _empty_media(id_type: pa.DataType) -> pa.Table:
+    """The media/ table of an all-text corpus: no rows, the schema a
+    media-bearing export of the same source writes (``first_doc`` is
+    int for table shards, string for crawl runs)."""
+    return pa.table({
+        "media_ref": pa.array([], type=pa.string()),
+        "n_uses": pa.array([], type=pa.int64()),
+        "first_doc": pa.array([], type=id_type),
+        "content_hash": pa.array([], type=pa.string()),
+        "payload_bytes": pa.array([], type=pa.int64()),
+        "media_type": pa.array([], type=pa.string()),
+        "decoded": pa.array([], type=pa.bool_()),
+        "canonical_ref": pa.array([], type=pa.string()),
+        "content_dup_count": pa.array([], type=pa.int64()),
+    })
+
+
+def _write_output(out_dir: str, name: str, t,
+                  partition_cols: list[str] | None = None) -> None:
+    """Write one output table — a ``pa.Table`` in-process, a Dataset
+    through Ray Data — to ``.tmp_<name>`` and rename it to ``<name>``
+    (a crash leaves no half-written table under the real name). Hive
+    partition columns leave the files either way."""
+    final, tmp = (os.path.join(out_dir, name),
+                  os.path.join(out_dir, ".tmp_" + name))
+    shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(final, ignore_errors=True)
+    os.makedirs(tmp, exist_ok=True)
+    if not isinstance(t, pa.Table):
+        t.write_parquet(tmp, partition_cols=partition_cols)
+    elif partition_cols:
+        pq.write_to_dataset(t, tmp, partition_cols=partition_cols)
+    else:
+        pq.write_table(t, os.path.join(tmp, "part-0.parquet"))
+    os.replace(tmp, final)
+
+
 def _dedup_split_write(
     kept,
     out_dir: str,
@@ -221,14 +469,22 @@ def _dedup_split_write(
     shuffle_shards: int | None = None,
 ) -> dict:
     """Shared tail: exact dedup (columns ride as passengers) → split →
-    partitioned write (+ optional packed table) → manifest. ``kept`` is
-    a materialized Dataset with at least (doc_id, text, lang_pred);
-    with ``multimodal=True`` it also carries (segments, n_media,
-    n_tokens) and the export additionally (a) keeps the interleaved
-    ``segments`` column in ``data/``, (b) writes a ``media/`` table of
-    corpus-deduped refs (media_ref, n_uses, first_doc), (c) accounts
-    media in the manifest, and (d) packs INTERLEAVED sequences (media
-    refs preserved in document order) instead of text-only payloads.
+    partitioned write (+ optional packed table) → manifest. ``kept``
+    has at least (doc_id, text, lang_pred); with ``multimodal=True`` it
+    also carries (segments, n_media, n_tokens) and the export
+    additionally (a) keeps the interleaved ``segments`` column in
+    ``data/``, (b) writes a ``media/`` table of corpus-deduped refs
+    (media_ref, n_uses, first_doc, payload features, canonical_ref,
+    content_dup_count), (c) accounts media in the manifest, and (d)
+    packs INTERLEAVED sequences (media refs preserved in document order)
+    instead of text-only payloads.
+
+    Two schedulers run the same kernels. ``kept`` as a ``pa.Table`` (an
+    input under ``EXPORT_LOCAL_MAX_BYTES``) runs every stage in-process:
+    each grouped kernel is called once with the whole table as its one
+    partition, and no Ray Data execution starts. ``kept`` as a
+    materialized Dataset maps the same kernels through Ray Data's
+    hash-partitioned exchanges.
 
     ``shuffle_shards=N`` prepends a ``shard=`` hive level to ``data/``:
     each surviving doc's shard is its contiguous range of the global
@@ -239,7 +495,11 @@ def _dedup_split_write(
     one hash bin, and a consumer reading ``shard=0..N-1`` in order
     streams the corpus in shuffled order without ``random_shuffle``'s
     nondeterministic all-to-all."""
-    if kept.count() == 0:
+    from ..functions import multimodal as mm
+    from ..functions import relational as rel
+
+    local = isinstance(kept, pa.Table)
+    if (kept.num_rows if local else kept.count()) == 0:
         # an earlier export into this out_dir may have left data/ and
         # packed/ behind; a 0-row manifest must not sit next to stale
         # partitions a hive reader would still see
@@ -255,35 +515,43 @@ def _dedup_split_write(
     # list<struct> rides every stage as Arrow buffers (Ray's pandas
     # codec cannot round-trip nested columns, and per-row Python
     # materialization was the old path's hot loop).
-    passengers = [c for c in kept.schema().names if c != "doc_id"]
-    if multimodal:
-        survivors = dedup.exact_dedup_arrow(
-            kept, text_col="text", id_col="doc_id", keep_cols=passengers)
-        final = survivors.map_batches(_assign_split_arrow,
-                                      batch_format="pyarrow")
+    names = kept.schema.names if local else kept.schema().names
+    dkw = dict(id_col="doc_id",
+               keep_cols=[c for c in names if c != "doc_id"])
+    final_df = None  # the text-only path's pandas rows (local only)
+    if local and multimodal:
+        final = _assign_split_arrow(dedup.exact_first_wins_arrow(
+            dedup.exact_hash_batch_arrow(kept, text_col="text", **dkw),
+            **dkw))
+    elif local:
+        final_df = _assign_split(dedup.exact_first_wins(
+            dedup.exact_hash_batch(kept.to_pandas(), text_col="text",
+                                   **dkw), **dkw))
+        final = pa.Table.from_pandas(final_df, preserve_index=False)
+    elif multimodal:
+        final = dedup.exact_dedup_arrow(kept, text_col="text", **dkw) \
+            .map_batches(_assign_split_arrow, batch_format="pyarrow")
     else:
-        survivors = dedup.exact_dedup(
-            kept, text_col="text", id_col="doc_id", keep_cols=passengers)
-        final = survivors.map_batches(_assign_split,
-                                      batch_format="pandas")
-    if packed or multimodal:
+        final = dedup.exact_dedup(kept, text_col="text", **dkw) \
+            .map_batches(_assign_split, batch_format="pandas")
+    if not local and (packed or multimodal):
         # the doc table, the media table and the packed table all
         # consume `final`; materialize so the dedup chain executes once
         final = final.materialize()
 
-    data_dir = os.path.join(out_dir, "data")
-    tmp_dir = os.path.join(out_dir, ".tmp_data")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(data_dir, ignore_errors=True)
-    os.makedirs(tmp_dir, exist_ok=True)
     data_out, part_cols = final, ["split", "lang_pred"]
     if shuffle_shards:
-        from ..functions.relational import balanced_hash_shards
-
-        data_out = balanced_hash_shards(final, "doc_id", shuffle_shards)
+        if local:
+            c = rel.hash_shard_bin_counts(final, "doc_id")
+            lut = rel.hash_shard_lut(c.column("__bin").to_numpy(),
+                                     c.column("__n").to_numpy(),
+                                     shuffle_shards)
+            data_out = rel.hash_shard_assign(final, lut, "doc_id")
+        else:
+            data_out = rel.balanced_hash_shards(final, "doc_id",
+                                                shuffle_shards)
         part_cols = ["shard"] + part_cols
-    data_out.write_parquet(tmp_dir, partition_cols=part_cols)
-    os.replace(tmp_dir, data_dir)
+    _write_output(out_dir, "data", data_out, part_cols)
 
     # a rerun with narrower flags must not leave a previous export's
     # sibling tables beside the fresh manifest (same hazard as the
@@ -295,158 +563,88 @@ def _dedup_split_write(
 
     if multimodal:
         # corpus-level media dedup: explode (media_ref, doc_id) pairs —
-        # only those pairs shuffle, never payloads — and aggregate to one
-        # row per distinct ref with its use count and first-owner doc
-        from ..functions.relational import grouped_agg
-
-        def media_pairs(t):
-            # vectorized Arrow explode: flatten the segment lists once,
-            # keep media entries, repeat doc ids by parent index — no
-            # per-row Python over segments
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            segs = t.column("segments")
-            flat = pc.list_flatten(segs).combine_chunks()
-            parents = pc.list_parent_indices(segs).to_numpy(
-                zero_copy_only=False)
-            kinds = flat.field("kind").to_numpy(zero_copy_only=False)
-            m = kinds == "media"
-            ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            return pa.table({
-                "media_ref": flat.field("media_ref").filter(
-                    pa.array(m)),
-                "doc_id": pa.array(ids[parents[m]],
-                                   type=t.schema.field("doc_id").type),
-            })
-
-        # distinct media_ref scales with the corpus: size the merge
-        # from the input so the media-table aggregate NEVER collects on
-        # the driver at scale (Σ n_media bounds the pair count; free on
-        # the materialized dataset). grouped_agg's partial-count
-        # auto-switch remains the backstop for misestimates.
-        from ..functions.relational import AUTO_MERGE_ROWS_PER_PART
-
-        n_pairs = int(final.sum("n_media") or 0)
-        mp = (None if n_pairs <= MEDIA_MERGE_DRIVER_MAX
-              else max(2, -(-n_pairs // AUTO_MERGE_ROWS_PER_PART)))
-        media_tbl = grouped_agg(
-            final.map_batches(media_pairs, batch_format="pyarrow"),
-            ["media_ref"],
-            {"n_uses": ("doc_id", "count"), "first_doc": ("doc_id", "min")},
-            merge_partitions=mp,
-        )
-        # second dedup tier: payload features + content-hash
-        # canonicalization over the UNIQUE refs (payload work once per
-        # distinct ref; distinct refs serving identical bytes collapse
-        # to a canonical_ref)
-        from ..functions.multimodal import (
-            MediaRefFeatures,
-            media_content_dedup,
-        )
-
-        media_dir = os.path.join(out_dir, "media")
-        tmp_m = os.path.join(out_dir, ".tmp_media")
-        shutil.rmtree(tmp_m, ignore_errors=True)
-        shutil.rmtree(media_dir, ignore_errors=True)
-        os.makedirs(tmp_m, exist_ok=True)
-        media_tbl = media_tbl.materialize()
-        if media_tbl.count() > 0:
-            media_tbl = media_content_dedup(media_tbl.map_batches(
-                MediaRefFeatures, batch_format="pandas", batch_size=2048,
-                concurrency=(1, 4), max_restarts=0,
-            ))
-            media_tbl.write_parquet(tmp_m)
+        # only those pairs shuffle, never payloads — and aggregate to
+        # one row per distinct ref; then the second dedup tier: payload
+        # features + content-hash canonicalization over the UNIQUE refs
+        # (payload work once per distinct ref; distinct refs serving
+        # identical bytes collapse to a canonical_ref)
+        if local:
+            # the pairs are bounded by the in-driver input, so the
+            # aggregate merges here whatever MEDIA_MERGE_DRIVER_MAX says
+            media = rel.merge_partials(rel._partial_agg(
+                _media_pairs(final).to_pandas(), _MEDIA_KEYS, _MEDIA_AGGS),
+                _MEDIA_KEYS, _MEDIA_AGGS)
+            n_media = len(media)
+            if n_media:
+                media = pa.Table.from_pandas(
+                    mm.media_canon(mm.media_ref_features(media)),
+                    preserve_index=False)
+            id_type = final.schema.field("doc_id").type
         else:
-            # all-text corpus: commit an empty table WITH schema so
-            # readers (and the manifest pass below) never hit a
-            # schemaless directory; first_doc's type must match what a
-            # media-bearing export of the SAME source would write
-            # (doc_id is int for table shards, string for crawl runs)
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
+            # distinct media_ref scales with the corpus: size the merge
+            # from the input so the media-table aggregate NEVER collects
+            # on the driver at scale (Σ n_media bounds the pair count;
+            # free on the materialized dataset). grouped_agg's
+            # partial-count auto-switch remains the backstop for
+            # misestimates.
+            n_pairs = int(final.sum("n_media") or 0)
+            mp = (None if n_pairs <= MEDIA_MERGE_DRIVER_MAX
+                  else max(2, -(-n_pairs // rel.AUTO_MERGE_ROWS_PER_PART)))
+            media = rel.grouped_agg(
+                final.map_batches(_media_pairs, batch_format="pyarrow"),
+                _MEDIA_KEYS, _MEDIA_AGGS, merge_partitions=mp,
+            ).materialize()
+            n_media = media.count()
+            if n_media:
+                media = mm.media_content_dedup(media.map_batches(
+                    mm.media_ref_features, batch_format="pandas",
+                    batch_size=2048))
             sch = final.schema()
             t = sch.types[list(sch.names).index("doc_id")]
             is_int = (pa.types.is_integer(t) if isinstance(t, pa.DataType)
                       else np.issubdtype(t, np.integer))
             id_type = pa.int64() if is_int else pa.string()
-            pq.write_table(
-                pa.table({
-                    "media_ref": pa.array([], type=pa.string()),
-                    "n_uses": pa.array([], type=pa.int64()),
-                    "first_doc": pa.array([], type=id_type),
-                    "content_hash": pa.array([], type=pa.string()),
-                    "payload_bytes": pa.array([], type=pa.int64()),
-                    "media_type": pa.array([], type=pa.string()),
-                    "decoded": pa.array([], type=pa.bool_()),
-                    "canonical_ref": pa.array([], type=pa.string()),
-                }),
-                os.path.join(tmp_m, "empty.parquet"),
-            )
-        os.replace(tmp_m, media_dir)
+        # an all-text corpus commits an empty table WITH schema, so
+        # readers (and the manifest pass below) never hit a schemaless
+        # directory
+        _write_output(out_dir, "media",
+                      media if n_media else _empty_media(id_type))
 
     if packed:
-        def tag_group(df: pd.DataFrame) -> pd.DataFrame:
-            return df.assign(
-                __grp=df["split"].astype(str) + "\x1f"
-                + df["lang_pred"].astype(str))
-
-        def untag(df: pd.DataFrame) -> pd.DataFrame:
-            parts = df["__grp"].str.split("\x1f")
-            df = df.drop(columns="__grp")
-            df["split"] = parts.str[0]
-            df["lang_pred"] = parts.str[1]
-            return df
-
-        def tag_group_arrow(t):
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            comb = pc.binary_join_element_wise(
-                pc.cast(t.column("split"), pa.string()),
-                pc.cast(t.column("lang_pred"), pa.string()), "\x1f")
-            return t.append_column("__grp", comb)
-
-        def untag_arrow(t):
-            import pyarrow as pa
-            import pyarrow.compute as pc
-
-            parts = pc.split_pattern(t.column("__grp"), "\x1f")
-            t = t.drop_columns(["__grp"])
-            t = t.append_column(
-                "split", pc.cast(pc.list_element(parts, 0), pa.string()))
-            return t.append_column(
-                "lang_pred",
-                pc.cast(pc.list_element(parts, 1), pa.string()))
-
         if multimodal:
             # interleaved sequences: media refs ride in document order;
             # arrow-format stages end-to-end (nested segments column)
-            tagged = final.map_batches(tag_group_arrow,
-                                       batch_format="pyarrow")
-            seqs = text.pack_interleaved(
-                tagged, capacity=pack_capacity, group_col="__grp",
-                tokens_col="n_tokens",
-            ).map_batches(untag_arrow, batch_format="pyarrow")
+            pkw = dict(capacity=pack_capacity, group_col="__grp",
+                       id_col="doc_id", tokens_col="n_tokens",
+                       segments_col="segments")
+            if local:
+                seqs = _untag_arrow(text.pack_interleaved_part(
+                    _tag_group_arrow(final), **pkw))
+            else:
+                seqs = text.pack_interleaved(
+                    final.map_batches(_tag_group_arrow,
+                                      batch_format="pyarrow"), **pkw,
+                ).map_batches(_untag_arrow, batch_format="pyarrow")
         else:
-            tagged = final.map_batches(tag_group, batch_format="pandas")
-            seqs = text.pack_payloads(
-                tagged, capacity=pack_capacity, group_col="__grp",
-                tokens_col="n_tokens" if bpe else None,
-            ).map_batches(untag, batch_format="pandas")
-        packed_dir = os.path.join(out_dir, "packed")
-        tmp_p = os.path.join(out_dir, ".tmp_packed")
-        shutil.rmtree(tmp_p, ignore_errors=True)
-        shutil.rmtree(packed_dir, ignore_errors=True)
-        os.makedirs(tmp_p, exist_ok=True)
-        seqs.write_parquet(tmp_p, partition_cols=["split", "lang_pred"])
-        os.replace(tmp_p, packed_dir)
+            tkw = dict(text_col="text", id_col="doc_id", group_col="__grp")
+            if local:
+                seqs = pa.Table.from_pandas(_untag(text.pack_payload_part(
+                    text.pack_payload_tokens(
+                        _tag_group(final_df), **tkw,
+                        tokens_col="n_tokens" if bpe else None),
+                    capacity=pack_capacity, sep="\n", **tkw)),
+                    preserve_index=False)
+            else:
+                seqs = text.pack_payloads(
+                    final.map_batches(_tag_group, batch_format="pandas"),
+                    capacity=pack_capacity, **tkw,
+                    tokens_col="n_tokens" if bpe else None,
+                ).map_batches(_untag, batch_format="pandas")
+        _write_output(out_dir, "packed", seqs, ["split", "lang_pred"])
 
     # partition sizes from the written files (what a consumer will see)
-    import pyarrow.dataset as pads
-
-    written = pads.dataset(data_dir, partitioning="hive")
+    written = pads.dataset(os.path.join(out_dir, "data"),
+                           partitioning="hive")
     tbl = written.to_table(columns=["split", "lang_pred"])
     sizes = (
         tbl.to_pandas().groupby(["split", "lang_pred"]).size().sort_index()
@@ -535,57 +733,27 @@ def export_corpus(
         with open(manifest_path) as f:
             return json.load(f)
 
-    from ..functions.relational import read_table
-
     mlist = _load_merges(bpe_merges)
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    n_in = docs.count()
-    if multimodal:
+    score = partial(_score, multimodal=multimodal, mlist=mlist,
+                    min_quality=min_quality, langs=langs)
+    path = os.path.join(sf_dir, "documents.parquet")
+    if _fits_in_driver([path]):
+        from ..functions.multimodal import interleaved_batch
+
+        docs = pq.read_table(path, columns=["doc_id", "text"])
+        n_in = docs.num_rows
+        kept = score(interleaved_batch(docs) if multimodal else docs)
+    else:
         from ..functions.multimodal import interleaved_docs
+        from ..functions.relational import read_table
 
-        docs = interleaved_docs(docs)
-
-    def score(t):
-        # arrow-format stage: the scoring kernels run on a two-column
-        # pandas view (text + id only); the nested segments column is
-        # never pulled out of Arrow
-        import pyarrow as pa
-
-        tdf = pd.DataFrame({
-            "doc_id": t.column("doc_id").to_numpy(zero_copy_only=False),
-            "text": t.column("text").to_numpy(zero_copy_only=False),
-        })
-        q = text.quality_features(tdf)
-        lang = text.LangId()(tdf)
-        qs = q["quality_score"].to_numpy()
-        lp = lang["lang_pred"].to_numpy()
-        cols = {
-            "doc_id": t.column("doc_id"),
-            "text": t.column("text"),
-            "quality_score": pa.array(qs, type=pa.float64()),
-            "n_words": pa.array(
-                q["n_words"].to_numpy().astype("int64")),
-            "lang_pred": pa.array(lp, type=pa.string()),
-        }
+        docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+        n_in = docs.count()
         if multimodal:
-            cols["segments"] = t.column("segments")
-            cols["n_media"] = t.column("n_media")
-            cols["n_tokens"] = t.column("n_tokens")
-        if mlist is not None:
-            # pack budgets in real tokenizer tokens: overrides the
-            # word-count n_tokens on the multimodal path, adds the
-            # column on the text-only path
-            cols["n_tokens"] = pa.array(
-                text.bpe_doc_token_counts(tdf["text"], mlist)[1])
-        out = pa.table(cols)
-        keep = qs >= min_quality
-        if langs is not None:
-            keep &= pd.Series(lp).isin(langs).to_numpy()
-        return out.filter(pa.array(keep))
-
-    # one scoring pass: materialize the (shard-sized) filtered rows so
-    # the emptiness probe and the dedup reuse the same blocks
-    kept = docs.map_batches(score, batch_format="pyarrow").materialize()
+            docs = interleaved_docs(docs)
+        # one scoring pass: materialize the (shard-sized) filtered rows
+        # so the emptiness probe and the dedup reuse the same blocks
+        kept = docs.map_batches(score, batch_format="pyarrow").materialize()
     base = {"sf_dir": os.path.abspath(sf_dir), "rows_in": int(n_in),
             "min_quality": min_quality, "langs": langs}
     if isinstance(bpe_merges, str):
@@ -645,86 +813,25 @@ def export_run(
         with open(manifest_path) as f:
             return json.load(f)
 
-    from ..functions.multimodal import SEGMENT_STRUCT
-    from .crawl import fetched_dataset
+    from .crawl import fetched_files
 
     mlist = _load_merges(bpe_merges)
-    docs = fetched_dataset(run_dir)
-    n_in = docs.count()
+    reassemble = partial(_reassemble, multimodal=multimodal, mlist=mlist,
+                         min_quality=min_quality, langs=langs)
+    files = fetched_files(run_dir)
+    if _fits_in_driver(files):
+        docs = pa.concat_tables(
+            [pq.read_table(f, columns=_RUN_COLUMNS) for f in files],
+            promote_options="default")
+        n_in = docs.num_rows
+        kept = reassemble(docs)
+    else:
+        import ray.data as rd
 
-    def reassemble(t):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        spans = t.column("spans")
-        flat = pc.list_flatten(spans).combine_chunks()
-        parents = pc.list_parent_indices(spans).to_numpy(
-            zero_copy_only=False)
-        kinds = flat.field("kind").to_numpy(zero_copy_only=False)
-        texts = flat.field("text").to_numpy(zero_copy_only=False)
-        mask = kinds == "text"
-        joined = (
-            pd.Series(texts[mask])
-            .groupby(parents[mask]).agg(" ".join)
-        )
-        n = t.num_rows
-        text_vals = np.full(n, "", dtype=object)
-        text_vals[joined.index.to_numpy()] = joined.to_numpy()
-        qs = t.column("quality_score").to_numpy(zero_copy_only=False)
-        lp = t.column("lang_pred").to_numpy(zero_copy_only=False)
-        text_arr = pa.array(text_vals, type=pa.string())
-        cols = {
-            "doc_id": t.column("url"),
-            "text": text_arr,
-            "quality_score": t.column("quality_score"),
-            "lang_pred": t.column("lang_pred"),
-        }
-        if multimodal:
-            refs = flat.field("media_ref").to_numpy(zero_copy_only=False)
-            offs = flat.field("offset").to_numpy(zero_copy_only=False)
-            # content spans only, document order: links are navigation
-            # and compressed spans are archive pointers whose members
-            # already export as their own docs
-            seg = (kinds == "text") | (kinds == "media")
-            sp, sk = parents[seg], kinds[seg]
-            is_txt = sk == "text"
-            seg_flat = pa.StructArray.from_arrays(
-                [
-                    pa.array(sk, type=pa.string()),
-                    pa.array(np.where(is_txt, texts[seg], ""),
-                             type=pa.string()),
-                    pa.array(np.where(is_txt, "", refs[seg]),
-                             type=pa.string()),
-                    pa.array(offs[seg], type=pa.int32()),
-                ],
-                fields=list(SEGMENT_STRUCT),
-            )
-            # offsets: kept flat spans with parent < i (parents ascend).
-            # The ListArray stays Arrow from here to the parquet write —
-            # never round-tripped through Python lists
-            cols["segments"] = pa.ListArray.from_arrays(
-                pa.array(np.searchsorted(sp, np.arange(n + 1)),
-                         type=pa.int32()),
-                seg_flat,
-            )
-            cols["n_media"] = pa.array(np.bincount(
-                sp[sk == "media"], minlength=n).astype("int64"))
-            cols["n_tokens"] = pa.array(
-                pc.count_substring_regex(text_arr, pattern=r"\S+")
-                .to_numpy().astype("int64"))
-        if mlist is not None:
-            # real tokenizer tokens for the pack budget (overrides the
-            # RE2 whitespace count on the multimodal path, adds the
-            # column on the text-only path)
-            cols["n_tokens"] = pa.array(text.bpe_doc_token_counts(
-                pd.Series(text_vals), mlist)[1])
-        out = pa.table(cols)
-        keep = qs >= min_quality
-        if langs is not None:
-            keep &= pd.Series(lp).isin(langs).to_numpy()
-        return out.filter(pa.array(keep))
-
-    kept = docs.map_batches(reassemble, batch_format="pyarrow").materialize()
+        docs = rd.read_parquet(files, columns=_RUN_COLUMNS)
+        n_in = docs.count()
+        kept = docs.map_batches(reassemble,
+                                batch_format="pyarrow").materialize()
     base = {"run_dir": os.path.abspath(run_dir), "rows_in": int(n_in),
             "min_quality": min_quality, "langs": langs}
     if isinstance(bpe_merges, str):

@@ -218,16 +218,18 @@ def test_connected_components(ray_session):
             rd.from_pandas(pairs), local_threshold=thr).to_pandas()
         got = dict(zip(out["node"], out["label"]))
         assert got == expected
-    # no pairs: both paths return no rows, and the local path's empty
-    # result keeps the input's (string) id dtype
+    # no pairs: both paths return no rows with a (node, label) header
+    # typed like the input's (string) ids
     none = pd.DataFrame({"id_a": pd.Series(dtype=object),
                          "id_b": pd.Series(dtype=object)})
     for thr in (2_000_000, 0):
         out = dedup.connected_components(
             rd.from_pandas(none), local_threshold=thr)
         assert out.count() == 0
-        if thr:
-            assert list(out.schema().base_schema.types) == [object, object]
+        sch = out.schema()
+        assert sch is not None, thr
+        assert list(sch.names) == ["node", "label"]
+        assert list(sch.base_schema.types) == [object, object]
 
 
 def test_minhash_signature_deterministic():

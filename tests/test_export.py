@@ -277,6 +277,14 @@ def test_export_multimodal_all_text_corpus(ray_session, tmp_path):
     assert m["media_content_unique"] == 0
     mt = pads.dataset(os.path.join(out, "media")).to_table()
     assert mt.num_rows == 0 and "canonical_ref" in mt.schema.names
+    # a reader of two exports sees one schema: the empty table's equals
+    # a media-bearing export's (int doc ids on both sides)
+    out_media = str(tmp_path / "exp_media")
+    m2 = ex.export_corpus("/root/testdata/sf0.001", out_media,
+                          min_quality=0.5, multimodal=True)
+    assert m2["media_unique"] > 0
+    full = pads.dataset(os.path.join(out_media, "media")).to_table()
+    assert mt.schema.equals(full.schema), (mt.schema, full.schema)
 
 def test_export_media_merge_never_on_driver(ray_session, tmp_path,
                                             monkeypatch):
@@ -287,6 +295,8 @@ def test_export_media_merge_never_on_driver(ray_session, tmp_path,
     import crawler_service_ray.functions.relational as rel
     import crawler_service_ray.pipelines.export as ex
 
+    # the merge choice belongs to the Ray Data scheduler: pin it
+    monkeypatch.setattr(ex, "EXPORT_LOCAL_MAX_BYTES", 0)
     # baseline: default (driver-merge) path at fixture scale
     out_a = str(tmp_path / "exp_a")
     m_a = ex.export_corpus("/root/testdata/sf0.001", out_a,
@@ -513,3 +523,95 @@ def test_export_shuffle_shards_multimodal(ray_session, tmp_path):
                        multimodal=True)
     assert m["media_unique"] == m2["media_unique"]
     assert m["media_occurrences"] == m2["media_occurrences"]
+
+
+def _read_back(d: str, hive: bool) -> pa.Table:
+    return pads.dataset(d, partitioning="hive" if hive else None).to_table()
+
+
+def test_export_same_under_both_schedulers(ray_session, tiny_corpus,
+                                           tmp_path, monkeypatch):
+    """An export under the local bound runs the Ray Data path's kernels
+    in-process: with the bound forced to 0 (Ray Data) and at its default
+    (local), every output table is equal as a sorted table with an equal
+    readback schema, the manifests are equal, and the local run starts
+    no Ray Data execution."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    import crawler_service_ray.pipelines.export as ex
+    from crawler_service_ray.config import CrawlConfig
+    from crawler_service_ray.functions.relational import read_table
+    from crawler_service_ray.functions.text import bpe_train_merges
+    from crawler_service_ray.pipelines.crawl import CrawlRun
+
+    run = str(tmp_path / "run")
+    CrawlRun(CrawlConfig(
+        corpus_dir=tiny_corpus, run_dir=run,
+        seeds=["http://h0.test/p/0", "http://h1.test/p/0"],
+        max_epochs=30, num_seen_shards=2)).run(resume=False)
+    sf = "/root/testdata/sf0.001"
+    merges = bpe_train_merges(
+        read_table(sf, "documents", columns=["doc_id", "text"]),
+        num_merges=8)
+    mpath = str(tmp_path / "merges.parquet")
+    pq.write_table(pa.Table.from_pandas(merges), mpath)
+
+    cases = {
+        "multimodal_packed": (ex.export_run, run, dict(
+            min_quality=0.0, packed=True, pack_capacity=256)),
+        "text_packed": (ex.export_corpus, sf, dict(
+            min_quality=0.5, packed=True, pack_capacity=256)),
+        "shuffle_shards": (ex.export_corpus, sf, dict(
+            min_quality=0.5, multimodal=True, packed=True,
+            pack_capacity=256, shuffle_shards=4)),
+        "bpe": (ex.export_run, run, dict(
+            min_quality=0.0, multimodal=False, packed=True,
+            pack_capacity=256, bpe_merges=mpath)),
+    }
+    sort_keys = {"data": [("doc_id", "ascending")],
+                 "media": [("media_ref", "ascending")],
+                 "packed": [("split", "ascending"),
+                            ("lang_pred", "ascending"),
+                            ("seq_id", "ascending")]}
+    executed = []
+
+    def spy(name):
+        orig = getattr(rd.Dataset, name)
+
+        def wrapper(self, *a, **kw):
+            executed.append(name)
+            return orig(self, *a, **kw)
+        return wrapper
+
+    for name in ("materialize", "write_parquet"):
+        monkeypatch.setattr(rd.Dataset, name, spy(name))
+
+    for case, (fn, src, kw) in cases.items():
+        out_ds, out_local = str(tmp_path / f"{case}_ds"), \
+            str(tmp_path / f"{case}_local")
+        with monkeypatch.context() as mp:
+            mp.setattr(ex, "EXPORT_LOCAL_MAX_BYTES", 0)
+            m_ds = fn(src, out_ds, **kw)
+        assert executed, case
+        executed.clear()
+        m_local = fn(src, out_local, **kw)
+        assert executed == [], (case, executed)
+        assert m_local["rows_written"] > 0, case
+        for k in ("run_dir", "sf_dir"):
+            m_ds.pop(k, None)
+            m_local.pop(k, None)
+        assert m_local == m_ds, case
+        for table, keys in sort_keys.items():
+            d_ds = os.path.join(out_ds, table)
+            d_local = os.path.join(out_local, table)
+            assert os.path.exists(d_ds) == os.path.exists(d_local), \
+                (case, table)
+            if not os.path.exists(d_ds):
+                continue
+            a = _read_back(d_ds, table != "media")
+            b = _read_back(d_local, table != "media")
+            assert a.schema.equals(b.schema), (case, table, a.schema,
+                                               b.schema)
+            assert a.num_rows == b.num_rows, (case, table)
+            assert a.sort_by(keys).equals(b.sort_by(keys)), (case, table)
