@@ -251,6 +251,16 @@ SEGMENT_STRUCT = pa.struct(
 )
 
 
+def parent_lists(values: pa.Array, parents: np.ndarray,
+                 n: int) -> pa.ListArray:
+    """``n`` lists over the flat ``values``: list i holds the values
+    whose parent is i. ``parents`` must ascend, so each list is one
+    contiguous run (offsets[i] = the values with parent < i)."""
+    return pa.ListArray.from_arrays(
+        pa.array(np.searchsorted(parents, np.arange(n + 1)),
+                 type=pa.int32()), values)
+
+
 def _segment_arrays(
     df: pd.DataFrame,
     text_col: str = "text",
@@ -287,11 +297,11 @@ def _segment_arrays(
     np.cumsum(nch, out=C0[1:])
     pos_in_doc = np.arange(int(lens.sum())) - np.repeat(W0[:-1], lens)
     chunk_global = np.repeat(C0[:-1], lens) + pos_in_doc // words_per_chunk
-    chunks = (
-        pd.Series(flat).groupby(chunk_global, sort=True).agg(" ".join)
-        .to_numpy(dtype=object)
-        if len(flat) else np.array([], dtype=object)
-    )
+    # every chunk holds >= 1 word, so no chunk id is skipped: one Arrow
+    # join, no Python call per chunk
+    chunks = pc.binary_join(parent_lists(
+        pa.array(flat, type=pa.string()), chunk_global, int(nch.sum())),
+        " ").to_numpy(zero_copy_only=False)
 
     # text segment rows: doc d chunk c at pos 2c
     t_doc = np.repeat(np.arange(n), nch)

@@ -49,11 +49,12 @@ import pyarrow.parquet as pq
 
 from ..functions import dedup, text
 
-# media-pair count above which the Ray Data scheduler's media/
-# aggregate merge is hash-partitioned instead of driver-collected (the
-# grouped_agg ≲10^6-key rule, applied with headroom because distinct
-# media_ref scales with the corpus). Module-level so tests can exercise
-# the partitioned path at fixture scale.
+# media/ partial-row count (one row per distinct ref per block) above
+# which the Ray Data scheduler's media aggregate merges hash-partitioned
+# instead of driver-collected (the grouped_agg ≲10^6-key rule, applied
+# with headroom because distinct media_ref scales with the corpus).
+# Module-level so tests can exercise the partitioned path at fixture
+# scale.
 MEDIA_MERGE_DRIVER_MAX = 500_000
 
 # Input size (uncompressed bytes summed over the input's parquet row
@@ -61,19 +62,21 @@ MEDIA_MERGE_DRIVER_MAX = 500_000
 # export runs in-process on one pa.Table instead of through Ray Data.
 # It is the largest input measured. Least-squares fits over packed
 # export_run ops on 8-host crawls of 7.4k, 14.1k and 29.1k docs (2.5,
-# 4.9 and 10.2 MiB of footer bytes; median of 3 ops each, a 4-vCPU host
-# with 1 vCPU visible to the process), fixed s + ms/row:
-#                       multimodal             text-only
-#   local:              ~0    + 0.042-0.049    0.08-0.13 + 0.026-0.028
-#   Ray Data, 2 CPUs:   0.86  + 0.079          0.93      + 0.072
-#   Ray Data, 4 CPUs:   1.53  + 0.038          1.57      + 0.031
-# What the local path saves is Ray Data's fixed cost (1.4-2.2 s at
-# 29.1k docs); per row, Ray Data at 4 CPUs is about as cheap, and the
-# multimodal fits cross at 140k-380k docs on this host (sooner with
-# more real cores). The driver's peak RSS rose by at most 5.6x the
-# footer bytes (57 MB at 10.2 MiB). Larger inputs, unmeasured on the
-# local path, keep the Ray Data one. Module-level so tests can force
-# either scheduler.
+# 4.9 and 10.2 MiB of footer bytes; median of 3 ops after a warm-up,
+# 3 processes per size; a host with 4 CPUs allowed and
+# OMP_NUM_THREADS=1, so Arrow runs 1 thread), fixed s + ms/row:
+#                     multimodal               text-only
+#   local:            0.04-0.12 + 0.005-0.009  0.08-0.10 + 0.006-0.007
+#   Ray Data, 2 CPUs: 0.86      + 0.079        0.93      + 0.072
+#   Ray Data, 4 CPUs: 1.53      + 0.038        1.57      + 0.031
+# (the Ray Data rows were measured before reassembly and the media
+# aggregate became Arrow kernels, and are not re-fitted). The local
+# path saves Ray Data's fixed cost and is also cheaper per row, so the
+# bound is a memory bound. During an op the driver's RSS rose by at
+# most 2.3x the footer bytes (VmRSS sampled every ms against the RSS
+# before the op: 5-13 MB, 12.8 MB at 10.2 MiB). Larger inputs,
+# unmeasured on the local path, keep the Ray Data one. Module-level so
+# tests can force either scheduler.
 EXPORT_LOCAL_MAX_BYTES = 10 << 20
 
 # the fetched columns export_run reads
@@ -135,13 +138,13 @@ def _assign_split_arrow(t):
     return t.append_column("split", pa.array(split, type=pa.string()))
 
 
-def _filter(cols: dict, qs: np.ndarray, lp: np.ndarray, min_quality: float,
-            langs: list[str] | None) -> pa.Table:
-    """The rows of ``cols`` whose quality / language pass the filter."""
+def _keep(qs: np.ndarray, lp: np.ndarray, min_quality: float,
+          langs: list[str] | None) -> pa.Array:
+    """The quality / language filter as a row mask."""
     keep = qs >= min_quality
     if langs is not None:
         keep &= pd.Series(lp).isin(langs).to_numpy()
-    return pa.table(cols).filter(pa.array(keep))
+    return pa.array(keep)
 
 
 def _score(t: pa.Table, multimodal: bool, mlist, min_quality: float,
@@ -175,29 +178,33 @@ def _score(t: pa.Table, multimodal: bool, mlist, min_quality: float,
         # the text-only path
         cols["n_tokens"] = pa.array(
             text.bpe_doc_token_counts(tdf["text"], mlist)[1])
-    return _filter(cols, qs, lp, min_quality, langs)
+    return pa.table(cols).filter(_keep(qs, lp, min_quality, langs))
+
+
+def _np(a) -> np.ndarray:
+    """An Arrow (chunked) array as numpy; bit-packed masks copy."""
+    return a.to_numpy(zero_copy_only=False)
 
 
 def _reassemble(t: pa.Table, multimodal: bool, mlist, min_quality: float,
                 langs: list[str] | None) -> pa.Table:
-    """:func:`export_run`'s kernel over fetched rows: text joined from
-    the text spans, the crawl's own quality / language columns, with
-    ``multimodal`` the interleaved segments, then the filter."""
-    from ..functions.multimodal import SEGMENT_STRUCT
+    """:func:`export_run`'s kernel over fetched rows: the filter on the
+    crawl's own quality / language columns first, then, on the kept rows
+    only, text joined from the text spans and, with ``multimodal``, the
+    interleaved segments. Every step is an Arrow kernel over the
+    flattened spans; no Python runs per doc or per span."""
+    from ..functions.multimodal import SEGMENT_STRUCT, parent_lists
 
+    t = t.filter(_keep(_np(t.column("quality_score")),
+                       _np(t.column("lang_pred")), min_quality, langs))
+    n = t.num_rows
     spans = t.column("spans")
     flat = pc.list_flatten(spans).combine_chunks()
-    parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    kinds = flat.field("kind").to_numpy(zero_copy_only=False)
-    texts = flat.field("text").to_numpy(zero_copy_only=False)
-    mask = kinds == "text"
-    joined = pd.Series(texts[mask]).groupby(parents[mask]).agg(" ".join)
-    n = t.num_rows
-    text_vals = np.full(n, "", dtype=object)
-    text_vals[joined.index.to_numpy()] = joined.to_numpy()
-    qs = t.column("quality_score").to_numpy(zero_copy_only=False)
-    lp = t.column("lang_pred").to_numpy(zero_copy_only=False)
-    text_arr = pa.array(text_vals, type=pa.string())
+    parents = _np(pc.list_parent_indices(spans))
+    kind, texts = flat.field("kind"), flat.field("text")
+    is_text = pc.equal(kind, "text")
+    text_arr = pc.binary_join(parent_lists(
+        texts.filter(is_text), parents[_np(is_text)], n), " ")
     cols = {
         "doc_id": t.column("url"),
         "text": text_arr,
@@ -205,45 +212,34 @@ def _reassemble(t: pa.Table, multimodal: bool, mlist, min_quality: float,
         "lang_pred": t.column("lang_pred"),
     }
     if multimodal:
-        refs = flat.field("media_ref").to_numpy(zero_copy_only=False)
-        offs = flat.field("offset").to_numpy(zero_copy_only=False)
         # content spans only, document order: links are navigation and
         # compressed spans are archive pointers whose members already
-        # export as their own docs
-        seg = (kinds == "text") | (kinds == "media")
-        sp, sk = parents[seg], kinds[seg]
-        is_txt = sk == "text"
-        seg_flat = pa.StructArray.from_arrays(
+        # export as their own docs. The ListArray stays Arrow from here
+        # to the parquet write — never round-tripped through Python lists
+        is_media = pc.equal(kind, "media")
+        seg = pc.or_(is_text, is_media)
+        seg_text = is_text.filter(seg)
+        cols["segments"] = parent_lists(pa.StructArray.from_arrays(
             [
-                pa.array(sk, type=pa.string()),
-                pa.array(np.where(is_txt, texts[seg], ""),
-                         type=pa.string()),
-                pa.array(np.where(is_txt, "", refs[seg]),
-                         type=pa.string()),
-                pa.array(offs[seg], type=pa.int32()),
+                kind.filter(seg),
+                pc.if_else(seg_text, texts.filter(seg), ""),
+                pc.if_else(seg_text, "",
+                           flat.field("media_ref").filter(seg)),
+                pc.cast(flat.field("offset").filter(seg), pa.int32()),
             ],
             fields=list(SEGMENT_STRUCT),
-        )
-        # offsets: kept flat spans with parent < i (parents ascend). The
-        # ListArray stays Arrow from here to the parquet write — never
-        # round-tripped through Python lists
-        cols["segments"] = pa.ListArray.from_arrays(
-            pa.array(np.searchsorted(sp, np.arange(n + 1)),
-                     type=pa.int32()),
-            seg_flat,
-        )
+        ), parents[_np(seg)], n)
         cols["n_media"] = pa.array(np.bincount(
-            sp[sk == "media"], minlength=n).astype("int64"))
-        cols["n_tokens"] = pa.array(
-            pc.count_substring_regex(text_arr, pattern=r"\S+")
-            .to_numpy().astype("int64"))
+            parents[_np(is_media)], minlength=n).astype("int64"))
+        cols["n_tokens"] = pc.cast(
+            pc.count_substring_regex(text_arr, pattern=r"\S+"), pa.int64())
     if mlist is not None:
         # real tokenizer tokens for the pack budget (overrides the RE2
         # whitespace count on the multimodal path, adds the column on
         # the text-only path)
         cols["n_tokens"] = pa.array(text.bpe_doc_token_counts(
-            pd.Series(text_vals), mlist)[1])
-    return _filter(cols, qs, lp, min_quality, langs)
+            pd.Series(_np(text_arr)), mlist)[1])
+    return pa.table(cols)
 
 
 def _load_merges(bpe_merges) -> list[tuple[str, str]] | None:
@@ -398,26 +394,33 @@ def _untag_arrow(t: pa.Table) -> pa.Table:
 
 
 def _media_pairs(t: pa.Table) -> pa.Table:
-    """(media_ref, doc_id) per media segment: a vectorized Arrow explode
-    (flatten the segment lists once, keep media entries, repeat doc ids
-    by parent index) — no per-row Python over segments."""
+    """(media_ref, n_uses=1, first_doc=doc_id) per media segment: a
+    vectorized Arrow explode (flatten the segment lists once, keep media
+    entries, take doc ids by parent index) — no per-row Python over
+    segments. The rows are :func:`_media_agg`'s input."""
     segs = t.column("segments")
     flat = pc.list_flatten(segs).combine_chunks()
-    parents = pc.list_parent_indices(segs).to_numpy(zero_copy_only=False)
-    kinds = flat.field("kind").to_numpy(zero_copy_only=False)
-    m = kinds == "media"
-    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+    is_media = pc.equal(flat.field("kind"), "media")
+    refs = flat.field("media_ref").filter(is_media)
     return pa.table({
-        "media_ref": flat.field("media_ref").filter(pa.array(m)),
-        "doc_id": pa.array(ids[parents[m]],
-                           type=t.schema.field("doc_id").type),
+        "media_ref": refs,
+        "n_uses": pa.array(np.ones(len(refs), np.int64)),
+        "first_doc": t.column("doc_id").take(
+            pc.list_parent_indices(segs).filter(is_media)),
     })
 
 
-# media/ aggregate: one row per distinct ref with its use count and
-# first-owner doc
-_MEDIA_KEYS = ["media_ref"]
-_MEDIA_AGGS = {"n_uses": ("doc_id", "count"), "first_doc": ("doc_id", "min")}
+def _media_agg(pairs: pa.Table) -> pa.Table:
+    """media/'s aggregate: one row per distinct ``media_ref``, its
+    ``n_uses`` summed and its ``first_doc`` the min. Output columns are
+    the input's and the reduction is associative, so the same kernel is
+    the per-batch partial and the merge of partials: any split of the
+    rows into calls gives the same table up to row order."""
+    g = pairs.group_by("media_ref", use_threads=False).aggregate(
+        [("n_uses", "sum"), ("first_doc", "min")])
+    return pa.table({"media_ref": g["media_ref"],
+                     "n_uses": g["n_uses_sum"],
+                     "first_doc": g["first_doc_min"]})
 
 
 def _empty_media(id_type: pa.DataType) -> pa.Table:
@@ -570,31 +573,37 @@ def _dedup_split_write(
         # identical bytes collapse to a canonical_ref)
         if local:
             # the pairs are bounded by the in-driver input, so the
-            # aggregate merges here whatever MEDIA_MERGE_DRIVER_MAX says
-            media = rel.merge_partials(rel._partial_agg(
-                _media_pairs(final).to_pandas(), _MEDIA_KEYS, _MEDIA_AGGS),
-                _MEDIA_KEYS, _MEDIA_AGGS)
-            n_media = len(media)
+            # aggregate runs here whatever MEDIA_MERGE_DRIVER_MAX says
+            media = _media_agg(_media_pairs(final))
+            n_media = media.num_rows
             if n_media:
                 media = pa.Table.from_pandas(
-                    mm.media_canon(mm.media_ref_features(media)),
+                    mm.media_canon(mm.media_ref_features(media.to_pandas())),
                     preserve_index=False)
             id_type = final.schema.field("doc_id").type
         else:
-            # distinct media_ref scales with the corpus: size the merge
-            # from the input so the media-table aggregate NEVER collects
-            # on the driver at scale (Σ n_media bounds the pair count;
-            # free on the materialized dataset). grouped_agg's
-            # partial-count auto-switch remains the backstop for
-            # misestimates.
-            n_pairs = int(final.sum("n_media") or 0)
-            mp = (None if n_pairs <= MEDIA_MERGE_DRIVER_MAX
-                  else max(2, -(-n_pairs // rel.AUTO_MERGE_ROWS_PER_PART)))
-            media = rel.grouped_agg(
-                final.map_batches(_media_pairs, batch_format="pyarrow"),
-                _MEDIA_KEYS, _MEDIA_AGGS, merge_partitions=mp,
-            ).materialize()
-            n_media = media.count()
+            # the same kernel per block, then over the partials: a driver
+            # collect while they are few, else hash-partitioned on
+            # media_ref, so distinct refs (which scale with the corpus)
+            # never collect on the driver at scale
+            part = final.map_batches(_media_pairs, batch_format="pyarrow") \
+                .map_batches(_media_agg, batch_format="pyarrow").materialize()
+            n_part = part.count()
+            if n_part > MEDIA_MERGE_DRIVER_MAX:
+                media = rel.grouped_apply_arrow(
+                    part, ["media_ref"], _media_agg, num_partitions=max(
+                        2, -(-n_part // rel.AUTO_MERGE_ROWS_PER_PART)),
+                ).materialize()
+            else:
+                import ray
+                import ray.data as rd
+
+                # an empty block leaves a map stage with no schema
+                blocks = [b for b in ray.get(part.to_arrow_refs())
+                          if b.num_rows]
+                media = rd.from_arrow(_media_agg(pa.concat_tables(blocks))) \
+                    if blocks else None
+            n_media = media.count() if media is not None else 0
             if n_media:
                 media = mm.media_content_dedup(media.map_batches(
                     mm.media_ref_features, batch_format="pandas",
@@ -819,7 +828,10 @@ def export_run(
     reassemble = partial(_reassemble, multimodal=multimodal, mlist=mlist,
                          min_quality=min_quality, langs=langs)
     files = fetched_files(run_dir)
-    if _fits_in_driver(files):
+    if not files:
+        # a crawl that fetched nothing: _dedup_split_write's 0-row path
+        n_in, kept = 0, pa.table({})
+    elif _fits_in_driver(files):
         docs = pa.concat_tables(
             [pq.read_table(f, columns=_RUN_COLUMNS) for f in files],
             promote_options="default")

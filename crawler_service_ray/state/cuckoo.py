@@ -20,7 +20,15 @@ actor that wraps this keeps an exact backing set to verify positives; the
 filter's job is to answer "definitely new" for the overwhelmingly common
 miss case without touching the exact structure. At 10^10-URL scale the
 exact backing is a per-shard on-disk sorted run consulted only for the
-rare filter-positive; in-sandbox it is an in-memory hash set.
+rare filter-positive; here it is ``SeenShard``'s in-memory sorted uint64
+array (probed with ``np.searchsorted``) plus an unsorted append buffer
+merged into it in batches (``state/seen.py``).
+
+Sizing: ``capacity`` is rounded up to a power-of-two bucket count at
+<=95% load, so the table holds 1.05-2.1x ``capacity`` slots. The
+default ``capacity=1<<20`` gives 2^19 buckets x 4 slots (~2.1M
+slots): a 4 MiB fingerprint table plus a 2 MiB bloom fallback
+(``capacity // 4`` uint64 words).
 
 Pure numpy, no Ray — unit-testable directly (tests/test_cuckoo.py).
 """

@@ -247,9 +247,11 @@ def test_media_content_dedup_collapses_identical_payloads(ray_session):
     assert list(out["content_dup_count"]) == [3, 3, 1, 3]
 
 
-def test_export_multimodal_all_text_corpus(ray_session, tmp_path):
+def test_export_multimodal_all_text_corpus(ray_session, tmp_path,
+                                          monkeypatch):
     """multimodal=True over docs that yield no media segments must still
-    commit a schema-complete empty media/ table and zeroed accounting."""
+    commit a schema-complete empty media/ table and zeroed accounting,
+    under both schedulers."""
     import ray.data as rd
 
     import crawler_service_ray.pipelines.export as ex
@@ -277,6 +279,16 @@ def test_export_multimodal_all_text_corpus(ray_session, tmp_path):
     assert m["media_content_unique"] == 0
     mt = pads.dataset(os.path.join(out, "media")).to_table()
     assert mt.num_rows == 0 and "canonical_ref" in mt.schema.names
+    # the Ray Data scheduler's media merge sees only empty partials
+    with monkeypatch.context() as mp:
+        mp.setattr(ex, "EXPORT_LOCAL_MAX_BYTES", 0)
+        m_ds = ex.export_corpus(sf, str(tmp_path / "exp_notmedia_ds"),
+                                min_quality=0.0, multimodal=True)
+    assert {k: v for k, v in m_ds.items() if k != "sf_dir"} == \
+        {k: v for k, v in m.items() if k != "sf_dir"}
+    mt_ds = pads.dataset(str(tmp_path / "exp_notmedia_ds" / "media")) \
+        .to_table()
+    assert mt_ds.num_rows == 0 and mt_ds.schema.equals(mt.schema)
     # a reader of two exports sees one schema: the empty table's equals
     # a media-bearing export's (int doc ids on both sides)
     out_media = str(tmp_path / "exp_media")
@@ -290,8 +302,8 @@ def test_export_media_merge_never_on_driver(ray_session, tmp_path,
                                             monkeypatch):
     """High-cardinality media refs: with the driver-merge bar lowered to
     fixture scale, the media/ table's aggregate must run through the
-    hash-partitioned merge (grouped_apply on media_ref — never a driver
-    collect) and produce byte-identical media accounting."""
+    hash-partitioned merge (grouped_apply_arrow on media_ref — never a
+    driver collect) and produce byte-identical media accounting."""
     import crawler_service_ray.functions.relational as rel
     import crawler_service_ray.pipelines.export as ex
 
@@ -305,13 +317,13 @@ def test_export_media_merge_never_on_driver(ray_session, tmp_path,
             .to_pandas().sort_values("media_ref").reset_index(drop=True))
 
     engaged = []
-    orig = rel.grouped_apply
+    orig = rel.grouped_apply_arrow
 
     def spy(ds, keys, fn, num_partitions=32):
         engaged.append((list(keys), num_partitions))
         return orig(ds, keys, fn, num_partitions=num_partitions)
 
-    monkeypatch.setattr(rel, "grouped_apply", spy)
+    monkeypatch.setattr(rel, "grouped_apply_arrow", spy)
     monkeypatch.setattr(ex, "MEDIA_MERGE_DRIVER_MAX", 0)
 
     out_b = str(tmp_path / "exp_b")
@@ -615,3 +627,164 @@ def test_export_same_under_both_schedulers(ray_session, tiny_corpus,
                                                b.schema)
             assert a.num_rows == b.num_rows, (case, table)
             assert a.sort_by(keys).equals(b.sort_by(keys)), (case, table)
+
+
+def test_export_run_of_empty_crawl(ray_session, tiny_corpus, tmp_path):
+    """A finished crawl that fetched nothing (every seed skip-filtered)
+    exports a 0-row manifest, multimodal and text-only, and clears what
+    an earlier export left in the same out dir."""
+    from crawler_service_ray.config import CrawlConfig
+    from crawler_service_ray.pipelines.crawl import CrawlRun, fetched_files
+    from crawler_service_ray.pipelines.export import export_run
+
+    run = str(tmp_path / "run")
+    CrawlRun(CrawlConfig(
+        corpus_dir=tiny_corpus, run_dir=run,
+        seeds=["http://h0.test/p/0", "http://h1.test/p/0"],
+        skip_substrings=["/p/"], max_epochs=5,
+        num_seen_shards=2)).run(resume=False)
+    assert fetched_files(run) == []
+    for multimodal in (True, False):
+        out = str(tmp_path / f"exp_{multimodal}")
+        for stale in ("data", "packed", "media"):
+            os.makedirs(os.path.join(out, stale, "split=train"))
+        m = export_run(run, out, min_quality=0.0, packed=True,
+                       multimodal=multimodal)
+        assert m["rows_in"] == 0 and m["rows_written"] == 0, m
+        assert m["partitions"] == {}
+        assert sorted(os.listdir(out)) == ["export_manifest.json"]
+
+
+def _fetched_rows(docs: list[list[tuple[str, str, str]]]) -> pa.Table:
+    """A fetched-shaped table: one row per doc, spans given as
+    (kind, text, media_ref); offsets ascend in list order."""
+    from crawler_service_ray.sources.corpus import SPANS_TYPE
+
+    spans = [[{"kind": k, "text": t, "media_ref": r, "offset": 10 * i}
+              for i, (k, t, r) in enumerate(d)] for d in docs]
+    return pa.table({
+        "url": [f"http://h.test/{i}" for i in range(len(docs))],
+        "spans": pa.array(spans, type=SPANS_TYPE),
+        "quality_score": [0.9] * len(docs),
+        "lang_pred": ["en"] * len(docs),
+    })
+
+
+def test_reassemble_text_join_matches_python():
+    """The Arrow text join equals ``" ".join`` over each doc's text
+    spans in order, and the segments keep text and media spans in
+    order (a kernel-level check, no Ray)."""
+    import re
+
+    from crawler_service_ray.pipelines.export import _reassemble
+
+    docs = [
+        [],                                            # no spans
+        [("media", "", "http://m/1"), ("link", "", "http://l/1")],
+        [("text", "", ""), ("text", "a", ""), ("text", "", "")],
+        [("text", "naïve café", ""), ("media", "", "http://m/ü"),
+         ("text", "日本語 テキスト", ""), ("link", "", "http://l/2")],
+        [("text", f"w{i}", "") if i % 3 else ("media", "", f"http://m/{i}")
+         for i in range(600)],                          # many spans
+        [("compressed", "", "http://a/1.zip"), ("text", "last one", "")],
+    ]
+    t = _fetched_rows(docs)
+    # two chunks, as a concat of several fetched files gives
+    t = pa.concat_tables([t.slice(0, 3), t.slice(3)])
+    out = _reassemble(t, multimodal=True, mlist=None, min_quality=0.5,
+                      langs=None)
+    assert out.column("doc_id").to_pylist() == t.column("url").to_pylist()
+    for d, txt, segs, n_media, n_tok in zip(
+            docs, out.column("text").to_pylist(),
+            out.column("segments").to_pylist(),
+            out.column("n_media").to_pylist(),
+            out.column("n_tokens").to_pylist()):
+        want = " ".join(x for k, x, _ in d if k == "text")
+        assert txt == want
+        assert n_tok == len(re.findall(r"[^ \t\n\f\r]+", want))
+        content = [(i, k, x, r) for i, (k, x, r) in enumerate(d)
+                   if k in ("text", "media")]
+        assert [(s["offset"], s["kind"], s["text"], s["media_ref"])
+                for s in segs] == [
+            (10 * i, k, x if k == "text" else "", r if k == "media" else "")
+            for i, k, x, r in content]
+        assert n_media == sum(k == "media" for k, _, _ in d)
+    # the filter runs first: a dropped doc shifts no later doc's text
+    t2 = t.set_column(2, "quality_score",
+                      pa.array([0.9, 0.1, 0.9, 0.1, 0.9, 0.9]))
+    out2 = _reassemble(t2, multimodal=False, mlist=None, min_quality=0.5,
+                       langs=None)
+    assert out2.column_names == ["doc_id", "text", "quality_score",
+                                 "lang_pred"]
+    assert out2.column("text").to_pylist() == [
+        " ".join(x for k, x, _ in d if k == "text")
+        for i, d in enumerate(docs) if i not in (1, 3)]
+
+
+def test_media_agg_is_associative():
+    """``_media_agg`` over three chunks, merged by itself, equals one
+    call over everything and a dict count / min reference, for int
+    (table shard) and string (crawl run) doc ids (no Ray)."""
+    import numpy as np
+
+    from crawler_service_ray.pipelines.export import _media_agg
+
+    rng = np.random.default_rng(3)
+    refs = [f"http://m/{i}" for i in rng.integers(0, 40, 500)]
+    for ids, id_type in (
+            (rng.integers(0, 10_000, 500).tolist(), pa.int64()),
+            ([f"http://h.test/{i}" for i in rng.integers(0, 10_000, 500)],
+             pa.string())):
+        pairs = pa.table({
+            "media_ref": pa.array(refs, type=pa.string()),
+            "n_uses": pa.array(np.ones(500, np.int64)),
+            "first_doc": pa.array(ids, type=id_type),
+        })
+        whole = _media_agg(pairs)
+        merged = _media_agg(pa.concat_tables(
+            [_media_agg(pairs.slice(a, b)) for a, b in
+             ((0, 120), (120, 300), (420, 80))]))
+        assert whole.schema == pa.schema([("media_ref", pa.string()),
+                                          ("n_uses", pa.int64()),
+                                          ("first_doc", id_type)])
+        assert merged.schema == whole.schema
+        key = [("media_ref", "ascending")]
+        assert merged.sort_by(key).equals(whole.sort_by(key))
+        ref: dict = {}
+        for r, d in zip(refs, ids):
+            n, lo = ref.get(r, (0, d))
+            ref[r] = (n + 1, min(lo, d))
+        got = whole.sort_by(key).to_pylist()
+        assert got == [{"media_ref": r, "n_uses": n, "first_doc": lo}
+                       for r, (n, lo) in sorted(ref.items())]
+
+
+def test_media_pairs_feed_media_agg():
+    """``_media_pairs`` emits one (media_ref, 1, doc_id) row per media
+    segment, so ``_media_agg`` over it counts uses per ref (no Ray)."""
+    from crawler_service_ray.pipelines.export import (
+        _media_agg,
+        _media_pairs,
+        _reassemble,
+    )
+
+    docs = [[("media", "", "http://m/a"), ("text", "x", "")],
+            [("text", "y", ""), ("media", "", "http://m/b"),
+             ("media", "", "http://m/a")],
+            [("link", "", "http://m/a")],
+            [("media", "", "http://m/b")]]
+    kept = _reassemble(_fetched_rows(docs), multimodal=True, mlist=None,
+                       min_quality=0.5, langs=None)
+    pairs = _media_pairs(kept)
+    assert pairs.column_names == ["media_ref", "n_uses", "first_doc"]
+    assert pairs.column("media_ref").to_pylist() == [
+        "http://m/a", "http://m/b", "http://m/a", "http://m/b"]
+    assert pairs.column("first_doc").to_pylist() == [
+        "http://h.test/0", "http://h.test/1", "http://h.test/1",
+        "http://h.test/3"]
+    got = _media_agg(pairs).sort_by([("media_ref", "ascending")])
+    assert got.to_pylist() == [
+        {"media_ref": "http://m/a", "n_uses": 2,
+         "first_doc": "http://h.test/0"},
+        {"media_ref": "http://m/b", "n_uses": 2,
+         "first_doc": "http://h.test/1"}]
