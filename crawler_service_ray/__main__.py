@@ -243,22 +243,37 @@ def main(argv=None) -> int:
     if args.cmd == "status":
         import os
 
-        from .pipelines.crawl import SEEN_HEALTH, crawl_stats_table
+        from .pipelines.crawl import (
+            FAILED_RECORD,
+            SEEN_HEALTH,
+            crawl_stats_table,
+        )
 
         summary = os.path.join(args.run, "run_summary.json")
+        failed = os.path.join(args.run, FAILED_RECORD)
         if not os.path.isdir(os.path.join(args.run, "epochs")):
             print(json.dumps({"state": "not-started"}))
             return 0
         t = crawl_stats_table(args.run).to_pylist()
-        if os.path.exists(summary):
+        progress = {
+            "epochs_complete": len(t),
+            "urls_fetched": sum(r["urls_fetched"] for r in t),
+        }
+        # the failure record is the latest attempt's: a successful run
+        # removes it, so it outranks an older summary
+        if os.path.exists(failed):
+            with open(failed) as f:
+                rec = json.load(f)
+            out = {"state": "failed", "cause": rec["cause"],
+                   "exception": rec["exception"],
+                   "failed_epoch": rec["epoch"], **progress}
+        elif os.path.exists(summary):
             with open(summary) as f:
                 out = {"state": "complete", **json.load(f)}
         else:
-            out = {
-                "state": "in-progress",
-                "epochs_complete": len(t),
-                "urls_fetched": sum(r["urls_fetched"] for r in t),
-            }
+            out = {"state": "in-progress", **progress}
+        # driver-side seen snapshot time, over the committed epochs
+        out["t_snapshot_ms"] = sum(r.get("t_snapshot_ms") or 0 for r in t)
         if t:  # seen-shard health after the last committed epoch
             last = max(t, key=lambda r: r["epoch"])
             out["seen"] = {k: last.get(k) for k in SEEN_HEALTH}

@@ -20,15 +20,21 @@ one expand kernel (``_expand_fn``), two schedulers. An epoch whose
 frontier is large runs them as a Ray Data ``Dataset`` pipeline over host
 partitions (see below); an epoch below ``local_epoch_threshold`` rows
 calls the same two kernels once each in the driver, against the same seen
-shards and spill state — identical semantics, none of the per-execution
+set and spill state — identical semantics, none of the per-execution
 orchestration overhead that would dominate small epochs. The only
 difference is who writes the new frontier: concurrent dataset tasks hand
-their rows to the seen shards, which are the frontier sink (state/seen.py);
-the one local call writes them itself. Both schedulers are covered by the
-equivalence tests. The seen shards are the only actors a crawl starts, and
-the per-epoch counters travel with the data — the expand kernel's output
-rows and one admission counter row per partition — into a driver-side
-dict, summed the same way for both.
+their rows to the seen-shard actors, which are the frontier sink
+(state/seen.py); the one local call writes them itself. Both schedulers
+are covered by the equivalence tests. The seen-shard actors are the only
+actors a crawl starts, at run start, and ``close`` kills them; nothing
+waits on them until a dataset epoch needs them. Until then the seed probe
+and every local epoch probe driver-held instances of the same class (a
+resume restores those from the snapshot chain). The first dataset epoch
+of a ``run`` hands their seen set to the actors, which answer every
+probe, local epochs included, for the rest of that run. The per-epoch
+counters travel with the data — the expand kernel's output rows and one
+admission counter row per partition — into a driver-side dict, summed
+the same way for both.
 
 Partitioning (the design that replaced a per-epoch groupby("host")
 shuffle): ONE partitioning key — ``hash(host) % num_host_partitions`` — is
@@ -54,11 +60,15 @@ is atomically renamed to ``epochs/epoch=K`` only after success:
   frontier_next/      deferred + discovered parquet (input of epoch K+1)
   seen/shard_*.npz    seen-filter snapshots
   counters/           per-partition admission counters
-  stats.parquet       the per-epoch crawl_stats row (+ seen-shard health)
+  stats.parquet       the per-epoch crawl_stats row (+ seen-shard health
+                      and the seen snapshot's time, ``t_snapshot_ms``)
   manifest.json       per-partition lineage: input files → output files
 Resume = drop incomplete temp dirs, restore seen shards from the last
 complete epoch, continue from its frontier_next. A finished run writes
-``run_summary.json``; rerunning returns it without recomputation.
+``run_summary.json``; rerunning returns it without recomputation. A run
+stopped by an exception writes ``run_failed.json`` (cause, epoch,
+exception type, traceback tail) before re-raising; the next successful
+run of the directory removes it.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ import math
 import os
 import re
 import shutil
+import traceback
 from collections import Counter
 from functools import partial
 
@@ -98,6 +109,7 @@ from ..stages.outlinks import (
 )
 from ..state.seen import (
     collect_stats,
+    hand_off,
     make_shards,
     restore_shards,
     snapshot_shards,
@@ -125,6 +137,8 @@ EXPAND_COUNTERS = (
 )
 # seen-shard health, summed over shards, recorded in each epoch's stats
 SEEN_HEALTH = ("n_seen", "n_cuckoo", "n_bloom_overflow", "false_positives")
+# written by a run that an exception stopped; removed by a successful run
+FAILED_RECORD = "run_failed.json"
 
 
 def _parquet_files(d: str) -> list[str]:
@@ -151,7 +165,11 @@ class CrawlRun:
             load_robots(config.corpus_dir)
             if config.source_kind == "corpus" else {}
         )
+        # the seen set that answers probes: driver-held instances until
+        # the run's first dataset epoch hands them to ``_actors``
         self.shards: list = []
+        self._actors: list = []
+        self._epoch: int | None = None  # the epoch running, for failures
         self._robots_part_refs: list | None = None
 
     # -- layout helpers ---------------------------------------------------
@@ -171,7 +189,8 @@ class CrawlRun:
 
     # -- public API -------------------------------------------------------
     def close(self) -> None:
-        """Kill this run's seen shards, its only actors.
+        """Kill this run's seen-shard actors, its only actors, and drop
+        its driver-held shards.
 
         Actor handles are only reference-counted — dropping a CrawlRun
         does NOT promptly stop its actors, so a second run in the same
@@ -181,36 +200,67 @@ class CrawlRun:
         needs a live actor."""
         import ray
 
-        for a in self.shards:
+        if self._actors:
+            # a kill that lands on an actor still starting leaves its
+            # worker process behind as an idle Ray worker (~77 MB each);
+            # the wait is free unless the run ended before they started
+            ray.wait([a.stats.remote() for a in self._actors],
+                     num_returns=len(self._actors), timeout=60)
+        for a in self._actors:
             try:
                 ray.kill(a)
             except Exception:
                 pass
+        self._actors = []
         self.shards = []
 
     def run(self, resume: bool = True) -> dict:
-        import ray
-
         summary_path = os.path.join(self.run_dir, "run_summary.json")
         if resume and os.path.exists(summary_path):
             with open(summary_path) as f:
                 return json.load(f)
 
-        os.makedirs(self.epochs_dir, exist_ok=True)
-        # drop incomplete temp epoch dirs (failed mid-write)
-        for name in os.listdir(self.epochs_dir):
-            if name.startswith(".tmp_"):
-                shutil.rmtree(os.path.join(self.epochs_dir, name))
-
+        self._epoch = None
         try:
-            return self._run_body(resume, summary_path)
+            os.makedirs(self.epochs_dir, exist_ok=True)
+            # drop incomplete temp epoch dirs (failed mid-write)
+            for name in os.listdir(self.epochs_dir):
+                if name.startswith(".tmp_"):
+                    shutil.rmtree(os.path.join(self.epochs_dir, name))
+            summary = self._run_body(resume, summary_path)
+        except BaseException as e:
+            self._record_failure(e)
+            raise
         finally:
             self.close()
+        failed_path = os.path.join(self.run_dir, FAILED_RECORD)
+        if os.path.exists(failed_path):
+            os.remove(failed_path)
+        return summary
+
+    def _record_failure(self, e: BaseException) -> None:
+        """Write ``run_failed.json``: why and where the run stopped, so
+        ``status`` reports the cause instead of an in-progress run."""
+        tb = traceback.format_exception(type(e), e, e.__traceback__)
+        record = {
+            "cause": str(e) or type(e).__name__,
+            "exception": type(e).__name__,
+            "epoch": self._epoch,
+            "traceback": "".join(tb)[-4000:],
+        }
+        os.makedirs(self.run_dir, exist_ok=True)
+        path = os.path.join(self.run_dir, FAILED_RECORD)
+        with open(path + ".tmp", "w") as f:
+            json.dump(record, f, indent=1)
+        os.replace(path + ".tmp", path)
 
     def _run_body(self, resume: bool, summary_path: str) -> dict:
         import ray
 
-        self.shards = make_shards(self.cfg.num_seen_shards)
+        # the actors start now but nothing waits on them until a dataset
+        # epoch (hand_off); fresh driver-held shards answer until then
+        self._actors = make_shards(self.cfg.num_seen_shards)
+        self.shards = make_shards(self.cfg.num_seen_shards, remote=False)
         if self.cfg.robots_at_admission:
             # the 10^9-host scale path (config.py): rules split by the
             # SAME run-wide host partition key as the frontier, one
@@ -293,6 +343,7 @@ class CrawlRun:
 
         epoch_stats: list[dict] = []
         for k in range(start, self.cfg.max_epochs):
+            self._epoch = k
             n_frontier = _count_rows(frontier_files)
             n_spilled = sum(
                 spill_mod.manifest_pending(spill_mod.load_manifest(m))
@@ -311,6 +362,7 @@ class CrawlRun:
             # committed manifests are the only live references — drop
             # chunks that refill rewrites / drains left behind
             spill_mod.gc_chunks(self.spill_dir, spill_manifests)
+        self._epoch = None
 
         prior = []
         for k in self._complete_epochs():
@@ -362,6 +414,8 @@ class CrawlRun:
             "local" if n_frontier < self.cfg.local_epoch_threshold
             else "dataset"
         )
+        if mode == "dataset" and self.shards is not self._actors:
+            self.shards = hand_off(self.shards, self._actors)
         tmp = os.path.join(self.epochs_dir, f".tmp_epoch_{k:05d}")
         if os.path.isdir(tmp):
             shutil.rmtree(tmp)
@@ -384,7 +438,9 @@ class CrawlRun:
 
         stats = self._epoch_stats(k, mode, counters)
         stats["wall_s"] = round(time.time() - t_epoch0, 3)
+        t_snap0 = time.perf_counter()
         shard_stats = snapshot_shards(self.shards, os.path.join(tmp, "seen"))
+        stats["t_snapshot_ms"] = _ms(time.perf_counter() - t_snap0)
         for key in SEEN_HEALTH:
             stats[key] = int(sum(s[key] for s in shard_stats))
         pq.write_table(
@@ -1159,7 +1215,10 @@ def crawl_stats_table(run_dir: str) -> pa.Table:
     )
     if not files:
         return pa.table({})
-    return pa.concat_tables([pq.read_table(f) for f in files])
+    # "default" promotion: epochs committed before a column existed (a
+    # run resumed across versions) read it as null
+    return pa.concat_tables([pq.read_table(f) for f in files],
+                            promote_options="default")
 
 
 def fetched_table(run_dir: str) -> pa.Table:

@@ -1,24 +1,36 @@
-"""Sharded URL-seen service: cuckoo-filter actors + batch router.
+"""Sharded URL-seen set: cuckoo-filter shards + batch router.
 
 Replaces the reference's implicit tree-uniqueness and `dup_check` stubs
 (`/root/reference/crawlers/local_posix.py:156-158`,
 `legacy/posix_crawler.py:66-68`) with the north-rule seen set: URLs are
-hash-routed ``url_hash % num_shards`` to stateful shard actors, each
-holding a cuckoo filter (bloom fallback on overflow — state/cuckoo.py)
-plus an exact backing set used ONLY to verify the rare filter-positive
-(false positives would silently drop URLs, SURVEY.md §7.5). This makes
-the semi/anti-join of candidate outlinks against the seen set (SURVEY.md
-§2.4 J3) an explicit hash-routed actor probe, NOT an all-to-all Ray Data
+hash-routed ``url_hash % num_shards`` to stateful shards, each holding a
+cuckoo filter (bloom fallback on overflow — state/cuckoo.py) plus an
+exact backing used ONLY to verify the rare filter-positive (false
+positives would silently drop URLs, SURVEY.md §7.5). This makes the
+semi/anti-join of candidate outlinks against the seen set (SURVEY.md
+§2.4 J3) an explicit hash-routed probe, NOT an all-to-all Ray Data
 shuffle — the design that survives a 10^10-URL frontier, where each shard
 would page its exact backing to an on-disk sorted run.
 
-Atomicity: ``probe_and_insert`` runs as one actor task, so a URL sent by
-many concurrent fetch batches is admitted exactly once regardless of
-arrival order; everything the equivalence contract checks (admitted set,
-priorities) is arrival-order independent because priority is a pure
-function of the URL (urls.py).
+Who answers the probes: ``SeenShard`` is a plain class, and
+``SeenShardActor`` is ``ray.remote(num_cpus=0)`` of that same class, so
+both run one code path. A crawl (pipelines/crawl.py) starts its actors at
+run start but first probes driver-held instances: the seed probe, every
+local epoch and a resume's restore touch only the driver. The first
+dataset epoch of a run hands each instance's whole seen set to its actor
+(``adopt``, the first wait on the actors); from then on, for the rest of
+the run, the actors answer every probe. Every helper below
+(``probe_shards``, ``AsyncProbe``, ``snapshot_shards``,
+``collect_stats``, ``restore_shards``) takes either a list of instances
+or a list of actor handles.
 
-The shards are also the dataset-mode frontier sink (the analog of the
+Atomicity: ``probe_and_insert`` runs as one call (one actor task, when
+an actor answers), so a URL sent by many concurrent fetch batches is
+admitted exactly once regardless of arrival order; everything the
+equivalence contract checks (admitted set, priorities) is arrival-order
+independent because priority is a pure function of the URL (urls.py).
+
+The actors are also the dataset-mode frontier sink (the analog of the
 reference's 10 SQS commit threads batching messages,
 `crawlers/globus_base_preserved.py:100-107,116-155` there): an
 expand task sends each shard its candidate frontier rows WITH their
@@ -38,6 +50,7 @@ so the sink holds ~2×flush_bytes regardless of epoch discovery volume.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 
@@ -66,13 +79,14 @@ def split_by_partition(t: pa.Table, parts: np.ndarray):
         yield int(sparts[s]), st.slice(int(s), int(e - s))
 
 
-# 0 CPU: the shards only answer RPCs; a reserved fraction per shard took
-# CPUs the expand tasks need (8 default shards at 0.25 CPU hung a
-# dataset-mode crawl at num_cpus=2)
-@ray.remote(num_cpus=0)
 class SeenShard:
     """One shard of the seen set and of the frontier sink. The seen set
     survives across epochs; the sink's buffers live for one epoch.
+
+    A driver-held instance answers the seed probe and the local epochs of
+    a run until its first dataset epoch; then ``SeenShardActor.adopt``
+    takes the instance's seen set, and the actor answers every probe (and
+    sinks the dataset epochs' frontier rows) for the rest of the run.
 
     Fully vectorized service path (the shard pool is a FIXED-size resource
     at every cluster size, so any per-occurrence Python work here becomes
@@ -85,6 +99,10 @@ class SeenShard:
 
     _MERGE_AT = 65536
     _CHAIN_MAX = 64  # force a full snapshot after this many deltas
+    # the seen set and its checkpoint chain: what ``adopt`` moves
+    _SEEN_STATE = ("filter", "sorted", "buffer", "dedup_hits",
+                   "false_positives", "_delta", "_chain_len",
+                   "_rows_since_full")
 
     def __init__(self, shard_id: int, capacity: int = 1 << 20,
                  flush_bytes: int = DEFAULT_FLUSH_BYTES):
@@ -225,6 +243,18 @@ class SeenShard:
         self.out_dir = None
         return out
 
+    def adopt(self, other: SeenShard) -> int:
+        """Take over ``other``'s seen set whole: the filter, the exact
+        arrays, the pending snapshot delta, the chain counters and the
+        health counters, so this shard's next snapshot is byte-identical
+        to the one ``other`` would have written. Returns ``n_seen``.
+
+        Deep copies: an instance that arrives as an actor argument holds
+        read-only numpy views of the object store."""
+        for name in self._SEEN_STATE:
+            setattr(self, name, copy.deepcopy(getattr(other, name)))
+        return self._n_seen()
+
     def contains(self, hashes: np.ndarray) -> np.ndarray:
         return self._member(hashes.astype(np.uint64))
 
@@ -252,7 +282,9 @@ class SeenShard:
         O(seen) pass at resume time, amortized across the run). Returns
         ``stats()``, so the commit records shard health without another
         call."""
-        delta = (np.concatenate(self._delta) if self._delta
+        # sorted, as the full set is: a file's bytes then depend on the
+        # set alone, not on the order concurrent probes arrived in
+        delta = (np.sort(np.concatenate(self._delta)) if self._delta
                  else np.empty(0, dtype=np.uint64))
         total = self._n_seen()
         full = (
@@ -324,19 +356,52 @@ class SeenShard:
         return self._n_seen()
 
 
+# 0 CPU: the actors only answer calls; a reserved fraction per shard took
+# CPUs the expand tasks need (8 default shards at 0.25 CPU hung a
+# dataset-mode crawl at num_cpus=2)
+SeenShardActor = ray.remote(num_cpus=0)(SeenShard)
+
+
 def make_shards(num_shards: int, capacity_per_shard: int = 1 << 20,
-                flush_bytes: int = DEFAULT_FLUSH_BYTES) -> list:
-    return [
-        SeenShard.remote(i, capacity_per_shard, flush_bytes)
-        for i in range(num_shards)
-    ]
+                flush_bytes: int = DEFAULT_FLUSH_BYTES, *,
+                remote: bool = True) -> list:
+    """``num_shards`` empty shards: actor handles (their start is not
+    waited on), or with ``remote=False`` driver-held instances."""
+    make = SeenShardActor.remote if remote else SeenShard
+    return [make(i, capacity_per_shard, flush_bytes)
+            for i in range(num_shards)]
+
+
+def hand_off(local: list, actors: list) -> list:
+    """Move every driver-held shard's seen set to its actor (``adopt``)
+    and return the actors, which answer every probe from then on. The
+    first call that waits on the actors, so their start-up is paid here,
+    not at run start."""
+    ray.get([a.adopt.remote(s) for a, s in zip(actors, local)])
+    return actors
+
+
+def _dispatch(shard, method: str, *args):
+    """Call ``SeenShard.<method>`` on a driver-held instance (the result)
+    or on an actor handle (an ObjectRef; ``_gather`` waits on it)."""
+    if isinstance(shard, SeenShard):
+        return getattr(shard, method)(*args)
+    return getattr(shard, method).remote(*args)
+
+
+def _gather(results: list) -> list:
+    """The values of ``_dispatch`` calls: one ``ray.get`` for actor refs."""
+    if results and isinstance(results[0], ray.ObjectRef):
+        return ray.get(results)
+    return results
 
 
 class AsyncProbe:
-    """In-flight probe of a hash batch against the seen shards: the shard
-    RPCs launch at construction and the caller gathers the result later,
-    so the probe round-trips overlap with other per-batch compute (enrich,
-    side-writes) instead of serializing behind them.
+    """In-flight probe of a hash batch against the seen shards: against
+    actors, the calls launch at construction and the caller gathers the
+    result later, so the probe round-trips overlap with other per-batch
+    compute (enrich, side-writes) instead of serializing behind them;
+    driver-held instances answer at construction.
 
     With ``sink=(rows, parts, out_dir)`` (frontier rows and their host
     partitions, aligned with ``hashes``) each shard also gets its rows and
@@ -347,7 +412,7 @@ class AsyncProbe:
                  sink: tuple | None = None):
         self.n = len(hashes)
         self.sink = sink
-        self.refs: list = []
+        self.calls: list = []
         self.idxs: list[np.ndarray] = []
         if self.n == 0:
             return
@@ -357,17 +422,19 @@ class AsyncProbe:
         for idx in np.split(order, np.flatnonzero(np.diff(sid[order])) + 1):
             shard = shards[int(sid[idx[0]])]
             if sink is None:
-                self.refs.append(shard.probe_and_insert.remote(h[idx]))
+                self.calls.append(_dispatch(shard, "probe_and_insert",
+                                            h[idx]))
             else:
                 rows, parts, out_dir = sink
-                self.refs.append(shard.probe_and_buffer.remote(
-                    h[idx], rows.take(idx), parts[idx], out_dir))
+                self.calls.append(_dispatch(
+                    shard, "probe_and_buffer", h[idx], rows.take(idx),
+                    parts[idx], out_dir))
             self.idxs.append(idx)
 
     def result(self) -> np.ndarray | int:
         """The is-new mask aligned with ``hashes``, or for a sink probe
         the number of rows the shards kept."""
-        got = ray.get(self.refs) if self.refs else []
+        got = _gather(self.calls)
         if self.sink is not None:
             return int(sum(got))
         out = np.zeros(self.n, dtype=bool)
@@ -379,26 +446,24 @@ class AsyncProbe:
 def probe_shards(shards: list, hashes: np.ndarray) -> np.ndarray:
     """Route a batch of url hashes to shards, probe+insert, gather mask.
 
-    Called from inside ``map_batches`` tasks: one RPC per touched shard per
-    batch, all in flight concurrently. Returns the is-new bool mask aligned
-    with ``hashes``.
+    Called from inside ``map_batches`` tasks (one call per touched shard
+    per batch, all in flight concurrently) and from the driver. Returns
+    the is-new bool mask aligned with ``hashes``.
     """
     return AsyncProbe(shards, hashes).result()
 
 
 def collect_stats(shards: list) -> list[dict]:
-    return ray.get([s.stats.remote() for s in shards])
+    return _gather([_dispatch(s, "stats") for s in shards])
 
 
 def snapshot_shards(shards: list, directory: str) -> list[dict]:
     """Checkpoint every shard into ``directory``; returns their stats."""
     os.makedirs(directory, exist_ok=True)
-    return ray.get(
-        [
-            s.snapshot.remote(os.path.join(directory, f"shard_{i:04d}.npz"))
-            for i, s in enumerate(shards)
-        ]
-    )
+    return _gather([
+        _dispatch(s, "snapshot", os.path.join(directory, f"shard_{i:04d}.npz"))
+        for i, s in enumerate(shards)
+    ])
 
 
 def restore_shards(shards: list, directories: list[str] | str) -> int:
@@ -408,12 +473,9 @@ def restore_shards(shards: list, directories: list[str] | str) -> int:
     snapshotting once)."""
     if isinstance(directories, str):
         directories = [directories]
-    counts = ray.get(
-        [
-            s.restore.remote(
-                [os.path.join(d, f"shard_{i:04d}.npz") for d in directories]
-            )
-            for i, s in enumerate(shards)
-        ]
-    )
+    counts = _gather([
+        _dispatch(s, "restore",
+                  [os.path.join(d, f"shard_{i:04d}.npz") for d in directories])
+        for i, s in enumerate(shards)
+    ])
     return int(sum(counts))

@@ -195,3 +195,58 @@ def test_mid_epoch_crash_leaves_no_partial_commit(ray_session, tiny_corpus,
     a = fetched_table(full.run_dir).sort_by("url")
     b = fetched_table(cfg.run_dir).sort_by("url")
     assert a.equals(b)
+
+
+def test_failed_run_records_cause_and_resume_clears_it(ray_session,
+                                                       tiny_corpus, tmp_path,
+                                                       capsys, monkeypatch):
+    """The injected mid-epoch crash of the test above leaves
+    ``run_failed.json`` (cause, epoch, exception type, traceback tail), so
+    ``status`` reports a failed run with its cause, not an in-progress
+    one; a successful resume removes the record. Every committed epoch
+    records its seen snapshot time, which ``status`` sums."""
+    import pytest
+
+    from crawler_service_ray.__main__ import main
+    from crawler_service_ray.pipelines import crawl as crawl_mod
+    from crawler_service_ray.pipelines.crawl import crawl_stats_table
+
+    def status():
+        capsys.readouterr()
+        assert main(["status", "--run", cfg.run_dir]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    cfg = _cfg(tiny_corpus, str(tmp_path / "crash"))
+    orig = crawl_mod.extract_links
+    state = {"calls": 0}
+
+    def exploding_extract(t):
+        state["calls"] += 1
+        if state["calls"] == 4:  # fail inside epoch 3, after the fetch
+            raise RuntimeError("injected mid-epoch crash")
+        return orig(t)
+
+    monkeypatch.setattr(crawl_mod, "extract_links", exploding_extract)
+    with pytest.raises(RuntimeError, match="injected"):
+        CrawlRun(cfg).run(resume=False)
+    monkeypatch.setattr(crawl_mod, "extract_links", orig)
+
+    failed = os.path.join(cfg.run_dir, "run_failed.json")
+    with open(failed) as f:
+        rec = json.load(f)
+    assert rec["cause"] == "injected mid-epoch crash"
+    assert rec["exception"] == "RuntimeError"
+    assert rec["epoch"] == 3
+    assert "exploding_extract" in rec["traceback"]
+    got = status()
+    assert got["state"] == "failed"
+    assert got["cause"] == "injected mid-epoch crash"
+    assert got["failed_epoch"] == 3 and got["epochs_complete"] == 3
+
+    CrawlRun(cfg).run(resume=True)
+    assert not os.path.exists(failed)
+    got = status()
+    assert got["state"] == "complete"
+    stats = crawl_stats_table(cfg.run_dir).to_pylist()
+    assert all(s["t_snapshot_ms"] > 0 for s in stats)
+    assert got["t_snapshot_ms"] == sum(s["t_snapshot_ms"] for s in stats)

@@ -70,3 +70,26 @@ def test_restore_from_single_full_dir(ray_session, tmp_path):
     assert not probe_shards(fresh, h).any()
     for a in shards + fresh:
         ray.kill(a)
+
+
+def test_snapshot_bytes_independent_of_arrival_order(tmp_path):
+    """Concurrent dataset tasks reach a shard in any order: a snapshot,
+    delta included, is a function of the seen set, not of that order
+    (driver-held shards, the same class the actors run)."""
+    base = _rng_hashes(1, 5000)
+    batches = [_rng_hashes(s, 100) for s in (2, 3, 4)]
+    files = []
+    for order in ([0, 1, 2], [2, 1, 0]):
+        shards = make_shards(2, remote=False)
+        d = tmp_path / "-".join(map(str, order))
+        probe_shards(shards, base)
+        snapshot_shards(shards, str(d / "full"))
+        for b in order:
+            probe_shards(shards, batches[b])
+        snapshot_shards(shards, str(d / "delta"))
+        files.append([(d / k / f"shard_{i:04d}.npz").read_bytes()
+                      for k in ("full", "delta") for i in range(2)])
+        kinds = [str(np.load(d / k / "shard_0000.npz")["kind"])
+                 for k in ("full", "delta")]
+        assert kinds == ["full", "delta"]
+    assert files[0] == files[1]
