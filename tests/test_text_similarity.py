@@ -124,16 +124,6 @@ def test_contamination_hits(ray_session):
     assert out.loc[1, "n_contaminated"] == 1
 
 
-def test_sample_hash_parallelism_invariant(ray_session):
-    from crawler_service_ray.pipelines.queries import q_sample_hash
-
-    a = q_sample_hash("/root/testdata/sf0.001").to_pandas()
-    assert len(a) > 0
-    ids = a["doc_id"].to_numpy().astype(np.uint64)
-    h = (ids * np.uint64(2654435761)) % np.uint64(4294967296)
-    assert (h < np.uint64(214748365)).all()
-
-
 def test_mixture_sample_alpha_semantics(ray_session):
     """α=1 keeps natural proportions; α→0 flattens toward uniform
     (low-resource groups gain share); output is deterministic and
