@@ -645,47 +645,6 @@ def test_nearest_centroid_planted_clusters(ray_session):
     assert acc > 0.99
 
 
-def test_assortativity_star_and_reference(ray_session):
-    from crawler_service_ray.functions import graph as gr
-
-    # star: hub 0 <-> leaves 1..10, symmetric edges; perfectly
-    # disassortative -> exactly -1
-    leaves = np.arange(1, 11, dtype="int64")
-    star = pd.DataFrame({
-        "src": np.r_[np.zeros(10, dtype="int64"), leaves],
-        "dst": np.r_[leaves, np.zeros(10, dtype="int64")],
-    })
-    got = gr.degree_assortativity(
-        rd.from_pandas(star).repartition(3)).to_pandas()
-    assert int(got["n_edges"][0]) == 20
-    assert abs(float(got["assortativity"][0]) + 1.0) < 1e-12
-
-    # random symmetric graph vs dense numpy reference
-    rng = np.random.default_rng(61)
-    e = set()
-    while len(e) < 150:
-        a, b = int(rng.integers(0, 30)), int(rng.integers(0, 30))
-        if a != b:
-            e.add((a, b)); e.add((b, a))
-    ed = pd.DataFrame(sorted(e), columns=["src", "dst"])
-    deg = ed.groupby("src").size()
-    dx = deg.reindex(ed["src"]).to_numpy(dtype="float64")
-    dy = deg.reindex(ed["dst"]).to_numpy(dtype="float64")
-    ref = np.corrcoef(dx, dy)[0, 1]
-    g2 = gr.degree_assortativity(
-        rd.from_pandas(ed).repartition(5), num_partitions=7).to_pandas()
-    assert int(g2["n_edges"][0]) == len(ed)
-    assert abs(float(g2["assortativity"][0]) - ref) < 1e-9
-
-    # exchange path (broadcast_threshold=0) parity with broadcast path
-    g3 = gr.degree_assortativity(
-        rd.from_pandas(ed).repartition(5), num_partitions=7,
-        broadcast_threshold=0).to_pandas()
-    assert int(g3["n_edges"][0]) == len(ed)
-    assert abs(float(g3["assortativity"][0])
-               - float(g2["assortativity"][0])) < 1e-12
-
-
 def test_js_divergence_reference_and_bounds(ray_session):
     def brute(ta: str, tb: str) -> float:
         from collections import Counter
@@ -792,89 +751,6 @@ def test_running_max_exchange_matches_sorted_cummax(ray_session):
         num_partitions=16)
         .to_pandas().sort_values("o").reset_index(drop=True))
     assert (a["wm"].to_numpy() == b["wm"].to_numpy()).all()
-
-
-def _sym_edges(pairs):
-    """Symmetric distinct int64 edge Dataset from canonical (u, v)."""
-    u = np.array([p[0] for p in pairs], dtype="int64")
-    v = np.array([p[1] for p in pairs], dtype="int64")
-    return rd.from_pandas(pd.DataFrame({
-        "src": np.concatenate([u, v]),
-        "dst": np.concatenate([v, u]),
-    }))
-
-
-def test_kcore_clique_with_tail(ray_session):
-    """4-clique + pendant tail: 3-core = the clique (each member has
-    in-core degree 3), everything else peels off."""
-    from crawler_service_ray.functions.graph import kcore
-
-    clique = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    tail = [(3, 10), (10, 11), (11, 12)]
-    edges = _sym_edges(clique + tail)
-    got = (kcore(edges, k=3, max_rounds=8).to_pandas()
-           .sort_values("node").reset_index(drop=True))
-    assert got["node"].tolist() == [0, 1, 2, 3]
-    assert (got["deg"] == 3).all()
-
-
-def test_kcore_paths_parity(ray_session):
-    """Broadcast and exchange paths produce identical (node, deg) on a
-    random graph, at different parallelism, and converge within the
-    round budget (fixed-point early-stop equals the unrolled rounds)."""
-    from crawler_service_ray.functions.graph import kcore
-
-    rng = np.random.default_rng(29)
-    m = 600
-    u = rng.integers(0, 60, m).astype("int64")
-    v = rng.integers(0, 60, m).astype("int64")
-    keep = u < v
-    pairs = sorted(set(zip(u[keep].tolist(), v[keep].tolist())))
-    edges = _sym_edges(pairs)
-
-    a = (kcore(edges, k=7, max_rounds=12).to_pandas()
-         .sort_values("node").reset_index(drop=True))
-    b = (kcore(edges.repartition(7), k=7, max_rounds=12,
-               broadcast_threshold=0, num_partitions=5).to_pandas()
-         .sort_values("node").reset_index(drop=True))
-
-    # the 8-core of this graph is EMPTY — the peel must drain cleanly
-    # on both paths instead of crashing on an empty alive set
-    assert kcore(edges, k=8, max_rounds=12).count() == 0
-    assert kcore(edges, k=8, max_rounds=12,
-                 broadcast_threshold=0).count() == 0
-    assert len(a) > 0
-    pd.testing.assert_frame_equal(a, b)
-
-    # reference: single-node iterative peel to the true fixed point
-    adj = pd.DataFrame(pairs, columns=["u", "v"])
-    alive = set(adj["u"]).union(adj["v"])
-    while True:
-        e = adj[adj["u"].isin(alive) & adj["v"].isin(alive)]
-        deg = pd.concat([e["u"], e["v"]]).value_counts()
-        nxt = set(deg[deg >= 7].index)
-        if nxt == alive:
-            break
-        alive = nxt
-    assert set(a["node"].tolist()) == alive
-    want_deg = pd.concat([e["u"], e["v"]]).value_counts()
-    got_deg = dict(zip(a["node"], a["deg"]))
-    assert all(got_deg[n] == want_deg[n] for n in alive)
-
-
-def test_clustering_coeff_small(ray_session):
-    """Triangle + pendant edge: T=1, degrees (2,2,3,1) -> wedges
-    1+1+3+0 = 5, coeff = 3/5."""
-    from crawler_service_ray.functions.graph import triangle_count
-    from crawler_service_ray.pipelines.queries import q_clustering_coeff
-
-    got = q_clustering_coeff("/root/testdata/sf0.001")
-    assert got.loc[0, "n_wedges"] >= 3 * got.loc[0, "n_triangles"] >= 0
-    assert 0.0 <= got.loc[0, "coeff"] <= 1.0
-
-    edges = rd.from_pandas(pd.DataFrame(
-        {"u": [0, 0, 1, 2], "v": [1, 2, 2, 3]}))
-    assert triangle_count(edges) == 1
 
 
 def test_brown_smoothing_matches_sequential(ray_session):
