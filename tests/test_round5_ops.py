@@ -65,52 +65,6 @@ def test_bigram_lm_matches_reference(ray_session):
         assert got.loc[did, "avg_nll"] == pytest.approx(nll, abs=2e-4)
 
 
-def test_roc_auc_matches_pairwise_definition(ray_session):
-    rng = np.random.default_rng(3)
-    n = 400
-    # deliberately coarse scores so ties span both labels
-    sc = np.round(rng.normal(size=n), 1)
-    pos = (sc + rng.normal(scale=1.5, size=n) > 0).astype("int64")
-    df = pd.DataFrame({"sc": sc, "pos": pos})
-
-    got = rel.roc_auc(rd.from_pandas(df).repartition(5),
-                      "sc", "pos").to_pandas().iloc[0]
-
-    p, q = sc[pos == 1], sc[pos == 0]
-    wins = (p[:, None] > q[None, :]).sum() + 0.5 * (p[:, None] == q[None, :]).sum()
-    want = wins / (len(p) * len(q))
-    assert got["n_pos"] == len(p) and got["n_neg"] == len(q)
-    assert got["auc"] == pytest.approx(want, abs=1e-6)
-    # parallelism invariance
-    got1 = rel.roc_auc(rd.from_pandas(df).repartition(1),
-                       "sc", "pos").to_pandas().iloc[0]
-    assert got1["auc"] == got["auc"]
-
-
-def test_grouped_ewma_matches_recurrence(ray_session):
-    rng = np.random.default_rng(11)
-    n = 600
-    df = pd.DataFrame({
-        "k": rng.integers(0, 7, size=n).astype("int64"),
-        "ts": rng.permutation(n).astype("int64"),
-        "id": np.arange(n, dtype="int64"),
-        "v": np.round(rng.normal(size=n) * 10, 2),
-    })
-    got = (rel.grouped_ewma(rd.from_pandas(df).repartition(6),
-                            key="k", ts_col="ts", val_col="v",
-                            tiebreak="id", alpha=0.5, num_partitions=4)
-           .to_pandas().sort_values("id").reset_index(drop=True))
-
-    want = {}
-    for k, g in df.sort_values(["ts", "id"]).groupby("k"):
-        y = None
-        for rid, x in zip(g["id"], g["v"]):
-            y = x if y is None else 0.5 * y + 0.5 * x
-            want[rid] = np.floor(abs(y) * 1e6 + 0.5) * np.sign(y) / 1e6
-    assert np.allclose(got.set_index("id")["ewma"],
-                       pd.Series(want).sort_index(), atol=0, rtol=0)
-
-
 def test_boolean_search_matches_reference(ray_session):
     docs = pd.DataFrame({
         "doc_id": np.arange(6, dtype="int64"),
@@ -232,265 +186,6 @@ def test_balanced_hash_shards_deterministic_and_balanced(ray_session):
     assert set(sa["shard"].unique()) == set(range(4))
 
 
-def test_pareto_frontier_matches_brute_force(ray_session):
-    rng = np.random.default_rng(21)
-    n = 5000
-    df = pd.DataFrame({
-        "id": np.arange(n, dtype="int64"),
-        "price": rng.uniform(0, 100, n).round(2),
-        "size": rng.integers(1, 50, n).astype("int64"),
-    })
-    # plant exact ties on the frontier: duplicated (price, size) points
-    # are mutually non-dominating and must BOTH survive
-    df.loc[0, ["price", "size"]] = (0.01, 49)
-    df.loc[1, ["price", "size"]] = (0.01, 49)
-    got = (rel.pareto_frontier(
-        rd.from_pandas(df).repartition(7), "price", "size")
-        .to_pandas().sort_values("id").reset_index(drop=True))
-    p, s = df["price"].to_numpy(), df["size"].to_numpy()
-    dominated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        dominated[i] = bool(np.any(
-            (p <= p[i]) & (s <= s[i]) & ((p < p[i]) | (s < s[i]))))
-    want = df.loc[~dominated].sort_values("id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got[["id", "price", "size"]], want[["id", "price", "size"]])
-    assert {0, 1} <= set(got["id"])
-
-
-def test_frequent_pairs_dedups_within_basket(ray_session):
-    # basket 1: items (1,2,2,3) -> pairs (1,2),(1,3),(2,3) ONCE each
-    # (the duplicate 2 must not inflate support); pair (1,2) recurs in
-    # baskets 2 and 3 -> support 3
-    df = pd.DataFrame({
-        "b": [1, 1, 1, 1, 2, 2, 3, 3, 4],
-        "i": [1, 2, 2, 3, 1, 2, 2, 1, 9],
-    })
-    got = (rel.frequent_pairs(
-        rd.from_pandas(df).repartition(3), "b", "i", min_support=2)
-        .to_pandas().sort_values(["item_a", "item_b"])
-        .reset_index(drop=True))
-    want = pd.DataFrame({"item_a": [1], "item_b": [2],
-                         "support": [3]})
-    pd.testing.assert_frame_equal(
-        got.astype({"support": "int64"}), want.astype({"support": "int64"}))
-    # support >= 1 recovers every within-basket pair exactly once
-    all_pairs = (rel.frequent_pairs(
-        rd.from_pandas(df).repartition(3), "b", "i", min_support=1)
-        .to_pandas())
-    assert len(all_pairs) == 3 and int(all_pairs["support"].sum()) == 5
-
-
-def test_mutual_info_independence_and_identity(ray_session):
-    rng = np.random.default_rng(3)
-    n = 20_000
-    a = rng.integers(0, 4, n)
-    # independent column: MI ~ 0 (within plug-in estimator bias)
-    b_ind = rng.integers(0, 5, n)
-    df = pd.DataFrame({"a": a.astype("int64"), "b": b_ind.astype("int64")})
-    mi0 = rel.mutual_info(rd.from_pandas(df).repartition(5), "a", "b")
-    assert float(mi0["mi_bits"][0]) < 0.01
-    # deterministic function of a: MI == H(a)
-    df2 = pd.DataFrame({"a": a.astype("int64"),
-                        "b": (a * 7).astype("int64")})
-    mi1 = rel.mutual_info(rd.from_pandas(df2).repartition(5), "a", "b")
-    pa_ = np.bincount(a) / n
-    h = float(-(pa_[pa_ > 0] * np.log2(pa_[pa_ > 0])).sum())
-    assert abs(float(mi1["mi_bits"][0]) - h) < 1e-5
-
-
-def test_chi2_matches_dense_reference(ray_session):
-    rng = np.random.default_rng(11)
-    n = 8000
-    a = rng.integers(0, 3, n)
-    b = np.where(rng.random(n) < 0.3, a % 2, rng.integers(0, 4, n))
-    df = pd.DataFrame({"a": a.astype("int64"), "b": b.astype("int64")})
-    got = rel.chi2_test(rd.from_pandas(df).repartition(6), "a", "b")
-    # dense reference over ALL cells (incl. observed-zero ones)
-    obs = np.zeros((3, 4))
-    for ai, bi in zip(a, b):
-        obs[ai, bi] += 1
-    ex = obs.sum(1)[:, None] * obs.sum(0)[None, :] / n
-    want = float(((obs - ex) ** 2 / ex).sum())
-    assert abs(float(got["chi2"][0]) - want) < 1e-5
-    assert int(got["dof"][0]) == (3 - 1) * (4 - 1)
-    assert int(got["n"][0]) == n
-
-
-def test_validate_rules_counts(ray_session):
-    df = pd.DataFrame({
-        "x": [1.0, 2.0, 100.0, -5.0, 3.0, np.nan],
-        "y": ["a", "b", None, "c", None, "d"],
-    })
-    rules = {
-        "x_out_of_range": lambda d: ~d["x"].between(0, 10).fillna(False)
-        .to_numpy(),
-        "y_null": lambda d: d["y"].isna().to_numpy(),
-    }
-    got = (rel.validate_rules(rd.from_pandas(df).repartition(4), rules)
-           .to_pandas().set_index("rule"))
-    assert int(got.loc["x_out_of_range", "violations"]) == 3
-    assert int(got.loc["y_null", "violations"]) == 2
-    assert (got["n_rows"] == 6).all()
-
-
-def test_twap_hand_case_and_parallelism(ray_session):
-    def us(s):
-        return np.datetime64("2024-01-01T00:00:00") + np.timedelta64(s, "s")
-
-    df = pd.DataFrame({
-        "k": [1, 1, 1, 2, 3, 3],
-        "ts": [us(0), us(10), us(40), us(5), us(0), us(0)],
-        "v": [10.0, 40.0, 99.0, 7.0, 1.0, 2.0],
-        "eid": [0, 1, 2, 3, 4, 5],
-    })
-    # k=1: 10 for 10s, 40 for 30s -> (100+1200)/40 = 32.5
-    # k=2: single event -> no row; k=3: simultaneous pair -> no row
-    for nparts in (1, 5):
-        got = (rel.time_weighted_avg(
-            rd.from_pandas(df).repartition(nparts), "k", "ts", "v", "eid")
-            .to_pandas().sort_values("k").reset_index(drop=True))
-        assert list(got["k"]) == [1]
-        assert abs(float(got["twap"][0]) - 32.5) < 1e-9
-
-
-def test_upsert_latest_semantics(ray_session):
-    base = pd.DataFrame({
-        "k": [1, 2, 3, 4],
-        "val": ["a", "b", "c", "d"],
-        "ver": np.int64([1, 1, 5, 1]),
-    })
-    delta = pd.DataFrame({
-        "k": [2, 3, 4, 5],
-        "val": ["B", "stale", "D", "E"],
-        "ver": np.int64([2, 3, 1, 1]),
-        "deleted": [False, False, True, False],
-    })
-    for nparts in (1, 4):
-        got = (rel.upsert_latest(
-            rd.from_pandas(base).repartition(nparts),
-            rd.from_pandas(delta).repartition(nparts),
-            "k", "ver", deleted_col="deleted")
-            .to_pandas().sort_values("k").reset_index(drop=True))
-        # k=1 untouched; k=2 updated; k=3 base wins (higher ver);
-        # k=4 delete tombstone LOSES to the base's ver=1? No: tie
-        # ver=1 breaks toward the delta -> tombstone wins, key gone;
-        # k=5 inserted
-        assert list(got["k"]) == [1, 2, 3, 5]
-        assert list(got["val"]) == ["a", "B", "c", "E"]
-        assert list(got["ver"]) == [1, 2, 5, 1]
-
-
-def test_throttle_events_lag_semantics(ray_session):
-    def us(s):
-        return np.datetime64("2024-01-01T00:00:00") + np.timedelta64(s, "s")
-
-    # k=1: events at 0, 5, 12 with gap 10 -> 5 dropped (0..5 < 10) and
-    # 12 dropped too (12-5=7 < 10: gap to previous RAW event, even
-    # though 5 was itself dropped — the lag semantics under test)
-    df = pd.DataFrame({
-        "k": [1, 1, 1, 2, 2],
-        "ts": [us(0), us(5), us(12), us(0), us(30)],
-        "eid": np.int64([0, 1, 2, 3, 4]),
-    })
-    for nparts in (1, 3):
-        got = (rel.throttle_events(
-            rd.from_pandas(df).repartition(nparts), ["k"], "ts", "eid",
-            min_gap_us=10_000_000)
-            .to_pandas().sort_values("eid"))
-        assert list(got["eid"]) == [0, 3, 4]
-
-
-def test_grouped_linreg_matches_polyfit(ray_session):
-    rng = np.random.default_rng(17)
-    rows = []
-    for k in range(20):
-        n = rng.integers(2, 30)
-        x = rng.uniform(0, 10, n)
-        y = 2.0 * k * x + k + rng.normal(0, 0.1, n)
-        rows.append(pd.DataFrame({"k": np.int64(k), "x": x, "y": y}))
-    # singleton key and zero-variance key: both must be dropped
-    rows.append(pd.DataFrame({"k": np.int64(100), "x": [1.0], "y": [1.0]}))
-    rows.append(pd.DataFrame({"k": np.int64(101),
-                              "x": [2.0, 2.0, 2.0], "y": [1.0, 2.0, 3.0]}))
-    df = pd.concat(rows, ignore_index=True)
-    got = (rel.grouped_linreg(rd.from_pandas(df).repartition(6),
-                              ["k"], "x", "y",
-                              with_n=True, drop_degenerate=True)
-           .to_pandas().sort_values("k").reset_index(drop=True))
-    assert set(got["k"]) == set(range(20))
-    for _, r in got.iterrows():
-        sub = df[df["k"] == r["k"]]
-        sl, ic = np.polyfit(sub["x"], sub["y"], 1)
-        assert abs(r["slope"] - sl) < 1e-4 and abs(r["intercept"] - ic) < 1e-4
-
-
-def test_countmin_join_size_guarantees(ray_session):
-    rng = np.random.default_rng(5)
-    a = pd.DataFrame({"k": rng.zipf(1.5, 4000).astype("int64") % 500})
-    b = pd.DataFrame({"k": rng.zipf(1.5, 6000).astype("int64") % 500})
-    est, na, nb = rel.countmin_join_size(
-        rd.from_pandas(a).repartition(3), "k",
-        rd.from_pandas(b).repartition(4), "k", width=4096)
-    true = int(pd.merge(a.value_counts().rename("ca").reset_index(),
-                        b.value_counts().rename("cb").reset_index(),
-                        on="k").eval("ca * cb").sum())
-    assert na == 4000 and nb == 6000
-    assert est >= true                      # one-sided, always
-    assert est <= true + 4 * na * nb / 4096  # Markov x4, min over depth
-
-
-def test_welch_ttest_reference(ray_session):
-    rng = np.random.default_rng(23)
-    a = rng.normal(10.0, 2.0, 500)
-    b = rng.normal(9.0, 5.0, 300)
-    df = pd.DataFrame({
-        "g": ["a"] * 500 + ["b"] * 300 + ["c"] * 10,
-        "v": np.r_[a, b, np.zeros(10)],
-    })
-    got = rel.welch_ttest(rd.from_pandas(df).repartition(5),
-                          "g", "v", "a", "b")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / 500 + vb / 300
-    t = (a.mean() - b.mean()) / np.sqrt(se2)
-    dof = se2 ** 2 / ((va / 500) ** 2 / 499 + (vb / 300) ** 2 / 299)
-    assert abs(float(got["t_stat"][0]) - t) < 1e-5
-    assert abs(float(got["df"][0]) - dof) < 1e-3
-    assert int(got["n_a"][0]) == 500 and int(got["n_b"][0]) == 300
-
-
-def test_gini_matches_sorted_reference(ray_session):
-    rng = np.random.default_rng(31)
-    x = rng.exponential(100.0, 3000)
-    df = pd.DataFrame({"id": np.arange(3000, dtype="int64"), "v": x})
-
-    def brute(vals: np.ndarray) -> float:
-        s = np.sort(vals)
-        n = len(s)
-        rn = np.arange(1, n + 1, dtype="float64")
-        return float(2.0 * (rn * s).sum() / (n * s.sum()) - (n + 1.0) / n)
-
-    got = rel.gini_coefficient(
-        rd.from_pandas(df).repartition(6), "v", ["id"]).to_pandas()
-    assert int(got["n"][0]) == 3000
-    assert abs(float(got["gini"][0]) - brute(x)) < 1e-9
-    # exponential distribution: true Gini = 0.5; sampled near it
-    assert 0.45 < float(got["gini"][0]) < 0.55
-
-    # all-equal values -> perfect equality, gini exactly 0
-    eq = pd.DataFrame({"id": np.arange(50, dtype="int64"),
-                       "v": np.full(50, 7.0)})
-    g0 = rel.gini_coefficient(rd.from_pandas(eq), "v", ["id"]).to_pandas()
-    assert abs(float(g0["gini"][0])) < 1e-12
-
-    # parallelism invariance: 1 block vs 11 blocks, identical quotient
-    a = rel.gini_coefficient(
-        rd.from_pandas(df).repartition(1), "v", ["id"]).to_pandas()
-    b = rel.gini_coefficient(
-        rd.from_pandas(df).repartition(11), "v", ["id"]).to_pandas()
-    assert float(a["gini"][0]) == float(b["gini"][0])
-
-
 def test_hits_matches_numpy_and_path_parity(ray_session):
     from crawler_service_ray.functions import graph as gr
 
@@ -534,76 +229,6 @@ def test_hits_matches_numpy_and_path_parity(ray_session):
     assert (ex["node"].to_numpy() == ref["node"].to_numpy()).all()
     assert np.abs(ex["hub"].to_numpy() - got["hub"].to_numpy()).max() < 1e-12
     assert np.abs(ex["auth"].to_numpy() - got["auth"].to_numpy()).max() < 1e-12
-
-
-def test_anova_and_kruskal_references(ray_session):
-    rng = np.random.default_rng(91)
-    groups = ["a"] * 400 + ["b"] * 300 + ["c"] * 300
-    v = np.r_[rng.normal(10, 2, 400), rng.normal(11, 2, 300),
-              rng.normal(10.5, 2, 300)]
-    v = np.round(v, 1)  # force value ties across groups
-    df = pd.DataFrame({"g": groups, "v": v})
-
-    # ANOVA F vs the textbook decomposition
-    got = rel.anova_f(rd.from_pandas(df).repartition(6),
-                      "g", "v").to_pandas()
-    means = df.groupby("g")["v"].mean()
-    ns = df.groupby("g")["v"].size()
-    grand = v.mean()
-    ssb = float((ns * (means - grand) ** 2).sum())
-    ssw = float(((v - means.reindex(df["g"]).to_numpy()) ** 2).sum())
-    f_ref = (ssb / 2) / (ssw / (1000 - 3))
-    assert int(got["n_groups"][0]) == 3 and int(got["n"][0]) == 1000
-    assert abs(float(got["f_stat"][0]) - f_ref) < 1e-6
-
-    # Kruskal-Wallis vs the tie-corrected midrank formula
-    kw = rel.kruskal_wallis(rd.from_pandas(df).repartition(6),
-                            "g", "v").to_pandas()
-    mr = pd.Series(v).rank(method="average").to_numpy()
-    R = pd.DataFrame({"g": groups, "mr": mr}).groupby("g")["mr"].sum()
-    N = 1000.0
-    h = 12 / (N * (N + 1)) * float((R ** 2 / ns).sum()) - 3 * (N + 1)
-    t = pd.Series(v).value_counts().to_numpy(dtype="float64")
-    c = 1 - float((t ** 3 - t).sum()) / (N ** 3 - N)
-    assert abs(float(kw["h_stat"][0]) - h / c) < 1e-9
-
-    # identical distributions by construction -> tiny H on a permuted
-    # single group split (sanity: parallelism invariance too)
-    a = rel.kruskal_wallis(rd.from_pandas(df).repartition(1),
-                           "g", "v").to_pandas()
-    b = rel.kruskal_wallis(rd.from_pandas(df).repartition(11),
-                           "g", "v").to_pandas()
-    assert float(a["h_stat"][0]) == float(b["h_stat"][0])
-
-
-def test_average_precision_reference(ray_session):
-    def brute(sc: np.ndarray, pos: np.ndarray) -> float:
-        df = (pd.DataFrame({"sc": np.round(sc, 6), "p": pos})
-              .groupby("sc").agg(np_=("p", "sum"), n=("p", "size"))
-              .sort_index(ascending=False))
-        ctp = df["np_"].cumsum().to_numpy(dtype="float64")
-        call = df["n"].cumsum().to_numpy(dtype="float64")
-        npos = df["np_"].to_numpy(dtype="float64")
-        return float((npos * ctp / call).sum() / npos.sum())
-
-    rng = np.random.default_rng(71)
-    n = 2000
-    pos = (rng.random(n) < 0.1).astype("int64")   # rare positives
-    sc = rng.normal(0, 1, n) + 1.5 * pos          # informative score
-    sc[::7] = np.round(sc[::7], 1)                # force score ties
-    df = pd.DataFrame({"sc": sc, "pos": pos})
-    got = rel.average_precision(
-        rd.from_pandas(df).repartition(6), "sc", "pos").to_pandas()
-    assert int(got["n_pos"][0]) == pos.sum()
-    assert abs(float(got["ap"][0]) - round(brute(sc, pos), 6)) < 2e-6
-
-    # perfect separation -> AP exactly 1
-    dperf = pd.DataFrame({"sc": np.r_[np.ones(50), np.zeros(50)],
-                          "pos": np.r_[np.ones(50), np.zeros(50)]
-                          .astype("int64")})
-    gp = rel.average_precision(rd.from_pandas(dperf), "sc",
-                               "pos").to_pandas()
-    assert float(gp["ap"][0]) == 1.0
 
 
 def test_nearest_centroid_planted_clusters(ray_session):
@@ -687,121 +312,6 @@ def test_js_divergence_reference_and_bounds(ray_session):
     assert abs(float(g2["js"][0]) - float(got["js"][0])) < 1e-12
 
 
-def test_spearman_matches_pandas_midranks(ray_session):
-    rng = np.random.default_rng(37)
-    n = 3000
-    # heavy ties on x (integers 0-19), monotone-plus-noise y
-    x = rng.integers(0, 20, n).astype("float64")
-    y = 3.0 * x + rng.normal(0, 10, n)
-    df = pd.DataFrame({"id": np.arange(n, dtype="int64"),
-                       "x": x, "y": y})
-    got = rel.spearman_corr(
-        rd.from_pandas(df).repartition(7), "x", "y", ["id"]).to_pandas()
-    ref = df["x"].rank(method="average").corr(
-        df["y"].rank(method="average"))
-    assert int(got["n"][0]) == n
-    assert abs(float(got["spearman"][0]) - ref) < 1e-9
-
-    # perfectly monotone (no ties) -> exactly 1; reversed -> exactly -1
-    mono = pd.DataFrame({"id": np.arange(200, dtype="int64"),
-                         "x": np.arange(200, dtype="float64"),
-                         "y": np.exp(np.arange(200) / 40.0)})
-    g1 = rel.spearman_corr(rd.from_pandas(mono), "x", "y",
-                           ["id"]).to_pandas()
-    assert abs(float(g1["spearman"][0]) - 1.0) < 1e-12
-    mono["y"] = -mono["y"]
-    g2 = rel.spearman_corr(rd.from_pandas(mono), "x", "y",
-                           ["id"]).to_pandas()
-    assert abs(float(g2["spearman"][0]) + 1.0) < 1e-12
-
-    # parallelism invariance (exact rank sums -> identical quotient)
-    a = rel.spearman_corr(rd.from_pandas(df).repartition(1),
-                          "x", "y", ["id"]).to_pandas()
-    b = rel.spearman_corr(rd.from_pandas(df).repartition(13),
-                          "x", "y", ["id"]).to_pandas()
-    assert float(a["spearman"][0]) == float(b["spearman"][0])
-
-
-def test_running_max_exchange_matches_sorted_cummax(ray_session):
-    rng = np.random.default_rng(47)
-    n = 4000
-    order = rng.permutation(n).astype("int64")   # unique, shuffled
-    val = rng.normal(0, 100, n)
-    val[::97] = val[::97] + 500                  # spikes the watermark holds
-    df = pd.DataFrame({"o": order, "v": val})
-
-    def part(g: pd.DataFrame, wm: np.ndarray) -> pd.DataFrame:
-        return pd.DataFrame({"o": g["o"].to_numpy(), "wm": wm})
-
-    got = (rel.running_max_exchange(
-        rd.from_pandas(df).repartition(7), "o", "v", part)
-        .to_pandas().sort_values("o").reset_index(drop=True))
-    want = df.sort_values("o").reset_index(drop=True)
-    ref = np.maximum.accumulate(want["v"].to_numpy())
-    assert len(got) == n
-    np.testing.assert_allclose(got["wm"].to_numpy(), ref, rtol=0, atol=0)
-
-    # parallelism invariance: 1 block vs 11 blocks, bit-identical
-    a = (rel.running_max_exchange(
-        rd.from_pandas(df).repartition(1), "o", "v", part,
-        num_partitions=4)
-        .to_pandas().sort_values("o").reset_index(drop=True))
-    b = (rel.running_max_exchange(
-        rd.from_pandas(df).repartition(11), "o", "v", part,
-        num_partitions=16)
-        .to_pandas().sort_values("o").reset_index(drop=True))
-    assert (a["wm"].to_numpy() == b["wm"].to_numpy()).all()
-
-
-def test_brown_smoothing_matches_sequential(ray_session):
-    """Level/trend equal the textbook sequential double-EWMA fold, at
-    any parallelism; a linear series' forecast converges to zero lag
-    (level + trend tracks the line)."""
-    rng = np.random.default_rng(31)
-    n = 500
-    df = pd.DataFrame({
-        "k": rng.integers(0, 7, n).astype("int64"),
-        "ts": rng.permutation(n).astype("int64"),
-        "eid": np.arange(n, dtype="int64"),
-        "v": rng.normal(10, 3, n),
-    })
-    got = (rel.brown_smoothing(
-        rd.from_pandas(df).repartition(9), "k", "ts", "v", "eid",
-        alpha=0.5, num_partitions=4)
-        .to_pandas().sort_values("eid").reset_index(drop=True))
-
-    ref = df.sort_values(["k", "ts", "eid"]).reset_index(drop=True)
-    out_l, out_t = [], []
-    # plain dict fold
-    state = {}
-    for _, r in ref.iterrows():
-        if r["k"] not in state:
-            s1 = s2 = r["v"]
-        else:
-            s1p, s2p = state[r["k"]]
-            s1 = 0.5 * s1p + 0.5 * r["v"]
-            s2 = 0.5 * s2p + 0.5 * s1
-        state[r["k"]] = (s1, s2)
-        out_l.append(2 * s1 - s2)
-        out_t.append(s1 - s2)
-    ref = ref.assign(level=np.round(out_l, 6), trend=np.round(out_t, 6))
-    ref = ref.sort_values("eid").reset_index(drop=True)
-    np.testing.assert_allclose(got["level"], ref["level"], atol=1e-9)
-    np.testing.assert_allclose(got["trend"], ref["trend"], atol=1e-9)
-
-    # a pure linear ramp: trend -> slope, forecast lag -> 0
-    lin = pd.DataFrame({
-        "k": np.zeros(60, dtype="int64"),
-        "ts": np.arange(60, dtype="int64"),
-        "eid": np.arange(60, dtype="int64"),
-        "v": 5.0 * np.arange(60),
-    })
-    g = (rel.brown_smoothing(rd.from_pandas(lin), "k", "ts", "v", "eid")
-         .to_pandas().sort_values("eid"))
-    assert abs(g["trend"].iloc[-1] - 5.0) < 1e-3
-    assert abs(g["level"].iloc[-1] - lin["v"].iloc[-1]) < 1e-2
-
-
 def test_hhi_uniform_and_monopoly(ray_session):
     """HHI identities: k equal customers -> 1/k, one customer -> 1."""
     from crawler_service_ray.functions.relational import grouped_apply
@@ -859,30 +369,6 @@ def test_dsir_planted_target_ranks_first(ray_session):
             == got1["logweight"].to_numpy()).all()
 
 
-def test_table_diff_statuses(ray_session):
-    """Added/removed/changed/unchanged each classified correctly,
-    NULL-valued equal rows are unchanged, at any parallelism."""
-    base = pd.DataFrame({
-        "k": [1, 2, 3, 4, 5],
-        "v": [1.0, 2.0, 3.0, np.nan, 5.0],
-    })
-    new = pd.DataFrame({
-        "k": [2, 3, 4, 5, 6],
-        "v": [2.0, 3.5, np.nan, np.nan, 6.0],
-    })
-    got = (rel.table_diff(rd.from_pandas(base).repartition(3),
-                          rd.from_pandas(new).repartition(2),
-                          ["k"], ["v"], num_partitions=4)
-           .to_pandas().sort_values("k").reset_index(drop=True))
-    want = pd.DataFrame({
-        "k": [1, 3, 5, 6],
-        "status": ["removed", "changed", "changed", "added"],
-    })
-    # k=2 equal -> omitted; k=4 NaN==NaN -> unchanged, omitted
-    pd.testing.assert_frame_equal(
-        got.astype({"k": "int64"}), want.astype({"k": "int64"}))
-
-
 def test_attribution_handcrafted(ray_session):
     """Purchase credits the latest prior click; ts ties pick max
     event_id; purchases with no prior click drop."""
@@ -919,41 +405,6 @@ def test_attribution_handcrafted(ray_session):
     # t0+3 < t0+5 so click 5 wins); u3 -> dropped
     got = dict(zip(j["purchase_id"], j["click_id_r"]))
     assert got == {3: 2, 4: 5, 7: 2}
-
-
-def test_quantile_normalize_identities(ray_session):
-    """A single group maps to itself; two groups end up with equal
-    sorted distributions; bit-identical at any parallelism."""
-    rng = np.random.default_rng(37)
-    n = 400
-    one = pd.DataFrame({
-        "g": ["a"] * n,
-        "v": np.round(rng.normal(50, 10, n), 3),
-        "id": np.arange(n, dtype="int64"),
-    })
-    got = (rel.quantile_normalize(rd.from_pandas(one).repartition(5),
-                                  "g", "v", "id")
-           .to_pandas().sort_values("id").reset_index(drop=True))
-    np.testing.assert_allclose(got["qnorm"], one["v"], atol=2e-6)
-
-    two = pd.DataFrame({
-        "g": ["a"] * n + ["b"] * n,
-        "v": np.concatenate([rng.normal(0, 1, n),
-                             rng.normal(100, 30, n)]),
-        "id": np.arange(2 * n, dtype="int64"),
-    })
-    out = (rel.quantile_normalize(rd.from_pandas(two).repartition(7),
-                                  "g", "v", "id").to_pandas())
-    qa = np.sort(out.loc[out["g"] == "a", "qnorm"].to_numpy())
-    qb = np.sort(out.loc[out["g"] == "b", "qnorm"].to_numpy())
-    np.testing.assert_allclose(qa, qb, atol=1e-9)  # equalized
-
-    out1 = (rel.quantile_normalize(rd.from_pandas(two).repartition(1),
-                                   "g", "v", "id", num_partitions=3,
-                                   merge_partitions=2).to_pandas())
-    a = out.sort_values("id")["qnorm"].to_numpy()
-    b = out1.sort_values("id")["qnorm"].to_numpy()
-    assert (a == b).all()
 
 
 def test_weighted_median_reference(ray_session):
@@ -1025,30 +476,6 @@ def test_knn_classify_planted(ray_session):
     assert got["label"].tolist() == [0, 1]
 
 
-def test_kmv_sketch_regimes(ray_session):
-    """Unfilled sketch is exact; filled sketch is parallelism-invariant
-    and within the CV band; mergeability: union sketch == sketch of
-    the concatenated stream."""
-    from crawler_service_ray.functions import relational as r
-
-    ids = pd.DataFrame({"v": np.arange(50, dtype="int64")})
-    s = r.kmv_sketch(rd.from_pandas(ids).repartition(4), "v", k=256)
-    assert r.kmv_estimate(s, 256) == 50.0  # unfilled -> exact
-
-    big = pd.DataFrame({"v": np.arange(20000, dtype="int64")})
-    s1 = r.kmv_sketch(rd.from_pandas(big).repartition(1), "v", k=256)
-    s7 = r.kmv_sketch(rd.from_pandas(big).repartition(7), "v", k=256)
-    assert (s1 == s7).all()
-    est = r.kmv_estimate(s7, 256)
-    assert abs(est - 20000) / 20000 < 0.25  # ~4 sigma at k=256
-
-    a = rd.from_pandas(big.iloc[:15000]).repartition(3)
-    b = rd.from_pandas(big.iloc[5000:]).repartition(5)
-    merged = np.unique(np.concatenate([
-        r.kmv_sketch(a, "v", 256), r.kmv_sketch(b, "v", 256)]))[:256]
-    assert (merged == s1).all()  # bottom-k of union == union of bottom-ks
-
-
 def test_asof_tolerance_caps_staleness(ray_session):
     t0 = np.datetime64("2026-01-01T00:00:00", "us")
     left = pd.DataFrame({
@@ -1066,35 +493,6 @@ def test_asof_tolerance_caps_staleness(ray_session):
         ts_col="ts", tolerance=pd.Timedelta(seconds=60)).to_pandas()
     # only the 10s- gap row matches; 100s and 300s exceed tolerance
     assert got["lid"].tolist() == [0]
-
-
-def test_resample_interp_linear_ramp(ray_session):
-    """On a linear signal the interpolation is exact at every grid
-    point; leading-edge grid points are NULL; exact-hit points take
-    the event value."""
-    t0 = np.datetime64("2026-01-01T00:30:00", "us")
-    hour = np.timedelta64(3_600_000_000, "us")
-    df = pd.DataFrame({
-        "k": np.zeros(4, dtype="int64"),
-        "ts": [t0, t0 + 2 * hour, t0 + 4 * hour, t0 + 4 * hour],
-        "v": [10.0, 30.0, 50.0, 40.0],   # dup ts -> max wins (50)
-    })
-    got = (rel.resample_interp(rd.from_pandas(df).repartition(2),
-                               ["k"], "ts", "v", 3_600_000_000)
-           .to_pandas().sort_values("h").reset_index(drop=True))
-    # grid 00:00..04:00; 00:00 precedes first event -> NULL
-    assert np.isnan(got.loc[0, "value_interp"])
-    # events at fractional-hour offsets: 00:30->10, 02:30->30, 04:30->50
-    # grid 01:00 = 10 + (30m/120m)*(30-10) = 15; 03:00 = 35; 04:00 = 45
-    np.testing.assert_allclose(
-        got["value_interp"].to_numpy()[1:], [15.0, 25.0, 35.0, 45.0])
-
-    # parallelism invariance
-    a = (rel.resample_interp(rd.from_pandas(df).repartition(1),
-                             ["k"], "ts", "v", 3_600_000_000,
-                             num_partitions=3)
-         .to_pandas().sort_values("h").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, got)
 
 
 def test_max_gap_handcrafted(ray_session):
@@ -1127,91 +525,6 @@ def test_max_gap_handcrafted(ray_session):
                          per_part, num_partitions=2)
            .to_pandas().sort_values("user_id").reset_index(drop=True))
     assert got["gap_us"].tolist() == [10_000_000, 3_000_000]
-
-
-def test_levene_textbook_reference(ray_session):
-    """levene_w replays the textbook mean-centered W on groups with
-    genuinely different spreads, invariant to block layout."""
-    rng = np.random.default_rng(417)
-    groups = ["a"] * 350 + ["b"] * 400 + ["c"] * 250
-    v = np.r_[rng.normal(10, 1, 350), rng.normal(10, 3, 400),
-              rng.normal(10, 2, 250)]
-    df = pd.DataFrame({"g": groups, "v": v})
-
-    got = rel.levene_w(rd.from_pandas(df).repartition(7),
-                       "g", "v").to_pandas()
-    mu = df.groupby("g")["v"].transform("mean")
-    z = (df["v"] - mu).abs()
-    zg = pd.DataFrame({"g": groups, "z": z})
-    zbar = zg.groupby("g")["z"].mean()
-    ns = zg.groupby("g")["z"].size()
-    grand = float(z.mean())
-    ssb = float((ns * (zbar - grand) ** 2).sum())
-    ssw = float(((z - zbar.reindex(df["g"]).to_numpy()) ** 2).sum())
-    w_ref = (ssb / 2) / (ssw / (1000 - 3))
-    assert int(got["n_groups"][0]) == 3 and int(got["n"][0]) == 1000
-    assert abs(float(got["w_stat"][0]) - w_ref) < 1e-6
-    # different spreads by construction -> W clearly rejects
-    assert float(got["w_stat"][0]) > 10.0
-
-
-def test_dgim_digits_and_estimate_bound(ray_session):
-    """_dgim_digits conserves mass for every n; the full audit holds
-    its error bound on an adversarial alternating stream and is exact
-    when the window covers everything."""
-    for n in list(range(1, 200)) + [4095, 4096, 4097, 65536]:
-        total = sum(c * (1 << lvl)
-                    for lvl, c in enumerate(rel._dgim_digits(n)))
-        assert total == n
-        assert all(1 <= c <= 2 for c in rel._dgim_digits(n))
-
-    rng = np.random.default_rng(99)
-    nrows = 20000
-    ts = np.arange(nrows, dtype="int64")
-    bits = (rng.random(nrows) < 0.3).astype("int64")
-    df = pd.DataFrame({"ts": ts, "event_id": ts, "bit": bits})
-    ds = rd.from_pandas(df).repartition(9)
-    for w in (512, 4096, 40000):
-        audit = rel.dgim_window_audit(ds, "ts", "event_id", "bit",
-                                      w).to_pandas()
-        est = float(audit["est"].iloc[0])
-        exact = int(bits[-min(w, nrows):].sum())
-        if w >= nrows:
-            assert est == exact      # window covers all: exact
-        else:
-            assert abs(est - exact) <= exact / 2.0 + 1.0
-
-
-def test_huber_mean_downweights_outliers(ray_session):
-    """On clean data + gross outliers the Huber estimate stays near
-    the clean center while the plain mean is dragged; a scipy-free
-    single-process IRLS replay matches exactly."""
-    rng = np.random.default_rng(31)
-    clean = np.round(rng.normal(50, 2, 900), 2)
-    out = np.full(100, 500.0)
-    v = np.r_[clean, out]
-    df = pd.DataFrame({"g": ["a"] * 1000, "v": v})
-    got = rel.huber_mean(rd.from_pandas(df).repartition(6),
-                         "g", "v", rounds=3).to_pandas()
-    # replay: exact lower median + MAD scale, then 3 IRLS rounds
-    c = np.rint(v * 100).astype("int64")
-    n, s = float(len(c)), float(c.sum())
-    kth = (len(c) + 1) // 2
-    med = int(np.sort(c)[kth - 1])
-    mad = int(np.sort(np.abs(c - med))[kth - 1])
-    m = s / n
-    ch = 1.345 * 1.4826 * float(mad)
-    for _ in range(3):
-        cf = c.astype("float64")
-        ad = np.abs(cf - m)
-        w = np.where(ad <= ch, 1.0, ch / ad)
-        W = int(np.round(w * 1e6).astype("int64").sum())
-        S = int(np.round(w * cf * 1e3).astype("int64").sum())
-        m = float(S) * 1000.0 / float(W)
-    assert abs(float(got["huber_mean"][0]) - round(m / 100.0, 6)) \
-        < 1e-9
-    assert abs(float(got["huber_mean"][0]) - 50.0) < 1.0
-    assert float(got["mean"][0]) > 90.0   # the plain mean is dragged
 
 
 def test_jaro_winkler_known_values():
