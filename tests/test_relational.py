@@ -366,18 +366,6 @@ def test_quantiles_sketch_high_cardinality_copartitioned(ray_session):
     )
 
 
-def test_text_normalizer():
-    from crawler_service_ray.functions.text import TextNormalizer
-
-    out = TextNormalizer()(pd.DataFrame({
-        "doc_id": [1, 2],
-        "text": ["  Hello, WORLD!!  42 ", "\tall clean here\n"],
-    })).set_index("doc_id")
-    assert out.loc[1, "norm_text"] == "hello world 42"
-    assert out.loc[1, "norm_len"] == len("hello world 42")
-    assert out.loc[2, "norm_text"] == "all clean here"
-
-
 def test_approx_count_distinct_accuracy(ray_session):
     import numpy as np
     import ray.data as rd

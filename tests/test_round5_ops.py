@@ -1,151 +1,15 @@
-"""Round-5 second-wave operators: bigram LM scoring, ROC-AUC, EWMA,
-boolean retrieval — each checked against an independent single-node
-reference and for parallelism invariance (the oracle gate covers the
-SQL side; these pin the kernels on adversarial shapes)."""
+"""Relational and similarity kernels the registered queries build on
+(``grouped_apply``, ``asof_join``, ``grouped_agg``, ``bucketed_hash_join``,
+``balanced_hash_shards``, ``brute_force_topk``), each checked on a small
+handcrafted case against an independent single-node answer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pytest
 import ray.data as rd
 
 from crawler_service_ray.functions import relational as rel
-from crawler_service_ray.functions import text as tx
-
-
-def _bigram_reference(train_texts, test_rows, k):
-    """Dict-based add-k bigram LM (the independent reference)."""
-    bc: dict = {}
-    ctx: dict = {}
-    vocab = set()
-    for t in train_texts:
-        ws = [w for w in t.split(" ") if w != ""]
-        vocab.update(ws)
-        for a, b in zip(ws, ws[1:]):
-            bc[(a, b)] = bc.get((a, b), 0) + 1
-            ctx[a] = ctx.get(a, 0) + 1
-    v = float(len(vocab))
-    out = {}
-    for doc_id, t in test_rows:
-        ws = [w for w in t.split(" ") if w != ""]
-        pairs = list(zip(ws, ws[1:]))
-        if not pairs:
-            continue
-        nll = [-np.log((bc.get(p, 0) + k) / (ctx.get(p[0], 0) + k * v))
-               for p in pairs]
-        out[doc_id] = (len(pairs), round(float(np.mean(nll)), 4))
-    return out
-
-
-def test_bigram_lm_matches_reference(ray_session):
-    rng = np.random.default_rng(7)
-    words = [f"w{i}" for i in range(30)]
-    train_texts = [" ".join(rng.choice(words, size=rng.integers(2, 40)))
-                   for _ in range(40)]
-    # test docs exercise: seen bigrams, unseen bigram of seen words,
-    # unseen context word, double spaces, single-token doc (no bigrams)
-    test_texts = train_texts[:10] + [
-        "w0 w29 w1  w2", "zzz w0 qqq", "only", "w5 w5 w5 w5"]
-    train = rd.from_pandas(pd.DataFrame({
-        "doc_id": np.arange(len(train_texts), dtype="int64"),
-        "text": train_texts})).repartition(4)
-    test = rd.from_pandas(pd.DataFrame({
-        "doc_id": np.arange(len(test_texts), dtype="int64"),
-        "text": test_texts})).repartition(3)
-
-    got = (tx.bigram_lm_score(train, test, k=0.1)
-           .to_pandas().set_index("doc_id").sort_index())
-    want = _bigram_reference(
-        train_texts, list(enumerate(test_texts)), k=0.1)
-
-    assert set(got.index) == set(want)  # the no-bigram doc is absent
-    for did, (n, nll) in want.items():
-        assert got.loc[did, "n_bigrams"] == n
-        assert got.loc[did, "avg_nll"] == pytest.approx(nll, abs=2e-4)
-
-
-def test_boolean_search_matches_reference(ray_session):
-    docs = pd.DataFrame({
-        "doc_id": np.arange(6, dtype="int64"),
-        "text": [
-            "a b c",          # all three
-            "a a b b c c a",  # all three, repeated
-            "a b",            # missing c
-            "c",              # missing a b
-            "",               # empty
-            "x a y b z c",    # all three, interleaved
-        ],
-    })
-    got = (tx.boolean_search(rd.from_pandas(docs).repartition(3),
-                             terms=["a", "b", "c"])
-           .to_pandas()["doc_id"].sort_values().tolist())
-    assert got == [0, 1, 5]
-
-
-def test_lsh_topk_planted_and_monotone(ray_session):
-    rng = np.random.default_rng(5)
-    n, d = 300, 32
-    base = rng.normal(size=(n, d))
-    # plant: vec 1 is a near-copy of vec 0 — identical sign pattern, so
-    # they collide in EVERY table and LSH must return it at rank 1
-    base[1] = base[0] + 1e-6 * np.abs(base[0])
-    df = pd.DataFrame({"vec_id": np.arange(n, dtype="int64"),
-                       "embedding": list(base.astype("float32"))})
-    ds = rd.from_pandas(df).repartition(4)
-    from crawler_service_ray.functions import similarity as sim
-
-    q = base[[0]].astype(np.float64)
-    got = sim.lsh_topk(ds, q, np.array([0]), k=5,
-                       n_tables=8, n_bits=8).to_pandas()
-    top1 = got.sort_values("rank").iloc[0]
-    assert top1["neighbor_id"] == 1 and top1["cosine"] > 0.999999
-
-    # candidate monotonicity: a shared seed makes table t a prefix of
-    # t+1, so the L=2 result set is a subset of the L=8 candidate pool
-    # -> recall of the exact top-5 can only grow
-    exact = sim.brute_force_topk(ds, q, np.array([0]), k=5).to_pandas()
-    want = set(exact["neighbor_id"])
-
-    def rec(L):
-        g = sim.lsh_topk(ds, q, np.array([0]), k=5, n_tables=L,
-                         n_bits=8).to_pandas()
-        return len(want & set(g["neighbor_id"])) / len(want)
-    assert rec(8) >= rec(2)
-
-    # parallelism invariance
-    a = sim.lsh_topk(rd.from_pandas(df).repartition(1), q, np.array([0]),
-                     k=5, n_tables=8, n_bits=8).to_pandas()
-    pd.testing.assert_frame_equal(
-        a.sort_values("rank").reset_index(drop=True),
-        got.sort_values("rank").reset_index(drop=True))
-
-
-def test_leakage_safe_split_co_travels_near_dups(ray_session):
-    from crawler_service_ray.functions import dedup as dd
-
-    # 40 distinct docs + 3 planted near-dup families (one per split
-    # boundary risk); family members must land in the SAME split
-    rng = np.random.default_rng(9)
-    words = [f"t{i}" for i in range(50)]
-    texts = [" ".join(rng.choice(words, size=20)) for _ in range(40)]
-    fam = {40: 0, 41: 0, 42: 7, 43: 7, 44: 13, 45: 13, 46: 13}
-    for did, src in fam.items():
-        texts.append(texts[src] + " extraword")
-    docs = pd.DataFrame({"doc_id": np.arange(len(texts), dtype="int64"),
-                         "text": texts})
-    ds = rd.from_pandas(docs).repartition(4)
-    pairs = dd.ngram_jaccard_pairs(ds, k=5, threshold=0.5)
-    out = (dd.leakage_safe_split(ds, pairs)
-           .to_pandas().set_index("doc_id")["split"])
-
-    assert len(out) == len(texts) and set(out.unique()) <= {
-        "train", "val", "test"}
-    for did, src in fam.items():
-        assert out[did] == out[src], (did, src)
-    # and the pair set itself never crosses splits
-    for _, r in pairs.to_pandas().iterrows():
-        assert out[r["id_a"]] == out[r["id_b"]]
 
 
 def test_balanced_hash_shards_deterministic_and_balanced(ray_session):
@@ -186,132 +50,6 @@ def test_balanced_hash_shards_deterministic_and_balanced(ray_session):
     assert set(sa["shard"].unique()) == set(range(4))
 
 
-def test_hits_matches_numpy_and_path_parity(ray_session):
-    from crawler_service_ray.functions import graph as gr
-
-    rng = np.random.default_rng(53)
-    # directed bipartite-ish graph with a few pure-source nodes
-    e = set()
-    while len(e) < 300:
-        e.add((int(rng.integers(0, 40)), int(rng.integers(100, 160))))
-    edges = pd.DataFrame(sorted(e), columns=["src", "dst"])
-
-    def brute(iters: int) -> pd.DataFrame:
-        nodes = np.unique(np.r_[edges["src"], edges["dst"]])
-        idx = {n: i for i, n in enumerate(nodes)}
-        A = np.zeros((len(nodes), len(nodes)))
-        for s, d in e:
-            A[idx[s], idx[d]] = 1.0
-        h = np.ones(len(nodes))
-        a = np.zeros(len(nodes))
-        for _ in range(iters):
-            a = A.T @ h
-            a = a / np.sqrt((a * a).sum())
-            h = A @ a
-            h = h / np.sqrt((h * h).sum())
-        return pd.DataFrame({"node": nodes, "hub": h, "auth": a})
-
-    ref = brute(3).sort_values("node").reset_index(drop=True)
-    got = gr.hits(rd.from_pandas(edges).repartition(5), iters=3)\
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    assert (got["node"].to_numpy() == ref["node"].to_numpy()).all()
-    assert np.abs(got["hub"].to_numpy() - ref["hub"].to_numpy()).max() < 1e-9
-    assert np.abs(got["auth"].to_numpy() - ref["auth"].to_numpy()).max() < 1e-9
-    # pure-source nodes carry hub mass but exactly zero authority
-    pure_src = ~np.isin(ref["node"].to_numpy(),
-                        edges["dst"].unique())
-    assert (got["auth"].to_numpy()[pure_src] == 0.0).all()
-
-    # exchange path (broadcast_threshold=0) must match the broadcast path
-    ex = gr.hits(rd.from_pandas(edges).repartition(5), iters=3,
-                 broadcast_threshold=0, num_partitions=7)\
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    assert (ex["node"].to_numpy() == ref["node"].to_numpy()).all()
-    assert np.abs(ex["hub"].to_numpy() - got["hub"].to_numpy()).max() < 1e-12
-    assert np.abs(ex["auth"].to_numpy() - got["auth"].to_numpy()).max() < 1e-12
-
-
-def test_nearest_centroid_planted_clusters(ray_session):
-    from crawler_service_ray.functions import similarity as sim
-
-    rng = np.random.default_rng(83)
-    k, d, per = 4, 8, 300
-    centers = rng.normal(0, 8, (k, d))
-    rows = []
-    for lab in range(k):
-        pts = centers[lab] + rng.normal(0, 0.5, (per, d))
-        for i, p in enumerate(pts):
-            rows.append((lab * per + i, lab, p.astype("float32")))
-    df = pd.DataFrame(rows, columns=["vec_id", "label", "embedding"])
-    got = sim.nearest_centroid_eval(
-        rd.from_pandas(df).repartition(5)).to_pandas()
-
-    # single-node replica: same Knuth split, same centroids, same rule
-    ids = df["vec_id"].to_numpy(dtype="uint64")
-    b = (ids % np.uint64(2**32)) * np.uint64(2654435761) % np.uint64(2**32)
-    b = (b % np.uint64(10)).astype("int64")
-    M = np.stack(df["embedding"].to_numpy()).astype("float64")
-    labs = df["label"].to_numpy()
-    C = np.stack([M[(b < 8) & (labs == lab)].mean(axis=0)
-                  for lab in range(k)])
-    X, tl = M[b >= 8], labs[b >= 8]
-    D = np.round(((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2), 6)
-    pred = np.argmin(D, axis=1)
-    ref = (pd.DataFrame({"true_label": tl, "pred_label": pred})
-           .groupby(["true_label", "pred_label"]).size()
-           .reset_index(name="n"))
-    m = got.sort_values(["true_label", "pred_label"]).reset_index(drop=True)
-    r = ref.sort_values(["true_label", "pred_label"]).reset_index(drop=True)
-    assert (m["true_label"].to_numpy() == r["true_label"].to_numpy()).all()
-    assert (m["pred_label"].to_numpy() == r["pred_label"].to_numpy()).all()
-    assert (m["n"].to_numpy() == r["n"].to_numpy()).all()
-    # well-separated clusters -> the diagonal dominates
-    acc = m.loc[m["true_label"] == m["pred_label"], "n"].sum() / m["n"].sum()
-    assert acc > 0.99
-
-
-def test_js_divergence_reference_and_bounds(ray_session):
-    def brute(ta: str, tb: str) -> float:
-        from collections import Counter
-        a, b = Counter(ta.split()), Counter(tb.split())
-        na, nb = sum(a.values()), sum(b.values())
-        js = 0.0
-        for w in set(a) | set(b):
-            p, q = a[w] / na, b[w] / nb
-            m = (p + q) / 2
-            if p > 0:
-                js += 0.5 * p * np.log2(p / m)
-            if q > 0:
-                js += 0.5 * q * np.log2(q / m)
-        return js
-
-    ta = "the cat sat on the mat the cat"
-    tb = "a dog ran in a park the dog"
-    df = pd.DataFrame({
-        "text": [ta, tb, "noise ignored"],
-        "src": ["a", "b", "c"],   # third cohort must be excluded
-    })
-    got = tx.js_divergence(rd.from_pandas(df).repartition(3),
-                           "text", "src", "a", "b").to_pandas()
-    assert abs(float(got["js"][0]) - brute(ta, tb)) < 1e-12
-    assert int(got["tokens_a"][0]) == 8 and int(got["tokens_b"][0]) == 8
-
-    # disjoint vocabularies -> exactly 1 bit; identical corpora -> 0
-    d1 = pd.DataFrame({"text": ["x y z", "p q r"], "src": ["a", "b"]})
-    g1 = tx.js_divergence(rd.from_pandas(d1), "text", "src",
-                          "a", "b").to_pandas()
-    assert abs(float(g1["js"][0]) - 1.0) < 1e-12
-    d0 = pd.DataFrame({"text": ["x y z w", "x y z w"], "src": ["a", "b"]})
-    g0 = tx.js_divergence(rd.from_pandas(d0), "text", "src",
-                          "a", "b").to_pandas()
-    assert abs(float(g0["js"][0])) < 1e-12
-
-    # symmetry: JS(a,b) == JS(b,a)
-    g2 = tx.js_divergence(rd.from_pandas(df).repartition(2),
-                          "text", "src", "b", "a").to_pandas()
-    assert abs(float(g2["js"][0]) - float(got["js"][0])) < 1e-12
-
-
 def test_hhi_uniform_and_monopoly(ray_session):
     """HHI identities: k equal customers -> 1/k, one customer -> 1."""
     from crawler_service_ray.functions.relational import grouped_apply
@@ -336,37 +74,6 @@ def test_hhi_uniform_and_monopoly(ray_session):
            .to_pandas().sort_values("c_nationkey").reset_index(drop=True))
     assert abs(got.loc[0, "hhi"] - 0.25) < 1e-12
     assert abs(got.loc[1, "hhi"] - 1.0) < 1e-12
-
-
-def test_dsir_planted_target_ranks_first(ray_session):
-    """Docs written in the target's vocabulary must outscore docs in a
-    disjoint vocabulary, and weights are parallelism-invariant."""
-    rng = np.random.default_rng(17)
-    tvoc = [f"t{i}" for i in range(20)]
-    rvoc = [f"r{i}" for i in range(20)]
-    rows = []
-    for i in range(10):   # target corpus
-        rows.append((i, " ".join(rng.choice(tvoc, 30)), True))
-    for i in range(10, 20):   # raw docs in target vocab
-        rows.append((i, " ".join(rng.choice(tvoc, 30)), False))
-    for i in range(20, 30):   # raw docs in disjoint vocab
-        rows.append((i, " ".join(rng.choice(rvoc, 30)), False))
-    df = pd.DataFrame(rows, columns=["doc_id", "text", "is_target"])
-
-    got = (tx.dsir_weights(rd.from_pandas(df).repartition(4),
-                           target_mask_col="is_target")
-           .to_pandas().set_index("doc_id").sort_index())
-    assert len(got) == 30
-    target_like = got.loc[0:19, "logweight"]
-    alien = got.loc[20:29, "logweight"]
-    assert target_like.min() > alien.max()
-
-    got1 = (tx.dsir_weights(rd.from_pandas(df).repartition(1),
-                            target_mask_col="is_target",
-                            merge_partitions=2, num_buckets=3)
-            .to_pandas().set_index("doc_id").sort_index())
-    assert (got["logweight"].to_numpy()
-            == got1["logweight"].to_numpy()).all()
 
 
 def test_attribution_handcrafted(ray_session):
@@ -525,20 +232,3 @@ def test_max_gap_handcrafted(ray_session):
                          per_part, num_partitions=2)
            .to_pandas().sort_values("user_id").reset_index(drop=True))
     assert got["gap_us"].tolist() == [10_000_000, 3_000_000]
-
-
-def test_jaro_winkler_known_values():
-    """Classic textbook pairs + DuckDB convention spot checks (the
-    floored half-transposition and the 0.7 boost gate)."""
-    assert abs(tx.jaro_winkler("martha", "marhta")
-               - 0.9611111111111111) < 1e-12
-    assert abs(tx.jaro_winkler("dwayne", "duane") - 0.84) < 1e-12
-    assert tx.jaro_winkler("same", "same") == 1.0
-    assert tx.jaro_winkler("", "x") == 0.0
-    assert tx.jaro_winkler("abc", "xyz") == 0.0
-    # below the 0.7 gate no prefix bonus applies even with a shared
-    # prefix
-    low = tx.jaro_winkler("abcdefghij", "abxxxxxxxx")
-    assert low < 0.7
-    j = (8 / 10 + 8 / 10 + 1) / 3  # hand value would exceed w/ bonus
-    assert low != j + 2 * 0.1 * (1 - j)
