@@ -6,7 +6,7 @@ threads (`/root/reference/crawlers/globus_base_preserved.py:427-428,256,351`)
 and terminates via an all-workers-idle protocol (`:235-249`), this engine
 materializes the frontier as an epoch-partitioned parquet table and loops:
 
-  frontier_k → politeness admission (two-phase per-host top-K, stages/admit)
+  frontier_k → politeness admission (per-host top-K, stages/admit)
              → fetch/expand (actor-pool corpus lookup, stages/fetch)
              → outlink extract/canonicalize/robots/skip (stages/outlinks)
              → seen-filter anti-join (sharded cuckoo actors, state/seen)

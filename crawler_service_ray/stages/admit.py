@@ -1,23 +1,19 @@
 """Politeness admission: per-host top-K with explicit skew control.
 
-The reference has no admission control — a giant directory pins one thread
-and oversized listings are dropped
-(`/root/reference/crawlers/globus_base_preserved.py:293-297`). Here
-admission is two-phase, designed for a skewed 10^10-row frontier:
+The crawl calls ``admit_per_host`` once per host partition of the
+frontier (``pipelines/crawl.py:_admit_partition_fn``). Partitions are
+host-complete (rows route by host hash), so ranking inside one partition
+is the exact global per-host ranking: each host admits its best
+K(host) = ``epoch_ms // min_gap_ms`` rows (or its per-host override) and
+defers the rest to the next epoch. Each admitted row gets ``host_rank``
+and the virtual fetch timestamp ``epoch*epoch_ms + host_rank*min_gap_ms``
+— the recorded politeness-compliance metric (min-gap spacing per host).
 
-  phase 1 (``local_topk_mark``, stateless ``map_batches`` over the raw
-  frontier): within each block, rows ranked worse than K(host) for their
-  host are marked deferred — if ≥K same-host rows outrank a row inside ONE
-  block, ≥K outrank it globally, so the mark is exact, not heuristic. A hot
-  host with 10^7 frontier rows therefore contributes ≤ K rows per block to
-  the shuffle — this bounded-per-block contribution is the salting
-  equivalent for admission (SURVEY.md §4 skew row).
-
-  phase 2 (``admit_per_host``, ``groupby("host").map_groups``): exact
-  global per-host top-K over the ≤ K×num_blocks survivors; assigns
-  ``host_rank`` and the virtual fetch timestamp
-  ``epoch*epoch_ms + host_rank*min_gap_ms`` — the recorded
-  politeness-compliance metric (min-gap spacing per host).
+A hot host cannot blow up the admission task: with a frontier row bound
+(``state/spill.py``), rows past a spilled host's boundary divert to spill
+as the partition is read, and the accumulated frontier is compacted back
+under the bound whenever it exceeds it. Admission therefore ranks at most
+the bound plus one read group, however many rows the host has pending.
 
 Ranking key everywhere: (priority desc, url asc) — deterministic, equal to
 the oracle's (oracle.py).
@@ -62,19 +58,10 @@ def _caps_for(hosts: np.ndarray, pol: PolitenessConfig) -> np.ndarray:
     )
 
 
-def local_topk_mark(t: pa.Table, pol: PolitenessConfig) -> pa.Table:
-    """Phase 1: append bool ``defer1`` (True = provably deferred)."""
-    if t.num_rows == 0:
-        return t.append_column("defer1", pa.array([], type=pa.bool_()))
-    rank = _rank_within_host(t)
-    caps = _caps_for(t["host"].to_numpy(zero_copy_only=False), pol)
-    return t.append_column("defer1", pa.array(rank >= caps))
-
-
 def admit_per_host(
     group: pa.Table, pol: PolitenessConfig, epoch: int
 ) -> pa.Table:
-    """Phase 2: one host's surviving rows → admitted/deferred + timestamps.
+    """Frontier rows of whole hosts → admitted/deferred + timestamps.
 
     Appends ``admitted`` (bool), ``host_rank`` (int32, -1 if deferred) and
     ``virtual_ts_ms`` (int64, -1 if deferred).

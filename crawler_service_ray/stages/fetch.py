@@ -94,22 +94,6 @@ def _index_bucket(tbl: pa.Table):
     return spans, h[order], order.astype(np.int64), h2
 
 
-class LocalBucketProvider:
-    """Driver-local provider: reads + indexes buckets on demand, caches."""
-
-    def __init__(self, corpus_dir: str):
-        self.corpus_dir = corpus_dir
-        self.num_buckets = corpus_meta(corpus_dir)["num_buckets"]
-        self._cache: dict[int, tuple] = {}
-
-    def get(self, b: int):
-        hit = self._cache.get(b)
-        if hit is None:
-            hit = _index_bucket(pq.read_table(bucket_path(self.corpus_dir, b)))
-            self._cache[b] = hit
-        return hit
-
-
 class SharedBucketProvider:
     """Object-store provider: buckets were ray.put once (driver); tasks
     resolve refs zero-copy and keep the (shared-memory-backed) handles."""

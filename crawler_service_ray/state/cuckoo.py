@@ -11,7 +11,7 @@ Design (standard cuckoo filter, Fan et al. 2014, public):
   * two candidate buckets: i1 = h mod B, i2 = i1 xor (fphash mod B);
   * insert with eviction random-walk bounded to ``MAX_KICKS``; the kick
     victim choice is derived deterministically from the item hash —
-    no RNG state → snapshots and replays are bit-identical;
+    no RNG state → replays are bit-identical;
   * on insertion failure the item goes to a bloom fallback (k=7 bit
     array) so the filter NEVER false-negatives (an FN would re-crawl).
 
@@ -198,24 +198,3 @@ class CuckooFilter:
     @staticmethod
     def _encode_orphan(bucket: int, fp: int) -> int:
         return (bucket << 16) | fp
-
-    # -- snapshot ---------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "bloom": self.bloom,
-            "n_items": np.int64(self.n_items),
-            "n_bloom": np.int64(self.n_bloom),
-        }
-
-    @classmethod
-    def from_state(cls, d: dict) -> "CuckooFilter":
-        obj = cls.__new__(cls)
-        obj.table = d["table"]
-        obj.num_buckets = obj.table.shape[0]
-        obj._mask = np.uint64(obj.num_buckets - 1)
-        obj.bloom = d["bloom"]
-        obj._bloom_nbits = np.uint64(obj.bloom.size * 64)
-        obj.n_items = int(d["n_items"])
-        obj.n_bloom = int(d["n_bloom"])
-        return obj

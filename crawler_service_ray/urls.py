@@ -9,8 +9,8 @@ seen set).
 
 Two implementations of the SAME spec:
   * ``canonicalize_url`` — pure Python, used by the reference oracle.
-  * ``canonicalize_many`` — vectorized pandas str kernels, used inside
-    ``map_batches`` in the hot path.
+  * ``canonicalize_arrow`` — Arrow compute kernels, used by the crawl's
+    link canonicalization (``stages/outlinks.py``).
 Property tests assert they agree (tests/test_urls.py).
 
 Canonical form:
@@ -35,9 +35,7 @@ _DEFAULT_PORT = {"http": ":80", "https": ":443"}
 
 __all__ = [
     "canonicalize_url",
-    "canonicalize_many",
     "hash_urls",
-    "hash_url",
     "host_of",
     "hosts_of",
     "host_partitions",
@@ -153,16 +151,6 @@ def canonicalize_arrow(arr) -> "pa.Array":
     return out
 
 
-def canonicalize_many(urls) -> np.ndarray:
-    """Vectorized canonicalizer over an array/list of URL strings; thin
-    object-array wrapper over ``canonicalize_arrow`` (SURVEY.md §2.2
-    M1/M3)."""
-    arr = np.asarray(urls, dtype=object)
-    if arr.size == 0:
-        return np.empty(0, dtype=object)
-    return canonicalize_arrow(arr).to_numpy(zero_copy_only=False)
-
-
 _HASH_KEY = "cs-ray-url-hash-"  # 16 bytes, fixed -> deterministic across runs
 _HASH_KEY2 = "cs-ray-url-hashB"  # independent key for collision guarding
 
@@ -182,10 +170,6 @@ def hash_urls2(urls) -> np.ndarray:
     if arr.size == 0:
         return np.empty(0, dtype=np.uint64)
     return pd.util.hash_array(arr, hash_key=_HASH_KEY2, categorize=False)
-
-
-def hash_url(url: str) -> int:
-    return int(hash_urls(np.array([url], dtype=object))[0])
 
 
 def host_of(url: str) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 
 from crawler_service_ray.config import PolitenessConfig
-from crawler_service_ray.stages.admit import admit_per_host, local_topk_mark
+from crawler_service_ray.stages.admit import admit_per_host
 from crawler_service_ray.stages.outlinks import FRONTIER_SCHEMA
 
 
@@ -53,13 +53,3 @@ def test_admission_order_is_priority_then_url():
     # virtual timestamps spaced by min_gap
     ts = sorted(adm[adm.admitted].virtual_ts_ms)
     assert ts[1] - ts[0] == pol.min_gap_ms
-
-
-def test_local_topk_mark_is_sound():
-    # a row marked defer1 is provably outranked by >= K same-host rows
-    pol = PolitenessConfig(min_gap_ms=500, epoch_ms=1000)  # K=2
-    rows = [(f"http://h.test/p/{i}", "h.test", float(i) / 10) for i in range(6)]
-    marked = local_topk_mark(_frontier(rows), pol).to_pandas()
-    kept = marked[~marked.defer1]
-    assert len(kept) == 2
-    assert set(kept.url) == {"http://h.test/p/5", "http://h.test/p/4"}
