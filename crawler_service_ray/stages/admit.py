@@ -12,8 +12,9 @@ and the virtual fetch timestamp ``epoch*epoch_ms + host_rank*min_gap_ms``
 A hot host cannot blow up the admission task: with a frontier row bound
 (``state/spill.py``), rows past a spilled host's boundary divert to spill
 as the partition is read, and the accumulated frontier is compacted back
-under the bound whenever it exceeds it. Admission therefore ranks at most
-the bound plus one read group, however many rows the host has pending.
+under the bound whenever it exceeds it. The task's memory therefore stays
+within the bound plus one read group, however many rows the host has
+pending.
 
 Ranking key everywhere: (priority desc, url asc) — deterministic, equal to
 the oracle's (oracle.py).

@@ -45,36 +45,17 @@ def _root_files() -> list[Path]:
 
 def _names_used(node: ast.AST) -> set[str]:
     """Names a node's code uses: variables, attributes and wrap targets.
-    Imports, ``__all__`` and docstrings are skipped."""
-    docstrings = set()
-    for n in ast.walk(node):
-        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                          ast.AsyncFunctionDef)) and n.body:
-            first = n.body[0]
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                docstrings.add(id(first.value))
+    Import aliases and other strings are not uses."""
     used: set[str] = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(n, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in n.targets):
-            continue
+    for n in ast.walk(node):
         if isinstance(n, ast.Name):
             used.add(n.id)
         elif isinstance(n, ast.Attribute):
             used.add(n.attr)
-        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
-                and id(n) not in docstrings):
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             m = _WRAP_TARGET.match(n.value)
             if m:
                 used.update(m.group(1).split("."))
-        stack.extend(ast.iter_child_nodes(n))
     return used
 
 
@@ -109,7 +90,7 @@ def unreached() -> list[tuple[str, str, int]]:
             names = _defined_names(stmt)
             if names:
                 defs.append((path, names, stmt))
-            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            else:
                 used |= _names_used(stmt)
     for path in _root_files():
         used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
@@ -125,9 +106,9 @@ def unreached() -> list[tuple[str, str, int]]:
             used |= _names_used(d[2])
     return [
         (str(p.relative_to(ROOT)), ",".join(names),
-         s.end_lineno - (s.decorator_list[0].lineno
-                         if getattr(s, "decorator_list", None)
-                         else s.lineno) + 1)
+         s.end_lineno - min([s.lineno] + [d.lineno for d in
+                                          getattr(s, "decorator_list", [])])
+         + 1)
         for p, names, s in pending
     ]
 
