@@ -2,7 +2,7 @@
 system, not only by its own tests.
 
 The pass is name-based and needs no Ray. Its roots are the package's
-module-level statements (``__main__`` included), the driver contract
+module-level statements (``__main__`` included), the entry module
 (``__ray_entry__.py``, whose ``QUERIES`` and ``ORACLE_SQL`` hold the 63
 registered entries), ``bench.py``, ``scripts/`` and ``perfbench/``
 (including its ``"module:attr"`` wrap targets). A definition is reached
