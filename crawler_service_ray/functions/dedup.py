@@ -13,6 +13,8 @@ each built Ray-Data-first:
                   vectorized SWAR popcount verify
   ngram-jaccard   EXACT all-pairs n-gram Jaccard via a distributed
                   inverted shingle index (SQL-oracle-checkable)
+  embedding       cosine near-dup: exact block-pair all-pairs (no driver
+                  matrix) + IVF-cell-bucketed approximate scale path
   clusters        connected components over a near-dup pair list
   line / span     CCNet-style frequent-line removal, duplicated spans
   incremental     persisted LSH band index; a delta-only minhash run
@@ -131,9 +133,9 @@ def minhash_batch_signatures_oph(
     NIPS 2012) with rotation densification (Shrivastava & Li, ICML
     2014) — the crawl-time enrichment kernel.
 
-    Replaces ``minhash_batch_signatures_fast``'s num_perm independent
-    hash-and-min passes with ONE pass: each shingle hash claims the
-    signature slot indexed by its top log2(num_perm) bits, and each slot
+    Instead of num_perm independent hash-and-min passes it makes ONE
+    pass: each shingle hash claims the signature slot indexed by its
+    top log2(num_perm) bits, and each slot
     keeps its min; empty slots borrow (shift-mixed) from the nearest
     filled slot to their left, circularly — the densified estimator is
     unbiased like vanilla MinHash. Cost is O(shingles) instead of
@@ -229,6 +231,24 @@ def minhash_fp_and_bands(
         [fold(sig[b * rows:(b + 1) * rows]) for b in range(num_bands)]
     )
     return fps, bands
+
+
+def minhash_signature(
+    text: str, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """num_perm minhash values: murmur-style xor-mix of each shingle hash
+    under num_perm fixed salts, min over shingles — pure uint64 numpy
+    (wraparound multiply), fully vectorized (num_perm × shingles)."""
+    sh = _shingle_hashes(text)
+    if sh.size == 0:
+        return np.zeros(len(a), dtype=np.uint64)
+    x = sh[None, :].astype(np.uint64) ^ a[:, None]
+    x = x * np.uint64(0xFF51AFD7ED558CCD)
+    x ^= x >> np.uint64(33)
+    x = x * np.uint64(0xC4CEB9FE1A85EC53)
+    x ^= x >> np.uint64(33)
+    x ^= b[:, None]
+    return x.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +700,87 @@ def ngram_jaccard_pairs(
                          num_partitions=num_partitions)
 
 
+def _word_kgrams(texts, k: int):
+    """Per-doc distinct word-k-gram strings (DuckDB string_split parity:
+    single-space split, whole-text gram for docs shorter than k), plus a
+    doc index per gram — flat arrays ready for one vectorized membership
+    probe."""
+    sh_out, doc_of = [], []
+    for i, t in enumerate(texts):
+        words = t.split(" ")
+        if len(words) < k:
+            grams = [" ".join(words)]
+        else:
+            grams = [" ".join(words[j:j + k])
+                     for j in range(len(words) - k + 1)]
+        uniq = np.unique(np.array(grams, dtype=object))
+        sh_out.append(uniq)
+        doc_of.append(np.full(len(uniq), i, dtype=np.int64))
+    if not sh_out:
+        return (np.array([], dtype=object), np.array([], dtype=np.int64))
+    return np.concatenate(sh_out), np.concatenate(doc_of)
+
+
+def contamination_hits(
+    corpus: rd.Dataset,
+    benchmark: rd.Dataset,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    k: int = 5,
+) -> rd.Dataset:
+    """Benchmark-contamination check: flag corpus documents sharing any
+    word-k-gram with a benchmark/eval set — the decontamination pass
+    every pre-training pipeline runs before export (n-gram overlap is
+    the standard published protocol).
+
+    Shape: the benchmark side is SMALL by nature (eval suites are
+    10^5-10^6 shingles vs a 100-TB corpus), so its distinct shingles are
+    collected once and broadcast via ``ray.put`` — every corpus batch
+    probes the shared set in place of a corpus-scale shuffle join
+    (driver memory is O(benchmark shingles), the documented bound).
+    The corpus side streams: per-batch distinct-shingle explode and one
+    vectorized ``isin`` + ``bincount`` per batch. Emits
+    (id, n_contaminated) for docs with ≥ 1 shared shingle.
+    """
+    import ray
+
+    from .relational import resolve_broadcast
+
+    def bench_shingles(df: pd.DataFrame) -> pd.DataFrame:
+        sh, _doc = _word_kgrams(df[text_col].astype(str).to_numpy(), k)
+        return pd.DataFrame({"__sh": pd.unique(pd.Series(sh, dtype=object))})
+
+    bt = (
+        benchmark.select_columns([text_col])
+        .map_batches(bench_shingles, batch_format="pandas")
+        .to_pandas()
+    )
+    bench_ref = ray.put(
+        pd.Index(pd.unique(bt["__sh"])) if len(bt) else pd.Index([])
+    )
+    refs = [bench_ref]  # nested: ship the ref, not the value
+
+    def probe(df: pd.DataFrame) -> pd.DataFrame:
+        bench_idx = resolve_broadcast(refs[0])
+        sh, doc_of = _word_kgrams(df[text_col].astype(str).to_numpy(), k)
+        if not len(sh):
+            return pd.DataFrame({
+                id_col: df[id_col].iloc[:0],
+                "n_contaminated": pd.Series([], dtype="int64"),
+            })
+        hit = pd.Series(sh).isin(bench_idx).to_numpy()
+        counts = np.bincount(doc_of[hit], minlength=len(df))
+        keep = counts > 0
+        return pd.DataFrame({
+            id_col: df[id_col].to_numpy()[keep],
+            "n_contaminated": counts[keep].astype("int64"),
+        })
+
+    return corpus.select_columns([id_col, text_col]).map_batches(
+        probe, batch_format="pandas"
+    )
+
+
 def _local_components(edges: pd.DataFrame, id_a: str,
                       id_b: str) -> pd.DataFrame:
     """Driver-side union-find (path-halving) for pair lists under the
@@ -946,6 +1047,276 @@ def simhash_dedup(
 # ---------------------------------------------------------------------------
 # embedding-cosine near-dup
 # ---------------------------------------------------------------------------
+
+
+def _block_of(ids: np.ndarray, num_blocks: int) -> np.ndarray:
+    return (pd.util.hash_array(np.asarray(ids)) % num_blocks).astype(
+        np.int64
+    )
+
+
+def embedding_near_dup(
+    ds: rd.Dataset,
+    vec_col: str = "embedding",
+    id_col: str = "vec_id",
+    threshold: float = 0.95,
+    num_blocks: int = 8,
+    num_partitions: int | None = None,
+) -> rd.Dataset:
+    """EXACT embedding-cosine near-dup pairs via block-pair partitioning
+    — nothing materializes on the driver (replaces the round-1 full-
+    matrix ``ray.put`` broadcast, a driver OOM at scale).
+
+    Each vector is assigned block b = hash(id) % B and replicated to the
+    B block-pair partitions {(min(b,x), max(b,x)) : x < B}; one
+    ``grouped_apply`` co-locates every unordered block pair, and each
+    partition does one float64 matmul between its two (or one, diagonal)
+    blocks. Replication factor is B (choose B so a block fits a worker);
+    compute is the inherent O(n²) of EXACT all-pairs — the approximate
+    scale path is ``embedding_near_dup_ivf``. Each qualifying pair is
+    emitted exactly once (its blocks meet in exactly one partition).
+    Returns (id_a, id_b, cosine) with id_a < id_b, cosine in float64.
+    """
+    from .relational import grouped_apply
+
+    B = num_blocks
+    if num_partitions is None:
+        num_partitions = B * (B + 1) // 2
+
+    def replicate(df: pd.DataFrame) -> pd.DataFrame:
+        n = len(df)
+        blk = _block_of(df[id_col].to_numpy(), B)
+        rep = np.repeat(np.arange(n), B)
+        partner = np.tile(np.arange(B, dtype=np.int64), n)
+        b = blk[rep]
+        i = np.minimum(b, partner)
+        j = np.maximum(b, partner)
+        out = df.iloc[rep][[id_col, vec_col]].reset_index(drop=True)
+        out["__blk"] = b
+        out["__pk"] = i * B + j
+        # diagonal (b == partner) appears once per row by construction
+        return out.drop_duplicates(subset=[id_col, "__pk"])
+
+    replicated = ds.select_columns([id_col, vec_col]).map_batches(
+        replicate, batch_format="pandas"
+    )
+
+    def per_partition(part: pd.DataFrame) -> pd.DataFrame:
+        outs = []
+        for pk, sub in part.groupby("__pk", sort=False):
+            i, j = divmod(int(pk), B)
+            sub = sub.drop_duplicates(subset=[id_col, "__blk"])
+            left = sub[sub["__blk"] == i]
+            right = sub[sub["__blk"] == j]
+            if left.empty or right.empty:
+                continue
+            L = np.stack(left[vec_col].to_numpy()).astype(np.float64)
+            L /= np.maximum(np.linalg.norm(L, axis=1, keepdims=True), 1e-12)
+            lids = left[id_col].to_numpy()
+            if i == j:
+                sims = L @ L.T
+                ai, bi = np.nonzero(sims >= threshold)
+                keep = lids[ai] < lids[bi]
+                outs.append(pd.DataFrame(
+                    {"id_a": lids[ai][keep], "id_b": lids[bi][keep],
+                     "cosine": sims[ai, bi][keep].astype("float64")}
+                ))
+            else:
+                R = np.stack(right[vec_col].to_numpy()).astype(np.float64)
+                R /= np.maximum(
+                    np.linalg.norm(R, axis=1, keepdims=True), 1e-12
+                )
+                rids = right[id_col].to_numpy()
+                sims = L @ R.T
+                ai, bi = np.nonzero(sims >= threshold)
+                a, b = lids[ai], rids[bi]
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                outs.append(pd.DataFrame(
+                    {"id_a": lo, "id_b": hi,
+                     "cosine": sims[ai, bi].astype("float64")}
+                ))
+        if not outs:
+            return pd.DataFrame({"id_a": [], "id_b": [],
+                                 "cosine": pd.Series([], dtype="float64")})
+        return pd.concat(outs, ignore_index=True)
+
+    return grouped_apply(replicated, ["__pk"], per_partition,
+                         num_partitions=num_partitions)
+
+
+def embedding_near_dup_ivf(
+    ds: rd.Dataset,
+    vec_col: str = "embedding",
+    id_col: str = "vec_id",
+    threshold: float = 0.95,
+    num_cells: int = 16,
+    assign_top: int = 2,
+    sample_size: int = 2048,
+    seed: int = 42,
+) -> rd.Dataset:
+    """Approximate embedding near-dup: bucket by IVF cell and compare
+    only within cells — the 100-TB path (compute ∝ n²/cells instead of
+    n²). Each vector is assigned its ``assign_top`` nearest cells
+    (primary + neighbor, catching boundary pairs); within-cell pairs are
+    found by one matmul per cell; pair duplicates (pairs sharing >1
+    cell) are deduped by a pair-keyed ``grouped_apply``. Centroids come
+    from a deterministic driver-side sample (tiny — same pattern as
+    ``similarity.ivf_topk``). Recall vs the exact path is pinned by
+    tests/test_dedup.py."""
+    import ray
+
+    from .relational import grouped_apply
+    from .similarity import train_centroids
+
+    from .relational import resolve_broadcast
+
+    C = train_centroids(ds, vec_col=vec_col, num_cells=num_cells,
+                        sample_size=sample_size, seed=seed, id_col=id_col)
+    cref = ray.put(C)
+    refs = [cref]  # nested so Ray ships the ref, not the resolved value
+
+    def assign_batch(df: pd.DataFrame) -> pd.DataFrame:
+        C_ = resolve_broadcast(refs[0])
+        M = np.stack(df[vec_col].to_numpy()).astype(np.float64)
+        M /= np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12)
+        t = min(assign_top, C_.shape[0])
+        cells = np.argsort(-(M @ C_.T), axis=1, kind="stable")[:, :t]
+        n = len(df)
+        rep = np.repeat(np.arange(n), t)
+        out = df.iloc[rep][[id_col, vec_col]].reset_index(drop=True)
+        out["__cell"] = cells.reshape(-1)
+        return out
+
+    assigned = ds.select_columns([id_col, vec_col]).map_batches(
+        assign_batch, batch_format="pandas"
+    )
+
+    def per_partition(part: pd.DataFrame) -> pd.DataFrame:
+        outs = []
+        for _cell, sub in part.groupby("__cell", sort=False):
+            sub = sub.drop_duplicates(subset=[id_col])
+            if len(sub) < 2:
+                continue
+            M = np.stack(sub[vec_col].to_numpy()).astype(np.float64)
+            M /= np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12)
+            ids = sub[id_col].to_numpy()
+            sims = M @ M.T
+            ai, bi = np.nonzero(sims >= threshold)
+            keep = ids[ai] < ids[bi]
+            outs.append(pd.DataFrame(
+                {"id_a": ids[ai][keep], "id_b": ids[bi][keep],
+                 "cosine": sims[ai, bi][keep].astype("float64")}
+            ))
+        if not outs:
+            return pd.DataFrame({"id_a": [], "id_b": [],
+                                 "cosine": pd.Series([], dtype="float64")})
+        return pd.concat(outs, ignore_index=True)
+
+    pairs = grouped_apply(assigned, ["__cell"], per_partition,
+                          num_partitions=min(num_cells, 32))
+
+    def dd(part: pd.DataFrame) -> pd.DataFrame:
+        return part.drop_duplicates(subset=["id_a", "id_b"])
+
+    return grouped_apply(pairs, ["id_a", "id_b"], dd, num_partitions=16)
+
+
+def semdedup(
+    ds: rd.Dataset,
+    vec_col: str = "embedding",
+    id_col: str = "vec_id",
+    k: int = 8,
+    threshold: float = 0.95,
+    iters: int = 3,
+    seed: int = 42,
+    num_partitions: int | None = None,
+) -> rd.Dataset:
+    """SemDeDup-style SEMANTIC dedup (Abbas et al. 2023,
+    arXiv:2303.09540): cluster the embeddings with distributed k-means,
+    then within each cluster remove every row whose cosine to a
+    higher-priority row reaches ``threshold`` — the curation pass that
+    catches paraphrases MinHash misses. Priority is (centroid
+    similarity DESC, id ASC), so each duplicate group's survivor is its
+    centroid-nearest member and the rule is deterministic at any
+    parallelism.
+
+    Emits one row per input: (id, cluster, centroid_sim, keep,
+    near_id, near_cos) — removed rows carry the first higher-priority
+    row they matched and the true float64 cosine (so every removal is
+    auditable as a genuine near-dup pair); kept rows carry
+    near_id = -1, near_cos = NaN. Guarantees: (a) every (id, near_id)
+    removal pair has exact cosine ≥ threshold; (b) no two KEPT rows in
+    the same cluster are near-dups at threshold (if they were, the
+    lower-priority one would have been removed) — both machine-checked
+    by the ``semdedup`` oracle query against the exact block-pair set.
+
+    Scale shape: k-means is the documented model-constant-partials
+    pass (`similarity.kmeans`); then centroids broadcast once and ONE
+    cluster-hash exchange co-locates each cluster; the in-cell work is
+    one float64 matmul + a strictly-lower-triangle max (O(n_cell²),
+    the same inherent cost family as ``embedding_near_dup``'s diagonal
+    blocks — at 100 TB raise ``k`` so cells fit a worker; cross-cluster
+    near-dups are out of scope BY DESIGN, the paper's approximation)."""
+    import ray
+
+    from .relational import grouped_apply, resolve_broadcast
+    from .similarity import _stack_normalized, kmeans
+
+    C, _ = kmeans(ds, vec_col=vec_col, id_col=id_col, k=k,
+                  iters=iters, seed=seed)
+    refs = [ray.put(C)]
+
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        Cw = resolve_broadcast(refs[0])
+        X = _stack_normalized(df[vec_col])
+        S = X @ Cw.T
+        a = np.argmax(S, axis=1)
+        return pd.DataFrame({
+            id_col: df[id_col].to_numpy(),
+            vec_col: df[vec_col],
+            "cluster": a.astype("int64"),
+            "centroid_sim": S[np.arange(len(a)), a],
+        })
+
+    assigned = ds.select_columns([id_col, vec_col]).map_batches(
+        assign, batch_format="pandas")
+
+    def per_cluster(part: pd.DataFrame) -> pd.DataFrame:
+        outs = []
+        for _c, sub in part.groupby("cluster", sort=False):
+            order = np.lexsort((sub[id_col].to_numpy(),
+                                -sub["centroid_sim"].to_numpy()))
+            sub = sub.iloc[order]
+            X = _stack_normalized(sub[vec_col])
+            ids = sub[id_col].to_numpy()
+            n = len(sub)
+            S = X @ X.T
+            lower = np.tril(np.ones((n, n), dtype=bool), -1)
+            hit = (S >= threshold) & lower
+            has = hit.any(axis=1)
+            first = hit.argmax(axis=1)
+            outs.append(pd.DataFrame({
+                id_col: ids,
+                "cluster": sub["cluster"].to_numpy(),
+                "centroid_sim": sub["centroid_sim"].to_numpy(),
+                "keep": ~has,
+                "near_id": np.where(has, ids[first], -1).astype("int64"),
+                "near_cos": np.where(
+                    has, S[np.arange(n), first], np.nan),
+            }))
+        if not outs:
+            return pd.DataFrame({
+                id_col: pd.Series([], dtype="int64"),
+                "cluster": pd.Series([], dtype="int64"),
+                "centroid_sim": pd.Series([], dtype="float64"),
+                "keep": pd.Series([], dtype=bool),
+                "near_id": pd.Series([], dtype="int64"),
+                "near_cos": pd.Series([], dtype="float64"),
+            })
+        return pd.concat(outs, ignore_index=True)
+
+    return grouped_apply(assigned, ["cluster"], per_cluster,
+                         num_partitions=num_partitions or min(k, 32))
 
 
 def frequent_lines(
@@ -1230,6 +1601,139 @@ def remove_dup_spans(
                          num_partitions=num_partitions)
 
 
+def _lev_le1(a: str, b: str) -> int | None:
+    """Levenshtein distance if ≤ 1, else None — O(len) two-pointer
+    (no DP matrix; only the verify step of the deletion-key blocking
+    needs it, and only on candidate pairs)."""
+    if a == b:
+        return 0
+    la, lb = len(a), len(b)
+    if abs(la - lb) > 1:
+        return None
+    if la == lb:
+        # exactly one substitution?
+        diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        return 1 if len(diff) == 1 else None
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    i = 0
+    while i < la and a[i] == b[i]:
+        i += 1
+    return 1 if a[i:] == b[i + 1 :] else None
+
+
+def fuzzy_dedup_pairs(
+    ds: rd.Dataset,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    key_len: int = 24,
+    num_partitions: int = 32,
+) -> rd.Dataset:
+    """Edit-distance-≤1 near-duplicate pairs on a ``key_len``-char
+    prefix key via deletion-neighborhood blocking (the SymSpell trick):
+    two strings are within Levenshtein 1 iff they share a member of
+    their {self} ∪ {one-char-deleted} variant sets, so each doc emits
+    ``key_len+1`` (variant-hash, key, id) rows, candidate pairs form
+    inside variant-hash partitions, and an O(len) two-pointer check
+    verifies dist ≤ 1 — COMPLETE at threshold 1, no LSH false-negative
+    risk. Returns distinct (id_a, id_b, dist) with id_a < id_b.
+
+    Scale shape: the exchange moves (hash, 24-char key, id) rows —
+    (key_len+1)× the doc count but tiny rows, same discipline as the
+    MinHash band shuffle above; candidate verification is local to the
+    bucket (keys travel with the rows, no text join); the pair list is
+    output-scale and deduped co-partitioned. Exact-dup clusters all
+    share the identity variant → their full pair set is emitted, which
+    IS the correct output. Keys are character-based; the variant
+    generation works on numpy byte matrices, so the key prefix is
+    ASCII-normalized first (non-ASCII bytes collapse to '?') — document
+    corpora here are ASCII, and the SQL oracle applies the same
+    normalization for parity.
+    """
+    from .relational import grouped_apply
+
+    def gen_variants(df: pd.DataFrame) -> pd.DataFrame:
+        keys = (
+            df[text_col].astype(str).str.slice(0, key_len)
+            .str.encode("ascii", errors="replace")
+        )
+        ids_out, keys_out, var_out = [], [], []
+        # group rows by key LENGTH so each length class is one numpy
+        # byte-matrix op (no per-row Python in the variant build)
+        lens = keys.str.len()
+        for L, idx in pd.Series(range(len(df))).groupby(lens.to_numpy()):
+            rows = idx.to_numpy()
+            sub = keys.iloc[rows]
+            ids = df[id_col].iloc[rows].to_numpy()
+            # every key in this group has length exactly L — the join
+            # is a dense (n, L) byte matrix, no padding
+            full = sub.to_numpy()
+            ids_out.append(ids)
+            keys_out.append(full)
+            var_out.append(full)
+            if int(L) == 0:
+                continue
+            mat = (
+                np.frombuffer(b"".join(full), dtype="S1")
+                .reshape(len(rows), int(L))
+            )
+            for i in range(int(L)):
+                if int(L) == 1:
+                    dele = np.array([b""] * len(rows), dtype=object)
+                else:
+                    dele = np.ascontiguousarray(
+                        np.delete(mat, i, axis=1)
+                    ).view(f"S{int(L) - 1}").ravel()
+                ids_out.append(ids)
+                keys_out.append(full)
+                var_out.append(dele)
+        if not ids_out:
+            return pd.DataFrame({"__vh": pd.Series([], dtype="uint64"),
+                                 "key": [], id_col: []})
+        variant = np.concatenate(var_out)
+        vh = pd.util.hash_array(variant.astype(object))
+        return pd.DataFrame({
+            "__vh": vh,
+            "key": np.concatenate(keys_out).astype(object),
+            id_col: np.concatenate(ids_out),
+        })
+
+    variants = ds.map_batches(gen_variants, batch_format="pandas")
+
+    def bucket_pairs(part: pd.DataFrame) -> pd.DataFrame:
+        part = part.drop_duplicates(subset=["__vh", id_col])
+        sizes = part.groupby("__vh", sort=False)[id_col].transform("size")
+        hot = part[sizes >= 2]
+        out_a, out_b, out_d = [], [], []
+        for _vh, g in hot.groupby("__vh", sort=False):
+            g = g.drop_duplicates(subset=id_col).sort_values(id_col)
+            ids = g[id_col].to_numpy()
+            ks = g["key"].to_numpy()
+            for i in range(len(ids)):
+                for j in range(i + 1, len(ids)):
+                    d = _lev_le1(
+                        ks[i].decode("ascii"), ks[j].decode("ascii")
+                    )
+                    if d is not None:
+                        out_a.append(ids[i])
+                        out_b.append(ids[j])
+                        out_d.append(d)
+        return pd.DataFrame({
+            "id_a": np.asarray(out_a, dtype="int64"),
+            "id_b": np.asarray(out_b, dtype="int64"),
+            "dist": np.asarray(out_d, dtype="int64"),
+        })
+
+    pairs = grouped_apply(variants, ["__vh"], bucket_pairs,
+                          num_partitions=num_partitions)
+
+    def dedup_pairs(part: pd.DataFrame) -> pd.DataFrame:
+        return part.drop_duplicates(subset=["id_a", "id_b"])
+
+    return grouped_apply(pairs, ["id_a", "id_b"], dedup_pairs,
+                         num_partitions=num_partitions)
+
+
 def minhash_index_write(
     ds: rd.Dataset,
     index_dir: str,
@@ -1435,3 +1939,48 @@ def minhash_dedup_incremental(
     return verify_pairs_with_texts(
         cand, docs, text_col=text_col, id_col=id_col,
         threshold=threshold)
+
+
+def leakage_safe_split(
+    docs: rd.Dataset,
+    pairs: rd.Dataset,
+    id_col: str = "doc_id",
+    fractions: tuple[int, int] = (8, 9),
+    num_buckets: int = 16,
+) -> rd.Dataset:
+    """Near-dup-aware train/val/test assignment — the decontaminated
+    split a training-data export needs: documents connected by a
+    near-dup pair land in the SAME split, so validation never scores
+    on a paraphrase of a training row (the leakage the plain
+    doc_id-hash split permits).
+
+    Composition: connected components over ``pairs`` (min-label
+    propagation) give each near-dup family its cluster id; every doc's
+    group key is its cluster id or, for singletons, its own id (LEFT
+    bucket-join — the cluster table scales with the corpus and never
+    broadcasts); the split is the same deterministic Knuth-hash bucket
+    rule as the plain split (same-key ⇒ same split at any parallelism,
+    on any rerun). Emits (id, split)."""
+    from .relational import bucketed_hash_join
+
+    cl = connected_components(pairs)
+    cl = cl.map_batches(
+        lambda d: d.rename(columns={"node": id_col,
+                                    "label": "__cluster"}),
+        batch_format="pandas")
+    j = bucketed_hash_join(docs.select_columns([id_col]), cl,
+                           on=id_col, how="left",
+                           num_buckets=num_buckets)
+    lo, hi = fractions
+
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        gk = df["__cluster"].to_numpy(dtype="float64")
+        ids = df[id_col].to_numpy(dtype="int64")
+        gk = np.where(np.isnan(gk), ids, gk).astype(np.uint64)
+        h = ((gk % np.uint64(4294967296)) * np.uint64(2654435761)) \
+            % np.uint64(4294967296) % np.uint64(10)
+        split = np.where(h < lo, "train",
+                         np.where(h < hi, "val", "test"))
+        return pd.DataFrame({id_col: ids, "split": split.astype(object)})
+
+    return j.map_batches(assign, batch_format="pandas")

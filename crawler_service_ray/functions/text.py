@@ -1,11 +1,12 @@
 """Text analysis stages for training-data pipelines.
 
-Language ID (character n-gram heuristic) and quality scoring (length /
-punctuation / stopword ratios) as ``map_batches`` stages over the
-``documents`` table, sequence packing (plain, payload and interleaved
-multimodal), and BPE merge training and encoding. Stateful setup
-(compiled regexes, n-gram profiles) happens once per actor in
-``__init__``.
+Language ID (character n-gram heuristic), quality scoring (length /
+punctuation / stopword ratios), token counting (whitespace + BPE-ish
+regex), and rolling-hash document fingerprinting — each a vectorized or
+actor-pool ``map_batches`` stage over the ``documents`` table. Stateful
+setup (compiled regexes, n-gram profiles) happens once per actor in
+``__init__`` (the ST2/ST3 pattern,
+`/root/reference/crawlers/globus_base_preserved.py:41-42,225-226`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ _STOPWORDS = {
     "the", "and", "of", "to", "a", "in", "is", "it", "that", "for", "on",
     "with", "as", "was", "at", "by", "an", "be", "this", "are", "from",
 }
+
+# fingerprint of an empty document (its single "" gram), precomputed
+_EMPTY_FP = np.uint64(
+    pd.util.hash_array(np.array([""], dtype=object))[0]
+)
 
 
 class LangId:
@@ -124,6 +130,332 @@ def quality_features(
     )
 
 
+class TokenCounter:
+    """Token counting with a BPE-ish pre-tokenizer regex (letters /
+    digits / single punctuation, GPT-2-style shape) — vectorized with
+    Arrow's RE2 ``count_substring_regex`` kernel (4-8× faster than
+    per-row findall and identical to the DuckDB RE2 oracle)."""
+
+    BPE_PATTERN = r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]"
+
+    def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
+        self.text_col, self.id_col = text_col, id_col
+
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        arr = pa.array(df[self.text_col].astype(str))
+        n_ws = pc.count_substring_regex(arr, pattern=r"\S+")
+        n_bpe = pc.count_substring_regex(arr, pattern=self.BPE_PATTERN)
+        return pd.DataFrame(
+            {
+                self.id_col: df[self.id_col],
+                "n_ws_tokens": n_ws.to_numpy().astype("int64"),
+                "n_bpe_tokens": n_bpe.to_numpy().astype("int64"),
+            }
+        )
+
+
+def fingerprint_batch(
+    df: pd.DataFrame,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    window: int = 8,
+) -> pd.DataFrame:
+    """Winnowing-style document fingerprint, batch-vectorized: ONE
+    word-level hash pass, numeric rolling 4-gram hashes (no string
+    concatenation), a single global sliding-window argmin over the flat
+    gram array (per-doc segments select only their in-bounds windows),
+    and a per-doc XOR fold of the unique selected hashes (XOR is
+    order-free, so the fold needs no per-doc loop — one
+    ``bitwise_xor.reduceat``). Deterministic; near-identical docs share
+    most selected hashes so their fingerprints differ, but their
+    ``n_anchors``/anchor overlap exposes the similarity."""
+    from .dedup import _mix64
+
+    k = 4
+    n = len(df)
+    words = df[text_col].astype(str).str.split()
+    lens = words.str.len().fillna(0).to_numpy().astype(np.int64)
+    fps = np.full(n, _EMPTY_FP, dtype=np.uint64)
+    n_sel = np.ones(n, dtype=np.int64)  # empty docs: the single "" gram
+    if lens.sum() == 0:
+        return pd.DataFrame(
+            {id_col: df[id_col], "fingerprint": fps, "n_anchors": n_sel}
+        )
+    flat = np.concatenate(
+        [w for w in words.to_numpy() if isinstance(w, list) and w]
+    ).astype(object)
+    wh = pd.util.hash_array(flat)
+    ngr = np.where(lens == 0, 0, np.maximum(lens - k + 1, 1))
+    G0 = np.zeros(n + 1, np.int64)
+    np.cumsum(lens, out=G0[1:])
+    S0 = np.zeros(n + 1, np.int64)
+    np.cumsum(ngr, out=S0[1:])
+    total = int(S0[-1])
+    gs = np.arange(total) - np.repeat(S0[:-1], ngr) + np.repeat(G0[:-1], ngr)
+    ends = np.repeat(G0[1:], ngr)
+    h = wh[gs].astype(np.uint64)
+    for j in range(1, k):
+        idx = np.minimum(gs + j, ends - 1)
+        h = _mix64(h ^ wh[idx].astype(np.uint64))
+    doc_of = np.repeat(np.arange(n), ngr)
+    sel_mask = np.zeros(total, dtype=bool)
+    nonempty = ngr > 0
+    # small segments (≤ window grams): the selected set is {segment min} —
+    # mark every position holding the doc min (duplicates collapse later)
+    small = nonempty & (ngr <= window)
+    if small.any():
+        starts = S0[:-1][nonempty]
+        seg_min = np.minimum.reduceat(h, starts)
+        doc_min = np.zeros(n, dtype=np.uint64)
+        doc_min[nonempty] = seg_min
+        is_small_pos = small[doc_of]
+        sel_mask |= is_small_pos & (h == doc_min[doc_of])
+    # large segments: one global stride view; each doc keeps only its
+    # in-bounds window starts
+    big = ngr > window
+    if big.any() and total >= window:
+        sw = np.lib.stride_tricks.sliding_window_view(h, window)
+        am = sw.argmin(axis=1) + np.arange(total - window + 1)
+        n_win = ngr[big] - window + 1
+        win_starts = (
+            np.arange(int(n_win.sum()))
+            - np.repeat(np.concatenate(([0], np.cumsum(n_win)[:-1])), n_win)
+            + np.repeat(S0[:-1][big], n_win)
+        )
+        sel_mask[am[win_starts]] = True
+    sel_doc = doc_of[sel_mask]
+    sel_h = h[sel_mask]
+    order = np.lexsort((sel_h, sel_doc))
+    sd, sh = sel_doc[order], sel_h[order]
+    first = np.ones(len(sd), dtype=bool)
+    first[1:] = (sd[1:] != sd[:-1]) | (sh[1:] != sh[:-1])
+    sd, sh = sd[first], sh[first]
+    seg_starts = np.nonzero(
+        np.concatenate(([True], sd[1:] != sd[:-1]))
+    )[0]
+    folded = _mix64(
+        np.bitwise_xor.reduceat(_mix64(sh), seg_starts)
+    )
+    present = sd[seg_starts]
+    fps[present] = folded
+    counts = np.bincount(sd, minlength=n)
+    n_sel[present] = counts[present]
+    return pd.DataFrame(
+        {id_col: df[id_col], "fingerprint": fps, "n_anchors": n_sel}
+    )
+
+
+# PII patterns, applied IN ORDER (emails/IPs first so the bare digit-run
+# pattern never eats their digits). All three are RE2-compatible, so the
+# Arrow kernels and DuckDB's regexp_* (both RE2) match bit-for-bit.
+PII_PATTERNS: tuple[tuple[str, str], ...] = (
+    ("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"),
+    ("ipv4", r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b"),
+    ("number", r"\d{2,}"),
+)
+
+
+class PiiRedactor:
+    """PII scrubbing for training-data export: sequentially count and
+    replace email / IPv4 / digit-run matches with a redaction token —
+    the standard pre-training privacy pass. Fully vectorized on Arrow's
+    RE2 kernels (``count_substring_regex`` + ``replace_substring_regex``);
+    the replacement token contains no digits, so later patterns never
+    re-match inside an earlier redaction (which makes the sequential
+    composition order-stable and SQL-mirrorable as nested
+    ``regexp_replace``). Emits (id, n_pii, redacted)."""
+
+    def __init__(self, text_col: str = "text", id_col: str = "doc_id",
+                 token: str = "<PII>"):
+        self.text_col, self.id_col, self.token = text_col, id_col, token
+
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        arr = pa.array(df[self.text_col].astype(str))
+        n = np.zeros(len(df), dtype=np.int64)
+        for _name, pat in PII_PATTERNS:
+            n += pc.count_substring_regex(arr, pattern=pat).to_numpy(
+                zero_copy_only=False
+            ).astype(np.int64)
+            arr = pc.replace_substring_regex(
+                arr, pattern=pat, replacement=self.token
+            )
+        return pd.DataFrame(
+            {
+                self.id_col: df[self.id_col],
+                "n_pii": n,
+                "redacted": arr.to_pandas().astype(str),
+            }
+        )
+
+
+class TextNormalizer:
+    """Canonical text-normalization pass for training-data export:
+    lowercase, strip characters outside [a-z0-9 ], collapse whitespace
+    runs, trim. All four steps are Arrow RE2/utf8 kernels with exact
+    DuckDB ``lower``/``regexp_replace``/``trim`` equivalents, so the
+    normalized string itself is oracle-checkable. Emits
+    (id, norm_text, norm_len)."""
+
+    def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
+        self.text_col, self.id_col = text_col, id_col
+
+    def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        arr = pa.array(df[self.text_col].astype(str))
+        arr = pc.utf8_lower(arr)
+        arr = pc.replace_substring_regex(arr, pattern=r"[^a-z0-9 ]",
+                                         replacement=" ")
+        arr = pc.replace_substring_regex(arr, pattern=r" +",
+                                         replacement=" ")
+        arr = pc.utf8_trim(arr, characters=" ")
+        return pd.DataFrame(
+            {
+                self.id_col: df[self.id_col],
+                "norm_text": arr.to_pandas().astype(str),
+                "norm_len": pc.utf8_length(arr).to_numpy(
+                    zero_copy_only=False
+                ).astype("int64"),
+            }
+        )
+
+
+def vocab_topk(
+    ds: rd.Dataset,
+    k: int = 50,
+    text_col: str = "text",
+    merge_partitions: int | None = None,
+) -> rd.Dataset:
+    """Corpus vocabulary / term-frequency top-k — the classic wordcount
+    a tokenizer-training or corpus-stats pass runs. Per-batch partial
+    counts (split+explode+value_counts, all C-backed) shrink each block
+    to its distinct words BEFORE the exchange; ``grouped_agg`` merges
+    partials (partitioned merge for 100-TB vocabularies via
+    ``merge_partitions``); ``topk`` truncates per-block before the final
+    small sort. Tokenization is single-space split with empties dropped
+    (DuckDB ``string_split(text, ' ')`` parity). Ties break on word ASC."""
+    from .relational import grouped_agg, topk
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        toks = df[text_col].astype(str).str.split(" ").explode()
+        toks = toks[(toks != "") & toks.notna()]
+        vc = toks.value_counts()
+        return pd.DataFrame(
+            {
+                "word": vc.index.to_numpy().astype(object),
+                "cnt": vc.to_numpy().astype("int64"),
+            }
+        )
+
+    partials = ds.select_columns([text_col]).map_batches(
+        partial, batch_format="pandas"
+    )
+    agg = grouped_agg(
+        partials, ["word"], {"cnt": ("cnt", "sum")},
+        merge_partitions=merge_partitions,
+    )
+    return topk(agg, ["cnt", "word"], k, descending=[True, False])
+
+
+def js_divergence(
+    ds: rd.Dataset,
+    text_col: str,
+    group_col: str,
+    group_a,
+    group_b,
+    merge_partitions: int | None = None,
+) -> rd.Dataset:
+    """Jensen–Shannon divergence (base 2, so ∈ [0, 1]) between two
+    corpora's unigram distributions — the distribution-drift detector a
+    data-mixing pipeline runs between sources, snapshots, or a corpus
+    and a benchmark before deciding mixing weights. JS(P‖Q) =
+    ½·KL(P‖M) + ½·KL(Q‖M) with M = (P+Q)/2; symmetric and finite even
+    on disjoint vocabularies (unlike raw KL).
+
+    Distributed shape: per-block (word, ca, cb) partial counts (one
+    row per distinct word per block — the `vocab_topk` partial with a
+    cohort split) merge in ``grouped_agg`` (auto-switching to the
+    partitioned merge for 100-TB vocabularies; the vocabulary NEVER
+    reaches the driver), the merged word table materializes once, a
+    scalar-partials pass folds the two token totals, and a second pass
+    over the same materialized table reduces each block to one partial
+    JS sum with the totals captured by value. Only ≤ blocks scalar
+    rows reach the driver in either pass. 0·log(0/m) terms are exactly
+    0. Tokenization is single-space split with empties dropped
+    (DuckDB ``string_split(text, ' ')`` parity)."""
+    from .relational import grouped_agg
+
+    a_lab, b_lab = group_a, group_b
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        m = df[group_col].isin([a_lab, b_lab])
+        df = df.loc[m].reset_index(drop=True)
+        ex = df[text_col].astype(str).str.split(" ").explode()
+        keep = ((ex != "") & ex.notna()).to_numpy()
+        words = ex.to_numpy()[keep]
+        rows = ex.index.to_numpy()[keep]  # positional after reset_index
+        isa = (df[group_col] == a_lab).to_numpy()[rows]
+        g = (pd.DataFrame({"word": words, "a": isa.astype("int64")})
+             .groupby("word", sort=False)["a"]
+             .agg(["sum", "size"]).reset_index())
+        return pd.DataFrame({
+            "word": g["word"].to_numpy().astype(object),
+            "ca": g["sum"].to_numpy().astype("int64"),
+            "cb": (g["size"] - g["sum"]).to_numpy().astype("int64"),
+        })
+
+    wc = grouped_agg(
+        ds.select_columns([text_col, group_col]).map_batches(
+            partial, batch_format="pandas"),
+        ["word"], {"ca": ("ca", "sum"), "cb": ("cb", "sum")},
+        merge_partitions=merge_partitions,
+    ).materialize()
+
+    tot = grouped_agg(
+        wc.map_batches(
+            lambda d: d[["ca", "cb"]].assign(
+                __k=np.zeros(len(d), dtype="int64")),
+            batch_format="pandas"),
+        ["__k"], {"na": ("ca", "sum"), "nb": ("cb", "sum")},
+    ).to_pandas()
+    if len(tot) == 0 or tot["na"].iloc[0] == 0 or tot["nb"].iloc[0] == 0:
+        return rd.from_pandas(pd.DataFrame({
+            "n_words": pd.Series([], dtype="int64"),
+            "tokens_a": pd.Series([], dtype="int64"),
+            "tokens_b": pd.Series([], dtype="int64"),
+            "js": pd.Series([], dtype="float64"),
+        }))
+    na = float(tot["na"].iloc[0])
+    nb = float(tot["nb"].iloc[0])
+
+    def contrib(d: pd.DataFrame) -> pd.DataFrame:
+        p = d["ca"].to_numpy(dtype="float64") / na
+        q = d["cb"].to_numpy(dtype="float64") / nb
+        m = 0.5 * (p + q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tp = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0) / m),
+                          0.0)
+            tq = np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0) / m),
+                          0.0)
+        return pd.DataFrame({"js": [0.5 * float(tp.sum() + tq.sum())],
+                             "nw": [np.int64(len(d))]})
+
+    p = wc.map_batches(contrib, batch_format="pandas").to_pandas()
+    return rd.from_pandas(pd.DataFrame({
+        "n_words": [np.int64(p["nw"].sum())],
+        "tokens_a": [np.int64(na)],
+        "tokens_b": [np.int64(nb)],
+        "js": [float(p["js"].sum())],
+    }))
+
+
 # Per-worker-process stage cache: these stages carry only cheap derived
 # state (marker tables, pattern strings), so they run as plain TASKS with
 # the instance built once per worker process — which outlives the actor
@@ -147,6 +479,11 @@ def _cached_stage(cls, kw: dict):
 
 def langid_stage(ds: rd.Dataset, **kw) -> rd.Dataset:
     return ds.map_batches(_cached_stage(LangId, kw), batch_format="pandas")
+
+
+def token_stage(ds: rd.Dataset, **kw) -> rd.Dataset:
+    return ds.map_batches(_cached_stage(TokenCounter, kw),
+                          batch_format="pandas")
 
 
 def _re2_token_count(s: pd.Series) -> pd.Series:
@@ -316,6 +653,48 @@ def pack_payloads(
         partial(pack_payload_part, capacity=capacity, sep=sep,
                 text_col=text_col, id_col=id_col, group_col=group_col),
         num_partitions=num_partitions)
+
+
+def char_entropy(
+    ds: rd.Dataset,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+) -> rd.Dataset:
+    """Per-document character-distribution Shannon entropy (bits/char) —
+    the classic gibberish/binary/encoded-blob filter signal: natural
+    language sits ~3.5-4.5 bits, base64/random bytes push toward 6,
+    single-char spam toward 0.
+
+    Fully vectorized and shuffle-free: one string join per batch encoded
+    to a UTF-32 buffer (one codepoint = one uint32 — count parity with
+    DuckDB's character-wise ``string_split(text, '')``), doc ids
+    repeated by char length, one lexsort, run-length boundaries give the
+    per-(doc, char) counts, and a scatter-add accumulates each doc's
+    -Σ p·log2 p. No per-row Python, no exchange."""
+
+    def ent(df: pd.DataFrame) -> pd.DataFrame:
+        texts = df[text_col].astype(str)
+        lens = texts.str.len().to_numpy().astype(np.int64)
+        blob = "".join(texts.tolist())
+        cps = np.frombuffer(blob.encode("utf-32-le"), dtype=np.uint32)
+        doc = np.repeat(np.arange(len(df), dtype=np.int64), lens)
+        H = np.zeros(len(df), dtype=np.float64)
+        if len(cps):
+            order = np.lexsort((cps, doc))
+            d, c = doc[order], cps[order]
+            bnd = np.flatnonzero(
+                np.r_[True, (d[1:] != d[:-1]) | (c[1:] != c[:-1])])
+            runs = np.diff(np.r_[bnd, len(d)])
+            rd_ = d[bnd]
+            p = runs / lens[rd_]
+            np.add.at(H, rd_, -p * np.log2(p))
+        return pd.DataFrame({
+            id_col: df[id_col].to_numpy(),
+            "n_chars": lens,
+            "entropy": np.round(H, 6),
+        })
+
+    return ds.map_batches(ent, batch_format="pandas")
 
 
 def pack_interleaved_part(t, capacity: int, group_col: str, id_col: str,
@@ -741,3 +1120,377 @@ def bpe_reference(word_counts: pd.DataFrame,
     return pd.DataFrame(
         merges, columns=["rank", "left", "right", "pair_count"]
     ).astype({"rank": "int64", "pair_count": "int64"})
+
+
+def mixture_sample(
+    ds: rd.Dataset,
+    key: str,
+    id_col: str,
+    total: int,
+    alpha: float = 0.5,
+    num_partitions: int = 16,
+) -> rd.Dataset:
+    """Temperature-scaled corpus-mixture sampling: draw a deterministic
+    sample of ~``total`` rows whose per-``key`` (source/language) counts
+    follow the α-power recipe LM training mixes use — target share of
+    group g ∝ n_g^α, so α=1 keeps natural proportions, α→0 flattens the
+    mix toward uniform and up-weights low-resource groups (the standard
+    multilingual-sampling trick; α≈0.3-0.7 in published recipes).
+
+    Fully deterministic and parallelism-invariant: group targets come
+    from exact counts (floor(round(total·share, 6)) — same float64
+    arithmetic in SQL, so totals may undershoot ``total`` by < #groups,
+    never overshoot); membership is the per-group smallest-``target_g``
+    rows by Knuth-hashed id (ties impossible: (hash, id) is unique per
+    group). Scale shape: the count pass is a partial-agg exchange of
+    #groups rows; scoring is one vectorized map; each batch pre-truncates
+    to its local per-group head so only candidate rows (≤ target_g per
+    group per block) enter the single co-partitioning exchange.
+    Nonnegative-id precondition as ``cap_per_group``
+    (`relational.py:455-463`).
+    """
+    from .relational import grouped_agg, grouped_apply
+
+    counts = grouped_agg(ds, [key], {"n": (id_col, "count")},
+                         merge_partitions=None).to_pandas()
+    w = counts["n"].to_numpy(dtype="float64") ** float(alpha)
+    share = w / w.sum()
+    targets = {
+        k: int(np.floor(np.round(total * s, 6)))
+        for k, s in zip(counts[key].tolist(), share.tolist())
+    }
+
+    def score_and_trim(df: pd.DataFrame) -> pd.DataFrame:
+        ids = df[id_col].to_numpy().astype(np.uint64)
+        h = ((ids % np.uint64(4294967296)) * np.uint64(2654435761)) \
+            % np.uint64(4294967296)
+        df = df.assign(samp_key=h.astype("int64"))
+        df = df.sort_values(["samp_key", id_col], kind="mergesort")
+        g = df.groupby(key, sort=False, observed=True)
+        kept = [grp.head(targets.get(k, 0)) for k, grp in g]
+        return (pd.concat(kept) if kept
+                else df.iloc[0:0])
+
+    def exact(part: pd.DataFrame) -> pd.DataFrame:
+        part = part.sort_values(["samp_key", id_col], kind="mergesort")
+        g = part.groupby(key, sort=False, observed=True)
+        kept = [grp.head(targets.get(k, 0)) for k, grp in g]
+        return pd.concat(kept) if kept else part.iloc[0:0]
+
+    return grouped_apply(
+        ds.map_batches(score_and_trim, batch_format="pandas"),
+        [key], exact, num_partitions=num_partitions,
+    )
+
+
+def collocations(
+    ds: rd.Dataset,
+    k: int = 40,
+    min_count: int = 5,
+    text_col: str = "text",
+    merge_partitions: int | None = 8,
+    num_buckets: int = 16,
+) -> rd.Dataset:
+    """Top-k collocations (adjacent word bigrams) by pointwise mutual
+    information — the phrase-mining pass a tokenizer/vocabulary builder
+    runs over a training corpus.
+
+    PMI is computed over the bigram distribution itself: with N = total
+    bigrams, p(a,·) = (bigrams starting with a)/N, p(·,b) = (bigrams
+    ending with b)/N, ``pmi = ln(c_ab · N / (c1(a) · c2(b)))`` — self-
+    consistent denominators, reproducible in SQL without mixing token
+    and bigram totals. Tokenization is single-space split with empties
+    dropped (``vocab_topk`` parity); dropping empties keeps the
+    surviving tokens adjacent, matching the list-slice zip the oracle
+    uses.
+
+    Dataflow: per-batch bigram partial counts (explode + same-doc mask +
+    one groupby — only distinct-bigram rows leave a block), one
+    ``grouped_agg`` merge (partitioned for corpus-scale bigram
+    vocabularies), the two marginal tables derived FROM the reduced
+    bigram table (never re-reading the corpus), bucketed joins for the
+    vocabulary-scale marginals (correctly NOT broadcast — same
+    discipline as tfidf), and the shared truncating ``topk`` for the
+    final ordering. The ``min_count`` filter prunes the join input but
+    the marginals are computed over ALL bigrams, so frequency floors
+    don't distort the distribution."""
+    from .relational import bucketed_hash_join, grouped_agg, topk
+
+    def pairs_partial(df: pd.DataFrame) -> pd.DataFrame:
+        toks = df[text_col].astype(str).str.split(" ").explode()
+        toks = toks[(toks != "") & toks.notna()]
+        w = toks.to_numpy(dtype=object)
+        if len(w) < 2:
+            return pd.DataFrame({
+                "w1": pd.Series([], dtype=object),
+                "w2": pd.Series([], dtype=object),
+                "cnt": pd.Series([], dtype="int64"),
+            })
+        doc = toks.index.to_numpy()
+        same = doc[:-1] == doc[1:]
+        g = (pd.DataFrame({"w1": w[:-1][same], "w2": w[1:][same]})
+             .groupby(["w1", "w2"], sort=False).size()
+             .reset_index(name="cnt"))
+        g["cnt"] = g["cnt"].astype("int64")
+        return g
+
+    partials = ds.select_columns([text_col]).map_batches(
+        pairs_partial, batch_format="pandas")
+    big = grouped_agg(
+        partials, ["w1", "w2"], {"c_ab": ("cnt", "sum")},
+        merge_partitions=merge_partitions,
+    ).materialize()
+    n_total = float(big.sum("c_ab"))
+    c1 = grouped_agg(big, ["w1"], {"c1": ("c_ab", "sum")},
+                     merge_partitions=merge_partitions)
+    c2 = grouped_agg(big, ["w2"], {"c2": ("c_ab", "sum")},
+                     merge_partitions=merge_partitions)
+
+    kept = big.map_batches(
+        lambda df, _m=min_count: df[df["c_ab"] >= _m],
+        batch_format="pandas",
+    )
+    joined = bucketed_hash_join(
+        bucketed_hash_join(kept, c1, on="w1", num_buckets=num_buckets),
+        c2, on="w2", num_buckets=num_buckets,
+    )
+
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        pmi = np.log(
+            df["c_ab"].to_numpy(dtype="float64") * n_total
+            / (df["c1"].to_numpy(dtype="float64")
+               * df["c2"].to_numpy(dtype="float64"))
+        )
+        return pd.DataFrame({
+            "w1": df["w1"], "w2": df["w2"],
+            "c_ab": df["c_ab"].astype("int64"),
+            "pmi": np.round(pmi, 6),
+        })
+
+    scored = joined.map_batches(score, batch_format="pandas")
+    return topk(scored, ["pmi", "w1", "w2"], k,
+                descending=[True, False, False])
+
+
+def naive_bayes_classify(
+    train: rd.Dataset,
+    test: rd.Dataset,
+    text_col: str = "text",
+    label_col: str = "lang",
+    id_col: str = "doc_id",
+    merge_partitions: int = 4,
+    num_buckets: int = 8,
+    round_dp: int = 6,
+) -> rd.Dataset:
+    """Multinomial Naive Bayes text classification, trained and applied
+    distributed — the classical supervised label-propagation step of a
+    curation pipeline (predict language/domain/quality tier from token
+    counts). Laplace-smoothed: ln P(w|ℓ) = ln((c(ℓ,w)+1)/(tot_ℓ+V)).
+
+    Scale shape: the (label, word) likelihood table is VOCABULARY-scale
+    and never reaches the driver — it pivots to one row per word with
+    a log-prob column per label (labels are model constants, collected
+    driver-side with priors/totals), bucket-joins the test token table
+    by word (LEFT join — unseen words take the smoothing floor), and
+    per-doc scores partial-sum merge. Scores round to ``round_dp``
+    before the argmax on both engines (ties break label-ascending), so
+    ln() reassociation cannot flip a prediction. Emits
+    (id, pred_label)."""
+    from .relational import (
+        bucketed_hash_join,
+        distinct,
+        grouped_agg,
+        grouped_apply,
+    )
+
+    def tokens(keep: str, doc_counts: bool = False):
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            if len(df) == 0:
+                return pd.DataFrame({
+                    keep: pd.Series(dtype="int64" if not doc_counts
+                                    else "category"),
+                    "word": pd.Series(dtype="category"),
+                    "cnt": pd.Series(dtype="int64")})
+            t = df[[keep, text_col]].copy()
+            t["word"] = t[text_col].astype(str).str.split(" ")
+            t = t[[keep, "word"]].explode("word")
+            t = t[(t["word"] != "") & t["word"].notna()]
+            g = (t.groupby([keep, "word"], sort=False).size()
+                 .reset_index(name="cnt"))
+            g["cnt"] = g["cnt"].astype("int64")
+            if doc_counts:
+                # fold per-label DOC counts into the same pass (the
+                # empty word is filtered from real tokens, so it is a
+                # safe sentinel) — saves a second full read of train
+                dc = (df.groupby(keep, sort=False).size()
+                      .reset_index(name="cnt"))
+                dc["word"] = ""
+                dc["cnt"] = dc["cnt"].astype("int64")
+                g = pd.concat([g, dc[g.columns]], ignore_index=True)
+            return g
+        return fn
+
+    tt_all = grouped_agg(
+        train.map_batches(tokens(label_col, doc_counts=True),
+                          batch_format="pandas"),
+        [label_col, "word"], {"c": ("cnt", "sum")},
+        merge_partitions=merge_partitions,
+    ).materialize()
+    tt = tt_all.map_batches(lambda d: d[d["word"] != ""],
+                            batch_format="pandas")
+
+    stats = (grouped_agg(
+        tt_all.map_batches(
+            lambda d: d.assign(
+                __tok=np.where(d["word"] != "", d["c"], 0),
+                __doc=np.where(d["word"] == "", d["c"], 0)),
+            batch_format="pandas"),
+        [label_col],
+        {"tot": ("__tok", "sum"), "n_docs": ("__doc", "sum")})
+        .to_pandas().set_index(label_col))
+    tot = stats["tot"]
+    pri = stats["n_docs"].astype(float)
+    vocab_v = float(distinct(tt, ["word"]).count())
+    labels = sorted(tot.index)
+    n_train = float(pri.sum())
+    log_prior = {l: float(np.log(pri[l] / n_train)) for l in labels}
+    denom = {l: float(tot[l]) + vocab_v for l in labels}
+    floor = {l: float(np.log(1.0 / denom[l])) for l in labels}
+
+    def pivot(part: pd.DataFrame) -> pd.DataFrame:
+        w = part.pivot_table(index="word", columns=label_col,
+                             values="c", aggfunc="sum")
+        out = pd.DataFrame({"word": w.index})
+        for l in labels:
+            c = (w[l].to_numpy(dtype="float64")
+                 if l in w.columns else np.zeros(len(w)))
+            c = np.nan_to_num(c)
+            out[f"__lp_{l}"] = np.log((c + 1.0) / denom[l])
+        return out
+
+    wide = grouped_apply(tt, ["word"], pivot,
+                         num_partitions=num_buckets)
+
+    ttoks = test.map_batches(tokens(id_col), batch_format="pandas")
+    joined = bucketed_hash_join(ttoks, wide, on="word", how="left",
+                                num_buckets=num_buckets)
+
+    def partial_scores(df: pd.DataFrame) -> pd.DataFrame:
+        cnt = df["cnt"].to_numpy(dtype="float64")
+        out = {id_col: df[id_col].astype("int64")}
+        for l in labels:
+            lp = df[f"__lp_{l}"].to_numpy(dtype="float64")
+            lp = np.where(np.isnan(lp), floor[l], lp)
+            out[f"__s_{l}"] = cnt * lp
+        return pd.DataFrame(out)
+
+    per_doc = grouped_agg(
+        joined.map_batches(partial_scores, batch_format="pandas"),
+        [id_col], {f"__s_{l}": (f"__s_{l}", "sum") for l in labels},
+        merge_partitions=merge_partitions,
+    )
+
+    def decide(df: pd.DataFrame) -> pd.DataFrame:
+        S = np.column_stack(
+            [np.round(df[f"__s_{l}"].to_numpy(dtype="float64")
+                      + log_prior[l], round_dp) for l in labels])
+        # argmax with label-ascending tiebreak: labels are sorted and
+        # np.argmax takes the FIRST maximum
+        pick = np.argmax(S, axis=1)
+        return pd.DataFrame({
+            id_col: df[id_col].astype("int64"),
+            "pred_" + label_col: np.array(labels, dtype=object)[pick],
+        })
+
+    return per_doc.map_batches(decide, batch_format="pandas")
+
+
+def boolean_search(
+    ds: rd.Dataset,
+    terms: Sequence[str],
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    merge_partitions: int | None = None,
+) -> rd.Dataset:
+    """Conjunctive boolean retrieval (docs containing ALL query terms)
+    via query-restricted postings — the exact-match companion to `bm25`.
+    Scale shape: the postings explode is filtered to the k query terms
+    INSIDE the batch (the inverted index is never materialized beyond
+    them) and deduped per batch; a doc's text lives in one row, so the
+    per-batch dedup is globally exact and the ONE ``grouped_agg``
+    exchange carries ≤ k rows per matching doc. count == k is the
+    intersection. Tokenization matches `vocab_topk` (single-space
+    split, empties dropped)."""
+    from .relational import grouped_agg
+
+    terms = sorted(set(terms))
+    k = len(terms)
+    tset = frozenset(terms)
+
+    def posts(df: pd.DataFrame) -> pd.DataFrame:
+        s = df[text_col].astype(str).str.split(" ").rename("w")
+        e = df[[id_col]].join(s).explode("w")
+        e = e[e["w"].isin(tset)].drop_duplicates()
+        if len(e) == 0:
+            return pd.DataFrame({id_col: pd.Series(dtype="int64"),
+                                 "w": pd.Series(dtype="category")})
+        return e
+
+    hits = grouped_agg(
+        ds.map_batches(posts, batch_format="pandas"),
+        [id_col], {"n": ("w", "count")},
+        merge_partitions=merge_partitions,
+    )
+    return hits.map_batches(
+        lambda d: d.loc[d["n"] == k, [id_col]].astype("int64"),
+        batch_format="pandas")
+
+
+def jaro_winkler(s1: str, s2: str) -> float:
+    """Jaro–Winkler similarity, rapidfuzz/DuckDB convention: Jaro with
+    the standard floor(max/2)−1 match window and half-transposition
+    count, Winkler prefix bonus (p=0.1, prefix ≤ 4) applied only when
+    the Jaro score exceeds the 0.7 boost threshold. Pure-python exact
+    reference — blocked matching calls it per CANDIDATE pair, never
+    per corpus row."""
+    if s1 == s2:
+        return 1.0
+    l1, l2 = len(s1), len(s2)
+    if l1 == 0 or l2 == 0:
+        return 0.0
+    window = max(max(l1, l2) // 2 - 1, 0)
+    f1 = [False] * l1
+    f2 = [False] * l2
+    m = 0
+    for i, ch in enumerate(s1):
+        lo = max(0, i - window)
+        hi = min(l2, i + window + 1)
+        for j in range(lo, hi):
+            if not f2[j] and s2[j] == ch:
+                f1[i] = True
+                f2[j] = True
+                m += 1
+                break
+    if m == 0:
+        return 0.0
+    t = 0
+    j = 0
+    for i in range(l1):
+        if f1[i]:
+            while not f2[j]:
+                j += 1
+            if s1[i] != s2[j]:
+                t += 1
+            j += 1
+    # rapidfuzz/DuckDB floor the half-transposition count (integer
+    # t//2), unlike the textbook t/2 — measured against DuckDB on
+    # odd-mismatch pairs
+    jaro = (m / l1 + m / l2 + (m - t // 2) / m) / 3.0
+    if jaro > 0.7:
+        pre = 0
+        for a, b in zip(s1[:4], s2[:4]):
+            if a != b:
+                break
+            pre += 1
+        jaro = jaro + pre * 0.1 * (1.0 - jaro)
+    return jaro

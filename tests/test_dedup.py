@@ -73,6 +73,23 @@ def test_simhash_deterministic():
     assert (s1 == s2).all()
 
 
+def test_embedding_near_dup(ray_session):
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(6, 16)).astype(np.float32)
+    base[1] = base[0] + 0.001  # planted near-dup pair (0,1)
+    df = pd.DataFrame(
+        {"vec_id": np.arange(6, dtype="int64"), "embedding": list(base)}
+    )
+    out = dedup.embedding_near_dup(
+        rd.from_pandas(df), threshold=0.99
+    ).to_pandas()
+    pairs = set(map(tuple, out[["id_a", "id_b"]].to_numpy()))
+    assert pairs == {(0, 1)}
+    assert out["cosine"].iloc[0] > 0.999
+
+
 @pytest.mark.parametrize("sf", ["sf0.001", "sf0.01"])
 def test_minhash_golden_pairs(ray_session, sf):
     """The streamed text-join verification (round 2) must produce
@@ -128,6 +145,56 @@ def test_ngram_jaccard_exact_all_pairs(docs_ds):
     assert not any(4 in p or 5 in p for p in got if p != (4, 5))
 
 
+def test_embedding_near_dup_block_pairs_match_bruteforce(ray_session):
+    """Block-pair exact path finds EVERY pair a full n² matmul finds,
+    each exactly once, at any block count."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(80, 16)).astype(np.float32)
+    for i in range(0, 20, 2):  # plant 10 near-dup pairs
+        M[i + 1] = M[i] + rng.normal(scale=0.01, size=16).astype(np.float32)
+    df = pd.DataFrame(
+        {"vec_id": np.arange(80, dtype="int64"), "embedding": list(M)}
+    )
+    Mn = M.astype(np.float64)
+    Mn /= np.linalg.norm(Mn, axis=1, keepdims=True)
+    sims = Mn @ Mn.T
+    ai, bi = np.nonzero(np.triu(sims >= 0.9, k=1))
+    expect = set(zip(ai.tolist(), bi.tolist()))
+    for nb in (1, 3, 8):
+        out = dedup.embedding_near_dup(
+            rd.from_pandas(df), threshold=0.9, num_blocks=nb
+        ).to_pandas()
+        got = list(map(tuple, out[["id_a", "id_b"]].to_numpy()))
+        assert len(got) == len(set(got))  # no pair emitted twice
+        assert set(got) == expect
+
+
+def test_embedding_near_dup_ivf_recall(ray_session):
+    import ray.data as rd
+
+    rng = np.random.default_rng(13)
+    M = rng.normal(size=(200, 16)).astype(np.float32)
+    for i in range(0, 40, 2):
+        M[i + 1] = M[i] + rng.normal(scale=0.01, size=16).astype(np.float32)
+    df = pd.DataFrame(
+        {"vec_id": np.arange(200, dtype="int64"), "embedding": list(M)}
+    )
+    ds = rd.from_pandas(df)
+    exact = dedup.embedding_near_dup(ds, threshold=0.9,
+                                     num_blocks=4).to_pandas()
+    approx = dedup.embedding_near_dup_ivf(
+        ds, threshold=0.9, num_cells=8, assign_top=2
+    ).to_pandas()
+    exact_pairs = set(map(tuple, exact[["id_a", "id_b"]].to_numpy()))
+    approx_pairs = set(map(tuple, approx[["id_a", "id_b"]].to_numpy()))
+    assert approx_pairs <= exact_pairs  # no false positives
+    assert len(approx_pairs) >= 0.9 * len(exact_pairs)  # recall bound
+    dup = approx[["id_a", "id_b"]].duplicated().sum()
+    assert dup == 0  # multi-cell pairs deduped
+
+
 def test_connected_components(ray_session):
     """Min-label propagation: a 4-node path (needs >1 iteration for the
     min to reach the far end) plus a separate pair and a triangle."""
@@ -163,6 +230,14 @@ def test_connected_components(ray_session):
         assert sch is not None, thr
         assert list(sch.names) == ["node", "label"]
         assert list(sch.base_schema.types) == [object, object]
+
+
+def test_minhash_signature_deterministic():
+    a, b = dedup._minhash_params(32)
+    s1 = dedup.minhash_signature(BASE, a, b)
+    s2 = dedup.minhash_signature(BASE, a, b)
+    assert (s1 == s2).all()
+    assert s1.dtype == np.uint64
 
 
 def test_connected_components_raises_on_nonconvergence(ray_session):
@@ -320,6 +395,72 @@ def test_frequent_lines_bounded_result(ray_session):
     assert len(out) == 0
 
 
+def test_fuzzy_dedup_pairs_planted(ray_session):
+    """Deletion-neighborhood blocking is complete at distance 1:
+    substitution, insertion, deletion all pair; distance 2 does not."""
+    import ray.data as rd
+
+    from crawler_service_ray.functions.dedup import fuzzy_dedup_pairs
+
+    base = "the quick brown fox jump"  # 24 chars
+    docs = pd.DataFrame({
+        "doc_id": [1, 2, 3, 4, 5, 6, 7],
+        "text": [
+            base,                          # identity
+            base,                          # exact dup of 1 (dist 0)
+            "the quick brown fox jumX",    # substitution (dist 1 vs 1/2)
+            "the quick brown fox jum",     # deletion (dist 1 vs 1/2)
+            "Xthe quick brown fox jum",    # insertion at front => prefix
+            "the XXick brown fox jump",    # dist 2 vs base — no pair
+            "completely different txt",    # unrelated
+        ],
+    })
+    out = (
+        fuzzy_dedup_pairs(rd.from_pandas(docs), key_len=24,
+                          num_partitions=4)
+        .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    )
+    got = set(zip(out["id_a"], out["id_b"], out["dist"]))
+    assert (1, 2, 0) in got
+    assert (1, 3, 1) in got and (2, 3, 1) in got
+    assert (1, 4, 1) in got and (2, 4, 1) in got
+    # 3 vs 4: "...jumX" vs "...jum" = one deletion
+    assert (3, 4, 1) in got
+    # doc 5's 24-char key is base shifted right one = dist 2 region is
+    # allowed to pair only where true dist <= 1
+    assert all(d <= 1 for (_a, _b, d) in got)
+    assert not any(6 in (a, b) for (a, b, _d) in got)
+    assert not any(7 in (a, b) for (a, b, _d) in got)
+
+
+def test_fuzzy_dedup_matches_quadratic(ray_session):
+    """Blocked pairs == brute-force levenshtein<=1 pairs on random keys."""
+    import ray.data as rd
+
+    from crawler_service_ray.functions.dedup import (_lev_le1,
+                                                     fuzzy_dedup_pairs)
+
+    rng = np.random.default_rng(11)
+    alpha = list("abcd")
+    base_keys = ["".join(rng.choice(alpha, 10)) for _ in range(40)]
+    texts = []
+    for k in base_keys:
+        texts.append(k)
+        if rng.random() < 0.5:  # plant a 1-edit neighbor
+            i = int(rng.integers(0, len(k)))
+            texts.append(k[:i] + "z" + k[i + 1:])
+    docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
+    out = fuzzy_dedup_pairs(rd.from_pandas(docs), key_len=24,
+                            num_partitions=4).to_pandas()
+    got = set(zip(out["id_a"], out["id_b"]))
+    want = set()
+    for i in range(len(texts)):
+        for j in range(i + 1, len(texts)):
+            if _lev_le1(texts[i][:24], texts[j][:24]) is not None:
+                want.add((i, j))
+    assert got == want
+
+
 def test_minhash_incremental_matches_full_run(ray_session, tmp_path):
     import ray.data as rd
 
@@ -443,6 +584,54 @@ def test_minhash_index_append_crash_safe(ray_session, tmp_path):
         man = json.load(fh)
     assert man["files"] and all(
         os.path.exists(os.path.join(idx, rel)) for rel in man["files"])
+
+def test_semdedup_keeps_centroid_nearest(ray_session):
+    """Within each k-means cell, exactly the lower-priority member of a
+    planted near-identical pair is removed, attributed to its survivor
+    with the true cosine; unrelated rows all survive."""
+    import ray.data as rd
+
+    from crawler_service_ray.functions.dedup import semdedup
+
+    rng = np.random.default_rng(5)
+    d = 16
+    # three well-separated cluster directions
+    dirs = np.eye(d)[:3] * 10.0
+    rows = []
+    vid = 0
+    for ci in range(3):
+        for _ in range(12):
+            rows.append((vid, dirs[ci] + rng.normal(0, 0.8, d)))
+            vid += 1
+    # a near-identical pair inside cluster 0 (cos ~ 1)
+    base = dirs[0] + rng.normal(0, 0.5, d)
+    rows.append((1000, base))
+    rows.append((1001, base + 1e-4))
+    df = pd.DataFrame({"vec_id": [r[0] for r in rows],
+                       "embedding": [r[1] for r in rows]})
+    ds = rd.from_pandas(df, override_num_blocks=3)
+    out = (semdedup(ds, k=3, threshold=0.98, iters=4)
+           .to_pandas().sort_values("vec_id").reset_index(drop=True))
+    assert len(out) == len(df)
+    removed = out[~out["keep"]]
+    kept = out[out["keep"]]
+    # exactly one of the planted pair is removed, attributed to the
+    # other, with its true cosine
+    assert set(removed["vec_id"]) <= {1000, 1001}
+    assert len(removed) == 1
+    r = removed.iloc[0]
+    assert int(r["near_id"]) in (1000, 1001)
+    assert int(r["near_id"]) != int(r["vec_id"])
+    assert r["near_cos"] >= 0.98
+    # the survivor is the pair's centroid-nearest member
+    surv = int(({1000, 1001} - {int(r["vec_id"])}).pop())
+    ssim = float(out.loc[out["vec_id"] == surv, "centroid_sim"].iloc[0])
+    rsim = float(r["centroid_sim"])
+    assert (ssim > rsim) or (abs(ssim - rsim) < 1e-12
+                             and surv < int(r["vec_id"]))
+    # everything else survives, with clean kept-row markers
+    assert (kept["near_id"] == -1).all()
+    assert kept["near_cos"].isna().all()
 
 
 def test_containment_catches_subset_pair_jaccard_misses(ray_session):

@@ -34,6 +34,48 @@ def test_key_hash_dtype_canonical(xs):
     assert (a == b).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(
+    alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd", "Zs"),
+                           max_codepoint=0x7F),
+    max_size=80), min_size=1, max_size=8))
+def test_pii_redaction_complete(texts):
+    """After redaction no digit-run of length ≥ 2 survives anywhere
+    (emails/IPs contain digit-runs or none; the final pattern must
+    have swept every remainder)."""
+    import re
+
+    from crawler_service_ray.functions.text import PiiRedactor
+
+    out = PiiRedactor()(pd.DataFrame(
+        {"doc_id": range(len(texts)), "text": texts}
+    ))
+    for red in out["redacted"]:
+        assert re.search(r"\d{2}", red) is None, red
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=30)
+    .map(lambda ws: " ".join(ws)),
+    min_size=1, max_size=6))
+def test_fingerprint_batch_equals_per_doc(texts):
+    """The batch-vectorized winnowing fingerprint must equal the same
+    kernel run one document at a time — the global sliding-window
+    argmin and XOR reduceat cannot leak across document segments."""
+    from crawler_service_ray.functions.text import fingerprint_batch
+
+    batch = fingerprint_batch(pd.DataFrame(
+        {"doc_id": range(len(texts)), "text": texts}
+    ))
+    for i, t in enumerate(texts):
+        single = fingerprint_batch(pd.DataFrame(
+            {"doc_id": [i], "text": [t]}
+        ))
+        assert batch["fingerprint"].iloc[i] == single["fingerprint"].iloc[0]
+        assert batch["n_anchors"].iloc[i] == single["n_anchors"].iloc[0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
     st.lists(st.sampled_from("abcdefgh"), min_size=0, max_size=40)
