@@ -15,9 +15,6 @@ Library code that predates this check and that only its own tests reach
 is listed in ``tests/data/reach_backlog.txt``. The list only shrinks: a
 definition that is unreached and not listed fails the test, and so does a
 listed one that has been deleted or has gained a caller.
-
-Run ``python tests/test_reach.py`` to list the unreached definitions, or
-``python tests/test_reach.py --backlog`` to print them in backlog form.
 """
 
 from __future__ import annotations
@@ -153,16 +150,3 @@ def test_reference_impls_exist():
             defined.update(_defined_names(stmt))
     assert set(REFERENCE_IMPLS) <= defined
 
-
-if __name__ == "__main__":
-    import sys
-
-    dead = unreached()
-    if "--backlog" in sys.argv[1:]:
-        for p, name, _ in dead:
-            print(f"{p}\t{name}")
-    else:
-        for p, name, n in dead:
-            print(f"{p}\t{name}\t{n}")
-        print(f"{len(dead)} unreached definitions, "
-              f"{sum(n for *_, n in dead)} lines")
