@@ -83,7 +83,6 @@ from collections import Counter
 from functools import partial
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -367,7 +366,9 @@ class CrawlRun:
         prior = []
         for k in self._complete_epochs():
             sp = os.path.join(self._epoch_dir(k), "stats.parquet")
-            prior.append(pq.read_table(sp).to_pylist()[0])
+            prior.append(
+                pq.ParquetFile(sp).read(use_threads=False).to_pylist()[0]
+            )
         summary = {
             "epochs": len(prior),
             "urls_fetched": int(sum(s["urls_fetched"] for s in prior)),
@@ -706,11 +707,9 @@ def _politeness_partials(admitted: pa.Table, min_gap_ms: int, cb) -> None:
     batch is host-complete (admission partitions own whole hosts), so
     per-host counts — and therefore wait = (count-1)×gap and the distinct
     host count — are exact, not approximations."""
-    hosts = pd.Series(admitted["host"].to_numpy(zero_copy_only=False))
-    per_host = hosts.value_counts()
-    cb("politeness_wait_ms",
-       int(((per_host - 1).clip(lower=0) * min_gap_ms).sum()))
-    cb("num_hosts", int(len(per_host)))
+    per_host = pc.value_counts(admitted["host"]).field("counts").to_numpy()
+    cb("politeness_wait_ms", int(((per_host - 1) * min_gap_ms).sum()))
+    cb("num_hosts", len(per_host))
 
 
 def _fetch_counters(fetched: pa.Table, cb) -> None:
@@ -950,11 +949,13 @@ def _read_frontier_groups(files: list[str], max_rows: int | None):
     at once without a bound), so admission pays its per-read costs —
     spill-boundary checks and the chunk writes they cause — per group,
     not per file: the seen shards write one small file per (shard,
-    partition) per epoch."""
+    partition) per epoch. Each file is read directly, on one thread:
+    ``pq.read_table`` would set up a dataset per file, and the partitions
+    and tasks already give the parallelism."""
     group: list[pa.Table] = []
     n = 0
     for f in files:
-        t = pq.read_table(f)
+        t = pq.ParquetFile(f).read(use_threads=False)
         if group and max_rows and n + t.num_rows > max_rows:
             yield pa.concat_tables(group)
             group, n = [], 0

@@ -833,7 +833,8 @@ def export_run(
         n_in, kept = 0, pa.table({})
     elif _fits_in_driver(files):
         docs = pa.concat_tables(
-            [pq.read_table(f, columns=_RUN_COLUMNS) for f in files],
+            [pq.ParquetFile(f).read(columns=_RUN_COLUMNS, use_threads=False)
+             for f in files],
             promote_options="default")
         n_in = docs.num_rows
         kept = reassemble(docs)

@@ -18,45 +18,65 @@ pending.
 
 Ranking key everywhere: (priority desc, url asc) — deterministic, equal to
 the oracle's (oracle.py).
+
+The kernels are Arrow/numpy: hosts become dictionary codes once per
+table, the per-host rank is one stable ``pc.sort_indices`` plus run
+starts over those codes, and per-host caps look each distinct host up
+once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import PolitenessConfig
 
 
+def host_codes(
+    hosts: pa.Array | pa.ChunkedArray,
+) -> tuple[np.ndarray, pa.Array]:
+    """Per-row dictionary codes of a host column and the dictionary (the
+    distinct hosts in first-occurrence order). The column is combined
+    first: ``dictionary_encode`` on a chunked column gives each chunk its
+    own dictionary, so its codes would not be comparable across chunks."""
+    if isinstance(hosts, pa.ChunkedArray):
+        hosts = hosts.combine_chunks()
+    enc = hosts.dictionary_encode()
+    return enc.indices.to_numpy(zero_copy_only=False), enc.dictionary
+
+
 def _rank_within_host(t: pa.Table) -> np.ndarray:
-    """Rank (0-based) of each row within its host by (prio desc, url asc)."""
-    df = pd.DataFrame(
-        {
-            "host": t["host"].to_numpy(zero_copy_only=False),
-            "priority": t["priority"].to_numpy(zero_copy_only=False),
-            "url": t["url"].to_numpy(zero_copy_only=False),
-        }
-    )
-    order = df.sort_values(
-        ["host", "priority", "url"], ascending=[True, False, True], kind="mergesort"
-    ).index.to_numpy()
-    rank_sorted = (
-        df["host"].iloc[order].groupby(df["host"].iloc[order]).cumcount()
-    )
-    rank = np.empty(len(df), dtype=np.int64)
-    rank[order] = rank_sorted.to_numpy()
+    """Rank (0-based) of each row within its host by (prio desc, url asc).
+
+    One stable Arrow sort on (host code, priority desc, url asc); a row's
+    rank is its distance from the start of its host's run in that order.
+    Rows equal on all three keys keep their input order."""
+    n = t.num_rows
+    codes, _ = host_codes(t["host"])
+    order = pc.sort_indices(
+        pa.table({"code": codes, "priority": t["priority"], "url": t["url"]}),
+        sort_keys=[("code", "ascending"), ("priority", "descending"),
+                   ("url", "ascending")],
+    ).to_numpy()
+    sorted_codes = codes[order]
+    pos = np.arange(n)
+    run_start = np.empty(n, dtype=bool)
+    run_start[:1] = True
+    run_start[1:] = sorted_codes[1:] != sorted_codes[:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
     return rank
 
 
-def _caps_for(hosts: np.ndarray, pol: PolitenessConfig) -> np.ndarray:
-    default = max(1, pol.epoch_ms // pol.min_gap_ms)
-    if not pol.per_host_overrides:
-        return np.full(len(hosts), default, dtype=np.int64)
-    s = pd.Series(hosts)
-    return (
-        s.map(pol.per_host_overrides).fillna(default).astype(np.int64).to_numpy()
-    )
+def _caps_for(hosts: pa.Array | pa.ChunkedArray,
+              pol: PolitenessConfig) -> np.ndarray:
+    """Per-row admission cap: each distinct host is looked up once."""
+    codes, dictionary = host_codes(hosts)
+    caps = np.array([pol.max_per_epoch(h) for h in dictionary.to_pylist()],
+                    dtype=np.int64)
+    return caps[codes]
 
 
 def admit_per_host(
@@ -75,7 +95,7 @@ def admit_per_host(
             .append_column("virtual_ts_ms", pa.array([], type=pa.int64()))
         )
     rank = _rank_within_host(group)
-    caps = _caps_for(group["host"].to_numpy(zero_copy_only=False), pol)
+    caps = _caps_for(group["host"], pol)
     admitted = rank < caps
     host_rank = np.where(admitted, rank, -1).astype(np.int32)
     ts = np.where(

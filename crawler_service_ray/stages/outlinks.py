@@ -17,7 +17,6 @@ driver (tail epochs) with identical semantics (pipelines/crawl.py).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

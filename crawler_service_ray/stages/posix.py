@@ -27,7 +27,6 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..sources.corpus import SPANS_TYPE
 from .fetch import FETCHED_SCHEMA
 
 _TEXT_EXTS = {"txt", "md", "csv", "json", "py", "log", "html", "xml"}

@@ -34,6 +34,12 @@ With the invariant, per-host admission order equals the unbounded run's
 whenever the live slice is non-empty, and the live slice is non-empty
 whenever spill is (refill fires before admission).
 
+The kernels are Arrow/numpy: each batch's hosts become dictionary codes
+once (``stages/admit.py:host_codes``), so boundary checks, host counts
+and per-host row selection are integer operations over those codes, not
+a string comparison of the whole batch per spilled host; chunks are read
+with ``pq.ParquetFile(...).read`` on one thread.
+
 Layout (everything under the run dir; manifests commit atomically with
 their epoch, chunks are content-named so an epoch rerun overwrites its
 own output byte-identically):
@@ -55,12 +61,11 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.admit import _rank_within_host
+from ..stages.admit import _rank_within_host, host_codes
 
 SORT_KEYS = [("priority", "descending"), ("url", "ascending")]
 
@@ -123,31 +128,54 @@ def _write_chunk(t: pa.Table, spill_dir: str, p: int, host: str) -> dict:
     }
 
 
+def _by_count_desc(counts: np.ndarray) -> np.ndarray:
+    """Positions of ``counts`` by count descending, ties in the order a
+    pandas ``value_counts`` leaves them (it argsorts the reversed counts
+    with numpy's default kind and reverses the result, which is not
+    stable). That order is the order new hosts enter the manifest, so
+    keeping it keeps the manifest bytes."""
+    return (len(counts) - 1 - np.argsort(counts[::-1]))[::-1]
+
+
 def enforce_boundary(
     t: pa.Table, manifest: dict, spill_dir: str, p: int
 ) -> tuple[pa.Table, int]:
     """Route incoming rows that rank worse than their host's spill
-    boundary straight to spill (vectorized per spilled host; hosts
-    without spill state pass through untouched)."""
+    boundary straight to spill (hosts without spill state pass through
+    untouched). Each row is checked against its own host's boundary,
+    looked up once per distinct host; the url comparison runs only on
+    rows tied with their boundary's priority."""
     if not manifest or t.num_rows == 0:
         return t, 0
-    hosts = t["host"].to_numpy(zero_copy_only=False)
-    prio = t["priority"].to_numpy(zero_copy_only=False).astype(np.float64)
-    urls = t["url"].to_numpy(zero_copy_only=False)
-    spill_mask = np.zeros(t.num_rows, dtype=bool)
-    for host, st in manifest.items():
-        hm = hosts == host
-        if hm.any():
-            spill_mask |= hm & _worse_than(prio, urls, st["boundary"])
-    n = int(spill_mask.sum())
-    if n == 0:
+    codes, dictionary = host_codes(t["host"])
+    hosts = dictionary.to_pylist()
+    # NaN boundary priority: a host without spill state spills no row
+    b_prio = np.full(len(hosts), np.nan)
+    b_url = [""] * len(hosts)
+    for c, host in enumerate(hosts):
+        st = manifest.get(host)
+        if st is not None:
+            b_prio[c], b_url[c] = float(st["boundary"][0]), st["boundary"][1]
+    prio = t["priority"].to_numpy().astype(np.float64)
+    row_bp = b_prio[codes]
+    spill_mask = prio < row_bp
+    tied = np.flatnonzero(prio == row_bp)
+    if tied.size:
+        urls = t["url"].take(tied).to_pylist()
+        spill_mask[tied] = [
+            u > b_url[c] for u, c in zip(urls, codes[tied])
+        ]
+    rows = np.flatnonzero(spill_mask)
+    if rows.size == 0:
         return t, 0
-    for host in pd.unique(pd.Series(hosts[spill_mask])):
-        sub = t.filter(pa.array(spill_mask & (hosts == host)))
-        manifest[host]["chunks"].append(
-            _write_chunk(sub, spill_dir, p, host)
+    spill_codes = codes[rows]
+    uniq, first = np.unique(spill_codes, return_index=True)
+    for c in uniq[np.argsort(first)]:  # first-occurrence host order
+        sub = t.take(rows[spill_codes == c])
+        manifest[hosts[c]]["chunks"].append(
+            _write_chunk(sub, spill_dir, p, hosts[c])
         )
-    return t.filter(pa.array(~spill_mask)), n
+    return t.filter(pa.array(~spill_mask)), int(rows.size)
 
 
 def compact(
@@ -160,23 +188,23 @@ def compact(
     host COUNT needs more partitions, not spilling)."""
     if t.num_rows == 0:
         return t, 0
-    hosts = pd.Series(t["host"].to_numpy(zero_copy_only=False))
-    counts = hosts.value_counts()
-    offenders = counts.index[counts > keep_per_host]
+    codes, dictionary = host_codes(t["host"])
+    counts = np.bincount(codes, minlength=len(dictionary))
+    order = _by_count_desc(counts)
+    offenders = order[counts[order] > keep_per_host]
     if len(offenders) == 0:
         return t, 0
+    hosts = dictionary.to_pylist()
     rank = _rank_within_host(t)
-    hv = hosts.to_numpy()
-    off_mask = np.isin(hv, offenders.to_numpy())
-    spill_mask = off_mask & (rank >= keep_per_host)
-    for host in offenders:
-        hm = hv == host
+    spill_mask = np.isin(codes, offenders) & (rank >= keep_per_host)
+    for c in offenders:
+        hm = codes == c
         sub = t.filter(pa.array(spill_mask & hm))
-        st = manifest.setdefault(host, {"boundary": None, "chunks": []})
-        st["chunks"].append(_write_chunk(sub, spill_dir, p, host))
+        st = manifest.setdefault(hosts[c], {"boundary": None, "chunks": []})
+        st["chunks"].append(_write_chunk(sub, spill_dir, p, hosts[c]))
         # boundary = the worst KEPT row (rank keep_per_host-1)
-        worst_kept = t.filter(pa.array(hm & (rank == keep_per_host - 1)))
-        st["boundary"] = _key_at(worst_kept, 0)
+        worst_kept = np.flatnonzero(hm & (rank == keep_per_host - 1))[0]
+        st["boundary"] = _key_at(t, int(worst_kept))
     return t.filter(pa.array(~spill_mask)), int(spill_mask.sum())
 
 
@@ -194,8 +222,9 @@ def refill(
     chunks. Returns (refilled rows or None, count)."""
     if not manifest:
         return None, 0
-    hosts = pd.Series(frontier["host"].to_numpy(zero_copy_only=False))
-    pending = hosts.value_counts()
+    vc = pc.value_counts(frontier["host"])
+    pending = dict(zip(vc.field("values").to_pylist(),
+                       vc.field("counts").to_pylist()))
     out = []
     for host in list(manifest.keys()):
         st = manifest[host]
@@ -218,7 +247,9 @@ def refill(
         read_tables, rows, cut = [], 0, len(cand)
         for i, c in enumerate(cand):
             read_tables.append(
-                pq.read_table(os.path.join(spill_dir, c["file"]))
+                pq.ParquetFile(os.path.join(spill_dir, c["file"])).read(
+                    use_threads=False
+                )
             )
             rows += c["rows"]
             cut = i + 1
