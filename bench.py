@@ -12,7 +12,8 @@ over $GRAFT_SF_DIR.
 
   python bench.py                 # env: GRAFT_SF_DIR, RAY_GRAFT_CPUS
   python bench.py --crawl-only    # just the crawl headline
-  python bench.py --scaling       # two fresh processes (2 vs 8 cpus) on
+  python bench.py --scaling       # two fresh processes (a quarter of
+                                  # the affinity CPUs vs all of them) on
                                   # the SAME crawl input → throughput at
                                   # both + scaling efficiency
 """
@@ -215,21 +216,19 @@ def main() -> dict:
 
 
 def scaling() -> None:
-    """Two fresh processes at N and 4N CPUs on the same input (the
-    sandbox evidence for the two-cluster-size criterion, BASELINE.md).
+    """Two fresh processes at ``lo`` and ``hi`` CPUs on the same input,
+    and the throughput scaling efficiency between them, ``(T_lo / T_hi)
+    / (hi / lo)`` (the two-cluster-size criterion, BASELINE.md).
 
-    Default pair: 2 and 8. The sandbox host exposes 32 cores behind ONE
-    memory system; measured CPU-time inflation of the string-heavy crawl
-    stages is ~1.35x by 16 concurrent workers (and worse by 32), which
-    caps any (T_N/T_4N)/4 whose hi leg runs ≥16 workers near
-    1/1.35 ≈ 0.74 regardless of engine quality — that pair measures the
-    memory system, not the engine. The 2→8 pair keeps BOTH legs inside
-    the bandwidth envelope, which is the regime that models adding NODES
-    (each node brings its own memory system; real deployments also run
-    few string-heavy workers per memory controller). Measured ratios are
-    stable across runs (2→8 ≥ 0.82; 4→16 pinned at ~0.74) even though
-    absolute wall times vary ±20% on this shared host. Override with
-    CSR_SCALING_LO / CSR_SCALING_HI; BASELINE.md records both pairs.
+    Default pair: ``hi`` is the number of CPUs this process may run on
+    (``os.sched_getaffinity``), ``lo`` a quarter of it, at least 1; so
+    1 and 4 on a 4-CPU host. Override with CSR_SCALING_LO /
+    CSR_SCALING_HI. The ``lo`` leg is a Ray session with fewer CPUs,
+    not a pinned process: the 0-CPU seen-shard actors, the raylet and
+    the driver still run on every allowed CPU. The JSON records the
+    affinity CPU count, OMP_NUM_THREADS and ``pyarrow.cpu_count()``
+    (Arrow's own thread pool, which OMP_NUM_THREADS sizes), because
+    each bounds how much of a leg's CPUs the engine can use.
     """
 
     def run(ncpu: int) -> dict:
@@ -254,8 +253,11 @@ def scaling() -> None:
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    lo = int(os.environ.get("CSR_SCALING_LO", "2"))
-    hi = int(os.environ.get("CSR_SCALING_HI", "8"))
+    import pyarrow as pa
+
+    affinity = len(os.sched_getaffinity(0))
+    hi = int(os.environ.get("CSR_SCALING_HI", affinity))
+    lo = int(os.environ.get("CSR_SCALING_LO", max(1, hi // 4)))
     r_lo, r_hi = run(lo), run(hi)
     t_lo, t_hi = r_lo["value"], r_hi["value"]
     eff = (t_lo / t_hi) / (hi / lo)
@@ -269,6 +271,9 @@ def scaling() -> None:
         "scaling_efficiency": round(eff, 3),
         "spilled_rows": r_hi["crawl"].get("spilled_rows", 0),
         "sf": r_lo["sf"],
+        "affinity_cpus": affinity,
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
+        "pyarrow_cpu_count": pa.cpu_count(),
     }))
 
 

@@ -19,9 +19,10 @@ Two sources:
 One set of kernels, two schedulers. An input whose parquet footers
 report at most ``EXPORT_LOCAL_MAX_BYTES`` is read with pyarrow and every
 stage runs in-process on one ``pa.Table`` (each grouped kernel sees the
-whole table as its one partition); a larger input maps the same kernels
-through Ray Data. Outputs are equal under both (pinned by
-``tests/test_export.py``).
+whole table as its one partition), its file reads and table writes
+overlapped on a thread pool sized to the Ray session; a larger input
+maps the same kernels through Ray Data. Outputs are equal under both
+(pinned by ``tests/test_export.py``).
 
 Resumability model: the whole export commits atomically (tmp dir →
 rename, manifest last), matching the crawl's tmp-epoch pattern; a rerun
@@ -38,6 +39,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import urllib.parse
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
@@ -79,22 +82,61 @@ MEDIA_MERGE_DRIVER_MAX = 500_000
 # tests can force either scheduler.
 EXPORT_LOCAL_MAX_BYTES = 10 << 20
 
-# the fetched columns export_run reads
-_RUN_COLUMNS = ["url", "spans", "quality_score", "lang_pred"]
+# the fetched columns export_run reads; n_ws_tokens is the crawl's own
+# RE2 \S+ count over the same " "-joined text spans, reused as n_tokens
+_RUN_COLUMNS = ["url", "spans", "quality_score", "lang_pred", "n_ws_tokens"]
+
+# The in-driver export's file reads and table writes. Parquet decode and
+# encode release the GIL, and Arrow's own pool has as many threads as
+# OMP_NUM_THREADS allows (often 1), so overlapping files needs threads of
+# our own. One pool for the process: a pool made per export call spent
+# more starting its threads than the overlap saved on a 14k-doc input.
+_IO_POOL: ThreadPoolExecutor | None = None
 
 
-def _fits_in_driver(files: list[str]) -> bool:
-    """Whether parquet ``files`` hold at most ``EXPORT_LOCAL_MAX_BYTES``
-    of uncompressed row groups, by their footers; stops reading footers
-    once the total is over."""
-    total = 0
+def _io_pool() -> ThreadPoolExecutor:
+    """The export's I/O pool, made on first use with one thread per CPU
+    of the Ray session (capped at the CPUs this process may run on; one
+    thread without a session)."""
+    global _IO_POOL
+    if _IO_POOL is None:
+        import ray
+
+        n = int(ray.cluster_resources().get("CPU", 1)) \
+            if ray.is_initialized() else 1
+        _IO_POOL = ThreadPoolExecutor(
+            max(1, min(n, len(os.sched_getaffinity(0)))),
+            thread_name_prefix="export-io")
+    return _IO_POOL
+
+
+def _fits_in_driver(files: list[str]) -> list[pq.ParquetFile] | None:
+    """``files`` opened, when their footers report at most
+    ``EXPORT_LOCAL_MAX_BYTES`` of uncompressed row groups, else None;
+    stops opening files once the total is over."""
+    opened, total = [], 0
     for f in files:
-        md = pq.read_metadata(f)
+        pf = pq.ParquetFile(f)
+        opened.append(pf)
+        md = pf.metadata
         total += sum(md.row_group(i).total_byte_size
                      for i in range(md.num_row_groups))
         if total > EXPORT_LOCAL_MAX_BYTES:
-            return False
-    return True
+            for o in opened:
+                o.close()
+            return None
+    return opened
+
+
+def _read_files(opened: list[pq.ParquetFile], columns: list[str]) -> pa.Table:
+    """``columns`` of the files :func:`_fits_in_driver` opened, decoded
+    on the I/O pool and concatenated in file order; closes the files."""
+    def read(pf):
+        with pf:
+            return pf.read(columns=columns, use_threads=False)
+
+    return pa.concat_tables(list(_io_pool().map(read, opened)),
+                            promote_options="default")
 
 
 def _assign_split(df: pd.DataFrame) -> pd.DataFrame:
@@ -191,7 +233,9 @@ def _reassemble(t: pa.Table, multimodal: bool, mlist, min_quality: float,
     """:func:`export_run`'s kernel over fetched rows: the filter on the
     crawl's own quality / language columns first, then, on the kept rows
     only, text joined from the text spans and, with ``multimodal``, the
-    interleaved segments. Every step is an Arrow kernel over the
+    interleaved segments and ``n_tokens``. ``n_tokens`` is the crawl's
+    ``n_ws_tokens``, counted at enrichment over the same joined text,
+    so no regex runs here. Every step is an Arrow kernel over the
     flattened spans; no Python runs per doc or per span."""
     from ..functions.multimodal import SEGMENT_STRUCT, parent_lists
 
@@ -231,12 +275,11 @@ def _reassemble(t: pa.Table, multimodal: bool, mlist, min_quality: float,
         ), parents[_np(seg)], n)
         cols["n_media"] = pa.array(np.bincount(
             parents[_np(is_media)], minlength=n).astype("int64"))
-        cols["n_tokens"] = pc.cast(
-            pc.count_substring_regex(text_arr, pattern=r"\S+"), pa.int64())
+        cols["n_tokens"] = t.column("n_ws_tokens")
     if mlist is not None:
-        # real tokenizer tokens for the pack budget (overrides the RE2
-        # whitespace count on the multimodal path, adds the column on
-        # the text-only path)
+        # real tokenizer tokens for the pack budget (overrides the
+        # crawl's whitespace count on the multimodal path, adds the
+        # column on the text-only path)
         cols["n_tokens"] = pa.array(text.bpe_doc_token_counts(
             pd.Series(_np(text_arr)), mlist)[1])
     return pa.table(cols)
@@ -440,12 +483,35 @@ def _empty_media(id_type: pa.DataType) -> pa.Table:
     })
 
 
+def _write_partitions(t: pa.Table, root: str, cols: list[str]) -> None:
+    """Hive-partitioned write of an in-memory table: one
+    ``part-0.parquet`` per distinct value of ``cols``, its rows in table
+    order, the partition columns left out of the file. That is what
+    ``pq.write_to_dataset`` writes, named by the partition instead of a
+    fresh uuid, so a rerun writes the same names."""
+    groups = t.select(cols).append_column(
+        "__row", pa.array(np.arange(t.num_rows))).group_by(
+        cols, use_threads=False).aggregate([("__row", "list")])
+    body = t.drop_columns(cols)
+    for key, rows in zip(groups.select(cols).to_pylist(),
+                         groups.column("__row_list").combine_chunks()):
+        d = os.path.join(root, *(
+            f"{c}={urllib.parse.quote(str(key[c]), safe='')}"
+            for c in cols))
+        os.makedirs(d, exist_ok=True)
+        pq.write_table(body.take(rows.values),
+                       os.path.join(d, "part-0.parquet"))
+
+
 def _write_output(out_dir: str, name: str, t,
                   partition_cols: list[str] | None = None) -> None:
     """Write one output table — a ``pa.Table`` in-process, a Dataset
     through Ray Data — to ``.tmp_<name>`` and rename it to ``<name>``
     (a crash leaves no half-written table under the real name). Hive
-    partition columns leave the files either way."""
+    partition columns leave the files either way; an in-process table
+    writes ``part-0.parquet`` per partition (or one at the top,
+    unpartitioned). Thread-safe across distinct ``name``s, so the
+    in-process export runs its writes on the I/O pool."""
     final, tmp = (os.path.join(out_dir, name),
                   os.path.join(out_dir, ".tmp_" + name))
     shutil.rmtree(tmp, ignore_errors=True)
@@ -454,7 +520,7 @@ def _write_output(out_dir: str, name: str, t,
     if not isinstance(t, pa.Table):
         t.write_parquet(tmp, partition_cols=partition_cols)
     elif partition_cols:
-        pq.write_to_dataset(t, tmp, partition_cols=partition_cols)
+        _write_partitions(t, tmp, partition_cols)
     else:
         pq.write_table(t, os.path.join(tmp, "part-0.parquet"))
     os.replace(tmp, final)
@@ -498,9 +564,6 @@ def _dedup_split_write(
     one hash bin, and a consumer reading ``shard=0..N-1`` in order
     streams the corpus in shuffled order without ``random_shuffle``'s
     nondeterministic all-to-all."""
-    from ..functions import multimodal as mm
-    from ..functions import relational as rel
-
     local = isinstance(kept, pa.Table)
     if (kept.num_rows if local else kept.count()) == 0:
         # an earlier export into this out_dir may have left data/ and
@@ -542,6 +605,84 @@ def _dedup_split_write(
         # consume `final`; materialize so the dedup chain executes once
         final = final.materialize()
 
+    # the in-process path's table writes run on the I/O pool while the
+    # media and pack stages compute; all are joined before the manifest
+    # pass reads them back, and on an error too, so no thread is still
+    # writing once this returns
+    writes = []
+
+    def write(name, t, cols=None):
+        if local:
+            writes.append(
+                _io_pool().submit(_write_output, out_dir, name, t, cols))
+        else:
+            _write_output(out_dir, name, t, cols)
+
+    try:
+        _write_tables(final, final_df, out_dir, write, local, packed,
+                      pack_capacity, multimodal, bpe, shuffle_shards)
+    finally:
+        wait(writes)
+    for f in writes:
+        f.result()
+
+    # partition sizes from the written files (what a consumer will see)
+    written = pads.dataset(os.path.join(out_dir, "data"),
+                           partitioning="hive")
+    tbl = written.to_table(columns=["split", "lang_pred"])
+    sizes = (
+        tbl.to_pandas().groupby(["split", "lang_pred"]).size().sort_index()
+    )
+    manifest = {
+        **base,
+        "rows_written": int(sizes.sum()),
+        "partitions": {f"{s}/{lg}": int(n) for (s, lg), n in sizes.items()},
+    }
+    if shuffle_shards:
+        sc = (pd.Series(written.to_table(columns=["shard"])["shard"]
+                        .to_numpy(zero_copy_only=False))
+              .astype("int64").value_counts().sort_index())
+        manifest["shuffle_shards"] = shuffle_shards
+        manifest["shards"] = {str(k): int(v) for k, v in sc.items()}
+    if multimodal:
+        mt = pads.dataset(os.path.join(out_dir, "media")).to_table(
+            columns=["media_ref", "n_uses", "content_hash"])
+        manifest["media_unique"] = int(mt.num_rows)
+        manifest["media_occurrences"] = int(
+            pd.Series(mt["n_uses"].to_numpy(zero_copy_only=False)).sum())
+        manifest["media_content_unique"] = int(
+            len(pd.unique(mt["content_hash"].to_numpy(
+                zero_copy_only=False))))
+    if packed:
+        pcols = ["split", "lang_pred", "n_docs", "seq_tokens"]
+        if multimodal:
+            pcols.append("n_media")
+        pt = pads.dataset(
+            os.path.join(out_dir, "packed"), partitioning="hive"
+        ).to_table(columns=pcols)
+        pdf = pt.to_pandas()
+        manifest["pack_capacity"] = pack_capacity
+        manifest["tokenizer"] = "bpe" if bpe else "whitespace"
+        manifest["sequences"] = {
+            f"{s}/{lg}": int(n) for (s, lg), n in
+            pdf.groupby(["split", "lang_pred"]).size().sort_index().items()
+        }
+        manifest["packed_docs"] = int(pdf["n_docs"].sum())
+        manifest["packed_tokens"] = int(pdf["seq_tokens"].sum())
+        if multimodal:
+            manifest["packed_media"] = int(pdf["n_media"].sum())
+    return _write_manifest(manifest, manifest_path)
+
+
+def _write_tables(final, final_df, out_dir: str, write, local: bool,
+                  packed: bool, pack_capacity: int, multimodal: bool,
+                  bpe: bool, shuffle_shards: int | None) -> None:
+    """:func:`_dedup_split_write`'s tables from the deduped, split rows
+    ``final``: ``data/``, then ``media/`` and ``packed/`` as asked, each
+    handed to ``write(name, table, partition_cols)``."""
+    from ..functions import multimodal as mm
+    from ..functions import relational as rel
+
     data_out, part_cols = final, ["split", "lang_pred"]
     if shuffle_shards:
         if local:
@@ -554,7 +695,7 @@ def _dedup_split_write(
             data_out = rel.balanced_hash_shards(final, "doc_id",
                                                 shuffle_shards)
         part_cols = ["shard"] + part_cols
-    _write_output(out_dir, "data", data_out, part_cols)
+    write("data", data_out, part_cols)
 
     # a rerun with narrower flags must not leave a previous export's
     # sibling tables beside the fresh manifest (same hazard as the
@@ -614,10 +755,9 @@ def _dedup_split_write(
                       else np.issubdtype(t, np.integer))
             id_type = pa.int64() if is_int else pa.string()
         # an all-text corpus commits an empty table WITH schema, so
-        # readers (and the manifest pass below) never hit a schemaless
-        # directory
-        _write_output(out_dir, "media",
-                      media if n_media else _empty_media(id_type))
+        # readers (and _dedup_split_write's manifest pass) never hit a
+        # schemaless directory
+        write("media", media if n_media else _empty_media(id_type))
 
     if packed:
         if multimodal:
@@ -649,54 +789,7 @@ def _dedup_split_write(
                     capacity=pack_capacity, **tkw,
                     tokens_col="n_tokens" if bpe else None,
                 ).map_batches(_untag, batch_format="pandas")
-        _write_output(out_dir, "packed", seqs, ["split", "lang_pred"])
-
-    # partition sizes from the written files (what a consumer will see)
-    written = pads.dataset(os.path.join(out_dir, "data"),
-                           partitioning="hive")
-    tbl = written.to_table(columns=["split", "lang_pred"])
-    sizes = (
-        tbl.to_pandas().groupby(["split", "lang_pred"]).size().sort_index()
-    )
-    manifest = {
-        **base,
-        "rows_written": int(sizes.sum()),
-        "partitions": {f"{s}/{lg}": int(n) for (s, lg), n in sizes.items()},
-    }
-    if shuffle_shards:
-        sc = (pd.Series(written.to_table(columns=["shard"])["shard"]
-                        .to_numpy(zero_copy_only=False))
-              .astype("int64").value_counts().sort_index())
-        manifest["shuffle_shards"] = shuffle_shards
-        manifest["shards"] = {str(k): int(v) for k, v in sc.items()}
-    if multimodal:
-        mt = pads.dataset(os.path.join(out_dir, "media")).to_table(
-            columns=["media_ref", "n_uses", "content_hash"])
-        manifest["media_unique"] = int(mt.num_rows)
-        manifest["media_occurrences"] = int(
-            pd.Series(mt["n_uses"].to_numpy(zero_copy_only=False)).sum())
-        manifest["media_content_unique"] = int(
-            len(pd.unique(mt["content_hash"].to_numpy(
-                zero_copy_only=False))))
-    if packed:
-        pcols = ["split", "lang_pred", "n_docs", "seq_tokens"]
-        if multimodal:
-            pcols.append("n_media")
-        pt = pads.dataset(
-            os.path.join(out_dir, "packed"), partitioning="hive"
-        ).to_table(columns=pcols)
-        pdf = pt.to_pandas()
-        manifest["pack_capacity"] = pack_capacity
-        manifest["tokenizer"] = "bpe" if bpe else "whitespace"
-        manifest["sequences"] = {
-            f"{s}/{lg}": int(n) for (s, lg), n in
-            pdf.groupby(["split", "lang_pred"]).size().sort_index().items()
-        }
-        manifest["packed_docs"] = int(pdf["n_docs"].sum())
-        manifest["packed_tokens"] = int(pdf["seq_tokens"].sum())
-        if multimodal:
-            manifest["packed_media"] = int(pdf["n_media"].sum())
-    return _write_manifest(manifest, manifest_path)
+        write("packed", seqs, ["split", "lang_pred"])
 
 
 def export_corpus(
@@ -745,11 +838,11 @@ def export_corpus(
     mlist = _load_merges(bpe_merges)
     score = partial(_score, multimodal=multimodal, mlist=mlist,
                     min_quality=min_quality, langs=langs)
-    path = os.path.join(sf_dir, "documents.parquet")
-    if _fits_in_driver([path]):
+    opened = _fits_in_driver([os.path.join(sf_dir, "documents.parquet")])
+    if opened is not None:
         from ..functions.multimodal import interleaved_batch
 
-        docs = pq.read_table(path, columns=["doc_id", "text"])
+        docs = _read_files(opened, ["doc_id", "text"])
         n_in = docs.num_rows
         kept = score(interleaved_batch(docs) if multimodal else docs)
     else:
@@ -792,10 +885,17 @@ def export_run(
     Text is reassembled from each fetched doc's interleaved span list
     (already in offset order — span-sequence equality vs the reference
     is pytest-pinned, so the concatenation is deterministic);
-    quality_score / lang_pred come from the crawl's own enrichment
-    columns, so no re-scoring pass runs. doc_id is the URL; the split
-    hash is the 64-bit string hash (same invariance guarantees as the
-    integer path).
+    quality_score / lang_pred, and the multimodal path's whitespace
+    ``n_tokens`` (the crawl's ``n_ws_tokens``), come from the crawl's own
+    enrichment columns, so no re-scoring or recounting pass runs. doc_id
+    is the URL; the split hash is the 64-bit string hash (same
+    invariance guarantees as the integer path).
+
+    An input under ``EXPORT_LOCAL_MAX_BYTES`` runs in the driver: its
+    files are decoded, and ``data/`` and ``media/`` written, on a thread
+    pool sized to the Ray session's CPUs, overlapping each other and the
+    media and pack stages. Partition files are named ``part-0.parquet``,
+    so a rerun writes the same files.
 
     With ``multimodal=True`` (default) the export PRESERVES the media
     modality the crawl fetched: each doc keeps its interleaved
@@ -828,14 +928,12 @@ def export_run(
     reassemble = partial(_reassemble, multimodal=multimodal, mlist=mlist,
                          min_quality=min_quality, langs=langs)
     files = fetched_files(run_dir)
+    opened = _fits_in_driver(files)
     if not files:
         # a crawl that fetched nothing: _dedup_split_write's 0-row path
         n_in, kept = 0, pa.table({})
-    elif _fits_in_driver(files):
-        docs = pa.concat_tables(
-            [pq.ParquetFile(f).read(columns=_RUN_COLUMNS, use_threads=False)
-             for f in files],
-            promote_options="default")
+    elif opened is not None:
+        docs = _read_files(opened, _RUN_COLUMNS)
         n_in = docs.num_rows
         kept = reassemble(docs)
     else:

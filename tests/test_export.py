@@ -7,6 +7,7 @@ import os
 import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
+import pytest
 
 
 def test_export_corpus_end_to_end(ray_session, tmp_path):
@@ -537,6 +538,170 @@ def test_export_shuffle_shards_multimodal(ray_session, tmp_path):
     assert m["media_occurrences"] == m2["media_occurrences"]
 
 
+def _media_only_corpus(src: str, dst: str) -> None:
+    """A copy of corpus ``src`` at ``dst`` in which every page with a
+    media span and an even page number loses its text spans, so the
+    crawl fetches media-only docs (empty text, media segments)."""
+    import glob
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    shutil.copytree(src, dst)
+    for f in glob.glob(os.path.join(dst, "bucket=*", "part.parquet")):
+        t = pq.read_table(f)
+        spans = t.column("spans").to_pylist()
+        for url, sp in zip(t.column("doc_id").to_pylist(), spans):
+            if int(url.rsplit("/", 1)[1]) % 2 == 0 and any(
+                    s["kind"] == "media" for s in sp):
+                sp[:] = [s for s in sp if s["kind"] != "text"]
+        pq.write_table(t.set_column(1, "spans", pa.array(
+            spans, type=t.schema.field("spans").type)), f)
+
+
+def test_export_run_tokens_are_the_crawls(ray_session, tiny_corpus,
+                                          tmp_path):
+    """data/'s n_tokens (the crawl's n_ws_tokens, not recounted by the
+    export) equals a plain Python whitespace count of each written
+    doc's text, over a crawl with archive members and media-only
+    docs."""
+    import re
+
+    from crawler_service_ray.config import CrawlConfig
+    from crawler_service_ray.pipelines.crawl import CrawlRun, fetched_table
+    from crawler_service_ray.pipelines.export import export_run
+
+    corpus = str(tmp_path / "corpus")
+    _media_only_corpus(tiny_corpus, corpus)
+    run = str(tmp_path / "run")
+    s = CrawlRun(CrawlConfig(
+        corpus_dir=corpus, run_dir=run,
+        seeds=["http://h0.test/p/0", "http://h1.test/p/0"],
+        max_epochs=30, num_seen_shards=2)).run(resume=False)
+    assert s["members_extracted"] > 0
+    kinds = [{sp["kind"] for sp in spans} for spans in
+             fetched_table(run).column("spans").to_pylist()]
+    assert any("media" in k and "text" not in k for k in kinds)
+
+    m = export_run(run, str(tmp_path / "exp"), min_quality=0.0,
+                   packed=True, pack_capacity=256)
+    df = pads.dataset(str(tmp_path / "exp" / "data"),
+                      partitioning="hive").to_table().to_pandas()
+    assert len(df) == m["rows_written"] > 0
+    assert df["doc_id"].str.contains("#").any()  # archive members
+    assert ((df["text"] == "") & (df["n_media"] > 0)).any()
+    want = [len(re.findall(r"[^ \t\n\f\r]+", x)) for x in df["text"]]
+    assert df["n_tokens"].tolist() == want
+
+
+@pytest.fixture(scope="module")
+def tiny_run(ray_session, tiny_corpus, tmp_path_factory):
+    from crawler_service_ray.config import CrawlConfig
+    from crawler_service_ray.pipelines.crawl import CrawlRun
+
+    run = str(tmp_path_factory.mktemp("export_run") / "run")
+    CrawlRun(CrawlConfig(
+        corpus_dir=tiny_corpus, run_dir=run,
+        seeds=["http://h0.test/p/0", "http://h1.test/p/0"],
+        max_epochs=30, num_seen_shards=2)).run(resume=False)
+    return run
+
+
+def _parquet_files(root: str) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path, with its bytes."""
+    out = {}
+    for d, _, names in os.walk(root):
+        for n in names:
+            with open(os.path.join(d, n), "rb") as f:
+                out[os.path.relpath(os.path.join(d, n), root)] = f.read()
+    return out
+
+
+def test_write_output_matches_write_to_dataset(tiny_run, tmp_path,
+                                               monkeypatch):
+    """On the tables an in-process export writes partitioned (with and
+    without shuffle_shards), _write_output writes the same relative
+    directories and byte-identical files as pq.write_to_dataset."""
+    import pyarrow.parquet as pq
+
+    import crawler_service_ray.pipelines.export as ex
+
+    seen = []
+    orig = ex._write_output
+
+    def spy(out_dir, name, t, partition_cols=None):
+        seen.append((name, t, partition_cols))
+        return orig(out_dir, name, t, partition_cols)
+
+    monkeypatch.setattr(ex, "_write_output", spy)
+    ex.export_run(tiny_run, str(tmp_path / "a"), min_quality=0.0,
+                  packed=True, pack_capacity=256)
+    ex.export_run(tiny_run, str(tmp_path / "b"), min_quality=0.0,
+                  packed=True, pack_capacity=256, shuffle_shards=3)
+    ex.export_run(tiny_run, str(tmp_path / "c"), min_quality=0.0,
+                  multimodal=False, packed=True, pack_capacity=256,
+                  shuffle_shards=4)
+    cases = [(n, t, cols) for n, t, cols in seen if cols]
+    assert {tuple(cols) for _, _, cols in cases} == {
+        ("split", "lang_pred"), ("shard", "split", "lang_pred")}
+    for i, (name, t, cols) in enumerate(cases):
+        assert isinstance(t, pa.Table)
+        got, ref = str(tmp_path / f"got{i}"), str(tmp_path / f"ref{i}")
+        orig(got, name, t, cols)
+        pq.write_to_dataset(t, ref, partition_cols=cols, use_threads=False,
+                            basename_template="part-{i}.parquet")
+        a = _parquet_files(os.path.join(got, name))
+        b = _parquet_files(ref)
+        assert sorted(a) == sorted(b), (name, cols)
+        assert all(a[k] == b[k] for k in a), (name, cols)
+
+
+def test_export_rerun_writes_identical_files(tiny_run, tmp_path):
+    """Two in-process exports of one crawl into two directories write
+    the same relative file names with byte-identical contents."""
+    from crawler_service_ray.pipelines.export import export_run
+
+    outs = [str(tmp_path / d) for d in ("one", "two")]
+    for out in outs:
+        export_run(tiny_run, out, min_quality=0.0, packed=True,
+                   pack_capacity=256, shuffle_shards=2)
+    a, b = (_parquet_files(out) for out in outs)
+    assert sorted(a) == sorted(b)
+    assert sum(k.endswith(".parquet") for k in a) > 3
+    assert all(a[k] == b[k] for k in a)
+
+
+def test_export_error_waits_for_running_writes(tiny_run, tmp_path,
+                                               monkeypatch):
+    """An error in a stage after the in-process export has handed
+    data/ and media/ to the I/O pool surfaces only once those writes
+    have finished: no thread is still writing when export_run raises."""
+    import threading
+    import time
+
+    import crawler_service_ray.pipelines.export as ex
+    from crawler_service_ray.functions import text
+
+    done = []
+    orig = ex._write_output
+
+    def slow_write(out_dir, name, t, partition_cols=None):
+        time.sleep(0.3)
+        orig(out_dir, name, t, partition_cols)
+        done.append((name, threading.current_thread().name))
+
+    def fail(*a, **kw):
+        raise RuntimeError("pack failed")
+
+    monkeypatch.setattr(ex, "_write_output", slow_write)
+    monkeypatch.setattr(text, "pack_interleaved_part", fail)
+    with pytest.raises(RuntimeError, match="pack failed"):
+        ex.export_run(tiny_run, str(tmp_path / "exp"), min_quality=0.0,
+                      packed=True)
+    assert sorted(n for n, _ in done) == ["data", "media"]
+    assert all(th.startswith("export-io") for _, th in done)
+
+
 def _read_back(d: str, hive: bool) -> pa.Table:
     return pads.dataset(d, partitioning="hive" if hive else None).to_table()
 
@@ -657,16 +822,22 @@ def test_export_run_of_empty_crawl(ray_session, tiny_corpus, tmp_path):
 
 def _fetched_rows(docs: list[list[tuple[str, str, str]]]) -> pa.Table:
     """A fetched-shaped table: one row per doc, spans given as
-    (kind, text, media_ref); offsets ascend in list order."""
+    (kind, text, media_ref); offsets ascend in list order. n_ws_tokens
+    comes from the crawl's own enrichment kernel, as in a real run."""
     from crawler_service_ray.sources.corpus import SPANS_TYPE
+    from crawler_service_ray.stages.enrich import enrich_fetched
 
-    spans = [[{"kind": k, "text": t, "media_ref": r, "offset": 10 * i}
-              for i, (k, t, r) in enumerate(d)] for d in docs]
+    spans = pa.array([[{"kind": k, "text": t, "media_ref": r,
+                        "offset": 10 * i}
+                       for i, (k, t, r) in enumerate(d)] for d in docs],
+                     type=SPANS_TYPE)
     return pa.table({
         "url": [f"http://h.test/{i}" for i in range(len(docs))],
-        "spans": pa.array(spans, type=SPANS_TYPE),
+        "spans": spans,
         "quality_score": [0.9] * len(docs),
         "lang_pred": ["en"] * len(docs),
+        "n_ws_tokens": enrich_fetched(
+            pa.table({"spans": spans})).column("n_ws_tokens"),
     })
 
 
