@@ -9,7 +9,7 @@ materializes the frontier as an epoch-partitioned parquet table and loops:
   frontier_k → politeness admission (per-host top-K, stages/admit)
              → fetch/expand (actor-pool corpus lookup, stages/fetch)
              → outlink extract/canonicalize/robots/skip (stages/outlinks)
-             → seen-filter anti-join (sharded cuckoo actors, state/seen)
+             → seen-set anti-join (exact sorted-array shards, state/seen)
              → frontier_{k+1} = deferred ∪ newly-discovered
 
 terminating when frontier_{k+1} is empty — the deterministic replacement
@@ -58,7 +58,7 @@ Checkpoint/resume (north rule): every epoch writes, inside a temp dir that
 is atomically renamed to ``epochs/epoch=K`` only after success:
   fetched/            one parquet dir per epoch (the output table)
   frontier_next/      deferred + discovered parquet (input of epoch K+1)
-  seen/shard_*.npz    seen-filter snapshots
+  seen/shard_*.npz    seen-set snapshots
   counters/           per-partition admission counters
   stats.parquet       the per-epoch crawl_stats row (+ seen-shard health
                       and the seen snapshot's time, ``t_snapshot_ms``)
@@ -135,7 +135,7 @@ EXPAND_COUNTERS = (
     "t_canon_ms", "t_probe_ms",
 )
 # seen-shard health, summed over shards, recorded in each epoch's stats
-SEEN_HEALTH = ("n_seen", "n_cuckoo", "n_bloom_overflow", "false_positives")
+SEEN_HEALTH = ("n_seen",)
 # written by a run that an exception stopped; removed by a successful run
 FAILED_RECORD = "run_failed.json"
 

@@ -1,16 +1,19 @@
-"""Sharded URL-seen set: cuckoo-filter shards + batch router.
+"""Sharded URL-seen set: exact sorted-array shards + batch router.
 
 Replaces the reference's implicit tree-uniqueness and `dup_check` stubs
 (`/root/reference/crawlers/local_posix.py:156-158`,
 `legacy/posix_crawler.py:66-68`) with the north-rule seen set: URLs are
-hash-routed ``url_hash % num_shards`` to stateful shards, each holding a
-cuckoo filter (bloom fallback on overflow — state/cuckoo.py) plus an
-exact backing used ONLY to verify the rare filter-positive (false
-positives would silently drop URLs, SURVEY.md §7.5). This makes the
-semi/anti-join of candidate outlinks against the seen set (SURVEY.md
-§2.4 J3) an explicit hash-routed probe, NOT an all-to-all Ray Data
-shuffle — the design that survives a 10^10-URL frontier, where each shard
-would page its exact backing to an on-disk sorted run.
+hash-routed ``url_hash % num_shards`` to stateful shards, each holding
+its hashes exactly, as a sorted uint64 array plus a small append buffer,
+so no probe can be answered wrongly (a false positive would silently
+drop a URL, SURVEY.md §7.5). This makes the semi/anti-join of candidate
+outlinks against the seen set (SURVEY.md §2.4 J3) an explicit
+hash-routed probe, NOT an all-to-all Ray Data shuffle — the design that
+survives a 10^10-URL frontier, where each shard would page its array to
+on-disk sorted runs. A cuckoo/bloom filter pays off only in front of
+such a slower store: each run would carry one, sized once from its known
+count. In memory the array is the store, and a filter in front of it
+would only add work (and, sized up front, an overflow path).
 
 Who answers the probes: ``SeenShard`` is a plain class, and
 ``SeenShardActor`` is ``ray.remote(num_cpus=0)`` of that same class, so
@@ -59,8 +62,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from .cuckoo import CuckooFilter
-
 DEFAULT_FLUSH_BYTES = 64 * 1024 * 1024
 
 
@@ -91,28 +92,24 @@ class SeenShard:
     Fully vectorized service path (the shard pool is a FIXED-size resource
     at every cluster size, so any per-occurrence Python work here becomes
     a serial term that caps scaling — measured ~2.6M loop iterations per
-    epoch before this rewrite): the exact backing is a sorted uint64 array
+    epoch before this rewrite): the seen set is a sorted uint64 array
     probed with ``np.searchsorted`` plus a small unsorted append buffer
     merged in periodically (the in-memory miniature of a per-shard
-    LSM/sorted-run layout at 10^10 scale).
+    LSM/sorted-run layout at 10^10 scale). Every probe is answered from
+    these two arrays alone, and no size is fixed up front.
     """
 
     _MERGE_AT = 65536
     _CHAIN_MAX = 64  # force a full snapshot after this many deltas
     # the seen set and its checkpoint chain: what ``adopt`` moves
-    _SEEN_STATE = ("filter", "sorted", "buffer", "dedup_hits",
-                   "false_positives", "_delta", "_chain_len",
-                   "_rows_since_full")
+    _SEEN_STATE = ("sorted", "buffer", "dedup_hits", "_delta",
+                   "_chain_len", "_rows_since_full")
 
-    def __init__(self, shard_id: int, capacity: int = 1 << 20,
-                 flush_bytes: int = DEFAULT_FLUSH_BYTES):
+    def __init__(self, shard_id: int, flush_bytes: int = DEFAULT_FLUSH_BYTES):
         self.shard_id = shard_id
-        self.capacity = capacity
-        self.filter = CuckooFilter(capacity)
         self.sorted = np.empty(0, dtype=np.uint64)
         self.buffer = np.empty(0, dtype=np.uint64)
         self.dedup_hits = 0
-        self.false_positives = 0
         # incremental-snapshot state: hashes inserted since the last
         # snapshot, and where we are in the full→delta→delta… chain
         self._delta: list[np.ndarray] = []
@@ -126,7 +123,7 @@ class SeenShard:
         self.seq = 0
         self._spill_thread: threading.Thread | None = None
 
-    # -- exact-backing helpers (all vectorized) ---------------------------
+    # -- seen-set helpers (all vectorized) -------------------------------
     def _member(self, uh: np.ndarray) -> np.ndarray:
         out = np.zeros(len(uh), dtype=bool)
         if self.sorted.size:
@@ -153,25 +150,18 @@ class SeenShard:
         ``hashes`` may contain duplicates (multiple parents discovered the
         same URL in one batch); the FIRST occurrence wins, later ones
         count as dedup hits — matching the oracle's per-occurrence
-        accounting. The cuckoo filter answers the common definitely-new
-        case; its positives are verified against the exact backing so a
-        false positive can never drop a URL.
+        accounting. Each distinct hash is looked up in the exact sorted
+        array and append buffer, so the answer is exact at every size.
         """
         h = hashes.astype(np.uint64)
         n = len(h)
         uh, first_idx = np.unique(h, return_index=True)
-        maybe = self.filter.maybe_contains_many(uh)
-        known = np.zeros(len(uh), dtype=bool)
-        if maybe.any():
-            known[maybe] = self._member(uh[maybe])
-        new_mask = ~known
-        self.false_positives += int((maybe & new_mask).sum())
+        new_mask = ~self._member(uh)
         self.dedup_hits += int(n - new_mask.sum())
         out = np.zeros(n, dtype=bool)
         out[first_idx[new_mask]] = True
         new_h = uh[new_mask]
         if new_h.size:
-            self.filter.insert_many(new_h)
             self._add(new_h)
         return out
 
@@ -244,9 +234,9 @@ class SeenShard:
         return out
 
     def adopt(self, other: SeenShard) -> int:
-        """Take over ``other``'s seen set whole: the filter, the exact
-        arrays, the pending snapshot delta, the chain counters and the
-        health counters, so this shard's next snapshot is byte-identical
+        """Take over ``other``'s seen set whole: the sorted array and
+        append buffer, the pending snapshot delta, the chain counters and
+        the dedup-hit count, so this shard's next snapshot is byte-identical
         to the one ``other`` would have written. Returns ``n_seen``.
 
         Deep copies: an instance that arrives as an actor argument holds
@@ -255,17 +245,14 @@ class SeenShard:
             setattr(self, name, copy.deepcopy(getattr(other, name)))
         return self._n_seen()
 
-    def contains(self, hashes: np.ndarray) -> np.ndarray:
-        return self._member(hashes.astype(np.uint64))
-
     def stats(self) -> dict:
         return {
             "shard_id": self.shard_id,
             "n_seen": self._n_seen(),
-            "n_cuckoo": self.filter.n_items,
-            "n_bloom_overflow": self.filter.n_bloom,
             "dedup_hits": self.dedup_hits,
-            "false_positives": self.false_positives,
+            # always 0; kept only because perfbench/layers.py sums both
+            "false_positives": 0,
+            "n_bloom_overflow": 0,
         }
 
     def snapshot(self, path: str) -> dict:
@@ -277,11 +264,10 @@ class SeenShard:
         10^10-URL scale a full rewrite per epoch would dominate the run.
         Files are uncompressed ``npz``: the payload is uniform random
         64-bit hashes, which do not compress, and ``savez_compressed``
-        burned measurable CPU per epoch for ~0% ratio. The cuckoo filter
-        is NOT persisted — restore rebuilds it from the exact set (one
-        O(seen) pass at resume time, amortized across the run). Returns
-        ``stats()``, so the commit records shard health without another
-        call."""
+        burned measurable CPU per epoch for ~0% ratio. A file holds the
+        hashes and the dedup-hit count, nothing else: the sorted array is
+        the whole seen set. Returns ``stats()``, so the commit records
+        shard health without another call."""
         # sorted, as the full set is: a file's bytes then depend on the
         # set alone, not on the order concurrent probes arrived in
         delta = (np.sort(np.concatenate(self._delta)) if self._delta
@@ -299,7 +285,6 @@ class SeenShard:
                 kind=np.array("full"),
                 exact=np.union1d(self.sorted, self.buffer),
                 dedup_hits=np.int64(self.dedup_hits),
-                false_positives=np.int64(self.false_positives),
             )
             self._chain_len = 0
             self._rows_since_full = 0
@@ -309,7 +294,6 @@ class SeenShard:
                 kind=np.array("delta"),
                 delta=delta,
                 dedup_hits=np.int64(self.dedup_hits),
-                false_positives=np.int64(self.false_positives),
             )
             self._chain_len += 1
             self._rows_since_full += int(delta.size)
@@ -320,10 +304,10 @@ class SeenShard:
     def restore(self, paths: list[str] | str) -> int:
         """Restore from a snapshot chain: ``paths`` is the ordered list of
         this shard's snapshot files, one per committed epoch. Walk
-        backward to the most recent FULL snapshot, replay the deltas
-        after it, rebuild the cuckoo filter by re-inserting the exact set
-        (membership semantics are insertion-order independent; only the
-        incidental bucket layout differs from the pre-crash filter)."""
+        backward to the most recent FULL snapshot and replay the deltas
+        after it into one sorted array. Files that also carry a
+        ``false_positives`` count (written while a filter sat in front of
+        the array) load the same way; the count is not read."""
         if isinstance(paths, str):
             paths = [paths]
         chain = []
@@ -342,12 +326,7 @@ class SeenShard:
         parts += [c["delta"].astype(np.uint64) for c in chain[1:]]
         self.sorted = np.sort(np.concatenate(parts))
         self.buffer = np.empty(0, dtype=np.uint64)
-        self.filter = CuckooFilter(self.capacity)
-        if self.sorted.size:
-            self.filter.insert_many(self.sorted)
-        last = chain[-1]
-        self.dedup_hits = int(last["dedup_hits"])
-        self.false_positives = int(last["false_positives"])
+        self.dedup_hits = int(chain[-1]["dedup_hits"])
         self._chain_len = len(chain) - 1
         self._rows_since_full = int(
             sum(int(c["delta"].size) for c in chain[1:])
@@ -362,14 +341,12 @@ class SeenShard:
 SeenShardActor = ray.remote(num_cpus=0)(SeenShard)
 
 
-def make_shards(num_shards: int, capacity_per_shard: int = 1 << 20,
-                flush_bytes: int = DEFAULT_FLUSH_BYTES, *,
+def make_shards(num_shards: int, flush_bytes: int = DEFAULT_FLUSH_BYTES, *,
                 remote: bool = True) -> list:
     """``num_shards`` empty shards: actor handles (their start is not
     waited on), or with ``remote=False`` driver-held instances."""
     make = SeenShardActor.remote if remote else SeenShard
-    return [make(i, capacity_per_shard, flush_bytes)
-            for i in range(num_shards)]
+    return [make(i, flush_bytes) for i in range(num_shards)]
 
 
 def hand_off(local: list, actors: list) -> list:

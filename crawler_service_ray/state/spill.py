@@ -129,12 +129,10 @@ def _write_chunk(t: pa.Table, spill_dir: str, p: int, host: str) -> dict:
 
 
 def _by_count_desc(counts: np.ndarray) -> np.ndarray:
-    """Positions of ``counts`` by count descending, ties in the order a
-    pandas ``value_counts`` leaves them (it argsorts the reversed counts
-    with numpy's default kind and reverses the result, which is not
-    stable). That order is the order new hosts enter the manifest, so
-    keeping it keeps the manifest bytes."""
-    return (len(counts) - 1 - np.argsort(counts[::-1]))[::-1]
+    """Positions of ``counts`` by count descending, ties in position
+    order. This is the order new hosts enter the manifest; a stable sort
+    makes it the same on every CPU and numpy build."""
+    return np.argsort(-counts, kind="stable")
 
 
 def enforce_boundary(

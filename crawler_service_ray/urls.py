@@ -208,7 +208,7 @@ def priority_of(url: str) -> np.float32:
     """Frontier priority — a pure function of the canonical URL.
 
     Deliberately depth-independent so that whichever parent discovers a URL
-    first (a per-epoch race inside the seen-filter shards) cannot change its
+    first (a per-epoch race inside the seen shards) cannot change its
     priority: crawl order stays deterministic (SURVEY.md §7.5). Seeds carry
     explicit priority 1.0 which dominates (hash-derived values are < 1.0).
     """

@@ -1,6 +1,6 @@
 """Incremental seen-set checkpoints: per-epoch snapshot cost is O(new
 hashes), not O(all seen) — deltas chain back to a periodic full, restore
-replays the chain and rebuilds the cuckoo filter from the exact set."""
+replays the chain into one exact sorted array."""
 
 import os
 
@@ -8,6 +8,7 @@ import numpy as np
 import ray
 
 from crawler_service_ray.state.seen import (
+    SeenShard,
     make_shards,
     probe_shards,
     restore_shards,
@@ -93,3 +94,31 @@ def test_snapshot_bytes_independent_of_arrival_order(tmp_path):
                  for k in ("full", "delta")]
         assert kinds == ["full", "delta"]
     assert files[0] == files[1]
+
+
+def test_restore_reads_snapshots_with_false_positives(tmp_path):
+    """Snapshot files written while a cuckoo filter sat in front of the
+    array also carry ``false_positives``: a full plus a delta in that
+    layout restore to the same set and counters, and a run resumed from
+    them writes files without the field."""
+    exact = np.sort(_rng_hashes(21, 3000))
+    delta = np.sort(_rng_hashes(22, 200))
+    full_p, delta_p = str(tmp_path / "full.npz"), str(tmp_path / "delta.npz")
+    np.savez(full_p, kind=np.array("full"), exact=exact,
+             dedup_hits=np.int64(40), false_positives=np.int64(3))
+    np.savez(delta_p, kind=np.array("delta"), delta=delta,
+             dedup_hits=np.int64(57), false_positives=np.int64(4))
+
+    shard = SeenShard(0)
+    assert shard.restore([full_p, delta_p]) == exact.size + delta.size
+    assert shard.stats()["n_seen"] == exact.size + delta.size
+    assert shard.stats()["dedup_hits"] == 57
+    stored = np.concatenate([exact, delta])
+    assert not shard.probe_and_insert(stored).any()
+    assert shard.probe_and_insert(_rng_hashes(23, 50)).all()
+
+    nxt = str(tmp_path / "next.npz")
+    shard.snapshot(nxt)
+    with np.load(nxt) as d:
+        assert str(d["kind"]) == "delta"
+        assert "false_positives" not in d.files

@@ -110,13 +110,11 @@ def test_compact_and_enforce_boundary_match_per_host_loop(tmp_path):
 
 
 def test_offender_order_is_value_counts_order():
-    """New hosts enter a manifest in ``pandas.Series.value_counts``
-    order (count descending, pandas' own tie order): manifests written
-    by earlier versions use it, and their bytes depend on it."""
-    import pandas as pd
-
+    """New hosts enter a manifest by count descending, tied hosts in
+    dictionary (first-occurrence) order: a stable sort, so manifest key
+    order does not depend on the CPU or numpy build."""
     rng = np.random.default_rng(3)
     for _ in range(300):
         counts = rng.integers(1, 5, size=int(rng.integers(1, 40)))
-        want = pd.Series(counts).sort_values(ascending=False).index
-        assert list(spill._by_count_desc(counts)) == list(want)
+        want = sorted(range(len(counts)), key=lambda i: -counts[i])
+        assert list(spill._by_count_desc(counts)) == want
