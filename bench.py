@@ -224,8 +224,8 @@ def scaling() -> None:
     (``os.sched_getaffinity``), ``lo`` a quarter of it, at least 1; so
     1 and 4 on a 4-CPU host. Override with CSR_SCALING_LO /
     CSR_SCALING_HI. The ``lo`` leg is a Ray session with fewer CPUs,
-    not a pinned process: the 0-CPU seen-shard actors, the raylet and
-    the driver still run on every allowed CPU. The JSON records the
+    not a pinned process: the 0-CPU seen-shard hosts (one per leg CPU),
+    the raylet and the driver still run on every allowed CPU. The JSON records the
     affinity CPU count, OMP_NUM_THREADS and ``pyarrow.cpu_count()``
     (Arrow's own thread pool, which OMP_NUM_THREADS sizes), because
     each bounds how much of a leg's CPUs the engine can use.

@@ -23,15 +23,18 @@ calls the same two kernels once each in the driver, against the same seen
 set and spill state — identical semantics, none of the per-execution
 orchestration overhead that would dominate small epochs. The only
 difference is who writes the new frontier: concurrent dataset tasks hand
-their rows to the seen-shard actors, which are the frontier sink
+their rows to the remote seen shards, which are the frontier sink
 (state/seen.py); the one local call writes them itself. Both schedulers
-are covered by the equivalence tests. The seen-shard actors are the only
-actors a crawl starts, at run start, and ``close`` kills them; nothing
-waits on them until a dataset epoch needs them. Until then the seed probe
-and every local epoch probe driver-held instances of the same class (a
-resume restores those from the snapshot chain). The first dataset epoch
-of a ``run`` hands their seen set to the actors, which answer every
-probe, local epochs included, for the rest of that run. The per-epoch
+are covered by the equivalence tests. The seen-shard hosts are the only
+actors a crawl starts: ``num_seen_shards`` shards on one 0-CPU
+``ShardHost`` per session CPU at most (shard i on host i % H), started at
+run start and killed by ``close``; nothing waits on them until a dataset
+epoch needs them. Until then the seed probe and every local epoch probe
+driver-held ``SeenShard`` instances, the class the hosts hold (a resume
+restores those from the snapshot chain). The first dataset epoch of a
+``run`` hands their seen set to the remote shards, which answer every
+probe, local epochs included, for the rest of that run; a host answers
+its shards' calls one at a time. The per-epoch
 counters travel with the data — the expand kernel's output rows and one
 admission counter row per partition — into a driver-side dict, summed
 the same way for both.
@@ -108,7 +111,9 @@ from ..stages.outlinks import (
 )
 from ..state.seen import (
     collect_stats,
+    flush_shards,
     hand_off,
+    kill_shards,
     make_shards,
     restore_shards,
     snapshot_shards,
@@ -165,9 +170,10 @@ class CrawlRun:
             if config.source_kind == "corpus" else {}
         )
         # the seen set that answers probes: driver-held instances until
-        # the run's first dataset epoch hands them to ``_actors``
+        # the run's first dataset epoch hands them to ``_remote``, refs
+        # to the shards on this run's hosts
         self.shards: list = []
-        self._actors: list = []
+        self._remote: list = []
         self._epoch: int | None = None  # the epoch running, for failures
         self._robots_part_refs: list | None = None
 
@@ -188,29 +194,20 @@ class CrawlRun:
 
     # -- public API -------------------------------------------------------
     def close(self) -> None:
-        """Kill this run's seen-shard actors, its only actors, and drop
+        """Kill this run's seen-shard hosts, its only actors, and drop
         its driver-held shards.
 
         Actor handles are only reference-counted — dropping a CrawlRun
-        does NOT promptly stop its actors, so a second run in the same
+        does NOT promptly stop its hosts, so a second run in the same
         driver session would run beside the leaked processes. run()
         always tears down in a finally; every durable artifact (epoch
         parquet, seen snapshots, manifests) is on disk, so resume never
-        needs a live actor."""
-        import ray
-
-        if self._actors:
-            # a kill that lands on an actor still starting leaves its
-            # worker process behind as an idle Ray worker (~77 MB each);
-            # the wait is free unless the run ended before they started
-            ray.wait([a.stats.remote() for a in self._actors],
-                     num_returns=len(self._actors), timeout=60)
-        for a in self._actors:
-            try:
-                ray.kill(a)
-            except Exception:
-                pass
-        self._actors = []
+        needs a live host. ``kill_shards`` first waits for the hosts to
+        finish starting (a kill during start leaks the worker process);
+        with one host per session CPU they are Ray's prestarted idle
+        workers in a session's first run, so that wait is short."""
+        kill_shards(self._remote)
+        self._remote = []
         self.shards = []
 
     def run(self, resume: bool = True) -> dict:
@@ -256,9 +253,9 @@ class CrawlRun:
     def _run_body(self, resume: bool, summary_path: str) -> dict:
         import ray
 
-        # the actors start now but nothing waits on them until a dataset
+        # the hosts start now but nothing waits on them until a dataset
         # epoch (hand_off); fresh driver-held shards answer until then
-        self._actors = make_shards(self.cfg.num_seen_shards)
+        self._remote = make_shards(self.cfg.num_seen_shards)
         self.shards = make_shards(self.cfg.num_seen_shards, remote=False)
         if self.cfg.robots_at_admission:
             # the 10^9-host scale path (config.py): rules split by the
@@ -415,8 +412,8 @@ class CrawlRun:
             "local" if n_frontier < self.cfg.local_epoch_threshold
             else "dataset"
         )
-        if mode == "dataset" and self.shards is not self._actors:
-            self.shards = hand_off(self.shards, self._actors)
+        if mode == "dataset" and self.shards is not self._remote:
+            self.shards = hand_off(self.shards, self._remote)
         tmp = os.path.join(self.epochs_dir, f".tmp_epoch_{k:05d}")
         if os.path.isdir(tmp):
             shutil.rmtree(tmp)
@@ -555,7 +552,6 @@ class CrawlRun:
         fan-in keep the exchange free and the file count at
         O(shards x partitions) per epoch.
         """
-        import ray
         import ray.data as rd
         from ray.data import DataContext
 
@@ -605,7 +601,7 @@ class CrawlRun:
             )
         finally:
             ctx.target_max_block_size = prev_block_size
-        ray.get([s.flush.remote() for s in self.shards])
+        flush_shards(self.shards)
 
     # -- per-epoch stats --------------------------------------------------
     def _epoch_stats(self, k: int, mode: str, counters: Counter) -> dict:

@@ -15,31 +15,37 @@ such a slower store: each run would carry one, sized once from its known
 count. In memory the array is the store, and a filter in front of it
 would only add work (and, sized up front, an overflow path).
 
-Who answers the probes: ``SeenShard`` is a plain class, and
-``SeenShardActor`` is ``ray.remote(num_cpus=0)`` of that same class, so
-both run one code path. A crawl (pipelines/crawl.py) starts its actors at
-run start but first probes driver-held instances: the seed probe, every
-local epoch and a resume's restore touch only the driver. The first
-dataset epoch of a run hands each instance's whole seen set to its actor
-(``adopt``, the first wait on the actors); from then on, for the rest of
-the run, the actors answer every probe. Every helper below
-(``probe_shards``, ``AsyncProbe``, ``snapshot_shards``,
-``collect_stats``, ``restore_shards``) takes either a list of instances
-or a list of actor handles.
+Who answers the probes: ``SeenShard`` is a plain class; ``ShardHost`` is
+a ``ray.remote(num_cpus=0)`` actor holding several of them, so shards
+(data) and the processes that hold them (hosts) are separate, and every
+shard runs one code path wherever it lives. ``make_shards`` starts one
+host per session CPU at most (``host_placement``: shard i on host i % H)
+and returns one picklable ``ShardRef`` per shard. A crawl
+(pipelines/crawl.py) starts its hosts at run start but first probes
+driver-held instances: the seed probe, every local epoch and a resume's
+restore touch only the driver. The first dataset epoch of a run hands
+each instance's whole seen set to its remote shard (``adopt``, the first
+wait on the hosts); from then on, for the rest of the run, the hosts
+answer every probe. Every helper below (``probe_shards``, ``AsyncProbe``,
+``flush_shards``, ``snapshot_shards``, ``collect_stats``,
+``restore_shards``) takes either a list of instances or a list of refs,
+and ``kill_shards`` ends the hosts; nothing else calls a host.
 
 Atomicity: ``probe_and_insert`` runs as one call (one actor task, when
-an actor answers), so a URL sent by many concurrent fetch batches is
-admitted exactly once regardless of arrival order; everything the
-equivalence contract checks (admitted set, priorities) is arrival-order
-independent because priority is a pure function of the URL (urls.py).
+a host answers; a host runs its calls one at a time), so a URL sent by
+many concurrent fetch batches is admitted exactly once regardless of
+arrival order; everything the equivalence contract checks (admitted
+set, priorities) is arrival-order independent because priority is a
+pure function of the URL (urls.py).
 
-The actors are also the dataset-mode frontier sink (the analog of the
-reference's 10 SQS commit threads batching messages,
+The remote shards are also the dataset-mode frontier sink (the analog of
+the reference's 10 SQS commit threads batching messages,
 `crawlers/globus_base_preserved.py:100-107,116-155` there): an
 expand task sends each shard its candidate frontier rows WITH their
 hashes (``probe_and_buffer``); the shard keeps the rows its atomic probe
-admits, and the epoch driver's ``flush`` writes them split by host
-partition, one file per (shard, partition) — O(shards × partitions) files
+admits, and the epoch driver's ``flush_shards`` writes them split by
+host partition, one file per (shard, partition), named by the shard's
+index (``-wSS-``) whatever host holds it — O(shards × partitions) files
 per epoch instead of tasks × partitions (measured ~16k files and 50-160
 CPU-seconds of per-file open cost at a 1.6M-URL epoch). Delivery
 guarantee: tasks ``ray.get`` their probe calls, so a task only succeeds
@@ -48,7 +54,8 @@ run and resume restores them from the last committed snapshot, so
 buffered-but-unflushed rows never reach a committed epoch. Memory bound:
 past ``flush_bytes`` buffered (64 MiB default) a shard spills its buffers
 to sequenced files on a background thread, at most one spill in flight,
-so the sink holds ~2×flush_bytes regardless of epoch discovery volume.
+so the sink holds ~2×flush_bytes per shard regardless of epoch discovery
+volume.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -85,9 +93,10 @@ class SeenShard:
     survives across epochs; the sink's buffers live for one epoch.
 
     A driver-held instance answers the seed probe and the local epochs of
-    a run until its first dataset epoch; then ``SeenShardActor.adopt``
-    takes the instance's seen set, and the actor answers every probe (and
-    sinks the dataset epochs' frontier rows) for the rest of the run.
+    a run until its first dataset epoch; then ``adopt`` on its remote
+    counterpart (held by a ``ShardHost``) takes the instance's seen set,
+    and that shard answers every probe (and sinks the dataset epochs'
+    frontier rows) for the rest of the run.
 
     Fully vectorized service path (the shard pool is a FIXED-size resource
     at every cluster size, so any per-occurrence Python work here becomes
@@ -335,35 +344,89 @@ class SeenShard:
         return self._n_seen()
 
 
-# 0 CPU: the actors only answer calls; a reserved fraction per shard took
+def host_placement(num_shards: int, cpus: int) -> list[list[int]]:
+    """The shard ids each ``ShardHost`` holds: ``min(num_shards, cpus)``
+    hosts (at least one when there is a shard), shard i on host i % H.
+
+    Hosts beyond the session's CPUs add no probe throughput (a shard does
+    milliseconds of work per epoch and reserves no CPU), only a process
+    start and its memory each; and Ray prestarts one idle worker per CPU,
+    so H hosts take that warm pool instead of cold-starting processes."""
+    n_hosts = min(num_shards, max(1, cpus))
+    return [list(range(h, num_shards, n_hosts)) for h in range(n_hosts)]
+
+
+# 0 CPU: the hosts only answer calls; a reserved fraction per shard took
 # CPUs the expand tasks need (8 default shards at 0.25 CPU hung a
 # dataset-mode crawl at num_cpus=2)
-SeenShardActor = ray.remote(num_cpus=0)(SeenShard)
+@ray.remote(num_cpus=0)
+class ShardHost:
+    """One process holding several plain ``SeenShard``s. Its calls run one
+    at a time, so a host serializes its shards' probes (each one atomic,
+    as ``probe_and_insert`` requires)."""
+
+    def __init__(self, shard_ids: list[int], flush_bytes: int):
+        self.shards = {i: SeenShard(i, flush_bytes) for i in shard_ids}
+
+    def call(self, shard_id: int, method: str, *args):
+        return getattr(self.shards[shard_id], method)(*args)
+
+
+class ShardRef(NamedTuple):
+    """Shard ``index`` of the seen set, held by actor ``host``. Picklable,
+    so dataset tasks route their probes by it."""
+
+    host: ray.actor.ActorHandle
+    index: int
 
 
 def make_shards(num_shards: int, flush_bytes: int = DEFAULT_FLUSH_BYTES, *,
                 remote: bool = True) -> list:
-    """``num_shards`` empty shards: actor handles (their start is not
-    waited on), or with ``remote=False`` driver-held instances."""
-    make = SeenShardActor.remote if remote else SeenShard
-    return [make(i, flush_bytes) for i in range(num_shards)]
+    """``num_shards`` empty shards: refs to shards on ``host_placement``'s
+    hosts for the session's CPUs (started now; their start is not waited
+    on), or with ``remote=False`` driver-held instances."""
+    if not remote:
+        return [SeenShard(i, flush_bytes) for i in range(num_shards)]
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    refs: list = [None] * num_shards
+    for ids in host_placement(num_shards, cpus):
+        host = ShardHost.remote(ids, flush_bytes)
+        for i in ids:
+            refs[i] = ShardRef(host, i)
+    return refs
 
 
-def hand_off(local: list, actors: list) -> list:
-    """Move every driver-held shard's seen set to its actor (``adopt``)
-    and return the actors, which answer every probe from then on. The
-    first call that waits on the actors, so their start-up is paid here,
-    not at run start."""
-    ray.get([a.adopt.remote(s) for a, s in zip(actors, local)])
-    return actors
+def kill_shards(shards: list) -> None:
+    """Kill the hosts of shard refs, each host once. Waits for them to
+    finish starting first: a kill that lands on an actor still starting
+    leaves its worker process behind as an idle Ray worker (~77 MB each).
+    The wait is free unless the caller is done before they started."""
+    hosts = list(dict.fromkeys(s.host for s in shards))
+    if hosts:
+        ray.wait([h.__ray_ready__.remote() for h in hosts],
+                 num_returns=len(hosts), timeout=60)
+    for h in hosts:
+        try:
+            ray.kill(h)
+        except Exception:
+            pass
+
+
+def hand_off(local: list, refs: list) -> list:
+    """Move every driver-held shard's seen set to its remote shard
+    (``adopt``) and return the refs, which answer every probe from then
+    on. The first call that waits on the hosts, so their start-up is paid
+    here, not at run start."""
+    _gather([_dispatch(r, "adopt", s) for r, s in zip(refs, local)])
+    return refs
 
 
 def _dispatch(shard, method: str, *args):
     """Call ``SeenShard.<method>`` on a driver-held instance (the result)
-    or on an actor handle (an ObjectRef; ``_gather`` waits on it)."""
+    or on a shard ref's host (an ObjectRef; ``_gather`` waits on it)."""
     if isinstance(shard, SeenShard):
         return getattr(shard, method)(*args)
-    return getattr(shard, method).remote(*args)
+    return shard.host.call.remote(shard.index, method, *args)
 
 
 def _gather(results: list) -> list:
@@ -375,8 +438,8 @@ def _gather(results: list) -> list:
 
 class AsyncProbe:
     """In-flight probe of a hash batch against the seen shards: against
-    actors, the calls launch at construction and the caller gathers the
-    result later, so the probe round-trips overlap with other per-batch
+    remote shards, the calls launch at construction and the caller
+    gathers the result later, so the probe round-trips overlap with other per-batch
     compute (enrich, side-writes) instead of serializing behind them;
     driver-held instances answer at construction.
 
@@ -432,6 +495,12 @@ def probe_shards(shards: list, hashes: np.ndarray) -> np.ndarray:
 
 def collect_stats(shards: list) -> list[dict]:
     return _gather([_dispatch(s, "stats") for s in shards])
+
+
+def flush_shards(shards: list) -> None:
+    """Epoch end of the frontier sink: every shard writes its remaining
+    rows (``SeenShard.flush``)."""
+    _gather([_dispatch(s, "flush") for s in shards])
 
 
 def snapshot_shards(shards: list, directory: str) -> list[dict]:

@@ -109,13 +109,16 @@ def test_seen_shard_sink_spills_at_threshold(ray_session, tmp_path):
 
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray
 
     from crawler_service_ray.stages.outlinks import (
         probe_new_finish,
         probe_new_start,
     )
-    from crawler_service_ray.state.seen import make_shards
+    from crawler_service_ray.state.seen import (
+        flush_shards,
+        kill_shards,
+        make_shards,
+    )
     from crawler_service_ray.urls import host_partitions
 
     out = str(tmp_path / "frontier_next")
@@ -135,7 +138,7 @@ def test_seen_shard_sink_spills_at_threshold(ray_session, tmp_path):
         kept += probe_new_finish(
             probe_new_start(t, shards, 0, sink=(out, 8)))
         admitted.update(urls[:50])
-    ray.get([s.flush.remote() for s in shards])
+    flush_shards(shards)
 
     files = sorted(glob.glob(out + "/*.parquet"))
     # mid-epoch spills → more than one file sequence per (part, shard)
@@ -149,8 +152,7 @@ def test_seen_shard_sink_spills_at_threshold(ray_session, tmp_path):
         got.extend(rows["url"].to_pylist())
     assert kept == len(got) == len(admitted)
     assert sorted(got) == sorted(admitted)
-    for s in shards:
-        ray.kill(s)
+    kill_shards(shards)
 
 
 def test_mid_epoch_crash_leaves_no_partial_commit(ray_session, tiny_corpus,

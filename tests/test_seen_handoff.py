@@ -1,11 +1,13 @@
 """Who answers the seen-set probes: driver-held shards answer the seed
 probe and every local epoch; the first dataset epoch of a run hands their
-seen set to the shard actors, which answer for the rest of that run.
-Fetched rows, per-epoch counters and every seen snapshot's bytes must not
-depend on when, or whether, that handoff happens — across a resume and a
-crash at the handoff too."""
+seen set to the remote shards (on one host per session CPU at most),
+which answer for the rest of that run. Fetched rows, per-epoch counters
+and every seen snapshot's bytes must not depend on when, or whether,
+that handoff happens, nor on how many shards a host holds — across a
+resume, a crash at the handoff and a host's death too."""
 
 import glob
+import json
 import os
 
 import pytest
@@ -18,6 +20,7 @@ from crawler_service_ray.pipelines.crawl import (
     fetched_table,
 )
 from crawler_service_ray.sources.corpus import default_seeds
+from crawler_service_ray.state.seen import kill_shards
 
 # the tiny corpus's frontier runs 3, 11, 30, 52, 34, 6, 1 rows per epoch:
 # at this threshold epochs 0-1 and 5-6 run local, epochs 2-4 dataset
@@ -81,36 +84,94 @@ def handoffs(monkeypatch):
     return calls
 
 
-@pytest.fixture(scope="module")
-def local_run(ray_session, tiny_corpus, tmp_path_factory):
-    """The all-local reference run: no handoff, the actors never used."""
-    cfg = _cfg(tiny_corpus, str(tmp_path_factory.mktemp("local") / "run"),
-               force_mode="local")
+def _local_outputs(corpus, run_dir, **kw):
+    """The all-local reference run: no handoff, the hosts never used."""
+    cfg = _cfg(corpus, run_dir, force_mode="local", **kw)
     CrawlRun(cfg).run(resume=False)
     assert set(_modes(cfg.run_dir)) == {"local"}
     return _outputs(cfg.run_dir)
+
+
+@pytest.fixture(scope="module")
+def local_run(ray_session, tiny_corpus, tmp_path_factory):
+    return _local_outputs(tiny_corpus,
+                          str(tmp_path_factory.mktemp("local") / "run"))
+
+
+@pytest.fixture(scope="module")
+def local_run_6(ray_session, tiny_corpus, tmp_path_factory):
+    """6 shards: on the session's 4 CPUs, hosts 0 and 1 hold two each."""
+    return _local_outputs(tiny_corpus,
+                          str(tmp_path_factory.mktemp("local6") / "run"),
+                          num_seen_shards=6)
+
+
+def _check_mode_switch(want, corpus, tmp_path, handoffs, shards):
+    data = _cfg(corpus, str(tmp_path / "d"), force_mode="dataset",
+                num_seen_shards=shards)
+    CrawlRun(data).run(resume=False)
+    assert set(_modes(data.run_dir)) == {"dataset"}
+    assert handoffs == [shards]
+    _assert_same(_outputs(data.run_dir), want)
+
+    switch = _cfg(corpus, str(tmp_path / "s"), num_seen_shards=shards,
+                  local_epoch_threshold=SWITCH_THRESHOLD)
+    CrawlRun(switch).run(resume=False)
+    modes = _modes(switch.run_dir)
+    first = modes.index("dataset")
+    assert first > 0 and "local" in modes[first:], modes
+    assert handoffs == [shards, shards]  # one handoff per run, no switch back
+    _assert_same(_outputs(switch.run_dir), want)
 
 
 def test_mode_switch_same_as_single_scheduler_runs(local_run, tiny_corpus,
                                                    tmp_path, handoffs):
     """All-dataset (the seeds are probed in the driver, then handed off
     before epoch 0) and local -> dataset -> local (handed off at epoch 2,
-    the actors keep answering the later local epochs) both equal the
+    the hosts keep answering the later local epochs) both equal the
     all-local run, seen snapshot bytes included."""
-    data = _cfg(tiny_corpus, str(tmp_path / "d"), force_mode="dataset")
-    CrawlRun(data).run(resume=False)
-    assert set(_modes(data.run_dir)) == {"dataset"}
-    assert handoffs == [4]
-    _assert_same(_outputs(data.run_dir), local_run)
+    _check_mode_switch(local_run, tiny_corpus, tmp_path, handoffs, 4)
 
-    switch = _cfg(tiny_corpus, str(tmp_path / "s"),
-                  local_epoch_threshold=SWITCH_THRESHOLD)
-    CrawlRun(switch).run(resume=False)
-    modes = _modes(switch.run_dir)
-    first = modes.index("dataset")
-    assert first > 0 and "local" in modes[first:], modes
-    assert handoffs == [4, 4]  # one handoff per run, no switch back
-    _assert_same(_outputs(switch.run_dir), local_run)
+
+def test_mode_switch_same_as_single_scheduler_runs_6_shards(
+        local_run_6, tiny_corpus, tmp_path, handoffs):
+    """The same with more shards than hosts: 6 shards on 4 hosts."""
+    _check_mode_switch(local_run_6, tiny_corpus, tmp_path, handoffs, 6)
+
+
+def test_host_death_fails_loudly_then_resume(local_run_6, tiny_corpus,
+                                             tmp_path, monkeypatch):
+    """A host now carries several shards: killing one just after the
+    handoff stops the run, and ``run_failed.json`` names the actor death;
+    resume then gives the undisturbed run's outputs."""
+    cfg = _cfg(tiny_corpus, str(tmp_path / "k"), num_seen_shards=6,
+               force_mode="dataset")
+    orig = crawl_mod.hand_off
+
+    def killing(local, refs):
+        out = orig(local, refs)
+        hosts = [r.host for r in refs]
+        assert len(set(hosts)) < len(refs)
+        # host 0 holds shards 0 and 4
+        assert [r.index for r in refs if r.host == hosts[0]] == [0, 4]
+        kill_shards(refs[:1])
+        return out
+
+    monkeypatch.setattr(crawl_mod, "hand_off", killing)
+    with pytest.raises(Exception, match="(?i)actor"):
+        CrawlRun(cfg).run(resume=False)
+    monkeypatch.setattr(crawl_mod, "hand_off", orig)
+    failed = os.path.join(cfg.run_dir, crawl_mod.FAILED_RECORD)
+    with open(failed) as f:
+        record = json.load(f)
+    assert record["epoch"] == 0
+    assert "ActorDiedError" in record["cause"], record["cause"]
+    assert "class_name: ShardHost" in record["cause"]
+    assert _modes(cfg.run_dir) == []
+
+    CrawlRun(cfg).run(resume=True)
+    assert not os.path.exists(failed)
+    _assert_same(_outputs(cfg.run_dir), local_run_6)
 
 
 def test_resume_after_first_dataset_epoch(local_run, tiny_corpus, tmp_path):

@@ -5,10 +5,10 @@ replays the chain into one exact sorted array."""
 import os
 
 import numpy as np
-import ray
 
 from crawler_service_ray.state.seen import (
     SeenShard,
+    kill_shards,
     make_shards,
     probe_shards,
     restore_shards,
@@ -55,8 +55,7 @@ def test_snapshot_chain_restores_exactly(ray_session, tmp_path):
     assert not probe_shards(fresh, h).any()
     # and a genuinely new batch still reads as new
     assert probe_shards(fresh, _rng_hashes(99, 50)).all()
-    for a in shards + fresh:
-        ray.kill(a)
+    kill_shards(shards + fresh)
 
 
 def test_restore_from_single_full_dir(ray_session, tmp_path):
@@ -69,8 +68,7 @@ def test_restore_from_single_full_dir(ray_session, tmp_path):
     fresh = make_shards(2)
     restore_shards(fresh, d)  # str, not list
     assert not probe_shards(fresh, h).any()
-    for a in shards + fresh:
-        ray.kill(a)
+    kill_shards(shards + fresh)
 
 
 def test_snapshot_bytes_independent_of_arrival_order(tmp_path):

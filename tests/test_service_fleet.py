@@ -1,6 +1,7 @@
-"""The crawl's actor fleet is its seen shards and nothing else: they
-reserve no CPU, they are the only actors a CrawlRun starts, their health
-lands in each epoch's stats, and worker caches do not grow per run."""
+"""The crawl's actor fleet is its seen-shard hosts and nothing else: they
+reserve no CPU, they are the only actors a CrawlRun starts, one per
+session CPU at most, their shards' health lands in each epoch's stats,
+and worker caches do not grow per run."""
 
 import json
 import os
@@ -15,6 +16,7 @@ from crawler_service_ray.oracle import oracle_crawl
 from crawler_service_ray.pipelines import crawl as crawl_mod
 from crawler_service_ray.pipelines.crawl import CrawlRun, crawl_stats_table
 from crawler_service_ray.sources.corpus import default_seeds
+from crawler_service_ray.state.seen import host_placement
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,24 +30,44 @@ def _actors() -> dict:
 
 def test_crawl_run_starts_only_seen_shards(ray_session, tiny_corpus,
                                            tmp_path):
-    def cfg(name):
+    def cfg(name, shards):
         return CrawlConfig(corpus_dir=tiny_corpus, run_dir=str(tmp_path / name),
-                           seeds=default_seeds(3), num_seen_shards=3,
+                           seeds=default_seeds(3), num_seen_shards=shards,
                            max_epochs=2, force_mode="dataset")
 
+    def started_by(config):
+        before = set(_actors())
+        CrawlRun(config).run(resume=False)
+        return [i["ActorClassName"] for a, i in _actors().items()
+                if a not in before]
+
     # a first dataset-mode crawl starts whatever Ray Data keeps per session
-    CrawlRun(cfg("warm")).run(resume=False)
-    before = set(_actors())
-    CrawlRun(cfg("run")).run(resume=False)
-    started = [i["ActorClassName"] for a, i in _actors().items()
-               if a not in before]
-    assert started == ["SeenShard"] * 3
+    CrawlRun(cfg("warm", 3)).run(resume=False)
+    # one host per shard while shards <= the session's 4 CPUs ...
+    assert started_by(cfg("run", 3)) == ["ShardHost"] * 3
+    # ... and one per CPU beyond that
+    assert started_by(cfg("run6", 6)) == ["ShardHost"] * 4
+
+
+def test_host_placement():
+    """Shard i lives on host i % H, every shard on exactly one host, and
+    H = min(shards, CPUs), at least one host for a shard."""
+    for shards in range(1, 11):
+        for cpus in range(0, 7):
+            hosts = host_placement(shards, cpus)
+            n_hosts = len(hosts)
+            assert n_hosts == max(1, min(shards, cpus))
+            assert sorted(i for h in hosts for i in h) == list(range(shards))
+            for h, ids in enumerate(hosts):
+                assert all(i % n_hosts == h for i in ids)
+    assert host_placement(0, 4) == []
 
 
 def test_default_config_dataset_crawl_at_two_cpus(tiny_corpus, tmp_path):
-    """A default CrawlConfig crawl must make progress at num_cpus=2: each
-    of the 8 default shards once reserved 0.25 CPU, leaving none for the
-    expand tasks, and the crawl hung with no error."""
+    """A default CrawlConfig crawl must make progress at num_cpus=2 (its 8
+    default shards on 2 hosts): each of the 8 shards once reserved 0.25
+    CPU, leaving none for the expand tasks, and the crawl hung with no
+    error."""
     run_dir = str(tmp_path / "run")
     code = f"""
 import ray
